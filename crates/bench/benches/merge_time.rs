@@ -2,23 +2,15 @@
 //! schedule-merging (table generation) algorithm as a function of the number
 //! of merged schedules and of the graph size.
 //!
-//! Two variants of every configuration:
+//! Every group is pinned to one thread (the merge's default), so its median
+//! is core-count-independent and `bench_guard` gates it:
 //!
-//! * `schedule_merging/*` — the merge at its default thread count (available
-//!   parallelism), i.e. what a caller gets out of the box; reported by
-//!   `bench_guard` for information (its median scales with the runner's
-//!   core count, which the single-threaded calibration probes cannot
-//!   normalize, so gating it would be machine-dependent);
-//! * `schedule_merging_serial/*` — pinned to one thread, so the serial
-//!   trajectory (scratch-arena reuse without fork-join) stays comparable
-//!   against pre-parallelism baselines such as `BENCH_2.json` and catches a
-//!   scratch-reuse regression that extra cores would mask. This group is
-//!   gated by `bench_guard`.
-//!
-//! The deep-condition-nest walk trajectory is measured twice as well:
-//! `merge_walk/*` pinned to one thread (gated) and `merge_walk_par/*` at
-//! four threads — the speculative transactional walk, reported for
-//! information only (its median depends on the runner's core count).
+//! * `schedule_merging_serial/*` — the wide generated systems; the name is
+//!   kept so the trajectory stays comparable against every committed
+//!   baseline since `BENCH_2.json`;
+//! * `merge_walk/*` — deep condition nests, where the decision-tree walk
+//!   dominates;
+//! * `merge_rewalk/*` — cold versus warm incremental re-merges.
 
 #![forbid(unsafe_code)]
 
@@ -32,8 +24,8 @@ use cpg_merge::{generate_schedule_table, MergeConfig, MergeSession};
 const NODES: [usize; 3] = [60, 80, 120];
 const PATHS: [usize; 3] = [10, 18, 32];
 
-fn bench_group(c: &mut Criterion, group_name: &str, threads: usize) {
-    let mut group = c.benchmark_group(group_name);
+fn schedule_merging_group(c: &mut Criterion) {
+    let mut group = c.benchmark_group("schedule_merging_serial");
     group.sample_size(10);
     for &nodes in &NODES {
         for &paths in &PATHS {
@@ -42,7 +34,7 @@ fn bench_group(c: &mut Criterion, group_name: &str, threads: usize) {
                 .with_buses(2)
                 .with_seed((nodes * 1000 + paths) as u64);
             let system = generate(&config);
-            let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(threads);
+            let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(1);
             group.bench_with_input(
                 BenchmarkId::new(format!("{nodes}_nodes"), paths),
                 &system,
@@ -61,15 +53,15 @@ fn bench_group(c: &mut Criterion, group_name: &str, threads: usize) {
 /// adjustments, repairs along the tree), not the per-track runs, is what
 /// dominates. This is the trajectory that gates the undo-log walk: a
 /// regression in its trail/pool management shows up here long before the
-/// wide `schedule_merging/*` configurations notice.
+/// wide `schedule_merging_serial/*` configurations notice.
 // Depth 40 joined when the condition-partition row index landed: the deeper
 // the nest, the larger the rows and the more a per-row linear rescan costs,
 // so it is the configuration most sensitive to a regression in the index's
 // group/bucket maintenance.
 const WALK_DEPTHS: [usize; 4] = [16, 24, 32, 40];
 
-fn merge_walk_group(c: &mut Criterion, group_name: &str, threads: usize) {
-    let mut group = c.benchmark_group(group_name);
+fn merge_walk_group(c: &mut Criterion) {
+    let mut group = c.benchmark_group("merge_walk");
     group.sample_size(10);
     for &paths in &WALK_DEPTHS {
         let config = GeneratorConfig::new(3 * paths, paths)
@@ -77,11 +69,7 @@ fn merge_walk_group(c: &mut Criterion, group_name: &str, threads: usize) {
             .with_buses(1)
             .with_seed(0xDEE9 + paths as u64);
         let system = generate(&config);
-        // At one thread the walk is fully serial and the median is
-        // core-count-independent, so that group can be gated like
-        // schedule_merging_serial/*; larger counts run the speculative
-        // transactional walk on the same systems (info-only).
-        let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(threads);
+        let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(1);
         group.bench_with_input(BenchmarkId::from_parameter(paths), &system, |b, system| {
             b.iter(|| generate_schedule_table(system.cpg(), system.arch(), &merge_config));
         });
@@ -192,11 +180,8 @@ fn merge_rewalk_group(c: &mut Criterion) {
 }
 
 fn merge_time(c: &mut Criterion) {
-    // 0 = the automatic choice (available parallelism).
-    bench_group(c, "schedule_merging", 0);
-    bench_group(c, "schedule_merging_serial", 1);
-    merge_walk_group(c, "merge_walk", 1);
-    merge_walk_group(c, "merge_walk_par", 4);
+    schedule_merging_group(c);
+    merge_walk_group(c);
     merge_rewalk_group(c);
 }
 

@@ -6,10 +6,8 @@
 //! baseline (`BENCH_7.json`) and fails when any gated median
 //! (`schedule_merging_serial/*`, `merge_walk/*` and `merge_rewalk/*` — the
 //! one-thread-pinned merge trajectories, whose cost is
-//! core-count-independent) regresses by
-//! more than the allowed percentage; the default-parallelism
-//! `schedule_merging/*` and speculative-walk `merge_walk_par/*` groups are
-//! reported for information (see `GATED_PREFIXES`).
+//! core-count-independent) regresses by more than the allowed percentage;
+//! every other row is reported for information (see `GATED_PREFIXES`).
 //!
 //! A gated group must be *present* on both sides: a gated prefix with no row
 //! in the current measurement means the bench run was misconfigured, and one
@@ -61,19 +59,17 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Benchmarks whose regression fails the gate; everything else is reported
-/// for information only. Only the one-thread-pinned groups are gated — the
-/// full serial merge trajectory, the deep-condition-nest walk trajectory
+/// for information only. The gated groups are the one-thread-pinned merge
+/// trajectories — the full serial merge, the deep-condition-nest walk
 /// (`merge_walk/`, where the sequential decision-tree walk dominates) and
-/// the incremental re-merge trajectory (`merge_rewalk/`, whose `warm/*`
-/// rows hold the session's cached-replay speedup and whose `cold/*` rows
-/// anchor the ratio): the
-/// default-parallelism `schedule_merging/` group and the speculative
-/// `merge_walk_par/` group scale with the runner's core count, which neither
-/// calibration probe (both single-threaded) can normalize out — gating them
-/// would fail spuriously on any runner with fewer cores than the baseline
-/// machine, exactly the hardware dependence the calibration exists to
-/// prevent. The parallel medians are still measured, reported and recorded
-/// in every baseline.
+/// the incremental re-merge (`merge_rewalk/`, whose `warm/*` rows hold the
+/// session's cached-replay speedup and whose `cold/*` rows anchor the
+/// ratio). Multi-threaded medians scale with the runner's core count, which
+/// neither calibration probe (both single-threaded) can normalize out, so a
+/// multi-threaded group may never be gated: it would fail spuriously on any
+/// runner with fewer cores than the baseline machine. Rows that only an
+/// older baseline carries (such as the retired default-parallelism and
+/// four-thread walk groups of `BENCH_7.json`) are reported for information.
 const GATED_PREFIXES: &[&str] = &["schedule_merging_serial/", "merge_walk/", "merge_rewalk/"];
 
 /// The code-stable compute-bound calibration benchmark used to normalize out

@@ -53,9 +53,9 @@ pub struct SuiteOutcome {
 /// `1` to smoke-check that serial and nested-parallel runs produce the same
 /// report), otherwise the machine's available parallelism.
 ///
-/// The variable goes through the same parser as `CPG_MERGE_THREADS`
-/// ([`cpg_merge::threads_from_env`]): garbage values warn once on stderr and
-/// fall back to the automatic choice instead of being silently swallowed.
+/// The variable is parsed by [`cpg_merge::threads_from_env`]: garbage values
+/// warn once on stderr and fall back to the automatic choice instead of being
+/// silently swallowed.
 #[must_use]
 pub fn suite_threads() -> usize {
     cpg_merge::threads_from_env("CPG_SUITE_THREADS")

@@ -8,16 +8,15 @@ use cpg_arch::Time;
 /// Parses a thread-count environment variable, warning **once** per variable
 /// on garbage instead of silently falling back.
 ///
-/// The contract, shared by every thread knob in the workspace
-/// (`CPG_MERGE_THREADS` for the merge phases, `CPG_SUITE_THREADS` for the
-/// benchmark suites):
+/// The merge itself never reads the environment (its thread count comes
+/// from [`MergeConfig::with_threads`] alone); this parser serves the
+/// benchmark suites' `CPG_SUITE_THREADS` knob:
 ///
 /// * unset or empty/whitespace-only value → `None` (automatic choice);
-/// * `"0"` → `None` (explicit "automatic", mirroring
-///   [`MergeConfig::with_threads`]);
+/// * `"0"` → `None` (explicit "automatic");
 /// * a positive integer (surrounding whitespace tolerated) → that count;
 /// * anything else → `None` **plus** one `warning:` line on stderr per
-///   variable per process, so a typo like `CPG_MERGE_THREADS=fourteen` can
+///   variable per process, so a typo like `CPG_SUITE_THREADS=fourteen` can
 ///   no longer masquerade as the default.
 #[must_use]
 pub fn threads_from_env(var: &str) -> Option<NonZeroUsize> {
@@ -134,31 +133,24 @@ pub enum SelectionPolicy {
 /// let config = MergeConfig::new(Time::new(1));
 /// assert_eq!(config.broadcast_time(), Time::new(1));
 /// assert_eq!(config.selection(), SelectionPolicy::LongestDelayFirst);
-/// assert_eq!(config.threads(), None); // auto: available parallelism
+/// assert_eq!(config.threads(), None); // default: one thread
+/// assert_eq!(config.effective_threads(), 1);
 ///
 /// let ablation = MergeConfig::new(Time::new(2)).with_selection(SelectionPolicy::ShortestDelayFirst);
 /// assert_eq!(ablation.selection(), SelectionPolicy::ShortestDelayFirst);
 ///
-/// let serial = MergeConfig::new(Time::new(1)).with_threads(1);
-/// assert_eq!(serial.effective_threads(), 1);
+/// let fanned_out = MergeConfig::new(Time::new(1)).with_threads(2);
+/// assert_eq!(fanned_out.effective_threads(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeConfig {
     broadcast_time: Time,
     selection: SelectionPolicy,
-    /// Worker threads for the parallel phases of the merge (per-track
-    /// context construction + initial path schedules, the speculative
-    /// decision-tree walk, and the final realizability sweep). `None` means
-    /// "decide at run time"; the precedence is
-    ///
-    /// | source                        | wins when                        |
-    /// |-------------------------------|----------------------------------|
-    /// | [`MergeConfig::with_threads`] | set to a non-zero count          |
-    /// | `CPG_MERGE_THREADS`           | set to a valid non-zero count    |
-    /// | `available_parallelism`       | otherwise                        |
-    ///
-    /// (see [`threads_from_env`] for how the variable is parsed). The merged
-    /// output is bit-identical for every thread count.
+    /// Worker threads for the per-track fan-outs of the merge (context
+    /// construction + initial path schedules, and the final realizability
+    /// sweep); `None` means the default of one. The decision-tree walk
+    /// between them is serial at every count, and the merged output is
+    /// bit-identical for every thread count.
     threads: Option<NonZeroUsize>,
     /// Record a [`MergeStep`](crate::MergeStep) for every decision-tree node
     /// (default off: tracing costs an allocation per node on the hot walk).
@@ -204,8 +196,8 @@ impl MergeConfig {
         self
     }
 
-    /// The explicitly configured worker-thread count of the parallel merge
-    /// phases, or `None` when the count is decided at run time (see
+    /// The explicitly configured worker-thread count of the per-track merge
+    /// fan-outs, or `None` when none was set (see
     /// [`effective_threads`](Self::effective_threads)).
     #[must_use]
     pub fn threads(&self) -> Option<usize> {
@@ -213,8 +205,8 @@ impl MergeConfig {
     }
 
     /// Returns the configuration with a fixed worker-thread count for the
-    /// parallel merge phases. `1` forces the fully serial path (no worker
-    /// threads are spawned); `0` restores the automatic choice. The merge
+    /// per-track merge fan-outs. `1` (the default) runs the fully serial path
+    /// (no worker threads are spawned); `0` restores the default. The merge
     /// result is bit-identical for every thread count — this knob trades
     /// wall-clock for cores only.
     #[must_use]
@@ -224,19 +216,15 @@ impl MergeConfig {
     }
 
     /// The worker-thread count the merge will actually use: the configured
-    /// count if one was set, else the `CPG_MERGE_THREADS` environment
-    /// variable (how CI forces both extremes through the whole test suite;
-    /// parsed by [`threads_from_env`], which warns on garbage), else the
-    /// machine's available parallelism.
+    /// count if one was set, else 1.
+    ///
+    /// One is the default because the fan-outs do not pay for themselves on
+    /// small machines: `fj` spawns fresh scoped threads per fan-out, and on
+    /// two cores the out-of-the-box parallel default measured slower than
+    /// the serial merge end to end (see the README's thread-count notes).
     #[must_use]
     pub fn effective_threads(&self) -> usize {
-        if let Some(threads) = self.threads {
-            return threads.get();
-        }
-        if let Some(threads) = threads_from_env("CPG_MERGE_THREADS") {
-            return threads.get();
-        }
-        fj::available_parallelism()
+        self.threads.map_or(1, NonZeroUsize::get)
     }
 
     /// `true` when the merge records a [`MergeStep`](crate::MergeStep) per
@@ -291,17 +279,18 @@ mod tests {
     fn thread_knob_fixes_zeroes_and_resolves() {
         let config = MergeConfig::default();
         assert_eq!(config.threads(), None);
-        // Without an explicit count the effective value is at least one
-        // (whatever the environment and hardware say).
-        assert!(config.effective_threads() >= 1);
+        // Without an explicit count the merge runs on one thread, whatever
+        // the environment and hardware say.
+        assert_eq!(config.effective_threads(), 1);
 
         let fixed = config.with_threads(3);
         assert_eq!(fixed.threads(), Some(3));
         assert_eq!(fixed.effective_threads(), 3);
 
-        // 0 restores the automatic choice.
-        let auto_again = fixed.with_threads(0);
-        assert_eq!(auto_again.threads(), None);
+        // 0 restores the default.
+        let default_again = fixed.with_threads(0);
+        assert_eq!(default_again.threads(), None);
+        assert_eq!(default_again.effective_threads(), 1);
     }
 
     #[test]

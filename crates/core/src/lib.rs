@@ -18,17 +18,13 @@
 //! by moving processes to previously tabled activation times (Theorem 2 of the
 //! paper).
 //!
-//! Every phase is parallel: the embarrassingly parallel ones — per-track
-//! context construction, the initial per-path schedules and the final
-//! realizability sweep — fan out over a fixed-size worker pool (the vendored
-//! `fj` fork-join shim) with one reusable scratch arena per worker, and the
-//! decision-tree walk itself runs sibling subtrees speculatively over
-//! transactional views of the schedule table
-//! ([`TableTxn`](cpg_table::TableTxn)), committing their write logs in tree
-//! order. The thread count comes from [`MergeConfig::with_threads`] (default:
-//! `CPG_MERGE_THREADS`, parsed by [`threads_from_env`], else available
-//! parallelism; `1` forces the serial path) and the merged output is
-//! bit-identical for every thread count.
+//! The decision-tree walk is one serial depth-first traversal. The
+//! embarrassingly parallel per-track phases around it — context
+//! construction, the initial per-path schedules and the final realizability
+//! sweep — can fan out over a worker pool (the vendored `fj` fork-join shim)
+//! with one reusable scratch arena per worker when
+//! [`MergeConfig::with_threads`] asks for more than the default single
+//! thread; the merged output is bit-identical for every thread count.
 //!
 //! A condition-oblivious baseline ([`condition_oblivious_baseline`]) is also
 //! provided for comparison.

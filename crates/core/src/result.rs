@@ -69,9 +69,9 @@ pub struct MergeStats {
 }
 
 impl MergeStats {
-    /// Folds the counters of another partial into this one. The parallel walk
-    /// accumulates per-subtree partials and merges them in tree order, so the
-    /// totals are identical to a serial walk for every thread count.
+    /// Folds the counters of another partial into this one. A session replay
+    /// folds the cached per-segment partials of every replayed chain in
+    /// serial order, so the totals are identical to a cold walk's.
     pub(crate) fn absorb(&mut self, other: MergeStats) {
         self.tree_nodes += other.tree_nodes;
         self.adjustments += other.adjustments;
@@ -136,7 +136,6 @@ pub struct MergeResult {
     pub(crate) delta_max: Time,
     pub(crate) steps: Vec<MergeStep>,
     pub(crate) stats: MergeStats,
-    pub(crate) spec_discards: usize,
 }
 
 impl MergeResult {
@@ -223,17 +222,14 @@ impl MergeResult {
         self.stats
     }
 
-    /// Speculative subtree validations that failed and forced a re-run
-    /// against the live table.
+    /// Speculative subtree walks discarded after a failed validation.
     ///
-    /// Unlike [`stats`](Self::stats) this is **scheduling-dependent**: it is
-    /// always 0 at one thread and varies with the interleaving at higher
-    /// thread counts, so it is deliberately kept out of [`MergeStats`] and
-    /// excluded from the bit-identity contract the differential suites
-    /// check.
+    /// Always 0: the decision-tree walk is serial at every thread count and
+    /// never speculates. Kept so callers that report the counter keep
+    /// compiling.
     #[must_use]
     pub fn spec_discards(&self) -> usize {
-        self.spec_discards
+        0
     }
 
     /// Whether the table honours requirement 2 (see the type-level docs).
@@ -306,7 +302,6 @@ mod tests {
             delta_max: Time::new(107),
             steps: Vec::new(),
             stats: MergeStats::default(),
-            spec_discards: 0,
         };
         assert!((result.overhead_percent() - 7.0).abs() < 1e-9);
         assert!(!result.is_zero_overhead());
@@ -325,7 +320,6 @@ mod tests {
             delta_max: Time::ZERO,
             steps: Vec::new(),
             stats: MergeStats::default(),
-            spec_discards: 0,
         };
         assert_eq!(result.overhead_percent(), 0.0);
         assert!(result.is_zero_overhead());

@@ -19,13 +19,13 @@
 //! whose track is outside the edit scope ([`SystemEdit::scope`]), whose
 //! frontier hash is unchanged and whose cached logs still validate against
 //! the partially rebuilt table is **replayed** — its writes are spliced into
-//! the table column-wise ([`TableView::splice_log`]) without running the
-//! scheduler at all. Only the invalidated region of the tree is re-walked,
-//! speculatively over transactional overlays when the thread budget allows
-//! (the same machinery as the cold walk). Every validation failure degrades
-//! to a re-walk, never to a wrong table: the result is bit-identical to a
-//! cold [`generate_schedule_table`](crate::generate_schedule_table) of the
-//! edited system, for every thread count.
+//! the table column-wise ([`ScheduleTable::splice_log`]) without running
+//! the scheduler at all. Only the invalidated region of the tree is
+//! re-walked, serially, with the same placement machinery as the cold walk.
+//! Every validation failure degrades to a re-walk, never to a wrong table:
+//! the result is bit-identical to a cold
+//! [`generate_schedule_table`](crate::generate_schedule_table) of the edited
+//! system, for every thread count.
 //!
 //! Why replay is sound: a cached segment log replays the exact writes the
 //! recording merge committed at that point of the serial order. Its read set
@@ -36,9 +36,8 @@
 //! byte-identically — including the column creation order, which
 //! [`TxnLog`] captures as write order.
 
+use std::cell::{Cell, RefCell};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use cpg::{
     enumerate_tracks, Assignment, CondId, Cpg, Cube, EditError, EditScope, FrontierHasher,
@@ -46,7 +45,7 @@ use cpg::{
 };
 use cpg_arch::{Architecture, Time};
 use cpg_path_sched::{ListScheduler, LockSet, PathSchedule, RunScratch};
-use cpg_table::{ScheduleTable, TableTxn, TableView, TxnLog};
+use cpg_table::{ScheduleTable, TableTxn, TxnLog};
 
 use crate::config::MergeConfig;
 use crate::merge::{ContextCache, MergeShared, WalkState};
@@ -131,23 +130,6 @@ enum ChainEntry {
     },
 }
 
-/// One back-step child prepared for speculative processing: everything the
-/// child walk needs, snapshotted at its serial entry point.
-struct ChildTask {
-    /// Index into the parent's `children` array (the resolution it flips).
-    index: usize,
-    /// The track selected for the back-step.
-    back_idx: usize,
-    entry: ChainEntry,
-    /// The decided conditions at the child's entry (ancestors plus the
-    /// flipped condition).
-    decided: Assignment,
-    /// The cached subtree to try replaying (taken by the speculation).
-    cached: Mutex<Option<Box<SessionChain>>>,
-    /// Reachable-path count: the cost proxy for budget splitting.
-    cost: u64,
-}
-
 /// The per-merge re-walk driver: the shared walk inputs plus the
 /// invalidation state of this merge.
 struct Rewalk<'a> {
@@ -163,7 +145,7 @@ struct Rewalk<'a> {
     /// the rebuilt table is byte-identical to the recording merge's table at
     /// the current serial point (induction over the deterministic splice), so
     /// replays skip content validation entirely.
-    diverged: AtomicBool,
+    diverged: Cell<bool>,
     /// Whether to accumulate `changed`: off when no per-track delay cache
     /// exists to invalidate (the first merge and after structural edits).
     note_changes: bool,
@@ -172,20 +154,19 @@ struct Rewalk<'a> {
     /// dropped subtrees. Replayed chains splice byte-identical content and
     /// note nothing. The per-track delay cache invalidates exactly the
     /// tracks whose label is compatible with a noted column.
-    changed: Mutex<Vec<Cube>>,
-    reuse: Mutex<ReuseStats>,
+    changed: RefCell<Vec<Cube>>,
+    reuse: RefCell<ReuseStats>,
 }
 
 impl Rewalk<'_> {
     /// Notes the columns a write log touches (cells added, replaced or
     /// dropped versus the previous merge's table). Over-approximation is
-    /// sound — discarded speculative writes may be noted too.
+    /// sound.
     fn note_changed_log(&self, log: &TxnLog) {
         if !self.note_changes {
             return;
         }
-        let mut changed = self.changed.lock().expect("changed columns poisoned");
-        changed.extend(log.written_columns());
+        self.changed.borrow_mut().extend(log.written_columns());
     }
 
     /// Notes every column a dropped subtree wrote: its cells were in the
@@ -204,13 +185,10 @@ impl Rewalk<'_> {
     /// Replays a cached chain if it is still valid at this position,
     /// otherwise records a fresh one. `decided` must be at the chain's entry
     /// state and is returned to it.
-    #[allow(clippy::too_many_arguments)]
-    fn visit_chain<V: TableView + Sync>(
+    fn visit_chain(
         &self,
         st: &mut WalkState,
-        view: &mut V,
-        budget: usize,
-        direct: bool,
+        table: &mut ScheduleTable,
         cached: Option<Box<SessionChain>>,
         entry: ChainEntry,
         track_idx: usize,
@@ -218,27 +196,22 @@ impl Rewalk<'_> {
     ) -> Box<SessionChain> {
         let mut stale = None;
         if let Some(mut chain) = cached {
-            if chain.track_idx == track_idx
-                && self.replay_chain(st, view, budget, direct, &mut chain, decided)
-            {
+            if chain.track_idx == track_idx && self.replay_chain(st, table, &mut chain, decided) {
                 return chain;
             }
             stale = Some(chain);
         }
-        self.record_chain(st, view, budget, direct, stale, entry, track_idx, decided)
+        self.record_chain(st, table, stale, entry, track_idx, decided)
     }
 
     /// Walks one forward chain, recording every placement segment as a
-    /// transactional log committed (column-spliced) into `view`, then
+    /// transactional log committed (column-spliced) into `table`, then
     /// processes the back-step children deepest-first — exactly the serial
     /// walk's order and decisions.
-    #[allow(clippy::too_many_arguments)]
-    fn record_chain<V: TableView + Sync>(
+    fn record_chain(
         &self,
         st: &mut WalkState,
-        view: &mut V,
-        budget: usize,
-        direct: bool,
+        table: &mut ScheduleTable,
         stale: Option<Box<SessionChain>>,
         entry: ChainEntry,
         track_idx: usize,
@@ -246,7 +219,7 @@ impl Rewalk<'_> {
     ) -> Box<SessionChain> {
         // From this serial point on, the rebuilt table may differ from the
         // recording merge's: every later replay must validate its reads.
-        self.diverged.store(true, Ordering::Relaxed);
+        self.diverged.set(true);
         if let Some(stale) = &stale {
             // The stale chain's own cells are about to be replaced; its
             // cached subtrees are re-seeded below and note themselves if
@@ -272,8 +245,7 @@ impl Rewalk<'_> {
         // table exactly as the per-segment serial commits would, while the
         // row bookkeeping is paid once per chain instead of once per segment.
         let log = {
-            let frozen: &(dyn TableView + Sync) = &*view;
-            let mut txn = TableTxn::new(frozen);
+            let mut txn = TableTxn::new(table);
             let mut first = true;
             loop {
                 let stats_before = st.stats;
@@ -373,13 +345,13 @@ impl Rewalk<'_> {
             }
             txn.into_log()
         };
-        view.splice_log(&log);
+        table.splice_log(&log);
         self.note_changed_log(&log);
         st.schedule_pool.push(schedule);
         st.lock_pool.push(fixed);
 
         {
-            let mut reuse = self.reuse.lock().expect("reuse counters poisoned");
+            let mut reuse = self.reuse.borrow_mut();
             reuse.chains_recorded += 1;
             reuse.segments_recorded += segs.len();
         }
@@ -409,15 +381,7 @@ impl Rewalk<'_> {
                 }
             }
         }
-        self.process_children(
-            st,
-            view,
-            budget,
-            direct,
-            &resolutions,
-            &mut children,
-            decided,
-        );
+        self.process_children(st, table, &resolutions, &mut children, decided);
 
         Box::new(SessionChain {
             track_idx,
@@ -429,16 +393,14 @@ impl Rewalk<'_> {
     }
 
     /// Replays a cached chain: validates and splices its segment logs, then
-    /// recurses into the children. Returns `false` — leaving `view`, `st`
+    /// recurses into the children. Returns `false` — leaving `table`, `st`
     /// and `decided` untouched — when the chain's track is dirty, its
     /// frontier hash changed, or any cached read no longer matches the
     /// rebuilt table.
-    fn replay_chain<V: TableView + Sync>(
+    fn replay_chain(
         &self,
         st: &mut WalkState,
-        view: &mut V,
-        budget: usize,
-        direct: bool,
+        table: &mut ScheduleTable,
         chain: &mut SessionChain,
         decided: &mut Assignment,
     ) -> bool {
@@ -450,21 +412,19 @@ impl Rewalk<'_> {
         if chain.children.len() != resolutions.len() {
             return false;
         }
-        if direct && !self.diverged.load(Ordering::Relaxed) {
+        if !self.diverged.get() {
             // Serial-order fast path: no chain before this one (in serial
             // order) re-recorded, so the rebuilt table is byte-identical to
             // the recording merge's table at this point and every cached read
             // would validate by construction — the log splices straight into
-            // the table, no validation, no fingerprinting. Only taken on the
-            // live table: a speculative overlay must keep recording read
-            // dependencies for its own commit-time validation.
-            view.splice_log(&chain.log);
+            // the table, no validation, no fingerprinting.
+            table.splice_log(&chain.log);
         } else {
             // The chain log's reads are base observations at the chain's
             // serial entry point, so it validates directly against the
             // rebuilt table. A failed validation leaves the table untouched
             // and the caller re-records from the chain's entry state.
-            let valid = chain.log.validate(&*view);
+            let valid = chain.log.validate(table);
             // Mutation self-test hook: splice the stale cached chain anyway.
             // The warm-vs-cold oracle must flag the diverging re-merge
             // (tests/adversarial_corpus.rs).
@@ -473,7 +433,7 @@ impl Rewalk<'_> {
             if !valid {
                 return false;
             }
-            view.splice_log(&chain.log);
+            table.splice_log(&chain.log);
         }
         for seg in &chain.segs {
             st.stats.absorb(seg.stats);
@@ -483,7 +443,7 @@ impl Rewalk<'_> {
             }
         }
         {
-            let mut reuse = self.reuse.lock().expect("reuse counters poisoned");
+            let mut reuse = self.reuse.borrow_mut();
             reuse.chains_replayed += 1;
             reuse.segments_replayed += chain.segs.len();
         }
@@ -492,15 +452,7 @@ impl Rewalk<'_> {
             decided.assign(condition, value);
         }
         let mut children = std::mem::take(&mut chain.children);
-        self.process_children(
-            st,
-            view,
-            budget,
-            direct,
-            &resolutions,
-            &mut children,
-            decided,
-        );
+        self.process_children(st, table, &resolutions, &mut children, decided);
         chain.children = children;
         true
     }
@@ -509,22 +461,15 @@ impl Rewalk<'_> {
     /// walk's order), replaying cached subtrees where possible. `decided`
     /// must carry every resolution of the chain (forward values) and is
     /// returned to the chain's entry state.
-    #[allow(clippy::too_many_arguments)]
-    fn process_children<V: TableView + Sync>(
+    fn process_children(
         &self,
         st: &mut WalkState,
-        view: &mut V,
-        budget: usize,
-        direct: bool,
+        table: &mut ScheduleTable,
         resolutions: &[(CondId, bool, Time)],
         children: &mut [Option<Box<SessionChain>>],
         decided: &mut Assignment,
     ) {
         debug_assert_eq!(resolutions.len(), children.len());
-        if budget > 1 && resolutions.len() > 1 {
-            self.process_children_spec(st, view, budget, direct, resolutions, children, decided);
-            return;
-        }
         for i in (0..resolutions.len()).rev() {
             let (condition, value, resolved_at) = resolutions[i];
             decided.unassign(condition);
@@ -539,9 +484,7 @@ impl Rewalk<'_> {
                         node_cube,
                     };
                     children[i] =
-                        Some(self.visit_chain(
-                            st, view, budget, direct, cached, entry, back_idx, decided,
-                        ));
+                        Some(self.visit_chain(st, table, cached, entry, back_idx, decided));
                 }
                 None => {
                     // No reachable path takes the flipped value: a cached
@@ -552,138 +495,6 @@ impl Rewalk<'_> {
                 }
             }
             decided.unassign(condition);
-        }
-    }
-
-    /// The speculative variant of [`process_children`](Self::process_children):
-    /// every child replays-or-records over its own transactional overlay of
-    /// the frozen table, concurrently; the logs then commit in serial
-    /// (deepest-first) order, each only after validation proves it read
-    /// nothing an earlier sibling changed. A failed speculation is dropped
-    /// wholesale and the child re-runs against the live table — so the
-    /// result is bit-identical to the serial order for every budget.
-    #[allow(clippy::too_many_arguments)]
-    fn process_children_spec<V: TableView + Sync>(
-        &self,
-        st: &mut WalkState,
-        view: &mut V,
-        budget: usize,
-        direct: bool,
-        resolutions: &[(CondId, bool, Time)],
-        children: &mut [Option<Box<SessionChain>>],
-        decided: &mut Assignment,
-    ) {
-        // Snapshot each child's entry state, deepest-first (= serial order).
-        let mut tasks: Vec<ChildTask> = Vec::new();
-        for i in (0..resolutions.len()).rev() {
-            let (condition, value, resolved_at) = resolutions[i];
-            decided.unassign(condition);
-            let node_cube = decided.to_cube();
-            decided.assign(condition, !value);
-            if let Some(back_idx) = self.shared.select_track(decided) {
-                tasks.push(ChildTask {
-                    index: i,
-                    back_idx,
-                    entry: ChainEntry::Back {
-                        condition,
-                        resolved_at,
-                        node_cube,
-                    },
-                    decided: decided.clone(),
-                    cached: Mutex::new(children[i].take()),
-                    cost: self.shared.reachable_count(decided) as u64,
-                });
-            } else {
-                // No reachable path takes the flipped value: a cached
-                // subtree here is dead and its cells leave the table.
-                if let Some(old) = children[i].take() {
-                    self.note_changed_chain(&old);
-                }
-            }
-            decided.unassign(condition);
-        }
-        if tasks.len() <= 1 {
-            // Nothing to overlap: run the lone child (if any) directly
-            // against the live table with the full budget.
-            for task in tasks {
-                let mut child_decided = task.decided;
-                let cached = task.cached.into_inner().expect("child cache poisoned");
-                children[task.index] = Some(self.visit_chain(
-                    st,
-                    view,
-                    budget,
-                    direct,
-                    cached,
-                    task.entry,
-                    task.back_idx,
-                    &mut child_decided,
-                ));
-            }
-            return;
-        }
-
-        // Speculate: each child over its own overlay of the frozen table,
-        // with a fresh walk state and its snapshotted entry assignment. The
-        // transactions detach into owned logs inside the task, so the frozen
-        // borrow ends with the fan-out.
-        let specs: Vec<(TxnLog, WalkState, Box<SessionChain>)> = {
-            let frozen: &(dyn TableView + Sync) = &*view;
-            fj::map_with_cost(
-                budget,
-                &tasks,
-                |_, task| task.cost,
-                || (),
-                |(), _, task| {
-                    let mut txn = TableTxn::new(frozen);
-                    let mut child_state = WalkState::new();
-                    let mut child_decided = task.decided.clone();
-                    let cached = task.cached.lock().expect("child cache poisoned").take();
-                    // Speculative overlays never take the serial fast path:
-                    // their commit-time validation needs the read
-                    // dependencies the overlay records.
-                    let chain = self.visit_chain(
-                        &mut child_state,
-                        &mut txn,
-                        1,
-                        false,
-                        cached,
-                        task.entry,
-                        task.back_idx,
-                        &mut child_decided,
-                    );
-                    (txn.into_log(), child_state, chain)
-                },
-            )
-        };
-
-        // Commit in serial order; a stale speculation re-runs live.
-        for (task, (log, child_state, chain)) in tasks.iter().zip(specs) {
-            if log.validate(view) {
-                view.splice_log(&log);
-                st.absorb_output(child_state);
-                children[task.index] = Some(chain);
-            } else {
-                st.spec_discards += 1;
-                drop(child_state);
-                // The speculation consumed the cached subtree: wherever its
-                // output replayed the cache, the dropped writes are last
-                // merge's cells, gone until the live re-record lands.
-                self.note_changed_chain(&chain);
-                drop(chain);
-                // The speculation consumed the cached subtree; record from
-                // scratch (its children were speculative output, not cache).
-                let mut child_decided = task.decided.clone();
-                children[task.index] = Some(self.record_chain(
-                    st,
-                    view,
-                    budget,
-                    direct,
-                    None,
-                    task.entry,
-                    task.back_idx,
-                    &mut child_decided,
-                ));
-            }
         }
     }
 }
@@ -931,12 +742,12 @@ impl MergeSession {
         // Contexts are built lazily: a warm merge only needs them for the
         // tracks it re-schedules, re-walks or re-sweeps; a merge that replays
         // everything needs none at all. (The cold path eagerly prefills the
-        // same cache inside its parallel fan-out.)
+        // same cache inside its per-track fan-out.)
         let contexts = ContextCache::new(scheduler, &self.tracks);
         // Optimal schedules are the scheduling inputs the frontier hashes
         // fingerprint; a clean track's schedule cannot have changed, so only
         // the dirty tracks are re-run. The first merge (and the one after a
-        // structural edit) rebuilds every track through the same parallel
+        // structural edit) rebuilds every track through the same per-track
         // fan-out as the cold path.
         let (optimal, track_hashes) = if self.optimal.len() == self.tracks.len() {
             let mut optimal = std::mem::take(&mut self.optimal);
@@ -985,10 +796,10 @@ impl MergeSession {
             track_hashes: &track_hashes,
             dirty: &dirty,
             trace: self.config.trace(),
-            diverged: AtomicBool::new(false),
+            diverged: Cell::new(false),
             note_changes: have_delays,
-            changed: Mutex::new(Vec::new()),
-            reuse: Mutex::new(ReuseStats::default()),
+            changed: RefCell::new(Vec::new()),
+            reuse: RefCell::new(ReuseStats::default()),
         };
 
         let mut state = WalkState::new();
@@ -1000,8 +811,6 @@ impl MergeSession {
         let new_root = rewalk.visit_chain(
             &mut state,
             &mut table,
-            threads,
-            true,
             cached_root,
             ChainEntry::Root,
             root_idx,
@@ -1083,8 +892,7 @@ impl MergeSession {
         // previous table; clean tracks with no compatible changed column
         // keep last merge's value.
         let cached_delays = std::mem::take(&mut self.track_delays);
-        let mut changed_columns =
-            std::mem::take(&mut *rewalk.changed.lock().expect("changed columns poisoned"));
+        let mut changed_columns = rewalk.changed.take();
         changed_columns.sort_unstable();
         changed_columns.dedup();
         // Union masks over the changed columns: when nothing in the changed
@@ -1128,7 +936,7 @@ impl MergeSession {
             .max()
             .unwrap_or(Time::ZERO);
 
-        self.reuse = rewalk.reuse.into_inner().expect("reuse counters poisoned");
+        self.reuse = rewalk.reuse.into_inner();
         self.root = Some(new_root);
         self.dirty = vec![false; self.tracks.len()];
         self.optimal = optimal;
@@ -1145,7 +953,6 @@ impl MergeSession {
             delta_max,
             steps: state.steps,
             stats,
-            spec_discards: state.spec_discards,
         }
     }
 

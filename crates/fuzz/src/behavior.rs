@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use cpg_merge::{MergeError, MergeOutcome, MergeResult};
 
 /// Length of a quantized [`Signature`].
-pub const SIGNATURE_LEN: usize = 12;
+pub const SIGNATURE_LEN: usize = 11;
 
 /// A quantized behavior signature: every counter of the behavior vector,
 /// log2-bucketed. Two runs with the same signature exercised the merger "the
@@ -18,11 +18,7 @@ pub type Signature = [u8; SIGNATURE_LEN];
 /// The vector is built from [`MergeStats`](cpg_merge::MergeStats) of the
 /// deterministic single-threaded baseline merge (so signatures are
 /// reproducible anywhere), plus the typed-rejection discriminant for inputs
-/// the merger refuses, the outcome degradation flag, and the
-/// speculative-validation discard count observed across the multi-threaded
-/// oracle runs. The discard count is scheduling-dependent and therefore kept
-/// out of [`signature`](BehaviorVector::signature); it still steers the
-/// in-process novelty search via [`search_key`](BehaviorVector::search_key).
+/// the merger refuses and the outcome degradation flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BehaviorVector {
     /// Discriminant of the typed [`MergeError`] rejection (0 = accepted).
@@ -47,10 +43,6 @@ pub struct BehaviorVector {
     pub repair_rounds: usize,
     /// Alternative paths of the merged system.
     pub tracks: usize,
-    /// Speculative subtree walks discarded after validation, maximized over
-    /// the multi-threaded oracle runs (scheduling-dependent; excluded from
-    /// the deterministic signature).
-    pub spec_discards: usize,
 }
 
 impl BehaviorVector {
@@ -70,7 +62,6 @@ impl BehaviorVector {
             max_walk_depth: stats.max_walk_depth,
             repair_rounds: stats.repair_rounds,
             tracks: result.tracks().len(),
-            spec_discards: result.spec_discards(),
         }
     }
 
@@ -103,7 +94,6 @@ impl BehaviorVector {
             max_walk_depth: 0,
             repair_rounds: 0,
             tracks: 0,
-            spec_discards: 0,
         }
     }
 
@@ -125,19 +115,7 @@ impl BehaviorVector {
             bucket(self.max_walk_depth),
             bucket(self.repair_rounds),
             bucket(self.tracks),
-            0,
         ]
-    }
-
-    /// The in-process novelty key: the signature plus the bucketed
-    /// speculative-discard count. Richer than [`signature`]
-    /// (BehaviorVector::signature) but scheduling-dependent, so it only
-    /// steers the search and never defines corpus identity.
-    #[must_use]
-    pub fn search_key(&self) -> Signature {
-        let mut key = self.signature();
-        key[SIGNATURE_LEN - 1] = bucket(self.spec_discards);
-        key
     }
 }
 
@@ -165,9 +143,9 @@ impl NoveltyArchive {
         NoveltyArchive::default()
     }
 
-    /// Records the vector's search key; `true` when it was novel.
+    /// Records the vector's signature; `true` when it was novel.
     pub fn observe(&mut self, vector: &BehaviorVector) -> bool {
-        self.seen.insert(vector.search_key())
+        self.seen.insert(vector.signature())
     }
 
     /// Number of distinct behavior cells seen.
@@ -222,15 +200,5 @@ mod tests {
         }
         assert_eq!(archive.len(), errors.len());
         assert!(!archive.observe(&BehaviorVector::from_rejection(&MergeError::EmptyGraph)));
-    }
-
-    #[test]
-    fn spec_discards_steer_search_but_not_identity() {
-        let mut a = BehaviorVector::from_rejection(&MergeError::EmptyGraph);
-        let mut b = a;
-        a.spec_discards = 0;
-        b.spec_discards = 9;
-        assert_eq!(a.signature(), b.signature());
-        assert_ne!(a.search_key(), b.search_key());
     }
 }

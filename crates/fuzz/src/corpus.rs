@@ -1,6 +1,5 @@
 //! On-disk corpus format for banked adversarial workloads.
 //!
-//! Same shape as the race-schedule corpus (`tests/corpus/race_schedules/`):
 //! `#` comment lines followed by `key: value` lines. A workload entry
 //! records the generator configuration and the encoded mutation/edit
 //! sequences — never a materialized graph — so replaying an entry

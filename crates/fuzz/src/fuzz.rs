@@ -1,6 +1,5 @@
 //! The coverage-driven fuzzing loop and the offender reducer.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -63,9 +62,6 @@ pub struct FuzzReport {
     pub iterations: usize,
     /// Workloads the constructors rejected before any merge ran.
     pub benign_rejections: usize,
-    /// Distinct search-key cells seen (includes scheduling-dependent
-    /// dimensions).
-    pub search_cells: usize,
     /// One representative per deterministic behavior signature, in
     /// discovery order.
     pub behaviors: Vec<BehaviorEntry>,
@@ -198,13 +194,11 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut pool = seed_workloads(&mut rng);
     let mut archive = NoveltyArchive::new();
-    let mut signatures: HashSet<Signature> = HashSet::new();
     let mut report = FuzzReport::default();
 
     let observe = |workload: &Workload,
                    report: &mut FuzzReport,
-                   archive: &mut NoveltyArchive,
-                   signatures: &mut HashSet<Signature>|
+                   archive: &mut NoveltyArchive|
      -> Option<bool> {
         let Ok(system) = workload.materialize() else {
             report.benign_rejections += 1;
@@ -213,7 +207,7 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         match run_oracles(workload, &system) {
             Ok(vector) => {
                 let novel = archive.observe(&vector);
-                if signatures.insert(vector.signature()) {
+                if novel {
                     report.behaviors.push(BehaviorEntry {
                         workload: workload.clone(),
                         vector,
@@ -231,7 +225,7 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
 
     // The seed pool is observed first so the archive starts populated.
     for workload in pool.clone() {
-        observe(&workload, &mut report, &mut archive, &mut signatures);
+        observe(&workload, &mut report, &mut archive);
     }
 
     for _ in 0..config.iterations {
@@ -243,12 +237,11 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         report.iterations += 1;
         let parent = &pool[rng.random_range(0..pool.len())];
         let child = mutate(parent, &mut rng);
-        if observe(&child, &mut report, &mut archive, &mut signatures) == Some(true) {
+        if observe(&child, &mut report, &mut archive) == Some(true) {
             pool.push(child);
         }
     }
 
-    report.search_cells = archive.len();
     report
 }
 

@@ -20,7 +20,7 @@
 //! * [`fuzz`] — the mutation loop ([`fuzz()`](fuzz::fuzz)) and the ddmin
 //!   offender reducers;
 //! * [`corpus`] — the `key: value` on-disk format for banked workloads
-//!   (`tests/corpus/adversarial/`), mirroring the race-schedule corpus.
+//!   (`tests/corpus/adversarial/`).
 //!
 //! Workloads themselves (mutation operators, deterministic
 //! re-materialization) live in [`cpg_gen::Workload`] so the generator owns

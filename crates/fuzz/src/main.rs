@@ -147,11 +147,10 @@ fn main() -> ExitCode {
     );
     let report = fuzz(&args.config);
     println!(
-        "ran {} iterations: {} behavior signatures ({} search cells), \
+        "ran {} iterations: {} behavior signatures, \
          {} benign constructor rejections, {} oracle failures",
         report.iterations,
         report.behaviors.len(),
-        report.search_cells,
         report.benign_rejections,
         report.failures.len()
     );

@@ -143,7 +143,7 @@ fn run_oracles_inner(
     }
 
     let baseline = generate_schedule_table(cpg, arch, &config);
-    let mut vector = BehaviorVector::from_result(&baseline);
+    let vector = BehaviorVector::from_result(&baseline);
 
     // Oracle 4: undo-log walk vs clone-based walk. Runs before the thread
     // sweep so a corrupted serial walk is attributed to the cloning
@@ -159,7 +159,6 @@ fn run_oracles_inner(
     // Oracle 3: thread-count identity.
     for threads in [2usize, 4, 8] {
         let result = generate_schedule_table(cpg, arch, &config.with_threads(threads));
-        vector.spec_discards = vector.spec_discards.max(result.spec_discards());
         if let Some(divergence) = divergence(&baseline, &result) {
             return Err(OracleFailure {
                 oracle: OracleKind::ThreadIdentity,

@@ -3,9 +3,9 @@
 // be flagged; set_var is a write and is likewise not flagged.
 
 fn threads() -> usize {
-    let documented = "std::env::var(\"CPG_MERGE_THREADS\")";
+    let documented = "std::env::var(\"CPG_SUITE_THREADS\")";
     std::env::set_var("CPG_LINT_FIXTURE", documented);
-    std::env::var("CPG_MERGE_THREADS")
+    std::env::var("CPG_SUITE_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)

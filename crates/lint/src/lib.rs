@@ -6,8 +6,9 @@
 //!   `#![forbid(unsafe_code)]` (integration tests are exempt).
 //! - **table-view-inline** — every method of the `TableView` impls for
 //!   `ScheduleTable` and `TableTxn` in `crates/table/src/txn.rs` is
-//!   `#[inline]`: the speculative walk dispatches through these on its
-//!   hottest edge and must not pay a call across the crate boundary.
+//!   `#[inline]`: the walk and the session's chain recording dispatch
+//!   through these on their hottest edge and must not pay a call across
+//!   the crate boundary.
 //! - **env-var-outside-config** — `std::env::var` reads appear only in
 //!   `crates/core/src/config.rs` (`threads_from_env` and its test helper);
 //!   everything else takes configuration as arguments so behaviour never

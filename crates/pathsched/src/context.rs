@@ -81,7 +81,7 @@ struct Lock {
 ///
 /// Every mutation is recorded in an internal undo journal, so a caller that
 /// explores alternatives — like the decision-tree walk of the merge
-/// algorithm — can [`mark`](LockSet::mark) the set before speculating and
+/// algorithm — can [`mark`](LockSet::mark) the set before exploring a subtree and
 /// [`rollback`](LockSet::rollback) to the mark afterwards instead of cloning
 /// the whole set at every tree node.
 ///

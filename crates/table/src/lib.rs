@@ -26,7 +26,6 @@
 mod analysis;
 mod dispatch;
 mod error;
-mod race_hooks;
 mod table;
 mod txn;
 

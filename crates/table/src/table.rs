@@ -60,7 +60,7 @@ struct GroupMeta {
 /// entry in its own group), while flat inserts stay amortized
 /// allocation-free.
 ///
-/// Maintenance is *deferred across log splices*: `splice_writes` replays a
+/// Maintenance is *deferred across log splices*: `splice_log` replays a
 /// whole chain's worth of cells into a row, and paying a sorted insert into
 /// `members` and `times` per spliced cell dominates the warm re-merge cost.
 /// A splice therefore only updates the serial entry list and marks the index
@@ -325,9 +325,8 @@ pub struct ScheduleTable {
     broadcast_rows: Vec<u32>,
     /// Process index -> number of writes ever applied to the process's row
     /// (grown on demand, 0 when never written). Versions survive row removal
-    /// so an optimistic reader can detect a remove/re-insert cycle; they are
-    /// bookkeeping for [`crate::TableTxn`] validation and take no part in
-    /// table equality.
+    /// so a reader can detect a remove/re-insert cycle; they are
+    /// bookkeeping only and take no part in table equality.
     process_versions: Vec<u64>,
     /// Condition index -> write count of the condition's broadcast row.
     broadcast_versions: Vec<u64>,
@@ -427,8 +426,7 @@ impl ScheduleTable {
     /// The version is bumped on every write — including an overwrite with the
     /// same cell value — and is *not* reset when the last entry of a row is
     /// removed, so two equal versions observed at different times guarantee
-    /// the row content did not change in between. [`crate::TableTxn`] builds
-    /// its read-set validation on this.
+    /// the row content did not change in between.
     #[must_use]
     #[inline]
     pub fn row_version(&self, job: Job) -> u64 {
@@ -512,7 +510,7 @@ impl ScheduleTable {
     /// index `index`, keeping the sorted entry list and the row's partition
     /// index in sync. Returns the replaced cell, if the write overwrote one.
     ///
-    /// A row left stale by a [`splice`](ScheduleTable::splice_writes) is
+    /// A row left stale by a [`splice`](ScheduleTable::splice_log) is
     /// rebuilt here in one pass before the incremental update, so direct
     /// writers always leave a fresh index behind.
     #[inline]
@@ -573,11 +571,10 @@ impl ScheduleTable {
 
     /// Grafts a column into the table: returns the insertion-order index of
     /// the column headed by `column`, appending a fresh column past the
-    /// current [`column bound`](crate::TableView::column_bound) when the cube
-    /// is not tabled yet.
+    /// current column count when the cube is not tabled yet.
     ///
     /// This is the renumbering primitive behind
-    /// [`TableView::splice_log`](crate::TableView::splice_log): a retained
+    /// [`splice_log`](ScheduleTable::splice_log): a retained
     /// column keeps its index, a transaction-local column key is renumbered
     /// to the next free index, and because logs replay in their original
     /// write order the relative order of spliced columns — and hence the
@@ -586,17 +583,19 @@ impl ScheduleTable {
         self.column_index_or_insert(column)
     }
 
-    /// Replays a chronological write log with each distinct column resolved
-    /// to its grafted index exactly once, writing cells by direct index.
+    /// Replays a recorded transaction log ([`crate::TxnLog`]) with each
+    /// distinct column resolved to its grafted index exactly once, writing
+    /// cells by direct index.
     ///
-    /// Must be observably identical to calling [`ScheduleTable::set_on`] per
-    /// write (including per-write row version bumps); it only skips the
-    /// repeated column lookups and defers partition-index maintenance on the
-    /// touched rows (queries on a stale row serve the same entries from the
-    /// linear scan until the next direct write rebuilds the index).
-    pub(crate) fn splice_writes(&mut self, writes: &[crate::txn::Write]) {
+    /// Observably identical to [`TxnLog::commit_into`](crate::TxnLog::commit_into)
+    /// (a [`ScheduleTable::set_on`] per write, including per-write row
+    /// version bumps); it only skips the repeated column lookups and defers
+    /// partition-index maintenance on the touched rows (queries on a stale
+    /// row serve the same entries from the linear scan until the next direct
+    /// write rebuilds the index).
+    pub fn splice_log(&mut self, log: &crate::TxnLog) {
         let mut grafted: Vec<(Cube, u32)> = Vec::new();
-        for write in writes {
+        for write in &log.writes {
             let index = match grafted.binary_search_by(|&(c, _)| c.cmp(&write.column)) {
                 Ok(at) => grafted[at].1,
                 Err(at) => {

@@ -1,16 +1,14 @@
-//! Optimistic write transactions over a [`ScheduleTable`].
+//! Write transactions over a [`ScheduleTable`]: the recording layer of
+//! incremental re-merge.
 //!
-//! The parallel decision-tree walk of the `cpg-merge` crate runs sibling
-//! subtrees speculatively: each subtree buffers its `place`/`repair_slip`
-//! writes in a [`TableTxn`] layered over a frozen base view, together with a
-//! read set over per-row write versions. When the subtrees join, the logs are
-//! committed *in tree order*: the forward subtree's log first (its snapshot
-//! was, by construction, exactly the state the serial walk would have seen,
-//! so it commits unconditionally), then the back subtree's log — but only
-//! after [`TxnLog::validate`] proves the speculation read nothing the forward
-//! subtree changed. A back log that fails validation is discarded wholesale
-//! and its branch re-runs non-speculatively against the updated table, which
-//! keeps the merge output bit-identical to the serial walk.
+//! A `MergeSession` (crate `cpg-merge`) records every forward chain of the
+//! decision tree through a [`TableTxn`]: a write overlay over the table as
+//! it stood at the chain's serial entry point, buffering the chain's
+//! `place`/`repair_slip` writes together with a content-based read set. The
+//! detached [`TxnLog`] is spliced into the table at once and cached; a later
+//! re-merge replays it only after [`TxnLog::validate`] proves the rebuilt
+//! table would still serve every recorded read verbatim, so the recorded
+//! decisions are the ones a cold walk would take.
 //!
 //! Two ingredients make the validation sound:
 //!
@@ -18,63 +16,33 @@
 //!   [`TableView::resource`]) records the exact `(job, column)` cell and the
 //!   value it observed; a row scan ([`TableView::for_each_keyed_entry_on`])
 //!   records an order-sensitive FNV fingerprint of the full keyed entry list.
-//!   [`TxnLog::validate`] re-probes the base and succeeds only if every
-//!   recorded observation would be reproduced verbatim. This is strictly
-//!   finer than the earlier per-row write counters: a sibling that rewrites a
-//!   cell with the same value, or writes a *different* cell of a row this
-//!   transaction only point-probed, no longer discards the speculation —
-//!   which matters because every forward subtree writes the resolved
-//!   condition's broadcast row, a row the back branch's rule-3 scan always
-//!   touches. Entry additions to a scanned row still invalidate (the
-//!   fingerprint covers keys, so ordering changes are caught too).
+//!   [`TxnLog::validate`] re-probes the table and succeeds only if every
+//!   recorded observation would be reproduced verbatim: rewriting a cell with
+//!   the same value, or writing a *different* cell of a row that was only
+//!   point-probed, keeps the log valid, while an entry added to a scanned row
+//!   invalidates it (the fingerprint covers keys, so ordering changes are
+//!   caught too).
 //! * **Column-creation tracking**: a transaction that creates a column keys
-//!   it past the base's column bound, preserving the relative entry order the
-//!   serial walk would produce. If a sibling committed the *same* column cube
-//!   first, the global column order (and hence row-entry iteration order)
-//!   would differ from the speculation's view, so [`TxnLog::validate`] also
-//!   fails when any transaction-created column already exists in the base.
+//!   it past the table's column count, preserving the relative entry order a
+//!   serial replay would produce. If the table meanwhile holds the *same*
+//!   column cube, the global column order (and hence row-entry iteration
+//!   order) would differ from the recording, so [`TxnLog::validate`] also
+//!   fails when any transaction-created column already exists.
 //!
-//! Transactions nest: a [`TableTxn`] implements [`TableView`] itself, so a
-//! deeper fork inside a speculative subtree simply layers further
-//! transactions over it. Reads are recorded through a mutex because sibling
-//! child transactions read through a shared `&TableTxn` from their worker
-//! threads; the overlay rows themselves are only written through `&mut self`
-//! and are therefore frozen while shared.
-//!
-//! A validated log is normally replayed with [`TableView::splice_log`]:
-//! [`ScheduleTable`] overrides the write-by-write default with *column
-//! splicing* — every distinct column cube of the log is grafted
-//! (found-or-appended, renumbering the transaction-local keys past the
-//! table's current column bound) exactly once, then the cells are written by
-//! direct column index in chronological order, preserving the serial entry
-//! order inside every row.
+//! A validated log is replayed with [`ScheduleTable::splice_log`]: every
+//! distinct column cube of the log is grafted (found-or-appended,
+//! renumbering the transaction-local keys past the table's current column
+//! count) exactly once, then the cells are written by direct column index in
+//! chronological order, preserving the serial entry order inside every row.
 
+use std::cell::RefCell;
 use std::hash::Hash;
-use std::sync::Mutex;
 
 use cpg::{Cube, FrontierHasher};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 
-use crate::race_hooks;
 use crate::ScheduleTable;
-
-/// Race-check commit boundary: a schedulable yield at the commit, plus the
-/// protocol check the vector clocks cannot express — a log being committed
-/// must still validate against the view it is committed into (commits are
-/// always join-ordered, so a "back committed without validation" bug is
-/// invisible to happens-before alone). Compiles to nothing without the
-/// `race-check` feature and costs one thread-local read outside an active
-/// exploration.
-fn commit_hook<V: TableView + ?Sized>(view: &V, log: &TxnLog, site: &'static str) {
-    if !race_hooks::active() {
-        return;
-    }
-    race_hooks::yield_commit();
-    if !log.holds_against(view) {
-        race_hooks::stale_commit(site);
-    }
-}
 
 /// Order-sensitive FNV-1a fingerprint of the keyed entry list of one row.
 ///
@@ -93,13 +61,12 @@ pub fn row_fingerprint<V: TableView + ?Sized>(view: &V, job: Job) -> u64 {
     std::hash::Hasher::finish(&hasher)
 }
 
-/// The table operations the merge walk needs, abstracted so the walk can run
-/// against the real [`ScheduleTable`] or a speculative [`TableTxn`] overlay.
+/// The table operations the merge walk needs, abstracted so the walk can
+/// write straight into the real [`ScheduleTable`] (cold merges) or through a
+/// recording [`TableTxn`] overlay (the chains of a `MergeSession`).
 ///
-/// The trait is object-safe ([`TableTxn`] holds its base as
-/// `&dyn TableView + Sync`, so arbitrarily deep nesting monomorphizes to a
-/// single transaction type) and deliberately excludes `remove`: the walk only
-/// ever adds or overwrites activation times.
+/// The trait deliberately excludes `remove`: the walk only ever adds or
+/// overwrites activation times.
 pub trait TableView {
     /// The activation time of `job` in the column headed exactly by `column`.
     fn get(&self, job: Job, column: &Cube) -> Option<Time>;
@@ -182,33 +149,9 @@ pub trait TableView {
 
     /// The write version of the row of `job` (0 when never written).
     fn row_version(&self, job: Job) -> u64;
-
-    /// `true` when the view has a column headed exactly by `column`.
-    fn has_column(&self, column: &Cube) -> bool;
-
-    /// The sort key of `column` in this view, if the column exists.
-    fn column_key(&self, column: &Cube) -> Option<u64>;
-
-    /// The exclusive upper bound of the keys handed out so far; a
-    /// transaction layered over this view keys its fresh columns from here.
-    fn column_bound(&self) -> u64;
-
-    /// Replays a committed log into this view in its original write order.
-    ///
-    /// The default replays write-by-write through [`TableView::set_on`];
-    /// [`ScheduleTable`] overrides it with column splicing (each distinct
-    /// column cube resolved to an index exactly once, then direct-index cell
-    /// writes), so both the cold walk and an incremental re-merge replaying
-    /// cached logs take the fast path on the real table.
-    fn splice_log(&mut self, log: &TxnLog) {
-        commit_hook(self, log, "TableView::splice_log");
-        for write in &log.writes {
-            self.set_on(write.job, write.column, write.time, write.resource);
-        }
-    }
 }
 
-// The impl methods are `#[inline]`: the serial walk is monomorphized over
+// The impl methods are `#[inline]`: the walk is monomorphized over
 // `V = ScheduleTable`, and without cross-crate inlining every row probe of
 // its hot loops would pay an opaque call plus a virtual visitor dispatch per
 // entry (the closures devirtualize once the scan is inlined to where the
@@ -216,13 +159,11 @@ pub trait TableView {
 impl TableView for ScheduleTable {
     #[inline]
     fn get(&self, job: Job, column: &Cube) -> Option<Time> {
-        race_hooks::read_cell(job, column, "ScheduleTable::get");
         ScheduleTable::get(self, job, column)
     }
 
     #[inline]
     fn resource(&self, job: Job, column: &Cube) -> Option<PeId> {
-        race_hooks::read_cell(job, column, "ScheduleTable::resource");
         ScheduleTable::resource(self, job, column)
     }
 
@@ -234,12 +175,6 @@ impl TableView for ScheduleTable {
         time: Time,
         resource: Option<PeId>,
     ) -> Option<Time> {
-        if race_hooks::active() {
-            if self.column_position(&column).is_none() {
-                race_hooks::write_columns("ScheduleTable::set_on");
-            }
-            race_hooks::write_cell(job, &column, "ScheduleTable::set_on");
-        }
         ScheduleTable::set_on(self, job, column, time, resource)
     }
 
@@ -249,13 +184,9 @@ impl TableView for ScheduleTable {
         job: Job,
         visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
     ) {
-        race_hooks::read_row(job, "ScheduleTable::for_each_keyed_entry_on");
         self.visit_keyed_entries(job, visit);
     }
 
-    // The index-served scans report the same row-level read the linear scan
-    // did: which entries qualify is a function of the whole row, so the race
-    // detector's dependency is the row, not the visited subset.
     #[inline]
     fn for_each_compatible_entry_on(
         &self,
@@ -263,7 +194,6 @@ impl TableView for ScheduleTable {
         probe: &Cube,
         visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
     ) {
-        race_hooks::read_row(job, "ScheduleTable::for_each_compatible_entry_on");
         self.visit_compatible_entries(job, probe, visit);
     }
 
@@ -274,53 +204,12 @@ impl TableView for ScheduleTable {
         time: Time,
         visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
     ) {
-        race_hooks::read_row(job, "ScheduleTable::for_each_entry_at_on");
         self.visit_entries_at(job, time, visit);
     }
 
     #[inline]
     fn row_version(&self, job: Job) -> u64 {
-        race_hooks::read_row(job, "ScheduleTable::row_version");
         ScheduleTable::row_version(self, job)
-    }
-
-    #[inline]
-    fn has_column(&self, column: &Cube) -> bool {
-        race_hooks::read_columns("ScheduleTable::has_column");
-        self.column_position(column).is_some()
-    }
-
-    #[inline]
-    fn column_key(&self, column: &Cube) -> Option<u64> {
-        race_hooks::read_columns("ScheduleTable::column_key");
-        self.column_position(column).map(|index| index as u64)
-    }
-
-    #[inline]
-    fn column_bound(&self) -> u64 {
-        race_hooks::read_columns("ScheduleTable::column_bound");
-        self.num_columns() as u64
-    }
-
-    #[inline]
-    fn splice_log(&mut self, log: &TxnLog) {
-        commit_hook(self, log, "ScheduleTable::splice_log");
-        if race_hooks::active() {
-            // splice_writes bypasses set_on, so the detector's write records
-            // are produced here: one column-structure write when any fresh
-            // column is grafted, and a cell write per log entry.
-            if log
-                .new_columns
-                .iter()
-                .any(|column| self.column_position(column).is_none())
-            {
-                race_hooks::write_columns("ScheduleTable::splice_log");
-            }
-            for write in &log.writes {
-                race_hooks::write_cell(write.job, &write.column, "ScheduleTable::splice_log");
-            }
-        }
-        self.splice_writes(&log.writes);
     }
 }
 
@@ -334,7 +223,7 @@ pub(crate) struct Write {
 }
 
 /// The content-based read set of a transaction: what was observed, so
-/// validation can re-check that the base would still serve the same answers.
+/// validation can re-check that the table would still serve the same answers.
 #[derive(Debug, Default)]
 struct ReadSet {
     /// `(job, column, observed time)` for every point probe of a row the
@@ -401,80 +290,52 @@ struct TxnRow {
     neg_union: u64,
 }
 
-/// A speculative write overlay over a frozen [`TableView`].
+/// A recording write overlay over a frozen [`ScheduleTable`].
 ///
 /// Reads fall through to the base until the transaction first writes a row,
 /// at which point the base row is cloned into the overlay (recording a
 /// content fingerprint of the base row); point probes of unwritten rows
 /// record the observed value per `(job, column)` cell. Fresh columns are
-/// keyed past the base's [`TableView::column_bound`] in first-write order,
-/// which is exactly the insertion order a serial replay of the write log
-/// produces.
+/// keyed past the base's column count in first-write order, which is exactly
+/// the insertion order a serial replay of the write log produces.
 pub struct TableTxn<'b> {
-    base: &'b (dyn TableView + Sync),
-    /// [`TableView::column_bound`] of the base at creation time.
+    base: &'b ScheduleTable,
+    /// Column count of the base at creation time.
     base_bound: u64,
     /// Column cubes this transaction created, in first-write order.
     new_columns: Vec<Cube>,
     /// Overlay rows, sorted by job.
     rows: Vec<TxnRow>,
-    /// `false` for replay overlays ([`TableTxn::readless`]): no read is ever
-    /// recorded and no row is fingerprinted, because the log of such an
-    /// overlay is only spliced (writes), never validated.
-    record_reads: bool,
-    /// Content-based read dependencies. Behind a mutex because sibling child
-    /// transactions read through a shared `&TableTxn` from their worker
-    /// threads.
-    reads: Mutex<ReadSet>,
-    /// Chronological write log, replayed by [`TxnLog::commit_into`].
+    /// Content-based read dependencies, recorded through `&self` reads.
+    reads: RefCell<ReadSet>,
+    /// Chronological write log, replayed by [`ScheduleTable::splice_log`].
     writes: Vec<Write>,
 }
 
 impl<'b> TableTxn<'b> {
-    /// Opens a transaction over `base`, which must not change (other than
-    /// through this transaction's eventual commit) while the transaction or
-    /// its log is validated against it — the read set records observations at
-    /// first touch.
+    /// Opens a transaction over `base`, which must not change while the
+    /// transaction records — the read set records observations at first
+    /// touch.
     #[must_use]
-    pub fn new(base: &'b (dyn TableView + Sync)) -> Self {
+    pub fn new(base: &'b ScheduleTable) -> Self {
         Self {
-            base_bound: base.column_bound(),
+            base_bound: base.num_columns() as u64,
             base,
             new_columns: Vec::new(),
             rows: Vec::new(),
-            record_reads: true,
-            reads: Mutex::new(ReadSet::default()),
+            reads: RefCell::new(ReadSet::default()),
             writes: Vec::new(),
         }
-    }
-
-    /// Opens an overlay that records **no** read dependencies.
-    ///
-    /// For replaying already-validated (or about-to-be-validated) logs: the
-    /// overlay only has to answer reads consistently — base plus the writes
-    /// committed into it so far — while its own log is never validated, so
-    /// fingerprinting rows and noting probes would be pure overhead. Its
-    /// [`TxnLog::validate`] trivially succeeds; never use it for speculation.
-    #[must_use]
-    pub fn readless(base: &'b (dyn TableView + Sync)) -> Self {
-        Self {
-            record_reads: false,
-            ..Self::new(base)
-        }
-    }
-
-    fn reads(&self) -> std::sync::MutexGuard<'_, ReadSet> {
-        self.reads.lock().expect("transaction read set poisoned")
     }
 
     /// Records a scan dependency on the base row of `job`, fingerprinting it
     /// unless a scan was already recorded.
     fn note_base_row_scan(&self, job: Job) {
-        if !self.record_reads || self.reads().has_row_scan(job) {
+        if self.reads.borrow().has_row_scan(job) {
             return;
         }
         let fingerprint = row_fingerprint(self.base, job);
-        self.reads().note_row_scan(job, fingerprint);
+        self.reads.borrow_mut().note_row_scan(job, fingerprint);
     }
 
     fn overlay(&self, job: Job) -> Option<&TxnRow> {
@@ -484,16 +345,19 @@ impl<'b> TableTxn<'b> {
             .map(|at| &self.rows[at])
     }
 
-    /// The key of `column` in this view: the base's key when the base has
-    /// the column, else the transaction-local key when this transaction
-    /// created it.
+    /// The key of `column` in this view: the base's column index when the
+    /// base has the column, else the transaction-local key when this
+    /// transaction created it.
     fn key_of(&self, column: &Cube) -> Option<u64> {
-        self.base.column_key(column).or_else(|| {
-            self.new_columns
-                .iter()
-                .position(|c| c == column)
-                .map(|at| self.base_bound + at as u64)
-        })
+        self.base
+            .column_position(column)
+            .map(|index| index as u64)
+            .or_else(|| {
+                self.new_columns
+                    .iter()
+                    .position(|c| c == column)
+                    .map(|at| self.base_bound + at as u64)
+            })
     }
 
     fn key_or_insert(&mut self, column: Cube) -> u64 {
@@ -513,15 +377,12 @@ impl<'b> TableTxn<'b> {
     }
 
     /// Detaches the transaction from its base, yielding an owned log that
-    /// can be validated against and committed into the (now again mutable)
-    /// underlying view.
+    /// can be validated against and spliced into the (now again mutable)
+    /// table.
     #[must_use]
     pub fn into_log(self) -> TxnLog {
         TxnLog {
-            reads: self
-                .reads
-                .into_inner()
-                .expect("transaction read set poisoned"),
+            reads: self.reads.into_inner(),
             new_columns: self.new_columns,
             writes: self.writes,
         }
@@ -543,9 +404,7 @@ impl TableView for TableTxn<'_> {
             }
             None => {
                 let observed = self.base.get(job, column);
-                if self.record_reads {
-                    self.reads().note_time(job, *column, observed);
-                }
+                self.reads.borrow_mut().note_time(job, *column, observed);
                 observed
             }
         }
@@ -563,9 +422,9 @@ impl TableView for TableTxn<'_> {
             }
             None => {
                 let observed = self.base.resource(job, column);
-                if self.record_reads {
-                    self.reads().note_resource(job, *column, observed);
-                }
+                self.reads
+                    .borrow_mut()
+                    .note_resource(job, *column, observed);
                 observed
             }
         }
@@ -579,10 +438,6 @@ impl TableView for TableTxn<'_> {
         time: Time,
         resource: Option<PeId>,
     ) -> Option<Time> {
-        // The speculative overlay write is a scheduling point: it is where
-        // an explored interleaving can squeeze sibling work between a
-        // branch's read of the base and its buffered write.
-        race_hooks::yield_spec_write();
         let key = self.key_or_insert(column);
         let at = match self.rows.binary_search_by_key(&job, |row| row.job) {
             Ok(at) => at,
@@ -596,24 +451,17 @@ impl TableView for TableTxn<'_> {
                 let mut entries = Vec::new();
                 let mut pos_union = 0u64;
                 let mut neg_union = 0u64;
-                if self.record_reads {
-                    let mut hasher = FrontierHasher::new();
-                    self.base.for_each_keyed_entry_on(job, &mut |k, c, t, r| {
-                        (k, c, t, r).hash(&mut hasher);
-                        pos_union |= c.positive_mask();
-                        neg_union |= c.negative_mask();
-                        entries.push((k, c, t, r));
-                    });
-                    (entries.len() as u64).hash(&mut hasher);
-                    self.reads()
-                        .note_row_scan(job, std::hash::Hasher::finish(&hasher));
-                } else {
-                    self.base.for_each_keyed_entry_on(job, &mut |k, c, t, r| {
-                        pos_union |= c.positive_mask();
-                        neg_union |= c.negative_mask();
-                        entries.push((k, c, t, r));
-                    });
-                }
+                let mut hasher = FrontierHasher::new();
+                self.base.visit_keyed_entries(job, &mut |k, c, t, r| {
+                    (k, c, t, r).hash(&mut hasher);
+                    pos_union |= c.positive_mask();
+                    neg_union |= c.negative_mask();
+                    entries.push((k, c, t, r));
+                });
+                (entries.len() as u64).hash(&mut hasher);
+                self.reads
+                    .get_mut()
+                    .note_row_scan(job, std::hash::Hasher::finish(&hasher));
                 self.rows.insert(
                     at,
                     TxnRow {
@@ -662,21 +510,22 @@ impl TableView for TableTxn<'_> {
                     visit(key, column, time, resource);
                 }
             }
-            None if !self.record_reads || self.reads().has_row_scan(job) => {
-                self.base.for_each_keyed_entry_on(job, visit);
+            None if self.reads.borrow().has_row_scan(job) => {
+                self.base.visit_keyed_entries(job, visit);
             }
             None => {
                 // Fingerprint the base row in the same pass that serves the
                 // scan.
                 let mut hasher = FrontierHasher::new();
                 let mut entries = 0u64;
-                self.base.for_each_keyed_entry_on(job, &mut |k, c, t, r| {
+                self.base.visit_keyed_entries(job, &mut |k, c, t, r| {
                     entries += 1;
                     (k, c, t, r).hash(&mut hasher);
                     visit(k, c, t, r);
                 });
                 entries.hash(&mut hasher);
-                self.reads()
+                self.reads
+                    .borrow_mut()
                     .note_row_scan(job, std::hash::Hasher::finish(&hasher));
             }
         }
@@ -708,10 +557,10 @@ impl TableView for TableTxn<'_> {
                     }
                 }
             }
-            None if !self.record_reads || self.reads().has_row_scan(job) => {
-                // Scan dependency already recorded (or never recorded):
-                // serve straight from the base's indexed scan.
-                self.base.for_each_compatible_entry_on(job, probe, visit);
+            None if self.reads.borrow().has_row_scan(job) => {
+                // Scan dependency already recorded: serve straight from the
+                // base's indexed scan.
+                self.base.visit_compatible_entries(job, probe, visit);
             }
             None => {
                 // Which entries qualify is a function of the whole row, so
@@ -720,7 +569,7 @@ impl TableView for TableTxn<'_> {
                 // scan would.
                 let mut hasher = FrontierHasher::new();
                 let mut entries = 0u64;
-                self.base.for_each_keyed_entry_on(job, &mut |k, c, t, r| {
+                self.base.visit_keyed_entries(job, &mut |k, c, t, r| {
                     entries += 1;
                     (k, c, t, r).hash(&mut hasher);
                     if c.compatible(probe) {
@@ -728,7 +577,8 @@ impl TableView for TableTxn<'_> {
                     }
                 });
                 entries.hash(&mut hasher);
-                self.reads()
+                self.reads
+                    .borrow_mut()
                     .note_row_scan(job, std::hash::Hasher::finish(&hasher));
             }
         }
@@ -749,13 +599,13 @@ impl TableView for TableTxn<'_> {
                     }
                 }
             }
-            None if !self.record_reads || self.reads().has_row_scan(job) => {
-                self.base.for_each_entry_at_on(job, time, visit);
+            None if self.reads.borrow().has_row_scan(job) => {
+                self.base.visit_entries_at(job, time, visit);
             }
             None => {
                 let mut hasher = FrontierHasher::new();
                 let mut entries = 0u64;
-                self.base.for_each_keyed_entry_on(job, &mut |k, c, t, r| {
+                self.base.visit_keyed_entries(job, &mut |k, c, t, r| {
                     entries += 1;
                     (k, c, t, r).hash(&mut hasher);
                     if t == time {
@@ -763,7 +613,8 @@ impl TableView for TableTxn<'_> {
                     }
                 });
                 entries.hash(&mut hasher);
-                self.reads()
+                self.reads
+                    .borrow_mut()
                     .note_row_scan(job, std::hash::Hasher::finish(&hasher));
             }
         }
@@ -776,21 +627,6 @@ impl TableView for TableTxn<'_> {
         self.note_base_row_scan(job);
         self.base.row_version(job) + self.overlay(job).map_or(0, |row| row.written)
     }
-
-    #[inline]
-    fn has_column(&self, column: &Cube) -> bool {
-        self.base.has_column(column) || self.new_columns.contains(column)
-    }
-
-    #[inline]
-    fn column_key(&self, column: &Cube) -> Option<u64> {
-        self.key_of(column)
-    }
-
-    #[inline]
-    fn column_bound(&self) -> u64 {
-        self.base_bound + self.new_columns.len() as u64
-    }
 }
 
 /// The owned outcome of a [`TableTxn`]: its read set, created columns and
@@ -799,23 +635,10 @@ impl TableView for TableTxn<'_> {
 pub struct TxnLog {
     reads: ReadSet,
     new_columns: Vec<Cube>,
-    writes: Vec<Write>,
+    pub(crate) writes: Vec<Write>,
 }
 
 impl TxnLog {
-    /// `true` when the transaction buffered no writes (committing it would
-    /// be a no-op).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// Number of buffered writes.
-    #[must_use]
-    pub fn num_writes(&self) -> usize {
-        self.writes.len()
-    }
-
     /// The column cubes this log writes under, in write order (duplicates
     /// possible). An incremental re-merge uses them to bound which
     /// alternative paths a changed table region can affect.
@@ -823,51 +646,39 @@ impl TxnLog {
         self.writes.iter().map(|write| write.column)
     }
 
-    /// `true` when the speculation still holds against `base`: every point
+    /// `true` when the recording still holds against `table`: every point
     /// probe would observe the value it recorded, every scanned row still
     /// fingerprints to the recorded content, and no column the transaction
-    /// created has meanwhile been created in the base (which would give the
-    /// replayed entries a different global order than the speculation
-    /// assumed).
+    /// created exists in the table yet (which would give the replayed
+    /// entries a different global order than the recording assumed).
     #[must_use]
-    pub fn validate<V: TableView + ?Sized>(&self, base: &V) -> bool {
-        race_hooks::yield_validate();
-        self.holds_against(base)
-    }
-
-    /// The validation predicate itself, shared between [`TxnLog::validate`]
-    /// (which adds the race-check scheduling point) and the commit hook's
-    /// re-validation (which must not yield again mid-commit).
-    fn holds_against<V: TableView + ?Sized>(&self, base: &V) -> bool {
+    pub fn validate(&self, table: &ScheduleTable) -> bool {
         self.reads
             .time_probes
             .iter()
-            .all(|&(job, column, observed)| base.get(job, &column) == observed)
+            .all(|&(job, column, observed)| table.get(job, &column) == observed)
             && self
                 .reads
                 .resource_probes
                 .iter()
-                .all(|&(job, column, observed)| base.resource(job, &column) == observed)
+                .all(|&(job, column, observed)| table.resource(job, &column) == observed)
             && self
                 .reads
                 .row_scans
                 .iter()
-                .all(|&(job, fingerprint)| row_fingerprint(base, job) == fingerprint)
+                .all(|&(job, fingerprint)| row_fingerprint(table, job) == fingerprint)
             && self
                 .new_columns
                 .iter()
-                .all(|column| !base.has_column(column))
+                .all(|column| table.column_position(column).is_none())
     }
 
-    /// Replays the buffered writes into `base` in their original order.
-    ///
-    /// Callers decide the policy: a forward-branch log commits
-    /// unconditionally (its snapshot was the serial state), a back-branch
-    /// log only after [`TxnLog::validate`].
-    pub fn commit_into<V: TableView + ?Sized>(&self, base: &mut V) {
-        commit_hook(base, self, "TxnLog::commit_into");
+    /// Replays the buffered writes into `view` one by one, in their original
+    /// order — the reference semantics [`ScheduleTable::splice_log`] must
+    /// reproduce.
+    pub fn commit_into<V: TableView + ?Sized>(&self, view: &mut V) {
         for write in &self.writes {
-            base.set_on(write.job, write.column, write.time, write.resource);
+            view.set_on(write.job, write.column, write.time, write.resource);
         }
     }
 }
@@ -921,8 +732,7 @@ mod tests {
     fn reads_fall_through_and_writes_overlay() {
         let mut table = ScheduleTable::new();
         table.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
-        let base: &(dyn TableView + Sync) = &table;
-        let mut txn = TableTxn::new(base);
+        let mut txn = TableTxn::new(&table);
         // Read-through.
         assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(4)));
         assert_eq!(txn.resource(p(1), &Cube::top()), Some(PeId::from_index(0)));
@@ -954,36 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn readless_overlays_record_no_dependencies_and_always_validate() {
-        let mut table = ScheduleTable::new();
-        table.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
-        let base: &(dyn TableView + Sync) = &table;
-        let mut txn = TableTxn::readless(base);
-        // Reads answer exactly like a recording overlay would...
-        assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(4)));
-        assert_eq!(txn.get(p(2), &Cube::top()), None);
-        txn.set_on(p(2), cube_t(0), Time::new(7), None);
-        assert_eq!(txn.get(p(2), &cube_t(0)), Some(Time::new(7)));
-        let log = txn.into_log();
-        assert_eq!(log.written_columns().collect::<Vec<_>>(), vec![cube_t(0)]);
-        // ...but none of them became a dependency: the log still validates
-        // after every observed cell changed under it.
-        table.set(p(1), Cube::top(), Time::new(9));
-        table.set(p(2), Cube::top(), Time::new(1));
-        assert!(log.validate(&table));
-
-        // A recording overlay with the same history catches the change.
-        let mut other = ScheduleTable::new();
-        other.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
-        let base: &(dyn TableView + Sync) = &other;
-        let txn = TableTxn::new(base);
-        assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(4)));
-        let recorded = txn.into_log();
-        other.set(p(1), Cube::top(), Time::new(9));
-        assert!(!recorded.validate(&other));
-    }
-
-    #[test]
     fn overlay_iteration_order_matches_a_serial_replay() {
         // Base has columns [top, c0]; the txn writes a fresh column c1 and
         // then another base column. After commit the real table's row must
@@ -991,8 +771,7 @@ mod tests {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
         table.set(p(1), cube_t(0), Time::new(1));
-        let base: &(dyn TableView + Sync) = &table;
-        let mut txn = TableTxn::new(base);
+        let mut txn = TableTxn::new(&table);
         txn.set_on(p(1), cube_t(1), Time::new(2), None);
         txn.set_on(p(1), cube_f(1), Time::new(3), None);
         let mut overlay_order = Vec::new();
@@ -1009,16 +788,15 @@ mod tests {
     fn validation_is_per_cell_and_content_based() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
-        let txn = TableTxn::new(base);
+        let txn = TableTxn::new(&table);
         // A point probe (even of an absent cell) is a dependency on that
         // cell's content.
         assert_eq!(txn.get(p(1), &Cube::top()), Some(Time::new(0)));
         assert_eq!(txn.get(p(2), &Cube::top()), None);
         let log = txn.into_log();
         assert!(log.validate(&table));
-        // A sibling writing a *different* cell of a probed row no longer
-        // discards the speculation (the old per-row versions did).
+        // Another chain writing a *different* cell of a probed row keeps the
+        // recording valid.
         table.set(p(2), cube_t(0), Time::new(5));
         assert!(log.validate(&table));
         // Neither does rewriting a probed cell with the same value.
@@ -1033,8 +811,7 @@ mod tests {
     fn validation_fails_when_a_probed_absent_cell_appears() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
-        let txn = TableTxn::new(base);
+        let txn = TableTxn::new(&table);
         assert_eq!(txn.get(p(2), &Cube::top()), None);
         let log = txn.into_log();
         assert!(log.validate(&table));
@@ -1046,8 +823,7 @@ mod tests {
     fn validation_fails_when_a_scanned_row_gains_an_entry() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
-        let txn = TableTxn::new(base);
+        let txn = TableTxn::new(&table);
         let mut seen = 0;
         txn.for_each_entry_on(p(1), &mut |_, _, _| seen += 1);
         assert_eq!(seen, 1);
@@ -1065,63 +841,16 @@ mod tests {
     fn validation_fails_when_a_sibling_creates_the_same_column() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
-        let mut txn = TableTxn::new(base);
+        let mut txn = TableTxn::new(&table);
         // The txn creates column c0 and only touches row p(2).
         txn.set_on(p(2), cube_t(0), Time::new(3), None);
         let log = txn.into_log();
         assert!(log.validate(&table));
-        // A sibling creates the *same* column in a row the txn never read:
-        // no row version the txn saw changed, but the global column order
-        // now differs from what the speculation assumed.
+        // Another chain creates the *same* column in a row the txn never
+        // read: no cell the txn saw changed, but the global column order now
+        // differs from what the recording assumed.
         table.set(p(3), cube_t(0), Time::new(8));
         assert!(!log.validate(&table));
-    }
-
-    #[test]
-    fn nested_transactions_layer_and_conflict_like_flat_ones() {
-        let mut table = ScheduleTable::new();
-        table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
-        let mut outer = TableTxn::new(base);
-        outer.set_on(p(2), cube_t(0), Time::new(2), None);
-
-        // Inner forward/back pair over the frozen outer txn.
-        let frozen: &(dyn TableView + Sync) = &outer;
-        let mut inner_fwd = TableTxn::new(frozen);
-        let inner_back = TableTxn::new(frozen);
-        inner_fwd.set_on(p(2), cube_t(1), Time::new(4), None);
-        // The back speculation probes the very cell the forward branch
-        // writes.
-        assert_eq!(inner_back.get(p(2), &cube_t(1)), None);
-        let fwd_log = inner_fwd.into_log();
-        let back_log = inner_back.into_log();
-        fwd_log.commit_into(&mut outer);
-        assert!(
-            !back_log.validate(&outer),
-            "conflicting read must invalidate"
-        );
-
-        // An independent back speculation survives the same commit.
-        let frozen: &(dyn TableView + Sync) = &outer;
-        let clean = TableTxn::new(frozen);
-        assert_eq!(clean.get(p(1), &Cube::top()), Some(Time::new(0)));
-        let clean_log = clean.into_log();
-        assert!(clean_log.validate(&outer));
-
-        // Outer commit replays everything, inner writes included.
-        let outer_log = outer.into_log();
-        assert!(!outer_log.is_empty());
-        assert!(outer_log.validate(&table));
-        outer_log.commit_into(&mut table);
-        assert_eq!(
-            ScheduleTable::get(&table, p(2), &cube_t(0)),
-            Some(Time::new(2))
-        );
-        assert_eq!(
-            ScheduleTable::get(&table, p(2), &cube_t(1)),
-            Some(Time::new(4))
-        );
     }
 
     #[test]
@@ -1132,8 +861,7 @@ mod tests {
         let mut spliced = seed.clone();
         let mut replayed = seed.clone();
 
-        let base: &(dyn TableView + Sync) = &seed;
-        let mut txn = TableTxn::new(base);
+        let mut txn = TableTxn::new(&seed);
         // Fresh columns, an overwrite of a retained column, and an
         // interleaved second fresh column exercise the graft/renumber path.
         txn.set_on(p(2), cube_t(1), Time::new(2), Some(PeId::from_index(0)));
@@ -1171,8 +899,7 @@ mod tests {
     fn row_version_of_a_txn_reflects_its_own_writes() {
         let mut table = ScheduleTable::new();
         table.set(p(1), Cube::top(), Time::new(0));
-        let base: &(dyn TableView + Sync) = &table;
-        let mut txn = TableTxn::new(base);
+        let mut txn = TableTxn::new(&table);
         assert_eq!(TableView::row_version(&txn, p(1)), 1);
         txn.set_on(p(1), cube_t(0), Time::new(3), None);
         assert_eq!(TableView::row_version(&txn, p(1)), 2);

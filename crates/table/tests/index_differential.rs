@@ -180,8 +180,7 @@ proptest! {
         time in 0u64..12,
     ) {
         let table = build_table(&base_entries);
-        let base: &(dyn TableView + Sync) = &table;
-        let mut txn = TableTxn::new(base);
+        let mut txn = TableTxn::new(&table);
         for entry in &txn_entries {
             txn.set_on(entry.job, entry.column, entry.time, entry.resource);
         }
@@ -251,8 +250,7 @@ proptest! {
         let table = if splice_tail {
             let head = entries.len() / 2;
             let table = build_table(&entries[..head]);
-            let base: &(dyn TableView + Sync) = &table;
-            let mut txn = TableTxn::new(base);
+            let mut txn = TableTxn::new(&table);
             for entry in &entries[head..] {
                 txn.set_on(entry.job, entry.column, entry.time, entry.resource);
             }
@@ -333,8 +331,7 @@ fn a_column_created_mid_walk_is_picked_up_by_the_index() {
     // Through an overlay: the transaction creates another fresh column; its
     // own scans see it at the transaction-local key, and after the splice the
     // real table's index serves it too.
-    let base: &(dyn TableView + Sync) = &table;
-    let mut txn = TableTxn::new(base);
+    let mut txn = TableTxn::new(&table);
     let spec: Cube = [c(1).is_true(), c(2).is_true()].into_iter().collect();
     txn.set_on(p1, spec, Time::new(7), None);
     assert_eq!(

@@ -2,15 +2,14 @@
 //!
 //! A [`MergeSession`] keeps the explored decision tree between merges and,
 //! after an edit, replays the cached write logs of every subtree the edit
-//! provably cannot affect, re-walking only the invalidated region —
-//! speculatively when the thread budget allows. None of that is allowed to
-//! change a single table cell: after *every* edit of a random edit sequence,
-//! the session's warm merge must be bit-identical (table, tracks, path
-//! schedules, steps, counters, delays) to a cold `generate_schedule_table`
-//! of the edited system, at thread counts 1/2/4, and on a crafted system
-//! where the edited process sits under a condition subtree shared between
-//! sibling branches (so cached chains on the clean side must replay against
-//! rows the re-walked side rewrites).
+//! provably cannot affect, re-walking only the invalidated region. None of
+//! that is allowed to change a single table cell: after *every* edit of a
+//! random edit sequence, the session's warm merge must be bit-identical
+//! (table, tracks, path schedules, steps, counters, delays) to a cold
+//! `generate_schedule_table` of the edited system, at thread counts 1/2/4,
+//! and on a crafted system where the edited process sits under a condition
+//! subtree shared between sibling branches (so cached chains on the clean
+//! side must replay against rows the re-walked side rewrites).
 
 use proptest::prelude::*;
 

@@ -1,20 +1,19 @@
-//! Differential test of the production decision-tree walks against the
-//! clone-per-node recursive walk they replaced.
+//! Differential test of the production decision-tree walk against the
+//! clone-per-node recursive walk it replaced.
 //!
-//! The serial undo-log walk shares one `Assignment` and one journalled
-//! `LockSet` per back-step branch along the tree path and rebuilds pooled
-//! `PathSchedule`s in place, instead of cloning all three at every node; the
-//! speculative walk (two or more threads) additionally runs sibling subtrees
-//! concurrently over transactional overlays of the table (`TableTxn`),
-//! committing their write logs in tree order and discarding-and-re-running
-//! any back speculation whose read rows the forward subtree changed. None of
-//! that is allowed to change a single decision: the original recursion is
-//! kept behind the `test-util` feature (`generate_schedule_table_cloning`)
-//! and the produced `MergeResult` — table cells with recorded resources,
-//! per-path schedules, slips, decision steps, counters and delays — must be
-//! bit-identical over random systems, at thread counts 1/2/4/8 and for every
-//! selection policy, and on crafted systems that force the slip-repair loop
-//! and the txn-validation-failure path.
+//! The undo-log walk shares one `Assignment` and one journalled `LockSet`
+//! per back-step branch along the tree path and rebuilds pooled
+//! `PathSchedule`s in place, instead of cloning all three at every node;
+//! with two or more threads the per-track phases around it (initial
+//! schedules, realizability sweep) additionally fan out over worker threads.
+//! None of that is allowed to change a single decision: the original
+//! recursion is kept behind the `test-util` feature
+//! (`generate_schedule_table_cloning`) and the produced `MergeResult` —
+//! table cells with recorded resources, per-path schedules, slips, decision
+//! steps, counters and delays — must be bit-identical over random systems,
+//! at thread counts 1/2/4/8 and for every selection policy, and on crafted
+//! systems that force the slip-repair loop and conflict repairs across
+//! sibling subtrees that share rows.
 
 use proptest::prelude::*;
 
@@ -93,9 +92,9 @@ proptest! {
         // allocation-free).
         let base = MergeConfig::new(system.broadcast_time()).with_trace(true);
 
-        // The oracle runs fully serial and clone-per-node; one thread runs
-        // the serial undo-log walk; two or more run the speculative
-        // transactional walk at increasing fork depth. All must agree.
+        // The oracle runs fully serial and clone-per-node; the production
+        // walk runs at one thread and with the per-track fan-outs at two or
+        // more. All must agree.
         let oracle = generate_schedule_table_cloning(cpg, arch, &base.with_threads(1));
         oracle.table().verify(cpg, oracle.tracks()).expect("oracle table is correct");
 
@@ -109,10 +108,9 @@ proptest! {
     fn production_walks_match_the_oracle_under_every_selection_policy(
         config in config_strategy(),
     ) {
-        // The back-step track re-selection is where the walks read the
-        // shared `Assignment` after rolling it back (and where the
-        // speculative walk probes the branch *before* forking), so exercise
-        // every policy that consumes it.
+        // The back-step track re-selection is where the walk reads the
+        // shared `Assignment` after rolling it back, so exercise every policy
+        // that consumes it.
         let system = generate(&config);
         let cpg = system.cpg();
         let arch = system.arch();
@@ -189,15 +187,13 @@ fn production_walks_match_the_oracle_on_a_slip_forcing_system() {
 }
 
 /// Crafted system whose sibling subtrees deterministically write *overlapping
-/// rows*, forcing the speculative walk's validation-failure path: two nested
-/// conditions are computed on `cpu0` while a conjunction `sink` (executed on
-/// every path) and the condition broadcasts land in the same table rows on
-/// both sides of each fork. At any forked node the forward subtree places the
-/// resolved condition's broadcast and the `sink` activation — rows the back
-/// speculation must read when it inherits ancestor locks — so the back txn's
-/// read-set validation fails against the committed forward log and the branch
-/// re-runs against the real table. Bit-identity across thread counts proves
-/// the discard-and-re-run path reproduces the serial walk exactly.
+/// rows*: two nested conditions are computed on `cpu0` while a conjunction
+/// `sink` (executed on every path) and the condition broadcasts land in the
+/// same table rows on both sides of each decision node. The forward subtree
+/// places the resolved condition's broadcast and the `sink` activation —
+/// rows the back-step must read when it inherits ancestor locks — so the
+/// back-step's lock derivation and conflict repairs depend on every write
+/// the forward subtree made.
 fn overlapping_rows_system() -> (Architecture, Cpg) {
     let arch = Architecture::builder()
         .processor("cpu0")
@@ -214,7 +210,7 @@ fn overlapping_rows_system() -> (Architecture, Cpg) {
     let mid = b.process("mid", Time::new(4), cpu0);
     // Branch bodies with distinct lengths so every path schedules `sink` at
     // a different start — the placements collide in compatible columns and
-    // drive the Theorem-2 conflict repair inside the speculated subtrees too.
+    // drive the Theorem-2 conflict repair inside the back-step subtrees too.
     let a_t = b.process("a_t", Time::new(3), cpu1);
     let a_f = b.process("a_f", Time::new(6), cpu1);
     let b_t = b.process("b_t", Time::new(2), cpu1);
@@ -250,8 +246,8 @@ fn production_walks_match_the_oracle_when_sibling_subtrees_overlap_rows() {
             .table()
             .verify(&cpg, oracle.tracks())
             .expect("oracle table is correct");
-        // Four paths: both conditions fork, so a two-thread budget already
-        // speculates at the root node and the sink/broadcast rows overlap.
+        // Four paths: both conditions fork, so the sink/broadcast rows
+        // overlap across the subtrees of the root node.
         assert!(oracle.tracks().len() >= 4, "both conditions must fork");
         for threads in [1usize, 2, 4, 8] {
             let walk = generate_schedule_table(&cpg, &arch, &config.with_threads(threads));

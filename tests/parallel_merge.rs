@@ -4,12 +4,10 @@
 //! steps, counters and delays — to the serial run.
 //!
 //! The embarrassingly parallel phases (per-track contexts, initial path
-//! schedules, the final realizability sweep) reduce by track index, and the
-//! decision-tree walk runs sibling subtrees speculatively over transactional
-//! table overlays whose write logs commit in tree order, so any divergence
-//! here flags a scheduling decision that leaked through worker-local state
-//! (e.g. a scratch arena not fully reset between the tracks a worker draws,
-//! or a speculated subtree that survived validation it should have failed).
+//! schedules, the final realizability sweep) reduce by track index around
+//! the one serial decision-tree walk, so any divergence here flags a
+//! scheduling decision that leaked through worker-local state (e.g. a
+//! scratch arena not fully reset between the tracks a worker draws).
 
 use proptest::prelude::*;
 
