@@ -51,8 +51,8 @@ fn schedule_merging_group(c: &mut Criterion) {
 /// processes on a narrow architecture, so the decision tree is deep while
 /// the per-track schedules stay small — the *sequential walk* (placements,
 /// adjustments, repairs along the tree), not the per-track runs, is what
-/// dominates. This is the trajectory that gates the undo-log walk: a
-/// regression in its trail/pool management shows up here long before the
+/// dominates. This is the trajectory that gates the chain walk: a
+/// regression in its pool management shows up here long before the
 /// wide `schedule_merging_serial/*` configurations notice.
 // Depth 40 joined when the condition-partition row index landed: the deeper
 // the nest, the larger the rows and the more a per-row linear rescan costs,

@@ -15,19 +15,19 @@
 //! fail hard instead of silently gating nothing (a renamed or dropped gated
 //! group used to pass the guard without measuring anything).
 //!
-//! When both files contain the `calibration/spin` benchmark (a fixed integer
+//! Both files must contain the `calibration/spin` benchmark (a fixed integer
 //! workload that never changes with the scheduler code, see
-//! `benches/calibration.rs`), every current median is divided by the machine
+//! `benches/calibration.rs`): every current median is divided by the machine
 //! scale `current calibration / baseline calibration` before comparing:
 //! a runner that is uniformly 2× slower than the recording machine measures
 //! a 2× slower calibration spin too, and the gated ratios cancel the
 //! difference out. Benches listed in `MEM_SENSITIVE_PREFIXES` are normalized
 //! by the memory-bound `calibration/chase` probe instead (dependent pointer
 //! chasing through a cache-busting buffer): their cost tracks memory latency
-//! rather than ALU speed, which `spin` is blind to. Each probe falls back
-//! independently — no chase on both sides degrades to the spin scale, no
-//! spin degrades to comparing absolute nanoseconds (the pre-calibration
-//! behaviour, needed for old baselines such as `BENCH_1.json`).
+//! rather than ALU speed, which `spin` is blind to. Both probes are required
+//! in both files: a baseline without them (such as the pre-calibration
+//! `BENCH_1.json`) fails the gate instead of being compared in absolute,
+//! machine-dependent nanoseconds.
 //!
 //! A gated row *fails* only when it is beyond the threshold under **both**
 //! probes' scales: a genuine code regression reproduces under either
@@ -82,8 +82,7 @@ const CALIBRATION_BENCH: &str = "calibration/spin";
 const MEM_CALIBRATION_BENCH: &str = "calibration/chase";
 
 /// Benchmarks whose cost tracks memory latency rather than ALU speed: they
-/// are normalized by [`MEM_CALIBRATION_BENCH`] when both files measured it,
-/// falling back to the compute scale otherwise. The single-path list
+/// are normalized by [`MEM_CALIBRATION_BENCH`]. The single-path list
 /// scheduler walks dense per-track state end to end with almost no
 /// arithmetic per touched cell, which makes it the canonical memory-bound
 /// workload of this suite.
@@ -153,66 +152,41 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
             .map(|&(_, m)| m)
             .filter(|&m| m > 0.0)
     };
-    let scale = match (
-        calibration_of(baseline, CALIBRATION_BENCH),
-        calibration_of(current, CALIBRATION_BENCH),
+    // Both probes are required on both sides: without them the comparison
+    // would be of absolute, machine-dependent nanoseconds — exactly the
+    // spurious failures (and passes) the calibration exists to prevent.
+    let mut scale_of = |probe: &str, kind: &str| match (
+        calibration_of(baseline, probe),
+        calibration_of(current, probe),
     ) {
         (Some(base_cal), Some(current_cal)) => {
             let scale = current_cal / base_cal;
             report.lines.push(format!(
-                "calibration ({CALIBRATION_BENCH}): baseline {base_cal:.0} ns, \
-                 current {current_cal:.0} ns -> compute scale {scale:.3}"
+                "calibration ({probe}): baseline {base_cal:.0} ns, \
+                     current {current_cal:.0} ns -> {kind} scale {scale:.3}"
             ));
-            scale
-        }
-        (Some(_), None) => {
-            // The baseline was recorded with calibration, so comparing raw
-            // nanoseconds against it would bring back exactly the
-            // machine-dependent failures the calibration exists to prevent:
-            // the current run is misconfigured (it did not include
-            // `--bench calibration`).
-            report.fail(format!(
-                "\"{CALIBRATION_BENCH}\" is in the baseline but missing from the \
-                 current measurement; run cargo bench with --bench calibration"
-            ));
-            return report;
+            Some(scale)
         }
         (None, _) => {
-            report.complaints.push(format!(
-                "warning: \"{CALIBRATION_BENCH}\" missing from the baseline; \
-                 comparing absolute (machine-dependent) nanoseconds"
-            ));
-            1.0
-        }
-    };
-    let mem_scale = match (
-        calibration_of(baseline, MEM_CALIBRATION_BENCH),
-        calibration_of(current, MEM_CALIBRATION_BENCH),
-    ) {
-        (Some(base_cal), Some(current_cal)) => {
-            let mem_scale = current_cal / base_cal;
-            report.lines.push(format!(
-                "calibration ({MEM_CALIBRATION_BENCH}): baseline {base_cal:.0} ns, \
-                 current {current_cal:.0} ns -> memory scale {mem_scale:.3}"
-            ));
-            Some(mem_scale)
-        }
-        (Some(_), None) => {
             report.fail(format!(
-                "\"{MEM_CALIBRATION_BENCH}\" is in the baseline but missing from the \
-                 current measurement; run cargo bench with --bench calibration"
-            ));
-            return report;
-        }
-        (None, _) => {
-            // Pre-chase baselines (BENCH_2 and older): memory-sensitive
-            // benches degrade to the compute scale instead of failing.
-            report.complaints.push(format!(
-                "warning: \"{MEM_CALIBRATION_BENCH}\" missing from the baseline; \
-                 normalizing memory-sensitive benches by the compute scale"
+                "\"{probe}\" is missing from the baseline; gate only against a \
+                     calibrated baseline (re-record it with --emit)"
             ));
             None
         }
+        (Some(_), None) => {
+            report.fail(format!(
+                "\"{probe}\" is in the baseline but missing from the current \
+                     measurement; run cargo bench with --bench calibration"
+            ));
+            None
+        }
+    };
+    let (Some(scale), Some(mem_scale)) = (
+        scale_of(CALIBRATION_BENCH, "compute"),
+        scale_of(MEM_CALIBRATION_BENCH, "memory"),
+    ) else {
+        return report;
     };
 
     report.lines.push(format!(
@@ -234,10 +208,10 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
             continue;
         };
         let mem_sensitive = matches_any(name, MEM_SENSITIVE_PREFIXES);
-        let row_scale = if mem_sensitive {
-            mem_scale.unwrap_or(scale)
+        let (row_scale, other_scale) = if mem_sensitive {
+            (mem_scale, scale)
         } else {
-            scale
+            (scale, mem_scale)
         };
         let change_under =
             |scale: f64| (current_median / scale - base_median) / base_median * 100.0;
@@ -251,17 +225,11 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
         // is much slower relative to its ALU than the baseline machine's
         // inflates every memory-heavy median that spin-normalization cannot
         // correct — and passes with a warning instead of failing spuriously.
-        let other_scale = if mem_sensitive {
-            Some(scale)
-        } else {
-            mem_scale
-        };
         let over = change > ALLOWED_REGRESSION_PERCENT;
-        let over_everywhere =
-            over && other_scale.is_none_or(|s| change_under(s) > ALLOWED_REGRESSION_PERCENT);
+        let over_everywhere = over && change_under(other_scale) > ALLOWED_REGRESSION_PERCENT;
         let gated = matches_any(name, GATED_PREFIXES);
         let verdict = match (gated, over, over_everywhere) {
-            (false, ..) if mem_sensitive && mem_scale.is_some() => "info (mem)",
+            (false, ..) if mem_sensitive => "info (mem)",
             (false, ..) => "info",
             (true, _, true) => {
                 report.failures += 1;
@@ -599,16 +567,21 @@ mod tests {
     }
 
     #[test]
-    fn uncalibrated_baseline_compares_absolute_with_warning() {
-        let mut baseline = full_side(1000.0, 2000.0);
-        baseline.retain(|(n, _)| !n.starts_with("calibration/"));
-        let current = full_side(1000.0, 2000.0);
-        let report = run_gate(&baseline, &current);
-        assert_eq!(report.failures, 0, "{:?}", report.complaints);
-        assert!(report
-            .complaints
-            .iter()
-            .any(|c| c.contains("machine-dependent")));
+    fn uncalibrated_baseline_fails() {
+        // A baseline without either probe (such as the pre-calibration
+        // BENCH_1.json, or the pre-chase BENCH_2.json) cannot be compared
+        // machine-independently, so the gate refuses it.
+        for probe in ["calibration/spin", "calibration/chase"] {
+            let mut baseline = full_side(1000.0, 2000.0);
+            baseline.retain(|(n, _)| n != probe);
+            let current = full_side(1000.0, 2000.0);
+            let report = run_gate(&baseline, &current);
+            assert_eq!(report.failures, 1, "{probe}: {:?}", report.complaints);
+            assert!(report
+                .complaints
+                .iter()
+                .any(|c| c.contains(probe) && c.contains("calibrated baseline")));
+        }
     }
 
     #[test]

@@ -27,19 +27,24 @@
 //!    process to one of the previously tabled activation times (the loop
 //!    justified by Theorem 2).
 //!
-//! The walk is one serial, iterative **undo-log** traversal
-//! ([`MergeShared::walk_serial`] — one [`Assignment`] of decided conditions
-//! mutated in place, one journalled [`LockSet`] per back-step branch, pooled
-//! [`PathSchedule`]s — allocation-free after warm-up) for every thread
-//! count: only the per-track phases around it (initial schedules and the
-//! realizability sweep) fan out over the `fj` shim, and they reduce by track
-//! index, so the produced [`MergeResult`] is bit-identical for every thread
-//! count. The placement helpers are generic over a [`TableView`], so the
-//! incremental [`MergeSession`](crate::MergeSession) drives the same
-//! machinery through recording [`TableTxn`](cpg_table::TableTxn) overlays.
-//! The original clone-per-node recursion is kept behind the `test-util`
-//! feature as a differential-test oracle
-//! ([`generate_schedule_table_cloning`]).
+//! The walk is one function, [`MergeShared::walk_chain`]. It walks one
+//! **forward chain** of the decision tree — the run of nodes that keeps the
+//! same current schedule — and then recurses into the chain's back-step
+//! children, deepest resolution first. A [`ChainRecorder`] decides what the
+//! walk keeps of each chain: a cold merge uses the no-op [`NoRecord`] and
+//! writes straight into the [`ScheduleTable`]; a
+//! [`MergeSession`](crate::MergeSession) records every chain through a
+//! [`TableTxn`](cpg_table::TableTxn) overlay and replays cached chains
+//! instead of walking them. The decided conditions live in one
+//! [`Assignment`] mutated in place and the lock sets and schedules are
+//! pooled, so the walk is allocation-free after warm-up.
+//!
+//! The walk is serial at every thread count: only the per-track phases
+//! around it (initial schedules and the realizability sweep) fan out over the
+//! `fj` shim, and they reduce by track index, so the produced
+//! [`MergeResult`] is bit-identical for every thread count. The original
+//! clone-per-node recursion is kept behind the `test-util` feature as a
+//! differential-test oracle ([`generate_schedule_table_cloning`]).
 
 use std::sync::OnceLock;
 
@@ -60,10 +65,10 @@ use crate::result::{MergeResult, MergeStats, MergeStep};
 ///
 /// * [`InjectWalkPanic`] — panics at the top of the merge; caught by the
 ///   no-panic oracle.
-/// * [`DirtyLockReuse`] — recycles a pooled back-branch lock set without
-///   clearing it, so stale locks from a previously walked branch leak into
-///   the new branch's placements; caught by the cloning-oracle differential
-///   (the oracle allocates a fresh lock set per back-step).
+/// * [`DirtyLockReuse`] — recycles a pooled chain lock set without clearing
+///   it, so stale locks from a previously walked chain leak into the new
+///   chain's placements; caught by the cloning-oracle differential (the
+///   oracle allocates a fresh lock set per back-step).
 /// * [`SkipSlipRepair`] — drops the Theorem-2 slip-repair loop *and* the
 ///   slip observation, publishing stale intended times without marking them;
 ///   caught by the reference-realizability oracle.
@@ -116,8 +121,8 @@ pub mod sabotage {
         inject_walk_panic
     );
     switch!(
-        /// Guard that keeps the serial walk recycling back-branch lock sets
-        /// without clearing their stale contents while alive.
+        /// Guard that keeps the walk recycling pooled chain lock sets without
+        /// clearing their stale contents while alive.
         DIRTY_LOCK_REUSE,
         DirtyLockReuse,
         dirty_lock_reuse
@@ -195,14 +200,14 @@ pub fn generate_schedule_table_for_tracks(
     config: &MergeConfig,
     tracks: TrackSet,
 ) -> MergeResult {
-    generate_for_tracks_inner(cpg, arch, config, tracks, WalkKind::UndoLog)
+    generate_for_tracks_inner(cpg, arch, config, tracks, WalkKind::Chain)
 }
 
 /// Variant of [`generate_schedule_table`] that drives the merge with the
 /// original clone-per-node recursive decision-tree walk instead of the
-/// undo-log walk. The two walks make identical decisions; this one exists
+/// chain walk. The two walks make identical decisions; this one exists
 /// purely as a reference oracle for the differential tests that pin the
-/// undo-log walk's output, and only compiles with the `test-util` feature.
+/// chain walk's output, and only compiles with the `test-util` feature.
 #[cfg(any(test, feature = "test-util"))]
 #[must_use]
 pub fn generate_schedule_table_cloning(
@@ -217,9 +222,9 @@ pub fn generate_schedule_table_cloning(
 /// Which decision-tree walk implementation drives the merge.
 #[derive(Clone, Copy)]
 enum WalkKind {
-    /// The production walk: the iterative undo-log walk, bit-identical to
-    /// the oracle below.
-    UndoLog,
+    /// The production walk: [`MergeShared::walk_chain`] with the no-op
+    /// recorder, bit-identical to the oracle below.
+    Chain,
     /// The original recursive walk cloning the decided conditions, the lock
     /// set and the current schedule at every tree node (oracle only).
     #[cfg(any(test, feature = "test-util"))]
@@ -278,11 +283,17 @@ fn generate_for_tracks_inner(
     let root = shared
         .select_track(&decided)
         .expect("a valid graph has at least one alternative path");
-    let schedule = optimal[root].clone();
-    let fixed = LockSet::for_graph(cpg);
     match walk {
-        WalkKind::UndoLog => {
-            shared.walk_serial(&mut state, &mut table, root, schedule, &mut decided, fixed);
+        WalkKind::Chain => {
+            shared.walk_chain(
+                &mut NoRecord,
+                &mut state,
+                &mut table,
+                None,
+                ChainEntry::Root,
+                root,
+                &mut decided,
+            );
         }
         #[cfg(any(test, feature = "test-util"))]
         WalkKind::Cloning => {
@@ -290,9 +301,9 @@ fn generate_for_tracks_inner(
                 &mut state,
                 &mut table,
                 root,
-                schedule,
+                optimal[root].clone(),
                 decided.clone(),
-                fixed,
+                LockSet::for_graph(cpg),
             );
         }
     }
@@ -303,30 +314,8 @@ fn generate_for_tracks_inner(
     // through the scheduler gives the exact surviving count — and the
     // replays themselves are the realized per-path schedules, so they are
     // kept instead of thrown away.
-    //
-    // The sweep must run whenever any back-step adjustment occurred, not
-    // only when a walk-time reschedule slipped: each adjustment validates
-    // one selected track against the table as it stood at that node, but
-    // the entries it places land in condition-compatible columns that also
-    // apply to sibling tracks never rescheduled against the final lock set.
-    // On graphs whose guards decouple a process from its expansion-derived
-    // communications (a supported structural edit), that gap produced
-    // tables with unhonourable activation times reported as `lock_slips:
-    // 0` — found by the adversarial fuzzer (`crates/fuzz`). With zero
-    // adjustments there is a single reachable track and the table is its
-    // own optimal schedule, so skipping the sweep is sound.
     let mut stats = state.stats;
-    #[allow(unused_mut)]
-    let mut run_sweep = state.saw_slip || stats.adjustments > 0;
-    // The slip-repair mutant models losing both the repair *and* the
-    // accounting, so it suppresses the sweep too — otherwise the sweep
-    // would honestly count the stale times and the mutant would be
-    // indistinguishable from a correct (if slow) merge.
-    #[cfg(any(test, feature = "test-util"))]
-    {
-        run_sweep = run_sweep && !sabotage::skip_slip_repair();
-    }
-    let realized = if run_sweep {
+    let realized = if state.needs_sweep() {
         let replays = shared.residual_replays(&table);
         stats.lock_slips = replays
             .iter()
@@ -458,10 +447,14 @@ pub(crate) struct WalkState {
     fresh_buf: Vec<Cube>,
     candidates_buf: Vec<(Time, u64, Option<PeId>)>,
     /// Pools: dead schedules and lock sets are recycled instead of freed.
-    pub(crate) schedule_pool: Vec<PathSchedule>,
-    pub(crate) lock_pool: Vec<LockSet>,
+    schedule_pool: Vec<PathSchedule>,
+    lock_pool: Vec<LockSet>,
     /// Swap target of `place_phase` repairs.
     spare: PathSchedule,
+    /// The resolutions of every forward chain on the current tree path,
+    /// stacked: a chain pushes its own above its ancestors' and truncates
+    /// back once its children are walked.
+    pub(crate) resolutions: Vec<Resolution>,
 }
 
 impl WalkState {
@@ -479,34 +472,162 @@ impl WalkState {
             schedule_pool: Vec::new(),
             lock_pool: Vec::new(),
             spare: PathSchedule::default(),
+            resolutions: Vec::new(),
         }
+    }
+
+    /// Whether the realizability sweep must run after the walk.
+    ///
+    /// It must run whenever any back-step adjustment occurred, not only when
+    /// a walk-time reschedule slipped: each adjustment validates one selected
+    /// track against the table as it stood at that node, but the entries it
+    /// places land in condition-compatible columns that also apply to
+    /// sibling tracks never rescheduled against the final lock set. On
+    /// graphs whose guards decouple a process from its expansion-derived
+    /// communications (a supported structural edit), that gap produced
+    /// tables with unhonourable activation times reported as `lock_slips: 0`
+    /// — found by the adversarial fuzzer (`crates/fuzz`). With zero
+    /// adjustments there is a single reachable track and the table is its
+    /// own optimal schedule, so skipping the sweep is sound.
+    pub(crate) fn needs_sweep(&self) -> bool {
+        let run = self.saw_slip || self.stats.adjustments > 0;
+        // The slip-repair mutant models losing both the repair *and* the
+        // accounting, so it suppresses the sweep too — otherwise the sweep
+        // would honestly count the stale times and the mutant would be
+        // indistinguishable from a correct (if slow) merge.
+        #[cfg(any(test, feature = "test-util"))]
+        let run = run && !sabotage::skip_slip_repair();
+        run
     }
 }
 
-/// One pending continuation of the iterative decision-tree walk. The
-/// recursion of the paper's `BuildScheduleTable` procedure is unrolled onto
-/// an explicit stack of these, so the walk keeps *one* set of decided
-/// conditions and one lock set per back-step branch instead of cloning state
-/// at every node.
-enum WalkTask {
-    /// Visit a node: place activation times of `schedule` until the next
-    /// undecided condition resolves, then push the forward child.
-    Enter {
-        track_idx: usize,
-        schedule: PathSchedule,
-    },
-    /// The forward subtree under `condition = value` is fully explored: roll
-    /// the shared lock set back to `mark`, flip the condition and take the
-    /// back-step.
-    AfterForward {
+/// One condition resolution of a forward chain: the condition, its value on
+/// the chain's current path and the time it became known.
+pub(crate) type Resolution = (CondId, bool, Time);
+
+/// How [`MergeShared::walk_chain`] enters a forward chain.
+#[derive(Clone, Copy)]
+pub(crate) enum ChainEntry {
+    /// The root chain: the current schedule is the optimal schedule of the
+    /// selected track, with no inherited locks.
+    Root,
+    /// A back-step: `condition` was flipped at `resolved_at`, and the newly
+    /// selected schedule must inherit the ancestor locks from the table and
+    /// be adjusted. `node_cube` is the tree path to the node without the
+    /// flipped condition (what the traced back-step records).
+    Back {
         condition: CondId,
-        value: bool,
         resolved_at: Time,
-        mark: usize,
+        node_cube: Cube,
     },
-    /// The back-step subtree is fully explored: undecide the condition and
-    /// recycle the branch's lock set.
-    AfterBack { condition: CondId },
+}
+
+/// What [`MergeShared::walk_chain`] keeps of the forward chains it walks.
+///
+/// A chain is walked in *segments*, one per condition resolution plus a last
+/// one that runs to the end of the schedule. The recorder decides three
+/// things:
+///
+/// * the view a chain's placements write through ([`View`](Self::View)),
+///   opened over the table as it stands at the chain's serial entry point
+///   and committed into it once the chain's last activation is placed;
+/// * what is kept per segment ([`begin_segment`](Self::begin_segment) /
+///   [`end_segment`](Self::end_segment));
+/// * whether a cached chain is replayed instead of walked
+///   ([`replay`](Self::replay)).
+///
+/// The provided methods keep nothing and never replay, which is all a cold
+/// merge ([`NoRecord`]) needs; the incremental
+/// [`MergeSession`](crate::MergeSession) overrides them to record chain logs
+/// and replay them.
+pub(crate) trait ChainRecorder {
+    /// The view one chain's placements write through.
+    type View<'t>: TableView;
+    /// What a closed view leaves behind for [`commit`](Self::commit).
+    type Log;
+    /// A walked (or replayed) chain together with its back-step children.
+    type Chain;
+
+    /// Opens the view of a chain about to be walked.
+    fn open(table: &mut ScheduleTable) -> Self::View<'_>;
+
+    /// Closes the view of a chain whose last activation is placed.
+    fn finish(view: Self::View<'_>) -> Self::Log;
+
+    /// Commits a walked chain's log into `table` and builds its record;
+    /// `stale` is the cached chain it replaces and `resolutions` are the
+    /// chain's own.
+    fn commit(
+        &mut self,
+        table: &mut ScheduleTable,
+        log: Self::Log,
+        stale: Option<Self::Chain>,
+        track_idx: usize,
+        resolutions: &[Resolution],
+    ) -> Self::Chain;
+
+    /// Replays `cached` at this point of the walk instead of walking it. On
+    /// success the chain's writes are in `table`, its counters in `st`, and
+    /// its resolutions are pushed onto [`WalkState::resolutions`] and
+    /// assigned in `decided`. Otherwise nothing changed and the stale chain
+    /// (if any) is handed back for [`commit`](Self::commit).
+    #[inline]
+    fn replay(
+        &mut self,
+        _st: &mut WalkState,
+        _table: &mut ScheduleTable,
+        cached: Option<Self::Chain>,
+        _track_idx: usize,
+        _decided: &mut Assignment,
+    ) -> Result<Self::Chain, Option<Self::Chain>> {
+        Err(cached)
+    }
+
+    /// A segment starts.
+    #[inline]
+    fn begin_segment(&mut self, _st: &mut WalkState) {}
+
+    /// The open segment ended: its nodes reached `depth` decided conditions
+    /// and it closed with `resolution` (`None` at the end of the schedule).
+    #[inline]
+    fn end_segment(&mut self, _st: &mut WalkState, _depth: usize, _resolution: Option<Resolution>) {
+    }
+
+    /// Takes the cached back-step child of resolution `i` of `chain`.
+    #[inline]
+    fn take_child(_chain: &mut Self::Chain, _i: usize) -> Option<Self::Chain> {
+        None
+    }
+
+    /// Hangs `child` off resolution `i` of `chain`.
+    #[inline]
+    fn set_child(_chain: &mut Self::Chain, _i: usize, _child: Self::Chain) {}
+
+    /// A cached child is dropped: no reachable path takes the flipped value.
+    #[inline]
+    fn drop_child(&mut self, _child: Option<Self::Chain>) {}
+}
+
+/// The recorder of a cold merge: chains write straight into the table and
+/// nothing is kept or replayed.
+pub(crate) struct NoRecord;
+
+impl ChainRecorder for NoRecord {
+    type View<'t> = &'t mut ScheduleTable;
+    type Log = ();
+    type Chain = ();
+
+    #[inline]
+    fn open(table: &mut ScheduleTable) -> &mut ScheduleTable {
+        table
+    }
+
+    #[inline]
+    fn finish(_: &mut ScheduleTable) {}
+
+    #[inline]
+    fn commit(&mut self, _: &mut ScheduleTable, (): (), _: Option<()>, _: usize, _: &[Resolution]) {
+    }
 }
 
 impl MergeShared<'_> {
@@ -520,7 +641,7 @@ impl MergeShared<'_> {
     /// The adjusted schedule is rebuilt into `out` (previous content
     /// discarded, buffers reused): the walk pools its schedules, so repeated
     /// adjustments stop touching the allocator once the pool is warm.
-    pub(crate) fn adjust_into<V: TableView + ?Sized>(
+    fn adjust_into<V: TableView + ?Sized>(
         &self,
         state: &mut WalkState,
         view: &mut V,
@@ -717,19 +838,31 @@ impl MergeShared<'_> {
             self.tracks.tracks(),
             RunScratch::new,
             |scratch, idx, track| {
-                let assignment = Assignment::from_cube(&track.label());
                 let mut locks = LockSet::for_graph(self.cpg);
-                for job in self.track_jobs(track) {
-                    if let Some(time) = table.activation_time(job, &assignment) {
-                        let pe = table.activation_resource(job, &assignment);
-                        locks.insert_pinned(job, time, pe);
-                    }
-                }
+                self.final_locks_into(table, track, &mut locks);
                 self.contexts
                     .get(idx)
                     .reschedule_with(scratch, &self.optimal[idx], &locks)
             },
         )
+    }
+
+    /// Gathers the locks the final table imposes on `track` into `locks`:
+    /// every job of the track at its applicable tabled time, pinned to the
+    /// recorded resource — the input of the track's realizability replay.
+    pub(crate) fn final_locks_into(
+        &self,
+        table: &ScheduleTable,
+        track: &Track,
+        locks: &mut LockSet,
+    ) {
+        let assignment = Assignment::from_cube(&track.label());
+        for job in self.track_jobs(track) {
+            if let Some(time) = table.activation_time(job, &assignment) {
+                let pe = table.activation_resource(job, &assignment);
+                locks.insert_pinned(job, time, pe);
+            }
+        }
     }
 
     /// Picks the reachable path used as the current schedule at a decision
@@ -751,179 +884,180 @@ impl MergeShared<'_> {
         }
     }
 
-    /// Depth-first traversal of the decision tree (the `BuildScheduleTable`
-    /// procedure of the paper's Fig. 3) on an explicit stack, with undo-log
-    /// state management:
+    /// Walks one forward chain of the decision tree and, recursively, its
+    /// back-step children: the depth-first `BuildScheduleTable` procedure of
+    /// the paper's Fig. 3, one chain per call.
     ///
-    /// * the conditions decided along the current tree path live in **one**
-    ///   [`Assignment`], assigned on the way down and unassigned on the way
-    ///   back up (the caller's `decided` is returned in its entry state);
-    /// * the activation times fixed along the path live in one [`LockSet`]
-    ///   per back-step branch (consecutive forward nodes share their
-    ///   branch's set, journalled and rolled back to the node's
-    ///   [`mark`](LockSet::mark) when its forward subtree completes); the
-    ///   sets themselves are pooled and recycled across branches;
-    /// * the current schedules are pooled [`PathSchedule`]s rebuilt in place
-    ///   by [`adjust_into`](Self::adjust_into).
+    /// The chain keeps one current schedule. At a back-step entry the newly
+    /// selected schedule first inherits the ancestor locks from the table
+    /// (rule 3) and is adjusted; then activation times are placed segment by
+    /// segment until the schedule ends, each resolved condition taking the
+    /// value of the current path. After that every resolution is flipped in
+    /// turn, deepest first: a new current schedule is selected among the
+    /// paths reachable under the flipped value and its chain is walked by a
+    /// recursive call (each level decides one more condition, so the
+    /// recursion is at most [`MAX_CONDITIONS`](cpg::MAX_CONDITIONS) deep).
     ///
-    /// Together with the scratch arena of the scheduler runs this makes the
-    /// whole walk allocation-free after warm-up; the visit order, every
-    /// placement decision and the produced [`MergeResult`] are identical to
-    /// the clone-per-node recursion (kept as
-    /// [`walk_cloning`](Self::walk_cloning) for the differential tests).
-    // lint: hot-path (the allocation-free undo-log walk)
-    fn walk_serial(
+    /// `rec` decides what is kept of each chain and whether a cached chain
+    /// (`cached`) is replayed instead (see [`ChainRecorder`]). `decided` must
+    /// be at the chain's entry state and is returned to it. The decided
+    /// conditions live in that one [`Assignment`], and lock sets and
+    /// schedules come from the pools of `st`, so the walk is allocation-free
+    /// after warm-up; its visit order, every placement decision and the
+    /// produced [`MergeResult`] are identical to the clone-per-node recursion
+    /// (kept as [`walk_cloning`](Self::walk_cloning) for the differential
+    /// tests).
+    // lint: hot-path (the one decision-tree walk)
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn walk_chain<R: ChainRecorder>(
         &self,
-        state: &mut WalkState,
-        view: &mut ScheduleTable,
-        root_idx: usize,
-        root_schedule: PathSchedule,
+        rec: &mut R,
+        st: &mut WalkState,
+        table: &mut ScheduleTable,
+        cached: Option<R::Chain>,
+        entry: ChainEntry,
+        track_idx: usize,
         decided: &mut Assignment,
-        fixed: LockSet,
-    ) {
+    ) -> R::Chain {
         let trace = self.config.trace();
-        // One lock set per back-step branch of the current tree path; the
-        // top of the stack is the set the current node fixes times into.
-        let mut lock_stack: Vec<LockSet> = vec![fixed];
-        let mut tasks: Vec<WalkTask> = vec![WalkTask::Enter {
-            track_idx: root_idx,
-            schedule: root_schedule,
-        }];
+        let base = st.resolutions.len();
+        let mut chain = match rec.replay(st, table, cached, track_idx, decided) {
+            Ok(chain) => chain,
+            Err(stale) => {
+                let label = self.tracks.tracks()[track_idx].label();
+                let mut fixed = st
+                    .lock_pool
+                    .pop()
+                    .unwrap_or_else(|| LockSet::for_graph(self.cpg));
+                // Mutation self-test hook: recycle the pooled set with its
+                // stale contents, so locks of a previously walked chain leak
+                // into this chain's placements. The cloning oracle allocates
+                // a fresh set per back-step, so the differential suite must
+                // flag the divergence (tests/adversarial_corpus.rs).
+                #[cfg(any(test, feature = "test-util"))]
+                if !sabotage::dirty_lock_reuse() {
+                    fixed.clear();
+                }
+                #[cfg(not(any(test, feature = "test-util")))]
+                fixed.clear();
+                let mut schedule = st.schedule_pool.pop().unwrap_or_default();
 
-        while let Some(task) = tasks.pop() {
-            match task {
-                WalkTask::Enter {
-                    track_idx,
-                    mut schedule,
-                } => {
-                    let mut fixed = lock_stack
-                        .pop()
-                        .expect("every branch of the walk owns a lock set");
+                let mut view = R::open(table);
+                rec.begin_segment(st);
+                // Decided conditions at the deepest node of the open segment.
+                let mut depth = 0;
+                match entry {
+                    ChainEntry::Root => schedule.clone_from(&self.optimal[track_idx]),
+                    ChainEntry::Back {
+                        condition,
+                        resolved_at,
+                        node_cube,
+                    } => {
+                        // The inherited locks and the adjustment read the
+                        // table through the chain's view, so a recorded
+                        // chain's log covers them and a replay revalidates
+                        // them.
+                        self.locks_from_table_into(
+                            &view, &mut fixed, track_idx, decided, condition,
+                        );
+                        self.adjust_into(
+                            st,
+                            &mut view,
+                            track_idx,
+                            &mut fixed,
+                            decided,
+                            &mut schedule,
+                        );
+                        // `decided` already carries the flipped condition, so
+                        // the depth is its plain length.
+                        st.stats.tree_nodes += 1;
+                        st.stats.adjustments += 1;
+                        depth = decided.len();
+                        if trace {
+                            st.steps.push(MergeStep {
+                                decided: node_cube,
+                                condition,
+                                resolved_at,
+                                current_path: label,
+                                back_step: true,
+                            });
+                        }
+                    }
+                }
+                loop {
                     let next = self.place_phase(
-                        state,
-                        view,
+                        st,
+                        &mut view,
                         track_idx,
                         &mut schedule,
                         decided,
                         &mut fixed,
                     );
-
-                    // End of schedule: every condition of this path has been
-                    // decided and all activation times are placed.
-                    let Some((condition, resolved_at)) = next else {
-                        state.schedule_pool.push(schedule);
-                        lock_stack.push(fixed);
-                        continue;
-                    };
-
-                    let label = self.tracks.tracks()[track_idx].label();
-                    let value = label
-                        .polarity_of(condition)
-                        .expect("a condition resolved on a path appears in its label");
-
                     // Continue with the same schedule: the condition takes
                     // the value of the current path (no back-step). The
-                    // node's depth counts the resolved condition, not yet
-                    // assigned here.
-                    state.stats.tree_nodes += 1;
-                    state.stats.max_walk_depth = state.stats.max_walk_depth.max(decided.len() + 1);
-                    if trace {
-                        state.steps.push(MergeStep {
-                            decided: decided.to_cube(),
-                            condition,
-                            resolved_at,
-                            current_path: label,
-                            back_step: false,
-                        });
-                    }
-                    decided.assign(condition, value);
-                    let mark = fixed.mark();
-                    lock_stack.push(fixed);
-                    tasks.push(WalkTask::AfterForward {
-                        condition,
-                        value,
-                        resolved_at,
-                        mark,
+                    // node's depth counts the resolved condition, assigned
+                    // once the segment closes.
+                    let resolution = next.map(|(condition, resolved_at)| {
+                        let value = label
+                            .polarity_of(condition)
+                            .expect("a condition resolved on a path appears in its label");
+                        st.stats.tree_nodes += 1;
+                        depth = depth.max(decided.len() + 1);
+                        if trace {
+                            st.steps.push(MergeStep {
+                                decided: decided.to_cube(),
+                                condition,
+                                resolved_at,
+                                current_path: label,
+                                back_step: false,
+                            });
+                        }
+                        (condition, value, resolved_at)
                     });
-                    tasks.push(WalkTask::Enter {
-                        track_idx,
-                        schedule,
-                    });
-                }
-                WalkTask::AfterForward {
-                    condition,
-                    value,
-                    resolved_at,
-                    mark,
-                } => {
-                    // The forward subtree is fully explored: restore the
-                    // shared state to this node's view...
-                    lock_stack
-                        .last_mut()
-                        .expect("the branch lock set outlives its subtree")
-                        .rollback(mark);
-                    decided.unassign(condition);
-                    let node_cube = decided.to_cube();
-
-                    // ...and take the back-step: the condition takes the
-                    // opposite value; a new current schedule is selected
-                    // among the reachable paths and adjusted.
-                    decided.assign(condition, !value);
-                    let Some(new_idx) = self.select_track(decided) else {
-                        decided.unassign(condition);
-                        continue;
+                    st.stats.max_walk_depth = st.stats.max_walk_depth.max(depth);
+                    rec.end_segment(st, depth, resolution);
+                    // End of schedule: every condition of this path has been
+                    // decided and all activation times are placed.
+                    let Some(resolution) = resolution else {
+                        break;
                     };
-                    let mut locks = state
-                        .lock_pool
-                        .pop()
-                        .unwrap_or_else(|| LockSet::for_graph(self.cpg));
-                    // Mutation self-test hook: recycle the pooled set with
-                    // its stale contents, so locks of a previously walked
-                    // branch leak into this branch's placements. The cloning
-                    // oracle allocates a fresh set per back-step, so the
-                    // differential suite must flag the divergence
-                    // (tests/adversarial_corpus.rs).
-                    #[cfg(any(test, feature = "test-util"))]
-                    if !sabotage::dirty_lock_reuse() {
-                        locks.clear();
-                    }
-                    #[cfg(not(any(test, feature = "test-util")))]
-                    locks.clear();
-                    self.locks_from_table_into(view, &mut locks, new_idx, decided, condition);
-                    let mut adjusted = state.schedule_pool.pop().unwrap_or_default();
-                    self.adjust_into(state, view, new_idx, &mut locks, decided, &mut adjusted);
-                    // `decided` already carries the flipped condition, so the
-                    // depth is its plain length.
-                    state.stats.tree_nodes += 1;
-                    state.stats.max_walk_depth = state.stats.max_walk_depth.max(decided.len());
-                    state.stats.adjustments += 1;
-                    if trace {
-                        state.steps.push(MergeStep {
-                            decided: node_cube,
-                            condition,
-                            resolved_at,
-                            current_path: self.tracks.tracks()[new_idx].label(),
-                            back_step: true,
-                        });
-                    }
-                    lock_stack.push(locks);
-                    tasks.push(WalkTask::AfterBack { condition });
-                    tasks.push(WalkTask::Enter {
-                        track_idx: new_idx,
-                        schedule: adjusted,
-                    });
+                    st.resolutions.push(resolution);
+                    decided.assign(resolution.0, resolution.1);
+                    rec.begin_segment(st);
+                    depth = 0;
                 }
-                WalkTask::AfterBack { condition } => {
-                    decided.unassign(condition);
-                    let branch_locks = lock_stack
-                        .pop()
-                        .expect("the back-step branch pushed its lock set");
-                    state.lock_pool.push(branch_locks);
-                }
+                let log = R::finish(view);
+                st.schedule_pool.push(schedule);
+                st.lock_pool.push(fixed);
+                rec.commit(table, log, stale, track_idx, &st.resolutions[base..])
             }
+        };
+
+        // Back-steps, deepest resolution first: the condition takes the
+        // opposite value; a new current schedule is selected among the
+        // reachable paths and its chain walked.
+        for i in (base..st.resolutions.len()).rev() {
+            let (condition, value, resolved_at) = st.resolutions[i];
+            decided.unassign(condition);
+            let node_cube = decided.to_cube();
+            decided.assign(condition, !value);
+            let cached = R::take_child(&mut chain, i - base);
+            match self.select_track(decided) {
+                Some(back_idx) => {
+                    let entry = ChainEntry::Back {
+                        condition,
+                        resolved_at,
+                        node_cube,
+                    };
+                    let child = self.walk_chain(rec, st, table, cached, entry, back_idx, decided);
+                    R::set_child(&mut chain, i - base, child);
+                }
+                None => rec.drop_child(cached),
+            }
+            decided.unassign(condition);
         }
-        // Recycle the root branch's lock set for the next subtree.
-        state.lock_pool.append(&mut lock_stack);
+        st.resolutions.truncate(base);
+        chain
     }
 
     /// The placement phase of one decision-tree node: fixes activation times
@@ -931,7 +1065,7 @@ impl MergeShared<'_> {
     /// resolved (or the schedule ends), re-adjusting the schedule in place
     /// when a conflict repair moves a process. Returns the next undecided
     /// condition resolution, if any.
-    pub(crate) fn place_phase<V: TableView + ?Sized>(
+    fn place_phase<V: TableView + ?Sized>(
         &self,
         state: &mut WalkState,
         view: &mut V,
@@ -997,7 +1131,8 @@ impl MergeShared<'_> {
     /// The original recursive clone-per-node decision-tree walk, kept as the
     /// reference oracle for the differential tests of the production walks:
     /// the decided conditions, the lock set and (on repairs and back-steps)
-    /// the current schedule are cloned at every node instead of journalled.
+    /// the current schedule are cloned at every node instead of shared and
+    /// pooled.
     #[cfg(any(test, feature = "test-util"))]
     fn walk_cloning<V: TableView + ?Sized>(
         &self,
@@ -1120,7 +1255,7 @@ impl MergeShared<'_> {
     /// ones other than `resolved`. The locks land in the caller-provided
     /// (pooled, cleared) set; every row probe resolves through the view's
     /// dense per-job index.
-    pub(crate) fn locks_from_table_into<V: TableView + ?Sized>(
+    fn locks_from_table_into<V: TableView + ?Sized>(
         &self,
         view: &V,
         locks: &mut LockSet,
@@ -1162,7 +1297,7 @@ impl MergeShared<'_> {
 
     /// The jobs that can appear on a track: its processes (except the
     /// dummies) and the broadcasts of the conditions it determines.
-    pub(crate) fn track_jobs<'t>(&'t self, track: &'t Track) -> impl Iterator<Item = Job> + 't {
+    fn track_jobs<'t>(&'t self, track: &'t Track) -> impl Iterator<Item = Job> + 't {
         track
             .processes()
             .iter()
@@ -1556,7 +1691,7 @@ mod tests {
         }
     }
 
-    /// Field-wise comparison of the undo-log walk against the clone-per-node
+    /// Field-wise comparison of the chain walk against the clone-per-node
     /// oracle (the broad random coverage lives in the workspace-level
     /// differential proptest; this pins the crafted examples). Tracing is
     /// forced on so the step-by-step visit order is compared too.

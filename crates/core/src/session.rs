@@ -21,7 +21,9 @@
 //! the partially rebuilt table is **replayed** — its writes are spliced into
 //! the table column-wise ([`ScheduleTable::splice_log`]) without running
 //! the scheduler at all. Only the invalidated region of the tree is
-//! re-walked, serially, with the same placement machinery as the cold walk.
+//! re-walked, by the cold merge's own walk
+//! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain)) with
+//! the session's recording [`ChainRecorder`].
 //! Every validation failure degrades to a re-walk, never to a wrong table:
 //! the result is bit-identical to a cold
 //! [`generate_schedule_table`](crate::generate_schedule_table) of the edited
@@ -36,19 +38,18 @@
 //! byte-identically — including the column creation order, which
 //! [`TxnLog`] captures as write order.
 
-use std::cell::{Cell, RefCell};
 use std::hash::{Hash, Hasher};
 
 use cpg::{
-    enumerate_tracks, Assignment, CondId, Cpg, Cube, EditError, EditScope, FrontierHasher,
-    SystemEdit, Track, TrackSet,
+    enumerate_tracks, Assignment, Cpg, Cube, EditError, EditScope, FrontierHasher, SystemEdit,
+    Track, TrackSet,
 };
 use cpg_arch::{Architecture, Time};
 use cpg_path_sched::{ListScheduler, LockSet, PathSchedule, RunScratch};
 use cpg_table::{ScheduleTable, TableTxn, TxnLog};
 
 use crate::config::MergeConfig;
-use crate::merge::{ContextCache, MergeShared, WalkState};
+use crate::merge::{ChainEntry, ChainRecorder, ContextCache, MergeShared, Resolution, WalkState};
 use crate::result::{MergeResult, MergeStats, MergeStep};
 
 /// Counters describing how much of the cached decision tree the last
@@ -77,10 +78,9 @@ struct ChainSeg {
     steps: Vec<MergeStep>,
     /// Whether an adjustment inside the segment reported a slipped lock.
     saw_slip: bool,
-    /// The condition resolution that ended the segment: `(condition, value
-    /// on the current path, resolution time)`; `None` for the last segment
-    /// of the chain (the schedule ran out).
-    resolution: Option<(CondId, bool, Time)>,
+    /// The condition resolution that ended the segment; `None` for the last
+    /// segment of the chain (the schedule ran out).
+    resolution: Option<Resolution>,
 }
 
 /// A cached forward chain of the decision tree: the maximal run of nodes
@@ -105,47 +105,21 @@ struct SessionChain {
     children: Vec<Option<Box<SessionChain>>>,
 }
 
-impl SessionChain {
-    /// The resolutions of this chain, in forward order.
-    fn resolutions(&self) -> Vec<(CondId, bool, Time)> {
-        self.segs.iter().filter_map(|seg| seg.resolution).collect()
-    }
-}
-
-/// How a chain is entered: at the tree root with the optimal schedule of the
-/// selected track, or through a back-step that must first inherit the
-/// ancestor locks from the table and adjust the newly selected schedule.
-#[derive(Clone, Copy)]
-enum ChainEntry {
-    /// The root chain: current schedule is the optimal schedule of the
-    /// selected track, no inherited locks.
-    Root,
-    /// A back-step entry: `condition` was flipped at `resolved_at`;
-    /// `node_cube` is the tree path to the node without the flipped
-    /// condition (what the traced back-step records).
-    Back {
-        condition: CondId,
-        resolved_at: Time,
-        node_cube: Cube,
-    },
-}
-
-/// The per-merge re-walk driver: the shared walk inputs plus the
-/// invalidation state of this merge.
+/// The session's [`ChainRecorder`]: records every walked chain through a
+/// [`TableTxn`] and replays cached chains that are still valid, carrying the
+/// invalidation state of one merge.
 struct Rewalk<'a> {
-    shared: &'a MergeShared<'a>,
     /// Frontier hash per track, recomputed from this merge's optimal
     /// schedules.
     track_hashes: &'a [u64],
     /// Tracks inside the scope of an edit applied since the last merge.
     dirty: &'a [bool],
-    trace: bool,
     /// `false` while every chain visited so far (in serial order) replayed
     /// its cached log; flips to `true` at the first re-record. While clear,
     /// the rebuilt table is byte-identical to the recording merge's table at
     /// the current serial point (induction over the deterministic splice), so
     /// replays skip content validation entirely.
-    diverged: Cell<bool>,
+    diverged: bool,
     /// Whether to accumulate `changed`: off when no per-track delay cache
     /// exists to invalidate (the first merge and after structural edits).
     note_changes: bool,
@@ -154,25 +128,29 @@ struct Rewalk<'a> {
     /// dropped subtrees. Replayed chains splice byte-identical content and
     /// note nothing. The per-track delay cache invalidates exactly the
     /// tracks whose label is compatible with a noted column.
-    changed: RefCell<Vec<Cube>>,
-    reuse: RefCell<ReuseStats>,
+    changed: Vec<Cube>,
+    reuse: ReuseStats,
+    /// The segments recorded so far of the chain being walked.
+    segs: Vec<ChainSeg>,
+    /// Counters, step count and slip flag of the walk when the open segment
+    /// started; the flag is cleared for the segment and restored after it.
+    seg_start: (MergeStats, usize, bool),
 }
 
 impl Rewalk<'_> {
     /// Notes the columns a write log touches (cells added, replaced or
     /// dropped versus the previous merge's table). Over-approximation is
     /// sound.
-    fn note_changed_log(&self, log: &TxnLog) {
-        if !self.note_changes {
-            return;
+    fn note_changed_log(&mut self, log: &TxnLog) {
+        if self.note_changes {
+            self.changed.extend(log.written_columns());
         }
-        self.changed.borrow_mut().extend(log.written_columns());
     }
 
     /// Notes every column a dropped subtree wrote: its cells were in the
     /// previous merge's table and are absent from the rebuilt one (until a
     /// re-record happens to restore them — which notes its own columns).
-    fn note_changed_chain(&self, chain: &SessionChain) {
+    fn note_changed_chain(&mut self, chain: &SessionChain) {
         if !self.note_changes {
             return;
         }
@@ -182,182 +160,121 @@ impl Rewalk<'_> {
         }
     }
 
-    /// Replays a cached chain if it is still valid at this position,
-    /// otherwise records a fresh one. `decided` must be at the chain's entry
-    /// state and is returned to it.
-    fn visit_chain(
-        &self,
+    /// Whether a cached chain for `track_idx` still holds at this serial
+    /// point: its track is clean, its frontier hash unchanged and (once an
+    /// earlier chain re-recorded) its cached reads still match `table`.
+    fn still_valid(&self, table: &ScheduleTable, chain: &SessionChain, track_idx: usize) -> bool {
+        if chain.track_idx != track_idx
+            || self.dirty[track_idx]
+            || self.track_hashes[track_idx] != chain.track_hash
+        {
+            return false;
+        }
+        // Serial-order fast path: no chain before this one (in serial order)
+        // re-recorded, so the rebuilt table is byte-identical to the
+        // recording merge's table at this point and every cached read would
+        // validate by construction.
+        if !self.diverged {
+            return true;
+        }
+        // The chain log's reads are base observations at the chain's serial
+        // entry point, so it validates directly against the rebuilt table.
+        let valid = chain.log.validate(table);
+        // Mutation self-test hook: splice the stale cached chain anyway. The
+        // warm-vs-cold oracle must flag the diverging re-merge
+        // (tests/adversarial_corpus.rs).
+        #[cfg(any(test, feature = "test-util"))]
+        let valid = valid || crate::merge::sabotage::skip_splice_validation();
+        valid
+    }
+}
+
+impl ChainRecorder for Rewalk<'_> {
+    /// One transaction spans the whole chain: later segments read earlier
+    /// segments' writes through the overlay (recording no base dependency on
+    /// them), so the detached log validates — and splices — against the
+    /// table exactly as per-segment commits would, while the row bookkeeping
+    /// is paid once per chain instead of once per segment.
+    type View<'t> = TableTxn<'t>;
+    type Log = TxnLog;
+    type Chain = Box<SessionChain>;
+
+    fn replay(
+        &mut self,
         st: &mut WalkState,
         table: &mut ScheduleTable,
         cached: Option<Box<SessionChain>>,
-        entry: ChainEntry,
         track_idx: usize,
         decided: &mut Assignment,
-    ) -> Box<SessionChain> {
-        let mut stale = None;
-        if let Some(mut chain) = cached {
-            if chain.track_idx == track_idx && self.replay_chain(st, table, &mut chain, decided) {
-                return chain;
-            }
-            stale = Some(chain);
+    ) -> Result<Box<SessionChain>, Option<Box<SessionChain>>> {
+        let Some(chain) = cached else {
+            return Err(None);
+        };
+        if !self.still_valid(table, &chain, track_idx) {
+            return Err(Some(chain));
         }
-        self.record_chain(st, table, stale, entry, track_idx, decided)
+        table.splice_log(&chain.log);
+        for seg in &chain.segs {
+            st.stats.absorb(seg.stats);
+            st.saw_slip |= seg.saw_slip;
+            st.steps.extend(seg.steps.iter().cloned());
+            if let Some(resolution) = seg.resolution {
+                st.resolutions.push(resolution);
+                decided.assign(resolution.0, resolution.1);
+            }
+        }
+        self.reuse.chains_replayed += 1;
+        self.reuse.segments_replayed += chain.segs.len();
+        Ok(chain)
     }
 
-    /// Walks one forward chain, recording every placement segment as a
-    /// transactional log committed (column-spliced) into `table`, then
-    /// processes the back-step children deepest-first — exactly the serial
-    /// walk's order and decisions.
-    fn record_chain(
-        &self,
-        st: &mut WalkState,
+    fn open(table: &mut ScheduleTable) -> TableTxn<'_> {
+        TableTxn::new(table)
+    }
+
+    fn begin_segment(&mut self, st: &mut WalkState) {
+        self.seg_start = (st.stats, st.steps.len(), st.saw_slip);
+        st.saw_slip = false;
+    }
+
+    fn end_segment(&mut self, st: &mut WalkState, depth: usize, resolution: Option<Resolution>) {
+        let (stats_before, steps_before, slip_outer) = self.seg_start;
+        let mut stats = stats_delta(stats_before, st.stats);
+        // Depths are absolute (decided conditions at the node), so caching
+        // the segment's own maximum — instead of the meaningless delta of a
+        // running maximum — lets a replay absorb it by `max` in any order
+        // and still reconstruct the cold walk's value exactly.
+        stats.max_walk_depth = depth;
+        self.segs.push(ChainSeg {
+            stats,
+            steps: st.steps[steps_before..].to_vec(),
+            saw_slip: st.saw_slip,
+            resolution,
+        });
+        st.saw_slip |= slip_outer;
+    }
+
+    fn finish(view: TableTxn<'_>) -> TxnLog {
+        view.into_log()
+    }
+
+    fn commit(
+        &mut self,
         table: &mut ScheduleTable,
+        log: TxnLog,
         stale: Option<Box<SessionChain>>,
-        entry: ChainEntry,
         track_idx: usize,
-        decided: &mut Assignment,
+        resolutions: &[Resolution],
     ) -> Box<SessionChain> {
+        table.splice_log(&log);
         // From this serial point on, the rebuilt table may differ from the
         // recording merge's: every later replay must validate its reads.
-        self.diverged.set(true);
-        if let Some(stale) = &stale {
-            // The stale chain's own cells are about to be replaced; its
-            // cached subtrees are re-seeded below and note themselves if
-            // they end up dropped or re-recorded.
-            self.note_changed_log(&stale.log);
-        }
-        let shared = self.shared;
-        let mut segs: Vec<ChainSeg> = Vec::new();
-
-        let mut schedule = match entry {
-            ChainEntry::Root => shared.optimal[track_idx].clone(),
-            ChainEntry::Back { .. } => st.schedule_pool.pop().unwrap_or_default(),
-        };
-        let mut fixed = st
-            .lock_pool
-            .pop()
-            .unwrap_or_else(|| LockSet::for_graph(shared.cpg));
-        fixed.clear();
-
-        // One transaction spans the whole chain: later segments read earlier
-        // segments' writes through the overlay (recording no base dependency
-        // on them), so the detached log validates — and splices — against the
-        // table exactly as the per-segment serial commits would, while the
-        // row bookkeeping is paid once per chain instead of once per segment.
-        let log = {
-            let mut txn = TableTxn::new(table);
-            let mut first = true;
-            loop {
-                let stats_before = st.stats;
-                let steps_before = st.steps.len();
-                let slip_outer = st.saw_slip;
-                st.saw_slip = false;
-                // Depth reached by this segment's own node bookkeeping.
-                // Depths are absolute (decided conditions at the node), so
-                // caching the per-segment maximum — instead of the delta the
-                // counter subtraction below would give — lets a replay absorb
-                // it by `max` in any order and still reconstruct the cold
-                // walk's value exactly.
-                let mut seg_depth = 0;
-
-                if first {
-                    first = false;
-                    if let ChainEntry::Back {
-                        condition,
-                        resolved_at,
-                        node_cube,
-                    } = entry
-                    {
-                        // The back-step bookkeeping belongs to the first
-                        // segment: the inherited locks and the adjustment read
-                        // the table, so replaying the chain revalidates them.
-                        shared
-                            .locks_from_table_into(&txn, &mut fixed, track_idx, decided, condition);
-                        shared.adjust_into(
-                            st,
-                            &mut txn,
-                            track_idx,
-                            &mut fixed,
-                            decided,
-                            &mut schedule,
-                        );
-                        // `decided` already carries the flipped condition
-                        // (depth = length).
-                        st.stats.tree_nodes += 1;
-                        seg_depth = seg_depth.max(decided.len());
-                        st.stats.adjustments += 1;
-                        if self.trace {
-                            st.steps.push(MergeStep {
-                                decided: node_cube,
-                                condition,
-                                resolved_at,
-                                current_path: shared.tracks.tracks()[track_idx].label(),
-                                back_step: true,
-                            });
-                        }
-                    }
-                }
-
-                let next =
-                    shared.place_phase(st, &mut txn, track_idx, &mut schedule, decided, &mut fixed);
-
-                // The forward-node bookkeeping belongs to the segment that
-                // resolved the condition (it precedes the next segment in the
-                // serial order).
-                let resolution = next.map(|(condition, resolved_at)| {
-                    let label = shared.tracks.tracks()[track_idx].label();
-                    let value = label
-                        .polarity_of(condition)
-                        .expect("a condition resolved on a path appears in its label");
-                    // The resolved condition is assigned below, after the
-                    // segment closes (depth = length + 1).
-                    st.stats.tree_nodes += 1;
-                    seg_depth = seg_depth.max(decided.len() + 1);
-                    if self.trace {
-                        st.steps.push(MergeStep {
-                            decided: decided.to_cube(),
-                            condition,
-                            resolved_at,
-                            current_path: label,
-                            back_step: false,
-                        });
-                    }
-                    (condition, value, resolved_at)
-                });
-
-                st.stats.max_walk_depth = st.stats.max_walk_depth.max(seg_depth);
-                let mut seg_stats = stats_delta(stats_before, st.stats);
-                // Replace the meaningless max-delta with the segment's own
-                // absolute maximum (see `seg_depth` above).
-                seg_stats.max_walk_depth = seg_depth;
-                segs.push(ChainSeg {
-                    stats: seg_stats,
-                    steps: st.steps[steps_before..].to_vec(),
-                    saw_slip: st.saw_slip,
-                    resolution,
-                });
-                st.saw_slip |= slip_outer;
-
-                match resolution {
-                    Some((condition, value, _)) => decided.assign(condition, value),
-                    None => break,
-                }
-            }
-            txn.into_log()
-        };
-        table.splice_log(&log);
+        self.diverged = true;
         self.note_changed_log(&log);
-        st.schedule_pool.push(schedule);
-        st.lock_pool.push(fixed);
+        let segs = std::mem::take(&mut self.segs);
+        self.reuse.chains_recorded += 1;
+        self.reuse.segments_recorded += segs.len();
 
-        {
-            let mut reuse = self.reuse.borrow_mut();
-            reuse.chains_recorded += 1;
-            reuse.segments_recorded += segs.len();
-        }
-
-        let resolutions: Vec<(CondId, bool, Time)> =
-            segs.iter().filter_map(|seg| seg.resolution).collect();
         let mut children: Vec<Option<Box<SessionChain>>> = Vec::new();
         children.resize_with(resolutions.len(), || None);
         // A re-recorded chain does not orphan its cached subtrees: wherever
@@ -366,12 +283,18 @@ impl Rewalk<'_> {
         // decision node and stays a replay candidate (it re-validates on its
         // own when visited).
         if let Some(stale) = stale {
-            let stale_resolutions = stale.resolutions();
-            for (i, child) in stale.children.into_iter().enumerate() {
-                let matched = matches!(
-                    (resolutions.get(i), stale_resolutions.get(i)),
-                    (Some(new), Some(old)) if (new.0, new.1) == (old.0, old.1)
-                );
+            // The stale chain's own cells are replaced.
+            self.note_changed_log(&stale.log);
+            let stale_resolutions = stale.segs.iter().filter_map(|seg| seg.resolution);
+            for (i, (child, old)) in stale
+                .children
+                .into_iter()
+                .zip(stale_resolutions)
+                .enumerate()
+            {
+                let matched = resolutions
+                    .get(i)
+                    .is_some_and(|new| (new.0, new.1) == (old.0, old.1));
                 match child {
                     Some(child) if matched => children[i] = Some(child),
                     // The subtree hangs off a resolution the fresh chain no
@@ -381,8 +304,6 @@ impl Rewalk<'_> {
                 }
             }
         }
-        self.process_children(st, table, &resolutions, &mut children, decided);
-
         Box::new(SessionChain {
             track_idx,
             track_hash: self.track_hashes[track_idx],
@@ -392,109 +313,18 @@ impl Rewalk<'_> {
         })
     }
 
-    /// Replays a cached chain: validates and splices its segment logs, then
-    /// recurses into the children. Returns `false` — leaving `table`, `st`
-    /// and `decided` untouched — when the chain's track is dirty, its
-    /// frontier hash changed, or any cached read no longer matches the
-    /// rebuilt table.
-    fn replay_chain(
-        &self,
-        st: &mut WalkState,
-        table: &mut ScheduleTable,
-        chain: &mut SessionChain,
-        decided: &mut Assignment,
-    ) -> bool {
-        let idx = chain.track_idx;
-        if self.dirty[idx] || self.track_hashes[idx] != chain.track_hash {
-            return false;
-        }
-        let resolutions = chain.resolutions();
-        if chain.children.len() != resolutions.len() {
-            return false;
-        }
-        if !self.diverged.get() {
-            // Serial-order fast path: no chain before this one (in serial
-            // order) re-recorded, so the rebuilt table is byte-identical to
-            // the recording merge's table at this point and every cached read
-            // would validate by construction — the log splices straight into
-            // the table, no validation, no fingerprinting.
-            table.splice_log(&chain.log);
-        } else {
-            // The chain log's reads are base observations at the chain's
-            // serial entry point, so it validates directly against the
-            // rebuilt table. A failed validation leaves the table untouched
-            // and the caller re-records from the chain's entry state.
-            let valid = chain.log.validate(table);
-            // Mutation self-test hook: splice the stale cached chain anyway.
-            // The warm-vs-cold oracle must flag the diverging re-merge
-            // (tests/adversarial_corpus.rs).
-            #[cfg(any(test, feature = "test-util"))]
-            let valid = valid || crate::merge::sabotage::skip_splice_validation();
-            if !valid {
-                return false;
-            }
-            table.splice_log(&chain.log);
-        }
-        for seg in &chain.segs {
-            st.stats.absorb(seg.stats);
-            st.saw_slip |= seg.saw_slip;
-            if self.trace {
-                st.steps.extend(seg.steps.iter().cloned());
-            }
-        }
-        {
-            let mut reuse = self.reuse.borrow_mut();
-            reuse.chains_replayed += 1;
-            reuse.segments_replayed += chain.segs.len();
-        }
-
-        for &(condition, value, _) in &resolutions {
-            decided.assign(condition, value);
-        }
-        let mut children = std::mem::take(&mut chain.children);
-        self.process_children(st, table, &resolutions, &mut children, decided);
-        chain.children = children;
-        true
+    fn take_child(chain: &mut Box<SessionChain>, i: usize) -> Option<Box<SessionChain>> {
+        chain.children[i].take()
     }
 
-    /// Processes the back-step children of a chain deepest-first (the serial
-    /// walk's order), replaying cached subtrees where possible. `decided`
-    /// must carry every resolution of the chain (forward values) and is
-    /// returned to the chain's entry state.
-    fn process_children(
-        &self,
-        st: &mut WalkState,
-        table: &mut ScheduleTable,
-        resolutions: &[(CondId, bool, Time)],
-        children: &mut [Option<Box<SessionChain>>],
-        decided: &mut Assignment,
-    ) {
-        debug_assert_eq!(resolutions.len(), children.len());
-        for i in (0..resolutions.len()).rev() {
-            let (condition, value, resolved_at) = resolutions[i];
-            decided.unassign(condition);
-            let node_cube = decided.to_cube();
-            decided.assign(condition, !value);
-            match self.shared.select_track(decided) {
-                Some(back_idx) => {
-                    let cached = children[i].take();
-                    let entry = ChainEntry::Back {
-                        condition,
-                        resolved_at,
-                        node_cube,
-                    };
-                    children[i] =
-                        Some(self.visit_chain(st, table, cached, entry, back_idx, decided));
-                }
-                None => {
-                    // No reachable path takes the flipped value: a cached
-                    // subtree here is dead and its cells leave the table.
-                    if let Some(old) = children[i].take() {
-                        self.note_changed_chain(&old);
-                    }
-                }
-            }
-            decided.unassign(condition);
+    fn set_child(chain: &mut Box<SessionChain>, i: usize, child: Box<SessionChain>) {
+        chain.children[i] = Some(child);
+    }
+
+    fn drop_child(&mut self, child: Option<Box<SessionChain>>) {
+        // A cached subtree here is dead and its cells leave the table.
+        if let Some(old) = child {
+            self.note_changed_chain(&old);
         }
     }
 }
@@ -502,8 +332,8 @@ impl Rewalk<'_> {
 /// Field-wise difference of two counter snapshots (`after - before`).
 ///
 /// Meaningful for the summable counters only: `max_walk_depth` is a running
-/// maximum, so [`record_chain`](Rewalk::record_chain) overwrites it with the
-/// segment's absolute maximum after taking the delta.
+/// maximum, so [`end_segment`](ChainRecorder::end_segment) overwrites it with
+/// the segment's absolute maximum after taking the delta.
 fn stats_delta(before: MergeStats, after: MergeStats) -> MergeStats {
     MergeStats {
         tree_nodes: after.tree_nodes - before.tree_nodes,
@@ -791,15 +621,15 @@ impl MergeSession {
             optimal: &optimal,
         };
         let have_delays = self.track_delays.len() == self.tracks.len();
-        let rewalk = Rewalk {
-            shared: &shared,
+        let mut rewalk = Rewalk {
             track_hashes: &track_hashes,
             dirty: &dirty,
-            trace: self.config.trace(),
-            diverged: Cell::new(false),
+            diverged: false,
             note_changes: have_delays,
-            changed: RefCell::new(Vec::new()),
-            reuse: RefCell::new(ReuseStats::default()),
+            changed: Vec::new(),
+            reuse: ReuseStats::default(),
+            segs: Vec::new(),
+            seg_start: (MergeStats::default(), 0, false),
         };
 
         let mut state = WalkState::new();
@@ -808,7 +638,8 @@ impl MergeSession {
         let root_idx = shared
             .select_track(&decided)
             .expect("a valid graph has at least one alternative path");
-        let new_root = rewalk.visit_chain(
+        let new_root = shared.walk_chain(
+            &mut rewalk,
             &mut state,
             &mut table,
             cached_root,
@@ -818,18 +649,7 @@ impl MergeSession {
         );
 
         let mut stats = state.stats;
-        // Same sweep condition as the cold path: any back-step adjustment
-        // may have published entries into columns applicable to tracks that
-        // were never rescheduled against the final lock set, so observing no
-        // walk-time slip does not prove the table realizable. (And the same
-        // slip-repair mutant bypass — see `merge`.)
-        #[allow(unused_mut)]
-        let mut run_sweep = state.saw_slip || stats.adjustments > 0;
-        #[cfg(any(test, feature = "test-util"))]
-        {
-            run_sweep = run_sweep && !crate::merge::sabotage::skip_slip_repair();
-        }
-        let realized = if run_sweep {
+        let realized = if state.needs_sweep() {
             // Same realizability sweep as the cold path
             // ([`MergeShared::residual_replays`]), with a per-track replay
             // cache: the replay is a function of the track's optimal schedule
@@ -843,17 +663,11 @@ impl MergeSession {
                 self.tracks.tracks(),
                 RunScratch::new,
                 |scratch, idx, track| {
-                    let assignment = Assignment::from_cube(&track.label());
                     let mut locks = LockSet::for_graph(&self.cpg);
+                    shared.final_locks_into(&table, track, &mut locks);
                     let mut h = FrontierHasher::new();
-                    for job in shared.track_jobs(track) {
-                        if let Some(time) = table.activation_time(job, &assignment) {
-                            let pe = table.activation_resource(job, &assignment);
-                            job.hash(&mut h);
-                            time.hash(&mut h);
-                            pe.hash(&mut h);
-                            locks.insert_pinned(job, time, pe);
-                        }
+                    for lock in locks.iter_pinned() {
+                        lock.hash(&mut h);
                     }
                     let fingerprint = h.finish();
                     if let Some((fp, schedule)) = &cached[idx] {
@@ -892,7 +706,7 @@ impl MergeSession {
         // previous table; clean tracks with no compatible changed column
         // keep last merge's value.
         let cached_delays = std::mem::take(&mut self.track_delays);
-        let mut changed_columns = rewalk.changed.take();
+        let mut changed_columns = std::mem::take(&mut rewalk.changed);
         changed_columns.sort_unstable();
         changed_columns.dedup();
         // Union masks over the changed columns: when nothing in the changed
@@ -936,7 +750,7 @@ impl MergeSession {
             .max()
             .unwrap_or(Time::ZERO);
 
-        self.reuse = rewalk.reuse.into_inner();
+        self.reuse = rewalk.reuse;
         self.root = Some(new_root);
         self.dirty = vec![false; self.tracks.len()];
         self.optimal = optimal;

@@ -12,7 +12,7 @@
 //! 3. **Thread identity** — merges with 2, 4 and 8 workers must be
 //!    bit-identical to the single-threaded baseline (table, schedules,
 //!    steps, stats).
-//! 4. **Cloning walk** — the undo-log walk must match the clone-based
+//! 4. **Cloning walk** — the chain walk must match the clone-based
 //!    reference walk.
 //! 5. **Warm vs cold** — a [`MergeSession`] replaying the workload's edit
 //!    sequence must produce, after every edit, the same result as a cold
@@ -45,7 +45,7 @@ pub enum OracleKind {
     InputValidation,
     /// A multi-threaded merge diverged from the single-threaded baseline.
     ThreadIdentity,
-    /// The undo-log walk diverged from the clone-based walk.
+    /// The chain walk diverged from the clone-based walk.
     CloningWalk,
     /// A warm session merge diverged from the cold merge of the same system.
     WarmVsCold,
@@ -145,7 +145,7 @@ fn run_oracles_inner(
     let baseline = generate_schedule_table(cpg, arch, &config);
     let vector = BehaviorVector::from_result(&baseline);
 
-    // Oracle 4: undo-log walk vs clone-based walk. Runs before the thread
+    // Oracle 4: chain walk vs clone-based walk. Runs before the thread
     // sweep so a corrupted serial walk is attributed to the cloning
     // differential, not to the multi-threaded merges that inherit it.
     let cloning = generate_schedule_table_cloning(cpg, arch, &config);

@@ -72,18 +72,11 @@ struct Lock {
 /// (process slots first, then one broadcast slot per condition).
 ///
 /// Functionally a `HashMap<Job, Time>`, but cloning is a flat memcpy and
-/// lookups are array reads — the merge algorithm clones the set at every
-/// decision-tree node and the scheduler probes it for every job it commits.
-/// A lock may additionally *pin* the resource the job occupies (see
+/// lookups are array reads — the scheduler probes the set for every job it
+/// commits. A lock may additionally *pin* the resource the job occupies (see
 /// [`LockSet::insert_pinned`]): locks inherited from the schedule table carry
 /// the bus recorded when the time was tabled, so a locked broadcast lands on
 /// that bus instead of a track-local guess.
-///
-/// Every mutation is recorded in an internal undo journal, so a caller that
-/// explores alternatives — like the decision-tree walk of the merge
-/// algorithm — can [`mark`](LockSet::mark) the set before exploring a subtree and
-/// [`rollback`](LockSet::rollback) to the mark afterwards instead of cloning
-/// the whole set at every tree node.
 ///
 /// # Example
 ///
@@ -98,31 +91,13 @@ struct Lock {
 /// locks.insert(Job::Process(decide), Time::new(7));
 /// assert_eq!(locks.get(Job::Process(decide)), Some(Time::new(7)));
 /// assert_eq!(locks.len(), 1);
-///
-/// // Speculative exploration via the undo journal.
-/// let mark = locks.mark();
-/// locks.insert(Job::Process(decide), Time::new(9));
-/// locks.rollback(mark);
-/// assert_eq!(locks.get(Job::Process(decide)), Some(Time::new(7)));
 /// ```
-#[derive(Debug, Clone, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSet {
     /// Number of process slots (`cpg.len()`); broadcast slots follow.
     processes: usize,
     slots: Vec<Option<Lock>>,
     len: usize,
-    /// Undo journal: `(slot, previous content)` per mutation since the last
-    /// [`clear`](LockSet::clear), truncated by [`rollback`](LockSet::rollback).
-    journal: Vec<(u32, Option<Lock>)>,
-}
-
-// The journal records *how* the set reached its current content, not the
-// content itself: two sets with identical locks are equal regardless of the
-// mutation history that produced them.
-impl PartialEq for LockSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.processes == other.processes && self.slots == other.slots && self.len == other.len
-    }
 }
 
 impl LockSet {
@@ -134,7 +109,6 @@ impl LockSet {
             processes: cpg.len(),
             slots: vec![None; cpg.len() + cpg.num_conditions()],
             len: 0,
-            journal: Vec::new(),
         }
     }
 
@@ -160,48 +134,18 @@ impl LockSet {
     pub fn insert_pinned(&mut self, job: Job, time: Time, pe: Option<PeId>) -> Option<Time> {
         let slot = self.slot(job).expect("job belongs to a different graph");
         let previous = self.slots[slot].replace(Lock { time, pe });
-        self.journal.push((slot as u32, previous));
         if previous.is_none() {
             self.len += 1;
         }
         previous.map(|lock| lock.time)
     }
 
-    /// A position in the undo journal. Mutations made after taking a mark can
-    /// be undone with [`rollback`](LockSet::rollback), which is how the merge
-    /// algorithm's decision-tree walk shares one lock set along a path
-    /// instead of cloning it at every node.
-    #[must_use]
-    pub fn mark(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Undoes every mutation made since `mark` was taken, restoring the
-    /// overwritten (or absent) locks in reverse order.
-    ///
-    /// Marks are positions in the journal: rolling back to an older mark
-    /// invalidates every mark taken after it. A mark from before the last
-    /// [`clear`](LockSet::clear) is also invalid (clearing empties the
-    /// journal).
-    pub fn rollback(&mut self, mark: usize) {
-        while self.journal.len() > mark {
-            let (slot, previous) = self.journal.pop().expect("journal is longer than the mark");
-            let current = std::mem::replace(&mut self.slots[slot as usize], previous);
-            match (current.is_some(), previous.is_some()) {
-                (true, false) => self.len -= 1,
-                (false, true) => self.len += 1,
-                _ => {}
-            }
-        }
-    }
-
-    /// Removes every lock and empties the undo journal, keeping the slot
-    /// capacity: a cleared set is ready for reuse on the same graph without
-    /// reallocating (the merge walk pools lock sets this way).
+    /// Removes every lock, keeping the slot capacity: a cleared set is ready
+    /// for reuse on the same graph without reallocating (the merge walk pools
+    /// lock sets this way).
     pub fn clear(&mut self) {
         self.slots.fill(None);
         self.len = 0;
-        self.journal.clear();
     }
 
     /// The locked activation time of `job`, if any.
@@ -884,51 +828,6 @@ mod tests {
         assert_eq!(collected.len(), 2);
         assert!(collected.contains(&(p, Time::new(4))));
         assert!(collected.contains(&(b, Time::new(5))));
-    }
-
-    #[test]
-    fn lock_journal_rolls_back_inserts_overwrites_and_clears() {
-        let system = examples::fig1();
-        let cpg = system.cpg();
-        let mut locks = LockSet::for_graph(cpg);
-        let p = Job::Process(cpg.process_by_name("P1").unwrap());
-        let q = Job::Process(cpg.process_by_name("P2").unwrap());
-        let bus = system.arch().broadcast_buses().next();
-        locks.insert(p, Time::new(3));
-        let baseline = locks.clone();
-
-        // Insert + overwrite + pin, then roll everything back.
-        let mark = locks.mark();
-        locks.insert(q, Time::new(5));
-        locks.insert_pinned(p, Time::new(9), bus);
-        assert_eq!(locks.len(), 2);
-        locks.rollback(mark);
-        assert_eq!(locks, baseline);
-        assert_eq!(locks.get(p), Some(Time::new(3)));
-        assert_eq!(locks.pinned_pe(p), None);
-        assert!(!locks.contains(q));
-
-        // Nested marks roll back in order.
-        let outer = locks.mark();
-        locks.insert(q, Time::new(1));
-        let inner = locks.mark();
-        locks.insert(q, Time::new(2));
-        locks.rollback(inner);
-        assert_eq!(locks.get(q), Some(Time::new(1)));
-        locks.rollback(outer);
-        assert_eq!(locks, baseline);
-
-        // Equality ignores journal history: a fresh set with the same
-        // content compares equal to one that mutated and rolled back.
-        let mut fresh = LockSet::for_graph(cpg);
-        fresh.insert(p, Time::new(3));
-        assert_eq!(locks, fresh);
-
-        // Clearing empties content and journal but keeps the slot space.
-        locks.clear();
-        assert!(locks.is_empty());
-        assert_eq!(locks.mark(), 0);
-        assert_eq!(locks, LockSet::for_graph(cpg));
     }
 
     #[test]

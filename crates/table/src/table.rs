@@ -323,13 +323,6 @@ pub struct ScheduleTable {
     /// Condition index -> position in `rows` of the condition's broadcast
     /// row, grown on demand.
     broadcast_rows: Vec<u32>,
-    /// Process index -> number of writes ever applied to the process's row
-    /// (grown on demand, 0 when never written). Versions survive row removal
-    /// so a reader can detect a remove/re-insert cycle; they are
-    /// bookkeeping only and take no part in table equality.
-    process_versions: Vec<u64>,
-    /// Condition index -> write count of the condition's broadcast row.
-    broadcast_versions: Vec<u64>,
 }
 
 // The dense row indices are derived from `rows` (their length additionally
@@ -419,38 +412,6 @@ impl ScheduleTable {
         index[slot] = position;
     }
 
-    /// The number of writes ([`ScheduleTable::set_on`] and
-    /// [`ScheduleTable::remove`] calls) ever applied to the row of `job`;
-    /// 0 when the job has never been written.
-    ///
-    /// The version is bumped on every write — including an overwrite with the
-    /// same cell value — and is *not* reset when the last entry of a row is
-    /// removed, so two equal versions observed at different times guarantee
-    /// the row content did not change in between.
-    #[must_use]
-    #[inline]
-    pub fn row_version(&self, job: Job) -> u64 {
-        let (versions, slot) = match job {
-            Job::Process(pid) => (&self.process_versions, pid.index()),
-            Job::Broadcast(cond) => (&self.broadcast_versions, cond.index()),
-        };
-        versions.get(slot).copied().unwrap_or(0)
-    }
-
-    /// Bumps the write counter of the row of `job`, growing the version
-    /// vector on demand.
-    #[inline]
-    fn bump_version(&mut self, job: Job) {
-        let (versions, slot) = match job {
-            Job::Process(pid) => (&mut self.process_versions, pid.index()),
-            Job::Broadcast(cond) => (&mut self.broadcast_versions, cond.index()),
-        };
-        if versions.len() <= slot {
-            versions.resize(slot + 1, 0);
-        }
-        versions[slot] += 1;
-    }
-
     /// The position of the row of `job`, inserting an empty row (keeping
     /// `rows` sorted by job and the dense indices consistent) when absent.
     fn row_position_or_insert(&mut self, job: Job) -> usize {
@@ -501,7 +462,6 @@ impl ScheduleTable {
     ) -> Option<Time> {
         let index = self.column_index_or_insert(column) as u32;
         let position = self.row_position_or_insert(job);
-        self.bump_version(job);
         self.write_cell(position, index, column, Cell { time, resource })
             .map(|cell| cell.time)
     }
@@ -588,8 +548,7 @@ impl ScheduleTable {
     /// cells by direct index.
     ///
     /// Observably identical to [`TxnLog::commit_into`](crate::TxnLog::commit_into)
-    /// (a [`ScheduleTable::set_on`] per write, including per-write row
-    /// version bumps); it only skips the repeated column lookups and defers
+    /// (a [`ScheduleTable::set_on`] per write); it only skips the repeated column lookups and defers
     /// partition-index maintenance on the touched rows (queries on a stale
     /// row serve the same entries from the linear scan until the next direct
     /// write rebuilds the index).
@@ -605,7 +564,6 @@ impl ScheduleTable {
                 }
             };
             let position = self.row_position_or_insert(write.job);
-            self.bump_version(write.job);
             let cell = Cell {
                 time: write.time,
                 resource: write.resource,
@@ -622,7 +580,6 @@ impl ScheduleTable {
         let entries = &mut self.rows[position].entries;
         let at = entries.binary_search_by_key(&index, |&(i, _)| i).ok()?;
         let (_, cell) = entries.remove(at);
-        self.bump_version(job);
         let row = &mut self.rows[position];
         if row.entries.is_empty() {
             self.rows.remove(position);

@@ -96,15 +96,6 @@ pub trait TableView {
         visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
     );
 
-    /// Visits the `(column, time, resource)` entries of the row of `job` in
-    /// the view's column order.
-    #[inline]
-    fn for_each_entry_on(&self, job: Job, visit: &mut dyn FnMut(Cube, Time, Option<PeId>)) {
-        self.for_each_keyed_entry_on(job, &mut |_, column, time, resource| {
-            visit(column, time, resource);
-        });
-    }
-
     /// Visits the `(key, column, time, resource)` entries of the row of `job`
     /// whose column is *compatible* with (not excluded by) `probe`.
     ///
@@ -146,9 +137,6 @@ pub trait TableView {
             }
         });
     }
-
-    /// The write version of the row of `job` (0 when never written).
-    fn row_version(&self, job: Job) -> u64;
 }
 
 // The impl methods are `#[inline]`: the walk is monomorphized over
@@ -206,10 +194,61 @@ impl TableView for ScheduleTable {
     ) {
         self.visit_entries_at(job, time, visit);
     }
+}
+
+// A mutable borrow of a view is a view, so a walk generic over an owned view
+// type can write straight through `&mut ScheduleTable`. Every method is
+// forwarded — including the defaulted ones — so the borrowed table keeps its
+// indexed scans.
+impl<T: TableView + ?Sized> TableView for &mut T {
+    #[inline]
+    fn get(&self, job: Job, column: &Cube) -> Option<Time> {
+        (**self).get(job, column)
+    }
 
     #[inline]
-    fn row_version(&self, job: Job) -> u64 {
-        ScheduleTable::row_version(self, job)
+    fn resource(&self, job: Job, column: &Cube) -> Option<PeId> {
+        (**self).resource(job, column)
+    }
+
+    #[inline]
+    fn set_on(
+        &mut self,
+        job: Job,
+        column: Cube,
+        time: Time,
+        resource: Option<PeId>,
+    ) -> Option<Time> {
+        (**self).set_on(job, column, time, resource)
+    }
+
+    #[inline]
+    fn for_each_keyed_entry_on(
+        &self,
+        job: Job,
+        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
+    ) {
+        (**self).for_each_keyed_entry_on(job, visit);
+    }
+
+    #[inline]
+    fn for_each_compatible_entry_on(
+        &self,
+        job: Job,
+        probe: &Cube,
+        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
+    ) {
+        (**self).for_each_compatible_entry_on(job, probe, visit);
+    }
+
+    #[inline]
+    fn for_each_entry_at_on(
+        &self,
+        job: Job,
+        time: Time,
+        visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
+    ) {
+        (**self).for_each_entry_at_on(job, time, visit);
     }
 }
 
@@ -271,8 +310,7 @@ impl ReadSet {
 }
 
 /// One overlay row: the merged `(key, column, time, resource)` entries of the
-/// base row plus this transaction's writes, sorted by key, together with the
-/// number of writes the transaction applied to the row.
+/// base row plus this transaction's writes, sorted by key.
 ///
 /// The union masks are the transaction-local delta of the base table's
 /// condition-partition index: they are kept current as base entries are
@@ -282,7 +320,6 @@ impl ReadSet {
 #[derive(Debug)]
 struct TxnRow {
     job: Job,
-    written: u64,
     entries: Vec<(u64, Cube, Time, Option<PeId>)>,
     /// Union of the positive masks over every column of the merged row.
     pos_union: u64,
@@ -326,16 +363,6 @@ impl<'b> TableTxn<'b> {
             reads: RefCell::new(ReadSet::default()),
             writes: Vec::new(),
         }
-    }
-
-    /// Records a scan dependency on the base row of `job`, fingerprinting it
-    /// unless a scan was already recorded.
-    fn note_base_row_scan(&self, job: Job) {
-        if self.reads.borrow().has_row_scan(job) {
-            return;
-        }
-        let fingerprint = row_fingerprint(self.base, job);
-        self.reads.borrow_mut().note_row_scan(job, fingerprint);
     }
 
     fn overlay(&self, job: Job) -> Option<&TxnRow> {
@@ -466,7 +493,6 @@ impl TableView for TableTxn<'_> {
                     at,
                     TxnRow {
                         job,
-                        written: 0,
                         entries,
                         pos_union,
                         neg_union,
@@ -482,7 +508,6 @@ impl TableView for TableTxn<'_> {
             resource,
         });
         let row = &mut self.rows[at];
-        row.written += 1;
         row.pos_union |= column.positive_mask();
         row.neg_union |= column.negative_mask();
         match row.entries.binary_search_by_key(&key, |&(k, ..)| k) {
@@ -619,14 +644,6 @@ impl TableView for TableTxn<'_> {
             }
         }
     }
-
-    #[inline]
-    fn row_version(&self, job: Job) -> u64 {
-        // Version numbers leak write history, not content; treat the call as
-        // a full row dependency so validation stays conservative here.
-        self.note_base_row_scan(job);
-        self.base.row_version(job) + self.overlay(job).map_or(0, |row| row.written)
-    }
 }
 
 /// The owned outcome of a [`TableTxn`]: its read set, created columns and
@@ -705,30 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn row_versions_count_writes_and_survive_removal() {
-        let mut table = ScheduleTable::new();
-        assert_eq!(table.row_version(p(1)), 0);
-        table.set(p(1), Cube::top(), Time::new(1));
-        assert_eq!(table.row_version(p(1)), 1);
-        // Overwriting with the identical value still counts as a write.
-        table.set(p(1), Cube::top(), Time::new(1));
-        assert_eq!(table.row_version(p(1)), 2);
-        table.remove(p(1), &Cube::top());
-        assert!(!table.contains_job(p(1)));
-        assert_eq!(table.row_version(p(1)), 3);
-        // Removing an absent entry is not a write.
-        table.remove(p(1), &Cube::top());
-        assert_eq!(table.row_version(p(1)), 3);
-        // Versions are bookkeeping, not content: a table with a different
-        // write history but the same cells compares equal.
-        let mut other = ScheduleTable::new();
-        other.set(p(1), Cube::top(), Time::new(1));
-        other.remove(p(1), &Cube::top());
-        assert_eq!(table, other);
-        assert_ne!(table.row_version(p(1)), other.row_version(p(1)));
-    }
-
-    #[test]
     fn reads_fall_through_and_writes_overlay() {
         let mut table = ScheduleTable::new();
         table.set_on(p(1), Cube::top(), Time::new(4), Some(PeId::from_index(0)));
@@ -775,7 +768,7 @@ mod tests {
         txn.set_on(p(1), cube_t(1), Time::new(2), None);
         txn.set_on(p(1), cube_f(1), Time::new(3), None);
         let mut overlay_order = Vec::new();
-        txn.for_each_entry_on(p(1), &mut |column, time, _| {
+        txn.for_each_keyed_entry_on(p(1), &mut |_, column, time, _| {
             overlay_order.push((column, time));
         });
         let log = txn.into_log();
@@ -825,7 +818,7 @@ mod tests {
         table.set(p(1), Cube::top(), Time::new(0));
         let txn = TableTxn::new(&table);
         let mut seen = 0;
-        txn.for_each_entry_on(p(1), &mut |_, _, _| seen += 1);
+        txn.for_each_keyed_entry_on(p(1), &mut |_, _, _, _| seen += 1);
         assert_eq!(seen, 1);
         let log = txn.into_log();
         assert!(log.validate(&table));
@@ -876,9 +869,6 @@ mod tests {
         let order: Vec<_> = spliced.entries(p(2)).collect();
         let replayed_order: Vec<_> = replayed.entries(p(2)).collect();
         assert_eq!(order, replayed_order);
-        for job in [p(1), p(2), p(3)] {
-            assert_eq!(spliced.row_version(job), replayed.row_version(job));
-        }
     }
 
     #[test]
@@ -893,16 +883,5 @@ mod tests {
         assert_eq!(table.graft_column(cube_t(1)), 2);
         assert_eq!(table.graft_column(cube_t(1)), 2);
         assert_eq!(table.num_columns(), 3);
-    }
-
-    #[test]
-    fn row_version_of_a_txn_reflects_its_own_writes() {
-        let mut table = ScheduleTable::new();
-        table.set(p(1), Cube::top(), Time::new(0));
-        let mut txn = TableTxn::new(&table);
-        assert_eq!(TableView::row_version(&txn, p(1)), 1);
-        txn.set_on(p(1), cube_t(0), Time::new(3), None);
-        assert_eq!(TableView::row_version(&txn, p(1)), 2);
-        assert_eq!(TableView::row_version(&txn, p(9)), 0);
     }
 }

@@ -6,8 +6,10 @@
 //! that is allowed to change a single table cell: after *every* edit of a
 //! random edit sequence, the session's warm merge must be bit-identical
 //! (table, tracks, path schedules, steps, counters, delays) to a cold
-//! `generate_schedule_table` of the edited system, at thread counts 1/2/4,
-//! and on a crafted system where the edited process sits under a condition
+//! `generate_schedule_table` of the edited system, at thread counts 1/2/4
+//! and under every selection policy (the session records through the same
+//! chain walk as the cold merge, so it needs the same coverage), and on a
+//! crafted system where the edited process sits under a condition
 //! subtree shared between sibling branches (so cached chains on the clean
 //! side must replay against rows the re-walked side rewrites).
 
@@ -41,6 +43,17 @@ fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
                 .with_distribution(distribution)
                 .with_seed(seed)
         })
+}
+
+/// One of the three path-selection policies.
+fn policy_strategy() -> impl Strategy<Value = SelectionPolicy> {
+    (0usize..3).prop_map(|i| {
+        [
+            SelectionPolicy::LongestDelayFirst,
+            SelectionPolicy::ShortestDelayFirst,
+            SelectionPolicy::EnumerationOrder,
+        ][i]
+    })
 }
 
 /// A sequence of single-node WCET edits: `(process selector, new time)`
@@ -89,13 +102,16 @@ proptest! {
     fn warm_session_merges_match_cold_merges_after_every_edit(
         config in config_strategy(),
         edits in edit_sequence_strategy(),
+        policy in policy_strategy(),
     ) {
         let system = generate(&config);
         let processes: Vec<ProcessId> = system.cpg().ordinary_processes().collect();
         prop_assert!(!processes.is_empty(), "generated systems have ordinary processes");
         // Tracing on: the step-by-step visit order is part of the contract —
         // a replayed chain must surface the very steps it recorded.
-        let base = MergeConfig::new(system.broadcast_time()).with_trace(true);
+        let base = MergeConfig::new(system.broadcast_time())
+            .with_selection(policy)
+            .with_trace(true);
 
         for threads in [1usize, 2, 4] {
             let merge_config = base.with_threads(threads);
@@ -105,7 +121,11 @@ proptest! {
             let mut reference = system.cpg().clone();
 
             let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
-            assert_results_identical(&cold, &session.merge(), &format!("cold, {threads} threads"))?;
+            assert_results_identical(
+                &cold,
+                &session.merge(),
+                &format!("cold, {policy:?}, {threads} threads"),
+            )?;
 
             for (step, &(selector, time)) in edits.iter().enumerate() {
                 let edit = SystemEdit::ExecTime {
@@ -120,7 +140,7 @@ proptest! {
                 assert_results_identical(
                     &cold,
                     &warm,
-                    &format!("edit {step} ({edit}), {threads} threads"),
+                    &format!("edit {step} ({edit}), {policy:?}, {threads} threads"),
                 )?;
             }
         }

@@ -1,11 +1,16 @@
 //! Differential test of the production decision-tree walk against the
 //! clone-per-node recursive walk it replaced.
 //!
-//! The undo-log walk shares one `Assignment` and one journalled `LockSet`
-//! per back-step branch along the tree path and rebuilds pooled
-//! `PathSchedule`s in place, instead of cloning all three at every node;
-//! with two or more threads the per-track phases around it (initial
-//! schedules, realizability sweep) additionally fan out over worker threads.
+//! The production walk (`walk_chain`) walks one forward chain of the tree
+//! at a time — the run of nodes that keeps one current schedule — and
+//! recurses into its back-step children. Cold merges run it with a no-op
+//! `ChainRecorder` that writes straight into the table; sessions run the
+//! same walk with a recording one (covered by
+//! `tests/merge_session_differential.rs`). It shares one `Assignment` along
+//! the tree path and takes lock sets and `PathSchedule`s from pools, instead
+//! of cloning all three at every node; with two or more threads the
+//! per-track phases around it (initial schedules, realizability sweep)
+//! additionally fan out over worker threads.
 //! None of that is allowed to change a single decision: the original
 //! recursion is kept behind the `test-util` feature
 //! (`generate_schedule_table_cloning`) and the produced `MergeResult` —
@@ -109,8 +114,8 @@ proptest! {
         config in config_strategy(),
     ) {
         // The back-step track re-selection is where the walk reads the
-        // shared `Assignment` after rolling it back, so exercise every policy
-        // that consumes it.
+        // shared `Assignment` after unassigning the deeper resolutions, so
+        // exercise every policy that consumes it.
         let system = generate(&config);
         let cpg = system.cpg();
         let arch = system.arch();
@@ -134,9 +139,9 @@ proptest! {
 /// regression test in `cpg-merge`): `victim` runs early on the longest path,
 /// but on the opposite branch it additionally consumes the output of `slow`,
 /// so the tabled early time is unreachable there and the merge has to drive
-/// the Theorem-2 slip-repair loop — the walk path where the undo-log
-/// machinery (journalled locks, pooled schedules, reused repair buffers) is
-/// under the most pressure.
+/// the Theorem-2 slip-repair loop — the walk path where the pooled
+/// machinery (lock sets, schedules, reused repair buffers) is under the most
+/// pressure.
 fn slipping_system() -> (Architecture, Cpg) {
     let arch = Architecture::builder()
         .processor("cpu0")
