@@ -249,6 +249,24 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
             "{name:<36} {base_median:>14.0} {normalized:>14.0} {change:>+8.1}%  {verdict}"
         ));
     }
+    // Rows the baseline predates (a group added since it was recorded) are
+    // listed for information, normalized like every other row.
+    for (name, current_median) in current {
+        if baseline.iter().any(|(n, _)| n == name) {
+            continue;
+        }
+        let row_scale = if matches_any(name, MEM_SENSITIVE_PREFIXES) {
+            mem_scale
+        } else {
+            scale
+        };
+        report.lines.push(format!(
+            "{name:<36} {:>14} {:>14.0} {:>9}  new (info)",
+            "-",
+            current_median / row_scale,
+            "-"
+        ));
+    }
     report
 }
 
@@ -399,7 +417,7 @@ fn compose_baseline(label: &str, rows: &[(String, f64)]) -> String {
     let _ = writeln!(out, "  \"baseline\": \"{label}\",");
     let _ = writeln!(
         out,
-        "  \"command\": \"CRITERION_JSON=<path> cargo bench --bench calibration --bench merge_time --bench path_schedule_time\","
+        "  \"command\": \"CRITERION_JSON=<path> cargo bench --bench calibration --bench merge_time --bench path_schedule_time --bench sim_time\","
     );
     let _ = writeln!(out, "  \"units\": \"median nanoseconds per iteration\",");
     let _ = writeln!(out, "  \"benchmarks\": [");
@@ -556,6 +574,19 @@ mod tests {
             }
         }
         assert_eq!(run_gate(&baseline, &current).failures, 0);
+    }
+
+    #[test]
+    fn rows_the_baseline_predates_are_listed_but_never_fail() {
+        let baseline = full_side(1000.0, 2000.0);
+        let mut current = full_side(1000.0, 2000.0);
+        current.push(("sim/walk_40".to_owned(), 1e9));
+        let report = run_gate(&baseline, &current);
+        assert_eq!(report.failures, 0, "{:?}", report.complaints);
+        assert!(report
+            .lines
+            .iter()
+            .any(|l| l.starts_with("sim/walk_40") && l.ends_with("new (info)")));
     }
 
     #[test]

@@ -858,9 +858,8 @@ impl MergeShared<'_> {
     ) {
         let assignment = Assignment::from_cube(&track.label());
         for job in self.track_jobs(track) {
-            if let Some(time) = table.activation_time(job, &assignment) {
-                let pe = table.activation_resource(job, &assignment);
-                locks.insert_pinned(job, time, pe);
+            if let Some(found) = table.activation(job, &assignment) {
+                locks.insert_pinned(job, found.time, found.resource);
             }
         }
     }

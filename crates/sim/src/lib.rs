@@ -13,6 +13,13 @@
 //! * the actual delay of each execution, which must match the analytical
 //!   worst-case delay of the table.
 //!
+//! One run is linear in the jobs it executes, up to a sort: each active
+//! job's row is resolved once ([`cpg_table::ScheduleTable::activation`]
+//! gives its time, selecting column and recorded resource in one pass),
+//! completion times sit in a dense vector indexed by job slot, and the
+//! exclusive-resource check sweeps each resource's activations in start
+//! order instead of testing every pair.
+//!
 //! # Example
 //!
 //! ```

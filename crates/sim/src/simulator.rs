@@ -1,8 +1,6 @@
 //! Execution of a schedule table by distributed run-time schedulers.
 
-use std::collections::HashMap;
-
-use cpg::{Assignment, Cpg, Cube, TrackSet};
+use cpg::{Assignment, CondId, Cpg, Cube, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::Job;
 use cpg_table::ScheduleTable;
@@ -19,6 +17,20 @@ use crate::report::{SimViolation, SimulationReport};
 /// depend only on locally known condition values) and the feasibility of the
 /// tabled times (inputs arrived, no overlap on exclusive resources) — and
 /// measures the actual delay of each execution.
+///
+/// # Cost
+///
+/// One [`run`](Simulator::run) over `n` active jobs costs `O(n log n)` plus
+/// one scan of each active job's table row plus the overlaps it reports:
+///
+/// * [`ScheduleTable::activation`] resolves a job's activation time,
+///   selecting column and recorded resource in a single pass over its row;
+/// * completion times live in a dense vector indexed by job slot (processes
+///   first, then one broadcast slot per condition), so the moment a
+///   condition becomes known on a processing element is one slot read;
+/// * the exclusive-resource check is one sweep per resource over its
+///   activations in start order, and the scan after a job stops at the first
+///   job starting once it has ended.
 ///
 /// # Example
 ///
@@ -45,6 +57,9 @@ pub struct Simulator<'a> {
     arch: &'a Architecture,
     table: &'a ScheduleTable,
     broadcast_time: Time,
+    /// More than one computation element: condition values reach remote
+    /// elements only through a broadcast.
+    needs_broadcast: bool,
 }
 
 impl<'a> Simulator<'a> {
@@ -62,6 +77,7 @@ impl<'a> Simulator<'a> {
             arch,
             table,
             broadcast_time,
+            needs_broadcast: arch.computation_elements().count() > 1,
         }
     }
 
@@ -72,47 +88,48 @@ impl<'a> Simulator<'a> {
         let assignment = Assignment::from_cube(label);
         let mut violations = Vec::new();
 
-        // Active processes and their tabled activation times.
+        // Active jobs — the processes whose guard holds, then one broadcast
+        // per condition of the label — and, by job slot, the completion time
+        // and the `(selecting column, recorded resource)` of each one the
+        // table activates.
+        let slots = self.cpg.len() + self.cpg.num_conditions();
         let mut activations: Vec<(Job, Time, Time)> = Vec::new();
-        let mut completion: HashMap<Job, Time> = HashMap::new();
-        let mut active: Vec<Job> = Vec::new();
-        for pid in self.cpg.schedulable_processes() {
-            if !self.cpg.guard(pid).implied_by(label) {
-                continue;
-            }
-            active.push(Job::Process(pid));
-        }
-        let needs_broadcast = self.arch.computation_elements().count() > 1;
-        for cond in label.conditions() {
-            if needs_broadcast {
-                active.push(Job::Broadcast(cond));
-            }
-        }
-
-        for &job in &active {
-            match self.table.activation_time(job, &assignment) {
-                Some(start) => {
-                    let end = start + self.duration_of(job);
-                    completion.insert(job, end);
-                    activations.push((job, start, end));
+        let mut completion: Vec<Option<Time>> = vec![None; slots];
+        let mut selected: Vec<(Cube, Option<PeId>)> = vec![(Cube::top(), None); slots];
+        let processes = self
+            .cpg
+            .schedulable_processes()
+            .filter(|&pid| self.cpg.guard(pid).implied_by(label))
+            .map(Job::Process);
+        let broadcasts = label
+            .conditions()
+            .filter(|_| self.needs_broadcast)
+            .map(Job::Broadcast);
+        for job in processes.chain(broadcasts) {
+            match self.table.activation(job, &assignment) {
+                Some(found) => {
+                    let end = found.time + self.duration_of(job);
+                    completion[self.slot(job)] = Some(end);
+                    selected[self.slot(job)] = (found.column, found.resource);
+                    activations.push((job, found.time, end));
                 }
                 None => violations.push(SimViolation::NoActivationTime { job }),
             }
         }
-        activations.sort_by_key(|&(job, start, _)| (start, job));
-
-        // When is each condition value known on each processing element?
-        let known = self.condition_knowledge(label, &completion, needs_broadcast);
+        activations.sort_unstable_by_key(|&(job, start, _)| (start, job));
+        let resources: Vec<Option<PeId>> = activations
+            .iter()
+            .map(|&(job, _, _)| self.pe_of(job, selected[self.slot(job)].1))
+            .collect();
 
         // Requirement 4: the column that selected each activation only uses
         // locally known condition values.
-        for &(job, start, _) in &activations {
-            let Some(pe) = self.pe_of(job, &assignment) else {
+        for (&(job, start, _), &pe) in activations.iter().zip(&resources) {
+            let Some(pe) = pe else {
                 continue;
             };
-            let column = self.selecting_column(job, &assignment);
-            for lit in column.literals() {
-                let known_at = known.get(&(lit.cond(), pe)).copied();
+            for lit in selected[self.slot(job)].0.literals() {
+                let known_at = self.known_at(label, &completion, lit.cond(), pe);
                 if known_at.is_none_or(|k| k > start) {
                     violations.push(SimViolation::ConditionNotKnownLocally {
                         job,
@@ -127,61 +144,32 @@ impl<'a> Simulator<'a> {
         // Data dependencies: inputs that flow on this execution must have
         // arrived before the activation time.
         for &(job, start, _) in &activations {
-            let Some(pid) = job.as_process() else {
-                // Broadcasts depend on their disjunction process.
-                let cond = job.as_broadcast().expect("job is process or broadcast");
-                let disjunction = Job::Process(self.cpg.disjunction_of(cond));
-                if let Some(&arrives) = completion.get(&disjunction) {
+            let mut check = |predecessor: Job| {
+                if let Some(arrives) = completion[self.slot(predecessor)] {
                     if arrives > start {
                         violations.push(SimViolation::InputNotArrived {
                             job,
-                            predecessor: disjunction,
+                            predecessor,
                             activation: start,
                             arrives,
                         });
                     }
                 }
-                continue;
             };
-            for edge in self.cpg.in_edges(pid) {
-                let transmits = edge.condition().is_none_or(|lit| label.contains(lit));
-                if !transmits {
-                    continue;
-                }
-                let pred = Job::Process(edge.from());
-                if let Some(&arrives) = completion.get(&pred) {
-                    if arrives > start {
-                        violations.push(SimViolation::InputNotArrived {
-                            job,
-                            predecessor: pred,
-                            activation: start,
-                            arrives,
-                        });
+            match job {
+                // Broadcasts depend on their disjunction process.
+                Job::Broadcast(cond) => check(Job::Process(self.cpg.disjunction_of(cond))),
+                Job::Process(pid) => {
+                    for edge in self.cpg.in_edges(pid) {
+                        if edge.condition().is_none_or(|lit| label.contains(lit)) {
+                            check(Job::Process(edge.from()));
+                        }
                     }
                 }
             }
         }
 
-        // Exclusive resources execute one job at a time.
-        for (i, &(a, a_start, a_end)) in activations.iter().enumerate() {
-            for &(b, b_start, b_end) in activations.iter().skip(i + 1) {
-                let (Some(pa), Some(pb)) = (self.pe_of(a, &assignment), self.pe_of(b, &assignment))
-                else {
-                    continue;
-                };
-                if pa != pb || !self.arch.is_exclusive(pa) {
-                    continue;
-                }
-                let overlap = a_start < b_end && b_start < a_end;
-                if overlap && a_end > a_start && b_end > b_start {
-                    violations.push(SimViolation::ResourceOverlap {
-                        pe: pa,
-                        first: a,
-                        second: b,
-                    });
-                }
-            }
-        }
+        self.push_overlaps(&activations, &resources, &mut violations);
 
         let delay = activations
             .iter()
@@ -223,62 +211,96 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The resource an activation occupies in this scenario: the mapping for
-    /// processes; for broadcasts the bus recorded with the applicable table
-    /// entry (the bus the generating schedule actually used), falling back to
-    /// the first broadcast bus for tables without provenance.
-    fn pe_of(&self, job: Job, assignment: &Assignment) -> Option<PeId> {
+    /// Graph-wide slot of a job: processes first, then one slot per
+    /// condition.
+    fn slot(&self, job: Job) -> usize {
         match job {
-            Job::Process(pid) => self.cpg.mapping(pid),
-            Job::Broadcast(_) => self
-                .table
-                .activation_resource(job, assignment)
-                .or_else(|| self.arch.broadcast_buses().next()),
+            Job::Process(pid) => pid.index(),
+            Job::Broadcast(cond) => self.cpg.len() + cond.index(),
         }
     }
 
-    /// The column whose expression selected the activation time of `job` in
-    /// this scenario (the most specific satisfied column).
-    fn selecting_column(&self, job: Job, assignment: &Assignment) -> Cube {
-        self.table
-            .entries(job)
-            .filter(|(column, _)| column.satisfied_by(assignment))
-            .map(|(column, _)| column)
-            .max_by_key(Cube::len)
-            .unwrap_or(Cube::top())
+    /// The resource an activation occupies in this scenario: the mapping for
+    /// processes; for broadcasts the bus `recorded` with the applicable table
+    /// entry (the bus the generating schedule actually used), falling back to
+    /// the first broadcast bus for tables without provenance.
+    fn pe_of(&self, job: Job, recorded: Option<PeId>) -> Option<PeId> {
+        match job {
+            Job::Process(pid) => self.cpg.mapping(pid),
+            Job::Broadcast(_) => recorded.or_else(|| self.arch.broadcast_buses().next()),
+        }
     }
 
-    /// The moment each condition value becomes known on each processing
-    /// element: on the processing element of the disjunction process at its
-    /// completion, elsewhere when the broadcast completes.
-    fn condition_knowledge(
+    /// The moment the value of `cond` becomes known on `pe`: on the
+    /// processing element of the disjunction process at its completion,
+    /// elsewhere when the broadcast completes — never without a broadcast.
+    /// `None` for a condition the label does not mention.
+    fn known_at(
         &self,
         label: &Cube,
-        completion: &HashMap<Job, Time>,
-        needs_broadcast: bool,
-    ) -> HashMap<(cpg::CondId, PeId), Time> {
-        let mut known = HashMap::new();
-        for lit in label.literals() {
-            let cond = lit.cond();
-            let disjunction = self.cpg.disjunction_of(cond);
-            let computed = completion.get(&Job::Process(disjunction)).copied();
-            let broadcast_done = completion.get(&Job::Broadcast(cond)).copied();
-            for pe in self.arch.ids() {
-                let at = if self.cpg.mapping(disjunction) == Some(pe) {
-                    computed
-                } else if needs_broadcast {
-                    // Remote processing elements learn the value only from
-                    // the broadcast; a missing broadcast means they never do.
-                    broadcast_done
-                } else {
-                    computed
-                };
-                if let Some(at) = at {
-                    known.insert((cond, pe), at);
+        completion: &[Option<Time>],
+        cond: CondId,
+        pe: PeId,
+    ) -> Option<Time> {
+        if !label.mentions(cond) {
+            return None;
+        }
+        let disjunction = self.cpg.disjunction_of(cond);
+        if self.needs_broadcast && self.cpg.mapping(disjunction) != Some(pe) {
+            completion[self.slot(Job::Broadcast(cond))]
+        } else {
+            completion[self.slot(Job::Process(disjunction))]
+        }
+    }
+
+    /// Exclusive resources execute one job at a time. `activations` is
+    /// sorted by `(start, job)` and `resources[i]` is the resource of
+    /// activation `i`. Each exclusive resource is swept once over its
+    /// activations; the scan after activation `a` stops at the first one
+    /// starting no earlier than `a` ends. A zero-duration job overlaps
+    /// nothing. Overlaps are reported in `(a, b)` activation-index order.
+    fn push_overlaps(
+        &self,
+        activations: &[(Job, Time, Time)],
+        resources: &[Option<PeId>],
+        violations: &mut Vec<SimViolation>,
+    ) {
+        let mut by_resource: Vec<(PeId, usize)> = resources
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &pe)| Some((pe.filter(|&pe| self.arch.is_exclusive(pe))?, i)))
+            .collect();
+        by_resource.sort_unstable();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for run in by_resource.chunk_by(|x, y| x.0 == y.0) {
+            for (k, &(_, a)) in run.iter().enumerate() {
+                let (_, a_start, a_end) = activations[a];
+                if a_end == a_start {
+                    continue;
+                }
+                for &(_, b) in &run[k + 1..] {
+                    let (_, b_start, b_end) = activations[b];
+                    if b_start >= a_end {
+                        break;
+                    }
+                    // `b_start >= a_start` by the sort, so a non-empty `b`
+                    // starting before `a` ends overlaps it.
+                    if b_end > b_start {
+                        pairs.push((a, b));
+                    }
                 }
             }
         }
-        known
+        pairs.sort_unstable();
+        violations.extend(
+            pairs
+                .into_iter()
+                .map(|(a, b)| SimViolation::ResourceOverlap {
+                    pe: resources[a].expect("swept activations have a resource"),
+                    first: activations[a].0,
+                    second: activations[b].0,
+                }),
+        );
     }
 }
 
@@ -476,6 +498,94 @@ mod tests {
                 .iter()
                 .all(|(job, _, _)| job.as_broadcast().is_none()));
         }
+    }
+
+    /// Runs a hand-built table of unconditional processes, one per
+    /// `(name, execution time, start, on hardware)`, all on one programmable
+    /// processor or one hardware processor, and returns the overlapping
+    /// pairs by process name in report order.
+    fn overlaps_of(jobs: &[(&str, u64, u64, bool)]) -> Vec<(String, String)> {
+        use cpg::CpgBuilder;
+        use cpg_arch::Architecture;
+        let arch = Architecture::builder()
+            .processor("cpu")
+            .hardware("asic")
+            .bus("bus")
+            .build()
+            .unwrap();
+        let (cpu, asic) = (
+            arch.pe_by_name("cpu").unwrap(),
+            arch.pe_by_name("asic").unwrap(),
+        );
+        let mut b = CpgBuilder::new();
+        let pids: Vec<_> = jobs
+            .iter()
+            .map(|&(name, exec, _, hardware)| {
+                b.process(name, Time::new(exec), if hardware { asic } else { cpu })
+            })
+            .collect();
+        let cpg = b.build(&arch).unwrap();
+        let mut table = ScheduleTable::new();
+        for (&pid, &(_, _, start, _)) in pids.iter().zip(jobs) {
+            table.set(Job::Process(pid), Cube::top(), Time::new(start));
+        }
+        let report = Simulator::new(&cpg, &arch, &table, Time::new(1)).run(&Cube::top());
+        let name = |job: Job| cpg.process(job.as_process().unwrap()).name().to_owned();
+        report
+            .violations()
+            .iter()
+            .map(|v| match *v {
+                SimViolation::ResourceOverlap { first, second, .. } => (name(first), name(second)),
+                ref other => panic!("unexpected violation {other}"),
+            })
+            .collect()
+    }
+
+    fn pairs(names: &[(&str, &str)]) -> Vec<(String, String)> {
+        names
+            .iter()
+            .map(|&(a, b)| (a.to_owned(), b.to_owned()))
+            .collect()
+    }
+
+    #[test]
+    fn touching_intervals_do_not_overlap() {
+        assert!(overlaps_of(&[("a", 4, 0, false), ("b", 3, 4, false)]).is_empty());
+        assert_eq!(
+            overlaps_of(&[("a", 4, 0, false), ("b", 3, 3, false)]),
+            pairs(&[("a", "b")])
+        );
+    }
+
+    #[test]
+    fn zero_duration_jobs_never_overlap() {
+        // Inside a running job, at its start, and stacked on each other.
+        assert!(overlaps_of(&[
+            ("a", 4, 0, false),
+            ("z", 0, 2, false),
+            ("y", 0, 0, false),
+            ("x", 0, 2, false),
+        ])
+        .is_empty());
+    }
+
+    #[test]
+    fn a_long_job_overlaps_every_later_job_it_spans_in_index_order() {
+        // `b` and `c` do not overlap each other; the scan after `long` must
+        // not stop at `b`'s end.
+        assert_eq!(
+            overlaps_of(&[
+                ("c", 3, 6, false),
+                ("long", 10, 0, false),
+                ("b", 3, 2, false)
+            ]),
+            pairs(&[("long", "b"), ("long", "c")])
+        );
+    }
+
+    #[test]
+    fn jobs_on_non_exclusive_elements_never_overlap() {
+        assert!(overlaps_of(&[("a", 4, 0, true), ("b", 4, 1, true), ("c", 4, 0, true)]).is_empty());
     }
 
     #[test]

@@ -32,5 +32,5 @@ mod txn;
 pub use analysis::{to_csv, utilization, ResourceLoad};
 pub use dispatch::{per_processor_dispatch, DispatchEntry, DispatchTable};
 pub use error::TableViolation;
-pub use table::ScheduleTable;
+pub use table::{Activation, ScheduleTable};
 pub use txn::{row_fingerprint, TableTxn, TableView, TxnLog};

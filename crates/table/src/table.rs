@@ -22,6 +22,43 @@ struct Cell {
     resource: Option<PeId>,
 }
 
+/// The activation of a job applicable under a complete condition
+/// assignment, as resolved by [`ScheduleTable::activation`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Activation {
+    /// The tabled activation time.
+    pub time: Time,
+    /// The column whose expression selects the time: the most specific
+    /// satisfied column.
+    pub column: Cube,
+    /// The resource recorded with the most specific satisfied column that
+    /// carries one.
+    pub resource: Option<PeId>,
+}
+
+/// Keeps the time of the first satisfied entry in `time` and flags a later
+/// satisfied entry carrying a different time.
+#[inline]
+fn note_time(time: &mut Option<Time>, conflict: &mut bool, cell: Cell) {
+    match *time {
+        None => *time = Some(cell.time),
+        Some(existing) => *conflict |= existing != cell.time,
+    }
+}
+
+/// Keeps in `best` the resource of the most specific satisfied column
+/// carrying one, the lowest column index breaking ties — exactly what a
+/// first-wins scan in column-insertion order selects.
+#[inline]
+fn note_resource(best: &mut Option<(usize, u32, PeId)>, key: u32, column: Cube, cell: Cell) {
+    if let Some(pe) = cell.resource {
+        let specificity = column.len();
+        if best.is_none_or(|(len, at, _)| specificity > len || (specificity == len && key < at)) {
+            *best = Some((specificity, key, pe));
+        }
+    }
+}
+
 /// Sentinel for "job has no row yet" in the dense per-job row index.
 const ABSENT: u32 = u32::MAX;
 
@@ -700,6 +737,42 @@ impl ScheduleTable {
         indexed.chain(linear)
     }
 
+    /// Calls `visit(column index, column, cell)` for every entry of `row`
+    /// whose column is satisfied by a complete condition assignment, in an
+    /// unspecified order. Served from the row's index, where groups
+    /// mentioning an unassigned condition are skipped wholesale (such a
+    /// column cannot be satisfied); a stale row is scanned linearly.
+    #[inline]
+    fn for_each_satisfied(
+        &self,
+        row: &Row,
+        assignment: &Assignment,
+        mut visit: impl FnMut(u32, Cube, Cell),
+    ) {
+        let index = &row.index;
+        if index.stale {
+            for &(key, cell) in &row.entries {
+                let column = self.columns[key as usize];
+                if column.satisfied_by(assignment) {
+                    visit(key, column, cell);
+                }
+            }
+            return;
+        }
+        let assigned = assignment.assigned_mask();
+        for group in 0..index.groups.len() {
+            if index.groups[group].mask & !assigned != 0 {
+                continue;
+            }
+            let (start, end) = index.group_range(group);
+            for &(key, column, cell) in &index.members[start..end] {
+                if column.satisfied_by(assignment) {
+                    visit(key, column, cell);
+                }
+            }
+        }
+    }
+
     /// The activation time applicable during an execution described by a
     /// complete condition assignment: the entry of the row whose column
     /// expression is satisfied by the assignment.
@@ -710,41 +783,12 @@ impl ScheduleTable {
     /// [`ScheduleTable::verify`]).
     #[must_use]
     pub fn activation_time(&self, job: Job, assignment: &Assignment) -> Option<Time> {
-        let row = self.row(job)?;
-        let assigned = assignment.assigned_mask();
-        let index = &row.index;
-        let mut found: Option<Time> = None;
-        if index.stale {
-            for &(key, cell) in &row.entries {
-                if self.columns[key as usize].satisfied_by(assignment) {
-                    match found {
-                        None => found = Some(cell.time),
-                        Some(existing) if existing != cell.time => return None,
-                        Some(_) => {}
-                    }
-                }
-            }
-            return found;
-        }
-        for group in 0..index.groups.len() {
-            // A column can only be satisfied when every condition it
-            // mentions carries a value, so groups mentioning an unassigned
-            // condition are skipped wholesale.
-            if index.groups[group].mask & !assigned != 0 {
-                continue;
-            }
-            let (start, end) = index.group_range(group);
-            for &(_, column, cell) in &index.members[start..end] {
-                if column.satisfied_by(assignment) {
-                    match found {
-                        None => found = Some(cell.time),
-                        Some(existing) if existing != cell.time => return None,
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-        found
+        let mut time = None;
+        let mut conflict = false;
+        self.for_each_satisfied(self.row(job)?, assignment, |_, _, cell| {
+            note_time(&mut time, &mut conflict, cell);
+        });
+        time.filter(|_| !conflict)
     }
 
     /// The resource recorded for the activation of `job` applicable during an
@@ -756,50 +800,42 @@ impl ScheduleTable {
     /// the dispatcher/simulator charge the activation to.
     #[must_use]
     pub fn activation_resource(&self, job: Job, assignment: &Assignment) -> Option<PeId> {
-        let row = self.row(job)?;
-        let assigned = assignment.assigned_mask();
-        let index = &row.index;
-        // Highest specificity wins; the lowest column index breaks ties,
-        // which is exactly what the previous first-wins scan in serial entry
-        // order selected.
-        let mut best: Option<(usize, u32, PeId)> = None;
-        if index.stale {
-            for &(key, cell) in &row.entries {
-                let column = self.columns[key as usize];
-                if !column.satisfied_by(assignment) {
-                    continue;
-                }
-                if let Some(pe) = cell.resource {
-                    let specificity = column.len();
-                    if best.is_none_or(|(len, at, _)| {
-                        specificity > len || (specificity == len && key < at)
-                    }) {
-                        best = Some((specificity, key, pe));
-                    }
-                }
-            }
-            return best.map(|(_, _, pe)| pe);
-        }
-        for group in 0..index.groups.len() {
-            if index.groups[group].mask & !assigned != 0 {
-                continue;
-            }
-            let (start, end) = index.group_range(group);
-            for &(key, column, cell) in &index.members[start..end] {
-                if !column.satisfied_by(assignment) {
-                    continue;
-                }
-                if let Some(pe) = cell.resource {
-                    let specificity = column.len();
-                    if best.is_none_or(|(len, at, _)| {
-                        specificity > len || (specificity == len && key < at)
-                    }) {
-                        best = Some((specificity, key, pe));
-                    }
-                }
-            }
-        }
+        let mut best = None;
+        self.for_each_satisfied(self.row(job)?, assignment, |key, column, cell| {
+            note_resource(&mut best, key, column, cell);
+        });
         best.map(|(_, _, pe)| pe)
+    }
+
+    /// Everything a run-time scheduler needs about the activation of `job`
+    /// during an execution described by a complete condition assignment,
+    /// resolved in one pass over the row: the time of
+    /// [`ScheduleTable::activation_time`] (`None` exactly when that is), the
+    /// column that selects it and the resource of
+    /// [`ScheduleTable::activation_resource`].
+    ///
+    /// The selecting column is the most specific satisfied column; among
+    /// equally specific ones, the last in column-insertion order.
+    #[must_use]
+    pub fn activation(&self, job: Job, assignment: &Assignment) -> Option<Activation> {
+        let mut time: Option<Time> = None;
+        let mut conflict = false;
+        let mut column: Option<(usize, u32, Cube)> = None;
+        let mut resource = None;
+        self.for_each_satisfied(self.row(job)?, assignment, |key, satisfied, cell| {
+            note_time(&mut time, &mut conflict, cell);
+            let specificity = satisfied.len();
+            if column.is_none_or(|(len, at, _)| (specificity, key) > (len, at)) {
+                column = Some((specificity, key, satisfied));
+            }
+            note_resource(&mut resource, key, satisfied, cell);
+        });
+        let (_, _, column) = column?;
+        Some(Activation {
+            time: time.filter(|_| !conflict)?,
+            column,
+            resource: resource.map(|(_, _, pe)| pe),
+        })
     }
 
     /// The activation time applicable on the alternative path labelled

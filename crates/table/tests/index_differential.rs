@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use cpg::{Assignment, CondId, Cube, ProcessId};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
-use cpg_table::{ScheduleTable, TableTxn, TableView};
+use cpg_table::{Activation, ScheduleTable, TableTxn, TableView};
 
 const CONDS: usize = 4;
 /// Transactions may mention two extra conditions, so overlay writes routinely
@@ -292,6 +292,21 @@ proptest! {
                 _ => None,
             };
             prop_assert_eq!(table.activation_time(job, &assignment), expected_time);
+            // activation: the same time and resource, plus the selecting
+            // column of the pre-index simulator — the last of the most
+            // specific satisfied columns in serial entry order.
+            let selecting = table
+                .entries(job)
+                .map(|(column, _)| column)
+                .filter(|column| column.satisfied_by(&assignment))
+                .max_by_key(Cube::len)
+                .unwrap_or(Cube::top());
+            let expected_activation = expected_time.map(|time| Activation {
+                time,
+                column: selecting,
+                resource: expected.map(|(_, pe)| pe),
+            });
+            prop_assert_eq!(table.activation(job, &assignment), expected_activation);
         }
     }
 }

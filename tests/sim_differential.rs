@@ -1,0 +1,360 @@
+//! Differential test of the run-time simulator: every `SimulationReport` of
+//! `Simulator::run` must equal, violation order included, the report of the
+//! straightforward reference below — a hash map of completion times, a
+//! per-run condition-knowledge map and an all-pairs resource-overlap scan.
+//!
+//! The inputs are the tables of the `paper_suite(40)` systems and six
+//! corrupted copies of each (entries shifted by ±4 time units or removed),
+//! so every kind of violation is exercised, not only the clean path.
+
+use std::collections::HashMap;
+use std::mem::discriminant;
+
+use cpg::{Assignment, CondId, Cpg, Cube};
+use cpg_arch::{Architecture, PeId, Time};
+use cpg_gen::{generate, paper_suite};
+use cpg_merge::{generate_schedule_table, MergeConfig};
+use cpg_path_sched::Job;
+use cpg_sim::{SimViolation, SimulationReport, Simulator};
+use cpg_table::ScheduleTable;
+
+/// The observable content of a simulation report.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    label: Cube,
+    activations: Vec<(Job, Time, Time)>,
+    delay: Time,
+    violations: Vec<SimViolation>,
+}
+
+fn observed(report: &SimulationReport) -> Observed {
+    Observed {
+        label: report.label(),
+        activations: report.activations().to_vec(),
+        delay: report.delay(),
+        violations: report.violations().to_vec(),
+    }
+}
+
+/// The reference simulator: the all-pairs formulation of `Simulator::run`.
+struct Reference<'a> {
+    cpg: &'a Cpg,
+    arch: &'a Architecture,
+    table: &'a ScheduleTable,
+    broadcast_time: Time,
+}
+
+impl Reference<'_> {
+    fn run(&self, label: &Cube) -> Observed {
+        let assignment = Assignment::from_cube(label);
+        let mut violations = Vec::new();
+
+        let mut activations: Vec<(Job, Time, Time)> = Vec::new();
+        let mut completion: HashMap<Job, Time> = HashMap::new();
+        let mut active: Vec<Job> = Vec::new();
+        for pid in self.cpg.schedulable_processes() {
+            if self.cpg.guard(pid).implied_by(label) {
+                active.push(Job::Process(pid));
+            }
+        }
+        let needs_broadcast = self.arch.computation_elements().count() > 1;
+        for cond in label.conditions() {
+            if needs_broadcast {
+                active.push(Job::Broadcast(cond));
+            }
+        }
+        for &job in &active {
+            match self.table.activation_time(job, &assignment) {
+                Some(start) => {
+                    let end = start + self.duration_of(job);
+                    completion.insert(job, end);
+                    activations.push((job, start, end));
+                }
+                None => violations.push(SimViolation::NoActivationTime { job }),
+            }
+        }
+        activations.sort_by_key(|&(job, start, _)| (start, job));
+
+        let known = self.condition_knowledge(label, &completion, needs_broadcast);
+        for &(job, start, _) in &activations {
+            let Some(pe) = self.pe_of(job, &assignment) else {
+                continue;
+            };
+            let column = self.selecting_column(job, &assignment);
+            for lit in column.literals() {
+                let known_at = known.get(&(lit.cond(), pe)).copied();
+                if known_at.is_none_or(|k| k > start) {
+                    violations.push(SimViolation::ConditionNotKnownLocally {
+                        job,
+                        condition: lit.cond(),
+                        activation: start,
+                        known_at,
+                    });
+                }
+            }
+        }
+
+        for &(job, start, _) in &activations {
+            let predecessors: Vec<Job> = match job {
+                Job::Broadcast(cond) => vec![Job::Process(self.cpg.disjunction_of(cond))],
+                Job::Process(pid) => self
+                    .cpg
+                    .in_edges(pid)
+                    .filter(|edge| edge.condition().is_none_or(|lit| label.contains(lit)))
+                    .map(|edge| Job::Process(edge.from()))
+                    .collect(),
+            };
+            for predecessor in predecessors {
+                if let Some(&arrives) = completion.get(&predecessor) {
+                    if arrives > start {
+                        violations.push(SimViolation::InputNotArrived {
+                            job,
+                            predecessor,
+                            activation: start,
+                            arrives,
+                        });
+                    }
+                }
+            }
+        }
+
+        for (i, &(a, a_start, a_end)) in activations.iter().enumerate() {
+            for &(b, b_start, b_end) in activations.iter().skip(i + 1) {
+                let (Some(pa), Some(pb)) = (self.pe_of(a, &assignment), self.pe_of(b, &assignment))
+                else {
+                    continue;
+                };
+                if pa != pb || !self.arch.is_exclusive(pa) {
+                    continue;
+                }
+                let overlap = a_start < b_end && b_start < a_end;
+                if overlap && a_end > a_start && b_end > b_start {
+                    violations.push(SimViolation::ResourceOverlap {
+                        pe: pa,
+                        first: a,
+                        second: b,
+                    });
+                }
+            }
+        }
+
+        let delay = activations
+            .iter()
+            .filter(|(job, _, _)| job.as_process().is_some())
+            .map(|&(_, _, end)| end)
+            .max()
+            .unwrap_or(Time::ZERO);
+        Observed {
+            label: *label,
+            activations,
+            delay,
+            violations,
+        }
+    }
+
+    fn duration_of(&self, job: Job) -> Time {
+        match job {
+            Job::Process(pid) => self.cpg.exec_time(pid),
+            Job::Broadcast(_) => self.broadcast_time,
+        }
+    }
+
+    fn pe_of(&self, job: Job, assignment: &Assignment) -> Option<PeId> {
+        match job {
+            Job::Process(pid) => self.cpg.mapping(pid),
+            Job::Broadcast(_) => self
+                .table
+                .activation_resource(job, assignment)
+                .or_else(|| self.arch.broadcast_buses().next()),
+        }
+    }
+
+    fn selecting_column(&self, job: Job, assignment: &Assignment) -> Cube {
+        self.table
+            .entries(job)
+            .filter(|(column, _)| column.satisfied_by(assignment))
+            .map(|(column, _)| column)
+            .max_by_key(Cube::len)
+            .unwrap_or(Cube::top())
+    }
+
+    fn condition_knowledge(
+        &self,
+        label: &Cube,
+        completion: &HashMap<Job, Time>,
+        needs_broadcast: bool,
+    ) -> HashMap<(CondId, PeId), Time> {
+        let mut known = HashMap::new();
+        for lit in label.literals() {
+            let cond = lit.cond();
+            let disjunction = self.cpg.disjunction_of(cond);
+            let computed = completion.get(&Job::Process(disjunction)).copied();
+            let broadcast_done = completion.get(&Job::Broadcast(cond)).copied();
+            for pe in self.arch.ids() {
+                let at = if self.cpg.mapping(disjunction) == Some(pe) {
+                    computed
+                } else if needs_broadcast {
+                    broadcast_done
+                } else {
+                    computed
+                };
+                if let Some(at) = at {
+                    known.insert((cond, pe), at);
+                }
+            }
+        }
+        known
+    }
+}
+
+/// How a copy of a table is corrupted: the entries whose position in
+/// `all_entries_on` order is `offset` modulo `every` are shifted by `shift`
+/// time units (saturating at zero), or removed when `shift` is `None`.
+struct Corruption {
+    every: usize,
+    offset: usize,
+    shift: Option<i64>,
+}
+
+const CORRUPTIONS: [Corruption; 6] = [
+    Corruption {
+        every: 5,
+        offset: 0,
+        shift: Some(4),
+    },
+    Corruption {
+        every: 5,
+        offset: 2,
+        shift: Some(-4),
+    },
+    Corruption {
+        every: 3,
+        offset: 1,
+        shift: Some(4),
+    },
+    Corruption {
+        every: 3,
+        offset: 2,
+        shift: Some(-4),
+    },
+    Corruption {
+        every: 7,
+        offset: 3,
+        shift: None,
+    },
+    Corruption {
+        every: 4,
+        offset: 0,
+        shift: None,
+    },
+];
+
+fn corrupt(table: &ScheduleTable, corruption: &Corruption) -> ScheduleTable {
+    let mut copy = table.clone();
+    let entries: Vec<_> = table.all_entries_on().collect();
+    for (i, &(job, column, time, resource)) in entries.iter().enumerate() {
+        if i % corruption.every != corruption.offset {
+            continue;
+        }
+        match corruption.shift {
+            Some(by) if by >= 0 => {
+                copy.set_on(job, column, time + Time::new(by.unsigned_abs()), resource);
+            }
+            Some(by) => {
+                copy.set_on(
+                    job,
+                    column,
+                    time.saturating_sub(Time::new(by.unsigned_abs())),
+                    resource,
+                );
+            }
+            None => {
+                copy.remove(job, &column);
+            }
+        }
+    }
+    copy
+}
+
+#[test]
+fn simulator_matches_the_all_pairs_reference_on_the_paper_suite() {
+    let mut seen: Vec<std::mem::Discriminant<SimViolation>> = Vec::new();
+    let mut reports = 0usize;
+    for config in paper_suite(40) {
+        let system = generate(&config);
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let result = generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
+        let tables = std::iter::once(result.table().clone())
+            .chain(CORRUPTIONS.iter().map(|c| corrupt(result.table(), c)));
+        for table in tables {
+            let simulator = Simulator::new(cpg, arch, &table, system.broadcast_time());
+            let reference = Reference {
+                cpg,
+                arch,
+                table: &table,
+                broadcast_time: system.broadcast_time(),
+            };
+            for track in result.tracks().iter() {
+                let label = track.label();
+                let actual = observed(&simulator.run(&label));
+                assert_eq!(actual, reference.run(&label), "seed {:#x}", config.seed());
+                for violation in &actual.violations {
+                    if !seen.contains(&discriminant(violation)) {
+                        seen.push(discriminant(violation));
+                    }
+                }
+                reports += 1;
+            }
+        }
+    }
+    assert!(reports > 10_000, "only {reports} reports compared");
+    // Every kind of violation occurred, so the comparison is not vacuous.
+    let job = Job::Process(cpg::ProcessId::from_index(0));
+    let kinds = [
+        SimViolation::NoActivationTime { job },
+        SimViolation::ConditionNotKnownLocally {
+            job,
+            condition: CondId::new(0),
+            activation: Time::ZERO,
+            known_at: None,
+        },
+        SimViolation::InputNotArrived {
+            job,
+            predecessor: job,
+            activation: Time::ZERO,
+            arrives: Time::ZERO,
+        },
+        SimViolation::ResourceOverlap {
+            pe: PeId::from_index(0),
+            first: job,
+            second: job,
+        },
+    ];
+    for kind in &kinds {
+        assert!(seen.contains(&discriminant(kind)), "no {kind:?} observed");
+    }
+}
+
+#[test]
+fn known_verify_passing_overlap_witnesses_still_overlap() {
+    // Configs 82 and 105 of `paper_suite(40)` (seeds 0x7800000002 and
+    // 0x7800000019): their tables pass `ScheduleTable::verify`, and only the
+    // simulator sees two jobs overlap on an exclusive resource.
+    let suite = paper_suite(40);
+    for (index, seed) in [(82, 0x78_0000_0002_u64), (105, 0x78_0000_0019)] {
+        let config = &suite[index];
+        assert_eq!(config.seed(), seed);
+        let system = generate(config);
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let result = generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
+        assert!(result.table().verify(cpg, result.tracks()).is_ok());
+        let simulator = Simulator::new(cpg, arch, result.table(), system.broadcast_time());
+        let overlaps = simulator
+            .run_all(result.tracks())
+            .iter()
+            .flat_map(SimulationReport::violations)
+            .filter(|v| matches!(v, SimViolation::ResourceOverlap { .. }))
+            .count();
+        assert!(overlaps > 0, "config {index}: no resource overlap reported");
+    }
+}
