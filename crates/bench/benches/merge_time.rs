@@ -2,8 +2,8 @@
 //! schedule-merging (table generation) algorithm as a function of the number
 //! of merged schedules and of the graph size.
 //!
-//! Every group is pinned to one thread (the merge's default), so its median
-//! is core-count-independent and `bench_guard` gates it:
+//! The merge runs on one thread, so every median is core-count-independent
+//! and `bench_guard` gates it:
 //!
 //! * `schedule_merging_serial/*` — the wide generated systems; the name is
 //!   kept so the trajectory stays comparable against every committed
@@ -34,7 +34,7 @@ fn schedule_merging_group(c: &mut Criterion) {
                 .with_buses(2)
                 .with_seed((nodes * 1000 + paths) as u64);
             let system = generate(&config);
-            let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+            let merge_config = MergeConfig::new(system.broadcast_time());
             group.bench_with_input(
                 BenchmarkId::new(format!("{nodes}_nodes"), paths),
                 &system,
@@ -69,7 +69,7 @@ fn merge_walk_group(c: &mut Criterion) {
             .with_buses(1)
             .with_seed(0xDEE9 + paths as u64);
         let system = generate(&config);
-        let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let merge_config = MergeConfig::new(system.broadcast_time());
         group.bench_with_input(BenchmarkId::from_parameter(paths), &system, |b, system| {
             b.iter(|| generate_schedule_table(system.cpg(), system.arch(), &merge_config));
         });
@@ -90,9 +90,8 @@ const REWALK_SEEDS: [(usize, u64); 3] = [(16, 0x66EE8), (24, 0x66EE8), (32, 0x66
 /// full merge of the edited system per iteration (what a session-less caller
 /// does after every WCET tweak), `warm/*` keeps a [`MergeSession`] across
 /// iterations so every decision subtree outside the edit's scope replays
-/// from its cached logs. Both pinned to one thread — the warm/cold ratio
-/// must come from work avoidance, not from cores — and both producing
-/// bit-identical tables (pinned by the differential tests). Gated by
+/// from its cached logs. The warm/cold ratio comes from work avoidance
+/// alone, and both produce bit-identical tables (pinned by the differential tests). Gated by
 /// `bench_guard`.
 fn merge_rewalk_group(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_rewalk");
@@ -103,7 +102,7 @@ fn merge_rewalk_group(c: &mut Criterion) {
             .with_buses(1)
             .with_seed(seed);
         let system = generate(&config);
-        let merge_config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let merge_config = MergeConfig::new(system.broadcast_time());
 
         // The edited process: an ordinary process on the fewest alternative
         // paths — deep in the decision tree, so a WCET tweak invalidates a

@@ -6,7 +6,7 @@
 //! * `sim/walk_40` — the depth-40 condition nest of `merge_walk/40`, whose
 //!   tables have the largest rows.
 //!
-//! Reported for information: `bench_guard` does not gate this group.
+//! Gated by `bench_guard` against `BENCH_8.json`.
 
 #![forbid(unsafe_code)]
 

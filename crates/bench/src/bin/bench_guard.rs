@@ -3,11 +3,11 @@
 //!
 //! Compares a fresh criterion-shim measurement (the JSON-lines file produced
 //! by running `cargo bench` with `CRITERION_JSON=<path>`) against a committed
-//! baseline (`BENCH_7.json`) and fails when any gated median
-//! (`schedule_merging_serial/*`, `merge_walk/*` and `merge_rewalk/*` — the
-//! one-thread-pinned merge trajectories, whose cost is
-//! core-count-independent) regresses by more than the allowed percentage;
-//! every other row is reported for information (see `GATED_PREFIXES`).
+//! baseline (`BENCH_8.json`) and fails when any gated median
+//! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*` and
+//! `sim/*` — single-threaded, so their cost is core-count-independent)
+//! regresses by more than the allowed percentage; every other row is
+//! reported for information (see `GATED_PREFIXES`).
 //!
 //! A gated group must be *present* on both sides: a gated prefix with no row
 //! in the current measurement means the bench run was misconfigured, and one
@@ -40,9 +40,9 @@
 //!
 //! ```text
 //! CRITERION_JSON=bench_current.json cargo bench --bench calibration \
-//!     --bench merge_time --bench path_schedule_time
+//!     --bench merge_time --bench path_schedule_time --bench sim_time
 //! cargo run --release -p cpg-bench --bin bench_guard -- \
-//!     --baseline BENCH_7.json --current bench_current.json
+//!     --baseline BENCH_8.json --current bench_current.json
 //! ```
 //!
 //! `--emit <path> --label <name>` additionally writes the current
@@ -59,18 +59,21 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Benchmarks whose regression fails the gate; everything else is reported
-/// for information only. The gated groups are the one-thread-pinned merge
-/// trajectories — the full serial merge, the deep-condition-nest walk
-/// (`merge_walk/`, where the sequential decision-tree walk dominates) and
-/// the incremental re-merge (`merge_rewalk/`, whose `warm/*` rows hold the
-/// session's cached-replay speedup and whose `cold/*` rows anchor the
-/// ratio). Multi-threaded medians scale with the runner's core count, which
-/// neither calibration probe (both single-threaded) can normalize out, so a
-/// multi-threaded group may never be gated: it would fail spuriously on any
-/// runner with fewer cores than the baseline machine. Rows that only an
-/// older baseline carries (such as the retired default-parallelism and
-/// four-thread walk groups of `BENCH_7.json`) are reported for information.
-const GATED_PREFIXES: &[&str] = &["schedule_merging_serial/", "merge_walk/", "merge_rewalk/"];
+/// for information only. The gated groups are the full merge, the
+/// deep-condition-nest walk (`merge_walk/`, where the decision-tree walk
+/// dominates), the incremental re-merge (`merge_rewalk/`, whose `warm/*`
+/// rows hold the session's cached-replay speedup and whose `cold/*` rows
+/// anchor the ratio) and the run-time simulator (`sim/`). All of them run
+/// on one thread, so both single-threaded calibration probes can normalize
+/// them. Rows that only an older baseline carries (such as the retired
+/// default-parallelism and four-thread walk groups of `BENCH_7.json`) are
+/// reported for information.
+const GATED_PREFIXES: &[&str] = &[
+    "schedule_merging_serial/",
+    "merge_walk/",
+    "merge_rewalk/",
+    "sim/",
+];
 
 /// The code-stable compute-bound calibration benchmark used to normalize out
 /// clock/IPC differences between machines.
@@ -271,7 +274,7 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path = String::from("BENCH_7.json");
+    let mut baseline_path = String::from("BENCH_8.json");
     let mut current_path = None;
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");
@@ -453,6 +456,7 @@ mod tests {
             ("merge_walk/depth24", walk),
             ("merge_rewalk/cold/24", 4000.0),
             ("merge_rewalk/warm/24", 400.0),
+            ("sim/walk_40", 1500.0),
             ("schedule_merging/60x12", 500.0),
             ("path_list_scheduling/60", 300.0),
         ])
@@ -580,13 +584,13 @@ mod tests {
     fn rows_the_baseline_predates_are_listed_but_never_fail() {
         let baseline = full_side(1000.0, 2000.0);
         let mut current = full_side(1000.0, 2000.0);
-        current.push(("sim/walk_40".to_owned(), 1e9));
+        current.push(("delay/walk_40".to_owned(), 1e9));
         let report = run_gate(&baseline, &current);
         assert_eq!(report.failures, 0, "{:?}", report.complaints);
         assert!(report
             .lines
             .iter()
-            .any(|l| l.starts_with("sim/walk_40") && l.ends_with("new (info)")));
+            .any(|l| l.starts_with("delay/walk_40") && l.ends_with("new (info)")));
     }
 
     #[test]

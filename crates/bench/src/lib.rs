@@ -16,9 +16,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use cpg::{enumerate_tracks, examples, Cpg};
@@ -48,131 +47,17 @@ pub struct SuiteOutcome {
     pub path_scheduling_seconds: f64,
 }
 
-/// Worker threads for the outer fan-out of the experiment suite over whole
-/// systems: the `CPG_SUITE_THREADS` environment variable when set (CI pins
-/// `1` to smoke-check that serial and nested-parallel runs produce the same
-/// report), otherwise the machine's available parallelism.
-///
-/// The variable is parsed by [`cpg_merge::threads_from_env`]: garbage values
-/// warn once on stderr and fall back to the automatic choice instead of being
-/// silently swallowed.
-#[must_use]
-pub fn suite_threads() -> usize {
-    cpg_merge::threads_from_env("CPG_SUITE_THREADS")
-        .map_or_else(fj::available_parallelism, std::num::NonZeroUsize::get)
-}
-
-/// Ledger key: the generator parameters that dominate a shape's run time.
-type ShapeKey = (usize, usize, usize, usize);
-
-/// Measured per-shape evaluation costs, keyed by the generator parameters
-/// that dominate the run time: `(nodes, paths, processors, buses)`.
-///
-/// The static `nodes * paths` product that used to drive the suite's
-/// fork-join cost order is a poor proxy — a deep condition nest on a narrow
-/// architecture merges orders of magnitude slower than a wide graph of the
-/// same product. The ledger records the wall-clock of every completed
-/// evaluation and serves it back as the cost estimate for later fan-outs
-/// over the same shapes (the ablation report visits each config eight
-/// times; `run_suite` evaluates several seeds per shape). The estimate only
-/// influences *scheduling order*: every fan-out reduces by config index, so
-/// reports stay identical for any thread count and any ledger state.
-#[derive(Debug, Default)]
-pub struct CostLedger {
-    /// Total measured micros and number of samples per shape.
-    samples: Mutex<HashMap<ShapeKey, (u64, u64)>>,
-}
-
-impl CostLedger {
-    /// An empty ledger: every estimate falls back to the static
-    /// `nodes * paths` proxy until measurements arrive.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn key(config: &GeneratorConfig) -> ShapeKey {
-        (
-            config.nodes(),
-            config.target_paths(),
-            config.processors(),
-            config.buses(),
-        )
-    }
-
-    /// Records one measured evaluation of `config` (any duration: the ledger
-    /// only ever compares estimates against each other).
-    pub fn record(&self, config: &GeneratorConfig, elapsed: std::time::Duration) {
-        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let mut samples = self.samples.lock().expect("cost ledger poisoned");
-        let entry = samples.entry(Self::key(config)).or_insert((0, 0));
-        entry.0 = entry.0.saturating_add(micros);
-        entry.1 += 1;
-    }
-
-    /// Estimated cost of evaluating `config`, for [`fj::map_with_cost`].
-    ///
-    /// The average measured duration of the shape when the ledger has seen
-    /// it; otherwise the static `nodes * paths` proxy rescaled into measured
-    /// units (so unmeasured shapes sort sensibly among measured ones); with
-    /// an empty ledger, the bare proxy.
-    #[must_use]
-    pub fn estimate(&self, config: &GeneratorConfig) -> u64 {
-        let proxy = (config.nodes() * config.target_paths()) as u64;
-        let samples = self.samples.lock().expect("cost ledger poisoned");
-        if let Some(&(total, count)) = samples.get(&Self::key(config)) {
-            return (total / count.max(1)).max(1);
-        }
-        // Rescale the proxy by the measured-vs-proxy ratio of the shapes we
-        // have seen, so a new shape lands in the right order of magnitude.
-        let (measured_sum, proxy_sum) = samples.iter().fold((0u64, 0u64), |acc, (k, &(t, n))| {
-            (
-                acc.0.saturating_add(t / n.max(1)),
-                acc.1.saturating_add((k.0 * k.1) as u64),
-            )
-        });
-        match proxy.saturating_mul(measured_sum).checked_div(proxy_sum) {
-            Some(scaled) => scaled.max(1),
-            None => proxy.max(1),
-        }
-    }
-}
-
-/// The process-wide [`CostLedger`] shared by every suite fan-out: the first
-/// pass over a set of shapes runs in proxy order and measures; every later
-/// pass (the remaining ablation variants, a repeated suite) schedules by the
-/// measured times.
-#[must_use]
-pub fn global_cost_ledger() -> &'static CostLedger {
-    static LEDGER: std::sync::OnceLock<CostLedger> = std::sync::OnceLock::new();
-    LEDGER.get_or_init(CostLedger::new)
-}
-
 /// Runs the experiment of the paper's Section 6 on `graphs_per_size` graphs
-/// per node count (the paper uses 360). Every generated table is additionally
-/// executed by the simulator as a sanity check.
+/// per node count (the paper uses 360).
 ///
-/// The systems are independent, so they fan out over a second fork-join
-/// level ([`suite_threads`] workers) in cost order — most expensive shapes
-/// first, so one slow straggler drawn late cannot serialize the tail. The
-/// cost of a shape is its measured evaluation time from earlier runs in this
-/// process (a [`CostLedger`] fed by [`evaluate_config_recording`]), falling
-/// back to the static `nodes * paths` proxy for shapes not yet seen. Each
-/// system's merge detects it is running inside a worker and keeps its own
-/// track-level phases serial (the nested-pool policy of `fj`), and the
-/// reduction is by config index, so the report is identical for every
-/// thread count and ledger state (timing columns aside).
+/// The systems run one after another in config order, so every merge is
+/// timed alone on the machine (Fig. 6 measures per-graph merge time).
 #[must_use]
 pub fn run_suite(graphs_per_size: usize) -> Vec<SuiteOutcome> {
-    let configs = paper_suite(graphs_per_size);
-    let ledger = global_cost_ledger();
-    fj::map_with_cost(
-        suite_threads(),
-        &configs,
-        |_, config| ledger.estimate(config),
-        || (),
-        |(), _, config| evaluate_config_recording(config, ledger),
-    )
+    paper_suite(graphs_per_size)
+        .iter()
+        .map(evaluate_config)
+        .collect()
 }
 
 /// Schedules one generated system and measures the merge.
@@ -201,17 +86,6 @@ pub fn evaluate_config(config: &GeneratorConfig) -> SuiteOutcome {
         merge_seconds,
         path_scheduling_seconds,
     }
-}
-
-/// [`evaluate_config`] that also feeds the measured wall-clock back into a
-/// [`CostLedger`], so later fan-outs over the same shapes schedule by real
-/// cost instead of the static proxy.
-#[must_use]
-pub fn evaluate_config_recording(config: &GeneratorConfig, ledger: &CostLedger) -> SuiteOutcome {
-    let start = Instant::now();
-    let outcome = evaluate_config(config);
-    ledger.record(config, start.elapsed());
-    outcome
 }
 
 /// One row of the Fig. 5 / Fig. 6 summary: all graphs with the same node
@@ -576,13 +450,6 @@ pub fn table2_report() -> String {
 /// Ablation study: the effect of the back-step path-selection policy and of
 /// the broadcast time `τ0` on the quality of the generated tables, over a
 /// batch of randomly generated systems.
-///
-/// Like [`run_suite`], the per-system evaluations fan out over
-/// [`suite_threads`] workers in cost order — the first policy pass measures
-/// every shape into the [`global_cost_ledger`] and the remaining seven
-/// variants schedule by those measured times; the aggregation is over an
-/// index-ordered reduction, so the report is identical for every thread
-/// count and ledger state.
 #[must_use]
 pub fn ablation_report(graphs: usize) -> String {
     let mut out = String::new();
@@ -594,8 +461,6 @@ pub fn ablation_report(graphs: usize) -> String {
                 .with_seed(0xA11_0000 + i as u64)
         })
         .collect();
-    let ledger = global_cost_ledger();
-    let cost = |_: usize, config: &GeneratorConfig| ledger.estimate(config);
 
     let _ = writeln!(
         out,
@@ -606,26 +471,21 @@ pub fn ablation_report(graphs: usize) -> String {
         SelectionPolicy::ShortestDelayFirst,
         SelectionPolicy::EnumerationOrder,
     ] {
-        let outcomes = fj::map_with_cost(
-            suite_threads(),
-            &configs,
-            cost,
-            || (),
-            |(), _, config| {
-                let start = Instant::now();
+        let outcomes: Vec<(f64, bool)> = configs
+            .iter()
+            .map(|config| {
                 let system = generate(config);
                 let result = generate_schedule_table(
                     system.cpg(),
                     system.arch(),
                     &MergeConfig::new(system.broadcast_time()).with_selection(policy),
                 );
-                ledger.record(config, start.elapsed());
                 (
                     result.overhead_percent().max(0.0),
                     result.is_zero_overhead(),
                 )
-            },
-        );
+            })
+            .collect();
         let total: f64 = outcomes.iter().map(|&(overhead, _)| overhead).sum();
         let zero = outcomes.iter().filter(|&&(_, zero)| zero).count();
         let _ = writeln!(
@@ -639,24 +499,18 @@ pub fn ablation_report(graphs: usize) -> String {
 
     let _ = writeln!(out, "\nBroadcast time tau0 sensitivity (average dmax):");
     for tau0 in [0u64, 1, 2, 5, 10] {
-        let delays = fj::map_with_cost(
-            suite_threads(),
-            &configs,
-            cost,
-            || (),
-            |(), _, config| {
-                let start = Instant::now();
+        let total: u64 = configs
+            .iter()
+            .map(|config| {
                 let system = generate(config);
                 let result = generate_schedule_table(
                     system.cpg(),
                     system.arch(),
                     &MergeConfig::new(Time::new(tau0)),
                 );
-                ledger.record(config, start.elapsed());
                 result.delta_max().as_u64()
-            },
-        );
-        let total: u64 = delays.iter().sum();
+            })
+            .sum();
         let _ = writeln!(
             out,
             "  tau0 = {tau0:>2}: average dmax = {:.1}",
@@ -700,39 +554,6 @@ mod tests {
         let fig4 = fig4_report();
         assert!(fig4.contains("Optimal schedule of the longest path"));
         assert!(fig4.contains("adjusted schedule"));
-    }
-
-    #[test]
-    fn cost_ledger_prefers_measurements_over_the_proxy() {
-        use std::time::Duration;
-        let ledger = CostLedger::new();
-        let deep = GeneratorConfig::new(48, 16)
-            .with_processors(2)
-            .with_buses(1);
-        let wide = GeneratorConfig::new(120, 10)
-            .with_processors(4)
-            .with_buses(2);
-        // Empty ledger: the static proxy ranks the wide graph as more
-        // expensive (120 * 10 > 48 * 16).
-        assert!(ledger.estimate(&wide) > ledger.estimate(&deep));
-        // Measurements say the opposite — the deep nest dominates — and a
-        // second seed of the same shape reuses them.
-        ledger.record(&deep, Duration::from_millis(900));
-        ledger.record(&wide, Duration::from_millis(30));
-        assert!(ledger.estimate(&deep) > ledger.estimate(&wide));
-        let deep_reseeded = deep.clone().with_seed(99);
-        assert_eq!(ledger.estimate(&deep_reseeded), ledger.estimate(&deep));
-        // An unseen shape gets the proxy rescaled into measured units, not
-        // the raw product (which would dwarf every measurement).
-        let unseen = GeneratorConfig::new(60, 12)
-            .with_processors(3)
-            .with_buses(1);
-        let estimate = ledger.estimate(&unseen);
-        assert!(estimate >= 1);
-        assert!(
-            estimate < 900_000,
-            "estimate {estimate} not in measured units"
-        );
     }
 
     #[test]

@@ -8,16 +8,16 @@ use cpg_arch::Time;
 /// Parses a thread-count environment variable, warning **once** per variable
 /// on garbage instead of silently falling back.
 ///
-/// The merge itself never reads the environment (its thread count comes
-/// from [`MergeConfig::with_threads`] alone); this parser serves the
-/// benchmark suites' `CPG_SUITE_THREADS` knob:
+/// The merge is single-threaded and reads no environment variable. The only
+/// caller is the end-to-end benchmark (`perfbench`), which refuses to run
+/// while a retired thread-count variable is still set:
 ///
 /// * unset or empty/whitespace-only value → `None` (automatic choice);
 /// * `"0"` → `None` (explicit "automatic");
 /// * a positive integer (surrounding whitespace tolerated) → that count;
 /// * anything else → `None` **plus** one `warning:` line on stderr per
-///   variable per process, so a typo like `CPG_SUITE_THREADS=fourteen` can
-///   no longer masquerade as the default.
+///   variable per process, so a typo like `CPG_MERGE_THREADS=fourteen` can
+///   no longer masquerade as unset.
 #[must_use]
 pub fn threads_from_env(var: &str) -> Option<NonZeroUsize> {
     parse_thread_count(var, std::env::var(var).ok()?.as_str())
@@ -133,25 +133,14 @@ pub enum SelectionPolicy {
 /// let config = MergeConfig::new(Time::new(1));
 /// assert_eq!(config.broadcast_time(), Time::new(1));
 /// assert_eq!(config.selection(), SelectionPolicy::LongestDelayFirst);
-/// assert_eq!(config.threads(), None); // default: one thread
-/// assert_eq!(config.effective_threads(), 1);
 ///
 /// let ablation = MergeConfig::new(Time::new(2)).with_selection(SelectionPolicy::ShortestDelayFirst);
 /// assert_eq!(ablation.selection(), SelectionPolicy::ShortestDelayFirst);
-///
-/// let fanned_out = MergeConfig::new(Time::new(1)).with_threads(2);
-/// assert_eq!(fanned_out.effective_threads(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeConfig {
     broadcast_time: Time,
     selection: SelectionPolicy,
-    /// Worker threads for the per-track fan-outs of the merge (context
-    /// construction + initial path schedules, and the final realizability
-    /// sweep); `None` means the default of one. The decision-tree walk
-    /// between them is serial at every count, and the merged output is
-    /// bit-identical for every thread count.
-    threads: Option<NonZeroUsize>,
     /// Record a [`MergeStep`](crate::MergeStep) for every decision-tree node
     /// (default off: tracing costs an allocation per node on the hot walk).
     trace: bool,
@@ -165,7 +154,6 @@ impl MergeConfig {
         MergeConfig {
             broadcast_time,
             selection: SelectionPolicy::default(),
-            threads: None,
             trace: false,
         }
     }
@@ -196,35 +184,21 @@ impl MergeConfig {
         self
     }
 
-    /// The explicitly configured worker-thread count of the per-track merge
-    /// fan-outs, or `None` when none was set (see
-    /// [`effective_threads`](Self::effective_threads)).
+    /// Former worker-thread knob; the argument is ignored because the merge
+    /// always runs on the calling thread. Kept so the end-to-end benchmark,
+    /// which still pins one thread, keeps compiling.
+    #[doc(hidden)]
     #[must_use]
-    pub fn threads(&self) -> Option<usize> {
-        self.threads.map(NonZeroUsize::get)
-    }
-
-    /// Returns the configuration with a fixed worker-thread count for the
-    /// per-track merge fan-outs. `1` (the default) runs the fully serial path
-    /// (no worker threads are spawned); `0` restores the default. The merge
-    /// result is bit-identical for every thread count — this knob trades
-    /// wall-clock for cores only.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = NonZeroUsize::new(threads);
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// The worker-thread count the merge will actually use: the configured
-    /// count if one was set, else 1.
-    ///
-    /// One is the default because the fan-outs do not pay for themselves on
-    /// small machines: `fj` spawns fresh scoped threads per fan-out, and on
-    /// two cores the out-of-the-box parallel default measured slower than
-    /// the serial merge end to end (see the README's thread-count notes).
+    /// Always 1: the merge always runs on the calling thread. Kept so the
+    /// end-to-end benchmark, which reports the count, keeps compiling.
+    #[doc(hidden)]
     #[must_use]
     pub fn effective_threads(&self) -> usize {
-        self.threads.map_or(1, NonZeroUsize::get)
+        1
     }
 
     /// `true` when the merge records a [`MergeStep`](crate::MergeStep) per
@@ -273,24 +247,6 @@ mod tests {
             .with_broadcast_time(Time::new(3));
         assert_eq!(config.broadcast_time(), Time::new(3));
         assert_eq!(config.selection(), SelectionPolicy::EnumerationOrder);
-    }
-
-    #[test]
-    fn thread_knob_fixes_zeroes_and_resolves() {
-        let config = MergeConfig::default();
-        assert_eq!(config.threads(), None);
-        // Without an explicit count the merge runs on one thread, whatever
-        // the environment and hardware say.
-        assert_eq!(config.effective_threads(), 1);
-
-        let fixed = config.with_threads(3);
-        assert_eq!(fixed.threads(), Some(3));
-        assert_eq!(fixed.effective_threads(), 3);
-
-        // 0 restores the default.
-        let default_again = fixed.with_threads(0);
-        assert_eq!(default_again.threads(), None);
-        assert_eq!(default_again.effective_threads(), 1);
     }
 
     #[test]

@@ -18,13 +18,11 @@
 //! by moving processes to previously tabled activation times (Theorem 2 of the
 //! paper).
 //!
-//! The decision-tree walk is one serial depth-first traversal. The
-//! embarrassingly parallel per-track phases around it — context
+//! The merge runs on the calling thread. The decision-tree walk is one
+//! depth-first traversal, and the per-track phases around it — context
 //! construction, the initial per-path schedules and the final realizability
-//! sweep — can fan out over a worker pool (the vendored `fj` fork-join shim)
-//! with one reusable scratch arena per worker when
-//! [`MergeConfig::with_threads`] asks for more than the default single
-//! thread; the merged output is bit-identical for every thread count.
+//! sweep — are plain loops over the tracks that share the walk's scheduler
+//! scratch arena.
 //!
 //! A condition-oblivious baseline ([`condition_oblivious_baseline`]) is also
 //! provided for comparison.

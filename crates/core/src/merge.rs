@@ -39,14 +39,13 @@
 //! [`Assignment`] mutated in place and the lock sets and schedules are
 //! pooled, so the walk is allocation-free after warm-up.
 //!
-//! The walk is serial at every thread count: only the per-track phases
-//! around it (initial schedules and the realizability sweep) fan out over the
-//! `fj` shim, and they reduce by track index, so the produced
-//! [`MergeResult`] is bit-identical for every thread count. The original
-//! clone-per-node recursion is kept behind the `test-util` feature as a
-//! differential-test oracle ([`generate_schedule_table_cloning`]).
+//! The whole merge runs on the calling thread: the per-track phases around
+//! the walk (initial schedules and the realizability sweep) are plain loops
+//! over the tracks that share the walk's one scheduler scratch arena. The
+//! original clone-per-node recursion is kept behind the `test-util` feature
+//! as a differential-test oracle ([`generate_schedule_table_cloning`]).
 
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 use cpg::{enumerate_tracks, Assignment, CondId, Cpg, Cube, Track, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
@@ -246,23 +245,14 @@ fn generate_for_tracks_inner(
         "sabotage: injected walk panic"
     );
     let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
-    let threads = config.effective_threads();
     // One dense scheduling context per track, reused across the initial
-    // per-path schedules and every adjustment/repair of the merge below.
-    // Both the context construction and the initial schedules are
-    // embarrassingly parallel across tracks, so with more than one thread
-    // they fan out over the fork-join shim with one scratch arena per
-    // worker; `threads == 1` (the default) runs the plain serial loop on
-    // this thread. The reduction is by track index, so the result is
-    // bit-identical for every thread count. The cold path needs every
-    // context, so the loop prefills the whole cache.
+    // per-path schedules and every adjustment/repair of the merge below. The
+    // cold path needs every context, so the loop prefills the whole cache.
     let contexts = ContextCache::new(scheduler, &tracks);
-    let optimal: Vec<PathSchedule> = fj::map_with(
-        threads,
-        tracks.tracks(),
-        RunScratch::new,
-        |scratch, idx, _| contexts.get(idx).schedule_with(scratch),
-    );
+    let mut state = WalkState::new();
+    let optimal: Vec<PathSchedule> = (0..tracks.len())
+        .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
+        .collect();
     let delta_m = optimal
         .iter()
         .map(PathSchedule::delay)
@@ -272,12 +262,10 @@ fn generate_for_tracks_inner(
     let shared = MergeShared {
         cpg,
         config,
-        threads,
         contexts: &contexts,
         tracks: &tracks,
         optimal: &optimal,
     };
-    let mut state = WalkState::new();
     let mut table = ScheduleTable::new();
     let mut decided = Assignment::new();
     let root = shared
@@ -316,7 +304,7 @@ fn generate_for_tracks_inner(
     // kept instead of thrown away.
     let mut stats = state.stats;
     let realized = if state.needs_sweep() {
-        let replays = shared.residual_replays(&table);
+        let replays = shared.residual_replays(&table, &mut state.scratch);
         stats.lock_slips = replays
             .iter()
             .map(|replay| replay.slipped_locks().len())
@@ -384,22 +372,20 @@ const SLIP_REPAIR_ROUNDS: usize = 16;
 ///
 /// A [`TrackContext`] is a bundle of dense lookup tables over one track —
 /// cheap to query but not free to build. The cold merge needs every context
-/// (each track is visited at least once), so it prefills all cells inside
-/// its parallel fan-out; an incremental re-merge only touches the contexts
-/// of re-walked or re-scheduled tracks, so the session leaves the cells to
-/// fill on first use. `OnceLock` keeps the fill race-free under the
-/// per-track fan-outs, and a context is deterministic in its inputs, so
-/// *who* fills a cell never shows in the result.
+/// (each track is visited at least once), so it prefills all cells up
+/// front; an incremental re-merge only touches the contexts of re-walked or
+/// re-scheduled tracks, so the session leaves the cells to fill on first
+/// use.
 pub(crate) struct ContextCache<'a> {
     scheduler: ListScheduler<'a>,
     tracks: &'a TrackSet,
-    cells: Vec<OnceLock<TrackContext<'a>>>,
+    cells: Vec<OnceCell<TrackContext<'a>>>,
 }
 
 impl<'a> ContextCache<'a> {
     pub(crate) fn new(scheduler: ListScheduler<'a>, tracks: &'a TrackSet) -> Self {
         let mut cells = Vec::new();
-        cells.resize_with(tracks.len(), OnceLock::new);
+        cells.resize_with(tracks.len(), OnceCell::new);
         ContextCache {
             scheduler,
             tracks,
@@ -420,9 +406,6 @@ impl<'a> ContextCache<'a> {
 pub(crate) struct MergeShared<'a> {
     pub(crate) cpg: &'a Cpg,
     pub(crate) config: &'a MergeConfig,
-    /// Worker threads for the per-track fan-outs (resolved once up front so
-    /// the whole merge sees one consistent count).
-    pub(crate) threads: usize,
     pub(crate) contexts: &'a ContextCache<'a>,
     pub(crate) tracks: &'a TrackSet,
     pub(crate) optimal: &'a [PathSchedule],
@@ -438,8 +421,9 @@ pub(crate) struct WalkState {
     /// `true` once any adjustment reported a slipped lock; gates the final
     /// realizability sweep that computes [`MergeStats::lock_slips`].
     pub(crate) saw_slip: bool,
-    /// Scratch arena for the scheduler runs of adjustments and repairs.
-    scratch: RunScratch,
+    /// Scratch arena for every scheduler run of the merge: the initial
+    /// schedules, adjustments, repairs and the realizability sweep.
+    pub(crate) scratch: RunScratch,
     /// Reusable buffers of the repair loops.
     slip_buf: Vec<SlippedLock>,
     stale_buf: Vec<Cube>,
@@ -828,23 +812,23 @@ impl MergeShared<'_> {
     /// [`MergeStats::lock_slips`] reports — and the replays themselves are
     /// the *realized* per-path schedules under the final table, seeded into
     /// [`MergeResult::path_schedules`].
-    ///
-    /// The tracks are independent, so the sweep fans out over the fork-join
-    /// shim with one scratch arena per worker; the reduction is by track
-    /// index, keeping the result identical for every thread count.
-    pub(crate) fn residual_replays(&self, table: &ScheduleTable) -> Vec<PathSchedule> {
-        fj::map_with(
-            self.threads,
-            self.tracks.tracks(),
-            RunScratch::new,
-            |scratch, idx, track| {
-                let mut locks = LockSet::for_graph(self.cpg);
+    pub(crate) fn residual_replays(
+        &self,
+        table: &ScheduleTable,
+        scratch: &mut RunScratch,
+    ) -> Vec<PathSchedule> {
+        let mut locks = LockSet::for_graph(self.cpg);
+        self.tracks
+            .iter()
+            .enumerate()
+            .map(|(idx, track)| {
+                locks.clear();
                 self.final_locks_into(table, track, &mut locks);
                 self.contexts
                     .get(idx)
                     .reschedule_with(scratch, &self.optimal[idx], &locks)
-            },
-        )
+            })
+            .collect()
     }
 
     /// Gathers the locks the final table imposes on `track` into `locks`:
@@ -1729,64 +1713,18 @@ mod tests {
         assert_walks_identical(&cpg, &arch, &config);
     }
 
-    /// The merge must be bit-identical for every thread count and policy:
-    /// the per-track fan-outs reduce by track index around the one serial
-    /// walk (the broad random coverage lives in the workspace-level
-    /// differential proptest; this pins the crafted examples and the
-    /// slip-forcing system).
-    fn assert_thread_counts_identical(cpg: &Cpg, arch: &Architecture, base: MergeConfig) {
-        let base = base.with_trace(true);
-        let serial = generate_schedule_table(cpg, arch, &base.with_threads(1));
-        for threads in [2, 4, 8] {
-            let par = generate_schedule_table(cpg, arch, &base.with_threads(threads));
-            assert_eq!(
-                serial.table(),
-                par.table(),
-                "table diverged at {threads} threads"
-            );
-            assert_eq!(serial.path_schedules(), par.path_schedules());
-            assert_eq!(serial.delta_m(), par.delta_m());
-            assert_eq!(serial.delta_max(), par.delta_max());
-            assert_eq!(
-                serial.steps(),
-                par.steps(),
-                "steps diverged at {threads} threads"
-            );
-            assert_eq!(
-                serial.stats(),
-                par.stats(),
-                "stats diverged at {threads} threads"
-            );
-        }
-    }
-
     #[test]
-    fn parallel_walk_is_bit_identical_for_every_budget() {
-        for system in [
-            examples::diamond(),
-            examples::sensor_actuator(),
-            examples::fig1(),
-        ] {
-            assert_thread_counts_identical(
-                system.cpg(),
-                system.arch(),
-                MergeConfig::new(system.broadcast_time()),
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_walk_is_bit_identical_across_policies_and_slips() {
+    fn undo_log_walk_matches_the_cloning_oracle_under_every_policy() {
+        // LongestDelayFirst (the default) is covered by `when_locks_slip`.
         let (arch, cpg) = slipping_system();
         for policy in [
-            SelectionPolicy::LongestDelayFirst,
             SelectionPolicy::ShortestDelayFirst,
             SelectionPolicy::EnumerationOrder,
         ] {
-            assert_thread_counts_identical(
+            assert_walks_identical(
                 &cpg,
                 &arch,
-                MergeConfig::new(Time::new(2)).with_selection(policy),
+                &MergeConfig::new(Time::new(2)).with_selection(policy),
             );
         }
         let system = examples::fig1();
@@ -1794,10 +1732,10 @@ mod tests {
             SelectionPolicy::ShortestDelayFirst,
             SelectionPolicy::EnumerationOrder,
         ] {
-            assert_thread_counts_identical(
+            assert_walks_identical(
                 system.cpg(),
                 system.arch(),
-                MergeConfig::new(system.broadcast_time()).with_selection(policy),
+                &MergeConfig::new(system.broadcast_time()).with_selection(policy),
             );
         }
     }

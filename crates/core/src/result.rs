@@ -59,7 +59,7 @@ pub struct MergeStats {
     /// Deepest decision-tree node visited, counted in decided conditions
     /// (the root sits at depth 0, so a node that resolves the first
     /// condition is at depth 1). A structural property of the explored
-    /// tree: identical for every thread count and for warm re-merges.
+    /// tree: identical for cold merges and warm re-merges.
     pub max_walk_depth: usize,
     /// Total iterations of the Theorem-2 slip-repair loop across all
     /// adjustments (each round re-places every slipped entry once). Bounded
@@ -224,9 +224,8 @@ impl MergeResult {
 
     /// Speculative subtree walks discarded after a failed validation.
     ///
-    /// Always 0: the decision-tree walk is serial at every thread count and
-    /// never speculates. Kept so callers that report the counter keep
-    /// compiling.
+    /// Always 0: the decision-tree walk is serial and never speculates. Kept
+    /// so callers that report the counter keep compiling.
     #[must_use]
     pub fn spec_discards(&self) -> usize {
         0

@@ -27,7 +27,7 @@
 //! Every validation failure degrades to a re-walk, never to a wrong table:
 //! the result is bit-identical to a cold
 //! [`generate_schedule_table`](crate::generate_schedule_table) of the edited
-//! system, for every thread count.
+//! system.
 //!
 //! Why replay is sound: a cached segment log replays the exact writes the
 //! recording merge committed at that point of the serial order. Its read set
@@ -45,7 +45,7 @@ use cpg::{
     Track, TrackSet,
 };
 use cpg_arch::{Architecture, Time};
-use cpg_path_sched::{ListScheduler, LockSet, PathSchedule, RunScratch};
+use cpg_path_sched::{ListScheduler, LockSet, PathSchedule};
 use cpg_table::{ScheduleTable, TableTxn, TxnLog};
 
 use crate::config::MergeConfig;
@@ -377,8 +377,7 @@ fn track_hash(track: &Track, optimal: &PathSchedule) -> u64 {
 /// [`merge`](Self::merge) replays every cached subtree the edit provably
 /// cannot affect (validating its recorded reads against the rebuilt table)
 /// and re-walks only the invalidated region. The produced [`MergeResult`]
-/// is bit-identical to a cold merge of the edited system for every thread
-/// count.
+/// is bit-identical to a cold merge of the edited system.
 ///
 /// # Example
 ///
@@ -388,7 +387,7 @@ fn track_hash(track: &Track, optimal: &PathSchedule) -> u64 {
 /// use cpg_merge::{generate_schedule_table, MergeConfig, MergeSession};
 ///
 /// let system = examples::fig1();
-/// let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+/// let config = MergeConfig::new(system.broadcast_time());
 /// let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
 /// let first = session.merge();
 ///
@@ -538,7 +537,7 @@ impl MergeSession {
     /// decision subtree the edits since the last merge provably cannot
     /// affect. The result is bit-identical to
     /// [`generate_schedule_table`](crate::generate_schedule_table) on the
-    /// current graph, for every thread count.
+    /// current graph.
     pub fn merge(&mut self) -> MergeResult {
         if self.structural {
             // A guard edit may have changed the set of alternative paths:
@@ -567,36 +566,31 @@ impl MergeSession {
             self.realized = vec![None; self.tracks.len()];
         }
 
-        let threads = self.config.effective_threads();
         let scheduler = ListScheduler::new(&self.cpg, &self.arch, self.config.broadcast_time());
         // Contexts are built lazily: a warm merge only needs them for the
         // tracks it re-schedules, re-walks or re-sweeps; a merge that replays
         // everything needs none at all. (The cold path eagerly prefills the
-        // same cache inside its per-track fan-out.)
+        // same cache with its initial schedules.)
         let contexts = ContextCache::new(scheduler, &self.tracks);
+        let mut state = WalkState::new();
         // Optimal schedules are the scheduling inputs the frontier hashes
         // fingerprint; a clean track's schedule cannot have changed, so only
         // the dirty tracks are re-run. The first merge (and the one after a
-        // structural edit) rebuilds every track through the same per-track
-        // fan-out as the cold path.
+        // structural edit) rebuilds every track, like the cold path.
         let (optimal, track_hashes) = if self.optimal.len() == self.tracks.len() {
             let mut optimal = std::mem::take(&mut self.optimal);
             let mut hashes = std::mem::take(&mut self.track_hashes);
-            let mut scratch = RunScratch::new();
             for (idx, track) in self.tracks.tracks().iter().enumerate() {
                 if dirty[idx] {
-                    optimal[idx] = contexts.get(idx).schedule_with(&mut scratch);
+                    optimal[idx] = contexts.get(idx).schedule_with(&mut state.scratch);
                     hashes[idx] = track_hash(track, &optimal[idx]);
                 }
             }
             (optimal, hashes)
         } else {
-            let optimal: Vec<PathSchedule> = fj::map_with(
-                threads,
-                self.tracks.tracks(),
-                RunScratch::new,
-                |scratch, idx, _| contexts.get(idx).schedule_with(scratch),
-            );
+            let optimal: Vec<PathSchedule> = (0..self.tracks.len())
+                .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
+                .collect();
             let hashes = self
                 .tracks
                 .tracks()
@@ -615,7 +609,6 @@ impl MergeSession {
         let shared = MergeShared {
             cpg: &self.cpg,
             config: &self.config,
-            threads,
             contexts: &contexts,
             tracks: &self.tracks,
             optimal: &optimal,
@@ -632,7 +625,6 @@ impl MergeSession {
             seg_start: (MergeStats::default(), 0, false),
         };
 
-        let mut state = WalkState::new();
         let mut table = ScheduleTable::new();
         let mut decided = Assignment::new();
         let root_idx = shared
@@ -658,12 +650,13 @@ impl MergeSession {
             // re-running the scheduler. (Dirty tracks had their cache entry
             // cleared above.)
             let cached = std::mem::take(&mut self.realized);
-            let replays: Vec<(u64, PathSchedule)> = fj::map_with(
-                threads,
-                self.tracks.tracks(),
-                RunScratch::new,
-                |scratch, idx, track| {
-                    let mut locks = LockSet::for_graph(&self.cpg);
+            let mut locks = LockSet::for_graph(&self.cpg);
+            let replays: Vec<(u64, PathSchedule)> = self
+                .tracks
+                .iter()
+                .enumerate()
+                .map(|(idx, track)| {
+                    locks.clear();
                     shared.final_locks_into(&table, track, &mut locks);
                     let mut h = FrontierHasher::new();
                     for lock in locks.iter_pinned() {
@@ -675,12 +668,14 @@ impl MergeSession {
                             return (fingerprint, schedule.clone());
                         }
                     }
-                    let replay = contexts
-                        .get(idx)
-                        .reschedule_with(scratch, &optimal[idx], &locks);
+                    let replay = contexts.get(idx).reschedule_with(
+                        &mut state.scratch,
+                        &optimal[idx],
+                        &locks,
+                    );
                     (fingerprint, replay)
-                },
-            );
+                })
+                .collect();
             stats.lock_slips = replays
                 .iter()
                 .map(|(_, replay)| replay.slipped_locks().len())
@@ -831,9 +826,7 @@ mod tests {
     #[test]
     fn cold_session_merge_matches_the_production_walk() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time())
-            .with_threads(1)
-            .with_trace(true);
+        let config = MergeConfig::new(system.broadcast_time()).with_trace(true);
         let cold = generate_schedule_table(system.cpg(), system.arch(), &config);
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         let first = session.merge();
@@ -845,7 +838,7 @@ mod tests {
     #[test]
     fn editless_remerge_replays_the_whole_tree() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         let first = session.merge();
         let second = session.merge();
@@ -861,9 +854,7 @@ mod tests {
     #[test]
     fn warm_merge_after_a_wcet_edit_matches_a_cold_merge() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time())
-            .with_threads(1)
-            .with_trace(true);
+        let config = MergeConfig::new(system.broadcast_time()).with_trace(true);
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
 
@@ -888,45 +879,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_merges_are_bit_identical_across_thread_counts() {
-        let system = examples::fig1();
-        let p = system
-            .cpg()
-            .ordinary_processes()
-            .find(|&p| !system.cpg().guard(p).is_true())
-            .unwrap();
-        let base = MergeConfig::new(system.broadcast_time()).with_trace(true);
-        let serial = {
-            let config = base.with_threads(1);
-            let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-            session.merge();
-            session
-                .apply_edit(&SystemEdit::ExecTime {
-                    process: p,
-                    time: Time::new(13),
-                })
-                .unwrap();
-            session.merge()
-        };
-        for threads in [2usize, 4] {
-            let config = base.with_threads(threads);
-            let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-            session.merge();
-            session
-                .apply_edit(&SystemEdit::ExecTime {
-                    process: p,
-                    time: Time::new(13),
-                })
-                .unwrap();
-            let warm = session.merge();
-            assert_identical(&serial, &warm, &format!("{threads} threads"));
-        }
-    }
-
-    #[test]
     fn structural_edits_drop_the_cache_and_still_match_cold() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
 
@@ -951,7 +906,7 @@ mod tests {
     #[test]
     fn rejected_edits_leave_the_session_untouched() {
         let system = examples::diamond();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         let first = session.merge();
         let err = session
@@ -969,7 +924,7 @@ mod tests {
     #[test]
     fn invalidate_all_forces_a_full_record() {
         let system = examples::diamond();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         let first = session.merge();
         session.invalidate_all();
@@ -982,7 +937,7 @@ mod tests {
     #[test]
     fn mapping_edits_re_merge_identically_to_cold() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
 
@@ -1010,7 +965,7 @@ mod tests {
     #[test]
     fn a_session_survives_a_sequence_of_edits() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
         let mut reference = system.cpg().clone();
@@ -1033,7 +988,7 @@ mod tests {
         // A guard that can never fire removes the process from every track:
         // the structural path must re-enumerate and still match cold.
         let system = examples::sensor_actuator();
-        let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
 

@@ -16,8 +16,8 @@ pub type Signature = [u8; SIGNATURE_LEN];
 /// What one merge did, counted — the fuzzer's coverage signal.
 ///
 /// The vector is built from [`MergeStats`](cpg_merge::MergeStats) of the
-/// deterministic single-threaded baseline merge (so signatures are
-/// reproducible anywhere), plus the typed-rejection discriminant for inputs
+/// deterministic baseline merge (so signatures are reproducible
+/// anywhere), plus the typed-rejection discriminant for inputs
 /// the merger refuses and the outcome degradation flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BehaviorVector {
@@ -99,8 +99,7 @@ impl BehaviorVector {
 
     /// The deterministic quantized signature: rejection discriminant,
     /// degradation flag, then every counter log2-bucketed. Reproducible on
-    /// any machine and thread count — corpus distinctness is defined over
-    /// these.
+    /// any machine — corpus distinctness is defined over these.
     #[must_use]
     pub fn signature(&self) -> Signature {
         [

@@ -14,8 +14,8 @@
 //!
 //! * [`behavior`] — [`BehaviorVector`], its quantized [`Signature`] and the
 //!   novelty archive;
-//! * [`oracle`] — the differential battery ([`run_oracles`]): no-panic,
-//!   typed input validation, thread-count identity, the clone-based walk,
+//! * [`oracle`] — the differential battery ([`run_oracles`]) of five
+//!   oracles: no-panic, typed input validation, the clone-based walk,
 //!   warm-vs-cold session replay and reference realizability;
 //! * [`fuzz`] — the mutation loop ([`fuzz()`](fuzz::fuzz)) and the ddmin
 //!   offender reducers;

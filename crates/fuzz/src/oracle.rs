@@ -9,15 +9,12 @@
 //!    pathological inputs must be rejected with a typed error).
 //! 2. **Input validation** — systems [`validate_system`] rejects must also
 //!    be rejected by the `try_` entry points (and vice versa never merged).
-//! 3. **Thread identity** — merges with 2, 4 and 8 workers must be
-//!    bit-identical to the single-threaded baseline (table, schedules,
-//!    steps, stats).
-//! 4. **Cloning walk** — the chain walk must match the clone-based
-//!    reference walk.
-//! 5. **Warm vs cold** — a [`MergeSession`] replaying the workload's edit
+//! 3. **Cloning walk** — the chain walk must match the clone-based
+//!    reference walk (table, schedules, steps, stats).
+//! 4. **Warm vs cold** — a [`MergeSession`] replaying the workload's edit
 //!    sequence must produce, after every edit, the same result as a cold
 //!    merge of an identically edited graph.
-//! 6. **Reference realizability** — replaying the final table through the
+//! 5. **Reference realizability** — replaying the final table through the
 //!    naive reference scheduler must reproduce exactly the surviving-slip
 //!    count the merge reported.
 
@@ -43,8 +40,6 @@ pub enum OracleKind {
     NoPanic,
     /// `validate_system` and the `try_` entry points disagreed.
     InputValidation,
-    /// A multi-threaded merge diverged from the single-threaded baseline.
-    ThreadIdentity,
     /// The chain walk diverged from the clone-based walk.
     CloningWalk,
     /// A warm session merge diverged from the cold merge of the same system.
@@ -58,7 +53,6 @@ impl fmt::Display for OracleKind {
         f.write_str(match self {
             OracleKind::NoPanic => "no-panic",
             OracleKind::InputValidation => "input-validation",
-            OracleKind::ThreadIdentity => "thread-identity",
             OracleKind::CloningWalk => "cloning-walk",
             OracleKind::WarmVsCold => "warm-vs-cold",
             OracleKind::ReferenceRealizability => "reference-realizability",
@@ -115,7 +109,7 @@ fn run_oracles_inner(
 ) -> Result<BehaviorVector, OracleFailure> {
     let cpg = system.cpg();
     let arch = system.arch();
-    let config = MergeConfig::new(system.broadcast_time()).with_threads(1);
+    let config = MergeConfig::new(system.broadcast_time());
 
     // Oracle 2: typed rejection of pathological systems.
     if let Err(error) = validate_system(cpg, arch) {
@@ -145,9 +139,7 @@ fn run_oracles_inner(
     let baseline = generate_schedule_table(cpg, arch, &config);
     let vector = BehaviorVector::from_result(&baseline);
 
-    // Oracle 4: chain walk vs clone-based walk. Runs before the thread
-    // sweep so a corrupted serial walk is attributed to the cloning
-    // differential, not to the multi-threaded merges that inherit it.
+    // Oracle 3: chain walk vs clone-based walk.
     let cloning = generate_schedule_table_cloning(cpg, arch, &config);
     if let Some(divergence) = divergence(&baseline, &cloning) {
         return Err(OracleFailure {
@@ -156,18 +148,7 @@ fn run_oracles_inner(
         });
     }
 
-    // Oracle 3: thread-count identity.
-    for threads in [2usize, 4, 8] {
-        let result = generate_schedule_table(cpg, arch, &config.with_threads(threads));
-        if let Some(divergence) = divergence(&baseline, &result) {
-            return Err(OracleFailure {
-                oracle: OracleKind::ThreadIdentity,
-                detail: format!("{threads} threads: {divergence}"),
-            });
-        }
-    }
-
-    // Oracle 5: warm session replay vs cold merges, through the workload's
+    // Oracle 4: warm session replay vs cold merges, through the workload's
     // edit sequence.
     let mut session = MergeSession::new(cpg, arch, &config);
     if let Some(divergence) = divergence(&baseline, &session.merge()) {
@@ -202,7 +183,7 @@ fn run_oracles_inner(
         }
     }
 
-    // Oracle 6: every tabled activation time is realizable, or counted.
+    // Oracle 5: every tabled activation time is realizable, or counted.
     let replayed = replayed_slips(cpg, arch, system.broadcast_time(), &baseline);
     if replayed != baseline.stats().lock_slips {
         return Err(OracleFailure {

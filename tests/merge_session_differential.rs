@@ -6,8 +6,8 @@
 //! that is allowed to change a single table cell: after *every* edit of a
 //! random edit sequence, the session's warm merge must be bit-identical
 //! (table, tracks, path schedules, steps, counters, delays) to a cold
-//! `generate_schedule_table` of the edited system, at thread counts 1/2/4
-//! and under every selection policy (the session records through the same
+//! `generate_schedule_table` of the edited system under every selection
+//! policy (the session records through the same
 //! chain walk as the cold merge, so it needs the same coverage), and on a
 //! crafted system where the edited process sits under a condition
 //! subtree shared between sibling branches (so cached chains on the clean
@@ -109,40 +109,29 @@ proptest! {
         prop_assert!(!processes.is_empty(), "generated systems have ordinary processes");
         // Tracing on: the step-by-step visit order is part of the contract —
         // a replayed chain must surface the very steps it recorded.
-        let base = MergeConfig::new(system.broadcast_time())
+        let merge_config = MergeConfig::new(system.broadcast_time())
             .with_selection(policy)
             .with_trace(true);
 
-        for threads in [1usize, 2, 4] {
-            let merge_config = base.with_threads(threads);
-            let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
-            // The reference system receives the same edits and is merged
-            // cold (from nothing) after each one.
-            let mut reference = system.cpg().clone();
+        let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
+        // The reference system receives the same edits and is merged cold
+        // (from nothing) after each one.
+        let mut reference = system.cpg().clone();
+
+        let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
+        assert_results_identical(&cold, &session.merge(), &format!("cold, {policy:?}"))?;
+
+        for (step, &(selector, time)) in edits.iter().enumerate() {
+            let edit = SystemEdit::ExecTime {
+                process: processes[selector % processes.len()],
+                time: Time::new(time),
+            };
+            edit.apply(&mut reference).expect("ordinary processes are editable");
+            session.apply_edit(&edit).expect("ordinary processes are editable");
 
             let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
-            assert_results_identical(
-                &cold,
-                &session.merge(),
-                &format!("cold, {policy:?}, {threads} threads"),
-            )?;
-
-            for (step, &(selector, time)) in edits.iter().enumerate() {
-                let edit = SystemEdit::ExecTime {
-                    process: processes[selector % processes.len()],
-                    time: Time::new(time),
-                };
-                edit.apply(&mut reference).expect("ordinary processes are editable");
-                session.apply_edit(&edit).expect("ordinary processes are editable");
-
-                let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
-                let warm = session.merge();
-                assert_results_identical(
-                    &cold,
-                    &warm,
-                    &format!("edit {step} ({edit}), {policy:?}, {threads} threads"),
-                )?;
-            }
+            let warm = session.merge();
+            assert_results_identical(&cold, &warm, &format!("edit {step} ({edit}), {policy:?}"))?;
         }
     }
 }
@@ -197,45 +186,38 @@ fn warm_merges_match_cold_on_a_shared_condition_subtree_edit() {
         .ordinary_processes()
         .find(|&p| cpg.process(p).name() == "b_t")
         .expect("crafted system has b_t");
-    let base = MergeConfig::new(Time::new(1)).with_trace(true);
+    let merge_config = MergeConfig::new(Time::new(1)).with_trace(true);
 
-    for threads in [1usize, 2, 4] {
-        let merge_config = base.with_threads(threads);
-        let mut session = MergeSession::new(&cpg, &arch, &merge_config);
-        session.merge();
-        let mut reference = cpg.clone();
-        assert!(
-            enumerate_tracks(&cpg).len() >= 4,
-            "both conditions must fork"
-        );
+    let mut session = MergeSession::new(&cpg, &arch, &merge_config);
+    session.merge();
+    let mut reference = cpg.clone();
+    assert!(
+        enumerate_tracks(&cpg).len() >= 4,
+        "both conditions must fork"
+    );
 
-        let mut replayed_after_some_edit = false;
-        // Walk b_t's WCET up and back down; every step dirties only the
-        // C2-true tracks.
-        for (step, time) in [3u64, 4, 2].into_iter().enumerate() {
-            let edit = SystemEdit::ExecTime {
-                process: b_t,
-                time: Time::new(time),
-            };
-            edit.apply(&mut reference).expect("b_t is editable");
-            session.apply_edit(&edit).expect("b_t is editable");
+    let mut replayed_after_some_edit = false;
+    // Walk b_t's WCET up and back down; every step dirties only the C2-true
+    // tracks.
+    for (step, time) in [3u64, 4, 2].into_iter().enumerate() {
+        let edit = SystemEdit::ExecTime {
+            process: b_t,
+            time: Time::new(time),
+        };
+        edit.apply(&mut reference).expect("b_t is editable");
+        session.apply_edit(&edit).expect("b_t is editable");
 
-            let cold = generate_schedule_table(&reference, &arch, &merge_config);
-            let warm = session.merge();
-            assert_eq!(
-                cold.table(),
-                warm.table(),
-                "table diverged at edit {step}, {threads} threads"
-            );
-            assert_eq!(cold.path_schedules(), warm.path_schedules());
-            assert_eq!(cold.steps(), warm.steps());
-            assert_eq!(cold.stats(), warm.stats());
-            assert_eq!(cold.delta_max(), warm.delta_max());
-            replayed_after_some_edit |= session.reuse_stats().chains_replayed > 0;
-        }
-        assert!(
-            replayed_after_some_edit,
-            "the clean C2-false subtrees never replayed at {threads} threads"
-        );
+        let cold = generate_schedule_table(&reference, &arch, &merge_config);
+        let warm = session.merge();
+        assert_eq!(cold.table(), warm.table(), "table diverged at edit {step}");
+        assert_eq!(cold.path_schedules(), warm.path_schedules());
+        assert_eq!(cold.steps(), warm.steps());
+        assert_eq!(cold.stats(), warm.stats());
+        assert_eq!(cold.delta_max(), warm.delta_max());
+        replayed_after_some_edit |= session.reuse_stats().chains_replayed > 0;
     }
+    assert!(
+        replayed_after_some_edit,
+        "the clean C2-false subtrees never replayed"
+    );
 }

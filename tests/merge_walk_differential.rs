@@ -8,15 +8,13 @@
 //! same walk with a recording one (covered by
 //! `tests/merge_session_differential.rs`). It shares one `Assignment` along
 //! the tree path and takes lock sets and `PathSchedule`s from pools, instead
-//! of cloning all three at every node; with two or more threads the
-//! per-track phases around it (initial schedules, realizability sweep)
-//! additionally fan out over worker threads.
+//! of cloning all three at every node.
 //! None of that is allowed to change a single decision: the original
 //! recursion is kept behind the `test-util` feature
 //! (`generate_schedule_table_cloning`) and the produced `MergeResult` —
 //! table cells with recorded resources, per-path schedules, slips, decision
-//! steps, counters and delays — must be bit-identical over random systems,
-//! at thread counts 1/2/4/8 and for every selection policy, and on crafted
+//! steps, counters and delays — must be bit-identical over random systems
+//! for every selection policy, and on crafted
 //! systems that force the slip-repair loop and conflict repairs across
 //! sibling subtrees that share rows.
 
@@ -26,8 +24,8 @@ use cps::merge::{generate_schedule_table_cloning, MergeStats};
 use cps::prelude::*;
 
 /// Generator configurations spanning conditional structure and architecture
-/// shape; kept close to `tests/parallel_merge.rs` so the suites explore the
-/// same system space, with a bias towards deep condition nests (many paths
+/// shape; kept close to `tests/differential_scheduler.rs` so the suites
+/// explore the same system space, with a bias towards deep condition nests (many paths
 /// over few processes) where the walk dominates.
 fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
     (
@@ -97,16 +95,11 @@ proptest! {
         // allocation-free).
         let base = MergeConfig::new(system.broadcast_time()).with_trace(true);
 
-        // The oracle runs fully serial and clone-per-node; the production
-        // walk runs at one thread and with the per-track fan-outs at two or
-        // more. All must agree.
-        let oracle = generate_schedule_table_cloning(cpg, arch, &base.with_threads(1));
+        let oracle = generate_schedule_table_cloning(cpg, arch, &base);
         oracle.table().verify(cpg, oracle.tracks()).expect("oracle table is correct");
 
-        for threads in [1usize, 2, 4, 8] {
-            let walk = generate_schedule_table(cpg, arch, &base.with_threads(threads));
-            assert_results_identical(&oracle, &walk, &format!("{threads} threads"))?;
-        }
+        let walk = generate_schedule_table(cpg, arch, &base);
+        assert_results_identical(&oracle, &walk, "default policy")?;
     }
 
     #[test]
@@ -126,11 +119,9 @@ proptest! {
             let base = MergeConfig::new(system.broadcast_time())
                 .with_selection(policy)
                 .with_trace(true);
-            let oracle = generate_schedule_table_cloning(cpg, arch, &base.with_threads(1));
-            for threads in [1usize, 2, 4, 8] {
-                let walk = generate_schedule_table(cpg, arch, &base.with_threads(threads));
-                assert_results_identical(&oracle, &walk, &format!("{policy:?}, {threads} threads"))?;
-            }
+            let oracle = generate_schedule_table_cloning(cpg, arch, &base);
+            let walk = generate_schedule_table(cpg, arch, &base);
+            assert_results_identical(&oracle, &walk, &format!("{policy:?}"))?;
         }
     }
 }
@@ -171,24 +162,18 @@ fn slipping_system() -> (Architecture, Cpg) {
 fn production_walks_match_the_oracle_on_a_slip_forcing_system() {
     let (arch, cpg) = slipping_system();
     let config = MergeConfig::new(Time::new(2)).with_trace(true);
-    let oracle = generate_schedule_table_cloning(&cpg, &arch, &config.with_threads(1));
+    let oracle = generate_schedule_table_cloning(&cpg, &arch, &config);
     assert!(
         oracle.stats().slip_repairs > 0,
         "the crafted lock never slipped: {:?}",
         oracle.stats()
     );
-    for threads in [1usize, 2, 4, 8] {
-        let walk = generate_schedule_table(&cpg, &arch, &config.with_threads(threads));
-        assert_eq!(
-            oracle.table(),
-            walk.table(),
-            "table diverged at {threads} threads"
-        );
-        assert_eq!(oracle.path_schedules(), walk.path_schedules());
-        assert_eq!(oracle.steps(), walk.steps());
-        assert_eq!(oracle.stats(), walk.stats());
-        assert_eq!(oracle.delta_max(), walk.delta_max());
-    }
+    let walk = generate_schedule_table(&cpg, &arch, &config);
+    assert_eq!(oracle.table(), walk.table(), "table diverged");
+    assert_eq!(oracle.path_schedules(), walk.path_schedules());
+    assert_eq!(oracle.steps(), walk.steps());
+    assert_eq!(oracle.stats(), walk.stats());
+    assert_eq!(oracle.delta_max(), walk.delta_max());
 }
 
 /// Crafted system whose sibling subtrees deterministically write *overlapping
@@ -246,7 +231,7 @@ fn production_walks_match_the_oracle_when_sibling_subtrees_overlap_rows() {
         let config = MergeConfig::new(Time::new(1))
             .with_selection(policy)
             .with_trace(true);
-        let oracle = generate_schedule_table_cloning(&cpg, &arch, &config.with_threads(1));
+        let oracle = generate_schedule_table_cloning(&cpg, &arch, &config);
         oracle
             .table()
             .verify(&cpg, oracle.tracks())
@@ -254,17 +239,11 @@ fn production_walks_match_the_oracle_when_sibling_subtrees_overlap_rows() {
         // Four paths: both conditions fork, so the sink/broadcast rows
         // overlap across the subtrees of the root node.
         assert!(oracle.tracks().len() >= 4, "both conditions must fork");
-        for threads in [1usize, 2, 4, 8] {
-            let walk = generate_schedule_table(&cpg, &arch, &config.with_threads(threads));
-            assert_eq!(
-                oracle.table(),
-                walk.table(),
-                "table diverged at {threads} threads ({policy:?})"
-            );
-            assert_eq!(oracle.path_schedules(), walk.path_schedules());
-            assert_eq!(oracle.steps(), walk.steps());
-            assert_eq!(oracle.stats(), walk.stats());
-            assert_eq!(oracle.delta_max(), walk.delta_max());
-        }
+        let walk = generate_schedule_table(&cpg, &arch, &config);
+        assert_eq!(oracle.table(), walk.table(), "table diverged ({policy:?})");
+        assert_eq!(oracle.path_schedules(), walk.path_schedules());
+        assert_eq!(oracle.steps(), walk.steps());
+        assert_eq!(oracle.stats(), walk.stats());
+        assert_eq!(oracle.delta_max(), walk.delta_max());
     }
 }
