@@ -45,6 +45,10 @@
 //!     --baseline BENCH_8.json --current bench_current.json
 //! ```
 //!
+//! `--current` may be given several times, one file per bench run: the guard
+//! then gates (and emits) the per-row median over the runs, so a single noisy
+//! run cannot fail the gate on its own.
+//!
 //! `--emit <path> --label <name>` additionally writes the current
 //! measurements as a composed baseline document (the format of the committed
 //! `BENCH_*.json` files), which is how new baselines are produced.
@@ -273,9 +277,40 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
     report
 }
 
+/// The per-row median over several measurement runs, in order of first
+/// appearance. A row missing from some runs takes the median of the runs
+/// that have it; an even count averages the two middle values.
+fn median_rows(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
+    let mut names: Vec<&str> = Vec::new();
+    for (name, _) in runs.iter().flatten() {
+        if !names.contains(&name.as_str()) {
+            names.push(name);
+        }
+    }
+    names
+        .into_iter()
+        .map(|name| {
+            let mut medians: Vec<f64> = runs
+                .iter()
+                .flatten()
+                .filter(|(n, _)| n == name)
+                .map(|&(_, median)| median)
+                .collect();
+            medians.sort_by(f64::total_cmp);
+            let mid = medians.len() / 2;
+            let median = if medians.len() % 2 == 0 {
+                (medians[mid - 1] + medians[mid]) / 2.0
+            } else {
+                medians[mid]
+            };
+            (name.to_owned(), median)
+        })
+        .collect()
+}
+
 fn main() -> ExitCode {
     let mut baseline_path = String::from("BENCH_8.json");
-    let mut current_path = None;
+    let mut current_paths = Vec::new();
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");
 
@@ -287,35 +322,42 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--baseline" => baseline_path = value("--baseline"),
-            "--current" => current_path = Some(value("--current")),
+            "--current" => current_paths.push(value("--current")),
             "--emit" => emit_path = Some(value("--emit")),
             "--label" => label = value("--label"),
             other => {
                 eprintln!("unknown argument {other}");
                 eprintln!(
-                    "usage: bench_guard --current <json> [--baseline <json>] \
-                     [--emit <json> --label <name>]"
+                    "usage: bench_guard --current <json> [--current <json>...] \
+                     [--baseline <json>] [--emit <json> --label <name>]"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
-    let Some(current_path) = current_path else {
+    if current_paths.is_empty() {
         eprintln!("--current <json> is required (the CRITERION_JSON output of cargo bench)");
         return ExitCode::FAILURE;
-    };
+    }
 
-    let current = match read_benchmarks(&current_path) {
-        Ok(rows) if !rows.is_empty() => rows,
-        Ok(_) => {
-            eprintln!("no benchmarks found in {current_path}");
-            return ExitCode::FAILURE;
+    let mut runs = Vec::new();
+    for current_path in &current_paths {
+        match read_benchmarks(current_path) {
+            Ok(rows) if !rows.is_empty() => runs.push(rows),
+            Ok(_) => {
+                eprintln!("no benchmarks found in {current_path}");
+                return ExitCode::FAILURE;
+            }
+            Err(error) => {
+                eprintln!("cannot read {current_path}: {error}");
+                return ExitCode::FAILURE;
+            }
         }
-        Err(error) => {
-            eprintln!("cannot read {current_path}: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+    if runs.len() > 1 {
+        println!("gating the per-row median of {} runs", runs.len());
+    }
+    let current = median_rows(&runs);
 
     if let Some(emit_path) = emit_path {
         let doc = compose_baseline(&label, &current);
@@ -617,6 +659,32 @@ mod tests {
                 .iter()
                 .any(|c| c.contains(probe) && c.contains("calibrated baseline")));
         }
+    }
+
+    #[test]
+    fn several_runs_gate_their_per_row_median() {
+        let baseline = full_side(1000.0, 2000.0);
+        // One run regressed 60% on the serial merge; the other two did not,
+        // so the median passes. A row only some runs carry keeps its median
+        // over those runs.
+        let mut spike = full_side(1600.0, 2000.0);
+        spike.push(("delay/walk_40".to_owned(), 30.0));
+        let mut quiet = full_side(1000.0, 2000.0);
+        quiet.push(("delay/walk_40".to_owned(), 10.0));
+        let runs = [full_side(1100.0, 2000.0), spike, quiet];
+        let current = median_rows(&runs);
+        let row = |name: &str| current.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(row("schedule_merging_serial/60x12"), 1100.0);
+        assert_eq!(row("delay/walk_40"), 20.0);
+        assert_eq!(current.len(), full_side(0.0, 0.0).len() + 1);
+        assert_eq!(run_gate(&baseline, &current).failures, 0);
+        // Two regressed runs out of three fail.
+        let runs = [
+            full_side(1600.0, 2000.0),
+            full_side(1700.0, 2000.0),
+            full_side(1000.0, 2000.0),
+        ];
+        assert_eq!(run_gate(&baseline, &median_rows(&runs)).failures, 1);
     }
 
     #[test]

@@ -548,6 +548,27 @@ mod tests {
         let fig2 = fig2_report();
         assert!(fig2.contains("delta_M"));
         assert!(fig2.contains("Decision tree"));
+        // The listed lengths are the individual schedules of the paths, the
+        // longest of which is δ_M.
+        let (system, result) = fig1_merge();
+        let scheduler = ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time());
+        let listed: Vec<(&str, u64)> = fig2
+            .lines()
+            .skip(1)
+            .take_while(|line| !line.is_empty())
+            .map(|line| {
+                let (label, delay) = line.trim().rsplit_once(' ').unwrap();
+                (label.trim(), delay.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(listed.len(), result.tracks().len());
+        for track in result.tracks().iter() {
+            let label = system.cpg().display_cube(&track.label());
+            let delay = scheduler.schedule_track(track).delay().as_u64();
+            assert!(listed.contains(&(label.as_str(), delay)), "{label}: {fig2}");
+        }
+        let longest = listed.iter().map(|&(_, delay)| delay).max().unwrap();
+        assert_eq!(longest, result.delta_m().as_u64());
         let table1 = table1_report();
         assert!(table1.contains("P10"));
         assert!(table1.contains("0 violations"));

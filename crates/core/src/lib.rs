@@ -18,11 +18,15 @@
 //! by moving processes to previously tabled activation times (Theorem 2 of the
 //! paper).
 //!
+//! One simulation judges the finished table: the merge executes it on every
+//! alternative path with the run-time simulator of `cpg-sim`, and that single
+//! run gives `δ_max` (the largest simulated delay), the violation count
+//! [`MergeStats::lock_slips`] and with it the [`MergeOutcome`].
+//!
 //! The merge runs on the calling thread. The decision-tree walk is one
-//! depth-first traversal, and the per-track phases around it — context
-//! construction, the initial per-path schedules and the final realizability
-//! sweep — are plain loops over the tracks that share the walk's scheduler
-//! scratch arena.
+//! depth-first traversal, and the per-track phases before it — context
+//! construction and the initial per-path schedules — are plain loops over
+//! the tracks that share the walk's scheduler scratch arena.
 //!
 //! A condition-oblivious baseline ([`condition_oblivious_baseline`]) is also
 //! provided for comparison.

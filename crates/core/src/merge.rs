@@ -39,11 +39,17 @@
 //! [`Assignment`] mutated in place and the lock sets and schedules are
 //! pooled, so the walk is allocation-free after warm-up.
 //!
-//! The whole merge runs on the calling thread: the per-track phases around
-//! the walk (initial schedules and the realizability sweep) are plain loops
-//! over the tracks that share the walk's one scheduler scratch arena. The
-//! original clone-per-node recursion is kept behind the `test-util` feature
-//! as a differential-test oracle ([`generate_schedule_table_cloning`]).
+//! After the walk, one simulation judges the finished table
+//! ([`simulate_tracks`]): every track is executed by the run-time simulator
+//! of `cpg-sim`, and that single run yields `δ_max`, the count of run-time
+//! violations ([`MergeStats::lock_slips`]) and with it the
+//! [`MergeOutcome`](crate::MergeOutcome).
+//!
+//! The whole merge runs on the calling thread: the initial per-path
+//! schedules are a plain loop over the tracks that shares the walk's one
+//! scheduler scratch arena. The original clone-per-node recursion is kept
+//! behind the `test-util` feature as a differential-test oracle
+//! ([`generate_schedule_table_cloning`]).
 
 use std::cell::OnceCell;
 
@@ -52,6 +58,7 @@ use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::{
     Job, ListScheduler, LockSet, PathSchedule, RunScratch, ScheduledJob, SlippedLock, TrackContext,
 };
+use cpg_sim::Simulator;
 use cpg_table::{ScheduleTable, TableView};
 
 use crate::config::{MergeConfig, SelectionPolicy};
@@ -69,8 +76,9 @@ use crate::result::{MergeResult, MergeStats, MergeStep};
 ///   chain's placements; caught by the cloning-oracle differential (the
 ///   oracle allocates a fresh lock set per back-step).
 /// * [`SkipSlipRepair`] — drops the Theorem-2 slip-repair loop *and* the
-///   slip observation, publishing stale intended times without marking them;
-///   caught by the reference-realizability oracle.
+///   in-merge violation count, publishing stale intended times as a
+///   realizable table; caught by the simulation oracle, which runs the table
+///   itself.
 /// * [`SkipSpliceValidation`] — replays cached session chains without
 ///   validating their read sets; caught by the warm-vs-cold oracle.
 /// * [`SkipEntryValidation`] — drops the `validate_system` call from the
@@ -127,8 +135,8 @@ pub mod sabotage {
         dirty_lock_reuse
     );
     switch!(
-        /// Guard that skips the Theorem-2 slip-repair loop (and the slip
-        /// observation that gates the realizability sweep) while alive.
+        /// Guard that skips the Theorem-2 slip-repair loop (and the count
+        /// of the simulated violations it leaves behind) while alive.
         SKIP_SLIP_REPAIR,
         SkipSlipRepair,
         skip_slip_repair
@@ -156,9 +164,9 @@ pub mod sabotage {
 /// processes are mapped on and `config` carries the condition-broadcast time
 /// `τ0` and the path-selection policy.
 ///
-/// The returned [`MergeResult`] bundles the table, the per-path schedules,
-/// the lower bound `δ_M`, the guaranteed worst-case delay `δ_max` and
-/// statistics about the merge.
+/// The returned [`MergeResult`] bundles the table, the individual per-path
+/// schedules, the lower bound `δ_M`, the simulated worst-case delay `δ_max`
+/// and statistics about the merge.
 ///
 /// # Example
 ///
@@ -296,37 +304,74 @@ fn generate_for_tracks_inner(
         }
     }
 
-    // Adjustments that slipped fed the divergent entries back through the
-    // Theorem-2 re-placement loop; whatever the repairs could not absorb
-    // is what the final table still cannot realize. Replaying the table
-    // through the scheduler gives the exact surviving count — and the
-    // replays themselves are the realized per-path schedules, so they are
-    // kept instead of thrown away.
     let mut stats = state.stats;
-    let realized = if state.needs_sweep() {
-        let replays = shared.residual_replays(&table, &mut state.scratch);
-        stats.lock_slips = replays
-            .iter()
-            .map(|replay| replay.slipped_locks().len())
-            .sum();
-        Some(replays)
-    } else {
-        None
-    };
-
-    let delta_max = table.worst_case_delay(cpg, &tracks);
+    let simulated = simulate_tracks(cpg, arch, config, &table, &tracks, |_| None);
+    let delta_max = judge(&simulated, &mut stats);
     MergeResult {
         table,
         tracks,
-        // When the realizability sweep ran, its replays carry the per-path
-        // timing the table actually realizes; otherwise no lock ever slipped
-        // and the optimal schedules are exact.
-        path_schedules: realized.unwrap_or(optimal),
+        path_schedules: optimal,
         delta_m,
         delta_max,
         steps: state.steps,
         stats,
     }
+}
+
+/// What one simulated run of the finished table reports for a track: its
+/// delay and the number of run-time violations.
+pub(crate) type TrackRun = (Time, usize);
+
+/// The merge's one realizability check: executes the finished table on
+/// every track with the run-time simulator, in track order. `reuse` may
+/// hand back a track's run from an earlier merge instead (the session's
+/// per-track cache); the cold merge reuses nothing.
+///
+/// The simulated delay of a track is bit-identical to
+/// [`ScheduleTable::track_delay`]: both take the same activation lookups
+/// over the processes whose guard the label implies, plus their execution
+/// times.
+pub(crate) fn simulate_tracks(
+    cpg: &Cpg,
+    arch: &Architecture,
+    config: &MergeConfig,
+    table: &ScheduleTable,
+    tracks: &TrackSet,
+    mut reuse: impl FnMut(usize) -> Option<TrackRun>,
+) -> Vec<TrackRun> {
+    let simulator = Simulator::new(cpg, arch, table, config.broadcast_time());
+    tracks
+        .iter()
+        .enumerate()
+        .map(|(idx, track)| {
+            reuse(idx).unwrap_or_else(|| {
+                let report = simulator.run(&track.label());
+                (report.delay(), report.violations().len())
+            })
+        })
+        .collect()
+}
+
+/// Folds the simulated runs into the merge's verdict: the violation total
+/// becomes [`MergeStats::lock_slips`] (and with it the
+/// [`MergeOutcome`](crate::MergeOutcome)), and the largest simulated delay,
+/// `δ_max`, is returned.
+pub(crate) fn judge(runs: &[TrackRun], stats: &mut MergeStats) -> Time {
+    let violations = runs.iter().map(|&(_, violations)| violations).sum();
+    // Mutation self-test hook: the slip-repair mutant models losing the
+    // repair *and* its accounting, so the table is published as realizable;
+    // the simulation oracle must catch it (tests/adversarial_corpus.rs).
+    #[cfg(any(test, feature = "test-util"))]
+    let violations = if sabotage::skip_slip_repair() {
+        0
+    } else {
+        violations
+    };
+    stats.lock_slips = violations;
+    runs.iter()
+        .map(|&(delay, _)| delay)
+        .max()
+        .unwrap_or(Time::ZERO)
 }
 
 /// Variant of [`generate_schedule_table`] that validates the system first
@@ -418,11 +463,8 @@ pub(crate) struct WalkState {
     /// [`MergeConfig::with_trace`] is on).
     pub(crate) steps: Vec<MergeStep>,
     pub(crate) stats: MergeStats,
-    /// `true` once any adjustment reported a slipped lock; gates the final
-    /// realizability sweep that computes [`MergeStats::lock_slips`].
-    pub(crate) saw_slip: bool,
     /// Scratch arena for every scheduler run of the merge: the initial
-    /// schedules, adjustments, repairs and the realizability sweep.
+    /// schedules, adjustments and repairs.
     pub(crate) scratch: RunScratch,
     /// Reusable buffers of the repair loops.
     slip_buf: Vec<SlippedLock>,
@@ -446,7 +488,6 @@ impl WalkState {
         WalkState {
             steps: Vec::new(),
             stats: MergeStats::default(),
-            saw_slip: false,
             scratch: RunScratch::new(),
             slip_buf: Vec::new(),
             stale_buf: Vec::new(),
@@ -458,30 +499,6 @@ impl WalkState {
             spare: PathSchedule::default(),
             resolutions: Vec::new(),
         }
-    }
-
-    /// Whether the realizability sweep must run after the walk.
-    ///
-    /// It must run whenever any back-step adjustment occurred, not only when
-    /// a walk-time reschedule slipped: each adjustment validates one selected
-    /// track against the table as it stood at that node, but the entries it
-    /// places land in condition-compatible columns that also apply to
-    /// sibling tracks never rescheduled against the final lock set. On
-    /// graphs whose guards decouple a process from its expansion-derived
-    /// communications (a supported structural edit), that gap produced
-    /// tables with unhonourable activation times reported as `lock_slips: 0`
-    /// — found by the adversarial fuzzer (`crates/fuzz`). With zero
-    /// adjustments there is a single reachable track and the table is its
-    /// own optimal schedule, so skipping the sweep is sound.
-    pub(crate) fn needs_sweep(&self) -> bool {
-        let run = self.saw_slip || self.stats.adjustments > 0;
-        // The slip-repair mutant models losing both the repair *and* the
-        // accounting, so it suppresses the sweep too — otherwise the sweep
-        // would honestly count the stale times and the mutant would be
-        // indistinguishable from a correct (if slow) merge.
-        #[cfg(any(test, feature = "test-util"))]
-        let run = run && !sabotage::skip_slip_repair();
-        run
     }
 }
 
@@ -641,17 +658,16 @@ impl MergeShared<'_> {
             out,
         );
         // Mutation self-test hook: publish the stale intended times without
-        // repairing — or even observing — the slip, so the realizability
-        // sweep never runs and the table keeps activation times no
-        // dispatcher can honour. The reference-realizability oracle must
-        // catch the divergence (tests/adversarial_corpus.rs).
+        // repairing the slip, so the table keeps activation times no
+        // dispatcher can honour ([`judge`] drops their count too). The
+        // simulation oracle must catch the divergence
+        // (tests/adversarial_corpus.rs).
         #[cfg(any(test, feature = "test-util"))]
         if sabotage::skip_slip_repair() {
             return;
         }
         let mut rounds = 0;
         while !out.slipped_locks().is_empty() && rounds < SLIP_REPAIR_ROUNDS {
-            state.saw_slip = true;
             state.stats.repair_rounds += 1;
             let mut slips = std::mem::take(&mut state.slip_buf);
             slips.clear();
@@ -672,7 +688,6 @@ impl MergeShared<'_> {
             );
             rounds += 1;
         }
-        state.saw_slip |= !out.slipped_locks().is_empty();
     }
 
     /// [`adjust_into`](Self::adjust_into) allocating a fresh schedule per
@@ -709,7 +724,7 @@ impl MergeShared<'_> {
     /// still too early slips again and is re-timed in the next round.
     ///
     /// Returns `false` when no stale entry could be located (the slip then
-    /// survives as-is and is picked up by the final realizability sweep).
+    /// survives as-is and shows up when the finished table is simulated).
     // lint: hot-path (Theorem-2 conflict repair runs inside the walk's inner loop)
     fn repair_slip<V: TableView + ?Sized>(
         &self,
@@ -802,50 +817,6 @@ impl MergeShared<'_> {
         locks.insert_pinned(job, target, target_pe);
         state.stats.slip_repairs += 1;
         true
-    }
-
-    /// Replays the final table through the per-track scheduler: every job of
-    /// every track is locked at its applicable tabled time (pinned to the
-    /// recorded resource) and rescheduled. Any lock the scheduler cannot
-    /// honour is an activation time the dispatcher cannot realize — the
-    /// total slip count over the returned replays is what
-    /// [`MergeStats::lock_slips`] reports — and the replays themselves are
-    /// the *realized* per-path schedules under the final table, seeded into
-    /// [`MergeResult::path_schedules`].
-    pub(crate) fn residual_replays(
-        &self,
-        table: &ScheduleTable,
-        scratch: &mut RunScratch,
-    ) -> Vec<PathSchedule> {
-        let mut locks = LockSet::for_graph(self.cpg);
-        self.tracks
-            .iter()
-            .enumerate()
-            .map(|(idx, track)| {
-                locks.clear();
-                self.final_locks_into(table, track, &mut locks);
-                self.contexts
-                    .get(idx)
-                    .reschedule_with(scratch, &self.optimal[idx], &locks)
-            })
-            .collect()
-    }
-
-    /// Gathers the locks the final table imposes on `track` into `locks`:
-    /// every job of the track at its applicable tabled time, pinned to the
-    /// recorded resource — the input of the track's realizability replay.
-    pub(crate) fn final_locks_into(
-        &self,
-        table: &ScheduleTable,
-        track: &Track,
-        locks: &mut LockSet,
-    ) {
-        let assignment = Assignment::from_cube(&track.label());
-        for job in self.track_jobs(track) {
-            if let Some(found) = table.activation(job, &assignment) {
-                locks.insert_pinned(job, found.time, found.resource);
-            }
-        }
     }
 
     /// Picks the reachable path used as the current schedule at a decision

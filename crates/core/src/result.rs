@@ -47,14 +47,16 @@ pub struct MergeStats {
     /// the stale intended time was dropped from the table and the entry was
     /// re-placed at the start the schedule actually achieved.
     pub slip_repairs: usize,
-    /// Number of tabled activation times the dispatcher cannot realize that
-    /// *survived* slip repair, measured by replaying the final table through
-    /// the per-track scheduler (every job locked at its applicable tabled
-    /// time on its recorded resource). Slips observed during adjustments are
-    /// repaired via [`MergeStats::slip_repairs`] rather than published as
-    /// stale intended times, so this is 0 unless a repair could not converge;
-    /// a non-zero value means the final table still contains activation
-    /// times no run-time scheduler can honour.
+    /// Number of run-time violations of the finished table: the merge
+    /// executes the table once per alternative path with the run-time
+    /// simulator of `cpg-sim`, and this is the total of the violations those
+    /// runs report — a missing activation, a condition not yet known
+    /// locally, an input that arrives late, or two jobs overlapping on an
+    /// exclusive resource. Slips observed during adjustments are repaired
+    /// via [`MergeStats::slip_repairs`] rather than published as stale
+    /// intended times, so a non-zero value means the repairs left activation
+    /// times no run-time scheduler can honour. (The name predates the
+    /// simulation check, when only slipped locks were counted.)
     pub lock_slips: usize,
     /// Deepest decision-tree node visited, counted in decided conditions
     /// (the root sits at depth 0, so a node that resolves the first
@@ -86,24 +88,24 @@ impl MergeStats {
     }
 }
 
-/// Whether the generated table honours the paper's requirement 2.
+/// Whether the run-time schedulers can execute the generated table as
+/// written.
 ///
 /// Requirement 2 demands that every activation time written into the table
 /// is one the run-time dispatcher can realize on every path the entry
 /// applies to. The merge repairs violations as it goes (the Theorem-2 loop
-/// and slip repair), so for well-formed inputs the outcome is
-/// [`Realizable`](MergeOutcome::Realizable); a
-/// [`Degraded`](MergeOutcome::Degraded) outcome means the table is still a
-/// valid worst-case bound but contains activation times some path cannot
-/// meet exactly.
+/// and slip repair) and then judges the finished table by simulating it on
+/// every path: the outcome is [`Realizable`](MergeOutcome::Realizable) when
+/// no conflict went unrepaired and every simulated run is clean. A
+/// [`Degraded`](MergeOutcome::Degraded) outcome means some path cannot run
+/// the table exactly as written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MergeOutcome {
-    /// Every tabled activation time is realizable on every applicable path.
+    /// Every alternative path executes the table without a violation.
     Realizable,
-    /// The table violates requirement 2: some conflicts could not be
-    /// repaired by re-placement and/or some activation times survived slip
-    /// repair unrealized.
+    /// Some conflicts could not be repaired by re-placement and/or the
+    /// simulation of some path reports violations.
     Degraded {
         /// [`MergeStats::unrepaired_conflicts`] of the merge.
         unrepaired_conflicts: usize,
@@ -119,14 +121,13 @@ pub enum MergeOutcome {
 /// The paper's requirement 2 (an activation time stored in the table must be
 /// realizable by the dispatcher on every path it applies to) is a *repaired*
 /// invariant, not an assumed one: conflicts are re-placed through the
-/// Theorem-2 loop and slipped locks are repaired in-column until none
-/// survive. Callers that need the strict guarantee must check
-/// [`MergeResult::outcome`] (or [`MergeResult::ensure_realizable`]) instead
-/// of assuming it — pathological inputs can exhaust the repair loop, and the
-/// merge then *returns* the degraded table (with
-/// [`MergeStats::unrepaired_conflicts`] / [`MergeStats::lock_slips`]
-/// non-zero) rather than panicking, because the table is still a correct
-/// worst-case-delay bound.
+/// Theorem-2 loop and slipped locks are repaired in-column. One simulation
+/// of the finished table on every path then judges the result. Callers
+/// that need the strict guarantee must check [`MergeResult::outcome`] (or
+/// [`MergeResult::ensure_realizable`]) instead of assuming it — pathological
+/// inputs can exhaust the repair loop, and the merge then *returns* the
+/// degraded table (with [`MergeStats::unrepaired_conflicts`] /
+/// [`MergeStats::lock_slips`] non-zero) rather than panicking.
 #[derive(Debug, Clone)]
 pub struct MergeResult {
     pub(crate) table: ScheduleTable,
@@ -151,17 +152,11 @@ impl MergeResult {
         &self.tracks
     }
 
-    /// The per-path schedules, in the same order as [`MergeResult::tracks`].
-    ///
-    /// When the merge never observed a slipped lock these are the individual
-    /// (near-optimal) schedules of the alternative paths. When it did, the
-    /// final realizability sweep replays every track against the finished
-    /// table (each job locked at its tabled time on its recorded resource)
-    /// and those replays are returned instead: the *realized* per-path
-    /// timing, with any surviving unrealizable activation still reported via
-    /// [`PathSchedule::slipped_locks`] (their total is
-    /// [`MergeStats::lock_slips`]). [`MergeResult::delta_m`] always refers to
-    /// the optimal schedules, so the lower bound is unaffected.
+    /// The individual (near-optimal) schedules of the alternative paths, in
+    /// the same order as [`MergeResult::tracks`]; the longest of them is
+    /// `δ_M`. The timing the table realizes on a path is what the run-time
+    /// simulator of `cpg-sim` reports for it (its delay is
+    /// [`ScheduleTable::track_delay`]).
     #[must_use]
     pub fn path_schedules(&self) -> &[PathSchedule] {
         &self.path_schedules
@@ -180,7 +175,9 @@ impl MergeResult {
         self.delta_m
     }
 
-    /// `δ_max`: the worst-case delay guaranteed by the generated table.
+    /// `δ_max`: the worst-case delay of the generated table — the largest
+    /// delay of the merge's simulated runs, equal to
+    /// [`ScheduleTable::worst_case_delay`].
     #[must_use]
     pub fn delta_max(&self) -> Time {
         self.delta_max
@@ -231,7 +228,8 @@ impl MergeResult {
         0
     }
 
-    /// Whether the table honours requirement 2 (see the type-level docs).
+    /// Whether the table runs clean on every path (see the type-level
+    /// docs).
     #[must_use]
     pub fn outcome(&self) -> MergeOutcome {
         if self.stats.unrepaired_conflicts == 0 && self.stats.lock_slips == 0 {

@@ -45,11 +45,14 @@ use cpg::{
     Track, TrackSet,
 };
 use cpg_arch::{Architecture, Time};
-use cpg_path_sched::{ListScheduler, LockSet, PathSchedule};
+use cpg_path_sched::{ListScheduler, PathSchedule};
 use cpg_table::{ScheduleTable, TableTxn, TxnLog};
 
 use crate::config::MergeConfig;
-use crate::merge::{ChainEntry, ChainRecorder, ContextCache, MergeShared, Resolution, WalkState};
+use crate::merge::{
+    judge, simulate_tracks, ChainEntry, ChainRecorder, ContextCache, MergeShared, Resolution,
+    TrackRun, WalkState,
+};
 use crate::result::{MergeResult, MergeStats, MergeStep};
 
 /// Counters describing how much of the cached decision tree the last
@@ -76,8 +79,6 @@ struct ChainSeg {
     stats: MergeStats,
     /// Traced steps of the segment (empty unless tracing is on).
     steps: Vec<MergeStep>,
-    /// Whether an adjustment inside the segment reported a slipped lock.
-    saw_slip: bool,
     /// The condition resolution that ended the segment; `None` for the last
     /// segment of the chain (the schedule ran out).
     resolution: Option<Resolution>,
@@ -120,21 +121,21 @@ struct Rewalk<'a> {
     /// the current serial point (induction over the deterministic splice), so
     /// replays skip content validation entirely.
     diverged: bool,
-    /// Whether to accumulate `changed`: off when no per-track delay cache
-    /// exists to invalidate (the first merge and after structural edits).
+    /// Whether to accumulate `changed`: off when no per-track simulation
+    /// cache exists to invalidate (the first merge and after structural
+    /// edits).
     note_changes: bool,
     /// Column cubes of every table cell that may differ from the previous
     /// merge's table: the writes of re-recorded chains (old and new) and of
     /// dropped subtrees. Replayed chains splice byte-identical content and
-    /// note nothing. The per-track delay cache invalidates exactly the
+    /// note nothing. The per-track simulation cache invalidates exactly the
     /// tracks whose label is compatible with a noted column.
     changed: Vec<Cube>,
     reuse: ReuseStats,
     /// The segments recorded so far of the chain being walked.
     segs: Vec<ChainSeg>,
-    /// Counters, step count and slip flag of the walk when the open segment
-    /// started; the flag is cleared for the segment and restored after it.
-    seg_start: (MergeStats, usize, bool),
+    /// Counters and step count of the walk when the open segment started.
+    seg_start: (MergeStats, usize),
 }
 
 impl Rewalk<'_> {
@@ -216,7 +217,6 @@ impl ChainRecorder for Rewalk<'_> {
         table.splice_log(&chain.log);
         for seg in &chain.segs {
             st.stats.absorb(seg.stats);
-            st.saw_slip |= seg.saw_slip;
             st.steps.extend(seg.steps.iter().cloned());
             if let Some(resolution) = seg.resolution {
                 st.resolutions.push(resolution);
@@ -233,12 +233,11 @@ impl ChainRecorder for Rewalk<'_> {
     }
 
     fn begin_segment(&mut self, st: &mut WalkState) {
-        self.seg_start = (st.stats, st.steps.len(), st.saw_slip);
-        st.saw_slip = false;
+        self.seg_start = (st.stats, st.steps.len());
     }
 
     fn end_segment(&mut self, st: &mut WalkState, depth: usize, resolution: Option<Resolution>) {
-        let (stats_before, steps_before, slip_outer) = self.seg_start;
+        let (stats_before, steps_before) = self.seg_start;
         let mut stats = stats_delta(stats_before, st.stats);
         // Depths are absolute (decided conditions at the node), so caching
         // the segment's own maximum — instead of the meaningless delta of a
@@ -248,10 +247,8 @@ impl ChainRecorder for Rewalk<'_> {
         self.segs.push(ChainSeg {
             stats,
             steps: st.steps[steps_before..].to_vec(),
-            saw_slip: st.saw_slip,
             resolution,
         });
-        st.saw_slip |= slip_outer;
     }
 
     fn finish(view: TableTxn<'_>) -> TxnLog {
@@ -426,19 +423,15 @@ pub struct MergeSession {
     optimal: Vec<PathSchedule>,
     /// Frontier hashes aligned with `optimal`.
     track_hashes: Vec<u64>,
-    /// Cached residual (realizability-sweep) replays, aligned with `tracks`:
-    /// per track, the fingerprint of the final tabled locks the replay was
-    /// computed under, plus the realized schedule. A replay depends only on
-    /// the track's optimal schedule and those locks, so a clean track with an
-    /// unchanged lock fingerprint reuses it without running the scheduler.
-    realized: Vec<Option<(u64, PathSchedule)>>,
-    /// Per-track worst-case delays of the last merge's table, aligned with
-    /// `tracks` (empty before the first merge). A track's delay reads only
-    /// the table cells whose column is compatible with its label, plus the
-    /// execution times of its own processes — so a clean track with no
-    /// compatible changed column reuses the cached value and `delta_max`
-    /// costs nothing on a pure replay.
-    track_delays: Vec<Time>,
+    /// The simulated run of each track on the last merge's table — its delay
+    /// and violation count — aligned with `tracks` (empty before the first
+    /// merge). A run reads only the table cells whose column is satisfied by
+    /// the track's label (so compatible with it), plus the execution times
+    /// and mappings of the track's own processes, which are guard-implied by
+    /// the label and so covered by the dirty set. A clean track with no
+    /// compatible changed column therefore reuses the cached run, and the
+    /// realizability check costs nothing on a pure replay.
+    track_runs: Vec<TrackRun>,
     /// Reuse counters of the last merge.
     reuse: ReuseStats,
 }
@@ -462,8 +455,7 @@ impl MergeSession {
             root: None,
             optimal: Vec::new(),
             track_hashes: Vec::new(),
-            realized: Vec::new(),
-            track_delays: Vec::new(),
+            track_runs: Vec::new(),
             reuse: ReuseStats::default(),
         }
     }
@@ -523,14 +515,13 @@ impl MergeSession {
         Ok(scope)
     }
 
-    /// Drops the cached decision tree, schedules and residual replays: the
+    /// Drops the cached decision tree, schedules and simulated runs: the
     /// next [`merge`](Self::merge) is a full cold walk.
     pub fn invalidate_all(&mut self) {
         self.root = None;
         self.optimal.clear();
         self.track_hashes.clear();
-        self.realized.clear();
-        self.track_delays.clear();
+        self.track_runs.clear();
     }
 
     /// Re-merges the (possibly edited) system, replaying every cached
@@ -546,29 +537,16 @@ impl MergeSession {
             self.root = None;
             self.optimal.clear();
             self.track_hashes.clear();
-            self.realized.clear();
-            self.track_delays.clear();
+            self.track_runs.clear();
             self.structural = false;
             self.dirty = vec![false; self.tracks.len()];
         }
         let dirty = std::mem::take(&mut self.dirty);
         let cached_root = self.root.take();
-        // A dirty track's optimal schedule is about to change, so any cached
-        // residual replay of it is stale — even if this merge ends up never
-        // running the realizability sweep.
-        if self.realized.len() == self.tracks.len() {
-            for (idx, is_dirty) in dirty.iter().enumerate() {
-                if *is_dirty {
-                    self.realized[idx] = None;
-                }
-            }
-        } else {
-            self.realized = vec![None; self.tracks.len()];
-        }
 
         let scheduler = ListScheduler::new(&self.cpg, &self.arch, self.config.broadcast_time());
         // Contexts are built lazily: a warm merge only needs them for the
-        // tracks it re-schedules, re-walks or re-sweeps; a merge that replays
+        // tracks it re-schedules or re-walks; a merge that replays
         // everything needs none at all. (The cold path eagerly prefills the
         // same cache with its initial schedules.)
         let contexts = ContextCache::new(scheduler, &self.tracks);
@@ -613,16 +591,16 @@ impl MergeSession {
             tracks: &self.tracks,
             optimal: &optimal,
         };
-        let have_delays = self.track_delays.len() == self.tracks.len();
+        let have_runs = self.track_runs.len() == self.tracks.len();
         let mut rewalk = Rewalk {
             track_hashes: &track_hashes,
             dirty: &dirty,
             diverged: false,
-            note_changes: have_delays,
+            note_changes: have_runs,
             changed: Vec::new(),
             reuse: ReuseStats::default(),
             segs: Vec::new(),
-            seg_start: (MergeStats::default(), 0, false),
+            seg_start: (MergeStats::default(), 0),
         };
 
         let mut table = ScheduleTable::new();
@@ -640,67 +618,10 @@ impl MergeSession {
             &mut decided,
         );
 
-        let mut stats = state.stats;
-        let realized = if state.needs_sweep() {
-            // Same realizability sweep as the cold path
-            // ([`MergeShared::residual_replays`]), with a per-track replay
-            // cache: the replay is a function of the track's optimal schedule
-            // and its final tabled locks, so a clean track whose lock
-            // fingerprint is unchanged reuses the cached schedule instead of
-            // re-running the scheduler. (Dirty tracks had their cache entry
-            // cleared above.)
-            let cached = std::mem::take(&mut self.realized);
-            let mut locks = LockSet::for_graph(&self.cpg);
-            let replays: Vec<(u64, PathSchedule)> = self
-                .tracks
-                .iter()
-                .enumerate()
-                .map(|(idx, track)| {
-                    locks.clear();
-                    shared.final_locks_into(&table, track, &mut locks);
-                    let mut h = FrontierHasher::new();
-                    for lock in locks.iter_pinned() {
-                        lock.hash(&mut h);
-                    }
-                    let fingerprint = h.finish();
-                    if let Some((fp, schedule)) = &cached[idx] {
-                        if *fp == fingerprint {
-                            return (fingerprint, schedule.clone());
-                        }
-                    }
-                    let replay = contexts.get(idx).reschedule_with(
-                        &mut state.scratch,
-                        &optimal[idx],
-                        &locks,
-                    );
-                    (fingerprint, replay)
-                })
-                .collect();
-            stats.lock_slips = replays
-                .iter()
-                .map(|(_, replay)| replay.slipped_locks().len())
-                .sum();
-            self.realized = replays
-                .iter()
-                .map(|(fp, schedule)| Some((*fp, schedule.clone())))
-                .collect();
-            Some(
-                replays
-                    .into_iter()
-                    .map(|(_, schedule)| schedule)
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            None
-        };
-        // `worst_case_delay` decomposes as a max of per-track delays, and a
-        // track's delay reads only the cells in columns compatible with its
-        // label plus the execution times of its own processes (guard-implied
-        // by the label, so the dirty set covers every edit to them). The
-        // re-walk noted the column of every cell that may differ from the
-        // previous table; clean tracks with no compatible changed column
-        // keep last merge's value.
-        let cached_delays = std::mem::take(&mut self.track_delays);
+        // The re-walk noted the column of every cell that may differ from
+        // the previous table; clean tracks with no compatible changed column
+        // keep last merge's run (see `track_runs` for why that is sound).
+        let cached_runs = std::mem::take(&mut self.track_runs);
         let mut changed_columns = std::mem::take(&mut rewalk.changed);
         changed_columns.sort_unstable();
         changed_columns.dedup();
@@ -724,26 +645,21 @@ impl MergeSession {
             }
             changed_columns.iter().any(|col| col.compatible(label))
         };
-        self.track_delays = self
-            .tracks
-            .tracks()
-            .iter()
-            .enumerate()
-            .map(|(idx, track)| {
-                let label = track.label();
-                if have_delays && !dirty[idx] && !any_changed_compatible(&label) {
-                    cached_delays[idx]
-                } else {
-                    table.track_delay(&self.cpg, &label)
-                }
-            })
-            .collect();
-        let delta_max = self
-            .track_delays
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Time::ZERO);
+        self.track_runs = simulate_tracks(
+            &self.cpg,
+            &self.arch,
+            &self.config,
+            &table,
+            &self.tracks,
+            |idx| {
+                let reusable = have_runs
+                    && !dirty[idx]
+                    && !any_changed_compatible(&self.tracks.tracks()[idx].label());
+                reusable.then(|| cached_runs[idx])
+            },
+        );
+        let mut stats = state.stats;
+        let delta_max = judge(&self.track_runs, &mut stats);
 
         self.reuse = rewalk.reuse;
         self.root = Some(new_root);
@@ -754,10 +670,7 @@ impl MergeSession {
         MergeResult {
             table,
             tracks: self.tracks.clone(),
-            path_schedules: match realized {
-                Some(replays) => replays,
-                None => self.optimal.clone(),
-            },
+            path_schedules: self.optimal.clone(),
             delta_m,
             delta_max,
             steps: state.steps,

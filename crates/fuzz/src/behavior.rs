@@ -35,7 +35,8 @@ pub struct BehaviorVector {
     pub unrepaired_conflicts: usize,
     /// Lock slips repaired by the slip-correcting pipeline.
     pub slip_repairs: usize,
-    /// Lock slips surviving in the final table.
+    /// Run-time violations of the final table
+    /// ([`MergeStats::lock_slips`](cpg_merge::MergeStats::lock_slips)).
     pub lock_slips: usize,
     /// Deepest decision-tree node reached, in decided conditions.
     pub max_walk_depth: usize,

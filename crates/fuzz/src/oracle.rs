@@ -14,22 +14,21 @@
 //! 4. **Warm vs cold** — a [`MergeSession`] replaying the workload's edit
 //!    sequence must produce, after every edit, the same result as a cold
 //!    merge of an identically edited graph.
-//! 5. **Reference realizability** — replaying the final table through the
-//!    naive reference scheduler must reproduce exactly the surviving-slip
-//!    count the merge reported.
+//! 5. **Simulates clean** — running the final table on every alternative
+//!    path with the run-time simulator must agree with the merge's verdict:
+//!    a `Realizable` table runs clean on every path, a clean table without
+//!    unrepaired conflicts is `Realizable`, and `lock_slips` is exactly the
+//!    simulated violation total.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cpg::{Assignment, Cpg};
-use cpg_arch::{Architecture, PeId, Time};
 use cpg_gen::{GeneratedSystem, Workload};
 use cpg_merge::{
     generate_schedule_table, generate_schedule_table_cloning, try_generate_schedule_table,
-    validate_system, MergeConfig, MergeResult, MergeSession,
+    validate_system, MergeConfig, MergeOutcome, MergeResult, MergeSession,
 };
-use cpg_path_sched::{reference, Job};
+use cpg_sim::Simulator;
 
 use crate::behavior::BehaviorVector;
 
@@ -44,8 +43,8 @@ pub enum OracleKind {
     CloningWalk,
     /// A warm session merge diverged from the cold merge of the same system.
     WarmVsCold,
-    /// The final table is not realizable exactly as its stats report.
-    ReferenceRealizability,
+    /// The merge's verdict disagrees with a simulation of its table.
+    SimulatesClean,
 }
 
 impl fmt::Display for OracleKind {
@@ -55,7 +54,7 @@ impl fmt::Display for OracleKind {
             OracleKind::InputValidation => "input-validation",
             OracleKind::CloningWalk => "cloning-walk",
             OracleKind::WarmVsCold => "warm-vs-cold",
-            OracleKind::ReferenceRealizability => "reference-realizability",
+            OracleKind::SimulatesClean => "simulates-clean",
         })
     }
 }
@@ -183,13 +182,35 @@ fn run_oracles_inner(
         }
     }
 
-    // Oracle 5: every tabled activation time is realizable, or counted.
-    let replayed = replayed_slips(cpg, arch, system.broadcast_time(), &baseline);
-    if replayed != baseline.stats().lock_slips {
+    // Oracle 5: the verdict is what running the table shows.
+    let simulator = Simulator::new(cpg, arch, baseline.table(), system.broadcast_time());
+    let violations: usize = simulator
+        .run_all(baseline.tracks())
+        .iter()
+        .map(|report| report.violations().len())
+        .sum();
+    let clean = violations == 0;
+    // An unrepaired conflict degrades the outcome even where no path's run
+    // happens to trip over it.
+    let agrees = if baseline.outcome() == MergeOutcome::Realizable {
+        clean
+    } else {
+        !clean || baseline.stats().unrepaired_conflicts > 0
+    };
+    if !agrees {
         return Err(OracleFailure {
-            oracle: OracleKind::ReferenceRealizability,
+            oracle: OracleKind::SimulatesClean,
             detail: format!(
-                "{replayed} unrealizable activation time(s) but {} counted",
+                "outcome {:?} but the simulation reports {violations} violation(s)",
+                baseline.outcome()
+            ),
+        });
+    }
+    if violations != baseline.stats().lock_slips {
+        return Err(OracleFailure {
+            oracle: OracleKind::SimulatesClean,
+            detail: format!(
+                "{violations} simulated violation(s) but {} counted",
                 baseline.stats().lock_slips
             ),
         });
@@ -227,31 +248,4 @@ pub fn divergence(expected: &MergeResult, actual: &MergeResult) -> Option<String
         return Some(format!("stats differ: {a:?} vs {b:?}"));
     }
     None
-}
-
-/// Replays the final table through the naive reference scheduler: every job
-/// locked at its applicable tabled time on its recorded resource. Returns
-/// the number of locks the reference scheduler could not honour.
-fn replayed_slips(cpg: &Cpg, arch: &Architecture, tau0: Time, result: &MergeResult) -> usize {
-    let table = result.table();
-    let mut replayed = 0usize;
-    for track in result.tracks().iter() {
-        let assignment = Assignment::from_cube(&track.label());
-        let mut locks: HashMap<Job, (Time, Option<PeId>)> = HashMap::new();
-        let jobs = track
-            .processes()
-            .iter()
-            .filter(|&&p| !cpg.process(p).kind().is_dummy())
-            .map(|&p| Job::Process(p))
-            .chain(track.determined_conditions().map(Job::Broadcast));
-        for job in jobs {
-            if let Some(time) = table.activation_time(job, &assignment) {
-                locks.insert(job, (time, table.activation_resource(job, &assignment)));
-            }
-        }
-        let original = reference::schedule_track(cpg, arch, tau0, track);
-        let replay = reference::reschedule(cpg, arch, tau0, track, &original, &locks);
-        replayed += replay.slipped_locks().len();
-    }
-    replayed
 }

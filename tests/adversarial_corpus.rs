@@ -153,14 +153,10 @@ fn dirty_lock_reuse_is_caught_by_the_cloning_oracle() {
 }
 
 #[test]
-fn skipped_slip_repair_is_caught_by_the_realizability_oracle() {
+fn skipped_slip_repair_is_caught_by_the_simulation_oracle() {
     let _lock = lock();
     let caught = run_sabotaged(|| Box::new(sabotage::SkipSlipRepair::engage()));
-    assert_caught_by(
-        &caught,
-        OracleKind::ReferenceRealizability,
-        "skip-slip-repair",
-    );
+    assert_caught_by(&caught, OracleKind::SimulatesClean, "skip-slip-repair");
 }
 
 #[test]

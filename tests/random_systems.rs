@@ -87,22 +87,36 @@ fn generated_tables_execute_cleanly_and_match_their_analytical_delay() {
 fn per_path_schedules_are_feasible_and_bound_the_table_delays() {
     for config in sample_configs().into_iter().step_by(3) {
         let system = generate(&config);
-        let tracks = enumerate_tracks(system.cpg());
-        let scheduler = ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time());
+        let cpg = system.cpg();
+        let tracks = enumerate_tracks(cpg);
+        let scheduler = ListScheduler::new(cpg, system.arch(), system.broadcast_time());
         let result = generate_schedule_table(
-            system.cpg(),
+            cpg,
             system.arch(),
             &MergeConfig::new(system.broadcast_time()),
         );
-        for track in tracks.iter() {
+        let seed = config.seed();
+        // The merge reports the individual schedule of every path.
+        for (i, track) in tracks.iter().enumerate() {
             let schedule = scheduler.schedule_track(track);
-            schedule.verify(system.cpg(), system.arch()).unwrap();
-            // The merged table's worst case is at least the delay of every
-            // individual path the merge kept untouched and never below the
-            // longest path's own schedule... the global guarantee:
-            assert!(result.delta_max() >= Time::ZERO);
-            assert!(schedule.delay() <= result.delta_m().max(schedule.delay()));
+            schedule.verify(cpg, system.arch()).unwrap();
+            assert_eq!(result.path_schedules()[i], schedule, "seed {seed}");
         }
+        // The longest of them is δ_M, which bounds the table's worst case
+        // from below; δ_max is the table's own worst-case delay.
+        let longest = result
+            .path_schedules()
+            .iter()
+            .map(PathSchedule::delay)
+            .max()
+            .unwrap();
+        assert_eq!(longest, result.delta_m(), "seed {seed}");
+        assert!(result.delta_m() <= result.delta_max(), "seed {seed}");
+        assert_eq!(
+            result.delta_max(),
+            result.table().worst_case_delay(cpg, &tracks),
+            "seed {seed}"
+        );
     }
 }
 
