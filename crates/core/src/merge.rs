@@ -31,10 +31,11 @@
 //! **forward chain** of the decision tree — the run of nodes that keeps the
 //! same current schedule — and then recurses into the chain's back-step
 //! children, deepest resolution first. A [`ChainRecorder`] decides what the
-//! walk keeps of each chain: a cold merge uses the no-op [`NoRecord`] and
-//! writes straight into the [`ScheduleTable`]; a
-//! [`MergeSession`](crate::MergeSession) records every chain through a
-//! [`TableTxn`](cpg_table::TableTxn) overlay and replays cached chains
+//! walk keeps of each chain. Both recorders write straight into the
+//! [`ScheduleTable`]: a cold merge uses the no-op [`NoRecord`]; a
+//! [`MergeSession`](crate::MergeSession) walks every chain through a
+//! [`RecordingView`](cpg_table::RecordingView), which also logs the chain's
+//! writes and a digest of every row it touches, and replays cached chains
 //! instead of walking them. The decided conditions live in one
 //! [`Assignment`] mutated in place and the lock sets and schedules are
 //! pooled, so the walk is allocation-free after warm-up.
@@ -80,7 +81,8 @@ use crate::result::{MergeResult, MergeStats, MergeStep};
 ///   realizable table; caught by the simulation oracle, which runs the table
 ///   itself.
 /// * [`SkipSpliceValidation`] — replays cached session chains without
-///   validating their read sets; caught by the warm-vs-cold oracle.
+///   checking their row snapshots (the column-creation guard stays);
+///   caught by the warm-vs-cold oracle.
 /// * [`SkipEntryValidation`] — drops the `validate_system` call from the
 ///   `try_` entry points, accepting pathological systems; caught by the
 ///   input-validation oracle.
@@ -143,7 +145,7 @@ pub mod sabotage {
     );
     switch!(
         /// Guard that lets session replays splice cached chain logs without
-        /// read-set validation while alive.
+        /// checking their row snapshots while alive.
         SKIP_SPLICE_VALIDATION,
         SkipSpliceValidation,
         skip_splice_validation
@@ -530,8 +532,8 @@ pub(crate) enum ChainEntry {
 /// things:
 ///
 /// * the view a chain's placements write through ([`View`](Self::View)),
-///   opened over the table as it stands at the chain's serial entry point
-///   and committed into it once the chain's last activation is placed;
+///   opened over the table at the chain's serial entry point and closed
+///   once the chain's last activation is placed;
 /// * what is kept per segment ([`begin_segment`](Self::begin_segment) /
 ///   [`end_segment`](Self::end_segment));
 /// * whether a cached chain is replayed instead of walked
@@ -550,17 +552,16 @@ pub(crate) trait ChainRecorder {
     type Chain;
 
     /// Opens the view of a chain about to be walked.
-    fn open(table: &mut ScheduleTable) -> Self::View<'_>;
+    fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> Self::View<'t>;
 
     /// Closes the view of a chain whose last activation is placed.
-    fn finish(view: Self::View<'_>) -> Self::Log;
+    fn finish(&mut self, view: Self::View<'_>) -> Self::Log;
 
-    /// Commits a walked chain's log into `table` and builds its record;
+    /// Builds the record of a walked chain, whose writes are in the table;
     /// `stale` is the cached chain it replaces and `resolutions` are the
     /// chain's own.
     fn commit(
         &mut self,
-        table: &mut ScheduleTable,
         log: Self::Log,
         stale: Option<Self::Chain>,
         track_idx: usize,
@@ -619,16 +620,15 @@ impl ChainRecorder for NoRecord {
     type Chain = ();
 
     #[inline]
-    fn open(table: &mut ScheduleTable) -> &mut ScheduleTable {
+    fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> &'t mut ScheduleTable {
         table
     }
 
     #[inline]
-    fn finish(_: &mut ScheduleTable) {}
+    fn finish(&mut self, _: &mut ScheduleTable) {}
 
     #[inline]
-    fn commit(&mut self, _: &mut ScheduleTable, (): (), _: Option<()>, _: usize, _: &[Resolution]) {
-    }
+    fn commit(&mut self, (): (), _: Option<()>, _: usize, _: &[Resolution]) {}
 }
 
 impl MergeShared<'_> {
@@ -896,7 +896,7 @@ impl MergeShared<'_> {
                 fixed.clear();
                 let mut schedule = st.schedule_pool.pop().unwrap_or_default();
 
-                let mut view = R::open(table);
+                let mut view = rec.open(table);
                 rec.begin_segment(st);
                 // Decided conditions at the deepest node of the open segment.
                 let mut depth = 0;
@@ -912,7 +912,7 @@ impl MergeShared<'_> {
                         // chain's log covers them and a replay revalidates
                         // them.
                         self.locks_from_table_into(
-                            &view, &mut fixed, track_idx, decided, condition,
+                            &mut view, &mut fixed, track_idx, decided, condition,
                         );
                         self.adjust_into(
                             st,
@@ -980,10 +980,10 @@ impl MergeShared<'_> {
                     rec.begin_segment(st);
                     depth = 0;
                 }
-                let log = R::finish(view);
+                let log = rec.finish(view);
                 st.schedule_pool.push(schedule);
                 st.lock_pool.push(fixed);
-                rec.commit(table, log, stale, track_idx, &st.resolutions[base..])
+                rec.commit(log, stale, track_idx, &st.resolutions[base..])
             }
         };
 
@@ -1211,7 +1211,7 @@ impl MergeShared<'_> {
     /// dense per-job index.
     fn locks_from_table_into<V: TableView + ?Sized>(
         &self,
-        view: &V,
+        view: &mut V,
         locks: &mut LockSet,
         track_idx: usize,
         decided: &Assignment,

@@ -7,46 +7,46 @@
 //! nodes that keeps the same current schedule (a back-step selects a new
 //! track and therefore starts a new chain). Per chain the session retains
 //!
-//! * the committed [`TxnLog`] of every placement segment (the writes between
-//!   two condition resolutions, plus the content-based read set the segment
-//!   observed while producing them),
-//! * the per-segment work counters and traced steps, and
-//! * a [`FrontierHasher`] fingerprint of the chain's track frontier (label,
-//!   delay and every scheduled job of the individual optimal schedule).
+//! * the chain's [`ChainLog`]: its writes, the columns it created and a
+//!   digest of every table row it touched, as the row stood at the chain's
+//!   entry; and
+//! * the per-segment work counters, traced steps and condition resolutions
+//!   (a segment runs between two resolutions).
+//!
+//! A chain is recorded at the cost of walking it: the cold merge's own walk
+//! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain))
+//! runs through a [`RecordingView`], which writes straight into the table
+//! through the same indexed reads a cold walk uses and only adds the log.
 //!
 //! After a [`SystemEdit`] the session re-merges *incrementally*
 //! ([`MergeSession::merge`]): the table is rebuilt from scratch, but a chain
-//! whose track is outside the edit scope ([`SystemEdit::scope`]), whose
-//! frontier hash is unchanged and whose cached logs still validate against
-//! the partially rebuilt table is **replayed** — its writes are spliced into
-//! the table column-wise ([`ScheduleTable::splice_log`]) without running
-//! the scheduler at all. Only the invalidated region of the tree is
-//! re-walked, by the cold merge's own walk
-//! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain)) with
-//! the session's recording [`ChainRecorder`].
+//! whose track is outside the edit scope ([`SystemEdit::scope`]) and whose
+//! cached log still validates against the partially rebuilt table is
+//! **replayed** — its writes are spliced into the table column-wise
+//! ([`ScheduleTable::splice_log`]) without running the scheduler at all.
+//! Only the invalidated region of the tree is re-walked and re-recorded.
 //! Every validation failure degrades to a re-walk, never to a wrong table:
 //! the result is bit-identical to a cold
 //! [`generate_schedule_table`](crate::generate_schedule_table) of the edited
 //! system.
 //!
-//! Why replay is sound: a cached segment log replays the exact writes the
-//! recording merge committed at that point of the serial order. Its read set
-//! is validated content-wise against the table rebuilt so far, so if every
-//! ancestor segment replayed or re-recorded to identical content (induction
-//! over the serial order, base case: the empty table), the recorded decisions
-//! are the decisions a cold walk would take and the spliced writes land
+//! Why replay is sound: a cached log replays the exact writes the recording
+//! merge made at that point of the serial order. The walk decides from its
+//! track's optimal schedule and the rows it reads. A clean track's schedule
+//! is the one the chain was recorded with: every chain in the cache was
+//! visited by the last merge, which recorded it or replayed it with that
+//! schedule, and a clean track is not re-scheduled. So if the table up to
+//! this serial point matches a cold walk's (induction over the serial
+//! order, base case: the empty table) and every row the chain touched
+//! digests as it did at record time, the recorded decisions are the
+//! decisions a cold walk would take and the spliced writes land
 //! byte-identically — including the column creation order, which
-//! [`TxnLog`] captures as write order.
+//! [`ChainLog::created_columns_absent`] guards.
 
-use std::hash::{Hash, Hasher};
-
-use cpg::{
-    enumerate_tracks, Assignment, Cpg, Cube, EditError, EditScope, FrontierHasher, SystemEdit,
-    Track, TrackSet,
-};
+use cpg::{enumerate_tracks, Assignment, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
 use cpg_arch::{Architecture, Time};
 use cpg_path_sched::{ListScheduler, PathSchedule};
-use cpg_table::{ScheduleTable, TableTxn, TxnLog};
+use cpg_table::{ChainLog, RecordScratch, RecordingView, ScheduleTable};
 
 use crate::config::MergeConfig;
 use crate::merge::{
@@ -73,7 +73,7 @@ pub struct ReuseStats {
 /// One placement segment of a forward chain: the walk outputs produced
 /// between two condition resolutions. The table effects of all segments live
 /// in the chain-level [`SessionChain::log`] — replay is all-or-nothing per
-/// chain, so per-segment write logs would only multiply the row bookkeeping.
+/// chain, so per-segment logs would only multiply the row bookkeeping.
 struct ChainSeg {
     /// Work-counter delta of the segment.
     stats: MergeStats,
@@ -90,29 +90,22 @@ struct ChainSeg {
 struct SessionChain {
     /// The track whose schedule is current along this chain.
     track_idx: usize,
-    /// Frontier fingerprint of the track at record time (label, delay and
-    /// scheduled jobs of the individual optimal schedule).
-    track_hash: u64,
-    /// The chain's writes and content-based reads, recorded in one
-    /// transaction spanning every segment: reads are base observations at
-    /// first touch (a later segment reading what an earlier one wrote hits
-    /// the overlay and records nothing), so the log validates directly
+    /// The chain's writes, created columns and touched-row digests, recorded
+    /// in one view spanning every segment. A row is digested at its first
+    /// touch, before the chain wrote to it, so the log validates directly
     /// against the table state at the chain's serial entry point.
-    log: TxnLog,
+    log: ChainLog,
     /// The placement segments, in serial order. The last has no resolution.
-    segs: Vec<ChainSeg>,
+    segs: Box<[ChainSeg]>,
     /// Back-step subtree per resolution (`children[i]` flips the `i`-th
     /// resolution); `None` when no reachable path takes the flipped value.
     children: Vec<Option<Box<SessionChain>>>,
 }
 
 /// The session's [`ChainRecorder`]: records every walked chain through a
-/// [`TableTxn`] and replays cached chains that are still valid, carrying the
-/// invalidation state of one merge.
+/// [`RecordingView`] and replays cached chains that are still valid,
+/// carrying the invalidation state of one merge.
 struct Rewalk<'a> {
-    /// Frontier hash per track, recomputed from this merge's optimal
-    /// schedules.
-    track_hashes: &'a [u64],
     /// Tracks inside the scope of an edit applied since the last merge.
     dirty: &'a [bool],
     /// `false` while every chain visited so far (in serial order) replayed
@@ -132,6 +125,8 @@ struct Rewalk<'a> {
     /// tracks whose label is compatible with a noted column.
     changed: Vec<Cube>,
     reuse: ReuseStats,
+    /// The buffers every recorded chain reuses.
+    scratch: RecordScratch,
     /// The segments recorded so far of the chain being walked.
     segs: Vec<ChainSeg>,
     /// Counters and step count of the walk when the open segment started.
@@ -142,7 +137,7 @@ impl Rewalk<'_> {
     /// Notes the columns a write log touches (cells added, replaced or
     /// dropped versus the previous merge's table). Over-approximation is
     /// sound.
-    fn note_changed_log(&mut self, log: &TxnLog) {
+    fn note_changed_log(&mut self, log: &ChainLog) {
         if self.note_changes {
             self.changed.extend(log.written_columns());
         }
@@ -162,13 +157,11 @@ impl Rewalk<'_> {
     }
 
     /// Whether a cached chain for `track_idx` still holds at this serial
-    /// point: its track is clean, its frontier hash unchanged and (once an
-    /// earlier chain re-recorded) its cached reads still match `table`.
+    /// point: its track is clean and (once an earlier chain re-recorded)
+    /// every row it touched still digests as recorded and none of the
+    /// columns it created exists yet.
     fn still_valid(&self, table: &ScheduleTable, chain: &SessionChain, track_idx: usize) -> bool {
-        if chain.track_idx != track_idx
-            || self.dirty[track_idx]
-            || self.track_hashes[track_idx] != chain.track_hash
-        {
+        if chain.track_idx != track_idx || self.dirty[track_idx] {
             return false;
         }
         // Serial-order fast path: no chain before this one (in serial order)
@@ -178,26 +171,23 @@ impl Rewalk<'_> {
         if !self.diverged {
             return true;
         }
-        // The chain log's reads are base observations at the chain's serial
-        // entry point, so it validates directly against the rebuilt table.
-        let valid = chain.log.validate(table);
-        // Mutation self-test hook: splice the stale cached chain anyway. The
-        // warm-vs-cold oracle must flag the diverging re-merge
-        // (tests/adversarial_corpus.rs).
+        // The row digests describe the table at the chain's serial entry
+        // point, so the log validates directly against the rebuilt table.
+        let rows_match = chain.log.rows_match(table);
+        // Mutation self-test hook: splice the stale cached chain whatever
+        // its rows hold now. The warm-vs-cold oracle must flag the
+        // diverging re-merge (tests/adversarial_corpus.rs).
         #[cfg(any(test, feature = "test-util"))]
-        let valid = valid || crate::merge::sabotage::skip_splice_validation();
-        valid
+        let rows_match = rows_match || crate::merge::sabotage::skip_splice_validation();
+        rows_match && chain.log.created_columns_absent(table)
     }
 }
 
 impl ChainRecorder for Rewalk<'_> {
-    /// One transaction spans the whole chain: later segments read earlier
-    /// segments' writes through the overlay (recording no base dependency on
-    /// them), so the detached log validates — and splices — against the
-    /// table exactly as per-segment commits would, while the row bookkeeping
-    /// is paid once per chain instead of once per segment.
-    type View<'t> = TableTxn<'t>;
-    type Log = TxnLog;
+    /// One view spans the whole chain, so a row is digested once per chain
+    /// however many segments touch it.
+    type View<'t> = RecordingView<'t>;
+    type Log = ChainLog;
     type Chain = Box<SessionChain>;
 
     fn replay(
@@ -228,8 +218,8 @@ impl ChainRecorder for Rewalk<'_> {
         Ok(chain)
     }
 
-    fn open(table: &mut ScheduleTable) -> TableTxn<'_> {
-        TableTxn::new(table)
+    fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> RecordingView<'t> {
+        RecordingView::new(table, std::mem::take(&mut self.scratch))
     }
 
     fn begin_segment(&mut self, st: &mut WalkState) {
@@ -251,24 +241,24 @@ impl ChainRecorder for Rewalk<'_> {
         });
     }
 
-    fn finish(view: TableTxn<'_>) -> TxnLog {
-        view.into_log()
+    fn finish(&mut self, view: RecordingView<'_>) -> ChainLog {
+        let (log, scratch) = view.finish();
+        self.scratch = scratch;
+        log
     }
 
     fn commit(
         &mut self,
-        table: &mut ScheduleTable,
-        log: TxnLog,
+        log: ChainLog,
         stale: Option<Box<SessionChain>>,
         track_idx: usize,
         resolutions: &[Resolution],
     ) -> Box<SessionChain> {
-        table.splice_log(&log);
         // From this serial point on, the rebuilt table may differ from the
-        // recording merge's: every later replay must validate its reads.
+        // recording merge's: every later replay must validate its log.
         self.diverged = true;
         self.note_changed_log(&log);
-        let segs = std::mem::take(&mut self.segs);
+        let segs: Box<[ChainSeg]> = self.segs.drain(..).collect();
         self.reuse.chains_recorded += 1;
         self.reuse.segments_recorded += segs.len();
 
@@ -303,7 +293,6 @@ impl ChainRecorder for Rewalk<'_> {
         }
         Box::new(SessionChain {
             track_idx,
-            track_hash: self.track_hashes[track_idx],
             log,
             segs,
             children,
@@ -342,28 +331,6 @@ fn stats_delta(before: MergeStats, after: MergeStats) -> MergeStats {
         max_walk_depth: after.max_walk_depth - before.max_walk_depth,
         repair_rounds: after.repair_rounds - before.repair_rounds,
     }
-}
-
-/// Frontier fingerprint of a track: its label plus the complete individual
-/// optimal schedule (job, start, end and resource of every scheduled job,
-/// and the condition resolutions). Start/end pairs pin the execution times
-/// of every process on the track and the resources pin the mapping, so an
-/// unchanged hash means the chain's own scheduling inputs are unchanged.
-fn track_hash(track: &Track, optimal: &PathSchedule) -> u64 {
-    let mut h = FrontierHasher::new();
-    track.label().hash(&mut h);
-    optimal.delay().hash(&mut h);
-    for sj in optimal.jobs() {
-        sj.job().hash(&mut h);
-        sj.start().hash(&mut h);
-        sj.end().hash(&mut h);
-        sj.pe().hash(&mut h);
-    }
-    for &(condition, time) in optimal.resolutions() {
-        condition.hash(&mut h);
-        time.hash(&mut h);
-    }
-    h.finish()
 }
 
 /// A persistent, incrementally re-mergeable scheduling session.
@@ -421,8 +388,6 @@ pub struct MergeSession {
     /// dirty set covers by construction — so a re-merge re-schedules dirty
     /// tracks only.
     optimal: Vec<PathSchedule>,
-    /// Frontier hashes aligned with `optimal`.
-    track_hashes: Vec<u64>,
     /// The simulated run of each track on the last merge's table — its delay
     /// and violation count — aligned with `tracks` (empty before the first
     /// merge). A run reads only the table cells whose column is satisfied by
@@ -454,7 +419,6 @@ impl MergeSession {
             structural: false,
             root: None,
             optimal: Vec::new(),
-            track_hashes: Vec::new(),
             track_runs: Vec::new(),
             reuse: ReuseStats::default(),
         }
@@ -520,7 +484,6 @@ impl MergeSession {
     pub fn invalidate_all(&mut self) {
         self.root = None;
         self.optimal.clear();
-        self.track_hashes.clear();
         self.track_runs.clear();
     }
 
@@ -536,7 +499,6 @@ impl MergeSession {
             self.tracks = enumerate_tracks(&self.cpg);
             self.root = None;
             self.optimal.clear();
-            self.track_hashes.clear();
             self.track_runs.clear();
             self.structural = false;
             self.dirty = vec![false; self.tracks.len()];
@@ -551,32 +513,21 @@ impl MergeSession {
         // same cache with its initial schedules.)
         let contexts = ContextCache::new(scheduler, &self.tracks);
         let mut state = WalkState::new();
-        // Optimal schedules are the scheduling inputs the frontier hashes
-        // fingerprint; a clean track's schedule cannot have changed, so only
-        // the dirty tracks are re-run. The first merge (and the one after a
-        // structural edit) rebuilds every track, like the cold path.
-        let (optimal, track_hashes) = if self.optimal.len() == self.tracks.len() {
+        // A clean track's optimal schedule cannot have changed, so only the
+        // dirty tracks are re-run. The first merge (and the one after a
+        // structural edit) schedules every track, like the cold path.
+        let optimal = if self.optimal.len() == self.tracks.len() {
             let mut optimal = std::mem::take(&mut self.optimal);
-            let mut hashes = std::mem::take(&mut self.track_hashes);
-            for (idx, track) in self.tracks.tracks().iter().enumerate() {
+            for (idx, schedule) in optimal.iter_mut().enumerate() {
                 if dirty[idx] {
-                    optimal[idx] = contexts.get(idx).schedule_with(&mut state.scratch);
-                    hashes[idx] = track_hash(track, &optimal[idx]);
+                    *schedule = contexts.get(idx).schedule_with(&mut state.scratch);
                 }
             }
-            (optimal, hashes)
+            optimal
         } else {
-            let optimal: Vec<PathSchedule> = (0..self.tracks.len())
+            (0..self.tracks.len())
                 .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
-                .collect();
-            let hashes = self
-                .tracks
-                .tracks()
-                .iter()
-                .zip(&optimal)
-                .map(|(track, schedule)| track_hash(track, schedule))
-                .collect();
-            (optimal, hashes)
+                .collect()
         };
         let delta_m = optimal
             .iter()
@@ -593,12 +544,12 @@ impl MergeSession {
         };
         let have_runs = self.track_runs.len() == self.tracks.len();
         let mut rewalk = Rewalk {
-            track_hashes: &track_hashes,
             dirty: &dirty,
             diverged: false,
             note_changes: have_runs,
             changed: Vec::new(),
             reuse: ReuseStats::default(),
+            scratch: RecordScratch::default(),
             segs: Vec::new(),
             seg_start: (MergeStats::default(), 0),
         };
@@ -665,7 +616,6 @@ impl MergeSession {
         self.root = Some(new_root);
         self.dirty = vec![false; self.tracks.len()];
         self.optimal = optimal;
-        self.track_hashes = track_hashes;
 
         MergeResult {
             table,
@@ -715,8 +665,8 @@ impl MergeSession {
 mod tests {
     use super::*;
     use crate::generate_schedule_table;
-    use cpg::examples;
-    use cpg::Guard;
+    use cpg::{examples, CondId, Guard, ProcessId, MAX_CONDITIONS};
+    use cpg_path_sched::Job;
 
     fn assert_identical(a: &MergeResult, b: &MergeResult, context: &str) {
         assert_eq!(a.table(), b.table(), "table diverged ({context})");
@@ -894,6 +844,119 @@ mod tests {
             let cold = generate_schedule_table(&reference, system.arch(), &config);
             assert_identical(&cold, &warm, &format!("edit step {step}"));
         }
+    }
+
+    /// Replays a freshly merged fig1 session's cached tree over `seed` (a
+    /// table already holding a cell no chain wrote), validating every chain
+    /// as after a diverged re-record. Returns whether the cached root alone
+    /// replays over `seed`, the reuse counters of the whole walk, and its
+    /// table next to a cold walk's over the same seed.
+    fn rewalk_over(
+        seed: impl Fn(&[Cube]) -> ScheduleTable,
+    ) -> (bool, ReuseStats, ScheduleTable, ScheduleTable) {
+        let system = examples::fig1();
+        let config = MergeConfig::new(system.broadcast_time());
+        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
+        session.merge();
+        let root = session.root.take().expect("the session merged");
+        // The table is empty at the root chain's entry, so every column it
+        // writes is one it created, in first-write order.
+        let mut created: Vec<Cube> = Vec::new();
+        for column in root.log.written_columns() {
+            if !created.contains(&column) {
+                created.push(column);
+            }
+        }
+        let seed = seed(&created);
+
+        let scheduler =
+            ListScheduler::new(&session.cpg, &session.arch, session.config.broadcast_time());
+        let contexts = ContextCache::new(scheduler, &session.tracks);
+        let shared = MergeShared {
+            cpg: &session.cpg,
+            config: &session.config,
+            contexts: &contexts,
+            tracks: &session.tracks,
+            optimal: &session.optimal,
+        };
+        let dirty = vec![false; session.tracks.len()];
+        let recorder = || Rewalk {
+            dirty: &dirty,
+            diverged: true,
+            note_changes: false,
+            changed: Vec::new(),
+            reuse: ReuseStats::default(),
+            scratch: RecordScratch::default(),
+            segs: Vec::new(),
+            seg_start: (MergeStats::default(), 0),
+        };
+        let root_idx = shared
+            .select_track(&Assignment::new())
+            .expect("a valid graph has at least one alternative path");
+
+        let (root_replays, root) = match recorder().replay(
+            &mut WalkState::new(),
+            &mut seed.clone(),
+            Some(root),
+            root_idx,
+            &mut Assignment::new(),
+        ) {
+            Ok(root) => (true, root),
+            Err(root) => (false, root.expect("the cached root is handed back")),
+        };
+        let mut rewalk = recorder();
+        let mut warm = seed.clone();
+        shared.walk_chain(
+            &mut rewalk,
+            &mut WalkState::new(),
+            &mut warm,
+            Some(root),
+            ChainEntry::Root,
+            root_idx,
+            &mut Assignment::new(),
+        );
+        let mut cold = seed;
+        shared.walk_chain(
+            &mut crate::merge::NoRecord,
+            &mut WalkState::new(),
+            &mut cold,
+            None,
+            ChainEntry::Root,
+            root_idx,
+            &mut Assignment::new(),
+        );
+        (root_replays, rewalk.reuse, warm, cold)
+    }
+
+    #[test]
+    fn a_chain_whose_created_column_already_exists_is_re_walked() {
+        // A row of no process of the graph, so no chain ever touches it.
+        let stranger = Job::Process(ProcessId::from_index(examples::fig1().cpg().len()));
+
+        // The root chain's second created column is already tabled: its
+        // rows all match (none exists yet), but a replay would give that
+        // column an index before the root's first one.
+        let (root_replays, reuse, warm, cold) = rewalk_over(|created: &[Cube]| {
+            assert!(created.len() >= 2, "fig1's root chain creates columns");
+            let mut seed = ScheduleTable::new();
+            seed.set(stranger, created[1], Time::ZERO);
+            seed
+        });
+        assert!(!root_replays, "the column-creation guard must refuse");
+        assert!(reuse.chains_recorded > 0);
+        assert_eq!(warm, cold);
+
+        // Control: a column the root never writes keeps the root replayable.
+        let (root_replays, reuse, warm, cold) = rewalk_over(|created: &[Cube]| {
+            let unwritten = Cube::from(CondId::new(MAX_CONDITIONS - 1).is_true());
+            assert!(!created.contains(&unwritten));
+            let mut seed = ScheduleTable::new();
+            seed.set(stranger, unwritten, Time::ZERO);
+            seed
+        });
+        assert!(root_replays);
+        assert!(reuse.chains_replayed > 0);
+        assert_eq!(warm, cold);
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //! change the flattening itself (and potentially the set of alternative
 //! paths), so they scope to [`EditScope::Structural`].
 //!
-//! The module also provides [`FrontierHasher`], the deterministic FNV-1a
-//! hasher used to fingerprint decision-subtree frontiers (scheduled jobs,
-//! column cubes, lock sets) and table rows across the merge stack. Frontier
-//! hashes must be stable across processes and platforms — `std`'s default
-//! hasher is randomly seeded and therefore unusable for caches that compare
-//! fingerprints taken in different merges.
+//! The module also provides [`FrontierHasher`], a deterministic FNV-1a
+//! hasher for fingerprints that must be stable across processes and
+//! platforms, such as the generator's system fingerprint — `std`'s default
+//! hasher is randomly seeded and therefore unusable for comparing
+//! fingerprints taken in different runs.
 
 use std::fmt;
 use std::hash::Hasher;

@@ -33,13 +33,13 @@ impl Display for ScheduleTable {
     }
 }
 
-impl TableView for TableTxn<'_> {
+impl TableView for RecordingView<'_> {
     #[inline]
-    fn get(&self, job: &Job, column: &Cube) -> Option<Time> {
-        self.overlay_get(job, column)
+    fn get(&mut self, job: &Job, column: &Cube) -> Option<Time> {
+        self.table.get(job, column)
     }
 
-    fn row_version(&self, job: &Job) -> u64 {
-        self.base_row_version(job)
+    fn row_digest(&mut self, job: &Job) -> u64 {
+        self.table.row_digest(job)
     }
 }

@@ -5,7 +5,7 @@
 //! - **forbid-unsafe** — every library, binary and bench crate root carries
 //!   `#![forbid(unsafe_code)]` (integration tests are exempt).
 //! - **table-view-inline** — every method of the `TableView` impls for
-//!   `ScheduleTable` and `TableTxn` in `crates/table/src/txn.rs` is
+//!   `ScheduleTable` and `RecordingView` in `crates/table/src/txn.rs` is
 //!   `#[inline]`: the walk and the session's chain recording dispatch
 //!   through these on their hottest edge and must not pay a call across
 //!   the crate boundary.
@@ -785,7 +785,7 @@ pub fn run(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
         findings.extend(check_table_view_inline(
             &rel(root, &txn),
             &read_scanned(&txn)?,
-            &["ScheduleTable", "TableTxn"],
+            &["ScheduleTable", "RecordingView"],
         ));
     }
 

@@ -53,7 +53,7 @@ fn table_view_methods_without_inline_are_flagged() {
     let findings = check_table_view_inline(
         "fixture.rs",
         &fixture("r2_missing_inline.rs"),
-        &["ScheduleTable", "TableTxn"],
+        &["ScheduleTable", "RecordingView"],
     );
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RULE_TABLE_VIEW_INLINE));
@@ -63,7 +63,7 @@ fn table_view_methods_without_inline_are_flagged() {
         findings[0].message
     );
     assert!(
-        findings[1].message.contains("`row_version`"),
+        findings[1].message.contains("`row_digest`"),
         "{}",
         findings[1].message
     );

@@ -161,7 +161,10 @@ impl PathSchedule {
         self.processes = processes;
         self.jobs.clear();
         self.jobs.extend(jobs);
-        self.jobs.sort_by_key(|j| (j.start(), j.end(), j.job()));
+        // Every job appears once, so the key is unique and the unstable sort
+        // yields the stable order without the stable sort's scratch buffer.
+        self.jobs
+            .sort_unstable_by_key(|j| (j.start(), j.end(), j.job()));
         self.index.clear();
         self.index.resize(processes + conditions, ABSENT);
         for (position, sj) in self.jobs.iter().enumerate() {

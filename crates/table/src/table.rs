@@ -7,6 +7,7 @@ use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 
 use crate::error::TableViolation;
+use crate::ChainLog;
 
 /// One cell of the table: the activation time of a job under a column
 /// expression, together with the resource the job occupied in the schedule
@@ -98,14 +99,16 @@ struct GroupMeta {
 /// allocation-free.
 ///
 /// Maintenance is *deferred across log splices*: `splice_log` replays a
-/// whole chain's worth of cells into a row, and paying a sorted insert into
-/// `members` and `times` per spliced cell dominates the warm re-merge cost.
-/// A splice therefore only updates the serial entry list and marks the index
-/// `stale`; every query on a stale row falls back to the linear entry scan
-/// (the exact pre-index behaviour), and the next direct `set_on` to the row
-/// rebuilds the whole index in one pass (capacity reused, so the rebuild is
-/// allocation-free after warm-up). The serial walk never splices, so its
-/// probes always see a fresh index.
+/// whole cached chain's worth of cells into a row, and paying a sorted
+/// insert into `members` and `times` per spliced cell would dominate the
+/// warm re-merge cost. A splice therefore only updates the serial entry
+/// list and marks the index `stale`; every query on a stale row falls back
+/// to the linear entry scan (the exact pre-index behaviour), and the next
+/// direct `set_on` to the row rebuilds the whole index in one pass
+/// (capacity reused, so the rebuild is allocation-free after warm-up).
+/// Every walked chain — cold, or recorded by a session, which writes
+/// through to the table — writes with `set_on`, so the first write a walk
+/// makes to a spliced row restores its index.
 #[derive(Debug, Clone, Default)]
 struct RowIndex {
     /// Union of the positive masks over every column tabled in the row.
@@ -557,8 +560,8 @@ impl ScheduleTable {
     /// the linear entry scan, and the next [`write_cell`] rebuilds the index.
     ///
     /// This is the splice path's write primitive: a warm re-merge replays
-    /// whole chain logs cell by cell, and per-cell sorted inserts into the
-    /// index would dominate its cost.
+    /// whole cached chain logs cell by cell, and per-cell sorted inserts
+    /// into the index would dominate its cost.
     #[inline]
     fn write_cell_deferred(&mut self, position: usize, index: u32, cell: Cell) -> Option<Cell> {
         let row = &mut self.rows[position];
@@ -571,25 +574,26 @@ impl ScheduleTable {
     /// current column count when the cube is not tabled yet.
     ///
     /// This is the renumbering primitive behind
-    /// [`splice_log`](ScheduleTable::splice_log): a retained
-    /// column keeps its index, a transaction-local column key is renumbered
-    /// to the next free index, and because logs replay in their original
-    /// write order the relative order of spliced columns — and hence the
-    /// serial entry order inside every row — is preserved.
+    /// [`splice_log`](ScheduleTable::splice_log): a retained column keeps its
+    /// index, a column the recorded chain created is appended at the next
+    /// free index, and because logs replay in their original write order
+    /// the relative order of spliced columns — and hence the serial entry
+    /// order inside every row — is preserved.
     pub fn graft_column(&mut self, column: Cube) -> usize {
         self.column_index_or_insert(column)
     }
 
-    /// Replays a recorded transaction log ([`crate::TxnLog`]) with each
+    /// Replays the writes of a recorded chain ([`ChainLog`]) with each
     /// distinct column resolved to its grafted index exactly once, writing
     /// cells by direct index.
     ///
-    /// Observably identical to [`TxnLog::commit_into`](crate::TxnLog::commit_into)
-    /// (a [`ScheduleTable::set_on`] per write); it only skips the repeated column lookups and defers
-    /// partition-index maintenance on the touched rows (queries on a stale
-    /// row serve the same entries from the linear scan until the next direct
-    /// write rebuilds the index).
-    pub fn splice_log(&mut self, log: &crate::TxnLog) {
+    /// Observably identical to the [`ScheduleTable::set_on`] calls the
+    /// chain made while it was recorded, one per write in order; it only
+    /// skips the repeated column lookups and defers partition-index
+    /// maintenance on the touched rows (queries on a stale row serve the
+    /// same entries from the linear scan until the next direct write
+    /// rebuilds the index).
+    pub fn splice_log(&mut self, log: &ChainLog) {
         let mut grafted: Vec<(Cube, u32)> = Vec::new();
         for write in &log.writes {
             let index = match grafted.binary_search_by(|&(c, _)| c.cmp(&write.column)) {
@@ -904,14 +908,14 @@ impl ScheduleTable {
                         violations.push(TableViolation::UnknownJob { job });
                         continue;
                     }
-                    cpg.guard(pid).clone()
+                    cpg.guard(pid)
                 }
                 Job::Broadcast(cond) => {
                     if cond.index() >= cpg.num_conditions() {
                         violations.push(TableViolation::UnknownJob { job });
                         continue;
                     }
-                    cpg.guard(cpg.disjunction_of(cond)).clone()
+                    cpg.guard(cpg.disjunction_of(cond))
                 }
             };
             if !guard.implied_by(&column) {
@@ -920,8 +924,10 @@ impl ScheduleTable {
         }
 
         // Requirement 2.
+        let mut entries: Vec<(Cube, Time)> = Vec::new();
         for job in self.jobs() {
-            let entries: Vec<(Cube, Time)> = self.entries(job).collect();
+            entries.clear();
+            entries.extend(self.entries(job));
             for (i, &(first, first_time)) in entries.iter().enumerate() {
                 for &(second, second_time) in entries.iter().skip(i + 1) {
                     if first_time != second_time && first.compatible(&second) {
@@ -1039,29 +1045,30 @@ impl ScheduleTable {
         self.column_index(column)
     }
 
-    /// Visits the entries of the row of `job` in column-index order, passing
-    /// the table-wide column index as a stable sort key.
+    /// Word-level digest of the row of `job`: its entry count and the
+    /// column index, column cube, time and resource of every entry, in
+    /// column-index order — everything a scan of the row can observe. An
+    /// absent row digests like an empty one.
     ///
-    /// `#[inline]` (like on the other probe methods) so the merge walk's
-    /// monomorphized hot loops can inline the scan across the crate boundary
-    /// and devirtualize the visitor closure, matching the cost of direct
-    /// slice iteration.
-    #[inline]
-    pub(crate) fn visit_keyed_entries(
-        &self,
-        job: Job,
-        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
-    ) {
-        if let Some(row) = self.row(job) {
-            for &(index, cell) in &row.entries {
-                visit(
-                    u64::from(index),
-                    self.columns[index as usize],
-                    cell.time,
-                    cell.resource,
-                );
-            }
+    /// Each step `h' = (rotl(h, 5) ^ word) * K` is a bijection of `h` for a
+    /// fixed word and of the word for a fixed `h`, so two rows of equal
+    /// length that differ in a single word never collide.
+    pub(crate) fn row_digest(&self, job: Job) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+        let Some(row) = self.row(job) else {
+            return 0;
+        };
+        let mut h = mix(0, row.entries.len() as u64);
+        for &(index, cell) in &row.entries {
+            let column = self.columns[index as usize];
+            let resource = cell.resource.map_or(0, |pe| pe.index() as u64 + 1);
+            h = mix(h, u64::from(index) | resource << 32);
+            h = mix(h, column.positive_mask());
+            h = mix(h, column.negative_mask());
+            h = mix(h, cell.time.as_u64());
         }
+        h
     }
 
     /// Visits the entries of the row of `job` whose column is *compatible*

@@ -1,25 +1,26 @@
 //! Differential tests of the condition-partition row index: every
 //! index-served query must return exactly the entries a linear scan of the
-//! row would have produced — over random tables, through `TableTxn` overlays
-//! (including transaction-created columns), and across `splice_log` commits,
-//! which defer index maintenance (stale rows answer from the linear
-//! fallback) until the next direct write rebuilds the row in one pass.
+//! row would have produced — over random tables, through `RecordingView`s
+//! (including columns the recorded chain created), and across `splice_log`
+//! replays, which defer index maintenance (stale rows answer from the
+//! linear fallback) until the next direct write rebuilds the row in one
+//! pass.
 //!
 //! Index-served iteration order is unspecified (mention-mask group order on
-//! the table, key order on overlays), so results are compared as key-sorted
-//! lists; the keys are unique within a row, making that a faithful set
-//! comparison.
+//! a fresh row, key order on a stale one), so results are compared as
+//! key-sorted lists; the keys are unique within a row, making that a
+//! faithful set comparison.
 
 use proptest::prelude::*;
 
 use cpg::{Assignment, CondId, Cube, ProcessId};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
-use cpg_table::{Activation, ScheduleTable, TableTxn, TableView};
+use cpg_table::{Activation, RecordScratch, RecordingView, ScheduleTable, TableView};
 
 const CONDS: usize = 4;
-/// Transactions may mention two extra conditions, so overlay writes routinely
-/// create columns the base table has never seen.
+/// Recorded writes may mention two extra conditions, so they routinely
+/// create columns the entry table has never seen.
 const TXN_CONDS: usize = 6;
 const PROCS: usize = 5;
 
@@ -76,8 +77,17 @@ fn jobs() -> impl Iterator<Item = Job> {
 
 type Keyed = (u64, Cube, Time, Option<PeId>);
 
+/// The insertion index of `column` in `table`: the key the scans report.
+fn key_of(table: &ScheduleTable, column: Cube) -> u64 {
+    table
+        .columns()
+        .iter()
+        .position(|&c| c == column)
+        .expect("a tabled entry has a column") as u64
+}
+
 /// The index-served compatible scan of a view, key-sorted.
-fn indexed_compatible<V: TableView + ?Sized>(view: &V, job: Job, probe: &Cube) -> Vec<Keyed> {
+fn indexed_compatible<V: TableView + ?Sized>(view: &mut V, job: Job, probe: &Cube) -> Vec<Keyed> {
     let mut out = Vec::new();
     view.for_each_compatible_entry_on(job, probe, &mut |key, column, time, resource| {
         out.push((key, column, time, resource));
@@ -86,19 +96,18 @@ fn indexed_compatible<V: TableView + ?Sized>(view: &V, job: Job, probe: &Cube) -
     out
 }
 
-/// The linear-scan reference: a keyed scan filtered by the same predicate.
-fn linear_compatible<V: TableView + ?Sized>(view: &V, job: Job, probe: &Cube) -> Vec<Keyed> {
-    let mut out = Vec::new();
-    view.for_each_keyed_entry_on(job, &mut |key, column, time, resource| {
-        if column.compatible(probe) {
-            out.push((key, column, time, resource));
-        }
-    });
-    out
+/// The linear-scan reference: the row's entries in column-index order,
+/// filtered by the same predicate.
+fn linear_compatible(table: &ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed> {
+    table
+        .entries_on(job)
+        .filter(|(column, ..)| column.compatible(probe))
+        .map(|(column, time, resource)| (key_of(table, column), column, time, resource))
+        .collect()
 }
 
 fn indexed_at<V: TableView + ?Sized>(
-    view: &V,
+    view: &mut V,
     job: Job,
     time: Time,
 ) -> Vec<(u64, Cube, Option<PeId>)> {
@@ -110,18 +119,12 @@ fn indexed_at<V: TableView + ?Sized>(
     out
 }
 
-fn linear_at<V: TableView + ?Sized>(
-    view: &V,
-    job: Job,
-    time: Time,
-) -> Vec<(u64, Cube, Option<PeId>)> {
-    let mut out = Vec::new();
-    view.for_each_keyed_entry_on(job, &mut |key, column, tabled, resource| {
-        if tabled == time {
-            out.push((key, column, resource));
-        }
-    });
-    out
+fn linear_at(table: &ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
+    table
+        .entries_on(job)
+        .filter(|&(_, tabled, _)| tabled == time)
+        .map(|(column, _, resource)| (key_of(table, column), column, resource))
+        .collect()
 }
 
 proptest! {
@@ -138,14 +141,14 @@ proptest! {
         probe in cube_strategy(CONDS),
         time in 0u64..12,
     ) {
-        let table = build_table(&entries);
+        let mut table = build_table(&entries);
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&table, job, &probe),
+                indexed_compatible(&mut table, job, &probe),
                 linear_compatible(&table, job, &probe)
             );
             let at = Time::new(time);
-            prop_assert_eq!(indexed_at(&table, job, at), linear_at(&table, job, at));
+            prop_assert_eq!(indexed_at(&mut table, job, at), linear_at(&table, job, at));
         }
     }
 
@@ -162,57 +165,54 @@ proptest! {
         }
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&table, job, &probe),
+                indexed_compatible(&mut table, job, &probe),
                 linear_compatible(&table, job, &probe)
             );
             for t in 0..12 {
                 let at = Time::new(t);
-                prop_assert_eq!(indexed_at(&table, job, at), linear_at(&table, job, at));
+                prop_assert_eq!(indexed_at(&mut table, job, at), linear_at(&table, job, at));
             }
         }
     }
 
     #[test]
-    fn indexed_scans_match_through_txn_overlays(
+    fn indexed_scans_match_through_recording_views(
         base_entries in entries_strategy(CONDS, 16),
-        txn_entries in entries_strategy(TXN_CONDS, 16),
+        chain_entries in entries_strategy(TXN_CONDS, 16),
         probe in cube_strategy(TXN_CONDS),
         time in 0u64..12,
     ) {
-        let table = build_table(&base_entries);
-        let mut txn = TableTxn::new(&table);
-        for entry in &txn_entries {
-            txn.set_on(entry.job, entry.column, entry.time, entry.resource);
-        }
+        let entry = build_table(&base_entries);
+        let mut recorded = entry.clone();
         let at = Time::new(time);
-        for job in jobs() {
-            // Overlay rows answer from the txn-local index delta; untouched
-            // rows delegate to the base's indexed scan.
-            prop_assert_eq!(
-                indexed_compatible(&txn, job, &probe),
-                linear_compatible(&txn, job, &probe)
-            );
-            prop_assert_eq!(indexed_at(&txn, job, at), linear_at(&txn, job, at));
+        // A recording view writes straight through and serves every scan
+        // from the table's index, as the table itself would.
+        let mut view = RecordingView::new(&mut recorded, RecordScratch::default());
+        for chain_entry in &chain_entries {
+            view.set_on(chain_entry.job, chain_entry.column, chain_entry.time, chain_entry.resource);
+        }
+        let served: Vec<_> = jobs()
+            .map(|job| (indexed_compatible(&mut view, job, &probe), indexed_at(&mut view, job, at)))
+            .collect();
+        let (log, _) = view.finish();
+        for (job, (compatible, at_time)) in jobs().zip(served) {
+            prop_assert_eq!(compatible, linear_compatible(&recorded, job, &probe));
+            prop_assert_eq!(at_time, linear_at(&recorded, job, at));
         }
 
-        // Splicing the log defers index maintenance on the touched rows
-        // (they serve queries from the linear fallback until rebuilt); the
-        // committed table must agree with a write-by-write replay and still
-        // serve index == linear on every row, stale or fresh.
-        let log = txn.into_log();
-        let mut spliced = table.clone();
+        // Splicing the log into the entry table defers index maintenance
+        // on the touched rows (they serve queries from the linear fallback
+        // until rebuilt); the spliced table must equal the recorded one and
+        // still serve index == linear on every row, stale or fresh.
+        let mut spliced = entry.clone();
         spliced.splice_log(&log);
-        let mut replayed = table.clone();
-        for entry in &txn_entries {
-            replayed.set_on(entry.job, entry.column, entry.time, entry.resource);
-        }
-        prop_assert_eq!(&spliced, &replayed);
+        prop_assert_eq!(&spliced, &recorded);
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&spliced, job, &probe),
+                indexed_compatible(&mut spliced, job, &probe),
                 linear_compatible(&spliced, job, &probe)
             );
-            prop_assert_eq!(indexed_at(&spliced, job, at), linear_at(&spliced, job, at));
+            prop_assert_eq!(indexed_at(&mut spliced, job, at), linear_at(&spliced, job, at));
         }
 
         // A direct write to a spliced (stale) row rebuilds its index in one
@@ -221,19 +221,19 @@ proptest! {
         let rebuilt_probe = Cube::top();
         for (offset, job) in jobs().enumerate() {
             spliced.set_on(job, rebuilt_probe, Time::new(offset as u64), None);
-            replayed.set_on(job, rebuilt_probe, Time::new(offset as u64), None);
+            recorded.set_on(job, rebuilt_probe, Time::new(offset as u64), None);
         }
-        prop_assert_eq!(&spliced, &replayed);
+        prop_assert_eq!(&spliced, &recorded);
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&spliced, job, &probe),
-                indexed_compatible(&replayed, job, &probe)
+                indexed_compatible(&mut spliced, job, &probe),
+                indexed_compatible(&mut recorded, job, &probe)
             );
             prop_assert_eq!(
-                indexed_compatible(&spliced, job, &probe),
+                indexed_compatible(&mut spliced, job, &probe),
                 linear_compatible(&spliced, job, &probe)
             );
-            prop_assert_eq!(indexed_at(&spliced, job, at), linear_at(&spliced, job, at));
+            prop_assert_eq!(indexed_at(&mut spliced, job, at), linear_at(&spliced, job, at));
         }
     }
 
@@ -243,20 +243,19 @@ proptest! {
         values in proptest::collection::vec(any::<bool>(), CONDS),
         splice_tail in any::<bool>(),
     ) {
-        // Half the runs splice the second half of the entries through a
-        // transaction log instead of writing them directly, leaving the
+        // Half the runs splice the second half of the entries from a
+        // recorded log instead of writing them directly, leaving the
         // touched rows' indexes stale: the activation probes must serve the
         // same answers from their linear fallbacks.
         let table = if splice_tail {
             let head = entries.len() / 2;
-            let table = build_table(&entries[..head]);
-            let mut txn = TableTxn::new(&table);
+            let mut spliced = build_table(&entries[..head]);
+            let mut recorded = spliced.clone();
+            let mut view = RecordingView::new(&mut recorded, RecordScratch::default());
             for entry in &entries[head..] {
-                txn.set_on(entry.job, entry.column, entry.time, entry.resource);
+                view.set_on(entry.job, entry.column, entry.time, entry.resource);
             }
-            let log = txn.into_log();
-            let mut spliced = table.clone();
-            spliced.splice_log(&log);
+            spliced.splice_log(&view.finish().0);
             spliced
         } else {
             build_table(&entries)
@@ -311,9 +310,8 @@ proptest! {
     }
 }
 
-/// The crafted regression from the issue: a repair round creates a column
-/// mid-walk (directly and under a transaction overlay), and the very next
-/// probes must see it through the index.
+/// A repair round creates a column mid-walk (directly and through a
+/// recording view), and the very next probes must see it through the index.
 #[test]
 fn a_column_created_mid_walk_is_picked_up_by_the_index() {
     let c = |i: usize| CondId::new(i);
@@ -333,41 +331,42 @@ fn a_column_created_mid_walk_is_picked_up_by_the_index() {
     table.set_on(p1, fresh, Time::new(3), Some(PeId::from_index(1)));
     let probe = Cube::from(c(0).is_true());
     assert_eq!(
-        indexed_compatible(&table, p1, &probe),
+        indexed_compatible(&mut table, p1, &probe),
         linear_compatible(&table, p1, &probe)
     );
-    assert!(indexed_compatible(&table, p1, &probe)
+    assert!(indexed_compatible(&mut table, p1, &probe)
         .iter()
         .any(|&(_, column, ..)| column == fresh));
-    assert!(indexed_at(&table, p1, Time::new(3))
+    assert!(indexed_at(&mut table, p1, Time::new(3))
         .iter()
         .any(|&(_, column, _)| column == fresh));
 
-    // Through an overlay: the transaction creates another fresh column; its
-    // own scans see it at the transaction-local key, and after the splice the
-    // real table's index serves it too.
-    let mut txn = TableTxn::new(&table);
+    // Through a recording view: the chain creates another fresh column and
+    // its own scans see it at once; after the log is spliced into a copy of
+    // the entry table, that table's index serves it too.
+    let entry = table.clone();
+    let mut view = RecordingView::new(&mut table, RecordScratch::default());
     let spec: Cube = [c(1).is_true(), c(2).is_true()].into_iter().collect();
-    txn.set_on(p1, spec, Time::new(7), None);
-    assert_eq!(
-        indexed_compatible(&txn, p1, &spec),
-        linear_compatible(&txn, p1, &spec)
-    );
-    assert!(indexed_compatible(&txn, p1, &spec)
+    view.set_on(p1, spec, Time::new(7), None);
+    assert!(indexed_compatible(&mut view, p1, &spec)
         .iter()
         .any(|&(_, column, ..)| column == spec));
-    assert!(indexed_at(&txn, p1, Time::new(7))
+    assert!(indexed_at(&mut view, p1, Time::new(7))
         .iter()
         .any(|&(_, column, _)| column == spec));
+    let (log, _) = view.finish();
+    assert_eq!(
+        indexed_compatible(&mut table, p1, &spec),
+        linear_compatible(&table, p1, &spec)
+    );
 
-    let log = txn.into_log();
-    let mut committed = table.clone();
-    committed.splice_log(&log);
-    assert!(indexed_compatible(&committed, p1, &spec)
+    let mut spliced = entry;
+    spliced.splice_log(&log);
+    assert!(indexed_compatible(&mut spliced, p1, &spec)
         .iter()
         .any(|&(_, column, ..)| column == spec));
     assert_eq!(
-        indexed_compatible(&committed, p1, &spec),
-        linear_compatible(&committed, p1, &spec)
+        indexed_compatible(&mut spliced, p1, &spec),
+        linear_compatible(&spliced, p1, &spec)
     );
 }

@@ -221,3 +221,71 @@ fn warm_merges_match_cold_on_a_shared_condition_subtree_edit() {
         "the clean C2-false subtrees never replayed"
     );
 }
+
+/// The deep-condition-nest systems of the `merge_rewalk/*` benchmark
+/// (`crates/bench/benches/merge_time.rs`) as `(paths, seed, floors)`. Each
+/// system is edited at two processes, ±1 on the WCET: the first process of
+/// minimum path membership (the benchmark's kind of edit, whose dirty
+/// chains come late in serial order, so the replays before them need no
+/// validation) and the last ordinary process (whose dirty chains come
+/// early, so nearly every replay passes row validation first). The floors
+/// are the chains a warm merge must at least replay after each edit, out of
+/// 16, 24 and 32 chains; they are the counts of whole-row read validation.
+/// They keep the validation honest: a check that is correct but so coarse
+/// that cached chains quietly stop replaying still yields warm == cold, and
+/// only the replay count notices.
+const REWALK_SYSTEMS: [(usize, u64, [[usize; 2]; 2]); 3] = [
+    (16, 0x66EE8, [[14, 14], [8, 8]]),
+    (24, 0x66EE8, [[23, 23], [22, 22]]),
+    (32, 0x66EF8, [[31, 31], [24, 24]]),
+];
+
+#[test]
+fn warm_merges_on_the_rewalk_benchmark_systems_replay_and_match_cold() {
+    for (paths, seed, floors) in REWALK_SYSTEMS {
+        let config = GeneratorConfig::new(3 * paths, paths)
+            .with_processors(2)
+            .with_buses(1)
+            .with_seed(seed);
+        let system = generate(&config);
+        let merge_config = MergeConfig::new(system.broadcast_time());
+        let tracks = enumerate_tracks(system.cpg());
+        let membership = |p: ProcessId| tracks.iter().filter(|t| t.contains(p)).count();
+        let rarest = system
+            .cpg()
+            .ordinary_processes()
+            .min_by_key(|&p| membership(p))
+            .expect("generated systems have ordinary processes");
+        let last = system
+            .cpg()
+            .ordinary_processes()
+            .last()
+            .expect("generated systems have ordinary processes");
+
+        for (process, floors) in [rarest, last].into_iter().zip(floors) {
+            let base = system.cpg().exec_time(process);
+            let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
+            session.merge();
+            let mut reference = system.cpg().clone();
+            for (time, floor) in [base + Time::new(1), base].into_iter().zip(floors) {
+                let edit = SystemEdit::ExecTime { process, time };
+                edit.apply(&mut reference)
+                    .expect("ordinary processes are editable");
+                session
+                    .apply_edit(&edit)
+                    .expect("ordinary processes are editable");
+                let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
+                let warm = session.merge();
+                let context = format!("{paths} paths, {edit}");
+                assert_results_identical(&cold, &warm, &context).unwrap();
+                let reuse = session.reuse_stats();
+                assert!(
+                    reuse.chains_replayed >= floor,
+                    "{context}: {} of {} chains replayed, expected at least {floor}",
+                    reuse.chains_replayed,
+                    reuse.chains_replayed + reuse.chains_recorded
+                );
+            }
+        }
+    }
+}
