@@ -10,8 +10,7 @@
 //!   baseline since `BENCH_2.json`;
 //! * `merge_walk/*` — deep condition nests, where the decision-tree walk
 //!   dominates;
-//! * `merge_rewalk/*` — cold versus warm incremental re-merges, plus the
-//!   info-only `fresh/*` rows: a new session's first, recording merge.
+//! * `merge_rewalk/*` — cold versus warm incremental re-merges.
 
 #![forbid(unsafe_code)]
 
@@ -93,13 +92,11 @@ const REWALK_SEEDS: [(usize, u64); 3] = [(16, 0x66EE8), (24, 0x66EE8), (32, 0x66
 /// iterations so every decision subtree outside the edit's scope replays
 /// from its cached logs. The warm/cold ratio comes from work avoidance
 /// alone, and both produce bit-identical tables (pinned by the differential
-/// tests). Gated by `bench_guard`. `fresh/*` pays [`MergeSession::new`]
-/// plus the first merge, which records every chain: its ratio to `cold/*`
-/// is the cost of recording, reported for information.
+/// tests). Gated by `bench_guard`. A cold merge is a fresh session's first
+/// merge, so `cold/*` also pays for recording every chain.
 fn merge_rewalk_group(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_rewalk");
     group.sample_size(10);
-    let mut fresh = Vec::new();
     for &(paths, seed) in &REWALK_SEEDS {
         let config = GeneratorConfig::new(3 * paths, paths)
             .with_processors(2)
@@ -175,16 +172,6 @@ fn merge_rewalk_group(c: &mut Criterion) {
                 session
                     .apply_edit(&SystemEdit::ExecTime { process, time })
                     .expect("ordinary processes are editable");
-                session.merge()
-            });
-        });
-        fresh.push((paths, system, merge_config));
-    }
-    // After every gated row, so the info-only rows cannot perturb them.
-    for (paths, system, merge_config) in &fresh {
-        group.bench_with_input(BenchmarkId::new("fresh", paths), system, |b, system| {
-            b.iter(|| {
-                let mut session = MergeSession::new(system.cpg(), system.arch(), merge_config);
                 session.merge()
             });
         });

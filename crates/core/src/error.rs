@@ -187,6 +187,18 @@ pub fn validate_system(cpg: &Cpg, arch: &Architecture) -> Result<(), MergeError>
     Ok(())
 }
 
+/// [`validate_system`] as the `try_` entry points run it: the
+/// [`SkipEntryValidation`](crate::merge::sabotage::SkipEntryValidation)
+/// mutant bypasses it, and the input-validation oracle must notice
+/// (tests/adversarial_corpus.rs).
+pub(crate) fn validate_entry(cpg: &Cpg, arch: &Architecture) -> Result<(), MergeError> {
+    #[cfg(any(test, feature = "test-util"))]
+    if crate::merge::sabotage::skip_entry_validation() {
+        return Ok(());
+    }
+    validate_system(cpg, arch)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

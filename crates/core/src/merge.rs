@@ -27,16 +27,20 @@
 //!    process to one of the previously tabled activation times (the loop
 //!    justified by Theorem 2).
 //!
+//! Every merge runs through one function, [`merge_tracks`], over a
+//! [`MergeCache`]: a [`MergeSession`](crate::MergeSession) passes the cache
+//! its last merge left behind, and the one-shot entry points
+//! ([`generate_schedule_table`] and its variants) pass an empty one, so a
+//! one-shot merge is a fresh session's first merge.
+//!
 //! The walk is one function, [`MergeShared::walk_chain`]. It walks one
 //! **forward chain** of the decision tree — the run of nodes that keeps the
 //! same current schedule — and then recurses into the chain's back-step
-//! children, deepest resolution first. A [`ChainRecorder`] decides what the
-//! walk keeps of each chain. Both recorders write straight into the
-//! [`ScheduleTable`]: a cold merge uses the no-op [`NoRecord`]; a
-//! [`MergeSession`](crate::MergeSession) walks every chain through a
-//! [`RecordingView`](cpg_table::RecordingView), which also logs the chain's
-//! writes and a digest of every row it touches, and replays cached chains
-//! instead of walking them. The decided conditions live in one
+//! children, deepest resolution first. Every chain writes straight into the
+//! [`ScheduleTable`] through a [`RecordingView`], which also logs the
+//! chain's writes and a digest of every row it touches; the session's
+//! [`Rewalk`] keeps the logs and replays a cached chain instead of walking
+//! it while it is still valid. The decided conditions live in one
 //! [`Assignment`] mutated in place and the lock sets and schedules are
 //! pooled, so the walk is allocation-free after warm-up.
 //!
@@ -60,18 +64,19 @@ use cpg_path_sched::{
     Job, ListScheduler, LockSet, PathSchedule, RunScratch, ScheduledJob, SlippedLock, TrackContext,
 };
 use cpg_sim::Simulator;
-use cpg_table::{ScheduleTable, TableView};
+use cpg_table::{RecordingView, ScheduleTable};
 
 use crate::config::{MergeConfig, SelectionPolicy};
 use crate::result::{MergeResult, MergeStats, MergeStep};
+use crate::session::{MergeCache, Rewalk, SessionChain};
 
 /// Test-only fault injection: deliberately broken variants of the merge
 /// protocol, each proving a differential oracle non-vacuous. Every switch is
 /// an RAII guard (`engage()` sets a process-global flag, dropping the guard
 /// restores the correct protocol), so tests using one must serialize.
 ///
-/// * [`InjectWalkPanic`] — panics at the top of the merge; caught by the
-///   no-panic oracle.
+/// * [`InjectWalkPanic`] — panics at the top of every merge, one-shot or
+///   session; caught by the no-panic oracle.
 /// * [`DirtyLockReuse`] — recycles a pooled chain lock set without clearing
 ///   it, so stale locks from a previously walked chain leak into the new
 ///   chain's placements; caught by the cloning-oracle differential (the
@@ -209,7 +214,7 @@ pub fn generate_schedule_table_for_tracks(
     config: &MergeConfig,
     tracks: TrackSet,
 ) -> MergeResult {
-    generate_for_tracks_inner(cpg, arch, config, tracks, WalkKind::Chain)
+    merge_tracks(cpg, arch, config, tracks, &mut MergeCache::default())
 }
 
 /// Variant of [`generate_schedule_table`] that drives the merge with the
@@ -225,27 +230,30 @@ pub fn generate_schedule_table_cloning(
     config: &MergeConfig,
 ) -> MergeResult {
     let tracks = enumerate_tracks(cpg);
-    generate_for_tracks_inner(cpg, arch, config, tracks, WalkKind::Cloning)
+    let mut cache = MergeCache {
+        cloning_oracle: true,
+        ..MergeCache::default()
+    };
+    merge_tracks(cpg, arch, config, tracks, &mut cache)
 }
 
-/// Which decision-tree walk implementation drives the merge.
-#[derive(Clone, Copy)]
-enum WalkKind {
-    /// The production walk: [`MergeShared::walk_chain`] with the no-op
-    /// recorder, bit-identical to the oracle below.
-    Chain,
-    /// The original recursive walk cloning the decided conditions, the lock
-    /// set and the current schedule at every tree node (oracle only).
-    #[cfg(any(test, feature = "test-util"))]
-    Cloning,
-}
-
-fn generate_for_tracks_inner(
+/// The one merge: schedules every alternative path, walks the decision tree
+/// into the table, and judges the table by simulating it on every track.
+///
+/// `cache` is what the previous merge of the same system left behind (see
+/// [`MergeCache`]); an empty cache makes this a cold merge. A warm merge
+/// re-schedules the dirty tracks only, replays every cached chain that is
+/// still valid and re-simulates only the tracks the changed table cells can
+/// reach. The result is bit-identical either way. The merge leaves its
+/// decision tree, simulated runs and reuse counters in `cache`, clears the
+/// dirty marks, and moves `tracks` and the optimal schedules into the
+/// result, so a caller that merges again must put the schedules back.
+pub(crate) fn merge_tracks(
     cpg: &Cpg,
     arch: &Architecture,
     config: &MergeConfig,
     tracks: TrackSet,
-    walk: WalkKind,
+    cache: &mut MergeCache,
 ) -> MergeResult {
     // Mutation self-test hook: the no-panic oracle must flag a merge that
     // dies instead of returning (tests/adversarial_corpus.rs).
@@ -255,14 +263,27 @@ fn generate_for_tracks_inner(
         "sabotage: injected walk panic"
     );
     let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
-    // One dense scheduling context per track, reused across the initial
-    // per-path schedules and every adjustment/repair of the merge below. The
-    // cold path needs every context, so the loop prefills the whole cache.
+    // One dense scheduling context per track, built on first use and reused
+    // across the initial per-path schedules and every adjustment/repair of
+    // the walk. A cold merge ends up building every context; a warm merge
+    // only those of the tracks it re-schedules or re-walks.
     let contexts = ContextCache::new(scheduler, &tracks);
     let mut state = WalkState::new();
-    let optimal: Vec<PathSchedule> = (0..tracks.len())
-        .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
-        .collect();
+    // A clean track's optimal schedule cannot have changed, so a warm merge
+    // re-runs the dirty tracks only; without cached schedules every track
+    // is scheduled.
+    let mut optimal = std::mem::take(&mut cache.optimal);
+    if optimal.len() == tracks.len() {
+        for (idx, schedule) in optimal.iter_mut().enumerate() {
+            if cache.dirty[idx] {
+                *schedule = contexts.get(idx).schedule_with(&mut state.scratch);
+            }
+        }
+    } else {
+        optimal = (0..tracks.len())
+            .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
+            .collect();
+    }
     let delta_m = optimal
         .iter()
         .map(PathSchedule::delay)
@@ -276,39 +297,60 @@ fn generate_for_tracks_inner(
         tracks: &tracks,
         optimal: &optimal,
     };
+    let have_runs = cache.track_runs.len() == tracks.len();
+    let mut rewalk = Rewalk::new(&cache.dirty, have_runs);
     let mut table = ScheduleTable::new();
-    let mut decided = Assignment::new();
-    let root = shared
-        .select_track(&decided)
-        .expect("a valid graph has at least one alternative path");
-    match walk {
-        WalkKind::Chain => {
-            shared.walk_chain(
-                &mut NoRecord,
-                &mut state,
-                &mut table,
-                None,
-                ChainEntry::Root,
-                root,
-                &mut decided,
-            );
-        }
-        #[cfg(any(test, feature = "test-util"))]
-        WalkKind::Cloning => {
-            shared.walk_cloning(
-                &mut state,
-                &mut table,
-                root,
-                optimal[root].clone(),
-                decided.clone(),
-                LockSet::for_graph(cpg),
-            );
-        }
+    // The differential oracle walks the same tree cloning at every node and
+    // leaves no chains behind.
+    #[cfg(any(test, feature = "test-util"))]
+    if cache.cloning_oracle {
+        shared.walk_cloning_tree(&mut state, &mut table);
+    } else {
+        cache.root = Some(shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take()));
+    }
+    #[cfg(not(any(test, feature = "test-util")))]
+    {
+        cache.root = Some(shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take()));
     }
 
+    // The re-walk noted the column of every cell that may differ from the
+    // previous table; clean tracks with no compatible changed column keep
+    // last merge's run (see [`MergeCache::track_runs`] for why that is
+    // sound).
+    let mut changed_columns = std::mem::take(&mut rewalk.changed);
+    changed_columns.sort_unstable();
+    changed_columns.dedup();
+    // Union masks over the changed columns: when nothing in the changed set
+    // can exclude a label (the same aggregate test the table's partition
+    // index uses per row), `any(compatible)` is simply non-emptiness and the
+    // per-track scan is skipped; only labels some changed column *can*
+    // exclude fall back to the linear test.
+    let (mut changed_pos, mut changed_neg) = (0u64, 0u64);
+    for col in &changed_columns {
+        changed_pos |= col.positive_mask();
+        changed_neg |= col.negative_mask();
+    }
+    let any_changed_compatible = |label: &Cube| {
+        if changed_columns.is_empty() {
+            return false;
+        }
+        if label.positive_mask() & changed_neg == 0 && label.negative_mask() & changed_pos == 0 {
+            return true;
+        }
+        changed_columns.iter().any(|col| col.compatible(label))
+    };
+    let cached_runs = std::mem::take(&mut cache.track_runs);
+    cache.track_runs = simulate_tracks(cpg, arch, config, &table, &tracks, |idx| {
+        let reusable = have_runs
+            && !cache.dirty[idx]
+            && !any_changed_compatible(&tracks.tracks()[idx].label());
+        reusable.then(|| cached_runs[idx])
+    });
     let mut stats = state.stats;
-    let simulated = simulate_tracks(cpg, arch, config, &table, &tracks, |_| None);
-    let delta_max = judge(&simulated, &mut stats);
+    let delta_max = judge(&cache.track_runs, &mut stats);
+    cache.reuse = rewalk.reuse;
+    cache.dirty.fill(false);
+
     MergeResult {
         table,
         tracks,
@@ -326,14 +368,14 @@ pub(crate) type TrackRun = (Time, usize);
 
 /// The merge's one realizability check: executes the finished table on
 /// every track with the run-time simulator, in track order. `reuse` may
-/// hand back a track's run from an earlier merge instead (the session's
-/// per-track cache); the cold merge reuses nothing.
+/// hand back a track's run from the previous merge instead (the cache's
+/// per-track runs); a cold merge reuses nothing.
 ///
 /// The simulated delay of a track is bit-identical to
 /// [`ScheduleTable::track_delay`]: both take the same activation lookups
 /// over the processes whose guard the label implies, plus their execution
 /// times.
-pub(crate) fn simulate_tracks(
+fn simulate_tracks(
     cpg: &Cpg,
     arch: &Architecture,
     config: &MergeConfig,
@@ -358,7 +400,7 @@ pub(crate) fn simulate_tracks(
 /// becomes [`MergeStats::lock_slips`] (and with it the
 /// [`MergeOutcome`](crate::MergeOutcome)), and the largest simulated delay,
 /// `δ_max`, is returned.
-pub(crate) fn judge(runs: &[TrackRun], stats: &mut MergeStats) -> Time {
+fn judge(runs: &[TrackRun], stats: &mut MergeStats) -> Time {
     let violations = runs.iter().map(|&(_, violations)| violations).sum();
     // Mutation self-test hook: the slip-repair mutant models losing the
     // repair *and* its accounting, so the table is published as realizable;
@@ -385,16 +427,7 @@ pub fn try_generate_schedule_table(
     arch: &Architecture,
     config: &MergeConfig,
 ) -> Result<MergeResult, crate::MergeError> {
-    // Mutation self-test hook: accept pathological systems unchecked; the
-    // input-validation oracle must flag the disagreement with
-    // `validate_system` (tests/adversarial_corpus.rs).
-    #[cfg(any(test, feature = "test-util"))]
-    let checked = !sabotage::skip_entry_validation();
-    #[cfg(not(any(test, feature = "test-util")))]
-    let checked = true;
-    if checked {
-        crate::error::validate_system(cpg, arch)?;
-    }
+    crate::error::validate_entry(cpg, arch)?;
     Ok(generate_schedule_table(cpg, arch, config))
 }
 
@@ -418,11 +451,10 @@ const SLIP_REPAIR_ROUNDS: usize = 16;
 /// Lazily built per-track scheduling contexts.
 ///
 /// A [`TrackContext`] is a bundle of dense lookup tables over one track —
-/// cheap to query but not free to build. The cold merge needs every context
-/// (each track is visited at least once), so it prefills all cells up
-/// front; an incremental re-merge only touches the contexts of re-walked or
-/// re-scheduled tracks, so the session leaves the cells to fill on first
-/// use.
+/// cheap to query but not free to build. Each cell fills on first use: a
+/// cold merge schedules every track and so builds every context, while an
+/// incremental re-merge only touches the contexts of re-walked or
+/// re-scheduled tracks.
 pub(crate) struct ContextCache<'a> {
     scheduler: ListScheduler<'a>,
     tracks: &'a TrackSet,
@@ -446,10 +478,6 @@ impl<'a> ContextCache<'a> {
 }
 
 /// The immutable inputs of the decision-tree walk.
-///
-/// Crate-visible so the incremental [`MergeSession`](crate::MergeSession)
-/// can drive the same placement/adjustment machinery over its cached
-/// decision tree.
 pub(crate) struct MergeShared<'a> {
     pub(crate) cpg: &'a Cpg,
     pub(crate) config: &'a MergeConfig,
@@ -525,112 +553,6 @@ pub(crate) enum ChainEntry {
     },
 }
 
-/// What [`MergeShared::walk_chain`] keeps of the forward chains it walks.
-///
-/// A chain is walked in *segments*, one per condition resolution plus a last
-/// one that runs to the end of the schedule. The recorder decides three
-/// things:
-///
-/// * the view a chain's placements write through ([`View`](Self::View)),
-///   opened over the table at the chain's serial entry point and closed
-///   once the chain's last activation is placed;
-/// * what is kept per segment ([`begin_segment`](Self::begin_segment) /
-///   [`end_segment`](Self::end_segment));
-/// * whether a cached chain is replayed instead of walked
-///   ([`replay`](Self::replay)).
-///
-/// The provided methods keep nothing and never replay, which is all a cold
-/// merge ([`NoRecord`]) needs; the incremental
-/// [`MergeSession`](crate::MergeSession) overrides them to record chain logs
-/// and replay them.
-pub(crate) trait ChainRecorder {
-    /// The view one chain's placements write through.
-    type View<'t>: TableView;
-    /// What a closed view leaves behind for [`commit`](Self::commit).
-    type Log;
-    /// A walked (or replayed) chain together with its back-step children.
-    type Chain;
-
-    /// Opens the view of a chain about to be walked.
-    fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> Self::View<'t>;
-
-    /// Closes the view of a chain whose last activation is placed.
-    fn finish(&mut self, view: Self::View<'_>) -> Self::Log;
-
-    /// Builds the record of a walked chain, whose writes are in the table;
-    /// `stale` is the cached chain it replaces and `resolutions` are the
-    /// chain's own.
-    fn commit(
-        &mut self,
-        log: Self::Log,
-        stale: Option<Self::Chain>,
-        track_idx: usize,
-        resolutions: &[Resolution],
-    ) -> Self::Chain;
-
-    /// Replays `cached` at this point of the walk instead of walking it. On
-    /// success the chain's writes are in `table`, its counters in `st`, and
-    /// its resolutions are pushed onto [`WalkState::resolutions`] and
-    /// assigned in `decided`. Otherwise nothing changed and the stale chain
-    /// (if any) is handed back for [`commit`](Self::commit).
-    #[inline]
-    fn replay(
-        &mut self,
-        _st: &mut WalkState,
-        _table: &mut ScheduleTable,
-        cached: Option<Self::Chain>,
-        _track_idx: usize,
-        _decided: &mut Assignment,
-    ) -> Result<Self::Chain, Option<Self::Chain>> {
-        Err(cached)
-    }
-
-    /// A segment starts.
-    #[inline]
-    fn begin_segment(&mut self, _st: &mut WalkState) {}
-
-    /// The open segment ended: its nodes reached `depth` decided conditions
-    /// and it closed with `resolution` (`None` at the end of the schedule).
-    #[inline]
-    fn end_segment(&mut self, _st: &mut WalkState, _depth: usize, _resolution: Option<Resolution>) {
-    }
-
-    /// Takes the cached back-step child of resolution `i` of `chain`.
-    #[inline]
-    fn take_child(_chain: &mut Self::Chain, _i: usize) -> Option<Self::Chain> {
-        None
-    }
-
-    /// Hangs `child` off resolution `i` of `chain`.
-    #[inline]
-    fn set_child(_chain: &mut Self::Chain, _i: usize, _child: Self::Chain) {}
-
-    /// A cached child is dropped: no reachable path takes the flipped value.
-    #[inline]
-    fn drop_child(&mut self, _child: Option<Self::Chain>) {}
-}
-
-/// The recorder of a cold merge: chains write straight into the table and
-/// nothing is kept or replayed.
-pub(crate) struct NoRecord;
-
-impl ChainRecorder for NoRecord {
-    type View<'t> = &'t mut ScheduleTable;
-    type Log = ();
-    type Chain = ();
-
-    #[inline]
-    fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> &'t mut ScheduleTable {
-        table
-    }
-
-    #[inline]
-    fn finish(&mut self, _: &mut ScheduleTable) {}
-
-    #[inline]
-    fn commit(&mut self, (): (), _: Option<()>, _: usize, _: &[Resolution]) {}
-}
-
 impl MergeShared<'_> {
     /// Re-schedules a track around the locked activation times, feeding every
     /// slipped lock back through the Theorem-2 re-placement loop: the stale
@@ -642,10 +564,10 @@ impl MergeShared<'_> {
     /// The adjusted schedule is rebuilt into `out` (previous content
     /// discarded, buffers reused): the walk pools its schedules, so repeated
     /// adjustments stop touching the allocator once the pool is warm.
-    fn adjust_into<V: TableView + ?Sized>(
+    fn adjust_into(
         &self,
         state: &mut WalkState,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         track_idx: usize,
         locks: &mut LockSet,
         decided: &Assignment,
@@ -693,10 +615,10 @@ impl MergeShared<'_> {
     /// [`adjust_into`](Self::adjust_into) allocating a fresh schedule per
     /// call — the clone-per-node discipline of the oracle walk.
     #[cfg(any(test, feature = "test-util"))]
-    fn adjust<V: TableView + ?Sized>(
+    fn adjust(
         &self,
         state: &mut WalkState,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         track_idx: usize,
         locks: &mut LockSet,
         decided: &Assignment,
@@ -726,10 +648,10 @@ impl MergeShared<'_> {
     /// Returns `false` when no stale entry could be located (the slip then
     /// survives as-is and shows up when the finished table is simulated).
     // lint: hot-path (Theorem-2 conflict repair runs inside the walk's inner loop)
-    fn repair_slip<V: TableView + ?Sized>(
+    fn repair_slip(
         &self,
         state: &mut WalkState,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         schedule: &PathSchedule,
         decided: &Assignment,
         slip: &SlippedLock,
@@ -838,6 +760,23 @@ impl MergeShared<'_> {
         }
     }
 
+    /// Walks the whole decision tree from its root chain, replaying the
+    /// cached tree `cached` wherever it is still valid, and returns the
+    /// tree's chains.
+    fn walk_tree(
+        &self,
+        rec: &mut Rewalk<'_>,
+        st: &mut WalkState,
+        table: &mut ScheduleTable,
+        cached: Option<Box<SessionChain>>,
+    ) -> Box<SessionChain> {
+        let mut decided = Assignment::new();
+        let root = self
+            .select_track(&decided)
+            .expect("a valid graph has at least one alternative path");
+        self.walk_chain(rec, st, table, cached, ChainEntry::Root, root, &mut decided)
+    }
+
     /// Walks one forward chain of the decision tree and, recursively, its
     /// back-step children: the depth-first `BuildScheduleTable` procedure of
     /// the paper's Fig. 3, one chain per call.
@@ -852,9 +791,10 @@ impl MergeShared<'_> {
     /// recursive call (each level decides one more condition, so the
     /// recursion is at most [`MAX_CONDITIONS`](cpg::MAX_CONDITIONS) deep).
     ///
-    /// `rec` decides what is kept of each chain and whether a cached chain
-    /// (`cached`) is replayed instead (see [`ChainRecorder`]). `decided` must
-    /// be at the chain's entry state and is returned to it. The decided
+    /// `rec` records every walked chain and replays the cached chain
+    /// (`cached`) instead of walking it when it is still valid (see
+    /// [`Rewalk`]). `decided` must be at the chain's entry state and is
+    /// returned to it. The decided
     /// conditions live in that one [`Assignment`], and lock sets and
     /// schedules come from the pools of `st`, so the walk is allocation-free
     /// after warm-up; its visit order, every placement decision and the
@@ -863,16 +803,16 @@ impl MergeShared<'_> {
     /// tests).
     // lint: hot-path (the one decision-tree walk)
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn walk_chain<R: ChainRecorder>(
+    pub(crate) fn walk_chain(
         &self,
-        rec: &mut R,
+        rec: &mut Rewalk<'_>,
         st: &mut WalkState,
         table: &mut ScheduleTable,
-        cached: Option<R::Chain>,
+        cached: Option<Box<SessionChain>>,
         entry: ChainEntry,
         track_idx: usize,
         decided: &mut Assignment,
-    ) -> R::Chain {
+    ) -> Box<SessionChain> {
         let trace = self.config.trace();
         let base = st.resolutions.len();
         let mut chain = match rec.replay(st, table, cached, track_idx, decided) {
@@ -995,7 +935,7 @@ impl MergeShared<'_> {
             decided.unassign(condition);
             let node_cube = decided.to_cube();
             decided.assign(condition, !value);
-            let cached = R::take_child(&mut chain, i - base);
+            let cached = chain.children[i - base].take();
             match self.select_track(decided) {
                 Some(back_idx) => {
                     let entry = ChainEntry::Back {
@@ -1004,7 +944,7 @@ impl MergeShared<'_> {
                         node_cube,
                     };
                     let child = self.walk_chain(rec, st, table, cached, entry, back_idx, decided);
-                    R::set_child(&mut chain, i - base, child);
+                    chain.children[i - base] = Some(child);
                 }
                 None => rec.drop_child(cached),
             }
@@ -1019,10 +959,10 @@ impl MergeShared<'_> {
     /// resolved (or the schedule ends), re-adjusting the schedule in place
     /// when a conflict repair moves a process. Returns the next undecided
     /// condition resolution, if any.
-    fn place_phase<V: TableView + ?Sized>(
+    fn place_phase(
         &self,
         state: &mut WalkState,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         track_idx: usize,
         schedule: &mut PathSchedule,
         decided: &Assignment,
@@ -1082,16 +1022,35 @@ impl MergeShared<'_> {
         next
     }
 
+    /// [`walk_tree`](Self::walk_tree) by the clone-per-node oracle walk,
+    /// through one throwaway recording view.
+    #[cfg(any(test, feature = "test-util"))]
+    fn walk_cloning_tree(&self, state: &mut WalkState, table: &mut ScheduleTable) {
+        let decided = Assignment::new();
+        let root = self
+            .select_track(&decided)
+            .expect("a valid graph has at least one alternative path");
+        let mut view = RecordingView::new(table, cpg_table::RecordScratch::default());
+        self.walk_cloning(
+            state,
+            &mut view,
+            root,
+            self.optimal[root].clone(),
+            decided,
+            LockSet::for_graph(self.cpg),
+        );
+    }
+
     /// The original recursive clone-per-node decision-tree walk, kept as the
     /// reference oracle for the differential tests of the production walks:
     /// the decided conditions, the lock set and (on repairs and back-steps)
     /// the current schedule are cloned at every node instead of shared and
     /// pooled.
     #[cfg(any(test, feature = "test-util"))]
-    fn walk_cloning<V: TableView + ?Sized>(
+    fn walk_cloning(
         &self,
         state: &mut WalkState,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         track_idx: usize,
         schedule: PathSchedule,
         decided: Assignment,
@@ -1209,9 +1168,9 @@ impl MergeShared<'_> {
     /// ones other than `resolved`. The locks land in the caller-provided
     /// (pooled, cleared) set; every row probe resolves through the view's
     /// dense per-job index.
-    fn locks_from_table_into<V: TableView + ?Sized>(
+    fn locks_from_table_into(
         &self,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         locks: &mut LockSet,
         track_idx: usize,
         decided: &Assignment,
@@ -1263,10 +1222,10 @@ impl MergeShared<'_> {
     /// Rules 2 and 4: place one activation time, repairing conflicts by the
     /// Theorem-2 loop when necessary.
     // lint: hot-path (one table placement per node visit)
-    fn place<V: TableView + ?Sized>(
+    fn place(
         &self,
         state: &mut WalkState,
-        view: &mut V,
+        view: &mut RecordingView<'_>,
         schedule: &PathSchedule,
         decided: &Assignment,
         sj: ScheduledJob,

@@ -13,10 +13,13 @@
 //! * the per-segment work counters, traced steps and condition resolutions
 //!   (a segment runs between two resolutions).
 //!
-//! A chain is recorded at the cost of walking it: the cold merge's own walk
+//! Every merge records: the one walk
 //! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain))
-//! runs through a [`RecordingView`], which writes straight into the table
-//! through the same indexed reads a cold walk uses and only adds the log.
+//! runs every chain through a [`RecordingView`], which writes straight into
+//! the table and logs beside it. A one-shot
+//! [`generate_schedule_table`](crate::generate_schedule_table) is a fresh
+//! session's first merge: the same [`merge_tracks`] over an empty
+//! [`MergeCache`], which it drops afterwards.
 //!
 //! After a [`SystemEdit`] the session re-merges *incrementally*
 //! ([`MergeSession::merge`]): the table is rebuilt from scratch, but a chain
@@ -26,9 +29,8 @@
 //! ([`ScheduleTable::splice_log`]) without running the scheduler at all.
 //! Only the invalidated region of the tree is re-walked and re-recorded.
 //! Every validation failure degrades to a re-walk, never to a wrong table:
-//! the result is bit-identical to a cold
-//! [`generate_schedule_table`](crate::generate_schedule_table) of the edited
-//! system.
+//! the result is bit-identical to a fresh session's first merge of the
+//! edited system, and to the clone-per-node oracle walk.
 //!
 //! Why replay is sound: a cached log replays the exact writes the recording
 //! merge made at that point of the serial order. The walk decides from its
@@ -36,23 +38,20 @@
 //! is the one the chain was recorded with: every chain in the cache was
 //! visited by the last merge, which recorded it or replayed it with that
 //! schedule, and a clean track is not re-scheduled. So if the table up to
-//! this serial point matches a cold walk's (induction over the serial
+//! this serial point matches a fresh walk's (induction over the serial
 //! order, base case: the empty table) and every row the chain touched
 //! digests as it did at record time, the recorded decisions are the
-//! decisions a cold walk would take and the spliced writes land
+//! decisions a fresh walk would take and the spliced writes land
 //! byte-identically — including the column creation order, which
 //! [`ChainLog::created_columns_absent`] guards.
 
 use cpg::{enumerate_tracks, Assignment, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
-use cpg_arch::{Architecture, Time};
-use cpg_path_sched::{ListScheduler, PathSchedule};
+use cpg_arch::Architecture;
+use cpg_path_sched::PathSchedule;
 use cpg_table::{ChainLog, RecordScratch, RecordingView, ScheduleTable};
 
 use crate::config::MergeConfig;
-use crate::merge::{
-    judge, simulate_tracks, ChainEntry, ChainRecorder, ContextCache, MergeShared, Resolution,
-    TrackRun, WalkState,
-};
+use crate::merge::{merge_tracks, Resolution, TrackRun, WalkState};
 use crate::result::{MergeResult, MergeStats, MergeStep};
 
 /// Counters describing how much of the cached decision tree the last
@@ -87,7 +86,7 @@ struct ChainSeg {
 /// A cached forward chain of the decision tree: the maximal run of nodes
 /// sharing one current schedule, plus the back-step children hanging off its
 /// resolutions (deepest first in walk order).
-struct SessionChain {
+pub(crate) struct SessionChain {
     /// The track whose schedule is current along this chain.
     track_idx: usize,
     /// The chain's writes, created columns and touched-row digests, recorded
@@ -99,13 +98,57 @@ struct SessionChain {
     segs: Box<[ChainSeg]>,
     /// Back-step subtree per resolution (`children[i]` flips the `i`-th
     /// resolution); `None` when no reachable path takes the flipped value.
-    children: Vec<Option<Box<SessionChain>>>,
+    pub(crate) children: Vec<Option<Box<SessionChain>>>,
 }
 
-/// The session's [`ChainRecorder`]: records every walked chain through a
+/// What one merge leaves for the next merge of the same system, plus the
+/// edits since. A [`MergeSession`] keeps it across merges; a one-shot merge
+/// starts from [`MergeCache::default`] (nothing cached, nothing dirty) and
+/// drops it afterwards.
+#[derive(Default)]
+pub(crate) struct MergeCache {
+    /// The decision tree of the last merge (`None` before the first).
+    pub(crate) root: Option<Box<SessionChain>>,
+    /// Per-track optimal schedules of the last merge, aligned with the
+    /// tracks (empty before the first merge). A clean track's individual
+    /// schedule depends only on its own jobs' execution times and mappings
+    /// — which the dirty set covers by construction — so a re-merge
+    /// re-schedules dirty tracks only.
+    pub(crate) optimal: Vec<PathSchedule>,
+    /// The simulated run of each track on the last merge's table — its
+    /// delay and violation count — aligned with the tracks (empty before the
+    /// first merge). A run reads only the table cells whose column is
+    /// satisfied by the track's label (so compatible with it), plus the
+    /// execution times and mappings of the track's own processes, which are
+    /// guard-implied by the label and so covered by the dirty set. A clean
+    /// track with no compatible changed column therefore reuses the cached
+    /// run, and the realizability check costs nothing on a pure replay.
+    pub(crate) track_runs: Vec<TrackRun>,
+    /// Tracks inside the scope of an edit applied since the last merge;
+    /// aligned with the tracks whenever anything above is cached.
+    pub(crate) dirty: Vec<bool>,
+    /// Reuse counters of the last merge.
+    pub(crate) reuse: ReuseStats,
+    /// Walk with the clone-per-node oracle instead of the chain walk
+    /// ([`generate_schedule_table_cloning`](crate::generate_schedule_table_cloning)).
+    #[cfg(any(test, feature = "test-util"))]
+    pub(crate) cloning_oracle: bool,
+}
+
+impl MergeCache {
+    /// An empty cache for a system with `num_tracks` alternative paths.
+    fn new(num_tracks: usize) -> Self {
+        MergeCache {
+            dirty: vec![false; num_tracks],
+            ..MergeCache::default()
+        }
+    }
+}
+
+/// The walk's chain recorder: records every walked chain through a
 /// [`RecordingView`] and replays cached chains that are still valid,
 /// carrying the invalidation state of one merge.
-struct Rewalk<'a> {
+pub(crate) struct Rewalk<'a> {
     /// Tracks inside the scope of an edit applied since the last merge.
     dirty: &'a [bool],
     /// `false` while every chain visited so far (in serial order) replayed
@@ -123,8 +166,8 @@ struct Rewalk<'a> {
     /// dropped subtrees. Replayed chains splice byte-identical content and
     /// note nothing. The per-track simulation cache invalidates exactly the
     /// tracks whose label is compatible with a noted column.
-    changed: Vec<Cube>,
-    reuse: ReuseStats,
+    pub(crate) changed: Vec<Cube>,
+    pub(crate) reuse: ReuseStats,
     /// The buffers every recorded chain reuses.
     scratch: RecordScratch,
     /// The segments recorded so far of the chain being walked.
@@ -133,7 +176,23 @@ struct Rewalk<'a> {
     seg_start: (MergeStats, usize),
 }
 
-impl Rewalk<'_> {
+impl<'a> Rewalk<'a> {
+    /// A recorder for one merge: nothing replayed or recorded yet. Changed
+    /// columns are noted only when `note_changes` (there are cached runs
+    /// to invalidate).
+    pub(crate) fn new(dirty: &'a [bool], note_changes: bool) -> Self {
+        Rewalk {
+            dirty,
+            diverged: false,
+            note_changes,
+            changed: Vec::new(),
+            reuse: ReuseStats::default(),
+            scratch: RecordScratch::default(),
+            segs: Vec::new(),
+            seg_start: (MergeStats::default(), 0),
+        }
+    }
+
     /// Notes the columns a write log touches (cells added, replaced or
     /// dropped versus the previous merge's table). Over-approximation is
     /// sound.
@@ -181,16 +240,13 @@ impl Rewalk<'_> {
         let rows_match = rows_match || crate::merge::sabotage::skip_splice_validation();
         rows_match && chain.log.created_columns_absent(table)
     }
-}
 
-impl ChainRecorder for Rewalk<'_> {
-    /// One view spans the whole chain, so a row is digested once per chain
-    /// however many segments touch it.
-    type View<'t> = RecordingView<'t>;
-    type Log = ChainLog;
-    type Chain = Box<SessionChain>;
-
-    fn replay(
+    /// Replays `cached` at this point of the walk instead of walking it. On
+    /// success the chain's writes are in `table`, its counters in `st`, and
+    /// its resolutions are pushed onto [`WalkState::resolutions`] and
+    /// assigned in `decided`. Otherwise nothing changed and the stale chain
+    /// (if any) is handed back for [`commit`](Self::commit).
+    pub(crate) fn replay(
         &mut self,
         st: &mut WalkState,
         table: &mut ScheduleTable,
@@ -218,15 +274,26 @@ impl ChainRecorder for Rewalk<'_> {
         Ok(chain)
     }
 
-    fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> RecordingView<'t> {
+    /// Opens the view of a chain about to be walked. One view spans the
+    /// whole chain, so a row is digested once per chain however many
+    /// segments touch it.
+    pub(crate) fn open<'t>(&mut self, table: &'t mut ScheduleTable) -> RecordingView<'t> {
         RecordingView::new(table, std::mem::take(&mut self.scratch))
     }
 
-    fn begin_segment(&mut self, st: &mut WalkState) {
+    /// A segment starts.
+    pub(crate) fn begin_segment(&mut self, st: &WalkState) {
         self.seg_start = (st.stats, st.steps.len());
     }
 
-    fn end_segment(&mut self, st: &mut WalkState, depth: usize, resolution: Option<Resolution>) {
+    /// The open segment ended: its nodes reached `depth` decided conditions
+    /// and it closed with `resolution` (`None` at the end of the schedule).
+    pub(crate) fn end_segment(
+        &mut self,
+        st: &WalkState,
+        depth: usize,
+        resolution: Option<Resolution>,
+    ) {
         let (stats_before, steps_before) = self.seg_start;
         let mut stats = stats_delta(stats_before, st.stats);
         // Depths are absolute (decided conditions at the node), so caching
@@ -241,13 +308,17 @@ impl ChainRecorder for Rewalk<'_> {
         });
     }
 
-    fn finish(&mut self, view: RecordingView<'_>) -> ChainLog {
+    /// Closes the view of a chain whose last activation is placed.
+    pub(crate) fn finish(&mut self, view: RecordingView<'_>) -> ChainLog {
         let (log, scratch) = view.finish();
         self.scratch = scratch;
         log
     }
 
-    fn commit(
+    /// Builds the record of a walked chain, whose writes are in the table;
+    /// `stale` is the cached chain it replaces and `resolutions` are the
+    /// chain's own.
+    pub(crate) fn commit(
         &mut self,
         log: ChainLog,
         stale: Option<Box<SessionChain>>,
@@ -299,16 +370,9 @@ impl ChainRecorder for Rewalk<'_> {
         })
     }
 
-    fn take_child(chain: &mut Box<SessionChain>, i: usize) -> Option<Box<SessionChain>> {
-        chain.children[i].take()
-    }
-
-    fn set_child(chain: &mut Box<SessionChain>, i: usize, child: Box<SessionChain>) {
-        chain.children[i] = Some(child);
-    }
-
-    fn drop_child(&mut self, child: Option<Box<SessionChain>>) {
-        // A cached subtree here is dead and its cells leave the table.
+    /// A cached child is dropped: no reachable path takes the flipped value,
+    /// so the subtree is dead and its cells leave the table.
+    pub(crate) fn drop_child(&mut self, child: Option<Box<SessionChain>>) {
         if let Some(old) = child {
             self.note_changed_chain(&old);
         }
@@ -318,7 +382,7 @@ impl ChainRecorder for Rewalk<'_> {
 /// Field-wise difference of two counter snapshots (`after - before`).
 ///
 /// Meaningful for the summable counters only: `max_walk_depth` is a running
-/// maximum, so [`end_segment`](ChainRecorder::end_segment) overwrites it with
+/// maximum, so [`end_segment`](Rewalk::end_segment) overwrites it with
 /// the segment's absolute maximum after taking the delta.
 fn stats_delta(before: MergeStats, after: MergeStats) -> MergeStats {
     MergeStats {
@@ -341,7 +405,9 @@ fn stats_delta(before: MergeStats, after: MergeStats) -> MergeStats {
 /// [`merge`](Self::merge) replays every cached subtree the edit provably
 /// cannot affect (validating its recorded reads against the rebuilt table)
 /// and re-walks only the invalidated region. The produced [`MergeResult`]
-/// is bit-identical to a cold merge of the edited system.
+/// is bit-identical to a fresh session's first merge of the edited system,
+/// which is what [`generate_schedule_table`](crate::generate_schedule_table)
+/// runs.
 ///
 /// # Example
 ///
@@ -375,30 +441,12 @@ pub struct MergeSession {
     arch: Architecture,
     config: MergeConfig,
     tracks: TrackSet,
-    /// Tracks inside the scope of an edit applied since the last merge.
-    dirty: Vec<bool>,
     /// A structural (guard) edit invalidates the whole cache and the track
     /// enumeration itself.
     structural: bool,
-    /// The cached decision tree of the last merge (`None` before the first).
-    root: Option<Box<SessionChain>>,
-    /// Per-track optimal schedules of the last merge, aligned with `tracks`
-    /// (empty before the first merge). A clean track's individual schedule
-    /// depends only on its own jobs' execution times and mappings — which the
-    /// dirty set covers by construction — so a re-merge re-schedules dirty
-    /// tracks only.
-    optimal: Vec<PathSchedule>,
-    /// The simulated run of each track on the last merge's table — its delay
-    /// and violation count — aligned with `tracks` (empty before the first
-    /// merge). A run reads only the table cells whose column is satisfied by
-    /// the track's label (so compatible with it), plus the execution times
-    /// and mappings of the track's own processes, which are guard-implied by
-    /// the label and so covered by the dirty set. A clean track with no
-    /// compatible changed column therefore reuses the cached run, and the
-    /// realizability check costs nothing on a pure replay.
-    track_runs: Vec<TrackRun>,
-    /// Reuse counters of the last merge.
-    reuse: ReuseStats,
+    /// What the last merge left for the next one, and the dirty marks of
+    /// the edits since.
+    cache: MergeCache,
 }
 
 impl MergeSession {
@@ -409,18 +457,13 @@ impl MergeSession {
     #[must_use]
     pub fn new(cpg: &Cpg, arch: &Architecture, config: &MergeConfig) -> Self {
         let tracks = enumerate_tracks(cpg);
-        let num_tracks = tracks.len();
         MergeSession {
             cpg: cpg.clone(),
             arch: arch.clone(),
             config: *config,
+            cache: MergeCache::new(tracks.len()),
             tracks,
-            dirty: vec![false; num_tracks],
             structural: false,
-            root: None,
-            optimal: Vec::new(),
-            track_runs: Vec::new(),
-            reuse: ReuseStats::default(),
         }
     }
 
@@ -452,7 +495,7 @@ impl MergeSession {
     /// reused. All zeros before the first merge.
     #[must_use]
     pub fn reuse_stats(&self) -> ReuseStats {
-        self.reuse
+        self.cache.reuse
     }
 
     /// Applies an edit to the session's graph and widens the invalidation
@@ -472,7 +515,7 @@ impl MergeSession {
             EditScope::Structural => self.structural = true,
             EditScope::Tracks(affected) => {
                 for &idx in affected {
-                    self.dirty[idx] = true;
+                    self.cache.dirty[idx] = true;
                 }
             }
         }
@@ -482,9 +525,9 @@ impl MergeSession {
     /// Drops the cached decision tree, schedules and simulated runs: the
     /// next [`merge`](Self::merge) is a full cold walk.
     pub fn invalidate_all(&mut self) {
-        self.root = None;
-        self.optimal.clear();
-        self.track_runs.clear();
+        self.cache.root = None;
+        self.cache.optimal.clear();
+        self.cache.track_runs.clear();
     }
 
     /// Re-merges the (possibly edited) system, replaying every cached
@@ -497,135 +540,20 @@ impl MergeSession {
             // A guard edit may have changed the set of alternative paths:
             // nothing survives.
             self.tracks = enumerate_tracks(&self.cpg);
-            self.root = None;
-            self.optimal.clear();
-            self.track_runs.clear();
+            self.cache = MergeCache::new(self.tracks.len());
             self.structural = false;
-            self.dirty = vec![false; self.tracks.len()];
         }
-        let dirty = std::mem::take(&mut self.dirty);
-        let cached_root = self.root.take();
-
-        let scheduler = ListScheduler::new(&self.cpg, &self.arch, self.config.broadcast_time());
-        // Contexts are built lazily: a warm merge only needs them for the
-        // tracks it re-schedules or re-walks; a merge that replays
-        // everything needs none at all. (The cold path eagerly prefills the
-        // same cache with its initial schedules.)
-        let contexts = ContextCache::new(scheduler, &self.tracks);
-        let mut state = WalkState::new();
-        // A clean track's optimal schedule cannot have changed, so only the
-        // dirty tracks are re-run. The first merge (and the one after a
-        // structural edit) schedules every track, like the cold path.
-        let optimal = if self.optimal.len() == self.tracks.len() {
-            let mut optimal = std::mem::take(&mut self.optimal);
-            for (idx, schedule) in optimal.iter_mut().enumerate() {
-                if dirty[idx] {
-                    *schedule = contexts.get(idx).schedule_with(&mut state.scratch);
-                }
-            }
-            optimal
-        } else {
-            (0..self.tracks.len())
-                .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
-                .collect()
-        };
-        let delta_m = optimal
-            .iter()
-            .map(PathSchedule::delay)
-            .max()
-            .unwrap_or(Time::ZERO);
-
-        let shared = MergeShared {
-            cpg: &self.cpg,
-            config: &self.config,
-            contexts: &contexts,
-            tracks: &self.tracks,
-            optimal: &optimal,
-        };
-        let have_runs = self.track_runs.len() == self.tracks.len();
-        let mut rewalk = Rewalk {
-            dirty: &dirty,
-            diverged: false,
-            note_changes: have_runs,
-            changed: Vec::new(),
-            reuse: ReuseStats::default(),
-            scratch: RecordScratch::default(),
-            segs: Vec::new(),
-            seg_start: (MergeStats::default(), 0),
-        };
-
-        let mut table = ScheduleTable::new();
-        let mut decided = Assignment::new();
-        let root_idx = shared
-            .select_track(&decided)
-            .expect("a valid graph has at least one alternative path");
-        let new_root = shared.walk_chain(
-            &mut rewalk,
-            &mut state,
-            &mut table,
-            cached_root,
-            ChainEntry::Root,
-            root_idx,
-            &mut decided,
-        );
-
-        // The re-walk noted the column of every cell that may differ from
-        // the previous table; clean tracks with no compatible changed column
-        // keep last merge's run (see `track_runs` for why that is sound).
-        let cached_runs = std::mem::take(&mut self.track_runs);
-        let mut changed_columns = std::mem::take(&mut rewalk.changed);
-        changed_columns.sort_unstable();
-        changed_columns.dedup();
-        // Union masks over the changed columns: when nothing in the changed
-        // set can exclude a label (the same aggregate test the table's
-        // partition index uses per row), `any(compatible)` is simply
-        // non-emptiness and the per-track scan is skipped; only labels some
-        // changed column *can* exclude fall back to the linear test.
-        let (mut changed_pos, mut changed_neg) = (0u64, 0u64);
-        for col in &changed_columns {
-            changed_pos |= col.positive_mask();
-            changed_neg |= col.negative_mask();
-        }
-        let any_changed_compatible = |label: &Cube| {
-            if changed_columns.is_empty() {
-                return false;
-            }
-            if label.positive_mask() & changed_neg == 0 && label.negative_mask() & changed_pos == 0
-            {
-                return true;
-            }
-            changed_columns.iter().any(|col| col.compatible(label))
-        };
-        self.track_runs = simulate_tracks(
+        let result = merge_tracks(
             &self.cpg,
             &self.arch,
             &self.config,
-            &table,
-            &self.tracks,
-            |idx| {
-                let reusable = have_runs
-                    && !dirty[idx]
-                    && !any_changed_compatible(&self.tracks.tracks()[idx].label());
-                reusable.then(|| cached_runs[idx])
-            },
+            self.tracks.clone(),
+            &mut self.cache,
         );
-        let mut stats = state.stats;
-        let delta_max = judge(&self.track_runs, &mut stats);
-
-        self.reuse = rewalk.reuse;
-        self.root = Some(new_root);
-        self.dirty = vec![false; self.tracks.len()];
-        self.optimal = optimal;
-
-        MergeResult {
-            table,
-            tracks: self.tracks.clone(),
-            path_schedules: self.optimal.clone(),
-            delta_m,
-            delta_max,
-            steps: state.steps,
-            stats,
-        }
+        // The result took the optimal schedules; the next merge re-runs the
+        // dirty tracks of this copy.
+        self.cache.optimal = result.path_schedules.clone();
+        result
     }
 
     /// Variant of [`MergeSession::new`] that validates the system first and
@@ -637,15 +565,7 @@ impl MergeSession {
         arch: &Architecture,
         config: &MergeConfig,
     ) -> Result<Self, crate::MergeError> {
-        // Same entry-validation mutant bypass as
-        // [`try_generate_schedule_table`](crate::try_generate_schedule_table).
-        #[cfg(any(test, feature = "test-util"))]
-        let checked = !crate::merge::sabotage::skip_entry_validation();
-        #[cfg(not(any(test, feature = "test-util")))]
-        let checked = true;
-        if checked {
-            crate::error::validate_system(cpg, arch)?;
-        }
+        crate::error::validate_entry(cpg, arch)?;
         Ok(MergeSession::new(cpg, arch, config))
     }
 
@@ -664,9 +584,11 @@ impl MergeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate_schedule_table;
+    use crate::merge::{ChainEntry, ContextCache, MergeShared};
+    use crate::{generate_schedule_table, generate_schedule_table_cloning};
     use cpg::{examples, CondId, Guard, ProcessId, MAX_CONDITIONS};
-    use cpg_path_sched::Job;
+    use cpg_arch::Time;
+    use cpg_path_sched::{Job, ListScheduler};
 
     fn assert_identical(a: &MergeResult, b: &MergeResult, context: &str) {
         assert_eq!(a.table(), b.table(), "table diverged ({context})");
@@ -687,13 +609,13 @@ mod tests {
     }
 
     #[test]
-    fn cold_session_merge_matches_the_production_walk() {
+    fn first_session_merge_matches_the_cloning_oracle() {
         let system = examples::fig1();
         let config = MergeConfig::new(system.broadcast_time()).with_trace(true);
-        let cold = generate_schedule_table(system.cpg(), system.arch(), &config);
+        let oracle = generate_schedule_table_cloning(system.cpg(), system.arch(), &config);
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         let first = session.merge();
-        assert_identical(&cold, &first, "cold session merge");
+        assert_identical(&oracle, &first, "first session merge");
         assert!(session.reuse_stats().chains_recorded > 0);
         assert_eq!(session.reuse_stats().chains_replayed, 0);
     }
@@ -850,7 +772,7 @@ mod tests {
     /// table already holding a cell no chain wrote), validating every chain
     /// as after a diverged re-record. Returns whether the cached root alone
     /// replays over `seed`, the reuse counters of the whole walk, and its
-    /// table next to a cold walk's over the same seed.
+    /// table next to that of a walk with no cached tree over the same seed.
     fn rewalk_over(
         seed: impl Fn(&[Cube]) -> ScheduleTable,
     ) -> (bool, ReuseStats, ScheduleTable, ScheduleTable) {
@@ -858,7 +780,7 @@ mod tests {
         let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
-        let root = session.root.take().expect("the session merged");
+        let root = session.cache.root.take().expect("the session merged");
         // The table is empty at the root chain's entry, so every column it
         // writes is one it created, in first-write order.
         let mut created: Vec<Cube> = Vec::new();
@@ -877,18 +799,12 @@ mod tests {
             config: &session.config,
             contexts: &contexts,
             tracks: &session.tracks,
-            optimal: &session.optimal,
+            optimal: &session.cache.optimal,
         };
         let dirty = vec![false; session.tracks.len()];
         let recorder = || Rewalk {
-            dirty: &dirty,
             diverged: true,
-            note_changes: false,
-            changed: Vec::new(),
-            reuse: ReuseStats::default(),
-            scratch: RecordScratch::default(),
-            segs: Vec::new(),
-            seg_start: (MergeStats::default(), 0),
+            ..Rewalk::new(&dirty, false)
         };
         let root_idx = shared
             .select_track(&Assignment::new())
@@ -917,7 +833,7 @@ mod tests {
         );
         let mut cold = seed;
         shared.walk_chain(
-            &mut crate::merge::NoRecord,
+            &mut Rewalk::new(&dirty, false),
             &mut WalkState::new(),
             &mut cold,
             None,

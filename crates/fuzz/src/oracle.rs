@@ -13,7 +13,7 @@
 //!    reference walk (table, schedules, steps, stats).
 //! 4. **Warm vs cold** — a [`MergeSession`] replaying the workload's edit
 //!    sequence must produce, after every edit, the same result as a cold
-//!    merge of an identically edited graph.
+//!    merge (a fresh session's first merge) of an identically edited graph.
 //! 5. **Simulates clean** — running the final table on every alternative
 //!    path with the run-time simulator must agree with the merge's verdict:
 //!    a `Realizable` table runs clean on every path, a clean table without
@@ -148,9 +148,12 @@ fn run_oracles_inner(
     }
 
     // Oracle 4: warm session replay vs cold merges, through the workload's
-    // edit sequence.
+    // edit sequence. A cold merge is a fresh session's first merge, so the
+    // initial session merge is held against the independent cloning walk;
+    // after every edit, the warm merge replays cached chains where the cold
+    // merge of the edited graph walks them all.
     let mut session = MergeSession::new(cpg, arch, &config);
-    if let Some(divergence) = divergence(&baseline, &session.merge()) {
+    if let Some(divergence) = divergence(&cloning, &session.merge()) {
         return Err(OracleFailure {
             oracle: OracleKind::WarmVsCold,
             detail: format!("initial session merge: {divergence}"),

@@ -4,11 +4,11 @@
 //!
 //! - **forbid-unsafe** — every library, binary and bench crate root carries
 //!   `#![forbid(unsafe_code)]` (integration tests are exempt).
-//! - **table-view-inline** — every method of the `TableView` impls for
-//!   `ScheduleTable` and `RecordingView` in `crates/table/src/txn.rs` is
-//!   `#[inline]`: the walk and the session's chain recording dispatch
-//!   through these on their hottest edge and must not pay a call across
-//!   the crate boundary.
+//! - **recording-view-inline** — every method of the inherent
+//!   `impl RecordingView` blocks in `crates/table/src/txn.rs` is
+//!   `#[inline]`: the merge walk reads and writes the table through these
+//!   on its hottest edge and must not pay a call across the crate
+//!   boundary.
 //! - **env-var-outside-config** — `std::env::var` reads appear only in
 //!   `crates/core/src/config.rs` (`threads_from_env` and its test helper);
 //!   everything else takes configuration as arguments so behaviour never
@@ -40,8 +40,8 @@ use std::path::{Path, PathBuf};
 
 /// Rule identifier for the `#![forbid(unsafe_code)]` crate-root check.
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
-/// Rule identifier for the `TableView` `#[inline]` check.
-pub const RULE_TABLE_VIEW_INLINE: &str = "table-view-inline";
+/// Rule identifier for the `RecordingView` `#[inline]` check.
+pub const RULE_RECORDING_VIEW_INLINE: &str = "recording-view-inline";
 /// Rule identifier for the environment-read containment check.
 pub const RULE_ENV_VAR: &str = "env-var-outside-config";
 /// Rule identifier for the hot-path allocation check.
@@ -467,10 +467,15 @@ fn has_inline_attr(code: &str, lower: usize, fn_pos: usize) -> bool {
     }
 }
 
-/// Rule `table-view-inline`: every method of an `impl TableView for …`
-/// block whose target starts with one of `targets` carries `#[inline]`.
+/// Rule `recording-view-inline`: every method of an inherent `impl` block
+/// whose self type starts with one of `targets` carries `#[inline]`. Trait
+/// impls (`impl Trait for …`) are not checked.
 #[must_use]
-pub fn check_table_view_inline(file: &str, scanned: &Scanned, targets: &[&str]) -> Vec<Finding> {
+pub fn check_recording_view_inline(
+    file: &str,
+    scanned: &Scanned,
+    targets: &[&str],
+) -> Vec<Finding> {
     let code = &scanned.code;
     let bytes = code.as_bytes();
     let mut findings = Vec::new();
@@ -481,16 +486,16 @@ pub fn check_table_view_inline(file: &str, scanned: &Scanned, targets: &[&str]) 
             break;
         };
         let open = pos + open_rel;
-        let header = &code[pos..open];
-        if !header.contains("TableView for") {
-            continue;
+        // The self type: the header past `impl` and its generic parameters.
+        let mut start = pos + "impl".len();
+        while bytes[start].is_ascii_whitespace() {
+            start += 1;
         }
-        let target = header
-            .split("for")
-            .nth(1)
-            .map(str::trim)
-            .unwrap_or_default();
-        if !targets.iter().any(|t| target.starts_with(t)) {
+        if bytes[start] == b'<' {
+            start = matching_brace(bytes, start, b'<', b'>') + 1;
+        }
+        let target = code[start..open].trim();
+        if find_word(target, "for", 0).is_some() || !targets.iter().any(|t| target.starts_with(t)) {
             continue;
         }
         let close = matching_brace(bytes, open, b'{', b'}');
@@ -514,12 +519,12 @@ pub fn check_table_view_inline(file: &str, scanned: &Scanned, targets: &[&str]) 
                     let name = ident_after(code, j + 2);
                     if !has_inline_attr(code, open + 1, j) {
                         findings.push(Finding {
-                            rule: RULE_TABLE_VIEW_INLINE,
+                            rule: RULE_RECORDING_VIEW_INLINE,
                             file: file.to_string(),
                             line: scanned.line_of(j),
                             message: format!(
-                                "TableView method `{name}` for `{target}` is missing #[inline] \
-                                 (the walk dispatches through it on the hot path)"
+                                "method `{name}` of `{target}` is missing #[inline] \
+                                 (the walk calls it on the hot path)"
                             ),
                         });
                     }
@@ -778,14 +783,14 @@ pub fn run(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
         }
     }
 
-    // table-view-inline: the one file holding both impls.
+    // recording-view-inline: the one file holding the view.
     let txn = root.join("crates/table/src/txn.rs");
     if txn.is_file() {
         scanned_files += 1;
-        findings.extend(check_table_view_inline(
+        findings.extend(check_recording_view_inline(
             &rel(root, &txn),
             &read_scanned(&txn)?,
-            &["ScheduleTable", "RecordingView"],
+            &["RecordingView"],
         ));
     }
 

@@ -5,8 +5,8 @@ use std::path::{Path, PathBuf};
 
 use cpg_lint::{
     check_bench_prefixes, check_corpus_dirs, check_env_var, check_forbid_unsafe, check_hot_path,
-    check_table_view_inline, run, scan, Scanned, RULE_BENCH_PREFIX, RULE_CORPUS_DIR, RULE_ENV_VAR,
-    RULE_FORBID_UNSAFE, RULE_HOT_PATH, RULE_TABLE_VIEW_INLINE,
+    check_recording_view_inline, run, scan, Scanned, RULE_BENCH_PREFIX, RULE_CORPUS_DIR,
+    RULE_ENV_VAR, RULE_FORBID_UNSAFE, RULE_HOT_PATH, RULE_RECORDING_VIEW_INLINE,
 };
 
 fn fixture(name: &str) -> Scanned {
@@ -49,21 +49,23 @@ fn missing_forbid_unsafe_is_flagged() {
 }
 
 #[test]
-fn table_view_methods_without_inline_are_flagged() {
-    let findings = check_table_view_inline(
+fn recording_view_methods_without_inline_are_flagged() {
+    let findings = check_recording_view_inline(
         "fixture.rs",
         &fixture("r2_missing_inline.rs"),
-        &["ScheduleTable", "RecordingView"],
+        &["RecordingView"],
     );
     assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == RULE_TABLE_VIEW_INLINE));
+    assert!(findings
+        .iter()
+        .all(|f| f.rule == RULE_RECORDING_VIEW_INLINE));
     assert!(
         findings[0].message.contains("`set_on`"),
         "{}",
         findings[0].message
     );
     assert!(
-        findings[1].message.contains("`row_digest`"),
+        findings[1].message.contains("`for_each_entry_at_on`"),
         "{}",
         findings[1].message
     );

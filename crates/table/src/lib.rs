@@ -33,4 +33,4 @@ pub use analysis::{to_csv, utilization, ResourceLoad};
 pub use dispatch::{per_processor_dispatch, DispatchEntry, DispatchTable};
 pub use error::TableViolation;
 pub use table::{Activation, ScheduleTable};
-pub use txn::{ChainLog, RecordScratch, RecordingView, TableView};
+pub use txn::{ChainLog, RecordScratch, RecordingView};

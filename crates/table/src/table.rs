@@ -106,9 +106,8 @@ struct GroupMeta {
 /// to the linear entry scan (the exact pre-index behaviour), and the next
 /// direct `set_on` to the row rebuilds the whole index in one pass
 /// (capacity reused, so the rebuild is allocation-free after warm-up).
-/// Every walked chain — cold, or recorded by a session, which writes
-/// through to the table — writes with `set_on`, so the first write a walk
-/// makes to a spliced row restores its index.
+/// Every walked chain writes through its recording view with `set_on`, so
+/// the first write a walk makes to a spliced row restores its index.
 #[derive(Debug, Clone, Default)]
 struct RowIndex {
     /// Union of the positive masks over every column tabled in the row.

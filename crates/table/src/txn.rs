@@ -1,10 +1,10 @@
-//! Chain recording over a [`ScheduleTable`]: the recording layer of
-//! incremental re-merge.
+//! Chain recording over a [`ScheduleTable`]: the table access layer of the
+//! merge walk.
 //!
-//! A `MergeSession` (crate `cpg-merge`) walks every forward chain of the
-//! decision tree through a [`RecordingView`]. The view writes straight into
-//! the real table — the same indexed reads and writes a cold walk makes —
-//! and keeps a [`ChainLog`] beside it:
+//! The merge (crate `cpg-merge`) walks every forward chain of the decision
+//! tree through a [`RecordingView`]; a one-shot merge is a fresh session's
+//! first merge. The view writes straight into the real table through the
+//! table's indexed reads and writes, and keeps a [`ChainLog`] beside it:
 //!
 //! * the chain's writes, in order;
 //! * the columns the chain created;
@@ -36,153 +36,6 @@ use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 
 use crate::ScheduleTable;
-
-/// The table operations the merge walk needs, abstracted so the walk can
-/// write straight into the real [`ScheduleTable`] (cold merges) or through
-/// a [`RecordingView`] (the chains of a `MergeSession`).
-///
-/// Reads take `&mut self` so a recording view can note the first touch of
-/// a row. The trait deliberately excludes `remove`: the walk only ever adds
-/// or overwrites activation times.
-pub trait TableView {
-    /// The activation time of `job` in the column headed exactly by `column`.
-    fn get(&mut self, job: Job, column: &Cube) -> Option<Time>;
-
-    /// The resource recorded for `job` in the column headed exactly by
-    /// `column`, when the cell exists and carries provenance.
-    fn resource(&mut self, job: Job, column: &Cube) -> Option<PeId>;
-
-    /// Records the activation time of `job` under `column` together with the
-    /// resource provenance, creating the column when absent, and returns the
-    /// previously stored time for that cell, if any.
-    fn set_on(
-        &mut self,
-        job: Job,
-        column: Cube,
-        time: Time,
-        resource: Option<PeId>,
-    ) -> Option<Time>;
-
-    /// Visits the `(key, column, time, resource)` entries of the row of `job`
-    /// whose column is *compatible* with (not excluded by) `probe`; the key
-    /// is the column's insertion index.
-    ///
-    /// **Iteration order is unspecified** — [`ScheduleTable`] serves this
-    /// from its per-row condition-partition index in mention-mask group
-    /// order. Callers must be order-independent or re-establish a
-    /// deterministic order from the keys.
-    fn for_each_compatible_entry_on(
-        &mut self,
-        job: Job,
-        probe: &Cube,
-        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
-    );
-
-    /// Visits the `(key, column, resource)` entries of the row of `job`
-    /// tabled at exactly `time`.
-    ///
-    /// **Iteration order is unspecified** — [`ScheduleTable`] serves this
-    /// from its per-row time bucketing.
-    fn for_each_entry_at_on(
-        &mut self,
-        job: Job,
-        time: Time,
-        visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
-    );
-}
-
-// The impl methods are `#[inline]`: the walk is monomorphized over the
-// view, and without cross-crate inlining every row probe of its hot loops
-// would pay an opaque call plus a virtual visitor dispatch per entry (the
-// closures devirtualize once the scan is inlined to where the concrete
-// closure type is visible).
-impl TableView for ScheduleTable {
-    #[inline]
-    fn get(&mut self, job: Job, column: &Cube) -> Option<Time> {
-        ScheduleTable::get(self, job, column)
-    }
-
-    #[inline]
-    fn resource(&mut self, job: Job, column: &Cube) -> Option<PeId> {
-        ScheduleTable::resource(self, job, column)
-    }
-
-    #[inline]
-    fn set_on(
-        &mut self,
-        job: Job,
-        column: Cube,
-        time: Time,
-        resource: Option<PeId>,
-    ) -> Option<Time> {
-        ScheduleTable::set_on(self, job, column, time, resource)
-    }
-
-    #[inline]
-    fn for_each_compatible_entry_on(
-        &mut self,
-        job: Job,
-        probe: &Cube,
-        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
-    ) {
-        self.visit_compatible_entries(job, probe, visit);
-    }
-
-    #[inline]
-    fn for_each_entry_at_on(
-        &mut self,
-        job: Job,
-        time: Time,
-        visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
-    ) {
-        self.visit_entries_at(job, time, visit);
-    }
-}
-
-// A mutable borrow of a view is a view, so a walk generic over an owned view
-// type can write straight through `&mut ScheduleTable`.
-impl<T: TableView + ?Sized> TableView for &mut T {
-    #[inline]
-    fn get(&mut self, job: Job, column: &Cube) -> Option<Time> {
-        (**self).get(job, column)
-    }
-
-    #[inline]
-    fn resource(&mut self, job: Job, column: &Cube) -> Option<PeId> {
-        (**self).resource(job, column)
-    }
-
-    #[inline]
-    fn set_on(
-        &mut self,
-        job: Job,
-        column: Cube,
-        time: Time,
-        resource: Option<PeId>,
-    ) -> Option<Time> {
-        (**self).set_on(job, column, time, resource)
-    }
-
-    #[inline]
-    fn for_each_compatible_entry_on(
-        &mut self,
-        job: Job,
-        probe: &Cube,
-        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
-    ) {
-        (**self).for_each_compatible_entry_on(job, probe, visit);
-    }
-
-    #[inline]
-    fn for_each_entry_at_on(
-        &mut self,
-        job: Job,
-        time: Time,
-        visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
-    ) {
-        (**self).for_each_entry_at_on(job, time, visit);
-    }
-}
 
 /// One recorded write, replayed verbatim by [`ScheduleTable::splice_log`].
 #[derive(Debug, Clone, Copy)]
@@ -262,8 +115,14 @@ pub struct RecordingView<'t> {
     scratch: RecordScratch,
 }
 
+// Every method is `#[inline]`: the walk calls the reads and writes on its
+// hottest edge from another crate, and without cross-crate inlining every
+// row probe of its loops would pay an opaque call plus a virtual visitor
+// dispatch per entry (the closures devirtualize once the scan is inlined to
+// where the concrete closure type is visible).
 impl<'t> RecordingView<'t> {
     /// Opens a recording view over `table` at a chain's entry.
+    #[inline]
     #[must_use]
     pub fn new(table: &'t mut ScheduleTable, scratch: RecordScratch) -> Self {
         RecordingView {
@@ -288,40 +147,27 @@ impl<'t> RecordingView<'t> {
         self.scratch.rows.push((job, self.table.row_digest(job)));
     }
 
-    /// Closes the view, yielding the chain's log and the scratch for the
-    /// next chain.
-    #[must_use]
-    pub fn finish(self) -> (ChainLog, RecordScratch) {
-        let mut scratch = self.scratch;
-        for &(job, _) in &scratch.rows {
-            scratch.touched[touch_slot(job)] = false;
-        }
-        let log = ChainLog {
-            writes: scratch.writes.as_slice().into(),
-            created: self.table.columns()[self.bound..].into(),
-            rows: scratch.rows.as_slice().into(),
-        };
-        scratch.writes.clear();
-        scratch.rows.clear();
-        (log, scratch)
-    }
-}
-
-impl TableView for RecordingView<'_> {
+    /// The activation time of `job` in the column headed exactly by `column`.
     #[inline]
-    fn get(&mut self, job: Job, column: &Cube) -> Option<Time> {
+    pub fn get(&mut self, job: Job, column: &Cube) -> Option<Time> {
         self.touch(job);
         self.table.get(job, column)
     }
 
+    /// The resource recorded for `job` in the column headed exactly by
+    /// `column`, when the cell exists and carries provenance.
     #[inline]
-    fn resource(&mut self, job: Job, column: &Cube) -> Option<PeId> {
+    pub fn resource(&mut self, job: Job, column: &Cube) -> Option<PeId> {
         self.touch(job);
         self.table.resource(job, column)
     }
 
+    /// Records the activation time of `job` under `column` together with the
+    /// resource provenance, creating the column when absent, and returns the
+    /// previously stored time for that cell, if any. The view never removes
+    /// a cell: the walk only adds or overwrites activation times.
     #[inline]
-    fn set_on(
+    pub fn set_on(
         &mut self,
         job: Job,
         column: Cube,
@@ -338,8 +184,16 @@ impl TableView for RecordingView<'_> {
         self.table.set_on(job, column, time, resource)
     }
 
+    /// Visits the `(key, column, time, resource)` entries of the row of `job`
+    /// whose column is *compatible* with (not excluded by) `probe`; the key
+    /// is the column's insertion index.
+    ///
+    /// **Iteration order is unspecified** — the table serves this from its
+    /// per-row condition-partition index in mention-mask group order.
+    /// Callers must be order-independent or re-establish a deterministic
+    /// order from the keys.
     #[inline]
-    fn for_each_compatible_entry_on(
+    pub fn for_each_compatible_entry_on(
         &mut self,
         job: Job,
         probe: &Cube,
@@ -349,8 +203,13 @@ impl TableView for RecordingView<'_> {
         self.table.visit_compatible_entries(job, probe, visit);
     }
 
+    /// Visits the `(key, column, resource)` entries of the row of `job`
+    /// tabled at exactly `time`.
+    ///
+    /// **Iteration order is unspecified** — the table serves this from its
+    /// per-row time bucketing.
     #[inline]
-    fn for_each_entry_at_on(
+    pub fn for_each_entry_at_on(
         &mut self,
         job: Job,
         time: Time,
@@ -358,6 +217,25 @@ impl TableView for RecordingView<'_> {
     ) {
         self.touch(job);
         self.table.visit_entries_at(job, time, visit);
+    }
+
+    /// Closes the view, yielding the chain's log and the scratch for the
+    /// next chain.
+    #[inline]
+    #[must_use]
+    pub fn finish(self) -> (ChainLog, RecordScratch) {
+        let mut scratch = self.scratch;
+        for &(job, _) in &scratch.rows {
+            scratch.touched[touch_slot(job)] = false;
+        }
+        let log = ChainLog {
+            writes: scratch.writes.as_slice().into(),
+            created: self.table.columns()[self.bound..].into(),
+            rows: scratch.rows.as_slice().into(),
+        };
+        scratch.writes.clear();
+        scratch.rows.clear();
+        (log, scratch)
     }
 }
 

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use cpg::{Assignment, CondId, Cube, ProcessId};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
-use cpg_table::{Activation, RecordScratch, RecordingView, ScheduleTable, TableView};
+use cpg_table::{Activation, RecordScratch, RecordingView, ScheduleTable};
 
 const CONDS: usize = 4;
 /// Recorded writes may mention two extra conditions, so they routinely
@@ -86,14 +86,23 @@ fn key_of(table: &ScheduleTable, column: Cube) -> u64 {
         .expect("a tabled entry has a column") as u64
 }
 
-/// The index-served compatible scan of a view, key-sorted.
-fn indexed_compatible<V: TableView + ?Sized>(view: &mut V, job: Job, probe: &Cube) -> Vec<Keyed> {
+/// The index-served compatible scan of a recording view, key-sorted.
+fn view_compatible(view: &mut RecordingView<'_>, job: Job, probe: &Cube) -> Vec<Keyed> {
     let mut out = Vec::new();
     view.for_each_compatible_entry_on(job, probe, &mut |key, column, time, resource| {
         out.push((key, column, time, resource));
     });
     out.sort_unstable_by_key(|&(key, ..)| key);
     out
+}
+
+/// [`view_compatible`] through a throwaway view over `table`.
+fn indexed_compatible(table: &mut ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed> {
+    view_compatible(
+        &mut RecordingView::new(table, RecordScratch::default()),
+        job,
+        probe,
+    )
 }
 
 /// The linear-scan reference: the row's entries in column-index order,
@@ -106,17 +115,23 @@ fn linear_compatible(table: &ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed
         .collect()
 }
 
-fn indexed_at<V: TableView + ?Sized>(
-    view: &mut V,
-    job: Job,
-    time: Time,
-) -> Vec<(u64, Cube, Option<PeId>)> {
+/// The index-served scan of a recording view at one time, key-sorted.
+fn view_at(view: &mut RecordingView<'_>, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
     let mut out = Vec::new();
     view.for_each_entry_at_on(job, time, &mut |key, column, resource| {
         out.push((key, column, resource));
     });
     out.sort_unstable_by_key(|&(key, ..)| key);
     out
+}
+
+/// [`view_at`] through a throwaway view over `table`.
+fn indexed_at(table: &mut ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
+    view_at(
+        &mut RecordingView::new(table, RecordScratch::default()),
+        job,
+        time,
+    )
 }
 
 fn linear_at(table: &ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
@@ -192,7 +207,7 @@ proptest! {
             view.set_on(chain_entry.job, chain_entry.column, chain_entry.time, chain_entry.resource);
         }
         let served: Vec<_> = jobs()
-            .map(|job| (indexed_compatible(&mut view, job, &probe), indexed_at(&mut view, job, at)))
+            .map(|job| (view_compatible(&mut view, job, &probe), view_at(&mut view, job, at)))
             .collect();
         let (log, _) = view.finish();
         for (job, (compatible, at_time)) in jobs().zip(served) {
@@ -348,10 +363,10 @@ fn a_column_created_mid_walk_is_picked_up_by_the_index() {
     let mut view = RecordingView::new(&mut table, RecordScratch::default());
     let spec: Cube = [c(1).is_true(), c(2).is_true()].into_iter().collect();
     view.set_on(p1, spec, Time::new(7), None);
-    assert!(indexed_compatible(&mut view, p1, &spec)
+    assert!(view_compatible(&mut view, p1, &spec)
         .iter()
         .any(|&(_, column, ..)| column == spec));
-    assert!(indexed_at(&mut view, p1, Time::new(7))
+    assert!(view_at(&mut view, p1, Time::new(7))
         .iter()
         .any(|&(_, column, _)| column == spec));
     let (log, _) = view.finish();

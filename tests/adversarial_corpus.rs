@@ -146,6 +146,26 @@ fn injected_walk_panic_is_caught_by_the_no_panic_oracle() {
 }
 
 #[test]
+fn injected_walk_panic_also_panics_a_session_merge() {
+    let _lock = lock();
+    let system = cpg::examples::fig1();
+    let config = cpg_merge::MergeConfig::new(system.broadcast_time());
+    let mut session = cpg_merge::MergeSession::new(system.cpg(), system.arch(), &config);
+    session.merge();
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let saboteur = sabotage::InjectWalkPanic::engage();
+    // A warm merge: every cached chain would replay, yet the hook fires.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.merge()));
+    drop(saboteur);
+    std::panic::set_hook(hook);
+    assert!(
+        outcome.is_err(),
+        "a session merge ignored the injected walk panic"
+    );
+}
+
+#[test]
 fn dirty_lock_reuse_is_caught_by_the_cloning_oracle() {
     let _lock = lock();
     let caught = run_sabotaged(|| Box::new(sabotage::DirtyLockReuse::engage()));

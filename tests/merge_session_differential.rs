@@ -7,15 +7,18 @@
 //! random edit sequence, the session's warm merge must be bit-identical
 //! (table, tracks, path schedules, steps, counters, delays) to a cold
 //! `generate_schedule_table` of the edited system under every selection
-//! policy (the session records through the same
-//! chain walk as the cold merge, so it needs the same coverage), and on a
-//! crafted system where the edited process sits under a condition
-//! subtree shared between sibling branches (so cached chains on the clean
-//! side must replay against rows the re-walked side rewrites).
+//! policy, and on a crafted system where the edited process sits under a
+//! condition subtree shared between sibling branches (so cached chains on
+//! the clean side must replay against rows the re-walked side rewrites).
+//!
+//! A cold merge is a fresh session's first merge: it walks every chain and
+//! replays none, so it checks the replays but shares the walk. The first
+//! session merge is therefore also held against the independent
+//! clone-per-node oracle, `generate_schedule_table_cloning`.
 
 use proptest::prelude::*;
 
-use cps::merge::MergeStats;
+use cps::merge::{generate_schedule_table_cloning, MergeStats};
 use cps::prelude::*;
 
 /// Generator configurations biased towards deep condition nests (many paths
@@ -118,8 +121,11 @@ proptest! {
         // (from nothing) after each one.
         let mut reference = system.cpg().clone();
 
+        let first = session.merge();
+        let oracle = generate_schedule_table_cloning(&reference, system.arch(), &merge_config);
+        assert_results_identical(&oracle, &first, &format!("cloning oracle, {policy:?}"))?;
         let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
-        assert_results_identical(&cold, &session.merge(), &format!("cold, {policy:?}"))?;
+        assert_results_identical(&cold, &first, &format!("cold, {policy:?}"))?;
 
         for (step, &(selector, time)) in edits.iter().enumerate() {
             let edit = SystemEdit::ExecTime {

@@ -3,9 +3,10 @@
 //!
 //! The production walk (`walk_chain`) walks one forward chain of the tree
 //! at a time — the run of nodes that keeps one current schedule — and
-//! recurses into its back-step children. Cold merges run it with a no-op
-//! `ChainRecorder` that writes straight into the table; sessions run the
-//! same walk with a recording one (covered by
+//! recurses into its back-step children. Every merge runs it: a one-shot
+//! `generate_schedule_table` is a fresh session's first merge, which
+//! records every chain through a `RecordingView` writing straight into the
+//! table and replays none (replays are covered by
 //! `tests/merge_session_differential.rs`). It shares one `Assignment` along
 //! the tree path and takes lock sets and `PathSchedule`s from pools, instead
 //! of cloning all three at every node.
