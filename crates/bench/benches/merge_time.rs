@@ -54,10 +54,8 @@ fn schedule_merging_group(c: &mut Criterion) {
 /// dominates. This is the trajectory that gates the chain walk: a
 /// regression in its pool management shows up here long before the
 /// wide `schedule_merging_serial/*` configurations notice.
-// Depth 40 joined when the condition-partition row index landed: the deeper
-// the nest, the larger the rows and the more a per-row linear rescan costs,
-// so it is the configuration most sensitive to a regression in the index's
-// group/bucket maintenance.
+// Depth 40 has the deepest nest and hence the largest table rows, so it is
+// the configuration most sensitive to the cost of a row scan.
 const WALK_DEPTHS: [usize; 4] = [16, 24, 32, 40];
 
 fn merge_walk_group(c: &mut Criterion) {

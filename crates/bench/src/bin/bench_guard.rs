@@ -3,9 +3,10 @@
 //!
 //! Compares a fresh criterion-shim measurement (the JSON-lines file produced
 //! by running `cargo bench` with `CRITERION_JSON=<path>`) against a committed
-//! baseline (`BENCH_8.json`) and fails when any gated median
-//! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*` and
-//! `sim/*` — single-threaded, so their cost is core-count-independent)
+//! baseline (`BENCH_9.json`) and fails when any gated median
+//! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*`, `sim/*`,
+//! `verify/*` and `delay/*` — single-threaded, so their cost is
+//! core-count-independent)
 //! regresses by more than the allowed percentage; every other row is
 //! reported for information (see `GATED_PREFIXES`).
 //!
@@ -42,7 +43,7 @@
 //! CRITERION_JSON=bench_current.json cargo bench --bench calibration \
 //!     --bench merge_time --bench path_schedule_time --bench sim_time
 //! cargo run --release -p cpg-bench --bin bench_guard -- \
-//!     --baseline BENCH_8.json --current bench_current.json
+//!     --baseline BENCH_9.json --current bench_current.json
 //! ```
 //!
 //! `--current` may be given several times, one file per bench run: the guard
@@ -67,7 +68,8 @@ use std::process::ExitCode;
 /// deep-condition-nest walk (`merge_walk/`, where the decision-tree walk
 /// dominates), the incremental re-merge (`merge_rewalk/`, whose `warm/*`
 /// rows hold the session's cached-replay speedup and whose `cold/*` rows
-/// anchor the ratio) and the run-time simulator (`sim/`). All of them run
+/// anchor the ratio), the run-time simulator (`sim/`) and the table
+/// checks every merge is followed by (`verify/`, `delay/`). All of them run
 /// on one thread, so both single-threaded calibration probes can normalize
 /// them. Rows that only an older baseline carries (such as the retired
 /// default-parallelism and four-thread walk groups of `BENCH_7.json`) are
@@ -77,6 +79,8 @@ const GATED_PREFIXES: &[&str] = &[
     "merge_walk/",
     "merge_rewalk/",
     "sim/",
+    "verify/",
+    "delay/",
 ];
 
 /// The code-stable compute-bound calibration benchmark used to normalize out
@@ -309,7 +313,7 @@ fn median_rows(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path = String::from("BENCH_8.json");
+    let mut baseline_path = String::from("BENCH_9.json");
     let mut current_paths = Vec::new();
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");
@@ -499,6 +503,8 @@ mod tests {
             ("merge_rewalk/cold/24", 4000.0),
             ("merge_rewalk/warm/24", 400.0),
             ("sim/walk_40", 1500.0),
+            ("verify/walk_40", 700.0),
+            ("delay/walk_40", 600.0),
             ("schedule_merging/60x12", 500.0),
             ("path_list_scheduling/60", 300.0),
         ])
@@ -626,13 +632,13 @@ mod tests {
     fn rows_the_baseline_predates_are_listed_but_never_fail() {
         let baseline = full_side(1000.0, 2000.0);
         let mut current = full_side(1000.0, 2000.0);
-        current.push(("delay/walk_40".to_owned(), 1e9));
+        current.push(("expand/walk_40".to_owned(), 1e9));
         let report = run_gate(&baseline, &current);
         assert_eq!(report.failures, 0, "{:?}", report.complaints);
         assert!(report
             .lines
             .iter()
-            .any(|l| l.starts_with("delay/walk_40") && l.ends_with("new (info)")));
+            .any(|l| l.starts_with("expand/walk_40") && l.ends_with("new (info)")));
     }
 
     #[test]
@@ -668,14 +674,14 @@ mod tests {
         // so the median passes. A row only some runs carry keeps its median
         // over those runs.
         let mut spike = full_side(1600.0, 2000.0);
-        spike.push(("delay/walk_40".to_owned(), 30.0));
+        spike.push(("expand/walk_40".to_owned(), 30.0));
         let mut quiet = full_side(1000.0, 2000.0);
-        quiet.push(("delay/walk_40".to_owned(), 10.0));
+        quiet.push(("expand/walk_40".to_owned(), 10.0));
         let runs = [full_side(1100.0, 2000.0), spike, quiet];
         let current = median_rows(&runs);
         let row = |name: &str| current.iter().find(|(n, _)| n == name).unwrap().1;
         assert_eq!(row("schedule_merging_serial/60x12"), 1100.0);
-        assert_eq!(row("delay/walk_40"), 20.0);
+        assert_eq!(row("expand/walk_40"), 20.0);
         assert_eq!(current.len(), full_side(0.0, 0.0).len() + 1);
         assert_eq!(run_gate(&baseline, &current).failures, 0);
         // Two regressed runs out of three fail.

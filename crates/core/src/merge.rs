@@ -321,8 +321,7 @@ pub(crate) fn merge_tracks(
     changed_columns.sort_unstable();
     changed_columns.dedup();
     // Union masks over the changed columns: when nothing in the changed set
-    // can exclude a label (the same aggregate test the table's partition
-    // index uses per row), `any(compatible)` is simply non-emptiness and the
+    // can exclude a label, `any(compatible)` is simply non-emptiness and the
     // per-track scan is skipped; only labels some changed column *can*
     // exclude fall back to the linear test.
     let (mut changed_pos, mut changed_neg) = (0u64, 0u64);
@@ -661,9 +660,9 @@ impl MergeShared<'_> {
         let decided_cube = decided.to_cube();
         let mut stale = std::mem::take(&mut state.stale_buf);
         stale.clear();
-        // Entries at exactly the intended time come straight from the row's
-        // time bucketing; only their cubes are tested against the decided
-        // context. `stale` is sorted below, so the bucket order is immaterial.
+        // Entries at exactly the intended time; only their cubes are tested
+        // against the decided context. `stale` is sorted below, so the scan
+        // order is immaterial.
         view.for_each_entry_at_on(job, slip.intended(), &mut |_, column, _| {
             if column.compatible(&decided_cube) {
                 stale.push(column);
@@ -715,8 +714,8 @@ impl MergeShared<'_> {
         let mut target = slip.actual();
         let mut target_pe = schedule.entry(job).and_then(|sj| sj.pe());
         // The earliest reachable tabled time wins; the lowest column key
-        // breaks ties, restating the old first-wins scan in serial entry
-        // order over the index's unordered compatibility groups.
+        // breaks ties: the first-wins scan in serial entry order, stated
+        // independently of the scan order.
         let mut tabled: Option<(Time, u64, Option<PeId>)> = None;
         view.for_each_compatible_entry_on(job, &decided_cube, &mut |key, _, time, resource| {
             if time >= slip.actual()
@@ -1181,7 +1180,7 @@ impl MergeShared<'_> {
         let resolved_bit = 1u64 << resolved.index();
         for job in self.track_jobs(track) {
             // An implied column is never excluded by the deciding cube, so
-            // the indexed compatibility scan is a sound prefilter; inside it,
+            // the compatibility scan is a sound prefilter; inside it,
             // implication plus "does not mention `resolved`" restates the old
             // ancestors-only check (implication already confines the column
             // to decided conditions). Highest specificity wins and the
@@ -1249,8 +1248,8 @@ impl MergeShared<'_> {
                 // recorded resource: an execution satisfying two compatible
                 // columns dispatches the activation once, on one resource, so
                 // the first recorded provenance wins over the track-local
-                // choice of later schedules. The lowest column key restates
-                // "first" over the index's unordered groups.
+                // choice of later schedules. The lowest column key states
+                // "first" independently of the scan order.
                 let mut adopted: Option<(u64, PeId)> = None;
                 view.for_each_compatible_entry_on(job, &column, &mut |key, _, time, recorded| {
                     if time == start {

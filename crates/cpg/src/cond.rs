@@ -201,10 +201,9 @@ impl Cube {
     /// The bitset of conditions required to be true (bit `i` set ⇔ the cube
     /// contains the positive literal of condition `i`).
     ///
-    /// The raw masks are the currency of the schedule table's
-    /// condition-partition index: compatibility, implication and
-    /// mention-disjointness over whole *groups* of cubes reduce to bitwise
-    /// tests on unions of these masks.
+    /// The raw masks let callers test compatibility, implication and
+    /// mention-disjointness over whole *sets* of cubes as bitwise tests on
+    /// unions of these masks.
     #[must_use]
     pub const fn positive_mask(&self) -> u64 {
         self.positive

@@ -17,9 +17,14 @@ pub(crate) struct Calendar {
 impl Calendar {
     /// Earliest start `>= after` at which a job of length `duration` fits
     /// without overlapping a reserved interval.
+    ///
+    /// The scan starts at the first interval ending after `after`: an
+    /// interval ending at or before `after` can neither block the candidate
+    /// nor push it later.
     pub(crate) fn earliest_fit(&self, after: Time, duration: Time) -> Time {
         let mut candidate = after;
-        for &(start, end) in &self.intervals {
+        let first = self.intervals.partition_point(|&(_, end)| end <= after);
+        for &(start, end) in &self.intervals[first..] {
             if candidate + duration <= start {
                 break;
             }
@@ -150,6 +155,48 @@ mod tests {
         assert_eq!(cal.earliest_fit(Time::ZERO, t(5)), Time::ZERO);
         cal.reserve(t(0), t(4));
         assert_eq!(cal.earliest_fit(Time::ZERO, t(5)), t(4));
+    }
+
+    /// Reference: the same scan started at the first interval.
+    fn earliest_fit_from_the_start(cal: &Calendar, after: Time, duration: Time) -> Time {
+        let mut candidate = after;
+        for &(start, end) in &cal.intervals {
+            if candidate + duration <= start {
+                break;
+            }
+            if end > candidate {
+                candidate = end;
+            }
+        }
+        candidate
+    }
+
+    #[test]
+    fn earliest_fit_matches_the_scan_from_the_first_interval() {
+        // splitmix64: a fixed stream of random calendars and probes.
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..500 {
+            let mut cal = Calendar::default();
+            for _ in 0..next(12) {
+                cal.reserve(t(next(60)), t(next(8)));
+            }
+            for _ in 0..20 {
+                let (after, duration) = (t(next(70)), t(next(10)));
+                assert_eq!(
+                    cal.earliest_fit(after, duration),
+                    earliest_fit_from_the_start(&cal, after, duration),
+                    "calendar {:?}, after {after:?}, duration {duration:?}",
+                    cal.intervals
+                );
+            }
+        }
     }
 
     #[test]

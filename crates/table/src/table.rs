@@ -63,263 +63,51 @@ fn note_resource(best: &mut Option<(usize, u32, PeId)>, key: u32, column: Cube, 
 /// Sentinel for "job has no row yet" in the dense per-job row index.
 const ABSENT: u32 = u32::MAX;
 
-/// Metadata of one mention-mask partition of a row's entries: every member
-/// in the group's `RowIndex::members` range has a column cube mentioning
-/// exactly the conditions in `mask` (with either polarity).
-///
-/// The partition is what turns the merge walk's per-row compatibility scans
-/// into group lookups: a probe whose mention mask is disjoint from `mask` is
-/// compatible with *every* member (compatibility can only fail on a condition
-/// both cubes mention), and more generally a probe that the member union
-/// masks cannot exclude (`probe.positive ∩ neg = ∅ ∧ probe.negative ∩ pos =
-/// ∅`) is compatible with the whole group without testing a single cube.
-#[derive(Debug, Clone)]
-struct GroupMeta {
-    /// Mention mask (`positive | negative`) shared by every member's column.
-    mask: u64,
-    /// Union of the members' positive masks.
-    pos: u64,
-    /// Union of the members' negative masks.
-    neg: u64,
-    /// Start of the group's run in [`RowIndex::members`]; the run ends where
-    /// the next group's starts (or at `members.len()` for the last group).
-    start: u32,
+/// Multiplier of the word mix behind [`ScheduleTable::row_digest`].
+const DIGEST_K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// One step `h' = (rotl(h, 5) ^ word) * K` of the row digest. It is a
+/// bijection of `h` for a fixed word and of the word for a fixed `h` (`K`
+/// is odd).
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(DIGEST_K)
 }
 
-/// The condition-partition index of one row: entries grouped by the mention
-/// mask of their column cube, plus aggregate union masks and a per-time
-/// bucketing. Fully derived from the row's entries (and the table's columns);
-/// it takes no part in row equality.
-///
-/// Both views are *flat* vectors delimited by metadata (CSR-style) rather
-/// than nested per-group/per-bucket vectors: the warm re-merge path splices
-/// whole chain logs through this index cell by cell, and a nested layout
-/// would allocate on most of those writes (deep-nest rows put nearly every
-/// entry in its own group), while flat inserts stay amortized
-/// allocation-free.
-///
-/// Maintenance is *deferred across log splices*: `splice_log` replays a
-/// whole cached chain's worth of cells into a row, and paying a sorted
-/// insert into `members` and `times` per spliced cell would dominate the
-/// warm re-merge cost. A splice therefore only updates the serial entry
-/// list and marks the index `stale`; every query on a stale row falls back
-/// to the linear entry scan (the exact pre-index behaviour), and the next
-/// direct `set_on` to the row rebuilds the whole index in one pass
-/// (capacity reused, so the rebuild is allocation-free after warm-up).
-/// Every walked chain writes through its recording view with `set_on`, so
-/// the first write a walk makes to a spliced row restores its index.
-#[derive(Debug, Clone, Default)]
-struct RowIndex {
-    /// Union of the positive masks over every column tabled in the row.
-    pos_union: u64,
-    /// Union of the negative masks over every column tabled in the row.
-    neg_union: u64,
-    /// `(column index, column cube, cell)` sorted by (mention mask, column
-    /// index); group `i` owns `members[groups[i].start..groups[i + 1].start]`.
-    members: Vec<(u32, Cube, Cell)>,
-    /// Group metadata, sorted by mention mask.
-    groups: Vec<GroupMeta>,
-    /// `(tabled time, column index, column cube, recorded resource)` sorted
-    /// by (time, column index). Serves the "entries at exactly time T"
-    /// probes of the repair loops as one binary search.
-    times: Vec<(Time, u32, Cube, Option<PeId>)>,
-    /// `true` after a log splice deferred maintenance: the vectors above are
-    /// outdated and queries must scan the row's serial entries instead. The
-    /// next direct write rebuilds the index and clears the flag.
-    stale: bool,
+/// The digest term of one row entry: its column index and recorded
+/// resource, its column cube and its time, mixed word by word.
+#[inline]
+fn entry_hash(index: u32, column: Cube, cell: Cell) -> u64 {
+    let resource = cell.resource.map_or(0, |pe| pe.index() as u64 + 1);
+    let h = mix(0, u64::from(index) | resource << 32);
+    let h = mix(h, column.positive_mask());
+    let h = mix(h, column.negative_mask());
+    mix(h, cell.time.as_u64())
 }
 
-impl RowIndex {
-    /// The `members` range owned by group `group`.
-    fn group_range(&self, group: usize) -> (usize, usize) {
-        let start = self.groups[group].start as usize;
-        let end = self
-            .groups
-            .get(group + 1)
-            .map_or(self.members.len(), |next| next.start as usize);
-        (start, end)
-    }
-
-    /// Registers a fresh cell under the column at table-wide index `col`.
-    fn insert(&mut self, col: u32, column: Cube, cell: Cell) {
-        let (pos, neg) = (column.positive_mask(), column.negative_mask());
-        self.pos_union |= pos;
-        self.neg_union |= neg;
-        let mask = pos | neg;
-        let group = match self.groups.binary_search_by_key(&mask, |g| g.mask) {
-            Ok(at) => at,
-            Err(at) => {
-                let start = self
-                    .groups
-                    .get(at)
-                    .map_or(self.members.len(), |next| next.start as usize);
-                self.groups.insert(
-                    at,
-                    GroupMeta {
-                        mask,
-                        pos: 0,
-                        neg: 0,
-                        start: start as u32,
-                    },
-                );
-                at
-            }
-        };
-        self.groups[group].pos |= pos;
-        self.groups[group].neg |= neg;
-        let (start, end) = self.group_range(group);
-        let slot = match self.members[start..end].binary_search_by_key(&col, |&(i, _, _)| i) {
-            Ok(offset) => {
-                debug_assert!(false, "insert of an already-indexed column");
-                offset
-            }
-            Err(offset) => offset,
-        };
-        self.members.insert(start + slot, (col, column, cell));
-        for later in &mut self.groups[group + 1..] {
-            later.start += 1;
-        }
-        let bucket = self.time_slot(cell.time, col).unwrap_err();
-        self.times
-            .insert(bucket, (cell.time, col, column, cell.resource));
-    }
-
-    /// Updates the indexed copies of a cell that was overwritten in place.
-    /// The column (and hence every mask) is unchanged; only the time
-    /// bucketing and the cached cells can move.
-    fn overwrite(&mut self, col: u32, column: Cube, old: Cell, new: Cell) {
-        let mask = column.mention_mask();
-        let group = self
-            .groups
-            .binary_search_by_key(&mask, |g| g.mask)
-            .expect("overwrite of an unindexed column");
-        let (start, end) = self.group_range(group);
-        let slot = self.members[start..end]
-            .binary_search_by_key(&col, |&(i, _, _)| i)
-            .expect("overwrite of an unindexed column");
-        self.members[start + slot].2 = new;
-        if old.time == new.time {
-            if old.resource != new.resource {
-                let bucket = self
-                    .time_slot(old.time, col)
-                    .expect("time slot of an indexed cell");
-                self.times[bucket].3 = new.resource;
-            }
-        } else {
-            let bucket = self
-                .time_slot(old.time, col)
-                .expect("time slot of an indexed cell");
-            self.times.remove(bucket);
-            let bucket = self.time_slot(new.time, col).unwrap_err();
-            self.times
-                .insert(bucket, (new.time, col, column, new.resource));
-        }
-    }
-
-    /// Unregisters the cell of the column at index `col`. Union masks are
-    /// recomputed exactly, so the index stays a pure function of the
-    /// remaining entries.
-    fn remove(&mut self, col: u32, column: Cube, cell: Cell) {
-        let mask = column.mention_mask();
-        if let Ok(group) = self.groups.binary_search_by_key(&mask, |g| g.mask) {
-            let (start, end) = self.group_range(group);
-            if let Ok(slot) = self.members[start..end].binary_search_by_key(&col, |&(i, _, _)| i) {
-                self.members.remove(start + slot);
-                for later in &mut self.groups[group + 1..] {
-                    later.start -= 1;
-                }
-                if end - start == 1 {
-                    self.groups.remove(group);
-                } else {
-                    let (start, end) = self.group_range(group);
-                    let (mut pos, mut neg) = (0, 0);
-                    for &(_, c, _) in &self.members[start..end] {
-                        pos |= c.positive_mask();
-                        neg |= c.negative_mask();
-                    }
-                    self.groups[group].pos = pos;
-                    self.groups[group].neg = neg;
-                }
-            }
-        }
-        self.pos_union = 0;
-        self.neg_union = 0;
-        for group in &self.groups {
-            self.pos_union |= group.pos;
-            self.neg_union |= group.neg;
-        }
-        if let Ok(bucket) = self.time_slot(cell.time, col) {
-            self.times.remove(bucket);
-        }
-    }
-
-    /// Position of `(time, col)` in the flat time bucketing (`Err` is the
-    /// insertion slot).
-    fn time_slot(&self, time: Time, col: u32) -> Result<usize, usize> {
-        self.times
-            .binary_search_by(|&(t, i, _, _)| (t, i).cmp(&(time, col)))
-    }
-
-    /// Recomputes the whole index from the row's serial entries after a
-    /// splice deferred maintenance. One pass plus two in-place sorts; the
-    /// vector capacities survive the `clear`, so a rebuild allocates nothing
-    /// once the row has been rebuilt at its high-water size before.
-    fn rebuild(&mut self, entries: &[(u32, Cell)], columns: &[Cube]) {
-        self.members.clear();
-        self.groups.clear();
-        self.times.clear();
-        self.pos_union = 0;
-        self.neg_union = 0;
-        for &(col, cell) in entries {
-            let column = columns[col as usize];
-            self.members.push((col, column, cell));
-            self.times.push((cell.time, col, column, cell.resource));
-        }
-        self.members
-            .sort_unstable_by_key(|&(col, column, _)| (column.mention_mask(), col));
-        self.times
-            .sort_unstable_by_key(|&(time, col, ..)| (time, col));
-        for (at, &(_, column, _)) in self.members.iter().enumerate() {
-            let (pos, neg) = (column.positive_mask(), column.negative_mask());
-            self.pos_union |= pos;
-            self.neg_union |= neg;
-            let mask = pos | neg;
-            match self.groups.last_mut() {
-                Some(last) if last.mask == mask => {
-                    last.pos |= pos;
-                    last.neg |= neg;
-                }
-                _ => self.groups.push(GroupMeta {
-                    mask,
-                    pos,
-                    neg,
-                    start: at as u32,
-                }),
-            }
-        }
-        self.stale = false;
-    }
-}
-
-/// One row of the table: the job and its `(column index, cell)` entries,
-/// sorted by column index (the table-wide insertion order of the columns),
-/// plus the derived condition-partition index over those entries.
-#[derive(Debug, Clone)]
+/// One row of the table: the job and its `(column index, column cube,
+/// cell)` entries, sorted by column index (the table-wide insertion order
+/// of the columns). The cube is stored inline so a scan never indirects
+/// through the column list.
+///
+/// `digest_sum` is the wrapping sum of [`entry_hash`] over the entries,
+/// kept up to date by every write and removal; it is a function of
+/// `entries`, so the derived equality compares the row content only.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Row {
     job: Job,
-    entries: Vec<(u32, Cell)>,
-    index: RowIndex,
+    entries: Vec<(u32, Cube, Cell)>,
+    digest_sum: u64,
 }
 
-// The partition index is derived from `entries` (and the shared column
-// list), so equality compares the observable row content only.
-impl PartialEq for Row {
-    fn eq(&self, other: &Self) -> bool {
-        self.job == other.job && self.entries == other.entries
+impl Row {
+    /// Position of the entry under column index `index` (`Err` is the
+    /// insertion slot).
+    #[inline]
+    fn find(&self, index: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&index, |&(i, _, _)| i)
     }
 }
-
-impl Eq for Row {}
 
 /// The schedule table: one row per process (and per condition broadcast), one
 /// column per conjunction of condition values, and in each cell the activation
@@ -463,7 +251,7 @@ impl ScheduleTable {
             Row {
                 job,
                 entries: Vec::new(),
-                index: RowIndex::default(),
+                digest_sum: 0,
             },
         );
         // Rows after the insertion point shifted by one; re-point their
@@ -506,12 +294,9 @@ impl ScheduleTable {
     }
 
     /// Writes `cell` into the row at `position` under the column at table
-    /// index `index`, keeping the sorted entry list and the row's partition
-    /// index in sync. Returns the replaced cell, if the write overwrote one.
-    ///
-    /// A row left stale by a [`splice`](ScheduleTable::splice_log) is
-    /// rebuilt here in one pass before the incremental update, so direct
-    /// writers always leave a fresh index behind.
+    /// index `index` (headed by `column`), keeping the entry list sorted and
+    /// the row's digest sum current. Returns the replaced cell, if the write
+    /// overwrote one.
     #[inline]
     fn write_cell(
         &mut self,
@@ -521,51 +306,22 @@ impl ScheduleTable {
         cell: Cell,
     ) -> Option<Cell> {
         let row = &mut self.rows[position];
-        if row.index.stale {
-            let previous = Self::write_entry(&mut row.entries, index, cell);
-            row.index.rebuild(&row.entries, &self.columns);
-            return previous;
-        }
-        match row.entries.binary_search_by_key(&index, |&(i, _)| i) {
+        let added = entry_hash(index, column, cell);
+        match row.find(index) {
             Ok(at) => {
-                let previous = std::mem::replace(&mut row.entries[at].1, cell);
-                row.index.overwrite(index, column, previous, cell);
+                let previous = std::mem::replace(&mut row.entries[at].2, cell);
+                row.digest_sum = row
+                    .digest_sum
+                    .wrapping_sub(entry_hash(index, column, previous))
+                    .wrapping_add(added);
                 Some(previous)
             }
             Err(at) => {
-                row.entries.insert(at, (index, cell));
-                row.index.insert(index, column, cell);
+                row.entries.insert(at, (index, column, cell));
+                row.digest_sum = row.digest_sum.wrapping_add(added);
                 None
             }
         }
-    }
-
-    /// Writes `cell` into the sorted serial entry list alone, returning the
-    /// replaced cell if any.
-    #[inline]
-    fn write_entry(entries: &mut Vec<(u32, Cell)>, index: u32, cell: Cell) -> Option<Cell> {
-        match entries.binary_search_by_key(&index, |&(i, _)| i) {
-            Ok(at) => Some(std::mem::replace(&mut entries[at].1, cell)),
-            Err(at) => {
-                entries.insert(at, (index, cell));
-                None
-            }
-        }
-    }
-
-    /// Writes `cell` into the row at `position` with index maintenance
-    /// *deferred*: only the serial entry list is updated and the row's
-    /// partition index is marked stale. Queries on a stale row fall back to
-    /// the linear entry scan, and the next [`write_cell`] rebuilds the index.
-    ///
-    /// This is the splice path's write primitive: a warm re-merge replays
-    /// whole cached chain logs cell by cell, and per-cell sorted inserts
-    /// into the index would dominate its cost.
-    #[inline]
-    fn write_cell_deferred(&mut self, position: usize, index: u32, cell: Cell) -> Option<Cell> {
-        let row = &mut self.rows[position];
-        row.index.stale = true;
-        Self::write_entry(&mut row.entries, index, cell)
     }
 
     /// Grafts a column into the table: returns the insertion-order index of
@@ -588,10 +344,7 @@ impl ScheduleTable {
     ///
     /// Observably identical to the [`ScheduleTable::set_on`] calls the
     /// chain made while it was recorded, one per write in order; it only
-    /// skips the repeated column lookups and defers partition-index
-    /// maintenance on the touched rows (queries on a stale row serve the
-    /// same entries from the linear scan until the next direct write
-    /// rebuilds the index).
+    /// skips the repeated column lookups.
     pub fn splice_log(&mut self, log: &ChainLog) {
         let mut grafted: Vec<(Cube, u32)> = Vec::new();
         for write in &log.writes {
@@ -608,7 +361,7 @@ impl ScheduleTable {
                 time: write.time,
                 resource: write.resource,
             };
-            self.write_cell_deferred(position, index, cell);
+            self.write_cell(position, index, write.column, cell);
         }
     }
 
@@ -617,10 +370,12 @@ impl ScheduleTable {
     pub fn remove(&mut self, job: Job, column: &Cube) -> Option<Time> {
         let index = self.column_index(column)? as u32;
         let position = self.row_position(job)?;
-        let entries = &mut self.rows[position].entries;
-        let at = entries.binary_search_by_key(&index, |&(i, _)| i).ok()?;
-        let (_, cell) = entries.remove(at);
         let row = &mut self.rows[position];
+        let at = row.find(index).ok()?;
+        let (_, _, cell) = row.entries.remove(at);
+        row.digest_sum = row
+            .digest_sum
+            .wrapping_sub(entry_hash(index, *column, cell));
         if row.entries.is_empty() {
             self.rows.remove(position);
             self.index_row(job, ABSENT);
@@ -628,8 +383,6 @@ impl ScheduleTable {
                 let shifted_job = self.rows[shifted].job;
                 self.index_row(shifted_job, shifted as u32);
             }
-        } else if !row.index.stale {
-            row.index.remove(index, *column, cell);
         }
         Some(cell.time)
     }
@@ -638,11 +391,8 @@ impl ScheduleTable {
     #[inline]
     fn cell(&self, job: Job, index: usize) -> Option<&Cell> {
         let row = self.row(job)?;
-        let at = row
-            .entries
-            .binary_search_by_key(&(index as u32), |&(i, _)| i)
-            .ok()?;
-        Some(&row.entries[at].1)
+        let at = row.find(index as u32).ok()?;
+        Some(&row.entries[at].2)
     }
 
     /// The activation time of `job` in the column headed exactly by `column`.
@@ -674,7 +424,7 @@ impl ScheduleTable {
         self.row(job).into_iter().flat_map(move |row| {
             row.entries
                 .iter()
-                .map(|&(i, cell)| (self.columns[i as usize], cell.time, cell.resource))
+                .map(|&(_, column, cell)| (column, cell.time, cell.resource))
         })
     }
 
@@ -688,9 +438,9 @@ impl ScheduleTable {
     /// the table.
     pub fn all_entries_on(&self) -> impl Iterator<Item = (Job, Cube, Time, Option<PeId>)> + '_ {
         self.rows.iter().flat_map(move |row| {
-            row.entries.iter().map(move |&(i, cell)| {
-                (row.job, self.columns[i as usize], cell.time, cell.resource)
-            })
+            row.entries
+                .iter()
+                .map(move |&(_, column, cell)| (row.job, column, cell.time, cell.resource))
         })
     }
 
@@ -702,76 +452,33 @@ impl ScheduleTable {
 
     /// The entries of a row that are *compatible* with (not excluded by) the
     /// given column expression — the potential conflicts examined by the
-    /// table-generation algorithm before placing a new activation time.
-    ///
-    /// Served from the row's condition-partition index, so entries come out
-    /// in mention-mask group order rather than column insertion order; a
-    /// group whose union masks cannot exclude `column` is yielded without
-    /// testing any member cube. A row whose index is stale (maintenance was
-    /// deferred by a log splice) is scanned linearly instead, in column
-    /// insertion order.
+    /// table-generation algorithm before placing a new activation time —
+    /// in column insertion order.
     pub fn compatible_entries<'a>(
         &'a self,
         job: Job,
         column: &'a Cube,
     ) -> impl Iterator<Item = (Cube, Time)> + 'a {
-        let (probe_pos, probe_neg) = (column.positive_mask(), column.negative_mask());
-        let row = self.row(job);
-        let fresh = row.filter(|row| !row.index.stale);
-        let stale = row.filter(|row| row.index.stale);
-        let indexed = fresh.into_iter().flat_map(move |row| {
-            let index = &row.index;
-            (0..index.groups.len()).flat_map(move |group| {
-                let meta = &index.groups[group];
-                let whole_group = probe_pos & meta.neg == 0 && probe_neg & meta.pos == 0;
-                let (start, end) = index.group_range(group);
-                index.members[start..end]
-                    .iter()
-                    .filter(move |&&(_, existing, _)| whole_group || existing.compatible(column))
-                    .map(|&(_, existing, cell)| (existing, cell.time))
-            })
-        });
-        let linear = stale.into_iter().flat_map(move |row| {
+        self.row(job).into_iter().flat_map(move |row| {
             row.entries
                 .iter()
-                .map(move |&(key, cell)| (self.columns[key as usize], cell.time))
-                .filter(move |(existing, _)| existing.compatible(column))
-        });
-        indexed.chain(linear)
+                .filter(move |(_, existing, _)| existing.compatible(column))
+                .map(|&(_, existing, cell)| (existing, cell.time))
+        })
     }
 
     /// Calls `visit(column index, column, cell)` for every entry of `row`
-    /// whose column is satisfied by a complete condition assignment, in an
-    /// unspecified order. Served from the row's index, where groups
-    /// mentioning an unassigned condition are skipped wholesale (such a
-    /// column cannot be satisfied); a stale row is scanned linearly.
+    /// whose column is satisfied by a complete condition assignment, in
+    /// column insertion order.
     #[inline]
     fn for_each_satisfied(
-        &self,
         row: &Row,
         assignment: &Assignment,
         mut visit: impl FnMut(u32, Cube, Cell),
     ) {
-        let index = &row.index;
-        if index.stale {
-            for &(key, cell) in &row.entries {
-                let column = self.columns[key as usize];
-                if column.satisfied_by(assignment) {
-                    visit(key, column, cell);
-                }
-            }
-            return;
-        }
-        let assigned = assignment.assigned_mask();
-        for group in 0..index.groups.len() {
-            if index.groups[group].mask & !assigned != 0 {
-                continue;
-            }
-            let (start, end) = index.group_range(group);
-            for &(key, column, cell) in &index.members[start..end] {
-                if column.satisfied_by(assignment) {
-                    visit(key, column, cell);
-                }
+        for &(key, column, cell) in &row.entries {
+            if column.satisfied_by(assignment) {
+                visit(key, column, cell);
             }
         }
     }
@@ -788,7 +495,7 @@ impl ScheduleTable {
     pub fn activation_time(&self, job: Job, assignment: &Assignment) -> Option<Time> {
         let mut time = None;
         let mut conflict = false;
-        self.for_each_satisfied(self.row(job)?, assignment, |_, _, cell| {
+        Self::for_each_satisfied(self.row(job)?, assignment, |_, _, cell| {
             note_time(&mut time, &mut conflict, cell);
         });
         time.filter(|_| !conflict)
@@ -804,7 +511,7 @@ impl ScheduleTable {
     #[must_use]
     pub fn activation_resource(&self, job: Job, assignment: &Assignment) -> Option<PeId> {
         let mut best = None;
-        self.for_each_satisfied(self.row(job)?, assignment, |key, column, cell| {
+        Self::for_each_satisfied(self.row(job)?, assignment, |key, column, cell| {
             note_resource(&mut best, key, column, cell);
         });
         best.map(|(_, _, pe)| pe)
@@ -825,7 +532,7 @@ impl ScheduleTable {
         let mut conflict = false;
         let mut column: Option<(usize, u32, Cube)> = None;
         let mut resource = None;
-        self.for_each_satisfied(self.row(job)?, assignment, |key, satisfied, cell| {
+        Self::for_each_satisfied(self.row(job)?, assignment, |key, satisfied, cell| {
             note_time(&mut time, &mut conflict, cell);
             let specificity = satisfied.len();
             if column.is_none_or(|(len, at, _)| (specificity, key) > (len, at)) {
@@ -1045,41 +752,38 @@ impl ScheduleTable {
     }
 
     /// Word-level digest of the row of `job`: its entry count and the
-    /// column index, column cube, time and resource of every entry, in
-    /// column-index order — everything a scan of the row can observe. An
-    /// absent row digests like an empty one.
+    /// column index, column cube, time and resource of every entry —
+    /// everything a scan of the row can observe. An absent row digests like
+    /// an empty one. O(1): the row keeps the sum of its entry terms current.
     ///
-    /// Each step `h' = (rotl(h, 5) ^ word) * K` is a bijection of `h` for a
-    /// fixed word and of the word for a fixed `h`, so two rows of equal
-    /// length that differ in a single word never collide.
+    /// The digest is `mix(mix(0, len), Σ entry_hash)` with a wrapping sum.
+    /// Every step of [`mix`] is a bijection in each of its arguments, so two
+    /// rows of equal length that differ in a single word of one entry have
+    /// different entry terms, different sums and never collide.
     pub(crate) fn row_digest(&self, job: Job) -> u64 {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
-        let Some(row) = self.row(job) else {
-            return 0;
-        };
-        let mut h = mix(0, row.entries.len() as u64);
-        for &(index, cell) in &row.entries {
-            let column = self.columns[index as usize];
-            let resource = cell.resource.map_or(0, |pe| pe.index() as u64 + 1);
-            h = mix(h, u64::from(index) | resource << 32);
-            h = mix(h, column.positive_mask());
-            h = mix(h, column.negative_mask());
-            h = mix(h, cell.time.as_u64());
-        }
-        h
+        self.row(job).map_or(0, |row| {
+            mix(mix(0, row.entries.len() as u64), row.digest_sum)
+        })
+    }
+
+    /// [`ScheduleTable::row_digest`] folded from the row's entries instead
+    /// of read from its running sum.
+    #[cfg(test)]
+    fn folded_digest(&self, job: Job) -> u64 {
+        self.row(job).map_or(0, |row| {
+            let sum = row
+                .entries
+                .iter()
+                .fold(0u64, |sum, &(index, column, cell)| {
+                    sum.wrapping_add(entry_hash(index, column, cell))
+                });
+            mix(mix(0, row.entries.len() as u64), sum)
+        })
     }
 
     /// Visits the entries of the row of `job` whose column is *compatible*
-    /// with `probe`, passing the table-wide column index as a stable key.
-    ///
-    /// Served from the row's condition-partition index, so iteration order is
-    /// mention-mask group order, not serial entry order — callers must either
-    /// be order-independent or re-establish a deterministic order from the
-    /// keys. A row whose aggregate union masks cannot exclude the probe is
-    /// visited without testing a single cube; otherwise each group is either
-    /// all-compatible (its union masks cannot exclude the probe) or tested
-    /// member by member with the two-AND cube test.
+    /// with `probe`, in column insertion order, passing the table-wide
+    /// column index as a stable key.
     // lint: hot-path
     #[inline]
     pub(crate) fn visit_compatible_entries(
@@ -1089,48 +793,16 @@ impl ScheduleTable {
         visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
     ) {
         let Some(row) = self.row(job) else { return };
-        let index = &row.index;
-        if index.stale {
-            // A splice deferred index maintenance on this row: serve the
-            // scan linearly from the serial entries, exactly as before the
-            // index existed.
-            for &(key, cell) in &row.entries {
-                let column = self.columns[key as usize];
-                if column.compatible(probe) {
-                    visit(u64::from(key), column, cell.time, cell.resource);
-                }
-            }
-            return;
-        }
-        let (probe_pos, probe_neg) = (probe.positive_mask(), probe.negative_mask());
-        if probe_pos & index.neg_union == 0 && probe_neg & index.pos_union == 0 {
-            // Nothing in the row can exclude the probe: visit everything.
-            for &(key, column, cell) in &index.members {
+        for &(key, column, cell) in &row.entries {
+            if column.compatible(probe) {
                 visit(u64::from(key), column, cell.time, cell.resource);
-            }
-            return;
-        }
-        for group in 0..index.groups.len() {
-            let meta = &index.groups[group];
-            let (start, end) = index.group_range(group);
-            if probe_pos & meta.neg == 0 && probe_neg & meta.pos == 0 {
-                for &(key, column, cell) in &index.members[start..end] {
-                    visit(u64::from(key), column, cell.time, cell.resource);
-                }
-            } else {
-                for &(key, column, cell) in &index.members[start..end] {
-                    if column.compatible(probe) {
-                        visit(u64::from(key), column, cell.time, cell.resource);
-                    }
-                }
             }
         }
     }
 
-    /// Visits the entries of the row of `job` tabled at exactly `time`,
-    /// passing the table-wide column index as a stable key. Served from the
-    /// row's time bucketing: a direct binary search instead of a full-row
-    /// filter. Iteration order within the bucket is column-index order.
+    /// Visits the entries of the row of `job` tabled at exactly `time`, in
+    /// column insertion order, passing the table-wide column index as a
+    /// stable key.
     // lint: hot-path
     #[inline]
     pub(crate) fn visit_entries_at(
@@ -1140,21 +812,10 @@ impl ScheduleTable {
         visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
     ) {
         let Some(row) = self.row(job) else { return };
-        if row.index.stale {
-            for &(key, cell) in &row.entries {
-                if cell.time == time {
-                    visit(u64::from(key), self.columns[key as usize], cell.resource);
-                }
+        for &(key, column, cell) in &row.entries {
+            if cell.time == time {
+                visit(u64::from(key), column, cell.resource);
             }
-            return;
-        }
-        let times = &row.index.times;
-        let start = times.partition_point(|&(t, ..)| t < time);
-        for &(t, key, column, resource) in &times[start..] {
-            if t != time {
-                break;
-            }
-            visit(u64::from(key), column, resource);
         }
     }
 
@@ -1185,6 +846,7 @@ impl fmt::Display for ScheduleTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RecordScratch, RecordingView};
     use cpg::{enumerate_tracks, examples, CondId, ProcessId};
 
     fn c(i: usize) -> CondId {
@@ -1424,5 +1086,129 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| matches!(v, TableViolation::UnknownJob { .. })));
+    }
+
+    /// The running digest of every row equals the digest folded from the
+    /// row's entries.
+    fn digests_are_current(table: &ScheduleTable) -> bool {
+        (0..PROCS).all(|i| table.row_digest(p(i)) == table.folded_digest(p(i)))
+    }
+
+    const PROCS: usize = 4;
+
+    /// `(process, cube choices over three conditions, time, resource)`.
+    type RawWrite = (usize, Vec<Option<bool>>, u64, usize);
+
+    fn raw_write() -> impl proptest::Strategy<Value = RawWrite> {
+        (
+            0..PROCS,
+            proptest::collection::vec(proptest::any::<Option<bool>>(), 3),
+            0u64..6,
+            0usize..3,
+        )
+    }
+
+    fn decode(
+        &(process, ref choices, time, resource): &RawWrite,
+    ) -> (Job, Cube, Time, Option<PeId>) {
+        let cube = choices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, value)| value.map(|value| c(i).literal(value)))
+            .collect();
+        let resource = (resource < 2).then(|| PeId::from_index(resource));
+        (p(process), cube, Time::new(time), resource)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 128,
+            max_shrink_iters: 0,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn running_digest_matches_the_fold_after_any_edit_sequence(
+            ops in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(raw_write(), 1..4)),
+                0..40,
+            ),
+        ) {
+            let mut table = ScheduleTable::new();
+            for (kind, writes) in &ops {
+                let (job, column, time, resource) = decode(&writes[0]);
+                match kind {
+                    // A plain write: a fresh entry or an overwrite.
+                    0 => {
+                        table.set_on(job, column, time, resource);
+                    }
+                    // An overwrite of an existing entry with a new cell.
+                    1 => {
+                        let existing = table.entries(job).nth(writes.len() - 1);
+                        if let Some((column, old)) = existing {
+                            table.set_on(job, column, old + Time::new(1), resource);
+                        }
+                    }
+                    2 => {
+                        let existing = table.entries(job).next().map(|(column, _)| column);
+                        table.remove(job, &existing.unwrap_or(column));
+                    }
+                    // A recorded chain spliced into the table it started from.
+                    _ => {
+                        let mut recorded = table.clone();
+                        let mut view = RecordingView::new(&mut recorded, RecordScratch::default());
+                        for write in writes {
+                            let (job, column, time, resource) = decode(write);
+                            view.set_on(job, column, time, resource);
+                        }
+                        let (log, _) = view.finish();
+                        table.splice_log(&log);
+                        proptest::prop_assert_eq!(&table, &recorded);
+                    }
+                }
+                proptest::prop_assert!(digests_are_current(&table));
+            }
+        }
+    }
+
+    #[test]
+    fn changing_one_entry_changes_the_digest_and_restoring_it_restores_it() {
+        let bus = |i| Some(PeId::from_index(i));
+        let (col0, col1) = (Cube::from(c(0).is_true()), Cube::from(c(0).is_false()));
+        let mut table = ScheduleTable::new();
+        table.set_on(p(1), Cube::top(), Time::new(2), bus(0));
+        table.set_on(p(1), col0, Time::new(5), bus(1));
+        let original = table.row_digest(p(1));
+        assert_ne!(original, 0);
+
+        // Time, then resource, of one entry.
+        table.set_on(p(1), col0, Time::new(6), bus(1));
+        assert_ne!(table.row_digest(p(1)), original);
+        table.set_on(p(1), col0, Time::new(5), bus(1));
+        assert_eq!(table.row_digest(p(1)), original);
+        table.set_on(p(1), col0, Time::new(5), bus(0));
+        assert_ne!(table.row_digest(p(1)), original);
+        table.set_on(p(1), col0, Time::new(5), None);
+        assert_ne!(table.row_digest(p(1)), original);
+        table.set_on(p(1), col0, Time::new(5), bus(1));
+        assert_eq!(table.row_digest(p(1)), original);
+
+        // One entry added, then removed.
+        table.set_on(p(1), col1, Time::new(5), bus(1));
+        assert_ne!(table.row_digest(p(1)), original);
+        assert_eq!(table.remove(p(1), &col1), Some(Time::new(5)));
+        assert_eq!(table.row_digest(p(1)), original);
+
+        // One entry removed, then restored.
+        table.remove(p(1), &Cube::top());
+        assert_ne!(table.row_digest(p(1)), original);
+        table.set_on(p(1), Cube::top(), Time::new(2), bus(0));
+        assert_eq!(table.row_digest(p(1)), original);
+
+        // A removed row digests like an absent one; the digests stay folds.
+        table.remove(p(1), &Cube::top());
+        table.remove(p(1), &col0);
+        assert_eq!(table.row_digest(p(1)), 0);
+        assert!(digests_are_current(&table));
     }
 }

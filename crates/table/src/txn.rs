@@ -4,22 +4,24 @@
 //! The merge (crate `cpg-merge`) walks every forward chain of the decision
 //! tree through a [`RecordingView`]; a one-shot merge is a fresh session's
 //! first merge. The view writes straight into the real table through the
-//! table's indexed reads and writes, and keeps a [`ChainLog`] beside it:
+//! table's own reads and writes, and keeps a [`ChainLog`] beside it:
 //!
 //! * the chain's writes, in order;
 //! * the columns the chain created;
 //! * for every row the chain touches, a snapshot of that row as it stood at
-//!   the chain's entry: a word-level digest of its keyed entries, taken at
-//!   the first touch (read or write). Only the chain writes while it is
-//!   walked, so the row at first touch *is* the row at entry.
+//!   the chain's entry: the row's word-level digest, read at the first touch
+//!   (read or write). The table keeps each row's digest as a running sum
+//!   over its entries, so the read is O(1). Only the chain writes while it
+//!   is walked, so the row at first touch *is* the row at entry.
 //!
 //! A later re-merge replays the cached log instead of walking the chain
 //! when the table rebuilt so far would feed the chain the same reads:
 //!
-//! * [`ChainLog::rows_match`] re-digests every snapshotted row. The digest
-//!   covers the column index, cube, time and resource of every entry, so
-//!   an entry added, removed, changed or reordered invalidates the log —
-//!   including a row the chain found absent and that exists now.
+//! * [`ChainLog::rows_match`] re-reads the digest of every snapshotted row.
+//!   The digest covers the entry count and the column index, cube, time and
+//!   resource of every entry, so an entry added, removed or changed
+//!   invalidates the log — including a row the chain found absent and that
+//!   exists now.
 //! * [`ChainLog::created_columns_absent`] guards column creation: the chain
 //!   appended its fresh columns past the table's column count, in write
 //!   order. If the table meanwhile holds the *same* cube, the replayed
@@ -186,12 +188,8 @@ impl<'t> RecordingView<'t> {
 
     /// Visits the `(key, column, time, resource)` entries of the row of `job`
     /// whose column is *compatible* with (not excluded by) `probe`; the key
-    /// is the column's insertion index.
-    ///
-    /// **Iteration order is unspecified** — the table serves this from its
-    /// per-row condition-partition index in mention-mask group order.
-    /// Callers must be order-independent or re-establish a deterministic
-    /// order from the keys.
+    /// is the column's insertion index. Entries come in column-insertion
+    /// (key) order, one linear scan of the row.
     #[inline]
     pub fn for_each_compatible_entry_on(
         &mut self,
@@ -204,10 +202,7 @@ impl<'t> RecordingView<'t> {
     }
 
     /// Visits the `(key, column, resource)` entries of the row of `job`
-    /// tabled at exactly `time`.
-    ///
-    /// **Iteration order is unspecified** — the table serves this from its
-    /// per-row time bucketing.
+    /// tabled at exactly `time`, in column-insertion (key) order.
     #[inline]
     pub fn for_each_entry_at_on(
         &mut self,

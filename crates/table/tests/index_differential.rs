@@ -1,15 +1,12 @@
-//! Differential tests of the condition-partition row index: every
-//! index-served query must return exactly the entries a linear scan of the
-//! row would have produced — over random tables, through `RecordingView`s
+//! Differential tests of the table's row scans: the compatibility and
+//! same-time scans a `RecordingView` serves, and the activation probes, must
+//! return exactly what the linear reference over the row's public entry list
+//! produces — over random tables, after removals, through `RecordingView`s
 //! (including columns the recorded chain created), and across `splice_log`
-//! replays, which defer index maintenance (stale rows answer from the
-//! linear fallback) until the next direct write rebuilds the row in one
-//! pass.
+//! replays.
 //!
-//! Index-served iteration order is unspecified (mention-mask group order on
-//! a fresh row, key order on a stale one), so results are compared as
-//! key-sorted lists; the keys are unique within a row, making that a
-//! faithful set comparison.
+//! The scans visit a row's entries in column-insertion (key) order, so the
+//! results are compared as ordered lists: the same entries in the same order.
 
 use proptest::prelude::*;
 
@@ -86,18 +83,17 @@ fn key_of(table: &ScheduleTable, column: Cube) -> u64 {
         .expect("a tabled entry has a column") as u64
 }
 
-/// The index-served compatible scan of a recording view, key-sorted.
+/// The compatible scan of a recording view, in visiting order.
 fn view_compatible(view: &mut RecordingView<'_>, job: Job, probe: &Cube) -> Vec<Keyed> {
     let mut out = Vec::new();
     view.for_each_compatible_entry_on(job, probe, &mut |key, column, time, resource| {
         out.push((key, column, time, resource));
     });
-    out.sort_unstable_by_key(|&(key, ..)| key);
     out
 }
 
 /// [`view_compatible`] through a throwaway view over `table`.
-fn indexed_compatible(table: &mut ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed> {
+fn served_compatible(table: &mut ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed> {
     view_compatible(
         &mut RecordingView::new(table, RecordScratch::default()),
         job,
@@ -115,18 +111,17 @@ fn linear_compatible(table: &ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed
         .collect()
 }
 
-/// The index-served scan of a recording view at one time, key-sorted.
+/// The scan of a recording view at one time, in visiting order.
 fn view_at(view: &mut RecordingView<'_>, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
     let mut out = Vec::new();
     view.for_each_entry_at_on(job, time, &mut |key, column, resource| {
         out.push((key, column, resource));
     });
-    out.sort_unstable_by_key(|&(key, ..)| key);
     out
 }
 
 /// [`view_at`] through a throwaway view over `table`.
-fn indexed_at(table: &mut ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
+fn served_at(table: &mut ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
     view_at(
         &mut RecordingView::new(table, RecordScratch::default()),
         job,
@@ -159,11 +154,11 @@ proptest! {
         let mut table = build_table(&entries);
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&mut table, job, &probe),
+                served_compatible(&mut table, job, &probe),
                 linear_compatible(&table, job, &probe)
             );
             let at = Time::new(time);
-            prop_assert_eq!(indexed_at(&mut table, job, at), linear_at(&table, job, at));
+            prop_assert_eq!(served_at(&mut table, job, at), linear_at(&table, job, at));
         }
     }
 
@@ -180,12 +175,12 @@ proptest! {
         }
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&mut table, job, &probe),
+                served_compatible(&mut table, job, &probe),
                 linear_compatible(&table, job, &probe)
             );
             for t in 0..12 {
                 let at = Time::new(t);
-                prop_assert_eq!(indexed_at(&mut table, job, at), linear_at(&table, job, at));
+                prop_assert_eq!(served_at(&mut table, job, at), linear_at(&table, job, at));
             }
         }
     }
@@ -201,7 +196,7 @@ proptest! {
         let mut recorded = entry.clone();
         let at = Time::new(time);
         // A recording view writes straight through and serves every scan
-        // from the table's index, as the table itself would.
+        // from the table, as the table itself would.
         let mut view = RecordingView::new(&mut recorded, RecordScratch::default());
         for chain_entry in &chain_entries {
             view.set_on(chain_entry.job, chain_entry.column, chain_entry.time, chain_entry.resource);
@@ -215,24 +210,21 @@ proptest! {
             prop_assert_eq!(at_time, linear_at(&recorded, job, at));
         }
 
-        // Splicing the log into the entry table defers index maintenance
-        // on the touched rows (they serve queries from the linear fallback
-        // until rebuilt); the spliced table must equal the recorded one and
-        // still serve index == linear on every row, stale or fresh.
+        // Splicing the log into the entry table must reproduce the recorded
+        // table, and every row must still scan like the reference.
         let mut spliced = entry.clone();
         spliced.splice_log(&log);
         prop_assert_eq!(&spliced, &recorded);
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&mut spliced, job, &probe),
+                served_compatible(&mut spliced, job, &probe),
                 linear_compatible(&spliced, job, &probe)
             );
-            prop_assert_eq!(indexed_at(&mut spliced, job, at), linear_at(&spliced, job, at));
+            prop_assert_eq!(served_at(&mut spliced, job, at), linear_at(&spliced, job, at));
         }
 
-        // A direct write to a spliced (stale) row rebuilds its index in one
-        // pass; the rebuilt index must serve exactly what an incrementally
-        // maintained one would.
+        // A direct write to a spliced row must leave it scanning exactly
+        // like the same row built by direct writes alone.
         let rebuilt_probe = Cube::top();
         for (offset, job) in jobs().enumerate() {
             spliced.set_on(job, rebuilt_probe, Time::new(offset as u64), None);
@@ -241,14 +233,14 @@ proptest! {
         prop_assert_eq!(&spliced, &recorded);
         for job in jobs() {
             prop_assert_eq!(
-                indexed_compatible(&mut spliced, job, &probe),
-                indexed_compatible(&mut recorded, job, &probe)
+                served_compatible(&mut spliced, job, &probe),
+                served_compatible(&mut recorded, job, &probe)
             );
             prop_assert_eq!(
-                indexed_compatible(&mut spliced, job, &probe),
+                served_compatible(&mut spliced, job, &probe),
                 linear_compatible(&spliced, job, &probe)
             );
-            prop_assert_eq!(indexed_at(&mut spliced, job, at), linear_at(&spliced, job, at));
+            prop_assert_eq!(served_at(&mut spliced, job, at), linear_at(&spliced, job, at));
         }
     }
 
@@ -259,9 +251,8 @@ proptest! {
         splice_tail in any::<bool>(),
     ) {
         // Half the runs splice the second half of the entries from a
-        // recorded log instead of writing them directly, leaving the
-        // touched rows' indexes stale: the activation probes must serve the
-        // same answers from their linear fallbacks.
+        // recorded log instead of writing them directly: the activation
+        // probes must serve the same answers either way.
         let table = if splice_tail {
             let head = entries.len() / 2;
             let mut spliced = build_table(&entries[..head]);
@@ -280,8 +271,8 @@ proptest! {
             assignment.assign(CondId::new(index), *value);
         }
         for job in jobs() {
-            // activation_resource: the reference is the pre-index algorithm —
-            // a first-wins strictly-more-specific scan in serial entry order.
+            // activation_resource: the reference is a first-wins
+            // strictly-more-specific scan in serial entry order.
             let mut expected: Option<(usize, PeId)> = None;
             let mut satisfied_times = Vec::new();
             for (column, time, resource) in table.entries_on(job) {
@@ -307,8 +298,8 @@ proptest! {
             };
             prop_assert_eq!(table.activation_time(job, &assignment), expected_time);
             // activation: the same time and resource, plus the selecting
-            // column of the pre-index simulator — the last of the most
-            // specific satisfied columns in serial entry order.
+            // column — the last of the most specific satisfied columns in
+            // serial entry order.
             let selecting = table
                 .entries(job)
                 .map(|(column, _)| column)
@@ -326,7 +317,7 @@ proptest! {
 }
 
 /// A repair round creates a column mid-walk (directly and through a
-/// recording view), and the very next probes must see it through the index.
+/// recording view), and the very next probes must see it.
 #[test]
 fn a_column_created_mid_walk_is_picked_up_by_the_index() {
     let c = |i: usize| CondId::new(i);
@@ -340,25 +331,25 @@ fn a_column_created_mid_walk_is_picked_up_by_the_index() {
         Some(PeId::from_index(0)),
     );
 
-    // Direct: a brand-new column cube (new mention-mask group) written into
+    // Direct: a brand-new column cube written into
     // an existing row is immediately served by both probe kinds.
     let fresh: Cube = [c(0).is_true(), c(1).is_false()].into_iter().collect();
     table.set_on(p1, fresh, Time::new(3), Some(PeId::from_index(1)));
     let probe = Cube::from(c(0).is_true());
     assert_eq!(
-        indexed_compatible(&mut table, p1, &probe),
+        served_compatible(&mut table, p1, &probe),
         linear_compatible(&table, p1, &probe)
     );
-    assert!(indexed_compatible(&mut table, p1, &probe)
+    assert!(served_compatible(&mut table, p1, &probe)
         .iter()
         .any(|&(_, column, ..)| column == fresh));
-    assert!(indexed_at(&mut table, p1, Time::new(3))
+    assert!(served_at(&mut table, p1, Time::new(3))
         .iter()
         .any(|&(_, column, _)| column == fresh));
 
     // Through a recording view: the chain creates another fresh column and
     // its own scans see it at once; after the log is spliced into a copy of
-    // the entry table, that table's index serves it too.
+    // the entry table, that table's scans serve it too.
     let entry = table.clone();
     let mut view = RecordingView::new(&mut table, RecordScratch::default());
     let spec: Cube = [c(1).is_true(), c(2).is_true()].into_iter().collect();
@@ -371,17 +362,17 @@ fn a_column_created_mid_walk_is_picked_up_by_the_index() {
         .any(|&(_, column, _)| column == spec));
     let (log, _) = view.finish();
     assert_eq!(
-        indexed_compatible(&mut table, p1, &spec),
+        served_compatible(&mut table, p1, &spec),
         linear_compatible(&table, p1, &spec)
     );
 
     let mut spliced = entry;
     spliced.splice_log(&log);
-    assert!(indexed_compatible(&mut spliced, p1, &spec)
+    assert!(served_compatible(&mut spliced, p1, &spec)
         .iter()
         .any(|&(_, column, ..)| column == spec));
     assert_eq!(
-        indexed_compatible(&mut spliced, p1, &spec),
+        served_compatible(&mut spliced, p1, &spec),
         linear_compatible(&spliced, p1, &spec)
     );
 }
