@@ -117,6 +117,18 @@ impl Architecture {
             .filter(|id| self.kind_of(*id).is_bus() && self.pe(*id).connects_all)
     }
 
+    /// `true` when condition values must be broadcast: there is more than
+    /// one computation element, so a value computed on one reaches the others
+    /// only over a bus, and a broadcast bus exists to carry it.
+    ///
+    /// [`ArchitectureBuilder::build`] rejects several computation elements
+    /// without a broadcast bus, so for a built architecture this is "more
+    /// than one computation element".
+    #[must_use]
+    pub fn needs_broadcast(&self) -> bool {
+        self.computation_elements().nth(1).is_some() && self.broadcast_buses().next().is_some()
+    }
+
     /// `true` when only one process/transfer at a time may execute on `id`.
     ///
     /// # Panics
@@ -319,6 +331,28 @@ mod tests {
         assert!(arch.is_exclusive(pe1));
         assert!(!arch.is_exclusive(pe3));
         assert!(arch.is_exclusive(pe4));
+    }
+
+    #[test]
+    fn broadcasts_are_needed_with_two_computation_elements() {
+        let solo = Architecture::builder().processor("a").build().unwrap();
+        assert!(!solo.needs_broadcast());
+        // A bus does not make a single element distributed.
+        let solo_with_bus = Architecture::builder()
+            .processor("a")
+            .bus("b")
+            .build()
+            .unwrap();
+        assert!(!solo_with_bus.needs_broadcast());
+        // Hardware counts as a computation element.
+        let with_hardware = Architecture::builder()
+            .processor("a")
+            .hardware("h")
+            .bus("b")
+            .build()
+            .unwrap();
+        assert!(with_hardware.needs_broadcast());
+        assert!(sample().needs_broadcast());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! Compares a fresh criterion-shim measurement (the JSON-lines file produced
 //! by running `cargo bench` with `CRITERION_JSON=<path>`) against a committed
-//! baseline (`BENCH_9.json`) and fails when any gated median
+//! baseline (`BENCH_10.json`) and fails when any gated median
 //! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*`, `sim/*`,
-//! `verify/*` and `delay/*` — single-threaded, so their cost is
-//! core-count-independent)
+//! `verify/*`, `delay/*` and `pipeline/*` — single-threaded, so their cost
+//! is core-count-independent)
 //! regresses by more than the allowed percentage; every other row is
 //! reported for information (see `GATED_PREFIXES`).
 //!
@@ -43,7 +43,7 @@
 //! CRITERION_JSON=bench_current.json cargo bench --bench calibration \
 //!     --bench merge_time --bench path_schedule_time --bench sim_time
 //! cargo run --release -p cpg-bench --bin bench_guard -- \
-//!     --baseline BENCH_9.json --current bench_current.json
+//!     --baseline BENCH_10.json --current bench_current.json
 //! ```
 //!
 //! `--current` may be given several times, one file per bench run: the guard
@@ -68,8 +68,10 @@ use std::process::ExitCode;
 /// deep-condition-nest walk (`merge_walk/`, where the decision-tree walk
 /// dominates), the incremental re-merge (`merge_rewalk/`, whose `warm/*`
 /// rows hold the session's cached-replay speedup and whose `cold/*` rows
-/// anchor the ratio), the run-time simulator (`sim/`) and the table
-/// checks every merge is followed by (`verify/`, `delay/`). All of them run
+/// anchor the ratio), the run-time simulator (`sim/`), the table
+/// checks every merge is followed by (`verify/`, `delay/`) and the whole
+/// expand → tracks → merge → verify → delay → simulate pipeline
+/// (`pipeline/`). All of them run
 /// on one thread, so both single-threaded calibration probes can normalize
 /// them. Rows that only an older baseline carries (such as the retired
 /// default-parallelism and four-thread walk groups of `BENCH_7.json`) are
@@ -81,6 +83,7 @@ const GATED_PREFIXES: &[&str] = &[
     "sim/",
     "verify/",
     "delay/",
+    "pipeline/",
 ];
 
 /// The code-stable compute-bound calibration benchmark used to normalize out
@@ -313,7 +316,7 @@ fn median_rows(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path = String::from("BENCH_9.json");
+    let mut baseline_path = String::from("BENCH_10.json");
     let mut current_paths = Vec::new();
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");
@@ -505,6 +508,7 @@ mod tests {
             ("sim/walk_40", 1500.0),
             ("verify/walk_40", 700.0),
             ("delay/walk_40", 600.0),
+            ("pipeline/walk_40", 9000.0),
             ("schedule_merging/60x12", 500.0),
             ("path_list_scheduling/60", 300.0),
         ])

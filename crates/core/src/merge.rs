@@ -63,7 +63,7 @@ use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::{
     Job, ListScheduler, LockSet, PathSchedule, RunScratch, ScheduledJob, SlippedLock, TrackContext,
 };
-use cpg_sim::Simulator;
+use cpg_sim::{SimScratch, Simulator};
 use cpg_table::{RecordingView, ScheduleTable};
 
 use crate::config::{MergeConfig, SelectionPolicy};
@@ -368,7 +368,9 @@ pub(crate) type TrackRun = (Time, usize);
 /// The merge's one realizability check: executes the finished table on
 /// every track with the run-time simulator, in track order. `reuse` may
 /// hand back a track's run from the previous merge instead (the cache's
-/// per-track runs); a cold merge reuses nothing.
+/// per-track runs); a cold merge reuses nothing. The tracks left to
+/// simulate go through [`Simulator::run_each`] together, so their rows are
+/// resolved once per block of labels.
 ///
 /// The simulated delay of a track is bit-identical to
 /// [`ScheduleTable::track_delay`]: both take the same activation lookups
@@ -380,18 +382,21 @@ fn simulate_tracks(
     config: &MergeConfig,
     table: &ScheduleTable,
     tracks: &TrackSet,
-    mut reuse: impl FnMut(usize) -> Option<TrackRun>,
+    reuse: impl FnMut(usize) -> Option<TrackRun>,
 ) -> Vec<TrackRun> {
-    let simulator = Simulator::new(cpg, arch, table, config.broadcast_time());
-    tracks
+    let mut runs: Vec<Option<TrackRun>> = (0..tracks.len()).map(reuse).collect();
+    let (pending, labels): (Vec<usize>, Vec<Cube>) = runs
         .iter()
         .enumerate()
-        .map(|(idx, track)| {
-            reuse(idx).unwrap_or_else(|| {
-                let report = simulator.run(&track.label());
-                (report.delay(), report.violations().len())
-            })
-        })
+        .filter(|(_, run)| run.is_none())
+        .map(|(idx, _)| (idx, tracks.tracks()[idx].label()))
+        .unzip();
+    let simulator = Simulator::new(cpg, arch, table, config.broadcast_time());
+    simulator.run_each(&labels, &mut SimScratch::new(), |at, report| {
+        runs[pending[at]] = Some((report.delay(), report.violations().len()));
+    });
+    runs.into_iter()
+        .map(|run| run.expect("every track is reused or simulated"))
         .collect()
 }
 

@@ -280,8 +280,7 @@ impl<'a> TrackContext<'a> {
         broadcast_time: Time,
         track: &Track,
     ) -> Self {
-        let needs_broadcast =
-            arch.computation_elements().count() > 1 && arch.broadcast_buses().count() > 0;
+        let needs_broadcast = arch.needs_broadcast();
         let broadcast_buses: Vec<PeId> = arch.broadcast_buses().collect();
         let label = track.label();
 

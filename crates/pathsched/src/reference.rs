@@ -146,8 +146,7 @@ fn run(
     locks: &HashMap<Job, LockedStart>,
     original: Option<&PathSchedule>,
 ) -> PathSchedule {
-    let needs_broadcast =
-        arch.computation_elements().count() > 1 && arch.broadcast_buses().count() > 0;
+    let needs_broadcast = arch.needs_broadcast();
     let broadcast_buses: Vec<PeId> = arch.broadcast_buses().collect();
     let duration_of = |job: Job| match job {
         Job::Process(pid) => cpg.exec_time(pid),

@@ -13,12 +13,14 @@
 //! * the actual delay of each execution, which must match the analytical
 //!   worst-case delay of the table.
 //!
-//! One run is linear in the jobs it executes, up to a sort: each active
-//! job's row is resolved once ([`cpg_table::ScheduleTable::activation`]
-//! gives its time, selecting column and recorded resource in one pass),
-//! completion times sit in a dense vector indexed by job slot, and the
-//! exclusive-resource check sweeps each resource's activations in start
-//! order instead of testing every pair.
+//! Runs go one block of up to 64 labels at a time: each job's row is
+//! scanned once per block ([`cpg_table::ScheduleTable::resolve_block`]
+//! gives its time, selecting column and recorded resource on every label of
+//! the block in one pass). Each label's checks are then linear in the jobs
+//! it executes, up to a sort: completion times sit in a dense vector
+//! indexed by job slot, and the exclusive-resource check sweeps each
+//! resource's activations in start order instead of testing every pair.
+//! A [`SimScratch`] arena carries the buffers across labels and calls.
 //!
 //! # Example
 //!
@@ -43,4 +45,4 @@ mod report;
 mod simulator;
 
 pub use report::{SimViolation, SimulationReport};
-pub use simulator::Simulator;
+pub use simulator::{SimScratch, Simulator};

@@ -98,7 +98,7 @@ impl std::error::Error for SimViolation {}
 
 /// The outcome of executing a schedule table for one combination of condition
 /// values.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SimulationReport {
     pub(crate) label: cpg::Cube,
     pub(crate) activations: Vec<(Job, Time, Time)>,

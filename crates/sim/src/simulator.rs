@@ -1,9 +1,9 @@
 //! Execution of a schedule table by distributed run-time schedulers.
 
-use cpg::{Assignment, CondId, Cpg, Cube, TrackSet};
+use cpg::{CondId, Cpg, Cube, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::Job;
-use cpg_table::ScheduleTable;
+use cpg_table::{LabelBlock, ResolvedActivation, ScheduleTable};
 
 use crate::report::{SimViolation, SimulationReport};
 
@@ -20,17 +20,26 @@ use crate::report::{SimViolation, SimulationReport};
 ///
 /// # Cost
 ///
-/// One [`run`](Simulator::run) over `n` active jobs costs `O(n log n)` plus
-/// one scan of each active job's table row plus the overlaps it reports:
+/// [`run`](Simulator::run) and [`run_all`](Simulator::run_all) go through
+/// the one driver, [`run_each`](Simulator::run_each). It takes the labels
+/// one [`LabelBlock`] (up to 64 labels) at a time:
 ///
-/// * [`ScheduleTable::activation`] resolves a job's activation time,
-///   selecting column and recorded resource in a single pass over its row;
-/// * completion times live in a dense vector indexed by job slot (processes
-///   first, then one broadcast slot per condition), so the moment a
-///   condition becomes known on a processing element is one slot read;
-/// * the exclusive-resource check is one sweep per resource over its
-///   activations in start order, and the scan after a job stops at the first
-///   job starting once it has ended.
+/// * **one pass over the rows per block**:
+///   [`ScheduleTable::resolve_block`] resolves each job's activation time,
+///   selecting column and recorded resource on every label of the block on
+///   which the job is active, in a single scan of its row; whether a
+///   process's guard holds on a label is one bit of the block's masks;
+/// * **then per-track checks**, for each label in turn: completion times
+///   live in a dense vector indexed by job slot (processes first, then one
+///   broadcast slot per condition), so the moment a condition becomes known
+///   on a processing element is one slot read; the exclusive-resource check
+///   is one sweep per resource over its activations in start order, and the
+///   scan after a job stops at the first job starting once it has ended.
+///
+/// So one label over `n` active jobs costs `O(n log n)` plus the overlaps
+/// it reports, and the row scans are paid once per block instead of once per
+/// label. Every buffer lives in a [`SimScratch`] that
+/// [`run_each`](Simulator::run_each) reuses across labels and calls.
 ///
 /// # Example
 ///
@@ -57,9 +66,67 @@ pub struct Simulator<'a> {
     arch: &'a Architecture,
     table: &'a ScheduleTable,
     broadcast_time: Time,
-    /// More than one computation element: condition values reach remote
-    /// elements only through a broadcast.
+    /// Condition values reach remote elements only through a broadcast
+    /// ([`Architecture::needs_broadcast`]).
     needs_broadcast: bool,
+}
+
+/// The reusable buffers of [`Simulator::run_each`], the same idiom as the
+/// path scheduler's `RunScratch`: hand one arena to every
+/// [`Simulator::run_each`] call and the runs allocate nothing once it has
+/// grown to the largest system.
+///
+/// # Example
+///
+/// ```
+/// use cpg::examples;
+/// use cpg_merge::{generate_schedule_table, MergeConfig};
+/// use cpg_sim::{SimScratch, Simulator};
+///
+/// let system = examples::diamond();
+/// let result = generate_schedule_table(
+///     system.cpg(),
+///     system.arch(),
+///     &MergeConfig::new(system.broadcast_time()),
+/// );
+/// let simulator = Simulator::new(system.cpg(), system.arch(), result.table(), system.broadcast_time());
+/// let labels: Vec<_> = result.tracks().iter().map(|t| t.label()).collect();
+/// let mut scratch = SimScratch::new();
+/// let mut violations = 0;
+/// simulator.run_each(&labels, &mut scratch, |_, report| violations += report.violations().len());
+/// assert_eq!(violations, 0);
+/// ```
+#[derive(Debug, Default)]
+pub struct SimScratch {
+    /// The jobs a run may activate: every schedulable process, then one
+    /// broadcast per condition when broadcasts are needed.
+    jobs: Vec<Job>,
+    /// Per job of `jobs`, the labels of the current block it is active on.
+    active: Vec<u64>,
+    /// Per job of `jobs`, its activations on the labels of the current
+    /// block: `stride` slots per job.
+    resolved: Vec<ResolvedActivation>,
+    /// By job slot, the completion time of the current run's activation.
+    completion: Vec<Option<Time>>,
+    /// By job slot, the selecting column and recorded resource of the
+    /// current run's activation (read only for activated jobs).
+    selected: Vec<(Cube, Option<PeId>)>,
+    /// By activation, the resource it occupies.
+    resources: Vec<Option<PeId>>,
+    /// `(resource, activation)` of the activations on exclusive resources.
+    by_resource: Vec<(PeId, usize)>,
+    /// Overlapping activation pairs.
+    pairs: Vec<(usize, usize)>,
+    /// The report under construction.
+    report: SimulationReport,
+}
+
+impl SimScratch {
+    /// Creates an empty arena.
+    #[must_use]
+    pub fn new() -> Self {
+        SimScratch::default()
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -77,7 +144,7 @@ impl<'a> Simulator<'a> {
             arch,
             table,
             broadcast_time,
-            needs_broadcast: arch.computation_elements().count() > 1,
+            needs_broadcast: arch.needs_broadcast(),
         }
     }
 
@@ -85,28 +152,124 @@ impl<'a> Simulator<'a> {
     /// `label` (typically the label of one alternative path).
     #[must_use]
     pub fn run(&self, label: &Cube) -> SimulationReport {
-        let assignment = Assignment::from_cube(label);
-        let mut violations = Vec::new();
+        let mut scratch = SimScratch::new();
+        let mut report = None;
+        self.run_each(std::slice::from_ref(label), &mut scratch, |_, run| {
+            report = Some(std::mem::take(run));
+        });
+        report.expect("one label gives one report")
+    }
+
+    /// Executes the table once per alternative path and returns the reports
+    /// in track order.
+    #[must_use]
+    pub fn run_all(&self, tracks: &TrackSet) -> Vec<SimulationReport> {
+        let labels: Vec<Cube> = tracks.iter().map(cpg::Track::label).collect();
+        let mut reports = Vec::with_capacity(labels.len());
+        self.run_each(&labels, &mut SimScratch::new(), |_, run| {
+            reports.push(std::mem::take(run));
+        });
+        reports
+    }
+
+    /// The worst observed delay over all alternative paths — must equal the
+    /// analytical `δ_max` of the table for a correct table.
+    #[must_use]
+    pub fn worst_case_delay(&self, tracks: &TrackSet) -> Time {
+        let labels: Vec<Cube> = tracks.iter().map(cpg::Track::label).collect();
+        let mut worst = Time::ZERO;
+        self.run_each(&labels, &mut SimScratch::new(), |_, report| {
+            worst = worst.max(report.delay());
+        });
+        worst
+    }
+
+    /// Executes the table once per label, in order, and hands
+    /// `visit(index, report)` each report. This is the one driver behind
+    /// every entry point: it resolves each block of labels in one pass over
+    /// the rows, then runs the per-label checks. The report's buffers belong
+    /// to `scratch` and are reused by the next label; a visitor that keeps a
+    /// report takes it with [`std::mem::take`].
+    pub fn run_each(
+        &self,
+        labels: &[Cube],
+        scratch: &mut SimScratch,
+        mut visit: impl FnMut(usize, &mut SimulationReport),
+    ) {
+        if labels.is_empty() {
+            return;
+        }
+        let stride = labels.len().min(LabelBlock::WIDTH);
+        let slots = self.cpg.len() + self.cpg.num_conditions();
+        scratch.jobs.clear();
+        scratch
+            .jobs
+            .extend(self.cpg.schedulable_processes().map(Job::Process));
+        if self.needs_broadcast {
+            scratch.jobs.extend(
+                (0..self.cpg.num_conditions()).map(|cond| Job::Broadcast(CondId::new(cond))),
+            );
+        }
+        scratch.active.resize(scratch.jobs.len(), 0);
+        scratch
+            .resolved
+            .resize(scratch.jobs.len() * stride, ResolvedActivation::NONE);
+        scratch.completion.clear();
+        scratch.completion.resize(slots, None);
+        scratch.selected.resize(slots, (Cube::top(), None));
+
+        for (first, chunk) in (0..).step_by(stride).zip(labels.chunks(stride)) {
+            let block = LabelBlock::new(chunk);
+            for (j, &job) in scratch.jobs.iter().enumerate() {
+                let active = match job {
+                    Job::Process(pid) => block.holding(self.cpg.guard(pid)),
+                    Job::Broadcast(cond) => block.mentioning(cond),
+                };
+                scratch.active[j] = active;
+                if active != 0 {
+                    let out = &mut scratch.resolved[j * stride..(j + 1) * stride];
+                    self.table.resolve_block(job, &block, active, out);
+                }
+            }
+            for (t, label) in chunk.iter().enumerate() {
+                self.run_resolved(label, t, stride, scratch);
+                for &(job, _, _) in &scratch.report.activations {
+                    scratch.completion[self.slot(job)] = None;
+                }
+                visit(first + t, &mut scratch.report);
+            }
+        }
+    }
+
+    /// Executes the table on `label`, label `t` of the block whose
+    /// activations `scratch` holds, into `scratch.report`.
+    fn run_resolved(&self, label: &Cube, t: usize, stride: usize, scratch: &mut SimScratch) {
+        let SimScratch {
+            jobs,
+            active,
+            resolved,
+            completion,
+            selected,
+            resources,
+            by_resource,
+            pairs,
+            report,
+        } = scratch;
+        report.label = *label;
+        report.activations.clear();
+        report.violations.clear();
+        let (activations, violations) = (&mut report.activations, &mut report.violations);
 
         // Active jobs — the processes whose guard holds, then one broadcast
         // per condition of the label — and, by job slot, the completion time
         // and the `(selecting column, recorded resource)` of each one the
         // table activates.
-        let slots = self.cpg.len() + self.cpg.num_conditions();
-        let mut activations: Vec<(Job, Time, Time)> = Vec::new();
-        let mut completion: Vec<Option<Time>> = vec![None; slots];
-        let mut selected: Vec<(Cube, Option<PeId>)> = vec![(Cube::top(), None); slots];
-        let processes = self
-            .cpg
-            .schedulable_processes()
-            .filter(|&pid| self.cpg.guard(pid).implied_by(label))
-            .map(Job::Process);
-        let broadcasts = label
-            .conditions()
-            .filter(|_| self.needs_broadcast)
-            .map(Job::Broadcast);
-        for job in processes.chain(broadcasts) {
-            match self.table.activation(job, &assignment) {
+        let bit = 1u64 << t;
+        for (j, &job) in jobs.iter().enumerate() {
+            if active[j] & bit == 0 {
+                continue;
+            }
+            match resolved[j * stride + t].to_activation(self.table) {
                 Some(found) => {
                     let end = found.time + self.duration_of(job);
                     completion[self.slot(job)] = Some(end);
@@ -117,19 +280,21 @@ impl<'a> Simulator<'a> {
             }
         }
         activations.sort_unstable_by_key(|&(job, start, _)| (start, job));
-        let resources: Vec<Option<PeId>> = activations
-            .iter()
-            .map(|&(job, _, _)| self.pe_of(job, selected[self.slot(job)].1))
-            .collect();
+        resources.clear();
+        resources.extend(
+            activations
+                .iter()
+                .map(|&(job, _, _)| self.pe_of(job, selected[self.slot(job)].1)),
+        );
 
         // Requirement 4: the column that selected each activation only uses
         // locally known condition values.
-        for (&(job, start, _), &pe) in activations.iter().zip(&resources) {
+        for (&(job, start, _), &pe) in activations.iter().zip(resources.iter()) {
             let Some(pe) = pe else {
                 continue;
             };
             for lit in selected[self.slot(job)].0.literals() {
-                let known_at = self.known_at(label, &completion, lit.cond(), pe);
+                let known_at = self.known_at(label, completion, lit.cond(), pe);
                 if known_at.is_none_or(|k| k > start) {
                     violations.push(SimViolation::ConditionNotKnownLocally {
                         job,
@@ -143,7 +308,7 @@ impl<'a> Simulator<'a> {
 
         // Data dependencies: inputs that flow on this execution must have
         // arrived before the activation time.
-        for &(job, start, _) in &activations {
+        for &(job, start, _) in activations.iter() {
             let mut check = |predecessor: Job| {
                 if let Some(arrives) = completion[self.slot(predecessor)] {
                     if arrives > start {
@@ -169,39 +334,14 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        self.push_overlaps(&activations, &resources, &mut violations);
+        self.push_overlaps(activations, resources, by_resource, pairs, violations);
 
-        let delay = activations
+        report.delay = activations
             .iter()
             .filter(|(job, _, _)| job.as_process().is_some())
             .map(|&(_, _, end)| end)
             .max()
             .unwrap_or(Time::ZERO);
-
-        SimulationReport {
-            label: *label,
-            activations,
-            delay,
-            violations,
-        }
-    }
-
-    /// Executes the table once per alternative path and returns the reports
-    /// in track order.
-    #[must_use]
-    pub fn run_all(&self, tracks: &TrackSet) -> Vec<SimulationReport> {
-        tracks.iter().map(|t| self.run(&t.label())).collect()
-    }
-
-    /// The worst observed delay over all alternative paths — must equal the
-    /// analytical `δ_max` of the table for a correct table.
-    #[must_use]
-    pub fn worst_case_delay(&self, tracks: &TrackSet) -> Time {
-        self.run_all(tracks)
-            .iter()
-            .map(SimulationReport::delay)
-            .max()
-            .unwrap_or(Time::ZERO)
     }
 
     fn duration_of(&self, job: Job) -> Time {
@@ -263,15 +403,19 @@ impl<'a> Simulator<'a> {
         &self,
         activations: &[(Job, Time, Time)],
         resources: &[Option<PeId>],
+        by_resource: &mut Vec<(PeId, usize)>,
+        pairs: &mut Vec<(usize, usize)>,
         violations: &mut Vec<SimViolation>,
     ) {
-        let mut by_resource: Vec<(PeId, usize)> = resources
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &pe)| Some((pe.filter(|&pe| self.arch.is_exclusive(pe))?, i)))
-            .collect();
+        by_resource.clear();
+        by_resource.extend(
+            resources
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &pe)| Some((pe.filter(|&pe| self.arch.is_exclusive(pe))?, i))),
+        );
         by_resource.sort_unstable();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        pairs.clear();
         for run in by_resource.chunk_by(|x, y| x.0 == y.0) {
             for (k, &(_, a)) in run.iter().enumerate() {
                 let (_, a_start, a_end) = activations[a];
@@ -292,15 +436,11 @@ impl<'a> Simulator<'a> {
             }
         }
         pairs.sort_unstable();
-        violations.extend(
-            pairs
-                .into_iter()
-                .map(|(a, b)| SimViolation::ResourceOverlap {
-                    pe: resources[a].expect("swept activations have a resource"),
-                    first: activations[a].0,
-                    second: activations[b].0,
-                }),
-        );
+        violations.extend(pairs.iter().map(|&(a, b)| SimViolation::ResourceOverlap {
+            pe: resources[a].expect("swept activations have a resource"),
+            first: activations[a].0,
+            second: activations[b].0,
+        }));
     }
 }
 

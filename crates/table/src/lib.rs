@@ -24,12 +24,14 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
+mod block;
 mod dispatch;
 mod error;
 mod table;
 mod txn;
 
 pub use analysis::{to_csv, utilization, ResourceLoad};
+pub use block::{LabelBlock, ResolvedActivation};
 pub use dispatch::{per_processor_dispatch, DispatchEntry, DispatchTable};
 pub use error::TableViolation;
 pub use table::{Activation, ScheduleTable};

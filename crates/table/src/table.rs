@@ -2,10 +2,11 @@
 
 use std::fmt;
 
-use cpg::{Assignment, Cpg, Cube, TrackSet};
+use cpg::{Assignment, CondId, Cpg, Cube, ProcessId, Track, TrackSet};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 
+use crate::block::{bits, BlockFold, LabelBlock, ResolvedActivation};
 use crate::error::TableViolation;
 use crate::ChainLog;
 
@@ -548,6 +549,40 @@ impl ScheduleTable {
         })
     }
 
+    /// [`ScheduleTable::activation`] of `job` on every label of `block`
+    /// whose bit is set in `wanted`, resolved in one pass over the row.
+    ///
+    /// Writes `out[t]` for every label `t` of `wanted` (the column held by
+    /// its index in [`ScheduleTable::columns`]) and leaves the other slots
+    /// untouched. Returns the mask of the labels of `wanted` the table
+    /// activates the job on. Each entry costs one
+    /// [`LabelBlock::satisfying`] test plus one fold step per satisfied
+    /// wanted label, so a block of labels pays for one row scan instead of
+    /// one per label.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` has no slot for some label of `wanted`.
+    // lint: hot-path
+    pub fn resolve_block(
+        &self,
+        job: Job,
+        block: &LabelBlock,
+        wanted: u64,
+        out: &mut [ResolvedActivation],
+    ) -> u64 {
+        let mut fold = BlockFold::new(out);
+        if let Some(row) = self.row(job).filter(|_| wanted != 0) {
+            for &(key, column, cell) in &row.entries {
+                let labels = block.satisfying(&column) & wanted;
+                if labels != 0 {
+                    fold.note(labels, key, &column, cell.time, cell.resource);
+                }
+            }
+        }
+        fold.finish(wanted)
+    }
+
     /// The activation time applicable on the alternative path labelled
     /// `label` (shorthand for [`ScheduleTable::activation_time`] with the
     /// label converted to an assignment).
@@ -577,13 +612,25 @@ impl ScheduleTable {
 
     /// The worst-case delay `δ_max` guaranteed by this table: the maximum of
     /// [`ScheduleTable::track_delay`] over every alternative path.
+    ///
+    /// Evaluated one [`LabelBlock`] of tracks at a time: each process row is
+    /// resolved once per block over the labels on which its guard holds.
     #[must_use]
     pub fn worst_case_delay(&self, cpg: &Cpg, tracks: &TrackSet) -> Time {
-        tracks
-            .iter()
-            .map(|t| self.track_delay(cpg, &t.label()))
-            .max()
-            .unwrap_or(Time::ZERO)
+        let mut resolved = [ResolvedActivation::NONE; LabelBlock::WIDTH];
+        let mut delay = Time::ZERO;
+        for chunk in tracks.tracks().chunks(LabelBlock::WIDTH) {
+            let labels: Vec<Cube> = chunk.iter().map(Track::label).collect();
+            let block = LabelBlock::new(&labels);
+            for job in self.jobs() {
+                let Job::Process(pid) = job else { continue };
+                let holds = block.holding(cpg.guard(pid));
+                for t in bits(self.resolve_block(job, &block, holds, &mut resolved)) {
+                    delay = delay.max(resolved[t].time + cpg.exec_time(pid));
+                }
+            }
+        }
+        delay
     }
 
     /// Checks the table against requirements 1–3 of Section 3 of the paper:
@@ -649,28 +696,48 @@ impl ScheduleTable {
             }
         }
 
-        // Requirement 3.
-        for track in tracks.iter() {
-            let assignment = Assignment::from_cube(&track.label());
-            for &pid in track.processes() {
-                if cpg.process(pid).kind().is_dummy() {
-                    continue;
-                }
-                let job = Job::Process(pid);
-                if self.activation_time(job, &assignment).is_none() {
-                    violations.push(TableViolation::MissingActivation {
-                        job,
-                        track: track.label(),
-                    });
+        // Requirement 3, one block of tracks at a time: per job slot (the
+        // processes, then one broadcast slot per condition), the mask of the
+        // labels that need an activation, narrowed by one row pass to those
+        // missing one; then each track reports in track order.
+        let broadcast_slot = |cond: CondId| cpg.len() + cond.index();
+        let job_of = |slot: usize| match slot.checked_sub(cpg.len()) {
+            None => Job::Process(ProcessId::from_index(slot)),
+            Some(cond) => Job::Broadcast(CondId::new(cond)),
+        };
+        let mut missing: Vec<u64> = vec![0; cpg.len() + cpg.num_conditions()];
+        let mut resolved = [ResolvedActivation::NONE; LabelBlock::WIDTH];
+        for chunk in tracks.tracks().chunks(LabelBlock::WIDTH) {
+            let labels: Vec<Cube> = chunk.iter().map(Track::label).collect();
+            let block = LabelBlock::new(&labels);
+            missing.fill(0);
+            for (t, track) in chunk.iter().enumerate() {
+                for &pid in track.processes() {
+                    if !cpg.process(pid).kind().is_dummy() {
+                        missing[pid.index()] |= 1 << t;
+                    }
                 }
             }
-            for cond in track.determined_conditions() {
-                let job = Job::Broadcast(cond);
-                if self.contains_job(job) && self.activation_time(job, &assignment).is_none() {
-                    violations.push(TableViolation::MissingActivation {
-                        job,
-                        track: track.label(),
-                    });
+            for cond in (0..cpg.num_conditions()).map(CondId::new) {
+                if self.contains_job(Job::Broadcast(cond)) {
+                    missing[broadcast_slot(cond)] = block.mentioning(cond);
+                }
+            }
+            for (slot, mask) in missing.iter_mut().enumerate() {
+                if *mask != 0 {
+                    *mask &= !self.resolve_block(job_of(slot), &block, *mask, &mut resolved);
+                }
+            }
+            for (t, track) in chunk.iter().enumerate() {
+                let processes = track.processes().iter().map(|pid| pid.index());
+                let broadcasts = track.determined_conditions().map(broadcast_slot);
+                for slot in processes.chain(broadcasts) {
+                    if missing[slot] & (1 << t) != 0 {
+                        violations.push(TableViolation::MissingActivation {
+                            job: job_of(slot),
+                            track: track.label(),
+                        });
+                    }
                 }
             }
         }

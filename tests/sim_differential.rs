@@ -1,7 +1,10 @@
 //! Differential test of the run-time simulator: every `SimulationReport` of
-//! `Simulator::run` must equal, violation order included, the report of the
-//! straightforward reference below — a hash map of completion times, a
-//! per-run condition-knowledge map and an all-pairs resource-overlap scan.
+//! `Simulator::run`, `Simulator::run_all` and `Simulator::run_each` must
+//! equal, violation order included, the report of the straightforward
+//! reference below — per-assignment row lookups, a hash map of completion
+//! times, a per-run condition-knowledge map and an all-pairs
+//! resource-overlap scan. On the same tables, requirement 3 of
+//! `ScheduleTable::verify` must equal a track-by-track reference.
 //!
 //! The inputs are the tables of the `paper_suite(40)` systems and six
 //! corrupted copies of each (entries shifted by ±4 time units or removed),
@@ -10,13 +13,13 @@
 use std::collections::HashMap;
 use std::mem::discriminant;
 
-use cpg::{Assignment, CondId, Cpg, Cube};
+use cpg::{Assignment, CondId, Cpg, Cube, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
-use cpg_gen::{generate, paper_suite};
+use cpg_gen::{generate, paper_suite, GeneratorConfig};
 use cpg_merge::{generate_schedule_table, MergeConfig};
 use cpg_path_sched::Job;
-use cpg_sim::{SimViolation, SimulationReport, Simulator};
-use cpg_table::ScheduleTable;
+use cpg_sim::{SimScratch, SimViolation, SimulationReport, Simulator};
+use cpg_table::{ScheduleTable, TableViolation};
 
 /// The observable content of a simulation report.
 #[derive(Debug, PartialEq)]
@@ -276,14 +279,59 @@ fn corrupt(table: &ScheduleTable, corruption: &Corruption) -> ScheduleTable {
     copy
 }
 
+/// Requirement 3 of `ScheduleTable::verify`, track by track through the
+/// per-assignment `activation_time`: the `MissingActivation` violations in
+/// the order `verify` reports them.
+fn missing_activations(table: &ScheduleTable, cpg: &Cpg, tracks: &TrackSet) -> Vec<TableViolation> {
+    let mut violations = Vec::new();
+    for track in tracks.iter() {
+        let assignment = Assignment::from_cube(&track.label());
+        let processes = track
+            .processes()
+            .iter()
+            .filter(|&&pid| !cpg.process(pid).kind().is_dummy())
+            .map(|&pid| Job::Process(pid));
+        let broadcasts = track
+            .determined_conditions()
+            .map(Job::Broadcast)
+            .filter(|&job| table.contains_job(job));
+        for job in processes.chain(broadcasts) {
+            if table.activation_time(job, &assignment).is_none() {
+                violations.push(TableViolation::MissingActivation {
+                    job,
+                    track: track.label(),
+                });
+            }
+        }
+    }
+    violations
+}
+
+/// Asserts that `verify` reports requirement 3 last, exactly as
+/// [`missing_activations`] does, and returns how many it reported.
+fn check_requirement_3(table: &ScheduleTable, cpg: &Cpg, tracks: &TrackSet) -> usize {
+    let expected = missing_activations(table, cpg, tracks);
+    let verified = table.verify(cpg, tracks).err().unwrap_or_default();
+    let first_missing = verified
+        .iter()
+        .position(|v| matches!(v, TableViolation::MissingActivation { .. }))
+        .unwrap_or(verified.len());
+    assert_eq!(verified[first_missing..], expected[..]);
+    expected.len()
+}
+
 #[test]
 fn simulator_matches_the_all_pairs_reference_on_the_paper_suite() {
     let mut seen: Vec<std::mem::Discriminant<SimViolation>> = Vec::new();
     let mut reports = 0usize;
+    let mut missing = 0usize;
+    // One arena across every system and table, as a caller reusing it would.
+    let mut scratch = SimScratch::new();
     for config in paper_suite(40) {
         let system = generate(&config);
         let (cpg, arch) = (system.cpg(), system.arch());
         let result = generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
+        let labels: Vec<Cube> = result.tracks().iter().map(|t| t.label()).collect();
         let tables = std::iter::once(result.table().clone())
             .chain(CORRUPTIONS.iter().map(|c| corrupt(result.table(), c)));
         for table in tables {
@@ -294,19 +342,44 @@ fn simulator_matches_the_all_pairs_reference_on_the_paper_suite() {
                 table: &table,
                 broadcast_time: system.broadcast_time(),
             };
-            for track in result.tracks().iter() {
-                let label = track.label();
-                let actual = observed(&simulator.run(&label));
-                assert_eq!(actual, reference.run(&label), "seed {:#x}", config.seed());
-                for violation in &actual.violations {
+            let expected: Vec<Observed> = labels.iter().map(|label| reference.run(label)).collect();
+            // The three entry points of the one driver: a block of one label,
+            // every track, and a reused arena.
+            let all = simulator.run_all(result.tracks());
+            assert_eq!(all.len(), labels.len());
+            let mut each = Vec::new();
+            simulator.run_each(&labels, &mut scratch, |index, report| {
+                each.push((index, observed(report)));
+            });
+            for (index, (label, expected)) in labels.iter().zip(&expected).enumerate() {
+                let seed = config.seed();
+                assert_eq!(
+                    &observed(&simulator.run(label)),
+                    expected,
+                    "run, seed {seed:#x}"
+                );
+                assert_eq!(&observed(&all[index]), expected, "run_all, seed {seed:#x}");
+                assert_eq!(
+                    each[index],
+                    (index, observed(&all[index])),
+                    "run_each, seed {seed:#x}"
+                );
+                for violation in &expected.violations {
                     if !seen.contains(&discriminant(violation)) {
                         seen.push(discriminant(violation));
                     }
                 }
                 reports += 1;
             }
+            assert_eq!(each.len(), labels.len());
+
+            missing += check_requirement_3(&table, cpg, result.tracks());
         }
     }
+    assert!(
+        missing > 1_000,
+        "only {missing} missing activations compared"
+    );
     assert!(reports > 10_000, "only {reports} reports compared");
     // Every kind of violation occurred, so the comparison is not vacuous.
     let job = Job::Process(cpg::ProcessId::from_index(0));
@@ -332,6 +405,41 @@ fn simulator_matches_the_all_pairs_reference_on_the_paper_suite() {
     ];
     for kind in &kinds {
         assert!(seen.contains(&discriminant(kind)), "no {kind:?} observed");
+    }
+}
+
+#[test]
+fn batched_runs_match_the_reference_across_label_blocks() {
+    // More than 64 paths: the driver resolves two blocks, the last partial.
+    let mut scratch = SimScratch::new();
+    for (paths, seed) in [(80, 1), (96, 2), (128, 3)] {
+        let system = generate(&GeneratorConfig::new(160, paths).with_seed(seed));
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let result = generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
+        assert!(result.tracks().len() > 64);
+        let labels: Vec<Cube> = result.tracks().iter().map(|t| t.label()).collect();
+        let tables = std::iter::once(result.table().clone())
+            .chain(CORRUPTIONS.iter().map(|c| corrupt(result.table(), c)));
+        for table in tables {
+            let simulator = Simulator::new(cpg, arch, &table, system.broadcast_time());
+            let reference = Reference {
+                cpg,
+                arch,
+                table: &table,
+                broadcast_time: system.broadcast_time(),
+            };
+            let all = simulator.run_all(result.tracks());
+            let mut each = Vec::new();
+            simulator.run_each(&labels, &mut scratch, |_, report| {
+                each.push(observed(report));
+            });
+            for ((label, all), each) in labels.iter().zip(&all).zip(&each) {
+                let expected = reference.run(label);
+                assert_eq!(observed(all), expected, "run_all, {paths} paths");
+                assert_eq!(each, &expected, "run_each, {paths} paths");
+            }
+            check_requirement_3(&table, cpg, result.tracks());
+        }
     }
 }
 
