@@ -2,6 +2,12 @@
 //! individual path needs "less than 0.003 seconds for graphs having 120
 //! nodes": scheduling a single alternative path of 60-, 80- and 120-node
 //! graphs.
+//!
+//! `path_list_scheduling/all_tracks/*` schedules every alternative path of a
+//! deep condition nest (`3k` nodes, `k` paths, two processors, one bus —
+//! generator seed index 0 of perfbench's `deep_nest` family) through a fresh
+//! `ListScheduler`: the graph tables, every track's context and one run per
+//! context, the work a cold merge does before its walk.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +39,25 @@ fn path_schedule_time(c: &mut Criterion) {
                 let scheduler =
                     ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time());
                 b.iter(|| scheduler.schedule_track(track));
+            },
+        );
+    }
+    for &paths in &[32usize, 64] {
+        let nodes = 3 * paths;
+        let config = GeneratorConfig::new(nodes, paths)
+            .with_processors(2)
+            .with_buses(1)
+            .with_seed((nodes as u64) << 32);
+        let system = generate(&config);
+        let tracks = enumerate_tracks(system.cpg());
+        group.bench_with_input(
+            BenchmarkId::new("all_tracks", paths),
+            &(system, tracks),
+            |b, (system, tracks)| {
+                b.iter(|| {
+                    ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time())
+                        .schedule_all(tracks)
+                });
             },
         );
     }

@@ -3,10 +3,10 @@
 //!
 //! Compares a fresh criterion-shim measurement (the JSON-lines file produced
 //! by running `cargo bench` with `CRITERION_JSON=<path>`) against a committed
-//! baseline (`BENCH_10.json`) and fails when any gated median
+//! baseline (`BENCH_11.json`) and fails when any gated median
 //! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*`, `sim/*`,
-//! `verify/*`, `delay/*` and `pipeline/*` — single-threaded, so their cost
-//! is core-count-independent)
+//! `verify/*`, `delay/*`, `pipeline/*` and `path_list_scheduling/*` —
+//! single-threaded, so their cost is core-count-independent)
 //! regresses by more than the allowed percentage; every other row is
 //! reported for information (see `GATED_PREFIXES`).
 //!
@@ -43,7 +43,7 @@
 //! CRITERION_JSON=bench_current.json cargo bench --bench calibration \
 //!     --bench merge_time --bench path_schedule_time --bench sim_time
 //! cargo run --release -p cpg-bench --bin bench_guard -- \
-//!     --baseline BENCH_10.json --current bench_current.json
+//!     --baseline BENCH_11.json --current bench_current.json
 //! ```
 //!
 //! `--current` may be given several times, one file per bench run: the guard
@@ -69,9 +69,11 @@ use std::process::ExitCode;
 /// dominates), the incremental re-merge (`merge_rewalk/`, whose `warm/*`
 /// rows hold the session's cached-replay speedup and whose `cold/*` rows
 /// anchor the ratio), the run-time simulator (`sim/`), the table
-/// checks every merge is followed by (`verify/`, `delay/`) and the whole
+/// checks every merge is followed by (`verify/`, `delay/`), the whole
 /// expand → tracks → merge → verify → delay → simulate pipeline
-/// (`pipeline/`). All of them run
+/// (`pipeline/`) and the path scheduler (`path_list_scheduling/`, whose
+/// `all_tracks/*` rows build the graph tables and every track's context the
+/// way a cold merge does before its walk). All of them run
 /// on one thread, so both single-threaded calibration probes can normalize
 /// them. Rows that only an older baseline carries (such as the retired
 /// default-parallelism and four-thread walk groups of `BENCH_7.json`) are
@@ -84,6 +86,7 @@ const GATED_PREFIXES: &[&str] = &[
     "verify/",
     "delay/",
     "pipeline/",
+    "path_list_scheduling/",
 ];
 
 /// The code-stable compute-bound calibration benchmark used to normalize out
@@ -243,7 +246,6 @@ fn run_gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> GateReport
         let over_everywhere = over && change_under(other_scale) > ALLOWED_REGRESSION_PERCENT;
         let gated = matches_any(name, GATED_PREFIXES);
         let verdict = match (gated, over, over_everywhere) {
-            (false, ..) if mem_sensitive => "info (mem)",
             (false, ..) => "info",
             (true, _, true) => {
                 report.failures += 1;
@@ -316,7 +318,7 @@ fn median_rows(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path = String::from("BENCH_10.json");
+    let mut baseline_path = String::from("BENCH_11.json");
     let mut current_paths = Vec::new();
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");
@@ -625,11 +627,33 @@ mod tests {
         let baseline = full_side(1000.0, 2000.0);
         let mut current = full_side(1000.0, 2000.0);
         for (name, median) in &mut current {
-            if name.starts_with("schedule_merging/") || name.starts_with("path_list_scheduling/") {
+            if name.starts_with("schedule_merging/") {
                 *median *= 10.0;
             }
         }
         assert_eq!(run_gate(&baseline, &current).failures, 0);
+    }
+
+    #[test]
+    fn path_scheduler_rows_are_gated_on_the_memory_probe() {
+        let baseline = full_side(1000.0, 2000.0);
+        // 30% up on the path scheduler with identical calibration fails.
+        let mut current = full_side(1000.0, 2000.0);
+        for (name, median) in &mut current {
+            if name.starts_with("path_list_scheduling/") {
+                *median *= 1.3;
+            }
+        }
+        assert_eq!(run_gate(&baseline, &current).failures, 1);
+        // The same raw rise on a machine whose memory is 30% slower under an
+        // unchanged ALU is no regression: the row follows calibration/chase.
+        for (name, median) in &mut current {
+            if name == "calibration/chase" {
+                *median *= 1.3;
+            }
+        }
+        let report = run_gate(&baseline, &current);
+        assert_eq!(report.failures, 0, "{:?}", report.complaints);
     }
 
     #[test]

@@ -262,11 +262,12 @@ pub(crate) fn merge_tracks(
         !sabotage::inject_walk_panic(),
         "sabotage: injected walk panic"
     );
-    let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
-    // One dense scheduling context per track, built on first use and reused
+    // The scheduler gathers the graph tables once per merge; every track's
+    // dense scheduling context is derived from them on first use and reused
     // across the initial per-path schedules and every adjustment/repair of
     // the walk. A cold merge ends up building every context; a warm merge
     // only those of the tracks it re-schedules or re-walks.
+    let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
     let contexts = ContextCache::new(scheduler, &tracks);
     let mut state = WalkState::new();
     // A clean track's optimal schedule cannot have changed, so a warm merge
@@ -454,11 +455,12 @@ const SLIP_REPAIR_ROUNDS: usize = 16;
 
 /// Lazily built per-track scheduling contexts.
 ///
-/// A [`TrackContext`] is a bundle of dense lookup tables over one track —
-/// cheap to query but not free to build. Each cell fills on first use: a
-/// cold merge schedules every track and so builds every context, while an
-/// incremental re-merge only touches the contexts of re-walked or
-/// re-scheduled tracks.
+/// A [`TrackContext`] is a bundle of dense lookup tables over one track,
+/// derived from the graph tables the cache's [`ListScheduler`] gathered once
+/// for the merge — cheap to query but not free to build. Each cell fills on
+/// first use: a cold merge schedules every track and so builds every
+/// context, while an incremental re-merge only touches the contexts of
+/// re-walked or re-scheduled tracks.
 pub(crate) struct ContextCache<'a> {
     scheduler: ListScheduler<'a>,
     tracks: &'a TrackSet,

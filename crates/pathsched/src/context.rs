@@ -5,7 +5,10 @@
 //! every `schedule`/`reschedule` call on the same track. The merge algorithm
 //! of `cpg-merge` re-runs the list scheduler once per alternative path and
 //! again at every back-step adjustment and conflict repair, so this module
-//! hoists all of that per-track work into a reusable [`TrackContext`]:
+//! splits that work in two. The track-independent graph tables (in-edges
+//! with their condition literals, execution times, mappings, disjunction
+//! processes, broadcast buses) are gathered once per scheduler; each
+//! track's reusable [`TrackContext`] is derived from them:
 //!
 //! * jobs get *dense indices* `0..n` (the track's processes in ascending
 //!   identifier order, then its condition broadcasts), so every piece of
@@ -23,7 +26,7 @@
 
 use std::cmp::Reverse;
 
-use cpg::{CondId, Cpg, Cube, ProcessId, Track};
+use cpg::{CondId, Cpg, Cube, Literal, ProcessId, Track};
 use cpg_arch::{Architecture, PeId, Time};
 
 use crate::calendar::Calendar;
@@ -43,13 +46,26 @@ struct Csr {
 }
 
 impl Csr {
-    fn from_lists(lists: &[Vec<u32>]) -> Self {
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut items = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for list in lists {
-            items.extend_from_slice(list);
-            offsets.push(items.len() as u32);
+    /// The reverse adjacency over `n` nodes, by a counting pass over the
+    /// rows: each reversed row lists its neighbours in ascending order.
+    fn transpose(&self, n: usize) -> Csr {
+        let mut offsets = vec![0u32; n + 1];
+        for &j in &self.items {
+            offsets[j as usize] += 1;
+        }
+        let mut total = 0;
+        for offset in &mut offsets {
+            total += *offset;
+            *offset = total;
+        }
+        // `offsets[j]` is the end of row `j`; filling every row back to
+        // front from the highest source down leaves it at the row's start.
+        let mut items = vec![0u32; self.items.len()];
+        for i in (0..n).rev() {
+            for &j in self.row(i).iter().rev() {
+                offsets[j as usize] -= 1;
+                items[offsets[j as usize] as usize] = i as u32;
+            }
         }
         Csr { offsets, items }
     }
@@ -245,9 +261,6 @@ pub struct TrackContext<'a> {
     /// Dense index -> job, in [`Job`] order (processes ascending, then
     /// broadcasts ascending), so dense-index tie-breaks equal job tie-breaks.
     jobs: Vec<Job>,
-    /// Graph-wide job slot (process index, then `cpg.len() + cond`) -> dense
-    /// index, [`ABSENT`] when the job is not part of this track.
-    dense_of_slot: Vec<u32>,
     durations: Vec<Time>,
     /// The resource of each job as far as it is fixed a priori: the mapping
     /// for processes (`None` for the dummies), `None` for broadcasts (their
@@ -273,56 +286,131 @@ pub struct TrackContext<'a> {
     sink_dense: u32,
 }
 
+/// The track-independent graph data every [`TrackContext`] is built from,
+/// gathered once per [`ListScheduler`](crate::ListScheduler): the merge
+/// builds one scheduler per merge and derives all of its track contexts
+/// from these tables instead of walking the graph once per track.
+#[derive(Debug, Clone)]
+pub(crate) struct GraphTables {
+    /// In-edges of every process, in [`Cpg::in_edges`] order:
+    /// `in_edges[in_offsets[p]..in_offsets[p + 1]]` holds the producer of
+    /// each edge into process `p` and the literal the edge transmits under
+    /// (`None` for simple edges).
+    in_offsets: Vec<u32>,
+    in_edges: Vec<(u32, Option<Literal>)>,
+    exec_time: Vec<Time>,
+    mapping: Vec<Option<PeId>>,
+    computes: Vec<Option<CondId>>,
+    /// Per condition: the disjunction process computing it.
+    disjunction: Vec<ProcessId>,
+    needs_broadcast: bool,
+    broadcast_buses: Vec<PeId>,
+}
+
+impl GraphTables {
+    pub(crate) fn new(cpg: &Cpg, arch: &Architecture) -> Self {
+        let mut in_offsets = Vec::with_capacity(cpg.len() + 1);
+        let mut in_edges = Vec::with_capacity(cpg.edges().len());
+        in_offsets.push(0);
+        for pid in cpg.process_ids() {
+            in_edges.extend(
+                cpg.in_edges(pid)
+                    .map(|edge| (edge.from().index() as u32, edge.condition())),
+            );
+            in_offsets.push(in_edges.len() as u32);
+        }
+        GraphTables {
+            in_offsets,
+            in_edges,
+            exec_time: cpg.process_ids().map(|pid| cpg.exec_time(pid)).collect(),
+            mapping: cpg.process_ids().map(|pid| cpg.mapping(pid)).collect(),
+            computes: cpg
+                .process_ids()
+                .map(|pid| cpg.process(pid).computes())
+                .collect(),
+            disjunction: cpg.conditions().map(|c| cpg.disjunction_of(c)).collect(),
+            needs_broadcast: arch.needs_broadcast(),
+            broadcast_buses: arch.broadcast_buses().collect(),
+        }
+    }
+
+    fn in_edges(&self, pid: ProcessId) -> &[(u32, Option<Literal>)] {
+        let i = pid.index();
+        &self.in_edges[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
+    }
+}
+
 impl<'a> TrackContext<'a> {
     pub(crate) fn new(
         cpg: &'a Cpg,
         arch: &'a Architecture,
         broadcast_time: Time,
+        tables: &GraphTables,
         track: &Track,
     ) -> Self {
-        let needs_broadcast = arch.needs_broadcast();
-        let broadcast_buses: Vec<PeId> = arch.broadcast_buses().collect();
         let label = track.label();
+        let processes = track.processes();
+        let n_processes = processes.len();
 
         // Dense job table: processes in ascending identifier order (the order
         // `Track::processes` guarantees), then broadcasts in ascending
-        // condition order — exactly the `Ord` of `Job`.
-        let mut jobs: Vec<Job> = track.processes().iter().map(|&p| Job::Process(p)).collect();
-        if needs_broadcast {
-            let mut conds: Vec<CondId> = track.determined_conditions().collect();
-            conds.sort_unstable();
-            jobs.extend(conds.into_iter().map(Job::Broadcast));
+        // condition order (the order `Cube::conditions` yields) — exactly
+        // the `Ord` of `Job`.
+        let broadcasts = if tables.needs_broadcast {
+            label.len()
+        } else {
+            0
+        };
+        let mut jobs: Vec<Job> = Vec::with_capacity(n_processes + broadcasts);
+        jobs.extend(processes.iter().map(|&p| Job::Process(p)));
+        if tables.needs_broadcast {
+            jobs.extend(label.conditions().map(Job::Broadcast));
         }
         let n = jobs.len();
 
-        let mut dense_of_slot = vec![ABSENT; cpg.len() + cpg.num_conditions()];
-        for (dense, &job) in jobs.iter().enumerate() {
-            dense_of_slot[job_slot(cpg, job)] = dense as u32;
+        // Process index -> dense index, `ABSENT` off the track.
+        let mut dense_of = vec![ABSENT; cpg.len()];
+        for (dense, &pid) in processes.iter().enumerate() {
+            dense_of[pid.index()] = dense as u32;
         }
-        let dense_of = |job: Job| dense_of_slot[job_slot(cpg, job)];
 
         // Dependencies: a process waits for every input it actually receives
         // on this path; a broadcast waits for its disjunction process.
-        let mut pred_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut succ_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (dense, &job) in jobs.iter().enumerate() {
-            let preds: Vec<u32> = match job {
-                Job::Process(pid) => cpg
-                    .in_edges(pid)
-                    .filter(|edge| {
-                        track.contains(edge.from())
-                            && edge.condition().is_none_or(|lit| label.contains(lit))
-                    })
-                    .map(|edge| dense_of(Job::Process(edge.from())))
-                    .collect(),
-                Job::Broadcast(cond) => vec![dense_of(Job::Process(cpg.disjunction_of(cond)))],
-            };
-            for &p in &preds {
-                succ_lists[p as usize].push(dense as u32);
+        let mut preds = Csr {
+            offsets: Vec::with_capacity(n + 1),
+            items: Vec::new(),
+        };
+        preds.offsets.push(0);
+        let mut durations = Vec::with_capacity(n);
+        let mut mapped_pe = Vec::with_capacity(n);
+        let mut computers = Vec::new();
+        for (dense, &pid) in processes.iter().enumerate() {
+            for &(from, literal) in tables.in_edges(pid) {
+                let from = dense_of[from as usize];
+                if from != ABSENT && literal.is_none_or(|lit| label.contains(lit)) {
+                    preds.items.push(from);
+                }
             }
-            pred_lists[dense] = preds;
+            preds.offsets.push(preds.items.len() as u32);
+            durations.push(tables.exec_time[pid.index()]);
+            mapped_pe.push(tables.mapping[pid.index()]);
+            if let Some(cond) = tables.computes[pid.index()] {
+                computers.push((dense as u32, cond));
+            }
         }
-        let indegree: Vec<u32> = pred_lists.iter().map(|l| l.len() as u32).collect();
+        let mut bcast_dense = vec![ABSENT; cpg.num_conditions()];
+        for (dense, &job) in jobs.iter().enumerate().skip(n_processes) {
+            let cond = job.as_broadcast().expect("broadcasts follow the processes");
+            bcast_dense[cond.index()] = dense as u32;
+            preds
+                .items
+                .push(dense_of[tables.disjunction[cond.index()].index()]);
+            preds.offsets.push(preds.items.len() as u32);
+            durations.push(broadcast_time);
+            mapped_pe.push(None);
+        }
+        let indegree: Vec<u32> = preds.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let succs = preds.transpose(n);
 
         // Guard availability: the run-time scheduler of a processing element
         // can only activate a job once every condition of the job's guard is
@@ -332,11 +420,12 @@ impl<'a> TrackContext<'a> {
         let mut guard_conds = Vec::new();
         guard_offsets.push(0);
         for &job in &jobs {
-            let guard = match job {
-                Job::Process(pid) => cpg.guard(pid),
-                Job::Broadcast(cond) => cpg.guard(cpg.disjunction_of(cond)),
+            let pid = match job {
+                Job::Process(pid) => pid,
+                Job::Broadcast(cond) => tables.disjunction[cond.index()],
             };
-            let cube = guard
+            let cube = cpg
+                .guard(pid)
                 .cubes()
                 .iter()
                 .filter(|cube| label.implies(cube))
@@ -348,64 +437,34 @@ impl<'a> TrackContext<'a> {
         }
 
         // Partial-critical-path priorities: longest chain of execution times
-        // to the sink, restricted to the track; broadcasts are issued as soon
-        // as their disjunction process terminates.
-        let mut lengths: Vec<u64> = vec![0; cpg.len()];
+        // to the sink over the track's own successor rows, in reverse
+        // topological order; broadcasts are issued as soon as their
+        // disjunction process terminates.
+        let mut priorities = vec![u64::MAX; n];
         for &pid in cpg.topological_order().iter().rev() {
-            if !track.contains(pid) {
+            let dense = dense_of[pid.index()] as usize;
+            if dense == ABSENT as usize {
                 continue;
             }
-            let downstream = cpg
-                .out_edges(pid)
-                .filter(|edge| {
-                    track.contains(edge.to())
-                        && edge.condition().is_none_or(|lit| label.contains(lit))
-                })
-                .map(|edge| lengths[edge.to().index()])
+            let downstream = succs
+                .row(dense)
+                .iter()
+                .filter(|&&succ| (succ as usize) < n_processes)
+                .map(|&succ| priorities[succ as usize])
                 .max()
                 .unwrap_or(0);
-            lengths[pid.index()] = downstream + cpg.exec_time(pid).as_u64();
+            priorities[dense] = downstream + durations[dense].as_u64();
         }
-        let priorities: Vec<u64> = jobs
-            .iter()
-            .map(|&job| match job {
-                Job::Process(pid) => lengths[pid.index()],
-                Job::Broadcast(_) => u64::MAX,
-            })
-            .collect();
 
-        let durations: Vec<Time> = jobs
+        let disj_dense = tables
+            .disjunction
             .iter()
-            .map(|&job| match job {
-                Job::Process(pid) => cpg.exec_time(pid),
-                Job::Broadcast(_) => broadcast_time,
-            })
+            .map(|&pid| dense_of[pid.index()])
             .collect();
-        let mapped_pe: Vec<Option<PeId>> = jobs
+        let disj_pe = tables
+            .disjunction
             .iter()
-            .map(|&job| match job {
-                Job::Process(pid) => cpg.mapping(pid),
-                Job::Broadcast(_) => None,
-            })
-            .collect();
-
-        let mut disj_dense = vec![ABSENT; cpg.num_conditions()];
-        let mut bcast_dense = vec![ABSENT; cpg.num_conditions()];
-        let mut disj_pe = vec![None; cpg.num_conditions()];
-        for cond in cpg.conditions() {
-            let disjunction = cpg.disjunction_of(cond);
-            disj_dense[cond.index()] = dense_of(Job::Process(disjunction));
-            bcast_dense[cond.index()] = dense_of_slot[cpg.len() + cond.index()];
-            disj_pe[cond.index()] = cpg.mapping(disjunction);
-        }
-        let computers: Vec<(u32, CondId)> = jobs
-            .iter()
-            .enumerate()
-            .filter_map(|(dense, &job)| {
-                let pid = job.as_process()?;
-                let cond = cpg.process(pid).computes()?;
-                Some((dense as u32, cond))
-            })
+            .map(|&pid| tables.mapping[pid.index()])
             .collect();
 
         TrackContext {
@@ -413,15 +472,14 @@ impl<'a> TrackContext<'a> {
             arch,
             label,
             broadcast_time,
-            needs_broadcast,
-            broadcast_buses,
-            sink_dense: dense_of_slot[cpg.sink().index()],
+            needs_broadcast: tables.needs_broadcast,
+            broadcast_buses: tables.broadcast_buses.clone(),
+            sink_dense: dense_of[cpg.sink().index()],
             jobs,
-            dense_of_slot,
             durations,
             mapped_pe,
-            preds: Csr::from_lists(&pred_lists),
-            succs: Csr::from_lists(&succ_lists),
+            preds,
+            succs,
             indegree,
             guard_offsets,
             guard_conds,
@@ -785,29 +843,67 @@ impl<'a> TrackContext<'a> {
             &scratch.slipped,
         );
     }
-
-    /// The dense index of a job on this track, if the job is part of it.
-    /// Exposed for the differential test harness.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn dense_index(&self, job: Job) -> Option<usize> {
-        let dense = self.dense_of_slot[job_slot(self.cpg, job)];
-        (dense != ABSENT).then_some(dense as usize)
-    }
-}
-
-/// Graph-wide slot of a job: processes first, then one slot per condition.
-fn job_slot(cpg: &Cpg, job: Job) -> usize {
-    match job {
-        Job::Process(pid) => pid.index(),
-        Job::Broadcast(cond) => cpg.len() + cond.index(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cpg::{enumerate_tracks, examples};
+
+    #[test]
+    fn transpose_lists_each_row_in_ascending_order() {
+        // Rows 0..4 with a repeated edge (3 -> 1 twice) and an empty row.
+        let preds = Csr {
+            offsets: vec![0, 0, 1, 2, 5],
+            items: vec![0, 1, 1, 0, 1],
+        };
+        let succs = preds.transpose(4);
+        assert_eq!(succs.row(0), &[1, 3]);
+        assert_eq!(succs.row(1), &[2, 3, 3]);
+        assert_eq!(succs.row(2), &[] as &[u32]);
+        assert_eq!(succs.row(3), &[] as &[u32]);
+    }
+
+    #[test]
+    fn an_input_edge_that_does_not_transmit_on_the_track_is_no_dependency() {
+        // `join` is a conjunction of `decide --C--> join` and `early -->
+        // join`: on the ¬C track both endpoints of the conditional edge run,
+        // but the edge transmits nothing, so `join` must not wait for
+        // `decide`.
+        use cpg::CpgBuilder;
+        let arch = Architecture::builder()
+            .processor("cpu0")
+            .processor("cpu1")
+            .bus("bus")
+            .build()
+            .unwrap();
+        let cpu0 = arch.pe_by_name("cpu0").unwrap();
+        let cpu1 = arch.pe_by_name("cpu1").unwrap();
+        let mut b = CpgBuilder::new();
+        let c = b.condition("C");
+        let decide = b.process("decide", Time::new(10), cpu0);
+        let other = b.process("other", Time::new(2), cpu0);
+        let early = b.process("early", Time::new(1), cpu1);
+        let join = b.process("join", Time::new(1), cpu1);
+        b.conditional_edge(decide, join, c.is_true(), Time::ZERO);
+        b.conditional_edge(decide, other, c.is_false(), Time::ZERO);
+        b.simple_edge(early, join, Time::ZERO);
+        b.mark_conjunction(join);
+        let cpg = b.build(&arch).unwrap();
+        let tracks = enumerate_tracks(&cpg);
+        let scheduler = crate::ListScheduler::new(&cpg, &arch, Time::new(1));
+        let not_c = tracks.by_label(&Cube::from(c.is_false())).unwrap();
+        assert!(not_c.contains(decide) && not_c.contains(join));
+        let schedule = scheduler.schedule_track(not_c);
+        assert_eq!(schedule.start(Job::Process(join)), Some(Time::new(1)));
+        assert_eq!(
+            schedule,
+            crate::reference::schedule_track(&cpg, &arch, Time::new(1), not_c)
+        );
+        let on_c = tracks.by_label(&Cube::from(c.is_true())).unwrap();
+        let schedule = scheduler.schedule_track(on_c);
+        assert!(schedule.start(Job::Process(join)) >= Some(Time::new(10)));
+    }
 
     #[test]
     fn lock_set_behaves_like_a_map() {

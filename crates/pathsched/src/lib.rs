@@ -12,14 +12,17 @@
 //!   a condition value on a bus;
 //! * [`ListScheduler`] — the list scheduler itself, with partial-critical-path
 //!   priorities, gap-filling placement on exclusive resources, parallel
-//!   execution on hardware processors, and condition broadcasting;
-//! * [`TrackContext`] — the dense, indexed per-track scheduling core: job
-//!   indices, adjacency, guard requirements and priorities are precomputed
-//!   once per track and reused across every `schedule`/`reschedule` run;
+//!   execution on hardware processors, and condition broadcasting. It
+//!   gathers the graph's edges, execution times, mappings and broadcast
+//!   buses once, and derives every track's context from those tables;
+//! * [`TrackContext`] — the dense, indexed per-track scheduling core built
+//!   by [`ListScheduler::context`]: job indices, adjacency, guard
+//!   requirements and priorities are computed once per track and reused
+//!   across every `schedule`/`reschedule` run;
 //! * [`RunScratch`] — the reusable per-run scratch arena (dense state, ready
-//!   queue, per-resource calendars, slip buffer): one arena per worker makes
-//!   repeated scheduling allocation-free after warm-up, which is what the
-//!   fork-join merge of `cpg-merge` pools per thread;
+//!   queue, per-resource calendars, slip buffer): one arena threaded through
+//!   every run makes repeated scheduling allocation-free after warm-up,
+//!   which is how the merge of `cpg-merge` runs all of its schedules;
 //! * [`LockSet`] — a dense set of locked activation times, cheap to clone
 //!   along the decision tree of the merge algorithm;
 //! * [`PathSchedule`] — the result: activation times for every job of one

@@ -21,12 +21,15 @@
 //! locked broadcast was originally assigned to, and reporting locks that
 //! could not be honoured through [`PathSchedule::slipped_locks`].
 //!
-//! [`ListScheduler`] is a thin facade: all scheduling runs on the dense,
-//! indexed per-track representation of [`TrackContext`](crate::TrackContext)
-//! (see the `context` module), which precomputes adjacency, guard
-//! requirements and priorities once per track and drives eligibility with a
-//! binary-heap ready queue. Callers that schedule the same track repeatedly —
-//! like the merge algorithm — should build the context once via
+//! [`ListScheduler`] gathers the track-independent graph tables once — edge
+//! lists with their condition literals, execution times, mappings, the
+//! disjunction process of each condition and the broadcast buses — and
+//! derives from them the dense, indexed per-track representation of
+//! [`TrackContext`](crate::TrackContext) (see the `context` module): job
+//! indices, adjacency, guard requirements and priorities, built once per
+//! track, with eligibility driven by a binary-heap ready queue. Callers that
+//! schedule the same track repeatedly — like the merge algorithm, which
+//! builds one scheduler per merge — should build the context once via
 //! [`ListScheduler::context`] and reuse it, threading a
 //! [`RunScratch`](crate::RunScratch) arena through the runs so the per-call
 //! dense state is reused instead of reallocated.
@@ -36,7 +39,7 @@ use std::collections::HashMap;
 use cpg::{Cpg, ProcessId, Track, TrackSet};
 use cpg_arch::{Architecture, Time};
 
-use crate::context::{LockSet, TrackContext};
+use crate::context::{GraphTables, LockSet, TrackContext};
 use crate::job::Job;
 use crate::schedule::PathSchedule;
 use crate::scratch::RunScratch;
@@ -61,22 +64,25 @@ use crate::scratch::RunScratch;
 ///     assert_eq!(schedule.label(), track.label());
 /// }
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ListScheduler<'a> {
     cpg: &'a Cpg,
     arch: &'a Architecture,
     broadcast_time: Time,
+    tables: GraphTables,
 }
 
 impl<'a> ListScheduler<'a> {
     /// Creates a scheduler for the given graph, architecture and condition
-    /// broadcast time `τ0`.
+    /// broadcast time `τ0`, gathering the graph's edges, execution times,
+    /// mappings and broadcast buses once for every track context it builds.
     #[must_use]
     pub fn new(cpg: &'a Cpg, arch: &'a Architecture, broadcast_time: Time) -> Self {
         ListScheduler {
             cpg,
             arch,
             broadcast_time,
+            tables: GraphTables::new(cpg, arch),
         }
     }
 
@@ -98,13 +104,20 @@ impl<'a> ListScheduler<'a> {
         self.broadcast_time
     }
 
-    /// Builds the reusable dense scheduling context of one track. Schedule
-    /// and re-schedule the track through the returned context when the same
-    /// track is scheduled more than once (the merge algorithm re-runs the
-    /// scheduler at every back-step adjustment and conflict repair).
+    /// Builds the reusable dense scheduling context of one track from the
+    /// scheduler's graph tables. Schedule and re-schedule the track through
+    /// the returned context when the same track is scheduled more than once
+    /// (the merge algorithm re-runs the scheduler at every back-step
+    /// adjustment and conflict repair).
     #[must_use]
     pub fn context(&self, track: &Track) -> TrackContext<'a> {
-        TrackContext::new(self.cpg, self.arch, self.broadcast_time, track)
+        TrackContext::new(
+            self.cpg,
+            self.arch,
+            self.broadcast_time,
+            &self.tables,
+            track,
+        )
     }
 
     /// An empty [`LockSet`] sized for this scheduler's graph.
@@ -121,8 +134,7 @@ impl<'a> ListScheduler<'a> {
     }
 
     /// Schedules every alternative path of a track set, in track order,
-    /// reusing one scratch arena across all of them. (The merge algorithm
-    /// parallelizes this fan-out itself, with one arena per worker.)
+    /// reusing one scratch arena across all of them.
     #[must_use]
     pub fn schedule_all(&self, tracks: &TrackSet) -> Vec<PathSchedule> {
         let mut scratch = RunScratch::new();

@@ -10,9 +10,8 @@
 //!
 //! [`RunScratch`] owns all of that state *outside* the context, so one arena
 //! can serve any number of runs — and, because a context only borrows the
-//! arena for the duration of a call, any number of *contexts*: the parallel
-//! merge keeps exactly one `RunScratch` per worker thread and schedules every
-//! track that worker draws through it. [`RunScratch::reset`] clears every
+//! arena for the duration of a call, any number of *contexts*: the merge
+//! keeps exactly one `RunScratch` and schedules every track through it. [`RunScratch::reset`] clears every
 //! buffer without releasing its storage, so after the first run on the
 //! largest track the scheduler's working state is allocation-free (the
 //! returned [`PathSchedule`](crate::PathSchedule) still owns its entries —
@@ -117,8 +116,8 @@ mod tests {
     use super::*;
     use cpg::{enumerate_tracks, examples};
 
-    // `RunScratch` must be able to travel into a worker thread of the
-    // fork-join merge (one arena per worker).
+    // `RunScratch` owns its buffers outright, so an arena can move to
+    // whichever thread runs the scheduler.
     fn assert_send<T: Send>() {}
 
     #[test]
@@ -144,7 +143,7 @@ mod tests {
 
     #[test]
     fn a_reused_scratch_matches_a_fresh_one_on_every_track() {
-        // The scratch-reuse contract of the parallel merge: one arena,
+        // The scratch-reuse contract of the merge: one arena,
         // sequentially reused across all tracks and across repeated
         // schedule/reschedule runs, produces exactly the schedules a fresh
         // arena per run produces.

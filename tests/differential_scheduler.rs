@@ -27,28 +27,43 @@ use cps::prelude::*;
 
 /// Generator configurations covering conditional structure, heterogeneous
 /// architectures (multiple buses matter: broadcast placement is the
-/// historically buggy path) and both execution-time distributions.
+/// historically buggy path) and both execution-time distributions. One arm
+/// in three draws the shape of a deep condition nest instead: `3k` nodes over
+/// `k ∈ {16, 32}` paths on two processors and one bus, where filtering edges
+/// by the track's label and deriving successor rows from the predecessors
+/// differ most from the graph walk of the reference.
 fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
     (
-        12usize..48,
-        2usize..10,
-        1usize..5,
-        1usize..4,
-        any::<u64>(),
-        prop::bool::ANY,
+        (
+            12usize..48,
+            2usize..10,
+            1usize..5,
+            1usize..4,
+            any::<u64>(),
+            prop::bool::ANY,
+        ),
+        0usize..6,
     )
-        .prop_map(|(nodes, paths, processors, buses, seed, exponential)| {
-            let distribution = if exponential {
-                cps::gen::ExecTimeDistribution::Exponential { mean: 7.0 }
-            } else {
-                cps::gen::ExecTimeDistribution::Uniform { min: 1, max: 15 }
-            };
-            GeneratorConfig::new(nodes.max(3 * paths), paths)
-                .with_processors(processors)
-                .with_buses(buses)
-                .with_distribution(distribution)
-                .with_seed(seed)
-        })
+        .prop_map(
+            |((nodes, paths, processors, buses, seed, exponential), arm)| {
+                if let Some(k) = [16usize, 32].get(arm) {
+                    return GeneratorConfig::new(3 * k, *k)
+                        .with_processors(2)
+                        .with_buses(1)
+                        .with_seed(seed);
+                }
+                let distribution = if exponential {
+                    cps::gen::ExecTimeDistribution::Exponential { mean: 7.0 }
+                } else {
+                    cps::gen::ExecTimeDistribution::Uniform { min: 1, max: 15 }
+                };
+                GeneratorConfig::new(nodes.max(3 * paths), paths)
+                    .with_processors(processors)
+                    .with_buses(buses)
+                    .with_distribution(distribution)
+                    .with_seed(seed)
+            },
+        )
 }
 
 /// Asserts that two schedules of the same track are observably identical.
