@@ -1240,36 +1240,40 @@ impl MergeShared<'_> {
         let column = self.column_for(schedule, decided, pe, start);
         let mut candidates = std::mem::take(&mut state.candidates_buf);
         candidates.clear();
-        view.for_each_compatible_entry_on(job, &column, &mut |key, _, t, resource| {
+        // One pass over the row collects the conflicting entries, the cell
+        // already tabled at `start` in the exact column, and the resource to
+        // adopt otherwise. Compatible cells at the same time must agree on
+        // the recorded resource: an execution satisfying two compatible
+        // columns dispatches the activation once, on one resource, so the
+        // first recorded provenance wins over the track-local choice of
+        // later schedules. The lowest column key states "first"
+        // independently of the scan order.
+        let mut exact: Option<Option<PeId>> = None;
+        let mut adopted: Option<(u64, PeId)> = None;
+        view.for_each_compatible_entry_on(job, &column, &mut |key, existing, t, resource| {
             if t != start {
                 candidates.push((t, key, resource));
+                return;
+            }
+            if existing == column {
+                exact = Some(resource);
+            }
+            if let Some(recorded) = resource {
+                if adopted.is_none_or(|(at, _)| key < at) {
+                    adopted = Some((key, recorded));
+                }
             }
         });
 
         if candidates.is_empty() {
             state.candidates_buf = candidates;
-            let resource = if view.get(job, &column) == Some(start) {
-                view.resource(job, &column).or(pe)
-            } else {
-                // Compatible cells at the same time must agree on the
-                // recorded resource: an execution satisfying two compatible
-                // columns dispatches the activation once, on one resource, so
-                // the first recorded provenance wins over the track-local
-                // choice of later schedules. The lowest column key states
-                // "first" independently of the scan order.
-                let mut adopted: Option<(u64, PeId)> = None;
-                view.for_each_compatible_entry_on(job, &column, &mut |key, _, time, recorded| {
-                    if time == start {
-                        if let Some(recorded) = recorded {
-                            if adopted.is_none_or(|(at, _)| key < at) {
-                                adopted = Some((key, recorded));
-                            }
-                        }
-                    }
-                });
-                let resource = adopted.map(|(_, recorded)| recorded).or(pe);
-                view.set_on(job, column, start, resource);
-                resource
+            let resource = match exact {
+                Some(recorded) => recorded.or(pe),
+                None => {
+                    let resource = adopted.map(|(_, recorded)| recorded).or(pe);
+                    view.set_on(job, column, start, resource);
+                    resource
+                }
             };
             return Placement::Kept(resource);
         }
@@ -1319,8 +1323,8 @@ impl MergeShared<'_> {
         t: Time,
     ) -> Cube {
         schedule
-            .known_conditions(self.cpg, pe, t)
-            .retain(|c: CondId| decided.value(c).is_some())
+            .known_conditions(pe, t)
+            .restricted_to(decided.assigned_mask())
     }
 }
 
@@ -1674,6 +1678,104 @@ mod tests {
                 &MergeConfig::new(system.broadcast_time()).with_selection(policy),
             );
         }
+    }
+
+    /// Places the first mapped process of the diamond's first optimal
+    /// schedule into `table` with no condition decided (so its column is
+    /// `true`, compatible with every entry), through a fresh recording view.
+    /// Returns the job's scheduled entry, the placement, the chain's write
+    /// count and the walk statistics.
+    fn place_into(
+        table: &mut ScheduleTable,
+        tabled: impl FnOnce(&mut ScheduleTable, ScheduledJob),
+    ) -> (ScheduledJob, Placement, usize, MergeStats) {
+        let system = examples::diamond();
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let config = MergeConfig::new(system.broadcast_time());
+        let tracks = enumerate_tracks(cpg);
+        let contexts = ContextCache::new(
+            ListScheduler::new(cpg, arch, config.broadcast_time()),
+            &tracks,
+        );
+        let optimal: Vec<PathSchedule> = (0..tracks.len())
+            .map(|idx| contexts.get(idx).schedule())
+            .collect();
+        let shared = MergeShared {
+            cpg,
+            config: &config,
+            contexts: &contexts,
+            tracks: &tracks,
+            optimal: &optimal,
+        };
+        let schedule = &optimal[0];
+        let sj = *schedule
+            .jobs()
+            .iter()
+            .find(|sj| sj.job().as_process().is_some() && sj.pe().is_some())
+            .expect("the diamond schedules a mapped process");
+        tabled(table, sj);
+        let mut state = WalkState::new();
+        let mut view = RecordingView::new(table, cpg_table::RecordScratch::default());
+        let placement = shared.place(&mut state, &mut view, schedule, &Assignment::new(), sj);
+        let (log, _) = view.finish();
+        (sj, placement, log.written_columns().count(), state.stats)
+    }
+
+    #[test]
+    fn the_fused_placement_scan_covers_every_outcome() {
+        let (c0, c1) = (CondId::new(0), CondId::new(1));
+        let bus = |i| Some(PeId::from_index(i));
+
+        // A fresh cell adopts the resource of the lowest-key same-time entry
+        // that records one.
+        let mut table = ScheduleTable::new();
+        let (sj, placement, writes, _) = place_into(&mut table, |table, sj| {
+            table.set_on(sj.job(), Cube::from(c0.is_true()), sj.start(), None);
+            table.set_on(sj.job(), Cube::from(c0.is_false()), sj.start(), bus(7));
+            table.set_on(sj.job(), Cube::from(c1.is_true()), sj.start(), bus(8));
+        });
+        assert!(matches!(placement, Placement::Kept(pe) if pe == bus(7)));
+        assert_eq!(writes, 1);
+        assert_eq!(table.get(sj.job(), &Cube::top()), Some(sj.start()));
+        assert_eq!(table.resource(sj.job(), &Cube::top()), bus(7));
+
+        // An existing exact same-time cell is kept as it is: its own
+        // resource, not the lower-key one, and no write.
+        let mut table = ScheduleTable::new();
+        let (sj, placement, writes, _) = place_into(&mut table, |table, sj| {
+            table.set_on(sj.job(), Cube::from(c0.is_true()), sj.start(), bus(7));
+            table.set_on(sj.job(), Cube::top(), sj.start(), bus(8));
+        });
+        assert!(matches!(placement, Placement::Kept(pe) if pe == bus(8)));
+        assert_eq!(writes, 0);
+        assert_eq!(table.num_entries(), 2);
+        assert_eq!(table.resource(sj.job(), &Cube::top()), bus(8));
+
+        // With no resource on the exact cell, the schedule's own wins.
+        let mut table = ScheduleTable::new();
+        let (sj, placement, writes, _) = place_into(&mut table, |table, sj| {
+            table.set_on(sj.job(), Cube::from(c0.is_true()), sj.start(), bus(7));
+            table.set_on(sj.job(), Cube::top(), sj.start(), None);
+        });
+        assert!(matches!(placement, Placement::Kept(pe) if pe == sj.pe()));
+        assert_eq!(writes, 0);
+
+        // A conflicting entry moves the job to the tabled time (Theorem 2),
+        // adopting the resource recorded with it.
+        let mut table = ScheduleTable::new();
+        let (sj, placement, writes, stats) = place_into(&mut table, |table, sj| {
+            table.set_on(
+                sj.job(),
+                Cube::from(c0.is_true()),
+                sj.start() + Time::new(7),
+                bus(9),
+            );
+        });
+        let moved = sj.start() + Time::new(7);
+        assert!(matches!(placement, Placement::Moved(t, pe) if t == moved && pe == bus(9)));
+        assert_eq!(writes, 1);
+        assert_eq!(stats.conflicts_repaired, 1);
+        assert_eq!(table.get(sj.job(), &Cube::top()), Some(moved));
     }
 
     #[test]

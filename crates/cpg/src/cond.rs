@@ -310,6 +310,16 @@ impl Cube {
         }
     }
 
+    /// Keeps only the literals over the conditions whose bit is set in
+    /// `mask` (bit `i` for condition `i`).
+    #[must_use]
+    pub const fn restricted_to(&self, mask: u64) -> Cube {
+        Cube {
+            positive: self.positive & mask,
+            negative: self.negative & mask,
+        }
+    }
+
     /// Keeps only the literals whose condition satisfies the predicate.
     #[must_use]
     pub fn retain(&self, mut keep: impl FnMut(CondId) -> bool) -> Cube {
@@ -925,6 +935,8 @@ mod tests {
         let kept = cube.retain(|cond| cond.index() != 2);
         assert_eq!(kept.len(), 2);
         assert!(!kept.mentions(c(2)));
+        assert_eq!(cube.restricted_to(0b011), kept);
+        assert_eq!(cube.restricted_to(0), Cube::top());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use cpg_arch::{Architecture, PeId, Time};
 
 use crate::calendar::Calendar;
 use crate::job::{Job, ScheduledJob};
-use crate::schedule::{PathSchedule, SlippedLock};
+use crate::schedule::{Knowledge, PathSchedule, SlippedLock};
 use crate::scratch::RunScratch;
 
 /// Sentinel for "job not part of this track" in dense index tables.
@@ -281,7 +281,7 @@ pub struct TrackContext<'a> {
     /// Per condition: the processing element computing it.
     disj_pe: Vec<Option<PeId>>,
     /// Dense indices of the processes that compute a condition, for the
-    /// resolution cache attached to every produced schedule.
+    /// condition-knowledge times attached to every produced schedule.
     computers: Vec<(u32, CondId)>,
     sink_dense: u32,
 }
@@ -837,9 +837,15 @@ impl<'a> TrackContext<'a> {
                 end: scratch.ends[dense],
                 pe: scratch.pes[dense],
             }),
-            self.computers
-                .iter()
-                .map(|&(dense, cond)| (cond, scratch.ends[dense as usize])),
+            self.computers.iter().map(|&(dense, cond)| {
+                let bcast = self.bcast_dense[cond.index()];
+                Knowledge {
+                    cond,
+                    pe: self.disj_pe[cond.index()],
+                    computed: scratch.ends[dense as usize],
+                    broadcast: (bcast != ABSENT).then(|| scratch.ends[bcast as usize]),
+                }
+            }),
             &scratch.slipped,
         );
     }

@@ -25,7 +25,7 @@ use cpg_arch::{Architecture, PeId, Time};
 
 use crate::calendar::Calendar;
 use crate::job::{Job, ScheduledJob};
-use crate::schedule::{PathSchedule, SlippedLock};
+use crate::schedule::{Knowledge, PathSchedule, SlippedLock};
 
 /// A locked activation time and, when the lock carries table provenance, the
 /// resource it pins the job to — the map-based mirror of
@@ -327,24 +327,59 @@ fn run(
     let delay = scheduled
         .get(&Job::Process(cpg.sink()))
         .map_or(Time::ZERO, ScheduledJob::start);
-    let mut resolutions: Vec<(CondId, Time)> = scheduled
+    let knowledge: Vec<Knowledge> = scheduled
         .values()
         .filter_map(|sj| {
             let pid = sj.job().as_process()?;
             let cond = cpg.process(pid).computes()?;
-            Some((cond, sj.end()))
+            Some(Knowledge {
+                cond,
+                pe: cpg.mapping(pid),
+                computed: sj.end(),
+                broadcast: scheduled.get(&Job::Broadcast(cond)).map(ScheduledJob::end),
+            })
         })
         .collect();
-    resolutions.sort_unstable_by_key(|&(cond, time)| (time, cond));
     PathSchedule::new_detailed(
         track.label(),
         scheduled.into_values().collect(),
         delay,
-        resolutions,
+        knowledge,
         slipped,
         cpg.len(),
         cpg.num_conditions(),
     )
+}
+
+/// The conditions (with the polarity given by the path label) whose value
+/// is known on `pe` at time `t` under `schedule`, derived from the graph and
+/// the scheduled jobs: the definition
+/// [`PathSchedule::known_conditions`] answers from the knowledge times its
+/// scheduler run recorded. A condition is known on the processing element
+/// of its disjunction process, and for jobs without a resource (`None`),
+/// once that process completes; elsewhere once its broadcast completes, or
+/// once the process completes when the path broadcasts nothing.
+#[must_use]
+pub fn known_conditions(cpg: &Cpg, schedule: &PathSchedule, pe: Option<PeId>, t: Time) -> Cube {
+    let mut cube = Cube::top();
+    for lit in schedule.label().literals() {
+        let disjunction = cpg.disjunction_of(lit.cond());
+        let Some(computed) = schedule.end(Job::Process(disjunction)) else {
+            continue;
+        };
+        let known = match pe {
+            Some(pe) if cpg.mapping(disjunction) != Some(pe) => {
+                schedule.end(Job::Broadcast(lit.cond())).unwrap_or(computed)
+            }
+            _ => computed,
+        };
+        if known <= t {
+            cube = cube
+                .and(lit)
+                .expect("literals of a single track label are consistent");
+        }
+    }
+    cube
 }
 
 /// The moment the value of `cond` becomes available to the run-time scheduler

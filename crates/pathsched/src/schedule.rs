@@ -20,8 +20,8 @@ const ABSENT: u32 = u32::MAX;
 /// activation times placed in columns that depend exclusively on conditions
 /// decided at ancestor decision-tree nodes, so for well-formed inputs no lock
 /// should slip; a slipped lock therefore signals a violated invariant of
-/// `Merger::locks_from_table` and is surfaced here instead of being silently
-/// absorbed.
+/// `MergeShared::locks_from_table_into` and is surfaced here instead of being
+/// silently absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlippedLock {
     pub(crate) job: Job,
@@ -59,6 +59,33 @@ impl fmt::Display for SlippedLock {
     }
 }
 
+/// When the value of one condition resolved on a path becomes known, as
+/// recorded by the scheduler run that produced the schedule: the processing
+/// element and completion time of the condition's disjunction process, and
+/// the completion of the condition's broadcast (`None` when the path
+/// broadcasts nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Knowledge {
+    pub(crate) cond: CondId,
+    pub(crate) pe: Option<PeId>,
+    pub(crate) computed: Time,
+    pub(crate) broadcast: Option<Time>,
+}
+
+impl Knowledge {
+    /// The moment the value is known on `pe`: the disjunction's completion
+    /// on its own processing element and for jobs without a resource
+    /// (`None`), the broadcast's completion everywhere else (the
+    /// disjunction's completion again when nothing is broadcast).
+    #[inline]
+    fn known_on(&self, pe: Option<PeId>) -> Time {
+        match pe {
+            Some(pe) if self.pe != Some(pe) => self.broadcast.unwrap_or(self.computed),
+            _ => self.computed,
+        }
+    }
+}
+
 /// The (near-)optimal schedule of one alternative path `G_k` of a conditional
 /// process graph: a start time for every process activated on the path and
 /// for every condition broadcast issued on it.
@@ -73,13 +100,15 @@ pub struct PathSchedule {
     /// slots follow (the same dense layout as `TrackContext`/`LockSet`).
     processes: usize,
     /// Graph-wide job slot -> position in `jobs`, [`ABSENT`] when the job is
-    /// not scheduled on this path. The merge algorithm's
-    /// `known_conditions`/`condition_known_at` queries resolve through this
-    /// index on their hot path, so it is a dense array rather than a map.
+    /// not scheduled on this path.
     index: Vec<u32>,
     delay: Time,
-    /// Condition resolutions `(cond, completion of its disjunction process)`
-    /// cached by the scheduler, sorted by `(time, cond)`.
+    /// When each condition resolved on the path becomes known, sorted by
+    /// `(computed, cond)`. `known_conditions`/`condition_known_at` read only
+    /// this, so the merge's per-placement column query needs no graph.
+    knowledge: Vec<Knowledge>,
+    /// Condition resolutions `(cond, completion of its disjunction process)`:
+    /// the `(cond, computed)` pairs of `knowledge`, in the same order.
     resolutions: Vec<(CondId, Time)>,
     /// Locks that could not be honoured during a [`reschedule`]
     /// (`ListScheduler::reschedule`) call, in commit order.
@@ -121,7 +150,7 @@ impl PathSchedule {
         label: Cube,
         jobs: Vec<ScheduledJob>,
         delay: Time,
-        resolutions: Vec<(CondId, Time)>,
+        knowledge: Vec<Knowledge>,
         slipped: Vec<SlippedLock>,
         processes: usize,
         conditions: usize,
@@ -133,7 +162,7 @@ impl PathSchedule {
             processes,
             conditions,
             jobs.into_iter(),
-            resolutions.into_iter(),
+            knowledge.into_iter(),
             &slipped,
         );
         schedule
@@ -153,7 +182,7 @@ impl PathSchedule {
         processes: usize,
         conditions: usize,
         jobs: impl Iterator<Item = ScheduledJob>,
-        resolutions: impl Iterator<Item = (CondId, Time)>,
+        knowledge: impl Iterator<Item = Knowledge>,
         slipped: &[SlippedLock],
     ) {
         self.label = label;
@@ -174,10 +203,16 @@ impl PathSchedule {
             };
             self.index[slot] = position as u32;
         }
+        self.knowledge.clear();
+        self.knowledge.extend(knowledge);
+        self.knowledge
+            .sort_unstable_by_key(|known| (known.computed, known.cond));
         self.resolutions.clear();
-        self.resolutions.extend(resolutions);
-        self.resolutions
-            .sort_unstable_by_key(|&(cond, time)| (time, cond));
+        self.resolutions.extend(
+            self.knowledge
+                .iter()
+                .map(|known| (known.cond, known.computed)),
+        );
         self.slipped.clear();
         self.slipped.extend_from_slice(slipped);
     }
@@ -308,42 +343,33 @@ impl PathSchedule {
     /// other processing element it is known once the broadcast completes
     /// (broadcast start + `τ0`). When the architecture needs no broadcast
     /// (single computation resource), the termination time is used everywhere.
+    /// Both times are the ones the scheduler run that built this schedule
+    /// recorded.
     #[must_use]
-    pub fn condition_known_at(&self, cpg: &Cpg, cond: CondId, pe: PeId) -> Option<Time> {
-        let disjunction = cpg.disjunction_of(cond);
-        let computed_at = self.end(Job::Process(disjunction))?;
-        if cpg.mapping(disjunction) == Some(pe) {
-            return Some(computed_at);
-        }
-        match self.end(Job::Broadcast(cond)) {
-            Some(broadcast_done) => Some(broadcast_done),
-            None => Some(computed_at),
-        }
+    pub fn condition_known_at(&self, cond: CondId, pe: PeId) -> Option<Time> {
+        self.knowledge
+            .iter()
+            .find(|known| known.cond == cond)
+            .map(|known| known.known_on(Some(pe)))
     }
 
     /// The conditions (with the polarity given by the path label) whose value
-    /// is known on `pe` at time `t` under this schedule, as a cube.
+    /// is known on `pe` at time `t` under this schedule, as a cube. Jobs
+    /// without a resource (`None`: the dummy processes) see a condition as
+    /// soon as it is computed anywhere.
     ///
     /// This is the expression that heads the schedule-table column in which an
     /// activation at time `t` on `pe` is placed (rule 2 of the paper's table
     /// generation algorithm).
     #[must_use]
-    pub fn known_conditions(&self, cpg: &Cpg, pe: Option<PeId>, t: Time) -> Cube {
-        let mut cube = Cube::top();
-        for lit in self.label.literals() {
-            let known = match pe {
-                Some(pe) => self.condition_known_at(cpg, lit.cond(), pe),
-                // Jobs without a resource (dummy processes) see a condition as
-                // soon as it is computed anywhere.
-                None => self.end(Job::Process(cpg.disjunction_of(lit.cond()))),
-            };
-            if known.is_some_and(|known| known <= t) {
-                cube = cube
-                    .and(lit)
-                    .expect("literals of a single track label are consistent");
+    pub fn known_conditions(&self, pe: Option<PeId>, t: Time) -> Cube {
+        let mut known = 0u64;
+        for entry in &self.knowledge {
+            if entry.known_on(pe) <= t {
+                known |= 1 << entry.cond.index();
             }
         }
-        cube
+        self.label.restricted_to(known)
     }
 
     /// Verifies the structural sanity of the schedule: data dependencies and
@@ -433,13 +459,14 @@ impl PathSchedule {
 }
 
 // The dense index is derived from `jobs` (its layout additionally depends on
-// the slot-space size), so equality compares the observable schedule only.
+// the slot-space size) and the resolutions from `knowledge`, so equality
+// compares the observable schedule only.
 impl PartialEq for PathSchedule {
     fn eq(&self, other: &Self) -> bool {
         self.label == other.label
             && self.jobs == other.jobs
             && self.delay == other.delay
-            && self.resolutions == other.resolutions
+            && self.knowledge == other.knowledge
             && self.slipped == other.slipped
     }
 }

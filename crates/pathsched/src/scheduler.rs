@@ -300,8 +300,8 @@ mod tests {
             .computation_elements()
             .find(|&pe| pe != own_pe)
             .unwrap();
-        let own = schedule.condition_known_at(cpg, c, own_pe).unwrap();
-        let other = schedule.condition_known_at(cpg, c, other_pe).unwrap();
+        let own = schedule.condition_known_at(c, own_pe).unwrap();
+        let other = schedule.condition_known_at(c, other_pe).unwrap();
         assert!(
             own <= other,
             "own {own} should not be later than remote {other}"
@@ -318,8 +318,8 @@ mod tests {
         for track in tracks.iter() {
             let schedule = scheduler.schedule_track(track);
             for pe in system.arch().computation_elements() {
-                let early = schedule.known_conditions(cpg, Some(pe), Time::ZERO);
-                let late = schedule.known_conditions(cpg, Some(pe), Time::new(1_000));
+                let early = schedule.known_conditions(Some(pe), Time::ZERO);
+                let late = schedule.known_conditions(Some(pe), Time::new(1_000));
                 assert!(late.implies(&early));
                 assert_eq!(late, track.label().retain(|_| true));
             }
@@ -704,7 +704,7 @@ mod tests {
                     .copied()
                     .unwrap_or_else(Cube::top);
                 for cond in guard_cube.conditions() {
-                    let known = schedule.condition_known_at(cpg, cond, pe).unwrap();
+                    let known = schedule.condition_known_at(cond, pe).unwrap();
                     assert!(
                         sj.start() >= known,
                         "{} starts at {} but {} is known on {} only at {}",

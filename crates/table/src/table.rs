@@ -1,5 +1,6 @@
 //! The schedule table produced by the merging algorithm.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use cpg::{Assignment, CondId, Cpg, Cube, ProcessId, Track, TrackSet};
@@ -140,6 +141,9 @@ impl Row {
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleTable {
     columns: Vec<Cube>,
+    /// Column cube -> its index in `columns`. Columns are only ever
+    /// appended, so every lookup of a column by its cube is one hash probe.
+    column_ids: HashMap<Cube, u32>,
     /// Rows sorted by [`Job`], so iteration order matches the old map-based
     /// representation; the dense indices below make row lookup O(1).
     rows: Vec<Row>,
@@ -153,9 +157,9 @@ pub struct ScheduleTable {
     broadcast_rows: Vec<u32>,
 }
 
-// The dense row indices are derived from `rows` (their length additionally
-// depends on the largest identifier ever probed), so equality compares the
-// observable table content only.
+// The column index is derived from `columns`, and the dense row indices from
+// `rows` (their length additionally depends on the largest identifier ever
+// probed), so equality compares the observable table content only.
 impl PartialEq for ScheduleTable {
     fn eq(&self, other: &Self) -> bool {
         self.columns == other.columns && self.rows == other.rows
@@ -288,7 +292,7 @@ impl ScheduleTable {
         time: Time,
         resource: Option<PeId>,
     ) -> Option<Time> {
-        let index = self.column_index_or_insert(column) as u32;
+        let index = self.column_index_or_insert(column);
         let position = self.row_position_or_insert(job);
         self.write_cell(position, index, column, Cell { time, resource })
             .map(|cell| cell.time)
@@ -336,40 +340,24 @@ impl ScheduleTable {
     /// the relative order of spliced columns — and hence the serial entry
     /// order inside every row — is preserved.
     pub fn graft_column(&mut self, column: Cube) -> usize {
-        self.column_index_or_insert(column)
+        self.column_index_or_insert(column) as usize
     }
 
-    /// Replays the writes of a recorded chain ([`ChainLog`]) with each
-    /// distinct column resolved to its grafted index exactly once, writing
-    /// cells by direct index.
+    /// Replays the writes of a recorded chain ([`ChainLog`]) in write order,
+    /// each column grafted by [`graft_column`](ScheduleTable::graft_column).
     ///
     /// Observably identical to the [`ScheduleTable::set_on`] calls the
-    /// chain made while it was recorded, one per write in order; it only
-    /// skips the repeated column lookups.
+    /// chain made while it was recorded, one per write in order.
     pub fn splice_log(&mut self, log: &ChainLog) {
-        let mut grafted: Vec<(Cube, u32)> = Vec::new();
         for write in &log.writes {
-            let index = match grafted.binary_search_by(|&(c, _)| c.cmp(&write.column)) {
-                Ok(at) => grafted[at].1,
-                Err(at) => {
-                    let index = self.column_index_or_insert(write.column) as u32;
-                    grafted.insert(at, (write.column, index));
-                    index
-                }
-            };
-            let position = self.row_position_or_insert(write.job);
-            let cell = Cell {
-                time: write.time,
-                resource: write.resource,
-            };
-            self.write_cell(position, index, write.column, cell);
+            self.set_on(write.job, write.column, write.time, write.resource);
         }
     }
 
     /// Removes the activation time of `job` in the column headed by `column`,
     /// returning it if it was present.
     pub fn remove(&mut self, job: Job, column: &Cube) -> Option<Time> {
-        let index = self.column_index(column)? as u32;
+        let index = self.column_index(column)?;
         let position = self.row_position(job)?;
         let row = &mut self.rows[position];
         let at = row.find(index).ok()?;
@@ -390,9 +378,9 @@ impl ScheduleTable {
 
     /// The cell of `job` under the exact column index, if present.
     #[inline]
-    fn cell(&self, job: Job, index: usize) -> Option<&Cell> {
+    fn cell(&self, job: Job, index: u32) -> Option<&Cell> {
         let row = self.row(job)?;
-        let at = row.find(index as u32).ok()?;
+        let at = row.find(index).ok()?;
         Some(&row.entries[at].2)
     }
 
@@ -778,7 +766,7 @@ impl ScheduleTable {
             let mut row = vec![job_name(job)];
             for &(index, _) in &columns {
                 let cell = self
-                    .cell(job, index)
+                    .cell(job, index as u32)
                     .map_or(String::new(), |cell| cell.time.to_string());
                 row.push(cell);
             }
@@ -807,15 +795,10 @@ impl ScheduleTable {
         out
     }
 
-    #[inline]
-    fn column_index(&self, column: &Cube) -> Option<usize> {
-        self.columns.iter().position(|c| c == column)
-    }
-
     /// The insertion-order index of `column`, if the table has that column.
     #[inline]
-    pub(crate) fn column_position(&self, column: &Cube) -> Option<usize> {
-        self.column_index(column)
+    pub(crate) fn column_index(&self, column: &Cube) -> Option<u32> {
+        self.column_ids.get(column).copied()
     }
 
     /// Word-level digest of the row of `job`: its entry count and the
@@ -887,14 +870,13 @@ impl ScheduleTable {
     }
 
     #[inline]
-    fn column_index_or_insert(&mut self, column: Cube) -> usize {
-        match self.column_index(&column) {
-            Some(index) => index,
-            None => {
-                self.columns.push(column);
-                self.columns.len() - 1
-            }
+    fn column_index_or_insert(&mut self, column: Cube) -> u32 {
+        let fresh = self.columns.len() as u32;
+        let index = *self.column_ids.entry(column).or_insert(fresh);
+        if index == fresh {
+            self.columns.push(column);
         }
+        index
     }
 }
 
@@ -1235,6 +1217,78 @@ mod tests {
                 }
                 proptest::prop_assert!(digests_are_current(&table));
             }
+        }
+    }
+
+    /// The hashed column index maps every column, and nothing else, to its
+    /// position in the column list.
+    fn column_index_is_current(table: &ScheduleTable) -> bool {
+        table.column_ids.len() == table.columns.len()
+            && table
+                .columns
+                .iter()
+                .enumerate()
+                .all(|(i, column)| table.column_index(column) == Some(i as u32))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 128,
+            max_shrink_iters: 0,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn column_index_matches_the_column_list_after_any_edit_sequence(
+            ops in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(raw_write(), 1..4)),
+                0..40,
+            ),
+        ) {
+            let mut table = ScheduleTable::new();
+            for (kind, writes) in &ops {
+                let (job, column, time, resource) = decode(&writes[0]);
+                match kind {
+                    0 => {
+                        table.set_on(job, column, time, resource);
+                    }
+                    1 => {
+                        let index = table.graft_column(column);
+                        proptest::prop_assert_eq!(table.columns()[index], column);
+                    }
+                    2 => {
+                        let existing = table.entries(job).next().map(|(column, _)| column);
+                        table.remove(job, &existing.unwrap_or(column));
+                    }
+                    _ => {
+                        let mut recorded = table.clone();
+                        let mut view = RecordingView::new(&mut recorded, RecordScratch::default());
+                        for write in writes {
+                            let (job, column, time, resource) = decode(write);
+                            view.set_on(job, column, time, resource);
+                        }
+                        let (log, _) = view.finish();
+                        table.splice_log(&log);
+                        proptest::prop_assert!(column_index_is_current(&recorded));
+                    }
+                }
+                proptest::prop_assert!(column_index_is_current(&table));
+            }
+            // The index is derived data: a clone carries a current index and
+            // compares equal, and so does a table that reaches the same
+            // columns and rows with every column grafted up front.
+            let copy = table.clone();
+            proptest::prop_assert!(column_index_is_current(&copy));
+            proptest::prop_assert_eq!(&copy, &table);
+            let mut rebuilt = ScheduleTable::new();
+            for &column in table.columns() {
+                rebuilt.graft_column(column);
+            }
+            for (job, column, time, resource) in table.all_entries_on() {
+                rebuilt.set_on(job, column, time, resource);
+            }
+            proptest::prop_assert!(column_index_is_current(&rebuilt));
+            proptest::prop_assert_eq!(&rebuilt, &table);
         }
     }
 

@@ -28,10 +28,10 @@
 //!   writes would reuse its earlier index and order the row entries
 //!   differently from the recording.
 //!
-//! A validated log is replayed with [`ScheduleTable::splice_log`]: every
-//! distinct column cube of the log is grafted (found or appended) exactly
-//! once, then the cells are written by direct column index in write order,
-//! which is what the recorded `set_on` calls produced.
+//! A validated log is replayed with [`ScheduleTable::splice_log`]: the
+//! writes are re-issued in write order, each column found or appended
+//! through the table's hashed column index, which is what the recorded
+//! `set_on` calls produced.
 
 use cpg::Cube;
 use cpg_arch::{PeId, Time};
@@ -82,7 +82,7 @@ impl ChainLog {
     pub fn created_columns_absent(&self, table: &ScheduleTable) -> bool {
         self.created
             .iter()
-            .all(|column| table.column_position(column).is_none())
+            .all(|column| table.column_index(column).is_none())
     }
 }
 
@@ -154,14 +154,6 @@ impl<'t> RecordingView<'t> {
     pub fn get(&mut self, job: Job, column: &Cube) -> Option<Time> {
         self.touch(job);
         self.table.get(job, column)
-    }
-
-    /// The resource recorded for `job` in the column headed exactly by
-    /// `column`, when the cell exists and carries provenance.
-    #[inline]
-    pub fn resource(&mut self, job: Job, column: &Cube) -> Option<PeId> {
-        self.touch(job);
-        self.table.resource(job, column)
     }
 
     /// Records the activation time of `job` under `column` together with the
@@ -266,7 +258,6 @@ mod tests {
         let entry = table.clone();
         let mut view = RecordingView::new(&mut table, RecordScratch::default());
         assert_eq!(view.get(p(1), &Cube::top()), Some(Time::new(4)));
-        assert_eq!(view.resource(p(1), &Cube::top()), Some(PeId::from_index(0)));
         assert_eq!(view.get(p(2), &Cube::top()), None);
         assert_eq!(
             view.set_on(p(1), Cube::top(), Time::new(9), None),

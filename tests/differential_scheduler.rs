@@ -10,6 +10,10 @@
 //! locks that pin a broadcast to a specific bus) must produce the same
 //! `(start, end, resource)` assignment for every job, the same path delay,
 //! the same cached condition resolutions and the same slipped-lock reports.
+//! The condition-knowledge times a schedule records must also answer
+//! `known_conditions` exactly as the graph-walking definition
+//! (`reference::known_conditions`) does, on every resource and for jobs
+//! without one, at every job start and end.
 //!
 //! On top of the per-call equivalence, the merge-level property test replays
 //! every generated schedule table through the reference oracle, with each
@@ -92,6 +96,35 @@ fn assert_identical(fast: &PathSchedule, slow: &PathSchedule) -> Result<(), Test
     Ok(())
 }
 
+/// Asserts that the knowledge times recorded in `schedule` answer
+/// `known_conditions` as the graph-walking definition does, for every
+/// processing element and for jobs without one, at every job start and end.
+fn assert_knowledge_matches(
+    cpg: &Cpg,
+    arch: &Architecture,
+    schedule: &PathSchedule,
+) -> Result<(), TestCaseError> {
+    let resources = arch.ids().map(Some).chain([None]);
+    for pe in resources {
+        for sj in schedule.jobs() {
+            for t in [sj.start(), sj.end()] {
+                let known = schedule.known_conditions(pe, t);
+                let oracle = reference::known_conditions(cpg, schedule, pe, t);
+                prop_assert!(
+                    known == oracle,
+                    "known conditions of {} on {:?} at {}: {} recorded, {} by the graph",
+                    schedule.label(),
+                    pe,
+                    t,
+                    known,
+                    oracle
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     // Pinned case count and shrink budget: CI runs must be deterministic and
     // fast regardless of PROPTEST_CASES / PROPTEST_MAX_SHRINK_ITERS in the
@@ -113,6 +146,8 @@ proptest! {
             let fast = scheduler.schedule_track(track);
             let slow = reference::schedule_track(cpg, arch, tau0, track);
             assert_identical(&fast, &slow)?;
+            assert_knowledge_matches(cpg, arch, &fast)?;
+            assert_knowledge_matches(cpg, arch, &slow)?;
         }
     }
 
@@ -165,6 +200,8 @@ proptest! {
             let fast = ctx.reschedule(&original, &dense_locks);
             let slow = reference::reschedule(cpg, arch, tau0, track, &original, &map_locks);
             assert_identical(&fast, &slow)?;
+            assert_knowledge_matches(cpg, arch, &fast)?;
+            assert_knowledge_matches(cpg, arch, &slow)?;
 
             // Honoured pinned broadcast locks occupy exactly the pinned bus.
             for (job, time, pinned) in dense_locks.iter_pinned() {
