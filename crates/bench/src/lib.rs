@@ -182,16 +182,15 @@ pub fn fig6_rows(outcomes: &[SuiteOutcome]) -> String {
     out
 }
 
-/// Generates the merged schedule table of the Fig. 1 example system, with
-/// decision-tree tracing on (the Fig. 2 report walks the recorded steps;
-/// tracing is otherwise off by default).
+/// Generates the merged schedule table of the Fig. 1 example system (the
+/// Fig. 2 report walks its decision-tree steps).
 #[must_use]
 pub fn fig1_merge() -> (examples::ExampleSystem, MergeResult) {
     let system = examples::fig1();
     let result = generate_schedule_table(
         system.cpg(),
         system.arch(),
-        &MergeConfig::new(system.broadcast_time()).with_trace(true),
+        &MergeConfig::new(system.broadcast_time()),
     );
     (system, result)
 }
@@ -569,6 +568,29 @@ mod tests {
         }
         let longest = listed.iter().map(|&(_, delay)| delay).max().unwrap();
         assert_eq!(longest, result.delta_m().as_u64());
+        // The depth-first exploration order of the decision tree (Fig. 2).
+        let explored: Vec<&str> = fig2
+            .lines()
+            .skip_while(|line| !line.starts_with("Decision tree"))
+            .skip(1)
+            .take_while(|line| !line.is_empty())
+            .map(str::trim)
+            .collect();
+        assert_eq!(
+            explored,
+            [
+                "at [true] condition C resolved at t=7 -> continue, current path C&D&!K",
+                "at [C] condition D resolved at t=22 -> continue, current path C&D&!K",
+                "at [C&D] condition K resolved at t=30 -> continue, current path C&D&!K",
+                "at [C&D] condition K resolved at t=30 -> back-step, current path C&D&K",
+                "at [C] condition D resolved at t=22 -> back-step, current path C&!D",
+                "at [true] condition C resolved at t=7 -> back-step, current path !C&!D",
+                "at [!C] condition D resolved at t=22 -> continue, current path !C&!D",
+                "at [!C] condition D resolved at t=22 -> back-step, current path !C&D&!K",
+                "at [!C&D] condition K resolved at t=30 -> continue, current path !C&D&!K",
+                "at [!C&D] condition K resolved at t=30 -> back-step, current path !C&D&K",
+            ]
+        );
         let table1 = table1_report();
         assert!(table1.contains("P10"));
         assert!(table1.contains("0 violations"));

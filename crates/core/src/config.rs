@@ -141,9 +141,6 @@ pub enum SelectionPolicy {
 pub struct MergeConfig {
     broadcast_time: Time,
     selection: SelectionPolicy,
-    /// Record a [`MergeStep`](crate::MergeStep) for every decision-tree node
-    /// (default off: tracing costs an allocation per node on the hot walk).
-    trace: bool,
 }
 
 impl MergeConfig {
@@ -154,7 +151,6 @@ impl MergeConfig {
         MergeConfig {
             broadcast_time,
             selection: SelectionPolicy::default(),
-            trace: false,
         }
     }
 
@@ -200,25 +196,6 @@ impl MergeConfig {
     pub fn effective_threads(&self) -> usize {
         1
     }
-
-    /// `true` when the merge records a [`MergeStep`](crate::MergeStep) per
-    /// decision-tree node (see [`with_trace`](Self::with_trace)).
-    #[must_use]
-    pub fn trace(&self) -> bool {
-        self.trace
-    }
-
-    /// Returns the configuration with decision-tree tracing switched on or
-    /// off. Off (the default) keeps the walk allocation-free:
-    /// [`MergeResult::steps`](crate::MergeResult::steps) comes back empty,
-    /// while the [`MergeStats`](crate::MergeStats) counters are always
-    /// collected. On, every forward- and back-step is recorded — the figure
-    /// generators and the differential oracles use this.
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
 }
 
 impl Default for MergeConfig {
@@ -247,14 +224,6 @@ mod tests {
             .with_broadcast_time(Time::new(3));
         assert_eq!(config.broadcast_time(), Time::new(3));
         assert_eq!(config.selection(), SelectionPolicy::EnumerationOrder);
-    }
-
-    #[test]
-    fn trace_defaults_off_and_toggles() {
-        let config = MergeConfig::default();
-        assert!(!config.trace());
-        assert!(config.with_trace(true).trace());
-        assert!(!config.with_trace(true).with_trace(false).trace());
     }
 
     #[test]

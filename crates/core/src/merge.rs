@@ -40,7 +40,9 @@
 //! [`ScheduleTable`] through a [`RecordingView`], which also logs the
 //! chain's writes and a digest of every row it touches; the session's
 //! [`Rewalk`] keeps the logs and replays a cached chain instead of walking
-//! it while it is still valid. The decided conditions live in one
+//! it while it is still valid. The finished tree of chains is also the
+//! merge's record: the step trace and the counters are folded from it once
+//! ([`SessionChain::record`]). The decided conditions live in one
 //! [`Assignment`] mutated in place and the lock sets and schedules are
 //! pooled, so the walk is allocation-free after warm-up.
 //!
@@ -67,7 +69,9 @@ use cpg_sim::{SimScratch, Simulator};
 use cpg_table::{RecordingView, ScheduleTable};
 
 use crate::config::{MergeConfig, SelectionPolicy};
-use crate::result::{MergeResult, MergeStats, MergeStep};
+#[cfg(any(test, feature = "test-util"))]
+use crate::result::MergeStep;
+use crate::result::{MergeResult, MergeStats};
 use crate::session::{MergeCache, Rewalk, SessionChain};
 
 /// Test-only fault injection: deliberately broken variants of the merge
@@ -301,18 +305,22 @@ pub(crate) fn merge_tracks(
     let have_runs = cache.track_runs.len() == tracks.len();
     let mut rewalk = Rewalk::new(&cache.dirty, have_runs);
     let mut table = ScheduleTable::new();
-    // The differential oracle walks the same tree cloning at every node and
-    // leaves no chains behind.
+    // The differential oracle walks the same tree cloning at every node,
+    // counting and tracing as it goes, and leaves no chains behind.
     #[cfg(any(test, feature = "test-util"))]
-    if cache.cloning_oracle {
-        shared.walk_cloning_tree(&mut state, &mut table);
-    } else {
-        cache.root = Some(shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take()));
-    }
+    let oracle = cache
+        .cloning_oracle
+        .then(|| shared.walk_cloning_tree(&mut state, &mut table));
     #[cfg(not(any(test, feature = "test-util")))]
-    {
-        cache.root = Some(shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take()));
-    }
+    let oracle = None;
+    // Otherwise the decision tree is the merge's record: the steps and the
+    // counters are one fold over its chains, replayed or walked.
+    let (steps, mut stats) = oracle.unwrap_or_else(|| {
+        let root = shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take());
+        let record = root.record(&tracks);
+        cache.root = Some(root);
+        record
+    });
 
     // The re-walk noted the column of every cell that may differ from the
     // previous table; clean tracks with no compatible changed column keep
@@ -321,32 +329,14 @@ pub(crate) fn merge_tracks(
     let mut changed_columns = std::mem::take(&mut rewalk.changed);
     changed_columns.sort_unstable();
     changed_columns.dedup();
-    // Union masks over the changed columns: when nothing in the changed set
-    // can exclude a label, `any(compatible)` is simply non-emptiness and the
-    // per-track scan is skipped; only labels some changed column *can*
-    // exclude fall back to the linear test.
-    let (mut changed_pos, mut changed_neg) = (0u64, 0u64);
-    for col in &changed_columns {
-        changed_pos |= col.positive_mask();
-        changed_neg |= col.negative_mask();
-    }
-    let any_changed_compatible = |label: &Cube| {
-        if changed_columns.is_empty() {
-            return false;
-        }
-        if label.positive_mask() & changed_neg == 0 && label.negative_mask() & changed_pos == 0 {
-            return true;
-        }
-        changed_columns.iter().any(|col| col.compatible(label))
-    };
     let cached_runs = std::mem::take(&mut cache.track_runs);
     cache.track_runs = simulate_tracks(cpg, arch, config, &table, &tracks, |idx| {
+        let label = tracks.tracks()[idx].label();
         let reusable = have_runs
             && !cache.dirty[idx]
-            && !any_changed_compatible(&tracks.tracks()[idx].label());
+            && !changed_columns.iter().any(|col| col.compatible(&label));
         reusable.then(|| cached_runs[idx])
     });
-    let mut stats = state.stats;
     let delta_max = judge(&cache.track_runs, &mut stats);
     cache.reuse = rewalk.reuse;
     cache.dirty.fill(false);
@@ -357,7 +347,7 @@ pub(crate) fn merge_tracks(
         path_schedules: optimal,
         delta_m,
         delta_max,
-        steps: state.steps,
+        steps,
         stats,
     }
 }
@@ -492,13 +482,16 @@ pub(crate) struct MergeShared<'a> {
     pub(crate) optimal: &'a [PathSchedule],
 }
 
-/// Walk state: the outputs of the tree traversal plus the reusable buffers
-/// that make the traversal allocation-free after warm-up.
+/// Walk state: the repair counters of the chain being walked plus the
+/// reusable buffers that make the traversal allocation-free after warm-up.
 pub(crate) struct WalkState {
-    /// Decision-tree nodes visited, in visit order (recorded only when
-    /// [`MergeConfig::with_trace`] is on).
-    pub(crate) steps: Vec<MergeStep>,
+    /// Repair counters since the last committed chain (the clone-per-node
+    /// oracle counts every node here instead).
     pub(crate) stats: MergeStats,
+    /// Decision-tree nodes visited by the clone-per-node oracle, in visit
+    /// order.
+    #[cfg(any(test, feature = "test-util"))]
+    steps: Vec<MergeStep>,
     /// Scratch arena for every scheduler run of the merge: the initial
     /// schedules, adjustments and repairs.
     pub(crate) scratch: RunScratch,
@@ -522,8 +515,9 @@ pub(crate) struct WalkState {
 impl WalkState {
     pub(crate) fn new() -> Self {
         WalkState {
-            steps: Vec::new(),
             stats: MergeStats::default(),
+            #[cfg(any(test, feature = "test-util"))]
+            steps: Vec::new(),
             scratch: RunScratch::new(),
             slip_buf: Vec::new(),
             stale_buf: Vec::new(),
@@ -541,23 +535,6 @@ impl WalkState {
 /// One condition resolution of a forward chain: the condition, its value on
 /// the chain's current path and the time it became known.
 pub(crate) type Resolution = (CondId, bool, Time);
-
-/// How [`MergeShared::walk_chain`] enters a forward chain.
-#[derive(Clone, Copy)]
-pub(crate) enum ChainEntry {
-    /// The root chain: the current schedule is the optimal schedule of the
-    /// selected track, with no inherited locks.
-    Root,
-    /// A back-step: `condition` was flipped at `resolved_at`, and the newly
-    /// selected schedule must inherit the ancestor locks from the table and
-    /// be adjusted. `node_cube` is the tree path to the node without the
-    /// flipped condition (what the traced back-step records).
-    Back {
-        condition: CondId,
-        resolved_at: Time,
-        node_cube: Cube,
-    },
-}
 
 impl MergeShared<'_> {
     /// Re-schedules a track around the locked activation times, feeding every
@@ -780,7 +757,7 @@ impl MergeShared<'_> {
         let root = self
             .select_track(&decided)
             .expect("a valid graph has at least one alternative path");
-        self.walk_chain(rec, st, table, cached, ChainEntry::Root, root, &mut decided)
+        self.walk_chain(rec, st, table, cached, None, root, &mut decided)
     }
 
     /// Walks one forward chain of the decision tree and, recursively, its
@@ -797,7 +774,10 @@ impl MergeShared<'_> {
     /// recursive call (each level decides one more condition, so the
     /// recursion is at most [`MAX_CONDITIONS`](cpg::MAX_CONDITIONS) deep).
     ///
-    /// `rec` records every walked chain and replays the cached chain
+    /// `flipped` is the condition a back-step entry flipped (`None` for the
+    /// root chain, whose current schedule is its track's optimal schedule
+    /// with no inherited locks). `rec` records every walked chain with its
+    /// resolutions and repair counters, and replays the cached chain
     /// (`cached`) instead of walking it when it is still valid (see
     /// [`Rewalk`]). `decided` must be at the chain's entry state and is
     /// returned to it. The decided
@@ -815,11 +795,10 @@ impl MergeShared<'_> {
         st: &mut WalkState,
         table: &mut ScheduleTable,
         cached: Option<Box<SessionChain>>,
-        entry: ChainEntry,
+        flipped: Option<CondId>,
         track_idx: usize,
         decided: &mut Assignment,
     ) -> Box<SessionChain> {
-        let trace = self.config.trace();
         let base = st.resolutions.len();
         let mut chain = match rec.replay(st, table, cached, track_idx, decided) {
             Ok(chain) => chain,
@@ -843,16 +822,9 @@ impl MergeShared<'_> {
                 let mut schedule = st.schedule_pool.pop().unwrap_or_default();
 
                 let mut view = rec.open(table);
-                rec.begin_segment(st);
-                // Decided conditions at the deepest node of the open segment.
-                let mut depth = 0;
-                match entry {
-                    ChainEntry::Root => schedule.clone_from(&self.optimal[track_idx]),
-                    ChainEntry::Back {
-                        condition,
-                        resolved_at,
-                        node_cube,
-                    } => {
+                match flipped {
+                    None => schedule.clone_from(&self.optimal[track_idx]),
+                    Some(condition) => {
                         // The inherited locks and the adjustment read the
                         // table through the chain's view, so a recorded
                         // chain's log covers them and a replay revalidates
@@ -868,68 +840,29 @@ impl MergeShared<'_> {
                             decided,
                             &mut schedule,
                         );
-                        // `decided` already carries the flipped condition, so
-                        // the depth is its plain length.
-                        st.stats.tree_nodes += 1;
-                        st.stats.adjustments += 1;
-                        depth = decided.len();
-                        if trace {
-                            st.steps.push(MergeStep {
-                                decided: node_cube,
-                                condition,
-                                resolved_at,
-                                current_path: label,
-                                back_step: true,
-                            });
-                        }
                     }
                 }
-                loop {
-                    let next = self.place_phase(
-                        st,
-                        &mut view,
-                        track_idx,
-                        &mut schedule,
-                        decided,
-                        &mut fixed,
-                    );
-                    // Continue with the same schedule: the condition takes
-                    // the value of the current path (no back-step). The
-                    // node's depth counts the resolved condition, assigned
-                    // once the segment closes.
-                    let resolution = next.map(|(condition, resolved_at)| {
-                        let value = label
-                            .polarity_of(condition)
-                            .expect("a condition resolved on a path appears in its label");
-                        st.stats.tree_nodes += 1;
-                        depth = depth.max(decided.len() + 1);
-                        if trace {
-                            st.steps.push(MergeStep {
-                                decided: decided.to_cube(),
-                                condition,
-                                resolved_at,
-                                current_path: label,
-                                back_step: false,
-                            });
-                        }
-                        (condition, value, resolved_at)
-                    });
-                    st.stats.max_walk_depth = st.stats.max_walk_depth.max(depth);
-                    rec.end_segment(st, depth, resolution);
-                    // End of schedule: every condition of this path has been
-                    // decided and all activation times are placed.
-                    let Some(resolution) = resolution else {
-                        break;
-                    };
-                    st.resolutions.push(resolution);
-                    decided.assign(resolution.0, resolution.1);
-                    rec.begin_segment(st);
-                    depth = 0;
+                // Place segment by segment; at each resolution the condition
+                // takes the value of the current path (no back-step). End of
+                // schedule: every condition of this path has been decided
+                // and all activation times are placed.
+                while let Some((condition, resolved_at)) =
+                    self.place_phase(st, &mut view, track_idx, &mut schedule, decided, &mut fixed)
+                {
+                    let value = label
+                        .polarity_of(condition)
+                        .expect("a condition resolved on a path appears in its label");
+                    st.resolutions.push((condition, value, resolved_at));
+                    decided.assign(condition, value);
                 }
                 let log = rec.finish(view);
                 st.schedule_pool.push(schedule);
                 st.lock_pool.push(fixed);
-                rec.commit(log, stale, track_idx, &st.resolutions[base..])
+                // The chain's own placements are over (its children are
+                // walked below), so the counters since the last commit are
+                // exactly its own.
+                let work = std::mem::take(&mut st.stats);
+                rec.commit(log, stale, track_idx, &st.resolutions[base..], work)
             }
         };
 
@@ -937,19 +870,13 @@ impl MergeShared<'_> {
         // opposite value; a new current schedule is selected among the
         // reachable paths and its chain walked.
         for i in (base..st.resolutions.len()).rev() {
-            let (condition, value, resolved_at) = st.resolutions[i];
-            decided.unassign(condition);
-            let node_cube = decided.to_cube();
+            let (condition, value, _) = st.resolutions[i];
             decided.assign(condition, !value);
             let cached = chain.children[i - base].take();
             match self.select_track(decided) {
                 Some(back_idx) => {
-                    let entry = ChainEntry::Back {
-                        condition,
-                        resolved_at,
-                        node_cube,
-                    };
-                    let child = self.walk_chain(rec, st, table, cached, entry, back_idx, decided);
+                    let child =
+                        self.walk_chain(rec, st, table, cached, Some(condition), back_idx, decided);
                     chain.children[i - base] = Some(child);
                 }
                 None => rec.drop_child(cached),
@@ -1029,9 +956,14 @@ impl MergeShared<'_> {
     }
 
     /// [`walk_tree`](Self::walk_tree) by the clone-per-node oracle walk,
-    /// through one throwaway recording view.
+    /// through one throwaway recording view; returns the steps and counters
+    /// the oracle recorded node by node.
     #[cfg(any(test, feature = "test-util"))]
-    fn walk_cloning_tree(&self, state: &mut WalkState, table: &mut ScheduleTable) {
+    fn walk_cloning_tree(
+        &self,
+        state: &mut WalkState,
+        table: &mut ScheduleTable,
+    ) -> (Vec<MergeStep>, MergeStats) {
         let decided = Assignment::new();
         let root = self
             .select_track(&decided)
@@ -1045,6 +977,7 @@ impl MergeShared<'_> {
             decided,
             LockSet::for_graph(self.cpg),
         );
+        (std::mem::take(&mut state.steps), state.stats)
     }
 
     /// The original recursive clone-per-node decision-tree walk, kept as the
@@ -1062,7 +995,6 @@ impl MergeShared<'_> {
         decided: Assignment,
         mut fixed: LockSet,
     ) {
-        let trace = self.config.trace();
         let mut schedule = schedule;
         let label = self.tracks.tracks()[track_idx].label();
 
@@ -1125,15 +1057,13 @@ impl MergeShared<'_> {
         // the current path (no back-step).
         state.stats.tree_nodes += 1;
         state.stats.max_walk_depth = state.stats.max_walk_depth.max(decided.len() + 1);
-        if trace {
-            state.steps.push(MergeStep {
-                decided: decided.to_cube(),
-                condition,
-                resolved_at,
-                current_path: label,
-                back_step: false,
-            });
-        }
+        state.steps.push(MergeStep {
+            decided: decided.to_cube(),
+            condition,
+            resolved_at,
+            current_path: label,
+            back_step: false,
+        });
         let mut decided_fwd = decided.clone();
         decided_fwd.assign(condition, value);
         self.walk_cloning(state, view, track_idx, schedule, decided_fwd, fixed.clone());
@@ -1151,15 +1081,13 @@ impl MergeShared<'_> {
         state.stats.tree_nodes += 1;
         state.stats.max_walk_depth = state.stats.max_walk_depth.max(decided_back.len());
         state.stats.adjustments += 1;
-        if trace {
-            state.steps.push(MergeStep {
-                decided: decided.to_cube(),
-                condition,
-                resolved_at,
-                current_path: self.tracks.tracks()[new_idx].label(),
-                back_step: true,
-            });
-        }
+        state.steps.push(MergeStep {
+            decided: decided.to_cube(),
+            condition,
+            resolved_at,
+            current_path: self.tracks.tracks()[new_idx].label(),
+            back_step: true,
+        });
         self.walk_cloning(state, view, new_idx, adjusted, decided_back, locks);
     }
 
@@ -1329,7 +1257,7 @@ impl MergeShared<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cpg::examples;
 
@@ -1432,13 +1360,7 @@ mod tests {
     #[test]
     fn decision_tree_has_one_forward_and_one_back_step_per_node() {
         let system = examples::fig1();
-        // Steps are recorded only under tracing (off by default, to keep the
-        // hot walk allocation-free).
-        let result = generate_schedule_table(
-            system.cpg(),
-            system.arch(),
-            &MergeConfig::new(system.broadcast_time()).with_trace(true),
-        );
+        let result = merge(&system);
         let forward = result.steps().iter().filter(|s| !s.back_step).count();
         let back = result.steps().iter().filter(|s| s.back_step).count();
         assert_eq!(forward, back);
@@ -1447,15 +1369,6 @@ mod tests {
         assert_eq!(forward, result.tracks().len() - 1);
         assert_eq!(result.stats().tree_nodes, forward + back);
         assert_eq!(result.stats().adjustments, back);
-    }
-
-    #[test]
-    fn steps_stay_empty_without_tracing() {
-        let system = examples::fig1();
-        let result = merge(&system);
-        assert!(result.steps().is_empty());
-        // The stats counters are collected regardless.
-        assert!(result.stats().tree_nodes > 0);
     }
 
     #[test]
@@ -1525,8 +1438,8 @@ mod tests {
     /// consumes the output of `slow`, which can only start after `!C` is
     /// known — long after the tabled time. The merge has to feed the slipped
     /// entry back through the repair loop: the final table may not keep the
-    /// stale early time.
-    fn slipping_system() -> (Architecture, Cpg) {
+    /// stale early time. Merge it with `τ0 = 2`.
+    pub(crate) fn slipping_system() -> (Architecture, Cpg) {
         use cpg::CpgBuilder;
         let arch = Architecture::builder()
             .processor("cpu0")
@@ -1616,12 +1529,11 @@ mod tests {
 
     /// Field-wise comparison of the chain walk against the clone-per-node
     /// oracle (the broad random coverage lives in the workspace-level
-    /// differential proptest; this pins the crafted examples). Tracing is
-    /// forced on so the step-by-step visit order is compared too.
+    /// differential proptest; this pins the crafted examples), the
+    /// step-by-step visit order included.
     fn assert_walks_identical(cpg: &Cpg, arch: &Architecture, config: &MergeConfig) {
-        let config = config.with_trace(true);
-        let undo = generate_schedule_table(cpg, arch, &config);
-        let oracle = generate_schedule_table_cloning(cpg, arch, &config);
+        let undo = generate_schedule_table(cpg, arch, config);
+        let oracle = generate_schedule_table_cloning(cpg, arch, config);
         assert_eq!(undo.table(), oracle.table());
         assert_eq!(undo.tracks(), oracle.tracks());
         assert_eq!(undo.path_schedules(), oracle.path_schedules());

@@ -70,24 +70,6 @@ pub struct MergeStats {
     pub repair_rounds: usize,
 }
 
-impl MergeStats {
-    /// Folds the counters of another partial into this one. A session replay
-    /// folds the cached per-segment partials of every replayed chain in
-    /// serial order, so the totals are identical to a cold walk's.
-    pub(crate) fn absorb(&mut self, other: MergeStats) {
-        self.tree_nodes += other.tree_nodes;
-        self.adjustments += other.adjustments;
-        self.conflicts_repaired += other.conflicts_repaired;
-        self.unrepaired_conflicts += other.unrepaired_conflicts;
-        self.slip_repairs += other.slip_repairs;
-        self.lock_slips += other.lock_slips;
-        // Depth is a maximum, not a sum: absorbing subtree partials in any
-        // order reconstructs the same value as a serial walk.
-        self.max_walk_depth = self.max_walk_depth.max(other.max_walk_depth);
-        self.repair_rounds += other.repair_rounds;
-    }
-}
-
 /// Whether the run-time schedulers can execute the generated table as
 /// written.
 ///
@@ -202,12 +184,13 @@ impl MergeResult {
         self.delta_max == self.delta_m
     }
 
-    /// The decision-tree nodes visited during merging, in visit order.
+    /// The decision-tree nodes visited during merging, in visit order: the
+    /// paper's Fig. 2 exploration trace.
     ///
-    /// Empty unless tracing was enabled via
-    /// [`MergeConfig::with_trace`](crate::MergeConfig::with_trace) — recording
-    /// a step per node costs an allocation on the hot walk, so it is off by
-    /// default. The [`stats`](Self::stats) counters are always collected.
+    /// The merge keeps its decision tree (one record per forward chain) and
+    /// folds it once into these steps and the [`stats`](Self::stats)
+    /// counters, so a warm session merge that replays cached chains reports
+    /// the same steps as a cold walk.
     #[must_use]
     pub fn steps(&self) -> &[MergeStep] {
         &self.steps

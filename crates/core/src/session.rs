@@ -10,8 +10,13 @@
 //! * the chain's [`ChainLog`]: its writes, the columns it created and a
 //!   digest of every table row it touched, as the row stood at the chain's
 //!   entry; and
-//! * the per-segment work counters, traced steps and condition resolutions
-//!   (a segment runs between two resolutions).
+//! * the chain's condition resolutions and the repair counters of its own
+//!   placements.
+//!
+//! That tree is also the merge's record: [`SessionChain::record`] folds it
+//! once, at the end of every merge, into the step trace and the
+//! [`MergeStats`] counters, so a replayed chain reports exactly what the walk
+//! that recorded it did.
 //!
 //! Every merge records: the one walk
 //! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain))
@@ -45,8 +50,10 @@
 //! byte-identically — including the column creation order, which
 //! [`ChainLog::created_columns_absent`] guards.
 
-use cpg::{enumerate_tracks, Assignment, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
-use cpg_arch::Architecture;
+use cpg::{
+    enumerate_tracks, Assignment, CondId, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet,
+};
+use cpg_arch::{Architecture, Time};
 use cpg_path_sched::PathSchedule;
 use cpg_table::{ChainLog, RecordScratch, RecordingView, ScheduleTable};
 
@@ -63,24 +70,11 @@ pub struct ReuseStats {
     pub chains_replayed: usize,
     /// Forward chains recorded by walking the decision tree.
     pub chains_recorded: usize,
-    /// Placement segments spliced from cached logs.
+    /// Placement segments spliced from cached logs. A chain has one segment
+    /// per condition resolution plus the last one, which ends its schedule.
     pub segments_replayed: usize,
     /// Placement segments recorded by running the placement phase.
     pub segments_recorded: usize,
-}
-
-/// One placement segment of a forward chain: the walk outputs produced
-/// between two condition resolutions. The table effects of all segments live
-/// in the chain-level [`SessionChain::log`] — replay is all-or-nothing per
-/// chain, so per-segment logs would only multiply the row bookkeeping.
-struct ChainSeg {
-    /// Work-counter delta of the segment.
-    stats: MergeStats,
-    /// Traced steps of the segment (empty unless tracing is on).
-    steps: Vec<MergeStep>,
-    /// The condition resolution that ended the segment; `None` for the last
-    /// segment of the chain (the schedule ran out).
-    resolution: Option<Resolution>,
 }
 
 /// A cached forward chain of the decision tree: the maximal run of nodes
@@ -94,8 +88,13 @@ pub(crate) struct SessionChain {
     /// touch, before the chain wrote to it, so the log validates directly
     /// against the table state at the chain's serial entry point.
     log: ChainLog,
-    /// The placement segments, in serial order. The last has no resolution.
-    segs: Box<[ChainSeg]>,
+    /// The chain's condition resolutions, in serial order: one
+    /// forward-step node each.
+    resolutions: Box<[Resolution]>,
+    /// The repair counters of the chain's own placements
+    /// (`conflicts_repaired`, `unrepaired_conflicts`, `slip_repairs` and
+    /// `repair_rounds`; the others stay zero).
+    work: MergeStats,
     /// Back-step subtree per resolution (`children[i]` flips the `i`-th
     /// resolution); `None` when no reachable path takes the flipped value.
     pub(crate) children: Vec<Option<Box<SessionChain>>>,
@@ -170,10 +169,6 @@ pub(crate) struct Rewalk<'a> {
     pub(crate) reuse: ReuseStats,
     /// The buffers every recorded chain reuses.
     scratch: RecordScratch,
-    /// The segments recorded so far of the chain being walked.
-    segs: Vec<ChainSeg>,
-    /// Counters and step count of the walk when the open segment started.
-    seg_start: (MergeStats, usize),
 }
 
 impl<'a> Rewalk<'a> {
@@ -188,8 +183,6 @@ impl<'a> Rewalk<'a> {
             changed: Vec::new(),
             reuse: ReuseStats::default(),
             scratch: RecordScratch::default(),
-            segs: Vec::new(),
-            seg_start: (MergeStats::default(), 0),
         }
     }
 
@@ -242,10 +235,11 @@ impl<'a> Rewalk<'a> {
     }
 
     /// Replays `cached` at this point of the walk instead of walking it. On
-    /// success the chain's writes are in `table`, its counters in `st`, and
-    /// its resolutions are pushed onto [`WalkState::resolutions`] and
-    /// assigned in `decided`. Otherwise nothing changed and the stale chain
-    /// (if any) is handed back for [`commit`](Self::commit).
+    /// success the chain's writes are in `table` and its resolutions are
+    /// pushed onto [`WalkState::resolutions`] and assigned in `decided`; its
+    /// counters stay in the chain for [`record`](SessionChain::record).
+    /// Otherwise nothing changed and the stale chain (if any) is handed back
+    /// for [`commit`](Self::commit).
     pub(crate) fn replay(
         &mut self,
         st: &mut WalkState,
@@ -261,16 +255,12 @@ impl<'a> Rewalk<'a> {
             return Err(Some(chain));
         }
         table.splice_log(&chain.log);
-        for seg in &chain.segs {
-            st.stats.absorb(seg.stats);
-            st.steps.extend(seg.steps.iter().cloned());
-            if let Some(resolution) = seg.resolution {
-                st.resolutions.push(resolution);
-                decided.assign(resolution.0, resolution.1);
-            }
+        for &(condition, value, _) in &chain.resolutions {
+            decided.assign(condition, value);
         }
+        st.resolutions.extend_from_slice(&chain.resolutions);
         self.reuse.chains_replayed += 1;
-        self.reuse.segments_replayed += chain.segs.len();
+        self.reuse.segments_replayed += chain.resolutions.len() + 1;
         Ok(chain)
     }
 
@@ -281,33 +271,6 @@ impl<'a> Rewalk<'a> {
         RecordingView::new(table, std::mem::take(&mut self.scratch))
     }
 
-    /// A segment starts.
-    pub(crate) fn begin_segment(&mut self, st: &WalkState) {
-        self.seg_start = (st.stats, st.steps.len());
-    }
-
-    /// The open segment ended: its nodes reached `depth` decided conditions
-    /// and it closed with `resolution` (`None` at the end of the schedule).
-    pub(crate) fn end_segment(
-        &mut self,
-        st: &WalkState,
-        depth: usize,
-        resolution: Option<Resolution>,
-    ) {
-        let (stats_before, steps_before) = self.seg_start;
-        let mut stats = stats_delta(stats_before, st.stats);
-        // Depths are absolute (decided conditions at the node), so caching
-        // the segment's own maximum — instead of the meaningless delta of a
-        // running maximum — lets a replay absorb it by `max` in any order
-        // and still reconstruct the cold walk's value exactly.
-        stats.max_walk_depth = depth;
-        self.segs.push(ChainSeg {
-            stats,
-            steps: st.steps[steps_before..].to_vec(),
-            resolution,
-        });
-    }
-
     /// Closes the view of a chain whose last activation is placed.
     pub(crate) fn finish(&mut self, view: RecordingView<'_>) -> ChainLog {
         let (log, scratch) = view.finish();
@@ -316,22 +279,22 @@ impl<'a> Rewalk<'a> {
     }
 
     /// Builds the record of a walked chain, whose writes are in the table;
-    /// `stale` is the cached chain it replaces and `resolutions` are the
-    /// chain's own.
+    /// `stale` is the cached chain it replaces, and `resolutions` and `work`
+    /// are the chain's own resolutions and repair counters.
     pub(crate) fn commit(
         &mut self,
         log: ChainLog,
         stale: Option<Box<SessionChain>>,
         track_idx: usize,
         resolutions: &[Resolution],
+        work: MergeStats,
     ) -> Box<SessionChain> {
         // From this serial point on, the rebuilt table may differ from the
         // recording merge's: every later replay must validate its log.
         self.diverged = true;
         self.note_changed_log(&log);
-        let segs: Box<[ChainSeg]> = self.segs.drain(..).collect();
         self.reuse.chains_recorded += 1;
-        self.reuse.segments_recorded += segs.len();
+        self.reuse.segments_recorded += resolutions.len() + 1;
 
         let mut children: Vec<Option<Box<SessionChain>>> = Vec::new();
         children.resize_with(resolutions.len(), || None);
@@ -343,11 +306,10 @@ impl<'a> Rewalk<'a> {
         if let Some(stale) = stale {
             // The stale chain's own cells are replaced.
             self.note_changed_log(&stale.log);
-            let stale_resolutions = stale.segs.iter().filter_map(|seg| seg.resolution);
             for (i, (child, old)) in stale
                 .children
                 .into_iter()
-                .zip(stale_resolutions)
+                .zip(stale.resolutions.iter())
                 .enumerate()
             {
                 let matched = resolutions
@@ -365,7 +327,8 @@ impl<'a> Rewalk<'a> {
         Box::new(SessionChain {
             track_idx,
             log,
-            segs,
+            resolutions: resolutions.into(),
+            work,
             children,
         })
     }
@@ -379,21 +342,80 @@ impl<'a> Rewalk<'a> {
     }
 }
 
-/// Field-wise difference of two counter snapshots (`after - before`).
-///
-/// Meaningful for the summable counters only: `max_walk_depth` is a running
-/// maximum, so [`end_segment`](Rewalk::end_segment) overwrites it with
-/// the segment's absolute maximum after taking the delta.
-fn stats_delta(before: MergeStats, after: MergeStats) -> MergeStats {
-    MergeStats {
-        tree_nodes: after.tree_nodes - before.tree_nodes,
-        adjustments: after.adjustments - before.adjustments,
-        conflicts_repaired: after.conflicts_repaired - before.conflicts_repaired,
-        unrepaired_conflicts: after.unrepaired_conflicts - before.unrepaired_conflicts,
-        slip_repairs: after.slip_repairs - before.slip_repairs,
-        lock_slips: after.lock_slips - before.lock_slips,
-        max_walk_depth: after.max_walk_depth - before.max_walk_depth,
-        repair_rounds: after.repair_rounds - before.repair_rounds,
+impl SessionChain {
+    /// The merge's record, folded over the decision tree rooted at this
+    /// chain: the visited nodes in walk order and the work counters
+    /// (`lock_slips` is left to the simulation of the finished table).
+    ///
+    /// A chain contributes its back-step entry node (unless it is the root),
+    /// then one forward node per resolution, then its children, deepest
+    /// resolution first: the depth-first order of the paper's Fig. 3. The
+    /// shape counters follow from the steps: a node is one step, a back step
+    /// is one adjustment, and a node's depth is its decided-condition count.
+    pub(crate) fn record(&self, tracks: &TrackSet) -> (Vec<MergeStep>, MergeStats) {
+        let mut steps = Vec::new();
+        let mut stats = MergeStats::default();
+        self.record_into(tracks, None, &mut Assignment::new(), &mut steps, &mut stats);
+        stats.tree_nodes = steps.len();
+        stats.adjustments = steps.iter().filter(|step| step.back_step).count();
+        stats.max_walk_depth = steps
+            .iter()
+            .map(|step| step.decided.len() + 1)
+            .max()
+            .unwrap_or(0);
+        (steps, stats)
+    }
+
+    /// [`record`](Self::record) of one chain and its subtree. `entered` is
+    /// the back-step into this chain (the tree path to the node without the
+    /// flipped condition, the condition and when it resolved); `decided`
+    /// holds the chain's entry state and is returned to it.
+    fn record_into(
+        &self,
+        tracks: &TrackSet,
+        entered: Option<(Cube, CondId, Time)>,
+        decided: &mut Assignment,
+        steps: &mut Vec<MergeStep>,
+        stats: &mut MergeStats,
+    ) {
+        let current_path = tracks.tracks()[self.track_idx].label();
+        let mut step = |decided: Cube, condition: CondId, resolved_at: Time, back_step: bool| {
+            steps.push(MergeStep {
+                decided,
+                condition,
+                resolved_at,
+                current_path,
+                back_step,
+            });
+        };
+        if let Some((node, condition, resolved_at)) = entered {
+            step(node, condition, resolved_at, true);
+        }
+        for &(condition, value, resolved_at) in &self.resolutions {
+            step(decided.to_cube(), condition, resolved_at, false);
+            decided.assign(condition, value);
+        }
+        stats.conflicts_repaired += self.work.conflicts_repaired;
+        stats.unrepaired_conflicts += self.work.unrepaired_conflicts;
+        stats.slip_repairs += self.work.slip_repairs;
+        stats.repair_rounds += self.work.repair_rounds;
+        for (child, &(condition, value, resolved_at)) in
+            self.children.iter().zip(self.resolutions.iter()).rev()
+        {
+            decided.unassign(condition);
+            if let Some(child) = child {
+                let node = decided.to_cube();
+                decided.assign(condition, !value);
+                child.record_into(
+                    tracks,
+                    Some((node, condition, resolved_at)),
+                    decided,
+                    steps,
+                    stats,
+                );
+                decided.unassign(condition);
+            }
+        }
     }
 }
 
@@ -584,7 +606,8 @@ impl MergeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::{ChainEntry, ContextCache, MergeShared};
+    use crate::merge::tests::slipping_system;
+    use crate::merge::{ContextCache, MergeShared};
     use crate::{generate_schedule_table, generate_schedule_table_cloning};
     use cpg::{examples, CondId, Guard, ProcessId, MAX_CONDITIONS};
     use cpg_arch::Time;
@@ -611,7 +634,7 @@ mod tests {
     #[test]
     fn first_session_merge_matches_the_cloning_oracle() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time()).with_trace(true);
+        let config = MergeConfig::new(system.broadcast_time());
         let oracle = generate_schedule_table_cloning(system.cpg(), system.arch(), &config);
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         let first = session.merge();
@@ -622,24 +645,43 @@ mod tests {
 
     #[test]
     fn editless_remerge_replays_the_whole_tree() {
-        let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time());
-        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-        let first = session.merge();
-        let second = session.merge();
-        assert_identical(&first, &second, "edit-less re-merge");
-        let reuse = session.reuse_stats();
-        assert_eq!(
-            reuse.chains_recorded, 0,
-            "an unchanged system must replay every chain: {reuse:?}"
-        );
-        assert!(reuse.chains_replayed > 0);
+        let fig1 = examples::fig1();
+        // The slip-forcing system makes the repair counters non-zero, so the
+        // replay pins the counters each cached chain carries.
+        let (slip_arch, slip_cpg) = slipping_system();
+        let systems = [
+            (fig1.cpg(), fig1.arch(), fig1.broadcast_time(), false),
+            (&slip_cpg, &slip_arch, Time::new(2), true),
+        ];
+        for (cpg, arch, broadcast_time, repairs) in systems {
+            let config = MergeConfig::new(broadcast_time);
+            let mut session = MergeSession::new(cpg, arch, &config);
+            let first = session.merge();
+            let second = session.merge();
+            assert_identical(&first, &second, "edit-less re-merge");
+            let reuse = session.reuse_stats();
+            assert_eq!(
+                reuse.chains_recorded, 0,
+                "an unchanged system must replay every chain: {reuse:?}"
+            );
+            assert!(reuse.chains_replayed > 0);
+            // One segment per forward node plus one per chain, and every
+            // chain but the root is entered by a back-step node.
+            assert_eq!(reuse.segments_replayed, second.stats().tree_nodes + 1);
+            let stats = second.stats();
+            if repairs {
+                assert!(
+                    stats.slip_repairs > 0 && stats.repair_rounds > 0,
+                    "{stats:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn warm_merge_after_a_wcet_edit_matches_a_cold_merge() {
         let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time()).with_trace(true);
+        let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
 
@@ -827,7 +869,7 @@ mod tests {
             &mut WalkState::new(),
             &mut warm,
             Some(root),
-            ChainEntry::Root,
+            None,
             root_idx,
             &mut Assignment::new(),
         );
@@ -837,7 +879,7 @@ mod tests {
             &mut WalkState::new(),
             &mut cold,
             None,
-            ChainEntry::Root,
+            None,
             root_idx,
             &mut Assignment::new(),
         );

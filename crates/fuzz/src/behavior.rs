@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use cpg_merge::{MergeError, MergeOutcome, MergeResult};
+use cpg_merge::{MergeError, MergeOutcome, MergeResult, MergeStats};
 
 /// Length of a quantized [`Signature`].
 pub const SIGNATURE_LEN: usize = 11;
@@ -15,33 +15,18 @@ pub type Signature = [u8; SIGNATURE_LEN];
 
 /// What one merge did, counted — the fuzzer's coverage signal.
 ///
-/// The vector is built from [`MergeStats`](cpg_merge::MergeStats) of the
-/// deterministic baseline merge (so signatures are reproducible
-/// anywhere), plus the typed-rejection discriminant for inputs
-/// the merger refuses and the outcome degradation flag.
+/// The vector is the [`MergeStats`] of the deterministic baseline merge (so
+/// signatures are reproducible anywhere), plus the typed-rejection
+/// discriminant for inputs the merger refuses, the outcome degradation flag
+/// and the number of alternative paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BehaviorVector {
     /// Discriminant of the typed [`MergeError`] rejection (0 = accepted).
     pub rejection: u8,
     /// `true` when the merge finished with a degraded [`MergeOutcome`].
     pub degraded: bool,
-    /// Decision-tree nodes visited.
-    pub tree_nodes: usize,
-    /// Activation times adjusted into the table.
-    pub adjustments: usize,
-    /// Determinism conflicts repaired via Theorem 2.
-    pub conflicts_repaired: usize,
-    /// Conflicts left unrepaired.
-    pub unrepaired_conflicts: usize,
-    /// Lock slips repaired by the slip-correcting pipeline.
-    pub slip_repairs: usize,
-    /// Run-time violations of the final table
-    /// ([`MergeStats::lock_slips`](cpg_merge::MergeStats::lock_slips)).
-    pub lock_slips: usize,
-    /// Deepest decision-tree node reached, in decided conditions.
-    pub max_walk_depth: usize,
-    /// Total Theorem-2 repair-loop iterations.
-    pub repair_rounds: usize,
+    /// The merge's counters (all zero for a rejection).
+    pub stats: MergeStats,
     /// Alternative paths of the merged system.
     pub tracks: usize,
 }
@@ -50,18 +35,10 @@ impl BehaviorVector {
     /// The vector of a completed merge.
     #[must_use]
     pub fn from_result(result: &MergeResult) -> Self {
-        let stats = result.stats();
         BehaviorVector {
             rejection: 0,
             degraded: !matches!(result.outcome(), MergeOutcome::Realizable),
-            tree_nodes: stats.tree_nodes,
-            adjustments: stats.adjustments,
-            conflicts_repaired: stats.conflicts_repaired,
-            unrepaired_conflicts: stats.unrepaired_conflicts,
-            slip_repairs: stats.slip_repairs,
-            lock_slips: stats.lock_slips,
-            max_walk_depth: stats.max_walk_depth,
-            repair_rounds: stats.repair_rounds,
+            stats: result.stats(),
             tracks: result.tracks().len(),
         }
     }
@@ -86,14 +63,7 @@ impl BehaviorVector {
         BehaviorVector {
             rejection,
             degraded: false,
-            tree_nodes: 0,
-            adjustments: 0,
-            conflicts_repaired: 0,
-            unrepaired_conflicts: 0,
-            slip_repairs: 0,
-            lock_slips: 0,
-            max_walk_depth: 0,
-            repair_rounds: 0,
+            stats: MergeStats::default(),
             tracks: 0,
         }
     }
@@ -103,17 +73,18 @@ impl BehaviorVector {
     /// any machine — corpus distinctness is defined over these.
     #[must_use]
     pub fn signature(&self) -> Signature {
+        let stats = &self.stats;
         [
             self.rejection,
             u8::from(self.degraded),
-            bucket(self.tree_nodes),
-            bucket(self.adjustments),
-            bucket(self.conflicts_repaired),
-            bucket(self.unrepaired_conflicts),
-            bucket(self.slip_repairs),
-            bucket(self.lock_slips),
-            bucket(self.max_walk_depth),
-            bucket(self.repair_rounds),
+            bucket(stats.tree_nodes),
+            bucket(stats.adjustments),
+            bucket(stats.conflicts_repaired),
+            bucket(stats.unrepaired_conflicts),
+            bucket(stats.slip_repairs),
+            bucket(stats.lock_slips),
+            bucket(stats.max_walk_depth),
+            bucket(stats.repair_rounds),
             bucket(self.tracks),
         ]
     }

@@ -163,10 +163,10 @@ fn main() -> ExitCode {
             entry.workload.config.seed(),
             entry.workload.ops.len(),
             entry.workload.edits.len(),
-            entry.vector.tree_nodes,
-            entry.vector.max_walk_depth,
-            entry.vector.conflicts_repaired,
-            entry.vector.lock_slips,
+            entry.vector.stats.tree_nodes,
+            entry.vector.stats.max_walk_depth,
+            entry.vector.stats.conflicts_repaired,
+            entry.vector.stats.lock_slips,
             entry.vector.rejection,
         );
     }
@@ -202,14 +202,14 @@ fn main() -> ExitCode {
                     "tree_nodes={} adjustments={} conflicts_repaired={} unrepaired={} \
                      slip_repairs={} lock_slips={} max_walk_depth={} repair_rounds={} \
                      tracks={} rejection={} degraded={}",
-                    entry.vector.tree_nodes,
-                    entry.vector.adjustments,
-                    entry.vector.conflicts_repaired,
-                    entry.vector.unrepaired_conflicts,
-                    entry.vector.slip_repairs,
-                    entry.vector.lock_slips,
-                    entry.vector.max_walk_depth,
-                    entry.vector.repair_rounds,
+                    entry.vector.stats.tree_nodes,
+                    entry.vector.stats.adjustments,
+                    entry.vector.stats.conflicts_repaired,
+                    entry.vector.stats.unrepaired_conflicts,
+                    entry.vector.stats.slip_repairs,
+                    entry.vector.stats.lock_slips,
+                    entry.vector.stats.max_walk_depth,
+                    entry.vector.stats.repair_rounds,
                     entry.vector.tracks,
                     entry.vector.rejection,
                     entry.vector.degraded,

@@ -138,7 +138,8 @@ fn run_oracles_inner(
     let baseline = generate_schedule_table(cpg, arch, &config);
     let vector = BehaviorVector::from_result(&baseline);
 
-    // Oracle 3: chain walk vs clone-based walk.
+    // Oracle 3: chain walk vs clone-based walk, the decision-tree visit
+    // order included (every merge returns its step trace).
     let cloning = generate_schedule_table_cloning(cpg, arch, &config);
     if let Some(divergence) = divergence(&baseline, &cloning) {
         return Err(OracleFailure {

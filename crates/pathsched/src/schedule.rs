@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cpg::{CondId, Cpg, Cube, ProcessId};
+use cpg::{CondId, Cpg, Cube};
 use cpg_arch::{Architecture, PeId, Time};
 
 use crate::job::{Job, ScheduledJob};
@@ -444,17 +444,6 @@ impl PathSchedule {
             }
         }
         Ok(())
-    }
-
-    /// The processes of the path sorted by activation time — the order in
-    /// which the merge algorithm consumes "the following process in the
-    /// current schedule".
-    #[must_use]
-    pub fn processes_by_start(&self) -> Vec<(ProcessId, Time)> {
-        self.jobs
-            .iter()
-            .filter_map(|sj| sj.job().as_process().map(|p| (p, sj.start())))
-            .collect()
     }
 }
 

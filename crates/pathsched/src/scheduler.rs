@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 
-use cpg::{Cpg, ProcessId, Track, TrackSet};
+use cpg::{Cpg, Track, TrackSet};
 use cpg_arch::{Architecture, Time};
 
 use crate::context::{GraphTables, LockSet, TrackContext};
@@ -170,41 +170,6 @@ impl<'a> ListScheduler<'a> {
         let mut lock_set = self.empty_locks();
         lock_set.extend(locks.iter().map(|(&job, &time)| (job, time)));
         self.context(track).reschedule(original, &lock_set)
-    }
-
-    /// Partial-critical-path priorities: the length of the longest chain of
-    /// execution times from each job to the sink, restricted to the processes
-    /// active on `track`. Condition broadcasts get the highest priority so
-    /// that they are issued as soon as their disjunction process terminates.
-    #[must_use]
-    pub fn critical_path_priorities(&self, track: &Track) -> HashMap<Job, u64> {
-        let mut lengths: HashMap<ProcessId, u64> = HashMap::new();
-        for &pid in self.cpg.topological_order().iter().rev() {
-            if !track.contains(pid) {
-                continue;
-            }
-            let downstream = self
-                .cpg
-                .out_edges(pid)
-                .filter(|edge| {
-                    track.contains(edge.to())
-                        && edge
-                            .condition()
-                            .is_none_or(|lit| track.label().contains(lit))
-                })
-                .filter_map(|edge| lengths.get(&edge.to()).copied())
-                .max()
-                .unwrap_or(0);
-            lengths.insert(pid, downstream + self.cpg.exec_time(pid).as_u64());
-        }
-        let mut priorities: HashMap<Job, u64> = lengths
-            .into_iter()
-            .map(|(pid, len)| (Job::Process(pid), len))
-            .collect();
-        for cond in track.determined_conditions() {
-            priorities.insert(Job::Broadcast(cond), u64::MAX);
-        }
-        priorities
     }
 }
 

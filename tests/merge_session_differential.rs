@@ -110,11 +110,9 @@ proptest! {
         let system = generate(&config);
         let processes: Vec<ProcessId> = system.cpg().ordinary_processes().collect();
         prop_assert!(!processes.is_empty(), "generated systems have ordinary processes");
-        // Tracing on: the step-by-step visit order is part of the contract —
-        // a replayed chain must surface the very steps it recorded.
-        let merge_config = MergeConfig::new(system.broadcast_time())
-            .with_selection(policy)
-            .with_trace(true);
+        // The step-by-step visit order is part of the contract: a replayed
+        // chain must surface the very steps it recorded.
+        let merge_config = MergeConfig::new(system.broadcast_time()).with_selection(policy);
 
         let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
         // The reference system receives the same edits and is merged cold
@@ -192,7 +190,7 @@ fn warm_merges_match_cold_on_a_shared_condition_subtree_edit() {
         .ordinary_processes()
         .find(|&p| cpg.process(p).name() == "b_t")
         .expect("crafted system has b_t");
-    let merge_config = MergeConfig::new(Time::new(1)).with_trace(true);
+    let merge_config = MergeConfig::new(Time::new(1));
 
     let mut session = MergeSession::new(&cpg, &arch, &merge_config);
     session.merge();

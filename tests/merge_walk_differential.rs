@@ -76,6 +76,24 @@ fn assert_results_identical(
     Ok(())
 }
 
+/// The shape counters of a merge are the shape of its step trace: one step
+/// per decision-tree node, one adjustment per back step, and a node's depth
+/// is its decided-condition count (a step's tree path plus the resolved
+/// condition).
+fn assert_counters_match_steps(result: &MergeResult, context: &str) -> Result<(), TestCaseError> {
+    let (stats, steps) = (result.stats(), result.steps());
+    let back_steps = steps.iter().filter(|step| step.back_step).count();
+    let deepest = steps.iter().map(|step| step.decided.len() + 1).max();
+    prop_assert!(
+        stats.tree_nodes == steps.len()
+            && stats.adjustments == back_steps
+            && stats.max_walk_depth == deepest.unwrap_or(0),
+        "counters disagree with the {} steps ({context}): {stats:?}",
+        steps.len()
+    );
+    Ok(())
+}
+
 proptest! {
     // Pinned case count and shrink budget: CI runs must be deterministic and
     // fast regardless of PROPTEST_CASES / PROPTEST_MAX_SHRINK_ITERS in the
@@ -91,16 +109,17 @@ proptest! {
         let system = generate(&config);
         let cpg = system.cpg();
         let arch = system.arch();
-        // Tracing on: the step-by-step visit order is part of the contract
-        // being compared (it is off by default to keep the walk
-        // allocation-free).
-        let base = MergeConfig::new(system.broadcast_time()).with_trace(true);
+        // The step-by-step visit order is part of the contract being
+        // compared.
+        let base = MergeConfig::new(system.broadcast_time());
 
         let oracle = generate_schedule_table_cloning(cpg, arch, &base);
         oracle.table().verify(cpg, oracle.tracks()).expect("oracle table is correct");
 
         let walk = generate_schedule_table(cpg, arch, &base);
         assert_results_identical(&oracle, &walk, "default policy")?;
+        assert_counters_match_steps(&oracle, "cloning oracle")?;
+        assert_counters_match_steps(&walk, "chain walk")?;
     }
 
     #[test]
@@ -117,9 +136,7 @@ proptest! {
             SelectionPolicy::ShortestDelayFirst,
             SelectionPolicy::EnumerationOrder,
         ] {
-            let base = MergeConfig::new(system.broadcast_time())
-                .with_selection(policy)
-                .with_trace(true);
+            let base = MergeConfig::new(system.broadcast_time()).with_selection(policy);
             let oracle = generate_schedule_table_cloning(cpg, arch, &base);
             let walk = generate_schedule_table(cpg, arch, &base);
             assert_results_identical(&oracle, &walk, &format!("{policy:?}"))?;
@@ -162,7 +179,7 @@ fn slipping_system() -> (Architecture, Cpg) {
 #[test]
 fn production_walks_match_the_oracle_on_a_slip_forcing_system() {
     let (arch, cpg) = slipping_system();
-    let config = MergeConfig::new(Time::new(2)).with_trace(true);
+    let config = MergeConfig::new(Time::new(2));
     let oracle = generate_schedule_table_cloning(&cpg, &arch, &config);
     assert!(
         oracle.stats().slip_repairs > 0,
@@ -229,9 +246,7 @@ fn production_walks_match_the_oracle_when_sibling_subtrees_overlap_rows() {
         SelectionPolicy::ShortestDelayFirst,
         SelectionPolicy::EnumerationOrder,
     ] {
-        let config = MergeConfig::new(Time::new(1))
-            .with_selection(policy)
-            .with_trace(true);
+        let config = MergeConfig::new(Time::new(1)).with_selection(policy);
         let oracle = generate_schedule_table_cloning(&cpg, &arch, &config);
         oracle
             .table()
