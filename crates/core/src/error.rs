@@ -109,9 +109,10 @@ impl std::error::Error for MergeError {}
 ///
 /// Returns the first pathology found, in a deterministic order: resource
 /// availability, per-process mapping sanity (in process-id order), condition
-/// references, then dependency acyclicity. [`generate_schedule_table`]
-/// (crate::generate_schedule_table) and [`MergeSession`](crate::MergeSession)
-/// assume a validated system; the `try_` entry points run this pass first.
+/// references, then dependency acyclicity.
+/// [`generate_schedule_table`](crate::generate_schedule_table) and
+/// [`MergeSession`](crate::MergeSession) assume a validated system; the
+/// `try_` entry points run this pass first.
 pub fn validate_system(cpg: &Cpg, arch: &Architecture) -> Result<(), MergeError> {
     if cpg.schedulable_processes().next().is_none() {
         return Err(MergeError::EmptyGraph);

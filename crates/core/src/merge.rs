@@ -42,9 +42,10 @@
 //! [`Rewalk`] keeps the logs and replays a cached chain instead of walking
 //! it while it is still valid. The finished tree of chains is also the
 //! merge's record: the step trace and the counters are folded from it once
-//! ([`SessionChain::record`]). The decided conditions live in one
-//! [`Assignment`] mutated in place and the lock sets and schedules are
-//! pooled, so the walk is allocation-free after warm-up.
+//! ([`SessionChain::record`]). The decided conditions live in one [`Cube`]
+//! (the same type as the track labels and the table's columns) mutated in
+//! place, and the lock sets and schedules are pooled, so the walk is
+//! allocation-free after warm-up.
 //!
 //! After the walk, one simulation judges the finished table
 //! ([`simulate_tracks`]): every track is executed by the run-time simulator
@@ -60,7 +61,7 @@
 
 use std::cell::OnceCell;
 
-use cpg::{enumerate_tracks, Assignment, CondId, Cpg, Cube, Track, TrackSet};
+use cpg::{enumerate_tracks, CondId, Cpg, Cube, Track, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::{
     Job, ListScheduler, LockSet, PathSchedule, RunScratch, ScheduledJob, SlippedLock, TrackContext,
@@ -79,22 +80,23 @@ use crate::session::{MergeCache, Rewalk, SessionChain};
 /// an RAII guard (`engage()` sets a process-global flag, dropping the guard
 /// restores the correct protocol), so tests using one must serialize.
 ///
-/// * [`InjectWalkPanic`] — panics at the top of every merge, one-shot or
-///   session; caught by the no-panic oracle.
-/// * [`DirtyLockReuse`] — recycles a pooled chain lock set without clearing
-///   it, so stale locks from a previously walked chain leak into the new
-///   chain's placements; caught by the cloning-oracle differential (the
-///   oracle allocates a fresh lock set per back-step).
-/// * [`SkipSlipRepair`] — drops the Theorem-2 slip-repair loop *and* the
-///   in-merge violation count, publishing stale intended times as a
-///   realizable table; caught by the simulation oracle, which runs the table
-///   itself.
-/// * [`SkipSpliceValidation`] — replays cached session chains without
-///   checking their row snapshots (the column-creation guard stays);
-///   caught by the warm-vs-cold oracle.
-/// * [`SkipEntryValidation`] — drops the `validate_system` call from the
-///   `try_` entry points, accepting pathological systems; caught by the
-///   input-validation oracle.
+/// * [`InjectWalkPanic`](crate::sabotage::InjectWalkPanic) — panics at the
+///   top of every merge, one-shot or session; caught by the no-panic oracle.
+/// * [`DirtyLockReuse`](crate::sabotage::DirtyLockReuse) — recycles a pooled
+///   chain lock set without clearing it, so stale locks from a previously
+///   walked chain leak into the new chain's placements; caught by the
+///   cloning-oracle differential (the oracle allocates a fresh lock set per
+///   back-step).
+/// * [`SkipSlipRepair`](crate::sabotage::SkipSlipRepair) — drops the
+///   Theorem-2 slip-repair loop *and* the in-merge violation count,
+///   publishing stale intended times as a realizable table; caught by the
+///   simulation oracle, which runs the table itself.
+/// * [`SkipSpliceValidation`](crate::sabotage::SkipSpliceValidation) —
+///   replays cached session chains without checking their row snapshots
+///   (the column-creation guard stays); caught by the warm-vs-cold oracle.
+/// * [`SkipEntryValidation`](crate::sabotage::SkipEntryValidation) — drops
+///   the `validate_system` call from the `try_` entry points, accepting
+///   pathological systems; caught by the input-validation oracle.
 #[cfg(any(test, feature = "test-util"))]
 pub mod sabotage {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -553,7 +555,7 @@ impl MergeShared<'_> {
         view: &mut RecordingView<'_>,
         track_idx: usize,
         locks: &mut LockSet,
-        decided: &Assignment,
+        decided: &Cube,
         out: &mut PathSchedule,
     ) {
         self.contexts.get(track_idx).reschedule_into(
@@ -604,7 +606,7 @@ impl MergeShared<'_> {
         view: &mut RecordingView<'_>,
         track_idx: usize,
         locks: &mut LockSet,
-        decided: &Assignment,
+        decided: &Cube,
     ) -> PathSchedule {
         let mut out = PathSchedule::default();
         self.adjust_into(state, view, track_idx, locks, decided, &mut out);
@@ -636,19 +638,18 @@ impl MergeShared<'_> {
         state: &mut WalkState,
         view: &mut RecordingView<'_>,
         schedule: &PathSchedule,
-        decided: &Assignment,
+        decided: &Cube,
         slip: &SlippedLock,
         locks: &mut LockSet,
     ) -> bool {
         let job = slip.job();
-        let decided_cube = decided.to_cube();
         let mut stale = std::mem::take(&mut state.stale_buf);
         stale.clear();
         // Entries at exactly the intended time; only their cubes are tested
         // against the decided context. `stale` is sorted below, so the scan
         // order is immaterial.
         view.for_each_entry_at_on(job, slip.intended(), &mut |_, column, _| {
-            if column.compatible(&decided_cube) {
+            if column.compatible(decided) {
                 stale.push(column);
             }
         });
@@ -701,7 +702,7 @@ impl MergeShared<'_> {
         // breaks ties: the first-wins scan in serial entry order, stated
         // independently of the scan order.
         let mut tabled: Option<(Time, u64, Option<PeId>)> = None;
-        view.for_each_compatible_entry_on(job, &decided_cube, &mut |key, _, time, resource| {
+        view.for_each_compatible_entry_on(job, decided, &mut |key, _, time, resource| {
             if time >= slip.actual()
                 && time != slip.intended()
                 && tabled.is_none_or(|(best, at, _)| (time, key) < (best, at))
@@ -726,12 +727,12 @@ impl MergeShared<'_> {
 
     /// Picks the reachable path used as the current schedule at a decision
     /// tree node (rule 1 / the selection policy of the configuration).
-    pub(crate) fn select_track(&self, decided: &Assignment) -> Option<usize> {
+    pub(crate) fn select_track(&self, decided: &Cube) -> Option<usize> {
         let reachable = self
             .tracks
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.label().consistent_with(decided));
+            .filter(|(_, t)| t.label().compatible(decided));
         match self.config.selection() {
             SelectionPolicy::LongestDelayFirst => reachable
                 .max_by_key(|(i, _)| (self.optimal[*i].delay(), usize::MAX - *i))
@@ -753,7 +754,7 @@ impl MergeShared<'_> {
         table: &mut ScheduleTable,
         cached: Option<Box<SessionChain>>,
     ) -> Box<SessionChain> {
-        let mut decided = Assignment::new();
+        let mut decided = Cube::top();
         let root = self
             .select_track(&decided)
             .expect("a valid graph has at least one alternative path");
@@ -780,13 +781,12 @@ impl MergeShared<'_> {
     /// resolutions and repair counters, and replays the cached chain
     /// (`cached`) instead of walking it when it is still valid (see
     /// [`Rewalk`]). `decided` must be at the chain's entry state and is
-    /// returned to it. The decided
-    /// conditions live in that one [`Assignment`], and lock sets and
-    /// schedules come from the pools of `st`, so the walk is allocation-free
-    /// after warm-up; its visit order, every placement decision and the
-    /// produced [`MergeResult`] are identical to the clone-per-node recursion
-    /// (kept as [`walk_cloning`](Self::walk_cloning) for the differential
-    /// tests).
+    /// returned to it. The decided conditions live in that one [`Cube`], and
+    /// lock sets and schedules come from the pools of `st`, so the walk is
+    /// allocation-free after warm-up; its visit order, every placement
+    /// decision and the produced [`MergeResult`] are identical to the
+    /// clone-per-node recursion (kept as [`walk_cloning`](Self::walk_cloning)
+    /// for the differential tests).
     // lint: hot-path (the one decision-tree walk)
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn walk_chain(
@@ -797,7 +797,7 @@ impl MergeShared<'_> {
         cached: Option<Box<SessionChain>>,
         flipped: Option<CondId>,
         track_idx: usize,
-        decided: &mut Assignment,
+        decided: &mut Cube,
     ) -> Box<SessionChain> {
         let base = st.resolutions.len();
         let mut chain = match rec.replay(st, table, cached, track_idx, decided) {
@@ -881,7 +881,7 @@ impl MergeShared<'_> {
                 }
                 None => rec.drop_child(cached),
             }
-            decided.unassign(condition);
+            *decided = decided.without(condition);
         }
         st.resolutions.truncate(base);
         chain
@@ -898,7 +898,7 @@ impl MergeShared<'_> {
         view: &mut RecordingView<'_>,
         track_idx: usize,
         schedule: &mut PathSchedule,
-        decided: &Assignment,
+        decided: &Cube,
         fixed: &mut LockSet,
     ) -> Option<(CondId, Time)> {
         let mut spare = std::mem::take(&mut state.spare);
@@ -909,7 +909,7 @@ impl MergeShared<'_> {
                 .resolutions()
                 .iter()
                 .copied()
-                .find(|(c, _)| decided.value(*c).is_none());
+                .find(|(c, _)| !decided.mentions(*c));
             let horizon = next.map(|(_, t)| t);
 
             let mut repaired = false;
@@ -964,7 +964,7 @@ impl MergeShared<'_> {
         state: &mut WalkState,
         table: &mut ScheduleTable,
     ) -> (Vec<MergeStep>, MergeStats) {
-        let decided = Assignment::new();
+        let decided = Cube::top();
         let root = self
             .select_track(&decided)
             .expect("a valid graph has at least one alternative path");
@@ -992,7 +992,7 @@ impl MergeShared<'_> {
         view: &mut RecordingView<'_>,
         track_idx: usize,
         schedule: PathSchedule,
-        decided: Assignment,
+        decided: Cube,
         mut fixed: LockSet,
     ) {
         let mut schedule = schedule;
@@ -1006,7 +1006,7 @@ impl MergeShared<'_> {
                 .resolutions()
                 .iter()
                 .copied()
-                .find(|(c, _)| decided.value(*c).is_none());
+                .find(|(c, _)| !decided.mentions(*c));
             let horizon = next.map(|(_, t)| t);
 
             let mut repaired = false;
@@ -1058,19 +1058,19 @@ impl MergeShared<'_> {
         state.stats.tree_nodes += 1;
         state.stats.max_walk_depth = state.stats.max_walk_depth.max(decided.len() + 1);
         state.steps.push(MergeStep {
-            decided: decided.to_cube(),
+            decided,
             condition,
             resolved_at,
             current_path: label,
             back_step: false,
         });
-        let mut decided_fwd = decided.clone();
+        let mut decided_fwd = decided;
         decided_fwd.assign(condition, value);
         self.walk_cloning(state, view, track_idx, schedule, decided_fwd, fixed.clone());
 
         // Back-step: the condition takes the opposite value; a new current
         // schedule is selected among the reachable paths and adjusted.
-        let mut decided_back = decided.clone();
+        let mut decided_back = decided;
         decided_back.assign(condition, !value);
         let Some(new_idx) = self.select_track(&decided_back) else {
             return;
@@ -1082,7 +1082,7 @@ impl MergeShared<'_> {
         state.stats.max_walk_depth = state.stats.max_walk_depth.max(decided_back.len());
         state.stats.adjustments += 1;
         state.steps.push(MergeStep {
-            decided: decided.to_cube(),
+            decided,
             condition,
             resolved_at,
             current_path: self.tracks.tracks()[new_idx].label(),
@@ -1107,11 +1107,10 @@ impl MergeShared<'_> {
         view: &mut RecordingView<'_>,
         locks: &mut LockSet,
         track_idx: usize,
-        decided: &Assignment,
+        decided: &Cube,
         resolved: CondId,
     ) {
         let track = &self.tracks.tracks()[track_idx];
-        let decided_cube = decided.to_cube();
         let resolved_bit = 1u64 << resolved.index();
         for job in self.track_jobs(track) {
             // An implied column is never excluded by the deciding cube, so
@@ -1122,20 +1121,16 @@ impl MergeShared<'_> {
             // lowest column key breaks ties — the deterministic equivalent
             // of the old first-wins scan in serial entry order.
             let mut best: Option<(usize, u64, Time, Option<PeId>)> = None;
-            view.for_each_compatible_entry_on(
-                job,
-                &decided_cube,
-                &mut |key, column, time, resource| {
-                    if column.mention_mask() & resolved_bit == 0 && decided_cube.implies(&column) {
-                        let specificity = column.len();
-                        if best.is_none_or(|(len, at, _, _)| {
-                            specificity > len || (specificity == len && key < at)
-                        }) {
-                            best = Some((specificity, key, time, resource));
-                        }
+            view.for_each_compatible_entry_on(job, decided, &mut |key, column, time, resource| {
+                if column.mention_mask() & resolved_bit == 0 && decided.implies(&column) {
+                    let specificity = column.len();
+                    if best.is_none_or(|(len, at, _, _)| {
+                        specificity > len || (specificity == len && key < at)
+                    }) {
+                        best = Some((specificity, key, time, resource));
                     }
-                },
-            );
+                }
+            });
             if let Some((_, _, time, resource)) = best {
                 locks.insert_pinned(job, time, resource);
             }
@@ -1161,7 +1156,7 @@ impl MergeShared<'_> {
         state: &mut WalkState,
         view: &mut RecordingView<'_>,
         schedule: &PathSchedule,
-        decided: &Assignment,
+        decided: &Cube,
         sj: ScheduledJob,
     ) -> Placement {
         let (job, start, pe) = (sj.job(), sj.start(), sj.pe());
@@ -1246,13 +1241,13 @@ impl MergeShared<'_> {
     fn column_for(
         &self,
         schedule: &PathSchedule,
-        decided: &Assignment,
+        decided: &Cube,
         pe: Option<PeId>,
         t: Time,
     ) -> Cube {
         schedule
             .known_conditions(pe, t)
-            .restricted_to(decided.assigned_mask())
+            .restricted_to(decided.mention_mask())
     }
 }
 
@@ -1383,7 +1378,7 @@ pub(crate) mod tests {
                 }
                 assert!(
                     table
-                        .activation_on_track(Job::Process(pid), &track.label())
+                        .activation_time(Job::Process(pid), &track.label())
                         .is_some(),
                     "{} missing on {}",
                     system.cpg().process(pid).name(),
@@ -1497,8 +1492,8 @@ pub(crate) mod tests {
             .find(|t| t.processes().contains(&slow.as_process().unwrap()))
             .unwrap()
             .label();
-        let victim_at = table.activation_on_track(victim, &not_c).unwrap();
-        let slow_at = table.activation_on_track(slow, &not_c).unwrap();
+        let victim_at = table.activation_time(victim, &not_c).unwrap();
+        let slow_at = table.activation_time(slow, &not_c).unwrap();
         assert!(
             victim_at >= slow_at + cpg.exec_time(slow.as_process().unwrap()),
             "victim tabled at {victim_at} before slow completes"
@@ -1508,11 +1503,11 @@ pub(crate) mod tests {
         // every activation time: the table is realizable end to end.
         let scheduler = ListScheduler::new(&cpg, &arch, Time::new(2));
         for track in result.tracks().iter() {
-            let assignment = Assignment::from_cube(&track.label());
+            let label = track.label();
             let mut locks = LockSet::for_graph(&cpg);
             for job in table.jobs() {
-                if let Some(time) = table.activation_time(job, &assignment) {
-                    let pe = table.activation_resource(job, &assignment);
+                if let Some(time) = table.activation_time(job, &label) {
+                    let pe = table.activation_resource(job, &label);
                     locks.insert_pinned(job, time, pe);
                 }
             }
@@ -1628,7 +1623,7 @@ pub(crate) mod tests {
         tabled(table, sj);
         let mut state = WalkState::new();
         let mut view = RecordingView::new(table, cpg_table::RecordScratch::default());
-        let placement = shared.place(&mut state, &mut view, schedule, &Assignment::new(), sj);
+        let placement = shared.place(&mut state, &mut view, schedule, &Cube::top(), sj);
         let (log, _) = view.finish();
         (sj, placement, log.written_columns().count(), state.stats)
     }

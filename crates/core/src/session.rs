@@ -50,9 +50,7 @@
 //! byte-identically — including the column creation order, which
 //! [`ChainLog::created_columns_absent`] guards.
 
-use cpg::{
-    enumerate_tracks, Assignment, CondId, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet,
-};
+use cpg::{enumerate_tracks, CondId, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
 use cpg_arch::{Architecture, Time};
 use cpg_path_sched::PathSchedule;
 use cpg_table::{ChainLog, RecordScratch, RecordingView, ScheduleTable};
@@ -246,7 +244,7 @@ impl<'a> Rewalk<'a> {
         table: &mut ScheduleTable,
         cached: Option<Box<SessionChain>>,
         track_idx: usize,
-        decided: &mut Assignment,
+        decided: &mut Cube,
     ) -> Result<Box<SessionChain>, Option<Box<SessionChain>>> {
         let Some(chain) = cached else {
             return Err(None);
@@ -355,7 +353,7 @@ impl SessionChain {
     pub(crate) fn record(&self, tracks: &TrackSet) -> (Vec<MergeStep>, MergeStats) {
         let mut steps = Vec::new();
         let mut stats = MergeStats::default();
-        self.record_into(tracks, None, &mut Assignment::new(), &mut steps, &mut stats);
+        self.record_into(tracks, None, &mut Cube::top(), &mut steps, &mut stats);
         stats.tree_nodes = steps.len();
         stats.adjustments = steps.iter().filter(|step| step.back_step).count();
         stats.max_walk_depth = steps
@@ -374,7 +372,7 @@ impl SessionChain {
         &self,
         tracks: &TrackSet,
         entered: Option<(Cube, CondId, Time)>,
-        decided: &mut Assignment,
+        decided: &mut Cube,
         steps: &mut Vec<MergeStep>,
         stats: &mut MergeStats,
     ) {
@@ -392,7 +390,7 @@ impl SessionChain {
             step(node, condition, resolved_at, true);
         }
         for &(condition, value, resolved_at) in &self.resolutions {
-            step(decided.to_cube(), condition, resolved_at, false);
+            step(*decided, condition, resolved_at, false);
             decided.assign(condition, value);
         }
         stats.conflicts_repaired += self.work.conflicts_repaired;
@@ -402,9 +400,9 @@ impl SessionChain {
         for (child, &(condition, value, resolved_at)) in
             self.children.iter().zip(self.resolutions.iter()).rev()
         {
-            decided.unassign(condition);
+            *decided = decided.without(condition);
             if let Some(child) = child {
-                let node = decided.to_cube();
+                let node = *decided;
                 decided.assign(condition, !value);
                 child.record_into(
                     tracks,
@@ -413,7 +411,7 @@ impl SessionChain {
                     steps,
                     stats,
                 );
-                decided.unassign(condition);
+                *decided = decided.without(condition);
             }
         }
     }
@@ -849,7 +847,7 @@ mod tests {
             ..Rewalk::new(&dirty, false)
         };
         let root_idx = shared
-            .select_track(&Assignment::new())
+            .select_track(&Cube::top())
             .expect("a valid graph has at least one alternative path");
 
         let (root_replays, root) = match recorder().replay(
@@ -857,7 +855,7 @@ mod tests {
             &mut seed.clone(),
             Some(root),
             root_idx,
-            &mut Assignment::new(),
+            &mut Cube::top(),
         ) {
             Ok(root) => (true, root),
             Err(root) => (false, root.expect("the cached root is handed back")),
@@ -871,7 +869,7 @@ mod tests {
             Some(root),
             None,
             root_idx,
-            &mut Assignment::new(),
+            &mut Cube::top(),
         );
         let mut cold = seed;
         shared.walk_chain(
@@ -881,7 +879,7 @@ mod tests {
             None,
             None,
             root_idx,
-            &mut Assignment::new(),
+            &mut Cube::top(),
         );
         (root_replays, rewalk.reuse, warm, cold)
     }

@@ -1,10 +1,11 @@
-//! Condition algebra: literals, cubes (conjunctions of literals), guards
-//! (disjunctions of cubes) and complete assignments.
+//! Condition algebra: literals, cubes (conjunctions of literals) and guards
+//! (disjunctions of cubes).
 //!
 //! Conditions are the boolean values computed by *disjunction processes*.
-//! Column headers of the schedule table, guards of processes and labels of
-//! alternative paths are all conjunctions of condition values — **cubes** —
-//! and the hot operations of the table generator are conjunction, implication
+//! Column headers of the schedule table, guards of processes, labels of
+//! alternative paths and the (partial) condition assignments of the merge's
+//! decision tree are all conjunctions of condition values — **cubes** — and
+//! the hot operations of the table generator are conjunction, implication
 //! and mutual-exclusion tests between cubes. Cubes are therefore stored as a
 //! pair of bitsets which makes all three operations O(1).
 
@@ -310,6 +311,20 @@ impl Cube {
         }
     }
 
+    /// Sets `cond` to `value` in place, overwriting any literal over `cond`:
+    /// the step of a walk that decides (or flips) one condition of a partial
+    /// assignment. [`Cube::without`] undoes it.
+    pub fn assign(&mut self, cond: CondId, value: bool) {
+        let bit = 1u64 << cond.index();
+        if value {
+            self.positive |= bit;
+            self.negative &= !bit;
+        } else {
+            self.negative |= bit;
+            self.positive &= !bit;
+        }
+    }
+
     /// Keeps only the literals over the conditions whose bit is set in
     /// `mask` (bit `i` for condition `i`).
     #[must_use]
@@ -360,22 +375,6 @@ impl Cube {
     /// Iterates over the conditions mentioned by the conjunction.
     pub fn conditions(&self) -> impl Iterator<Item = CondId> + '_ {
         self.literals().map(Literal::cond)
-    }
-
-    /// `true` when a complete assignment satisfies this conjunction: every
-    /// positive literal sits in the assignment's true set and every negative
-    /// literal in its false set. Two mask subtractions — no literal walk.
-    #[must_use]
-    pub const fn satisfied_by(&self, assignment: &Assignment) -> bool {
-        self.positive & !assignment.true_mask() == 0
-            && self.negative & !assignment.false_mask() == 0
-    }
-
-    /// `true` when a (possibly partial) assignment is consistent with this
-    /// conjunction, i.e. assigns no condition the opposite polarity.
-    #[must_use]
-    pub const fn consistent_with(&self, assignment: &Assignment) -> bool {
-        self.positive & assignment.false_mask() == 0 && self.negative & assignment.true_mask() == 0
     }
 
     /// Renders the cube with the given condition names, using `true` for the
@@ -526,12 +525,6 @@ impl Guard {
         &self.cubes
     }
 
-    /// `true` when a complete assignment satisfies the guard.
-    #[must_use]
-    pub fn satisfied_by(&self, assignment: &Assignment) -> bool {
-        self.cubes.iter().any(|cube| cube.satisfied_by(assignment))
-    }
-
     /// `true` when `cube ⇒ self`, i.e. the guard is satisfied whenever the
     /// cube is.
     #[must_use]
@@ -569,11 +562,10 @@ impl Guard {
                 return false;
             }
             all_assignments(&free).iter().all(|assignment| {
-                let mut full = assignment.clone();
-                for lit in cube.literals() {
-                    full.assign(lit.cond(), lit.value());
-                }
-                other.satisfied_by(&full)
+                let full = assignment
+                    .and_cube(cube)
+                    .expect("the free conditions are not mentioned by the cube");
+                other.implied_by(&full)
             })
         })
     }
@@ -680,155 +672,18 @@ fn merge_complementary(a: &Cube, b: &Cube) -> Option<Cube> {
     Some(a.without(CondId::new(idx)))
 }
 
-/// A (possibly partial) assignment of truth values to conditions.
+/// Enumerates every complete assignment over the given conditions, each as
+/// the cube that mentions every one of them.
 ///
-/// Complete assignments select one alternative path through a conditional
-/// process graph; partial assignments describe intermediate states of the
-/// decision tree explored during schedule merging.
-///
-/// # Example
-///
-/// ```
-/// use cpg::{Assignment, CondId, Cube};
-///
-/// let c = CondId::new(0);
-/// let d = CondId::new(1);
-/// let mut asg = Assignment::new();
-/// asg.assign(c, true);
-/// assert_eq!(asg.value(c), Some(true));
-/// assert_eq!(asg.value(d), None);
-/// assert!(Cube::from(c.is_true()).consistent_with(&asg));
-/// assert_eq!(asg.to_cube(), Cube::from(c.is_true()));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Assignment {
-    assigned: u64,
-    values: u64,
-}
-
-impl Assignment {
-    /// Creates an empty assignment.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the assignment containing exactly the literals of a cube.
-    #[must_use]
-    pub fn from_cube(cube: &Cube) -> Self {
-        let mut asg = Assignment::new();
-        for lit in cube.literals() {
-            asg.assign(lit.cond(), lit.value());
-        }
-        asg
-    }
-
-    /// Assigns a value to a condition (overwriting any previous value).
-    pub fn assign(&mut self, cond: CondId, value: bool) {
-        let bit = 1u64 << cond.index();
-        self.assigned |= bit;
-        if value {
-            self.values |= bit;
-        } else {
-            self.values &= !bit;
-        }
-    }
-
-    /// Removes a condition from the assignment.
-    pub fn unassign(&mut self, cond: CondId) {
-        let bit = 1u64 << cond.index();
-        self.assigned &= !bit;
-        self.values &= !bit;
-    }
-
-    /// The value assigned to a condition, or `None` if it is unassigned.
-    #[must_use]
-    pub fn value(&self, cond: CondId) -> Option<bool> {
-        let bit = 1u64 << cond.index();
-        if self.assigned & bit == 0 {
-            None
-        } else {
-            Some(self.values & bit != 0)
-        }
-    }
-
-    /// Number of assigned conditions.
-    #[must_use]
-    pub const fn len(&self) -> usize {
-        self.assigned.count_ones() as usize
-    }
-
-    /// `true` when no condition is assigned.
-    #[must_use]
-    pub const fn is_empty(&self) -> bool {
-        self.assigned == 0
-    }
-
-    /// The assignment as a cube (conjunction of all assigned literals).
-    #[must_use]
-    pub fn to_cube(&self) -> Cube {
-        Cube {
-            positive: self.values,
-            negative: self.assigned & !self.values,
-        }
-    }
-
-    /// The bitset of assigned conditions (bit `i` set ⇔ condition `i` has a
-    /// value). Counterpart of [`Cube::mention_mask`] for group-level
-    /// satisfiability pruning: a cube can only be satisfied when its mention
-    /// mask is a subset of this.
-    #[must_use]
-    pub const fn assigned_mask(&self) -> u64 {
-        self.assigned
-    }
-
-    /// The bitset of conditions assigned `true`.
-    #[must_use]
-    pub const fn true_mask(&self) -> u64 {
-        self.assigned & self.values
-    }
-
-    /// The bitset of conditions assigned `false`.
-    #[must_use]
-    pub const fn false_mask(&self) -> u64 {
-        self.assigned & !self.values
-    }
-
-    /// Iterates over the assigned literals in condition order, walking only
-    /// the set bits of the assigned mask.
-    pub fn literals(&self) -> impl Iterator<Item = Literal> + '_ {
-        let values = self.values;
-        let mut remaining = self.assigned;
-        std::iter::from_fn(move || {
-            if remaining == 0 {
-                return None;
-            }
-            let i = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            let cond = CondId::new(i);
-            Some(cond.literal(values & (1u64 << i) != 0))
-        })
-    }
-}
-
-impl fmt::Display for Assignment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_cube())
-    }
-}
-
-/// Enumerates every complete assignment over the given conditions.
-///
-/// Used by the table-correctness checks (requirement 3 of the paper) to verify
-/// that the columns holding activation times of a process cover exactly its
-/// guard.
+/// Used by the exact [`Guard::implies`] check to enumerate the conditions a
+/// cube leaves free.
 ///
 /// # Panics
 ///
 /// Panics if more than 20 conditions are supplied (the enumeration would be
 /// larger than 2^20).
 #[must_use]
-pub fn all_assignments(conditions: &[CondId]) -> Vec<Assignment> {
+pub fn all_assignments(conditions: &[CondId]) -> Vec<Cube> {
     assert!(
         conditions.len() <= 20,
         "refusing to enumerate more than 2^20 assignments"
@@ -836,7 +691,7 @@ pub fn all_assignments(conditions: &[CondId]) -> Vec<Assignment> {
     let n = conditions.len();
     let mut out = Vec::with_capacity(1 << n);
     for bits in 0u32..(1u32 << n) {
-        let mut asg = Assignment::new();
+        let mut asg = Cube::top();
         for (i, cond) in conditions.iter().enumerate() {
             asg.assign(*cond, bits & (1 << i) != 0);
         }
@@ -959,34 +814,38 @@ mod tests {
     #[test]
     fn assignment_round_trip_with_cube() {
         let cube: Cube = [c(0).is_true(), c(3).is_false()].into_iter().collect();
-        let asg = Assignment::from_cube(&cube);
-        assert_eq!(asg.to_cube(), cube);
-        assert!(cube.satisfied_by(&asg));
+        let mut asg = Cube::top();
+        for lit in cube.literals() {
+            asg.assign(lit.cond(), lit.value());
+        }
+        assert_eq!(asg, cube);
+        assert!(asg.implies(&cube));
         assert_eq!(asg.len(), 2);
         assert!(!asg.is_empty());
     }
 
     #[test]
     fn assignment_assign_unassign() {
-        let mut asg = Assignment::new();
+        let mut asg = Cube::top();
         assert!(asg.is_empty());
         asg.assign(c(4), true);
         asg.assign(c(4), false);
-        assert_eq!(asg.value(c(4)), Some(false));
-        asg.unassign(c(4));
-        assert_eq!(asg.value(c(4)), None);
+        assert_eq!(asg.polarity_of(c(4)), Some(false));
+        assert_eq!(asg, Cube::from(c(4).is_false()));
+        asg = asg.without(c(4));
+        assert_eq!(asg.polarity_of(c(4)), None);
         assert!(asg.is_empty());
     }
 
     #[test]
     fn consistency_with_partial_assignment() {
         let cube: Cube = [c(0).is_true(), c(1).is_false()].into_iter().collect();
-        let mut partial = Assignment::new();
+        let mut partial = Cube::top();
         partial.assign(c(0), true);
-        assert!(cube.consistent_with(&partial));
-        assert!(!cube.satisfied_by(&partial));
+        assert!(cube.compatible(&partial));
+        assert!(!partial.implies(&cube));
         partial.assign(c(1), true);
-        assert!(!cube.consistent_with(&partial));
+        assert!(!cube.compatible(&partial));
     }
 
     #[test]
@@ -1046,12 +905,11 @@ mod tests {
         let conds = [c(0), c(2)];
         let assignments = all_assignments(&conds);
         assert_eq!(assignments.len(), 4);
-        let distinct: std::collections::HashSet<_> =
-            assignments.iter().map(|a| a.to_cube()).collect();
+        let distinct: std::collections::HashSet<_> = assignments.iter().collect();
         assert_eq!(distinct.len(), 4);
         for asg in &assignments {
             assert_eq!(asg.len(), 2);
-            assert_eq!(asg.value(c(1)), None);
+            assert_eq!(asg.polarity_of(c(1)), None);
         }
     }
 

@@ -10,8 +10,10 @@
 //!
 //! This crate provides:
 //!
-//! * the condition algebra ([`CondId`], [`Literal`], [`Cube`], [`Guard`],
-//!   [`Assignment`]) used for guards, path labels and schedule-table columns;
+//! * the condition algebra ([`CondId`], [`Literal`], [`Cube`], [`Guard`]):
+//!   one cube type serves as path label, schedule-table column and the
+//!   merge's partial condition assignment, and guards are disjunctions of
+//!   cubes;
 //! * the graph model itself ([`Cpg`], [`CpgBuilder`], [`Process`], [`Edge`])
 //!   with guard inference and structural validation;
 //! * communication expansion ([`expand_communications`]), which inserts a
@@ -66,7 +68,7 @@ mod tracks;
 
 pub mod examples;
 
-pub use cond::{all_assignments, Assignment, CondId, Cube, Guard, Literal, MAX_CONDITIONS};
+pub use cond::{all_assignments, CondId, Cube, Guard, Literal, MAX_CONDITIONS};
 pub use dot::to_dot;
 pub use edit::{EditError, EditScope, FrontierHasher, SystemEdit};
 pub use error::{BuildCpgError, ExpandError};

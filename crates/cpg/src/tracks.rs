@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::cond::{Assignment, CondId, Cube};
+use crate::cond::{CondId, Cube};
 use crate::graph::Cpg;
 use crate::process::ProcessId;
 
@@ -177,22 +177,15 @@ impl fmt::Display for TrackSet {
 #[must_use]
 pub fn enumerate_tracks(cpg: &Cpg) -> TrackSet {
     let mut tracks = Vec::new();
-    let mut assignment = Assignment::new();
-    explore(cpg, &mut assignment, &mut tracks);
+    explore(cpg, &mut Cube::top(), &mut tracks);
     TrackSet { tracks }
 }
 
-fn explore(cpg: &Cpg, assignment: &mut Assignment, out: &mut Vec<Track>) {
+fn explore(cpg: &Cpg, assignment: &mut Cube, out: &mut Vec<Track>) {
     // A disjunction process is pending when it is active under the current
     // partial assignment but its condition has not been assigned yet.
     let pending = cpg.conditions().find(|&cond| {
-        assignment.value(cond).is_none() && {
-            let disjunction = cpg.disjunction_of(cond);
-            cpg.guard(disjunction)
-                .cubes()
-                .iter()
-                .any(|cube| cube.satisfied_by(assignment))
-        }
+        !assignment.mentions(cond) && cpg.guard(cpg.disjunction_of(cond)).implied_by(assignment)
     });
 
     match pending {
@@ -201,10 +194,10 @@ fn explore(cpg: &Cpg, assignment: &mut Assignment, out: &mut Vec<Track>) {
             explore(cpg, assignment, out);
             assignment.assign(cond, false);
             explore(cpg, assignment, out);
-            assignment.unassign(cond);
+            *assignment = assignment.without(cond);
         }
         None => {
-            let label = assignment.to_cube();
+            let label = *assignment;
             let mut membership = vec![false; cpg.len()];
             let mut processes = Vec::new();
             for id in cpg.process_ids() {

@@ -1,10 +1,12 @@
-//! Property-based tests of the condition algebra (cubes, guards,
-//! assignments): the bitset implementation must agree with the semantic
-//! (truth-table) definitions of conjunction, implication and exclusion.
+//! Property-based tests of the condition algebra (cubes and guards): the
+//! bitset implementation must agree with the semantic (truth-table)
+//! definitions of conjunction, implication and exclusion. The truth table is
+//! evaluated by [`holds`], a literal-by-literal reference that uses none of
+//! the operations under test.
 
 use proptest::prelude::*;
 
-use cpg::{all_assignments, Assignment, CondId, Cube, Guard, Literal};
+use cpg::{CondId, Cube, Guard, Literal, MAX_CONDITIONS};
 
 const WIDTH: usize = 6;
 
@@ -27,10 +29,23 @@ fn cube_strategy() -> impl Strategy<Value = Cube> {
     })
 }
 
-/// All complete assignments over the conditions used by the strategies.
-fn universe() -> Vec<Assignment> {
-    let conditions: Vec<CondId> = (0..WIDTH).map(CondId::new).collect();
-    all_assignments(&conditions)
+/// All complete assignments over the conditions used by the strategies, as
+/// truth vectors: bit `i` is the value of condition `i`.
+fn universe() -> std::ops::Range<u64> {
+    0..1 << WIDTH
+}
+
+/// `true` when the truth vector satisfies every literal of the cube.
+fn holds(cube: &Cube, truth: u64) -> bool {
+    (0..MAX_CONDITIONS).all(|i| {
+        cube.polarity_of(CondId::new(i))
+            .is_none_or(|value| value == (truth >> i & 1 == 1))
+    })
+}
+
+/// `true` when the truth vector satisfies some cube of the guard.
+fn guard_holds(guard: &Guard, truth: u64) -> bool {
+    guard.cubes().iter().any(|cube| holds(cube, truth))
 }
 
 proptest! {
@@ -46,17 +61,17 @@ proptest! {
     fn conjunction_matches_truth_table_semantics(a in cube_strategy(), b in cube_strategy()) {
         match a.and_cube(&b) {
             Some(joined) => {
-                for assignment in universe() {
+                for truth in universe() {
                     prop_assert_eq!(
-                        joined.satisfied_by(&assignment),
-                        a.satisfied_by(&assignment) && b.satisfied_by(&assignment)
+                        holds(&joined, truth),
+                        holds(&a, truth) && holds(&b, truth)
                     );
                 }
             }
             None => {
                 // Contradiction: no assignment satisfies both.
-                for assignment in universe() {
-                    prop_assert!(!(a.satisfied_by(&assignment) && b.satisfied_by(&assignment)));
+                for truth in universe() {
+                    prop_assert!(!(holds(&a, truth) && holds(&b, truth)));
                 }
             }
         }
@@ -66,8 +81,7 @@ proptest! {
     fn implication_matches_semantic_entailment(a in cube_strategy(), b in cube_strategy()) {
         let syntactic = a.implies(&b);
         let semantic = universe()
-            .iter()
-            .all(|assignment| !a.satisfied_by(assignment) || b.satisfied_by(assignment));
+            .all(|truth| !holds(&a, truth) || holds(&b, truth));
         prop_assert_eq!(syntactic, semantic);
     }
 
@@ -75,8 +89,7 @@ proptest! {
     fn exclusion_matches_unsatisfiable_conjunction(a in cube_strategy(), b in cube_strategy()) {
         let syntactic = a.excludes(&b);
         let semantic = universe()
-            .iter()
-            .all(|assignment| !(a.satisfied_by(assignment) && b.satisfied_by(assignment)));
+            .all(|truth| !(holds(&a, truth) && holds(&b, truth)));
         prop_assert_eq!(syntactic, semantic);
         prop_assert_eq!(a.excludes(&b), b.excludes(&a));
         prop_assert_eq!(a.compatible(&b), !a.excludes(&b));
@@ -123,20 +136,33 @@ proptest! {
     }
 
     #[test]
-    fn assignment_round_trips_through_cube(cube in cube_strategy()) {
-        let assignment = Assignment::from_cube(&cube);
-        prop_assert_eq!(assignment.to_cube(), cube);
-        prop_assert!(cube.satisfied_by(&assignment));
-        prop_assert!(cube.consistent_with(&assignment));
-        prop_assert_eq!(assignment.len(), cube.len());
+    fn assignment_round_trips_through_cube(cube in cube_strategy(), lit in literal_strategy()) {
+        let mut rebuilt = Cube::top();
+        for each in cube.literals() {
+            rebuilt.assign(each.cond(), each.value());
+        }
+        prop_assert_eq!(rebuilt, cube);
+        // Assigning overwrites: the result is the cube without the
+        // condition, conjoined with the assigned literal.
+        let mut assigned = cube;
+        assigned.assign(lit.cond(), lit.value());
+        prop_assert_eq!(assigned.polarity_of(lit.cond()), Some(lit.value()));
+        for truth in universe() {
+            prop_assert_eq!(
+                holds(&assigned, truth),
+                holds(&cube.without(lit.cond()), truth)
+                    && (truth >> lit.cond().index() & 1 == 1) == lit.value()
+            );
+        }
+        prop_assert_eq!(assigned.without(lit.cond()), cube.without(lit.cond()));
     }
 
     #[test]
     fn guard_normalisation_preserves_semantics(cubes in proptest::collection::vec(cube_strategy(), 0..5)) {
         let guard = Guard::from_cubes(cubes.clone());
-        for assignment in universe() {
-            let raw = cubes.iter().any(|cube| cube.satisfied_by(&assignment));
-            prop_assert_eq!(guard.satisfied_by(&assignment), raw);
+        for truth in universe() {
+            let raw = cubes.iter().any(|cube| holds(cube, truth));
+            prop_assert_eq!(guard_holds(&guard, truth), raw);
         }
     }
 
@@ -149,8 +175,7 @@ proptest! {
         let gb = Guard::from_cubes(b);
         let syntactic = ga.implies(&gb);
         let semantic = universe()
-            .iter()
-            .all(|assignment| !ga.satisfied_by(assignment) || gb.satisfied_by(assignment));
+            .all(|truth| !guard_holds(&ga, truth) || guard_holds(&gb, truth));
         prop_assert_eq!(syntactic, semantic);
     }
 
@@ -162,14 +187,14 @@ proptest! {
         let guard = Guard::from_cubes(a);
         let anded = guard.and_cube(&cube);
         let ored = guard.or(&Guard::from_cube(cube));
-        for assignment in universe() {
+        for truth in universe() {
             prop_assert_eq!(
-                anded.satisfied_by(&assignment),
-                guard.satisfied_by(&assignment) && cube.satisfied_by(&assignment)
+                guard_holds(&anded, truth),
+                guard_holds(&guard, truth) && holds(&cube, truth)
             );
             prop_assert_eq!(
-                ored.satisfied_by(&assignment),
-                guard.satisfied_by(&assignment) || cube.satisfied_by(&assignment)
+                guard_holds(&ored, truth),
+                guard_holds(&guard, truth) || holds(&cube, truth)
             );
         }
     }

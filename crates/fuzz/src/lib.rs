@@ -17,7 +17,7 @@
 //! * [`oracle`] — the differential battery ([`run_oracles`]) of five
 //!   oracles: no-panic, typed input validation, the clone-based walk,
 //!   warm-vs-cold session replay and "simulates clean";
-//! * [`fuzz`] — the mutation loop ([`fuzz()`](fuzz::fuzz)) and the ddmin
+//! * [`fuzz`](mod@fuzz) — the mutation loop ([`fuzz()`](fuzz::fuzz)) and the ddmin
 //!   offender reducers;
 //! * [`corpus`] — the `key: value` on-disk format for banked workloads
 //!   (`tests/corpus/adversarial/`).

@@ -110,9 +110,10 @@ pub fn generate(config: &GeneratorConfig) -> GeneratedSystem {
 /// communication expansion, returning the architecture and the unexpanded
 /// graph (ordinary processes and dummies only).
 ///
-/// This is the substrate the mutation operators of [`crate::mutate`] replay
-/// through a fresh [`CpgBuilder`]: user processes keep their creation-order
-/// ids and the builder re-appends the dummy source/sink after them, so edits
+/// This is the substrate the mutation operators
+/// ([`WorkloadOp`](crate::WorkloadOp)) replay through a fresh
+/// [`CpgBuilder`]: user processes keep their creation-order ids and the
+/// builder re-appends the dummy source/sink after them, so edits
 /// expressed against the unexpanded graph are stable across
 /// re-materializations of the same workload.
 ///

@@ -201,8 +201,8 @@ pub struct Workload {
     /// Graph/architecture mutations, applied in order during materialization.
     pub ops: Vec<WorkloadOp>,
     /// Session edits to apply through a `MergeSession` after the initial
-    /// merge, resolved against the materialized system by [`session_edits`]
-    /// (Workload::session_edits).
+    /// merge, resolved against the materialized system by
+    /// [`session_edits`](Workload::session_edits).
     pub edits: Vec<EditOp>,
 }
 
@@ -467,15 +467,17 @@ impl Workload {
         join_tokens(self.edits.iter().map(ToString::to_string))
     }
 
-    /// Decodes a mutation sequence produced by [`encode_ops`]
-    /// (Workload::encode_ops). Returns `None` on the first malformed token.
+    /// Decodes a mutation sequence produced by
+    /// [`encode_ops`](Workload::encode_ops). Returns `None` on the first
+    /// malformed token.
     #[must_use]
     pub fn parse_ops(text: &str) -> Option<Vec<WorkloadOp>> {
         text.split_whitespace().map(WorkloadOp::parse).collect()
     }
 
-    /// Decodes an edit sequence produced by [`encode_edits`]
-    /// (Workload::encode_edits). Returns `None` on the first malformed token.
+    /// Decodes an edit sequence produced by
+    /// [`encode_edits`](Workload::encode_edits). Returns `None` on the first
+    /// malformed token.
     #[must_use]
     pub fn parse_edits(text: &str) -> Option<Vec<EditOp>> {
         text.split_whitespace().map(EditOp::parse).collect()

@@ -218,14 +218,6 @@ impl LockSet {
     }
 }
 
-impl Extend<(Job, Time)> for LockSet {
-    fn extend<I: IntoIterator<Item = (Job, Time)>>(&mut self, iter: I) {
-        for (job, time) in iter {
-            self.insert(job, time);
-        }
-    }
-}
-
 /// The precomputed scheduling context of one alternative path: dense job
 /// indices, adjacency, guard requirements and priorities, ready to run the
 /// serial schedule-generation scheme any number of times.
@@ -553,31 +545,19 @@ impl<'a> TrackContext<'a> {
     /// here.
     #[must_use]
     pub fn reschedule(&self, original: &PathSchedule, locks: &LockSet) -> PathSchedule {
-        self.reschedule_with(&mut RunScratch::new(), original, locks)
-    }
-
-    /// [`reschedule`](Self::reschedule) through a reusable scratch arena (see
-    /// [`schedule_with`](Self::schedule_with) for the arena contract).
-    #[must_use]
-    pub fn reschedule_with(
-        &self,
-        scratch: &mut RunScratch,
-        original: &PathSchedule,
-        locks: &LockSet,
-    ) -> PathSchedule {
         let mut out = PathSchedule::default();
-        self.reschedule_into(scratch, original, locks, &mut out);
+        self.reschedule_into(&mut RunScratch::new(), original, locks, &mut out);
         out
     }
 
-    /// [`reschedule`](Self::reschedule) that writes the result into `out`,
-    /// reusing its buffers in addition to the scratch arena's: callers that
+    /// [`reschedule`](Self::reschedule) through a reusable scratch arena (see
+    /// [`schedule_with`](Self::schedule_with) for the arena contract) that
+    /// writes the result into `out`, reusing its buffers too: callers that
     /// re-adjust schedules in a loop — the decision-tree walk of the merge
     /// algorithm — pool `PathSchedule`s and rebuild them in place, so the
     /// whole walk touches the allocator only until the pools are warm. The
     /// previous content of `out` is discarded; the rebuilt schedule is
-    /// bit-identical to what [`reschedule_with`](Self::reschedule_with)
-    /// returns.
+    /// bit-identical to what [`reschedule`](Self::reschedule) returns.
     pub fn reschedule_into(
         &self,
         scratch: &mut RunScratch,
@@ -946,7 +926,7 @@ mod tests {
             if let Some(sj) = original.jobs().iter().find(|sj| sj.pe().is_some()) {
                 locks.insert(sj.job(), sj.start() + Time::new(3));
             }
-            let fresh = ctx.reschedule_with(&mut RunScratch::new(), &original, &locks);
+            let fresh = ctx.reschedule(&original, &locks);
             // The pooled schedule is rebuilt in place across every track and
             // must match a freshly allocated one each time.
             ctx.reschedule_into(&mut scratch, &original, &locks, &mut pooled);

@@ -441,9 +441,12 @@ mod tests {
                     .iter()
                     .map(|(&job, &time)| (job, (time, None)))
                     .collect();
-                let mut lock_set = scheduler.empty_locks();
-                lock_set.extend(locks.iter().map(|(&job, &time)| (job, time)));
-                let fast_adj = ctx.reschedule_with(&mut scratch, &fast, &lock_set);
+                let mut lock_set = crate::LockSet::for_graph(cpg);
+                for (&job, &time) in &locks {
+                    lock_set.insert(job, time);
+                }
+                let mut fast_adj = PathSchedule::default();
+                ctx.reschedule_into(&mut scratch, &fast, &lock_set, &mut fast_adj);
                 let slow_adj = reschedule(cpg, arch, tau0, track, &slow, &pinned);
                 assert_eq!(fast_adj, slow_adj, "reschedule divergence");
             }

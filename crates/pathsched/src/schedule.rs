@@ -1,6 +1,5 @@
 //! The schedule of one alternative path.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use cpg::{CondId, Cpg, Cube};
@@ -280,13 +279,6 @@ impl PathSchedule {
         self.entry(job).is_some()
     }
 
-    /// The start times of all jobs as a map (useful for locking decisions in
-    /// the merge algorithm).
-    #[must_use]
-    pub fn start_times(&self) -> HashMap<Job, Time> {
-        self.jobs.iter().map(|j| (j.job(), j.start())).collect()
-    }
-
     /// The condition resolutions cached by the scheduler, sorted by
     /// `(time, condition)`: one `(condition, completion time of its
     /// disjunction process)` entry per condition determined on this path.
@@ -303,7 +295,7 @@ impl PathSchedule {
     }
 
     /// The locks that could not be honoured when this schedule was produced
-    /// by [`reschedule`](crate::ListScheduler::reschedule): jobs whose
+    /// by [`reschedule`](crate::TrackContext::reschedule): jobs whose
     /// activation time was fixed by the caller but whose data dependencies or
     /// guard conditions forced a later start. Empty for schedules built
     /// without locks and for well-formed merge inputs.
@@ -510,7 +502,6 @@ mod tests {
         assert_eq!(schedule.end(j), Some(Time::new(3)));
         assert!(schedule.contains(j));
         assert!(!schedule.contains(Job::Process(ProcessId::from_index(9))));
-        assert_eq!(schedule.start_times().len(), 1);
         assert!(schedule.to_string().contains("delay 3"));
     }
 }

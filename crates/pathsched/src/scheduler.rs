@@ -34,13 +34,10 @@
 //! [`RunScratch`](crate::RunScratch) arena through the runs so the per-call
 //! dense state is reused instead of reallocated.
 
-use std::collections::HashMap;
-
 use cpg::{Cpg, Track, TrackSet};
 use cpg_arch::{Architecture, Time};
 
-use crate::context::{GraphTables, LockSet, TrackContext};
-use crate::job::Job;
+use crate::context::{GraphTables, TrackContext};
 use crate::schedule::PathSchedule;
 use crate::scratch::RunScratch;
 
@@ -120,12 +117,6 @@ impl<'a> ListScheduler<'a> {
         )
     }
 
-    /// An empty [`LockSet`] sized for this scheduler's graph.
-    #[must_use]
-    pub fn empty_locks(&self) -> LockSet {
-        LockSet::for_graph(self.cpg)
-    }
-
     /// Schedules one alternative path with the partial-critical-path priority
     /// (longest remaining path to the sink first).
     #[must_use]
@@ -143,39 +134,13 @@ impl<'a> ListScheduler<'a> {
             .map(|t| self.context(t).schedule_with(&mut scratch))
             .collect()
     }
-
-    /// Re-schedules a path after some activation times have been fixed in the
-    /// schedule table (the *adjustment* step of the merge algorithm).
-    ///
-    /// Locked jobs keep exactly their fixed start time and, for condition
-    /// broadcasts, the bus `original` assigned to them; every other job moves
-    /// to the earliest moment allowed by data dependencies and resource
-    /// availability, and the relative priority (original activation order) of
-    /// unlocked jobs on each resource is preserved, as required by Section 5.1
-    /// of the paper. Locks that data dependencies push past their fixed time
-    /// are reported through [`PathSchedule::slipped_locks`]; locks for jobs
-    /// that are not part of `track` are ignored (processes of other
-    /// alternative paths never execute on this one).
-    ///
-    /// This convenience wrapper rebuilds the track context on every call;
-    /// repeated rescheduling should go through [`ListScheduler::context`] and
-    /// [`TrackContext::reschedule`].
-    #[must_use]
-    pub fn reschedule(
-        &self,
-        track: &Track,
-        original: &PathSchedule,
-        locks: &HashMap<Job, Time>,
-    ) -> PathSchedule {
-        let mut lock_set = self.empty_locks();
-        lock_set.extend(locks.iter().map(|(&job, &time)| (job, time)));
-        self.context(track).reschedule(original, &lock_set)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::LockSet;
+    use crate::job::Job;
     use cpg::{enumerate_tracks, examples, Cube};
 
     #[test]
@@ -305,10 +270,10 @@ mod tests {
         let decide = cpg.process_by_name("decide").unwrap();
         let original_start = original.start(Job::Process(decide)).unwrap();
         let locked_start = original_start + Time::new(3);
-        let mut locks = HashMap::new();
+        let mut locks = LockSet::for_graph(cpg);
         locks.insert(Job::Process(decide), locked_start);
 
-        let adjusted = scheduler.reschedule(track, &original, &locks);
+        let adjusted = scheduler.context(track).reschedule(&original, &locks);
         assert_eq!(adjusted.start(Job::Process(decide)), Some(locked_start));
         assert!(adjusted.slipped_locks().is_empty());
         // Everything still valid, possibly longer.
@@ -324,7 +289,9 @@ mod tests {
         let scheduler = ListScheduler::new(cpg, system.arch(), system.broadcast_time());
         for track in tracks.iter() {
             let original = scheduler.schedule_track(track);
-            let again = scheduler.reschedule(track, &original, &HashMap::new());
+            let again = scheduler
+                .context(track)
+                .reschedule(&original, &LockSet::for_graph(cpg));
             again.verify(cpg, system.arch()).unwrap();
             assert_eq!(again.delay(), original.delay());
         }
@@ -338,8 +305,11 @@ mod tests {
         let scheduler = ListScheduler::new(cpg, system.arch(), system.broadcast_time());
         for track in tracks.iter() {
             let original = scheduler.schedule_track(track);
-            let locks: HashMap<Job, Time> = original.start_times();
-            let adjusted = scheduler.reschedule(track, &original, &locks);
+            let mut locks = LockSet::for_graph(cpg);
+            for sj in original.jobs() {
+                locks.insert(sj.job(), sj.start());
+            }
+            let adjusted = scheduler.context(track).reschedule(&original, &locks);
             for sj in original.jobs() {
                 assert_eq!(adjusted.start(sj.job()), Some(sj.start()), "{}", sj.job());
             }
@@ -366,9 +336,9 @@ mod tests {
                     .is_some_and(|p| !cpg.process(p).kind().is_dummy() && sj.start() > Time::ZERO)
             })
             .unwrap();
-        let mut locks = HashMap::new();
+        let mut locks = LockSet::for_graph(cpg);
         locks.insert(victim.job(), victim.start() + Time::new(4));
-        let adjusted = scheduler.reschedule(track, &original, &locks);
+        let adjusted = scheduler.context(track).reschedule(&original, &locks);
         adjusted.verify(cpg, system.arch()).unwrap();
         assert_eq!(
             adjusted.start(victim.job()),
@@ -426,10 +396,10 @@ mod tests {
             })
             .expect("two simultaneous broadcasts must use both buses");
 
-        let mut locks = HashMap::new();
+        let mut locks = LockSet::for_graph(&cpg);
         let start = original.start(Job::Broadcast(cond)).unwrap();
         locks.insert(Job::Broadcast(cond), start);
-        let adjusted = scheduler.reschedule(track, &original, &locks);
+        let adjusted = scheduler.context(track).reschedule(&original, &locks);
         let entry = adjusted.entry(Job::Broadcast(cond)).unwrap();
         assert_eq!(entry.start(), start);
         assert_eq!(
@@ -451,7 +421,6 @@ mod tests {
         // fell back to the track-local bus, so a broadcast tabled on a
         // non-first bus migrated and could collide with the job legitimately
         // occupying its track-local bus at that time.
-        use crate::context::LockSet;
         use cpg::CpgBuilder;
         let arch = Architecture::builder()
             .processor("cpu0")
@@ -542,11 +511,11 @@ mod tests {
             })
             .expect("a schedulable process follows the disjunction");
 
-        let mut locks = HashMap::new();
+        let mut locks = LockSet::for_graph(cpg);
         locks.insert(Job::Process(decide), decide_start + Time::new(10));
         locks.insert(victim.job(), victim.start());
 
-        let adjusted = scheduler.reschedule(track, &original, &locks);
+        let adjusted = scheduler.context(track).reschedule(&original, &locks);
         assert_eq!(
             adjusted.start(Job::Process(decide)),
             Some(decide_start + Time::new(10))

@@ -30,7 +30,7 @@ use crate::schedule::SlippedLock;
 ///
 /// Build one with [`RunScratch::new`] (or `Default`), hand it to
 /// [`TrackContext::schedule_with`](crate::TrackContext::schedule_with) /
-/// [`TrackContext::reschedule_with`](crate::TrackContext::reschedule_with),
+/// [`TrackContext::reschedule_into`](crate::TrackContext::reschedule_into),
 /// and keep reusing it: every run resets the arena before touching it, so no
 /// state leaks from one run into the next and a reused arena produces
 /// bit-identical schedules to a fresh one.
@@ -167,8 +167,9 @@ mod tests {
             }) {
                 locks.insert(sj.job(), sj.start() + cpg_arch::Time::new(2));
             }
-            let fresh_adj = ctx.reschedule_with(&mut RunScratch::new(), &fresh, &locks);
-            let reused_adj = ctx.reschedule_with(&mut reused, &fresh, &locks);
+            let fresh_adj = ctx.reschedule(&fresh, &locks);
+            let mut reused_adj = crate::PathSchedule::default();
+            ctx.reschedule_into(&mut reused, &fresh, &locks, &mut reused_adj);
             assert_eq!(
                 fresh_adj,
                 reused_adj,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cpg::{Assignment, CondId, Cpg, Cube, ProcessId, Track, TrackSet};
+use cpg::{CondId, Cpg, Cube, ProcessId, Track, TrackSet};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 
@@ -25,8 +25,8 @@ struct Cell {
     resource: Option<PeId>,
 }
 
-/// The activation of a job applicable under a complete condition
-/// assignment, as resolved by [`ScheduleTable::activation`].
+/// The activation of a job applicable on an alternative path (a complete
+/// condition assignment), as resolved by [`ScheduleTable::activation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Activation {
     /// The tabled activation time.
@@ -329,25 +329,14 @@ impl ScheduleTable {
         }
     }
 
-    /// Grafts a column into the table: returns the insertion-order index of
-    /// the column headed by `column`, appending a fresh column past the
-    /// current column count when the cube is not tabled yet.
+    /// Replays the writes of a recorded chain ([`ChainLog`]) in write order
+    /// by re-issuing its [`ScheduleTable::set_on`] calls.
     ///
-    /// This is the renumbering primitive behind
-    /// [`splice_log`](ScheduleTable::splice_log): a retained column keeps its
-    /// index, a column the recorded chain created is appended at the next
-    /// free index, and because logs replay in their original write order
-    /// the relative order of spliced columns — and hence the serial entry
-    /// order inside every row — is preserved.
-    pub fn graft_column(&mut self, column: Cube) -> usize {
-        self.column_index_or_insert(column) as usize
-    }
-
-    /// Replays the writes of a recorded chain ([`ChainLog`]) in write order,
-    /// each column grafted by [`graft_column`](ScheduleTable::graft_column).
-    ///
-    /// Observably identical to the [`ScheduleTable::set_on`] calls the
-    /// chain made while it was recorded, one per write in order.
+    /// A column the table already holds keeps its index and a column the
+    /// chain created is appended at the next free index; because the writes
+    /// replay in their original order, the relative order of the spliced
+    /// columns, and hence the serial entry order inside every row, is the
+    /// recorded one.
     pub fn splice_log(&mut self, log: &ChainLog) {
         for write in &log.writes {
             self.set_on(write.job, write.column, write.time, write.resource);
@@ -457,58 +446,53 @@ impl ScheduleTable {
     }
 
     /// Calls `visit(column index, column, cell)` for every entry of `row`
-    /// whose column is satisfied by a complete condition assignment, in
-    /// column insertion order.
+    /// whose column is implied by the label `label`, in column insertion
+    /// order.
     #[inline]
-    fn for_each_satisfied(
-        row: &Row,
-        assignment: &Assignment,
-        mut visit: impl FnMut(u32, Cube, Cell),
-    ) {
+    fn for_each_satisfied(row: &Row, label: &Cube, mut visit: impl FnMut(u32, Cube, Cell)) {
         for &(key, column, cell) in &row.entries {
-            if column.satisfied_by(assignment) {
+            if label.implies(&column) {
                 visit(key, column, cell);
             }
         }
     }
 
-    /// The activation time applicable during an execution described by a
-    /// complete condition assignment: the entry of the row whose column
-    /// expression is satisfied by the assignment.
+    /// The activation time applicable on the alternative path labelled
+    /// `label` (any complete condition assignment of an execution): the
+    /// entry of the row whose column expression the label implies.
     ///
     /// When the table satisfies requirement 2 the applicable time is unique;
     /// if several satisfied columns carry *different* times, `None` is
     /// returned (callers that need to diagnose this use
     /// [`ScheduleTable::verify`]).
     #[must_use]
-    pub fn activation_time(&self, job: Job, assignment: &Assignment) -> Option<Time> {
+    pub fn activation_time(&self, job: Job, label: &Cube) -> Option<Time> {
         let mut time = None;
         let mut conflict = false;
-        Self::for_each_satisfied(self.row(job)?, assignment, |_, _, cell| {
+        Self::for_each_satisfied(self.row(job)?, label, |_, _, cell| {
             note_time(&mut time, &mut conflict, cell);
         });
         time.filter(|_| !conflict)
     }
 
-    /// The resource recorded for the activation of `job` applicable during an
-    /// execution described by a complete condition assignment: the provenance
-    /// of the most specific satisfied column that carries one.
+    /// The resource recorded for the activation of `job` applicable on the
+    /// path labelled `label`: the provenance of the most specific satisfied
+    /// column that carries one.
     ///
     /// This is the bus a locked condition broadcast must occupy when the
     /// tabled time is enforced on another path's schedule, and the resource
     /// the dispatcher/simulator charge the activation to.
     #[must_use]
-    pub fn activation_resource(&self, job: Job, assignment: &Assignment) -> Option<PeId> {
+    pub fn activation_resource(&self, job: Job, label: &Cube) -> Option<PeId> {
         let mut best = None;
-        Self::for_each_satisfied(self.row(job)?, assignment, |key, column, cell| {
+        Self::for_each_satisfied(self.row(job)?, label, |key, column, cell| {
             note_resource(&mut best, key, column, cell);
         });
         best.map(|(_, _, pe)| pe)
     }
 
     /// Everything a run-time scheduler needs about the activation of `job`
-    /// during an execution described by a complete condition assignment,
-    /// resolved in one pass over the row: the time of
+    /// on the path labelled `label`, resolved in one pass over the row: the time of
     /// [`ScheduleTable::activation_time`] (`None` exactly when that is), the
     /// column that selects it and the resource of
     /// [`ScheduleTable::activation_resource`].
@@ -516,12 +500,12 @@ impl ScheduleTable {
     /// The selecting column is the most specific satisfied column; among
     /// equally specific ones, the last in column-insertion order.
     #[must_use]
-    pub fn activation(&self, job: Job, assignment: &Assignment) -> Option<Activation> {
+    pub fn activation(&self, job: Job, label: &Cube) -> Option<Activation> {
         let mut time: Option<Time> = None;
         let mut conflict = false;
         let mut column: Option<(usize, u32, Cube)> = None;
         let mut resource = None;
-        Self::for_each_satisfied(self.row(job)?, assignment, |key, satisfied, cell| {
+        Self::for_each_satisfied(self.row(job)?, label, |key, satisfied, cell| {
             note_time(&mut time, &mut conflict, cell);
             let specificity = satisfied.len();
             if column.is_none_or(|(len, at, _)| (specificity, key) > (len, at)) {
@@ -571,27 +555,18 @@ impl ScheduleTable {
         fold.finish(wanted)
     }
 
-    /// The activation time applicable on the alternative path labelled
-    /// `label` (shorthand for [`ScheduleTable::activation_time`] with the
-    /// label converted to an assignment).
-    #[must_use]
-    pub fn activation_on_track(&self, job: Job, label: &Cube) -> Option<Time> {
-        self.activation_time(job, &Assignment::from_cube(label))
-    }
-
     /// The delay of the system on the alternative path labelled `label`: the
     /// latest completion time (activation + execution) over every process
     /// activated on that path according to this table.
     #[must_use]
     pub fn track_delay(&self, cpg: &Cpg, label: &Cube) -> Time {
-        let assignment = Assignment::from_cube(label);
         let mut delay = Time::ZERO;
         for job in self.jobs() {
             let Job::Process(pid) = job else { continue };
             if !cpg.guard(pid).implied_by(label) {
                 continue;
             }
-            if let Some(start) = self.activation_time(job, &assignment) {
+            if let Some(start) = self.activation_time(job, label) {
                 delay = delay.max(start + cpg.exec_time(pid));
             }
         }
@@ -957,7 +932,7 @@ mod tests {
         assert!(on.contains(&(col, Time::new(4), Some(bus1))));
         assert_eq!(table.all_entries_on().count(), 2);
         // The applicable resource follows the satisfied column.
-        let mut asg = Assignment::new();
+        let mut asg = Cube::top();
         asg.assign(c(1), true);
         assert_eq!(table.activation_resource(b, &asg), Some(bus1));
         asg.assign(c(1), false);
@@ -976,7 +951,7 @@ mod tests {
         table.set(p(14), dck, Time::new(24));
         table.set(p(14), dck_not, Time::new(35));
 
-        let mut asg = Assignment::new();
+        let mut asg = Cube::top();
         asg.assign(c(0), true);
         asg.assign(c(1), true);
         asg.assign(c(2), true);
@@ -992,7 +967,7 @@ mod tests {
         let mut table = ScheduleTable::new();
         table.set(p(3), Cube::from(c(0).is_true()), Time::new(5));
         table.set(p(3), Cube::from(c(1).is_true()), Time::new(9));
-        let mut asg = Assignment::new();
+        let mut asg = Cube::top();
         asg.assign(c(0), true);
         asg.assign(c(1), true);
         assert_eq!(table.activation_time(p(3), &asg), None);
@@ -1220,6 +1195,15 @@ mod tests {
         }
     }
 
+    /// Appends `column` to the column list (if absent) without changing any
+    /// row: a write to a job no test row uses, then its removal. Columns are
+    /// only ever appended, so the column stays.
+    fn add_column(table: &mut ScheduleTable, column: Cube) {
+        let outsider = p(PROCS);
+        table.set(outsider, column, Time::ZERO);
+        table.remove(outsider, &column);
+    }
+
     /// The hashed column index maps every column, and nothing else, to its
     /// position in the column list.
     fn column_index_is_current(table: &ScheduleTable) -> bool {
@@ -1253,8 +1237,9 @@ mod tests {
                         table.set_on(job, column, time, resource);
                     }
                     1 => {
-                        let index = table.graft_column(column);
-                        proptest::prop_assert_eq!(table.columns()[index], column);
+                        add_column(&mut table, column);
+                        let index = table.column_index(&column).expect("the column is tabled");
+                        proptest::prop_assert_eq!(table.columns()[index as usize], column);
                     }
                     2 => {
                         let existing = table.entries(job).next().map(|(column, _)| column);
@@ -1276,13 +1261,13 @@ mod tests {
             }
             // The index is derived data: a clone carries a current index and
             // compares equal, and so does a table that reaches the same
-            // columns and rows with every column grafted up front.
+            // columns and rows with every column added up front.
             let copy = table.clone();
             proptest::prop_assert!(column_index_is_current(&copy));
             proptest::prop_assert_eq!(&copy, &table);
             let mut rebuilt = ScheduleTable::new();
             for &column in table.columns() {
-                rebuilt.graft_column(column);
+                add_column(&mut rebuilt, column);
             }
             for (job, column, time, resource) in table.all_entries_on() {
                 rebuilt.set_on(job, column, time, resource);

@@ -415,18 +415,4 @@ mod tests {
         let replayed_order: Vec<_> = replayed.entries(p(2)).collect();
         assert_eq!(order, replayed_order);
     }
-
-    #[test]
-    fn graft_column_retains_and_renumbers() {
-        let mut table = ScheduleTable::new();
-        table.set(p(1), Cube::top(), Time::new(0));
-        table.set(p(1), cube_t(0), Time::new(1));
-        // Retained columns keep their index; a fresh cube is appended past
-        // the current bound.
-        assert_eq!(table.graft_column(Cube::top()), 0);
-        assert_eq!(table.graft_column(cube_t(0)), 1);
-        assert_eq!(table.graft_column(cube_t(1)), 2);
-        assert_eq!(table.graft_column(cube_t(1)), 2);
-        assert_eq!(table.num_columns(), 3);
-    }
 }

@@ -1,6 +1,6 @@
 //! Differential test of the batched table evaluation: for every job and
 //! every label, [`ScheduleTable::resolve_block`] must give exactly what the
-//! per-assignment [`ScheduleTable::activation`] gives, and
+//! per-label [`ScheduleTable::activation`] gives, and
 //! [`ScheduleTable::worst_case_delay`] must equal the largest
 //! [`ScheduleTable::track_delay`].
 //!
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use cpg::{enumerate_tracks, Assignment, CondId, Cube, ProcessId};
+use cpg::{enumerate_tracks, CondId, Cube, ProcessId};
 use cpg_arch::{PeId, Time};
 use cpg_gen::{generate, GeneratorConfig};
 use cpg_path_sched::Job;
@@ -94,10 +94,7 @@ fn equally_specific_columns_break_ties_like_activation() {
     let mut out = [ResolvedActivation::NONE; 1];
     assert_eq!(table.resolve_block(p, &block, 1, &mut out), 1);
     let resolved = out[0].to_activation(&table).expect("both columns agree");
-    assert_eq!(
-        Some(resolved),
-        table.activation(p, &Assignment::from_cube(&label))
-    );
+    assert_eq!(Some(resolved), table.activation(p, &label));
     assert_eq!(resolved.column, second);
     assert_eq!(resolved.resource, Some(PeId::from_index(1)));
 }
@@ -141,7 +138,7 @@ proptest! {
                 let found_some = table.resolve_block(job, &block, wanted, &mut some);
                 prop_assert_eq!(found_some, found_every & wanted);
                 for (t, label) in labels.iter().enumerate() {
-                    let expected = table.activation(job, &Assignment::from_cube(label));
+                    let expected = table.activation(job, label);
                     let actual = every[t].to_activation(&table);
                     prop_assert!(
                         actual == expected,

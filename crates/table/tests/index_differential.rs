@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use cpg::{Assignment, CondId, Cube, ProcessId};
+use cpg::{CondId, Cube, ProcessId};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::Job;
 use cpg_table::{Activation, RecordScratch, RecordingView, ScheduleTable};
@@ -266,7 +266,7 @@ proptest! {
         } else {
             build_table(&entries)
         };
-        let mut assignment = Assignment::new();
+        let mut assignment = Cube::top();
         for (index, value) in values.iter().enumerate() {
             assignment.assign(CondId::new(index), *value);
         }
@@ -276,7 +276,7 @@ proptest! {
             let mut expected: Option<(usize, PeId)> = None;
             let mut satisfied_times = Vec::new();
             for (column, time, resource) in table.entries_on(job) {
-                if !column.satisfied_by(&assignment) {
+                if !assignment.implies(&column) {
                     continue;
                 }
                 satisfied_times.push(time);
@@ -303,7 +303,7 @@ proptest! {
             let selecting = table
                 .entries(job)
                 .map(|(column, _)| column)
-                .filter(|column| column.satisfied_by(&assignment))
+                .filter(|column| assignment.implies(column))
                 .max_by_key(Cube::len)
                 .unwrap_or(Cube::top());
             let expected_activation = expected_time.map(|time| Activation {

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use cpg::{Assignment, CondId, Cube, ProcessId};
+use cpg::{CondId, Cube, ProcessId};
 use cpg_arch::Time;
 use cpg_path_sched::Job;
 use cpg_table::ScheduleTable;
@@ -121,14 +121,14 @@ proptest! {
         values in proptest::collection::vec(any::<bool>(), CONDS),
     ) {
         let table = build_table(&entries);
-        let mut assignment = Assignment::new();
+        let mut assignment = Cube::top();
         for (index, value) in values.iter().enumerate() {
             assignment.assign(CondId::new(index), *value);
         }
         for job in (0..PROCS).map(|i| Job::Process(ProcessId::from_index(i))) {
             let satisfied: Vec<Time> = table
                 .entries(job)
-                .filter(|(column, _)| column.satisfied_by(&assignment))
+                .filter(|(column, _)| assignment.implies(column))
                 .map(|(_, time)| time)
                 .collect();
             let expected = match satisfied.as_slice() {

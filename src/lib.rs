@@ -98,9 +98,8 @@ pub mod atm {
 /// The most commonly used items of every subsystem, for glob import.
 pub mod prelude {
     pub use cpg::{
-        enumerate_tracks, expand_communications, Assignment, BusPolicy, CondId, Cpg, CpgBuilder,
-        Cube, EditError, EditScope, Guard, Literal, ProcessId, ProcessKind, SystemEdit, Track,
-        TrackSet,
+        enumerate_tracks, expand_communications, BusPolicy, CondId, Cpg, CpgBuilder, Cube,
+        EditError, EditScope, Guard, Literal, ProcessId, ProcessKind, SystemEdit, Track, TrackSet,
     };
     pub use cpg_arch::{Architecture, PeId, PeKind, Time};
     pub use cpg_atm::{CpuModel, OamMode, OamPlatform};

@@ -246,7 +246,7 @@ proptest! {
         let table = result.table();
 
         for track in result.tracks().iter() {
-            let assignment = Assignment::from_cube(&track.label());
+            let label = track.label();
             let mut locks: HashMap<Job, (Time, Option<PeId>)> = HashMap::new();
             let jobs = track
                 .processes()
@@ -255,8 +255,8 @@ proptest! {
                 .map(|&p| Job::Process(p))
                 .chain(track.determined_conditions().map(Job::Broadcast));
             for job in jobs {
-                if let Some(time) = table.activation_time(job, &assignment) {
-                    let resource = table.activation_resource(job, &assignment);
+                if let Some(time) = table.activation_time(job, &label) {
+                    let resource = table.activation_resource(job, &label);
                     locks.insert(job, (time, resource));
                 }
             }

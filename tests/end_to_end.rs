@@ -96,7 +96,7 @@ fn table_activation_times_are_deterministic_per_scenario() {
             }
             let time = result
                 .table()
-                .activation_on_track(Job::Process(pid), &track.label());
+                .activation_time(Job::Process(pid), &track.label());
             assert!(
                 time.is_some(),
                 "{} has no activation on {}",
@@ -142,7 +142,7 @@ fn baseline_and_merged_tables_agree_on_unconditional_processes() {
     assert_eq!(
         merged
             .table()
-            .activation_on_track(Job::Process(decide), &merged.tracks().tracks()[0].label()),
+            .activation_time(Job::Process(decide), &merged.tracks().tracks()[0].label()),
         Some(Time::ZERO)
     );
 }

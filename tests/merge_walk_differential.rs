@@ -7,9 +7,9 @@
 //! `generate_schedule_table` is a fresh session's first merge, which
 //! records every chain through a `RecordingView` writing straight into the
 //! table and replays none (replays are covered by
-//! `tests/merge_session_differential.rs`). It shares one `Assignment` along
-//! the tree path and takes lock sets and `PathSchedule`s from pools, instead
-//! of cloning all three at every node.
+//! `tests/merge_session_differential.rs`). It shares one decided-conditions
+//! `Cube` along the tree path and takes lock sets and `PathSchedule`s from
+//! pools, instead of cloning all three at every node.
 //! None of that is allowed to change a single decision: the original
 //! recursion is kept behind the `test-util` feature
 //! (`generate_schedule_table_cloning`) and the produced `MergeResult` —
@@ -127,7 +127,7 @@ proptest! {
         config in config_strategy(),
     ) {
         // The back-step track re-selection is where the walk reads the
-        // shared `Assignment` after unassigning the deeper resolutions, so
+        // shared decided `Cube` after unassigning the deeper resolutions, so
         // exercise every policy that consumes it.
         let system = generate(&config);
         let cpg = system.cpg();

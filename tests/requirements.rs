@@ -78,7 +78,7 @@ fn requirement_3_every_true_guard_gets_an_activation() {
                 let applies = system.cpg().guard(pid).implied_by(&track.label());
                 let activation = result
                     .table()
-                    .activation_on_track(Job::Process(pid), &track.label());
+                    .activation_time(Job::Process(pid), &track.label());
                 if applies {
                     assert!(
                         activation.is_some(),
@@ -140,11 +140,11 @@ fn condition_values_are_broadcast_after_their_disjunction_process() {
             for cond in track.determined_conditions() {
                 let broadcast = result
                     .table()
-                    .activation_on_track(Job::Broadcast(cond), &track.label())
+                    .activation_time(Job::Broadcast(cond), &track.label())
                     .expect("every determined condition is broadcast");
                 let disjunction = result
                     .table()
-                    .activation_on_track(
+                    .activation_time(
                         Job::Process(system.cpg().disjunction_of(cond)),
                         &track.label(),
                     )

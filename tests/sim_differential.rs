@@ -1,7 +1,7 @@
 //! Differential test of the run-time simulator: every `SimulationReport` of
 //! `Simulator::run`, `Simulator::run_all` and `Simulator::run_each` must
 //! equal, violation order included, the report of the straightforward
-//! reference below — per-assignment row lookups, a hash map of completion
+//! reference below — per-label row lookups, a hash map of completion
 //! times, a per-run condition-knowledge map and an all-pairs
 //! resource-overlap scan. On the same tables, requirement 3 of
 //! `ScheduleTable::verify` must equal a track-by-track reference.
@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::mem::discriminant;
 
-use cpg::{Assignment, CondId, Cpg, Cube, TrackSet};
+use cpg::{CondId, Cpg, Cube, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
 use cpg_gen::{generate, paper_suite, GeneratorConfig};
 use cpg_merge::{generate_schedule_table, MergeConfig};
@@ -49,7 +49,6 @@ struct Reference<'a> {
 
 impl Reference<'_> {
     fn run(&self, label: &Cube) -> Observed {
-        let assignment = Assignment::from_cube(label);
         let mut violations = Vec::new();
 
         let mut activations: Vec<(Job, Time, Time)> = Vec::new();
@@ -67,7 +66,7 @@ impl Reference<'_> {
             }
         }
         for &job in &active {
-            match self.table.activation_time(job, &assignment) {
+            match self.table.activation_time(job, label) {
                 Some(start) => {
                     let end = start + self.duration_of(job);
                     completion.insert(job, end);
@@ -80,10 +79,10 @@ impl Reference<'_> {
 
         let known = self.condition_knowledge(label, &completion, needs_broadcast);
         for &(job, start, _) in &activations {
-            let Some(pe) = self.pe_of(job, &assignment) else {
+            let Some(pe) = self.pe_of(job, label) else {
                 continue;
             };
-            let column = self.selecting_column(job, &assignment);
+            let column = self.selecting_column(job, label);
             for lit in column.literals() {
                 let known_at = known.get(&(lit.cond(), pe)).copied();
                 if known_at.is_none_or(|k| k > start) {
@@ -123,8 +122,7 @@ impl Reference<'_> {
 
         for (i, &(a, a_start, a_end)) in activations.iter().enumerate() {
             for &(b, b_start, b_end) in activations.iter().skip(i + 1) {
-                let (Some(pa), Some(pb)) = (self.pe_of(a, &assignment), self.pe_of(b, &assignment))
-                else {
+                let (Some(pa), Some(pb)) = (self.pe_of(a, label), self.pe_of(b, label)) else {
                     continue;
                 };
                 if pa != pb || !self.arch.is_exclusive(pa) {
@@ -162,20 +160,20 @@ impl Reference<'_> {
         }
     }
 
-    fn pe_of(&self, job: Job, assignment: &Assignment) -> Option<PeId> {
+    fn pe_of(&self, job: Job, label: &Cube) -> Option<PeId> {
         match job {
             Job::Process(pid) => self.cpg.mapping(pid),
             Job::Broadcast(_) => self
                 .table
-                .activation_resource(job, assignment)
+                .activation_resource(job, label)
                 .or_else(|| self.arch.broadcast_buses().next()),
         }
     }
 
-    fn selecting_column(&self, job: Job, assignment: &Assignment) -> Cube {
+    fn selecting_column(&self, job: Job, label: &Cube) -> Cube {
         self.table
             .entries(job)
-            .filter(|(column, _)| column.satisfied_by(assignment))
+            .filter(|(column, _)| label.implies(column))
             .map(|(column, _)| column)
             .max_by_key(Cube::len)
             .unwrap_or(Cube::top())
@@ -280,12 +278,12 @@ fn corrupt(table: &ScheduleTable, corruption: &Corruption) -> ScheduleTable {
 }
 
 /// Requirement 3 of `ScheduleTable::verify`, track by track through the
-/// per-assignment `activation_time`: the `MissingActivation` violations in
+/// per-label `activation_time`: the `MissingActivation` violations in
 /// the order `verify` reports them.
 fn missing_activations(table: &ScheduleTable, cpg: &Cpg, tracks: &TrackSet) -> Vec<TableViolation> {
     let mut violations = Vec::new();
     for track in tracks.iter() {
-        let assignment = Assignment::from_cube(&track.label());
+        let label = track.label();
         let processes = track
             .processes()
             .iter()
@@ -296,7 +294,7 @@ fn missing_activations(table: &ScheduleTable, cpg: &Cpg, tracks: &TrackSet) -> V
             .map(Job::Broadcast)
             .filter(|&job| table.contains_job(job));
         for job in processes.chain(broadcasts) {
-            if table.activation_time(job, &assignment).is_none() {
+            if table.activation_time(job, &label).is_none() {
                 violations.push(TableViolation::MissingActivation {
                     job,
                     track: track.label(),

@@ -32,7 +32,6 @@ fn prelude_covers_the_arch_module() {
 #[test]
 fn prelude_covers_the_model_module() {
     assert_reexported_type!(
-        cps::prelude::Assignment = cps::model::Assignment,
         cps::prelude::BusPolicy = cps::model::BusPolicy,
         cps::prelude::CondId = cps::model::CondId,
         cps::prelude::Cpg = cps::model::Cpg,
