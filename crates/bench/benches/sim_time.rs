@@ -5,6 +5,8 @@
 //! * `verify/*` — requirements 1–3, `ScheduleTable::verify`;
 //! * `delay/*` — the guaranteed worst-case delay,
 //!   `ScheduleTable::worst_case_delay`;
+//! * `dispatch/*` — the split into per-processor dispatch tables,
+//!   `per_processor_dispatch`;
 //! * `pipeline/*` — expand → tracks → merge → verify → delay → simulate,
 //!   from the unexpanded graph to the simulated table.
 //!
@@ -15,7 +17,7 @@
 //! * `walk_40` — the depth-40 condition nest of `merge_walk/40`, whose
 //!   tables have the largest rows.
 //!
-//! Gated by `bench_guard` against `BENCH_12.json`.
+//! Gated by `bench_guard` against `BENCH_13.json`.
 
 #![forbid(unsafe_code)]
 
@@ -27,6 +29,7 @@ use cpg_merge::{
     generate_schedule_table, generate_schedule_table_for_tracks, MergeConfig, MergeResult,
 };
 use cpg_sim::Simulator;
+use cpg_table::per_processor_dispatch;
 
 /// The configurations of the two benchmarked systems.
 fn configs() -> [(&'static str, GeneratorConfig); 2] {
@@ -100,6 +103,15 @@ fn sim_time(c: &mut Criterion) {
                     .table()
                     .worst_case_delay(system.cpg(), result.tracks())
             });
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("dispatch");
+    group.sample_size(10);
+    for (name, system, result) in &systems {
+        group.bench_with_input(BenchmarkId::from_parameter(name), system, |b, system| {
+            b.iter(|| per_processor_dispatch(result.table(), system.cpg(), system.arch()));
         });
     }
     group.finish();

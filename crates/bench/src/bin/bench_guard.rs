@@ -3,12 +3,12 @@
 //!
 //! Compares a fresh criterion-shim measurement (the JSON-lines file produced
 //! by running `cargo bench` with `CRITERION_JSON=<path>`) against a committed
-//! baseline (`BENCH_12.json`) and fails when any gated median
+//! baseline (`BENCH_13.json`) and fails when any gated median
 //! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*`, `sim/*`,
-//! `verify/*`, `delay/*`, `pipeline/*` and `path_list_scheduling/*` —
-//! single-threaded, so their cost is core-count-independent)
-//! regresses by more than the allowed percentage; every other row is
-//! reported for information (see `GATED_PREFIXES`).
+//! `verify/*`, `delay/*`, `dispatch/*`, `pipeline/*` and
+//! `path_list_scheduling/*` — single-threaded, so their cost is
+//! core-count-independent) regresses by more than the allowed percentage;
+//! every other row is reported for information (see `GATED_PREFIXES`).
 //!
 //! A gated group must be *present* on both sides: a gated prefix with no row
 //! in the current measurement means the bench run was misconfigured, and one
@@ -43,7 +43,7 @@
 //! CRITERION_JSON=bench_current.json cargo bench --bench calibration \
 //!     --bench merge_time --bench path_schedule_time --bench sim_time
 //! cargo run --release -p cpg-bench --bin bench_guard -- \
-//!     --baseline BENCH_12.json --current bench_current.json
+//!     --baseline BENCH_13.json --current bench_current.json
 //! ```
 //!
 //! `--current` may be given several times, one file per bench run: the guard
@@ -69,7 +69,8 @@ use std::process::ExitCode;
 /// dominates), the incremental re-merge (`merge_rewalk/`, whose `warm/*`
 /// rows hold the session's cached-replay speedup and whose `cold/*` rows
 /// anchor the ratio), the run-time simulator (`sim/`), the table
-/// checks every merge is followed by (`verify/`, `delay/`), the whole
+/// checks every merge is followed by (`verify/`, `delay/`), the split into
+/// per-processor dispatch tables (`dispatch/`), the whole
 /// expand → tracks → merge → verify → delay → simulate pipeline
 /// (`pipeline/`) and the path scheduler (`path_list_scheduling/`, whose
 /// `all_tracks/*` rows build the graph tables and every track's context the
@@ -85,6 +86,7 @@ const GATED_PREFIXES: &[&str] = &[
     "sim/",
     "verify/",
     "delay/",
+    "dispatch/",
     "pipeline/",
     "path_list_scheduling/",
 ];
@@ -318,7 +320,7 @@ fn median_rows(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path = String::from("BENCH_12.json");
+    let mut baseline_path = String::from("BENCH_13.json");
     let mut current_paths = Vec::new();
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");
@@ -510,6 +512,7 @@ mod tests {
             ("sim/walk_40", 1500.0),
             ("verify/walk_40", 700.0),
             ("delay/walk_40", 600.0),
+            ("dispatch/walk_40", 400.0),
             ("pipeline/walk_40", 9000.0),
             ("schedule_merging/60x12", 500.0),
             ("path_list_scheduling/60", 300.0),

@@ -13,14 +13,18 @@
 //! * the actual delay of each execution, which must match the analytical
 //!   worst-case delay of the table.
 //!
-//! Runs go one block of up to 64 labels at a time: each job's row is
-//! scanned once per block ([`cpg_table::ScheduleTable::resolve_block`]
-//! gives its time, selecting column and recorded resource on every label of
-//! the block in one pass). Each label's checks are then linear in the jobs
-//! it executes, up to a sort: completion times sit in a dense vector
-//! indexed by job slot, and the exclusive-resource check sweeps each
-//! resource's activations in start order instead of testing every pair.
-//! A [`SimScratch`] arena carries the buffers across labels and calls.
+//! A run first gathers the graph and the architecture into dense tables
+//! indexed by job slot (durations, resources, an in-edge CSR, where each
+//! condition becomes known). It then goes one block of up to 64 labels at
+//! a time: each job's row is scanned once per block
+//! ([`cpg_table::ScheduleTable::resolve_block`] gives its time, selecting
+//! column and recorded resource on every label of the block in one pass).
+//! Each label's checks read only the tables and are linear in the jobs it
+//! executes, up to one integer sort of packed `(start, job slot)` keys; the
+//! exclusive-resource check groups the start-ordered activations by
+//! resource with a counting pass and sweeps each group instead of testing
+//! every pair. A [`SimScratch`] arena carries the buffers across labels and
+//! calls.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Execution of a schedule table by distributed run-time schedulers.
 
-use cpg::{CondId, Cpg, Cube, TrackSet};
+use cpg::{Cpg, Cube, Literal, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::Job;
 use cpg_table::{LabelBlock, ResolvedActivation, ScheduleTable};
@@ -21,25 +21,37 @@ use crate::report::{SimViolation, SimulationReport};
 /// # Cost
 ///
 /// [`run`](Simulator::run) and [`run_all`](Simulator::run_all) go through
-/// the one driver, [`run_each`](Simulator::run_each). It takes the labels
-/// one [`LabelBlock`] (up to 64 labels) at a time:
+/// the one driver, [`run_each`](Simulator::run_each). It works in three
+/// stages:
 ///
+/// * **dense job tables, once per call**: every job the run may activate
+///   gets a slot (processes first, then one broadcast per condition, so
+///   slot order is [`Job`] order) holding its duration and mapped resource,
+///   its in-edges as a slot-indexed CSR that carries each edge's literal (a
+///   broadcast has one edge, to its disjunction process), and per condition
+///   the disjunction slot, its processing element and the broadcast slot;
+///   the architecture contributes the exclusive flag of each element and
+///   the first broadcast bus;
 /// * **one pass over the rows per block**:
 ///   [`ScheduleTable::resolve_block`] resolves each job's activation time,
-///   selecting column and recorded resource on every label of the block on
-///   which the job is active, in a single scan of its row; whether a
-///   process's guard holds on a label is one bit of the block's masks;
-/// * **then per-track checks**, for each label in turn: completion times
-///   live in a dense vector indexed by job slot (processes first, then one
-///   broadcast slot per condition), so the moment a condition becomes known
-///   on a processing element is one slot read; the exclusive-resource check
-///   is one sweep per resource over its activations in start order, and the
-///   scan after a job stops at the first job starting once it has ended.
+///   selecting column and recorded resource on every label of a
+///   [`LabelBlock`] (up to 64 labels) on which the job is active, in a
+///   single scan of its row; whether a process's guard holds on a label is
+///   one bit of the block's masks;
+/// * **then per-label checks** that read only those tables, neither the
+///   graph nor the architecture: the activations are ordered by one
+///   integer sort of packed `(start, job slot)` keys; completion times live
+///   in a dense vector indexed by job slot, so the moment a condition
+///   becomes known on a processing element is one slot read; and the
+///   exclusive-resource check groups the start-ordered activations by
+///   resource with one counting pass, then sweeps each group once, the
+///   scan after a job stopping at the first job starting once it has ended.
 ///
 /// So one label over `n` active jobs costs `O(n log n)` plus the overlaps
-/// it reports, and the row scans are paid once per block instead of once per
-/// label. Every buffer lives in a [`SimScratch`] that
-/// [`run_each`](Simulator::run_each) reuses across labels and calls.
+/// it reports, the row scans are paid once per block instead of once per
+/// label, and the table gather once per call, `O(jobs + edges)`. Every
+/// buffer lives in a [`SimScratch`] that [`run_each`](Simulator::run_each)
+/// reuses across labels and calls.
 ///
 /// # Example
 ///
@@ -71,6 +83,52 @@ pub struct Simulator<'a> {
     needs_broadcast: bool,
 }
 
+/// "No slot": a condition's broadcast when no broadcasts are simulated, and
+/// the slot of a process that is not simulated (the dummy source and sink).
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where the value of one condition becomes known, by job slot.
+#[derive(Debug, Clone, Copy)]
+struct ConditionSlots {
+    /// The slot of the disjunction process computing the condition.
+    disjunction: u32,
+    /// The processing element the disjunction process is mapped to.
+    disjunction_pe: Option<PeId>,
+    /// The slot of the condition's broadcast, [`NO_SLOT`] without
+    /// broadcasts.
+    broadcast: u32,
+}
+
+/// The graph and architecture as the per-label checks read them, gathered
+/// once per [`Simulator::run_each`] call. Indexed by job slot unless noted.
+#[derive(Debug, Default)]
+struct JobTables {
+    /// The jobs a run may activate: every schedulable process, then one
+    /// broadcast per condition when broadcasts are needed.
+    jobs: Vec<Job>,
+    /// The duration of each job.
+    duration: Vec<Time>,
+    /// The processing element a process is mapped to (`None` for
+    /// broadcasts, whose bus depends on the selected table entry).
+    pe: Vec<Option<PeId>>,
+    /// `in_offsets[j]..in_offsets[j + 1]` are job `j`'s edges in
+    /// `in_edges`.
+    in_offsets: Vec<u32>,
+    /// `(predecessor slot, literal)` of each in-edge, in the graph's edge
+    /// order (`None` for simple edges); edges from unsimulated processes
+    /// are left out, they never complete.
+    in_edges: Vec<(u32, Option<Literal>)>,
+    /// Per condition, where its value becomes known.
+    conditions: Vec<ConditionSlots>,
+    /// By processing-element index, whether it executes one job at a time.
+    exclusive: Vec<bool>,
+    /// The bus of a broadcast whose table entry records none.
+    broadcast_bus: Option<PeId>,
+    /// By process index, its job slot ([`NO_SLOT`] when not simulated); only
+    /// used while gathering.
+    slot_of: Vec<u32>,
+}
+
 /// The reusable buffers of [`Simulator::run_each`], the same idiom as the
 /// path scheduler's `RunScratch`: hand one arena to every
 /// [`Simulator::run_each`] call and the runs allocate nothing once it has
@@ -98,23 +156,29 @@ pub struct Simulator<'a> {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// The jobs a run may activate: every schedulable process, then one
-    /// broadcast per condition when broadcasts are needed.
-    jobs: Vec<Job>,
-    /// Per job of `jobs`, the labels of the current block it is active on.
+    /// The dense tables of the current call.
+    tables: JobTables,
+    /// Per job slot, the labels of the current block it is active on.
     active: Vec<u64>,
-    /// Per job of `jobs`, its activations on the labels of the current
-    /// block: `stride` slots per job.
+    /// Per job slot, its activations on the labels of the current block:
+    /// `stride` slots per job.
     resolved: Vec<ResolvedActivation>,
     /// By job slot, the completion time of the current run's activation.
     completion: Vec<Option<Time>>,
     /// By job slot, the selecting column and recorded resource of the
     /// current run's activation (read only for activated jobs).
     selected: Vec<(Cube, Option<PeId>)>,
+    /// The current run's activations as packed `(start, job slot)` keys, in
+    /// activation order once sorted.
+    keys: Vec<u128>,
     /// By activation, the resource it occupies.
     resources: Vec<Option<PeId>>,
-    /// `(resource, activation)` of the activations on exclusive resources.
-    by_resource: Vec<(PeId, usize)>,
+    /// By processing-element index, where its group ends in `by_resource`
+    /// (one more entry, the total, while counting).
+    group_ends: Vec<u32>,
+    /// The activations on exclusive resources, grouped by resource, each
+    /// group in activation order.
+    by_resource: Vec<u32>,
     /// Overlapping activation pairs.
     pairs: Vec<(usize, usize)>,
     /// The report under construction.
@@ -127,6 +191,22 @@ impl SimScratch {
     pub fn new() -> Self {
         SimScratch::default()
     }
+}
+
+/// The sort key of an activation: start time above job slot, so ascending
+/// keys are ascending `(start, job)` and no two keys are equal.
+fn activation_key(start: Time, slot: usize) -> u128 {
+    u128::from(start.as_u64()) << 32 | slot as u128
+}
+
+/// The job slot of an [`activation_key`].
+fn key_slot(key: u128) -> usize {
+    (key as u32) as usize
+}
+
+/// The start time of an [`activation_key`].
+fn key_start(key: u128) -> Time {
+    Time::new((key >> 32) as u64)
 }
 
 impl<'a> Simulator<'a> {
@@ -186,10 +266,11 @@ impl<'a> Simulator<'a> {
 
     /// Executes the table once per label, in order, and hands
     /// `visit(index, report)` each report. This is the one driver behind
-    /// every entry point: it resolves each block of labels in one pass over
-    /// the rows, then runs the per-label checks. The report's buffers belong
-    /// to `scratch` and are reused by the next label; a visitor that keeps a
-    /// report takes it with [`std::mem::take`].
+    /// every entry point: it gathers the dense job tables, resolves each
+    /// block of labels in one pass over the rows, then runs the per-label
+    /// checks. The report's buffers belong to `scratch` and are reused by
+    /// the next label; a visitor that keeps a report takes it with
+    /// [`std::mem::take`].
     pub fn run_each(
         &self,
         labels: &[Cube],
@@ -199,28 +280,21 @@ impl<'a> Simulator<'a> {
         if labels.is_empty() {
             return;
         }
+        self.gather(&mut scratch.tables);
         let stride = labels.len().min(LabelBlock::WIDTH);
-        let slots = self.cpg.len() + self.cpg.num_conditions();
-        scratch.jobs.clear();
-        scratch
-            .jobs
-            .extend(self.cpg.schedulable_processes().map(Job::Process));
-        if self.needs_broadcast {
-            scratch.jobs.extend(
-                (0..self.cpg.num_conditions()).map(|cond| Job::Broadcast(CondId::new(cond))),
-            );
-        }
-        scratch.active.resize(scratch.jobs.len(), 0);
+        let slots = scratch.tables.jobs.len();
+        scratch.active.resize(slots, 0);
         scratch
             .resolved
-            .resize(scratch.jobs.len() * stride, ResolvedActivation::NONE);
+            .resize(slots * stride, ResolvedActivation::NONE);
         scratch.completion.clear();
         scratch.completion.resize(slots, None);
         scratch.selected.resize(slots, (Cube::top(), None));
+        scratch.group_ends.resize(self.arch.len() + 1, 0);
 
         for (first, chunk) in (0..).step_by(stride).zip(labels.chunks(stride)) {
             let block = LabelBlock::new(chunk);
-            for (j, &job) in scratch.jobs.iter().enumerate() {
+            for (j, &job) in scratch.tables.jobs.iter().enumerate() {
                 let active = match job {
                     Job::Process(pid) => block.holding(self.cpg.guard(pid)),
                     Job::Broadcast(cond) => block.mentioning(cond),
@@ -233,24 +307,99 @@ impl<'a> Simulator<'a> {
             }
             for (t, label) in chunk.iter().enumerate() {
                 self.run_resolved(label, t, stride, scratch);
-                for &(job, _, _) in &scratch.report.activations {
-                    scratch.completion[self.slot(job)] = None;
+                for &key in &scratch.keys {
+                    scratch.completion[key_slot(key)] = None;
                 }
                 visit(first + t, &mut scratch.report);
             }
         }
     }
 
+    /// Fills `tables` from the graph and the architecture.
+    fn gather(&self, tables: &mut JobTables) {
+        let JobTables {
+            jobs,
+            duration,
+            pe,
+            in_offsets,
+            in_edges,
+            conditions,
+            exclusive,
+            broadcast_bus,
+            slot_of,
+        } = tables;
+        let cpg = self.cpg;
+        jobs.clear();
+        jobs.extend(cpg.schedulable_processes().map(Job::Process));
+        let processes = jobs.len();
+        if self.needs_broadcast {
+            jobs.extend(cpg.conditions().map(Job::Broadcast));
+        }
+        slot_of.clear();
+        slot_of.resize(cpg.len(), NO_SLOT);
+        for (j, pid) in cpg.schedulable_processes().enumerate() {
+            slot_of[pid.index()] = j as u32;
+        }
+        conditions.clear();
+        conditions.extend(cpg.conditions().map(|cond| {
+            let disjunction = cpg.disjunction_of(cond);
+            ConditionSlots {
+                disjunction: slot_of[disjunction.index()],
+                disjunction_pe: cpg.mapping(disjunction),
+                broadcast: if self.needs_broadcast {
+                    (processes + cond.index()) as u32
+                } else {
+                    NO_SLOT
+                },
+            }
+        }));
+
+        duration.clear();
+        pe.clear();
+        in_offsets.clear();
+        in_edges.clear();
+        in_offsets.push(0);
+        for &job in jobs.iter() {
+            match job {
+                Job::Process(pid) => {
+                    duration.push(cpg.exec_time(pid));
+                    pe.push(cpg.mapping(pid));
+                    in_edges.extend(cpg.in_edges(pid).filter_map(|edge| {
+                        let from = slot_of[edge.from().index()];
+                        (from != NO_SLOT).then_some((from, edge.condition()))
+                    }));
+                }
+                Job::Broadcast(cond) => {
+                    duration.push(self.broadcast_time);
+                    pe.push(None);
+                    let from = conditions[cond.index()].disjunction;
+                    if from != NO_SLOT {
+                        in_edges.push((from, None));
+                    }
+                }
+            }
+            in_offsets.push(in_edges.len() as u32);
+        }
+
+        exclusive.clear();
+        exclusive.extend(self.arch.ids().map(|id| self.arch.is_exclusive(id)));
+        *broadcast_bus = self.arch.broadcast_buses().next();
+    }
+
     /// Executes the table on `label`, label `t` of the block whose
-    /// activations `scratch` holds, into `scratch.report`.
+    /// activations `scratch` holds, into `scratch.report`. Reads only the
+    /// gathered tables and the table's columns.
+    // lint: hot-path (one label's checks; every buffer is a reused SimScratch one)
     fn run_resolved(&self, label: &Cube, t: usize, stride: usize, scratch: &mut SimScratch) {
         let SimScratch {
-            jobs,
+            tables,
             active,
             resolved,
             completion,
             selected,
+            keys,
             resources,
+            group_ends,
             by_resource,
             pairs,
             report,
@@ -265,40 +414,63 @@ impl<'a> Simulator<'a> {
         // and the `(selecting column, recorded resource)` of each one the
         // table activates.
         let bit = 1u64 << t;
-        for (j, &job) in jobs.iter().enumerate() {
-            if active[j] & bit == 0 {
+        keys.clear();
+        for (j, &mask) in active.iter().enumerate() {
+            if mask & bit == 0 {
                 continue;
             }
             match resolved[j * stride + t].to_activation(self.table) {
                 Some(found) => {
-                    let end = found.time + self.duration_of(job);
-                    completion[self.slot(job)] = Some(end);
-                    selected[self.slot(job)] = (found.column, found.resource);
-                    activations.push((job, found.time, end));
+                    completion[j] = Some(found.time + tables.duration[j]);
+                    selected[j] = (found.column, found.resource);
+                    keys.push(activation_key(found.time, j));
                 }
-                None => violations.push(SimViolation::NoActivationTime { job }),
+                None => violations.push(SimViolation::NoActivationTime {
+                    job: tables.jobs[j],
+                }),
             }
         }
-        activations.sort_unstable_by_key(|&(job, start, _)| (start, job));
+        keys.sort_unstable();
         resources.clear();
-        resources.extend(
-            activations
-                .iter()
-                .map(|&(job, _, _)| self.pe_of(job, selected[self.slot(job)].1)),
-        );
+        for &key in keys.iter() {
+            let (j, start) = (key_slot(key), key_start(key));
+            activations.push((tables.jobs[j], start, start + tables.duration[j]));
+            // A broadcast occupies the bus recorded with its table entry
+            // (the bus the generating schedule used), falling back to the
+            // first broadcast bus for tables without provenance.
+            resources.push(match tables.jobs[j] {
+                Job::Process(_) => tables.pe[j],
+                Job::Broadcast(_) => selected[j].1.or(tables.broadcast_bus),
+            });
+        }
 
         // Requirement 4: the column that selected each activation only uses
-        // locally known condition values.
-        for (&(job, start, _), &pe) in activations.iter().zip(resources.iter()) {
+        // locally known condition values. A condition is known on the
+        // processing element of its disjunction process when that process
+        // completes, elsewhere when its broadcast completes; never when the
+        // label leaves it open.
+        for (&key, &pe) in keys.iter().zip(resources.iter()) {
             let Some(pe) = pe else {
                 continue;
             };
-            for lit in selected[self.slot(job)].0.literals() {
-                let known_at = self.known_at(label, completion, lit.cond(), pe);
+            let (j, start) = (key_slot(key), key_start(key));
+            for lit in selected[j].0.literals() {
+                let cond = lit.cond();
+                let known_at = if label.mentions(cond) {
+                    let at = tables.conditions[cond.index()];
+                    let from = if at.broadcast != NO_SLOT && at.disjunction_pe != Some(pe) {
+                        at.broadcast
+                    } else {
+                        at.disjunction
+                    };
+                    completion.get(from as usize).copied().flatten()
+                } else {
+                    None
+                };
                 if known_at.is_none_or(|k| k > start) {
                     violations.push(SimViolation::ConditionNotKnownLocally {
-                        job,
-                        condition: lit.cond(),
+                        job: tables.jobs[j],
+                        condition: cond,
                         activation: start,
                         known_at,
                     });
@@ -308,33 +480,36 @@ impl<'a> Simulator<'a> {
 
         // Data dependencies: inputs that flow on this execution must have
         // arrived before the activation time.
-        for &(job, start, _) in activations.iter() {
-            let mut check = |predecessor: Job| {
-                if let Some(arrives) = completion[self.slot(predecessor)] {
+        for &key in keys.iter() {
+            let (j, start) = (key_slot(key), key_start(key));
+            let edges =
+                &tables.in_edges[tables.in_offsets[j] as usize..tables.in_offsets[j + 1] as usize];
+            for &(from, literal) in edges {
+                if !literal.is_none_or(|lit| label.contains(lit)) {
+                    continue;
+                }
+                if let Some(arrives) = completion[from as usize] {
                     if arrives > start {
                         violations.push(SimViolation::InputNotArrived {
-                            job,
-                            predecessor,
+                            job: tables.jobs[j],
+                            predecessor: tables.jobs[from as usize],
                             activation: start,
                             arrives,
                         });
                     }
                 }
-            };
-            match job {
-                // Broadcasts depend on their disjunction process.
-                Job::Broadcast(cond) => check(Job::Process(self.cpg.disjunction_of(cond))),
-                Job::Process(pid) => {
-                    for edge in self.cpg.in_edges(pid) {
-                        if edge.condition().is_none_or(|lit| label.contains(lit)) {
-                            check(Job::Process(edge.from()));
-                        }
-                    }
-                }
             }
         }
 
-        self.push_overlaps(activations, resources, by_resource, pairs, violations);
+        push_overlaps(
+            activations,
+            resources,
+            &tables.exclusive,
+            group_ends,
+            by_resource,
+            pairs,
+            violations,
+        );
 
         report.delay = activations
             .iter()
@@ -343,105 +518,78 @@ impl<'a> Simulator<'a> {
             .max()
             .unwrap_or(Time::ZERO);
     }
+}
 
-    fn duration_of(&self, job: Job) -> Time {
-        match job {
-            Job::Process(pid) => self.cpg.exec_time(pid),
-            Job::Broadcast(_) => self.broadcast_time,
+/// Exclusive resources execute one job at a time. `activations` is sorted
+/// by `(start, job)`, `resources[i]` is the resource of activation `i` and
+/// `exclusive[pe]` whether resource `pe` is exclusive. A counting pass
+/// groups the activations on exclusive resources by resource, each group
+/// in activation order, and each group is swept once; the scan after
+/// activation `a` stops at the first one starting no earlier than `a`
+/// ends. A zero-duration job overlaps nothing. Overlaps are reported in
+/// `(a, b)` activation-index order.
+// lint: hot-path (the resource sweep of run_resolved, on its buffers)
+fn push_overlaps(
+    activations: &[(Job, Time, Time)],
+    resources: &[Option<PeId>],
+    exclusive: &[bool],
+    group_ends: &mut [u32],
+    by_resource: &mut Vec<u32>,
+    pairs: &mut Vec<(usize, usize)>,
+    violations: &mut Vec<SimViolation>,
+) {
+    let swept = |pe: Option<PeId>| pe.filter(|pe| exclusive[pe.index()]);
+    // Count each resource's activations one slot up, so the prefix sums
+    // are the group starts; placing an activation then advances its
+    // group's cursor, which leaves `group_ends[pe]` at the group's end.
+    group_ends.fill(0);
+    for pe in resources.iter().filter_map(|&pe| swept(pe)) {
+        group_ends[pe.index() + 1] += 1;
+    }
+    let mut total = 0;
+    for end in group_ends.iter_mut() {
+        total += *end;
+        *end = total;
+    }
+    by_resource.clear();
+    by_resource.resize(total as usize, 0);
+    for (i, &pe) in resources.iter().enumerate() {
+        if let Some(pe) = swept(pe) {
+            let cursor = &mut group_ends[pe.index()];
+            by_resource[*cursor as usize] = i as u32;
+            *cursor += 1;
         }
     }
 
-    /// Graph-wide slot of a job: processes first, then one slot per
-    /// condition.
-    fn slot(&self, job: Job) -> usize {
-        match job {
-            Job::Process(pid) => pid.index(),
-            Job::Broadcast(cond) => self.cpg.len() + cond.index(),
-        }
-    }
-
-    /// The resource an activation occupies in this scenario: the mapping for
-    /// processes; for broadcasts the bus `recorded` with the applicable table
-    /// entry (the bus the generating schedule actually used), falling back to
-    /// the first broadcast bus for tables without provenance.
-    fn pe_of(&self, job: Job, recorded: Option<PeId>) -> Option<PeId> {
-        match job {
-            Job::Process(pid) => self.cpg.mapping(pid),
-            Job::Broadcast(_) => recorded.or_else(|| self.arch.broadcast_buses().next()),
-        }
-    }
-
-    /// The moment the value of `cond` becomes known on `pe`: on the
-    /// processing element of the disjunction process at its completion,
-    /// elsewhere when the broadcast completes — never without a broadcast.
-    /// `None` for a condition the label does not mention.
-    fn known_at(
-        &self,
-        label: &Cube,
-        completion: &[Option<Time>],
-        cond: CondId,
-        pe: PeId,
-    ) -> Option<Time> {
-        if !label.mentions(cond) {
-            return None;
-        }
-        let disjunction = self.cpg.disjunction_of(cond);
-        if self.needs_broadcast && self.cpg.mapping(disjunction) != Some(pe) {
-            completion[self.slot(Job::Broadcast(cond))]
-        } else {
-            completion[self.slot(Job::Process(disjunction))]
-        }
-    }
-
-    /// Exclusive resources execute one job at a time. `activations` is
-    /// sorted by `(start, job)` and `resources[i]` is the resource of
-    /// activation `i`. Each exclusive resource is swept once over its
-    /// activations; the scan after activation `a` stops at the first one
-    /// starting no earlier than `a` ends. A zero-duration job overlaps
-    /// nothing. Overlaps are reported in `(a, b)` activation-index order.
-    fn push_overlaps(
-        &self,
-        activations: &[(Job, Time, Time)],
-        resources: &[Option<PeId>],
-        by_resource: &mut Vec<(PeId, usize)>,
-        pairs: &mut Vec<(usize, usize)>,
-        violations: &mut Vec<SimViolation>,
-    ) {
-        by_resource.clear();
-        by_resource.extend(
-            resources
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &pe)| Some((pe.filter(|&pe| self.arch.is_exclusive(pe))?, i))),
-        );
-        by_resource.sort_unstable();
-        pairs.clear();
-        for run in by_resource.chunk_by(|x, y| x.0 == y.0) {
-            for (k, &(_, a)) in run.iter().enumerate() {
-                let (_, a_start, a_end) = activations[a];
-                if a_end == a_start {
-                    continue;
+    pairs.clear();
+    let mut group_start = 0;
+    for &end in &group_ends[..group_ends.len() - 1] {
+        let run = &by_resource[group_start..end as usize];
+        group_start = end as usize;
+        for (k, &a) in run.iter().enumerate() {
+            let (_, a_start, a_end) = activations[a as usize];
+            if a_end == a_start {
+                continue;
+            }
+            for &b in &run[k + 1..] {
+                let (_, b_start, b_end) = activations[b as usize];
+                if b_start >= a_end {
+                    break;
                 }
-                for &(_, b) in &run[k + 1..] {
-                    let (_, b_start, b_end) = activations[b];
-                    if b_start >= a_end {
-                        break;
-                    }
-                    // `b_start >= a_start` by the sort, so a non-empty `b`
-                    // starting before `a` ends overlaps it.
-                    if b_end > b_start {
-                        pairs.push((a, b));
-                    }
+                // `b_start >= a_start` by the order, so a non-empty `b`
+                // starting before `a` ends overlaps it.
+                if b_end > b_start {
+                    pairs.push((a as usize, b as usize));
                 }
             }
         }
-        pairs.sort_unstable();
-        violations.extend(pairs.iter().map(|&(a, b)| SimViolation::ResourceOverlap {
-            pe: resources[a].expect("swept activations have a resource"),
-            first: activations[a].0,
-            second: activations[b].0,
-        }));
     }
+    pairs.sort_unstable();
+    violations.extend(pairs.iter().map(|&(a, b)| SimViolation::ResourceOverlap {
+        pe: resources[a].expect("swept activations have a resource"),
+        first: activations[a].0,
+        second: activations[b].0,
+    }));
 }
 
 #[cfg(test)]

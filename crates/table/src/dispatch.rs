@@ -132,6 +132,10 @@ impl DispatchTable {
 /// provenance. Every entry of the schedule table appears in exactly one
 /// dispatch table; processing elements with no work get an empty dispatch
 /// table so that code can be emitted for every resource uniformly.
+///
+/// Each dispatch table is ordered by `(start, job, column length)`, ties
+/// kept in [`ScheduleTable::all_entries_on`] order: one unstable sort of a
+/// packed integer key per entry.
 #[must_use]
 pub fn per_processor_dispatch(
     table: &ScheduleTable,
@@ -156,12 +160,80 @@ pub fn per_processor_dispatch(
             .entries
             .push(DispatchEntry { job, column, start });
     }
+    let key = DispatchKey::new(cpg, table.num_entries());
+    let mut keys = Vec::new();
     for table in &mut dispatch {
-        table
-            .entries
-            .sort_by_key(|e| (e.start, e.job, e.column.len()));
+        let entries = &table.entries;
+        keys.clear();
+        keys.extend(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(position, entry)| key.pack(entry, position)),
+        );
+        keys.sort_unstable();
+        table.entries = keys.iter().map(|&k| entries[key.position(k)]).collect();
     }
     dispatch
+}
+
+/// The sort key of a dispatch entry, packed into one `u128` from the most
+/// significant bit down: the start time (64 bits), the job's graph-wide
+/// slot (processes by index, then one broadcast per condition, so slot
+/// order is [`Job`] order), the column length (7 bits) and the entry's
+/// position in its processing element's list (which is
+/// [`ScheduleTable::all_entries_on`] order). The position makes every key
+/// unique, so an unstable sort gives the stable order.
+#[derive(Debug, Clone, Copy)]
+struct DispatchKey {
+    /// The slot of the first broadcast: the number of processes.
+    broadcasts: usize,
+    /// Bits of the position field.
+    position_bits: u32,
+}
+
+impl DispatchKey {
+    /// Bits of the column-length field: a cube has at most 64 literals.
+    const LEN_BITS: u32 = 7;
+
+    /// The layout for the jobs of `cpg` and at most `entries` entries per
+    /// processing element: the slot takes the bits its largest value
+    /// needs, the position every bit left below the start time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when slot and position do not fit next to each other in 57
+    /// bits, which needs far more jobs and entries than fit in memory.
+    fn new(cpg: &Cpg, entries: usize) -> Self {
+        let slots = cpg.len() + cpg.num_conditions();
+        let slot_bits = usize::BITS - slots.leading_zeros();
+        let position_bits = 64 - Self::LEN_BITS - slot_bits;
+        assert!(
+            (entries as u128) < 1 << position_bits,
+            "{entries} dispatch entries do not fit the sort key"
+        );
+        DispatchKey {
+            broadcasts: cpg.len(),
+            position_bits,
+        }
+    }
+
+    /// The key of the entry at `position` of its element's list.
+    fn pack(self, entry: &DispatchEntry, position: usize) -> u128 {
+        let slot = match entry.job {
+            Job::Process(pid) => pid.index(),
+            Job::Broadcast(cond) => self.broadcasts + cond.index(),
+        };
+        let low = ((slot as u64) << Self::LEN_BITS | entry.column.len() as u64)
+            << self.position_bits
+            | position as u64;
+        u128::from(entry.start.as_u64()) << 64 | u128::from(low)
+    }
+
+    /// The position field of a packed key.
+    fn position(self, key: u128) -> usize {
+        (key as u64 & ((1 << self.position_bits) - 1)) as usize
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +319,37 @@ mod tests {
         let dispatch = per_processor_dispatch(&table, system.cpg(), system.arch());
         assert!(dispatch.iter().all(DispatchTable::is_empty));
         let _ = ProcessId::from_index(0);
+    }
+
+    #[test]
+    fn start_times_beyond_32_bits_keep_their_order() {
+        let (system, mut table) = sample();
+        let cpg = system.cpg();
+        let c = system.condition("C").unwrap();
+        let decide = cpg.process_by_name("decide").unwrap();
+        let cold = cpg.process_by_name("cold").unwrap();
+        let beyond = u64::from(u32::MAX);
+        // `decide` and `cold` share cpu0: 2^32 + 1 must come after 3 and
+        // before 2^33, whatever their low 32 bits say.
+        table.set(Job::Process(decide), Cube::top(), Time::new(beyond + 2));
+        table.set(Job::Process(cold), Cube::from(c.is_false()), Time::new(3));
+        let far = Cube::from(c.is_true());
+        table.set(Job::Process(decide), far, Time::new(2 * beyond + 2));
+        let dispatch = per_processor_dispatch(&table, cpg, system.arch());
+        let cpu0 = system.arch().pe_by_name("cpu0").unwrap();
+        let order: Vec<(Job, u64)> = dispatch[cpu0.index()]
+            .entries()
+            .iter()
+            .map(|e| (e.job(), e.start().as_u64()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (Job::Process(cold), 3),
+                (Job::Process(decide), beyond + 2),
+                (Job::Process(decide), 2 * beyond + 2)
+            ]
+        );
     }
 
     #[test]

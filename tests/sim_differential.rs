@@ -8,7 +8,9 @@
 //!
 //! The inputs are the tables of the `paper_suite(40)` systems and six
 //! corrupted copies of each (entries shifted by ±4 time units or removed),
-//! so every kind of violation is exercised, not only the clean path.
+//! so every kind of violation is exercised, not only the clean path, plus
+//! copies whose times exceed `u32::MAX`, which pin the width of the
+//! simulator's activation keys.
 
 use std::collections::HashMap;
 use std::mem::discriminant;
@@ -463,4 +465,55 @@ fn known_verify_passing_overlap_witnesses_still_overlap() {
             .count();
         assert!(overlaps > 0, "config {index}: no resource overlap reported");
     }
+}
+
+/// A copy of `table` whose entry times are `t · 2³¹`, plus `2³²` on every
+/// third entry in `all_entries_on` order: the starts exceed `u32::MAX`, and
+/// their low 32 bits no longer order them.
+fn beyond_32_bits(table: &ScheduleTable) -> ScheduleTable {
+    let mut copy = table.clone();
+    for (i, (job, column, time, resource)) in table.all_entries_on().enumerate() {
+        let lift = if i % 3 == 0 { 1 << 32 } else { 0 };
+        copy.set_on(
+            job,
+            column,
+            Time::new((time.as_u64() << 31) + lift),
+            resource,
+        );
+    }
+    copy
+}
+
+#[test]
+fn simulator_matches_the_reference_beyond_32_bit_times() {
+    let mut scratch = SimScratch::new();
+    let mut beyond = 0usize;
+    for config in paper_suite(40).iter().step_by(9) {
+        let system = generate(config);
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let result = generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
+        let labels: Vec<Cube> = result.tracks().iter().map(|t| t.label()).collect();
+        let table = beyond_32_bits(result.table());
+        let simulator = Simulator::new(cpg, arch, &table, system.broadcast_time());
+        let reference = Reference {
+            cpg,
+            arch,
+            table: &table,
+            broadcast_time: system.broadcast_time(),
+        };
+        let mut each = Vec::new();
+        simulator.run_each(&labels, &mut scratch, |_, report| {
+            each.push(observed(report));
+        });
+        for (label, each) in labels.iter().zip(&each) {
+            let expected = reference.run(label);
+            assert_eq!(each, &expected, "seed {:#x}", config.seed());
+            beyond += expected
+                .activations
+                .iter()
+                .filter(|&&(_, start, _)| start.as_u64() > u64::from(u32::MAX))
+                .count();
+        }
+    }
+    assert!(beyond > 1_000, "only {beyond} activations beyond 32 bits");
 }
