@@ -539,11 +539,17 @@ impl WalkState {
 pub(crate) type Resolution = (CondId, bool, Time);
 
 impl MergeShared<'_> {
-    /// Re-schedules a track around the locked activation times, feeding every
-    /// slipped lock back through the Theorem-2 re-placement loop: the stale
-    /// intended time is dropped from the table, the job is re-placed at the
-    /// start it can actually achieve (or moved to a previously tabled time by
-    /// the conflict repair), the lock is updated, and the track is
+    /// Adjusts a track to the locked activation times (rule 3 of the paper's
+    /// table generation algorithm).
+    ///
+    /// When the track's optimal schedule already
+    /// [honours](PathSchedule::honours) every lock, it is the adjustment: no
+    /// schedule meeting the locks is shorter, and it cannot slip against
+    /// itself. Otherwise the track is re-scheduled around the locks, feeding
+    /// every slipped lock back through the Theorem-2 re-placement loop: the
+    /// stale intended time is dropped from the table, the job is re-placed at
+    /// the start it can actually achieve (or moved to a previously tabled
+    /// time by the conflict repair), the lock is updated, and the track is
     /// re-adjusted — until no lock slips or the round cap is reached.
     ///
     /// The adjusted schedule is rebuilt into `out` (previous content
@@ -558,12 +564,14 @@ impl MergeShared<'_> {
         decided: &Cube,
         out: &mut PathSchedule,
     ) {
-        self.contexts.get(track_idx).reschedule_into(
-            &mut state.scratch,
-            &self.optimal[track_idx],
-            locks,
-            out,
-        );
+        let optimal = &self.optimal[track_idx];
+        if optimal.honours(locks) {
+            out.clone_from(optimal);
+            return;
+        }
+        self.contexts
+            .get(track_idx)
+            .reschedule_into(&mut state.scratch, optimal, locks, out);
         // Mutation self-test hook: publish the stale intended times without
         // repairing the slip, so the table keeps activation times no
         // dispatcher can honour ([`judge`] drops their count too). The
@@ -587,12 +595,9 @@ impl MergeShared<'_> {
             if !progressed {
                 break;
             }
-            self.contexts.get(track_idx).reschedule_into(
-                &mut state.scratch,
-                &self.optimal[track_idx],
-                locks,
-                out,
-            );
+            self.contexts
+                .get(track_idx)
+                .reschedule_into(&mut state.scratch, optimal, locks, out);
             rounds += 1;
         }
     }
@@ -822,26 +827,16 @@ impl MergeShared<'_> {
                 let mut schedule = st.schedule_pool.pop().unwrap_or_default();
 
                 let mut view = rec.open(table);
-                match flipped {
-                    None => schedule.clone_from(&self.optimal[track_idx]),
-                    Some(condition) => {
-                        // The inherited locks and the adjustment read the
-                        // table through the chain's view, so a recorded
-                        // chain's log covers them and a replay revalidates
-                        // them.
-                        self.locks_from_table_into(
-                            &mut view, &mut fixed, track_idx, decided, condition,
-                        );
-                        self.adjust_into(
-                            st,
-                            &mut view,
-                            track_idx,
-                            &mut fixed,
-                            decided,
-                            &mut schedule,
-                        );
-                    }
+                // The inherited locks and the adjustment read the table
+                // through the chain's view, so a recorded chain's log covers
+                // them and a replay revalidates them. The root chain inherits
+                // no lock and so keeps the optimal schedule.
+                if let Some(condition) = flipped {
+                    self.locks_from_table_into(
+                        &mut view, &mut fixed, track_idx, decided, condition,
+                    );
                 }
+                self.adjust_into(st, &mut view, track_idx, &mut fixed, decided, &mut schedule);
                 // Place segment by segment; at each resolution the condition
                 // takes the value of the current path (no back-step). End of
                 // schedule: every condition of this path has been decided
@@ -1585,6 +1580,114 @@ pub(crate) mod tests {
                 &MergeConfig::new(system.broadcast_time()).with_selection(policy),
             );
         }
+    }
+
+    /// Adjusts track `track` of `cpg` through `adjust_into`, against an empty
+    /// table and with no condition decided, under the locks `lock` derives
+    /// from the track's optimal schedule. Returns the optimal schedule, the
+    /// adjustment, and what a plain reschedule makes of the same locks.
+    fn adjust_track(
+        cpg: &Cpg,
+        arch: &Architecture,
+        track: usize,
+        lock: impl FnOnce(&PathSchedule, &mut LockSet),
+    ) -> (PathSchedule, PathSchedule, PathSchedule) {
+        let config = MergeConfig::new(Time::new(1));
+        let tracks = enumerate_tracks(cpg);
+        let contexts = ContextCache::new(
+            ListScheduler::new(cpg, arch, config.broadcast_time()),
+            &tracks,
+        );
+        let optimal: Vec<PathSchedule> = (0..tracks.len())
+            .map(|idx| contexts.get(idx).schedule())
+            .collect();
+        let shared = MergeShared {
+            cpg,
+            config: &config,
+            contexts: &contexts,
+            tracks: &tracks,
+            optimal: &optimal,
+        };
+        let mut locks = LockSet::for_graph(cpg);
+        lock(&optimal[track], &mut locks);
+        let rescheduled = contexts.get(track).reschedule(&optimal[track], &locks);
+        let mut table = ScheduleTable::new();
+        let mut state = WalkState::new();
+        let mut view = RecordingView::new(&mut table, cpg_table::RecordScratch::default());
+        let mut adjusted = PathSchedule::default();
+        shared.adjust_into(
+            &mut state,
+            &mut view,
+            track,
+            &mut locks,
+            &Cube::top(),
+            &mut adjusted,
+        );
+        (optimal[track].clone(), adjusted, rescheduled)
+    }
+
+    #[test]
+    fn an_adjustment_keeps_the_optimal_schedule_when_it_honours_every_lock() {
+        let system = examples::diamond();
+        let cpg = system.cpg();
+        for track in 0..enumerate_tracks(cpg).len() {
+            let (optimal, adjusted, _) =
+                adjust_track(cpg, system.arch(), track, |optimal, locks| {
+                    for sj in optimal.jobs() {
+                        locks.insert_pinned(sj.job(), sj.start(), sj.pe());
+                    }
+                    // A lock on a job of the other path is ignored.
+                    let absent = cpg
+                        .schedulable_processes()
+                        .map(Job::Process)
+                        .find(|&job| !optimal.contains(job))
+                        .expect("the other branch is not on this path");
+                    locks.insert(absent, optimal.delay() + Time::new(3));
+                });
+            assert_eq!(adjusted, optimal);
+        }
+    }
+
+    #[test]
+    fn a_broadcast_pinned_to_another_bus_forces_a_reschedule() {
+        use cpg::CpgBuilder;
+        let arch = Architecture::builder()
+            .processor("cpu0")
+            .processor("cpu1")
+            .bus("bus0")
+            .bus("bus1")
+            .build()
+            .unwrap();
+        let cpu0 = arch.pe_by_name("cpu0").unwrap();
+        let cpu1 = arch.pe_by_name("cpu1").unwrap();
+        let mut b = CpgBuilder::new();
+        let c = b.condition("C");
+        let root = b.process("decide", Time::new(2), cpu0);
+        let hot = b.process("hot", Time::new(4), cpu1);
+        let cold = b.process("cold", Time::new(3), cpu0);
+        let join = b.process("join", Time::new(1), cpu0);
+        b.conditional_edge(root, hot, c.is_true(), Time::ZERO);
+        b.conditional_edge(root, cold, c.is_false(), Time::ZERO);
+        b.simple_edge(hot, join, Time::ZERO);
+        b.simple_edge(cold, join, Time::ZERO);
+        b.mark_conjunction(join);
+        let cpg = b.build(&arch).unwrap();
+
+        let broadcast = Job::Broadcast(c);
+        let mut pinned = None;
+        let (optimal, adjusted, rescheduled) = adjust_track(&cpg, &arch, 0, |optimal, locks| {
+            let entry = optimal.entry(broadcast).expect("the path broadcasts C");
+            // Same start, the other bus.
+            let other = arch
+                .broadcast_buses()
+                .find(|&bus| Some(bus) != entry.pe())
+                .unwrap();
+            pinned = Some(other);
+            locks.insert_pinned(broadcast, entry.start(), Some(other));
+        });
+        assert_ne!(adjusted, optimal);
+        assert_eq!(adjusted, rescheduled);
+        assert_eq!(adjusted.entry(broadcast).unwrap().pe(), pinned);
     }
 
     /// Places the first mapped process of the diamond's first optimal

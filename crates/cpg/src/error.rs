@@ -79,6 +79,12 @@ pub enum BuildCpgError {
         /// Name of the offending process.
         process: String,
     },
+    /// More conditions were declared than a graph supports (see
+    /// [`MAX_CONDITIONS`](crate::MAX_CONDITIONS)).
+    TooManyConditions {
+        /// The supported number of conditions.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for BuildCpgError {
@@ -130,6 +136,9 @@ impl fmt::Display for BuildCpgError {
             }
             BuildCpgError::UnsupportedGuard { process } => {
                 write!(f, "guard of process `{process}` has an unsupported shape")
+            }
+            BuildCpgError::TooManyConditions { limit } => {
+                write!(f, "a graph supports at most {limit} conditions")
             }
         }
     }

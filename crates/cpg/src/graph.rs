@@ -5,7 +5,7 @@ use std::fmt;
 
 use cpg_arch::{Architecture, PeId, Time};
 
-use crate::cond::{CondId, Cube, Guard, Literal};
+use crate::cond::{CondId, Cube, Guard, Literal, MAX_CONDITIONS};
 use crate::error::BuildCpgError;
 use crate::process::{Process, ProcessId, ProcessKind};
 
@@ -438,11 +438,33 @@ impl CpgBuilder {
     /// # Panics
     ///
     /// Panics if more than [`MAX_CONDITIONS`](crate::MAX_CONDITIONS)
-    /// conditions are declared.
+    /// conditions are declared; [`try_condition`](Self::try_condition)
+    /// returns the error instead.
     pub fn condition(&mut self, name: impl Into<String>) -> CondId {
-        let id = CondId::new(self.condition_names.len());
+        match self.try_condition(name) {
+            Ok(id) => id,
+            Err(err) => panic!("{err}"),
+        }
+    }
+
+    /// Declares a new condition and returns its identifier, or
+    /// [`BuildCpgError::TooManyConditions`] when
+    /// [`MAX_CONDITIONS`](crate::MAX_CONDITIONS) conditions are already
+    /// declared (the builder is then left unchanged).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildCpgError::TooManyConditions`] for the condition past
+    /// the limit.
+    pub fn try_condition(&mut self, name: impl Into<String>) -> Result<CondId, BuildCpgError> {
+        let index = self.condition_names.len();
+        if index >= MAX_CONDITIONS {
+            return Err(BuildCpgError::TooManyConditions {
+                limit: MAX_CONDITIONS,
+            });
+        }
         self.condition_names.push(name.into());
-        id
+        Ok(CondId::new(index))
     }
 
     /// Adds an ordinary process mapped to processing element `pe`.
@@ -886,6 +908,46 @@ mod tests {
 
     fn pe(arch: &Architecture, name: &str) -> PeId {
         arch.pe_by_name(name).unwrap()
+    }
+
+    #[test]
+    fn the_condition_past_the_limit_is_a_typed_error() {
+        let arch = arch();
+        let pe1 = pe(&arch, "pe1");
+        let mut b = Cpg::builder();
+        // A chain of MAX_CONDITIONS diamonds, each resolving its own condition.
+        let mut prev = b.process("start", Time::new(1), pe1);
+        for i in 0..MAX_CONDITIONS {
+            let c = b.try_condition(format!("c{i}")).unwrap();
+            assert_eq!(c.index(), i);
+            let hi = b.process(format!("hi{i}"), Time::new(1), pe1);
+            let lo = b.process(format!("lo{i}"), Time::new(1), pe1);
+            let join = b.process(format!("join{i}"), Time::new(1), pe1);
+            b.conditional_edge(prev, hi, c.is_true(), Time::ZERO);
+            b.conditional_edge(prev, lo, c.is_false(), Time::ZERO);
+            b.simple_edge(hi, join, Time::ZERO);
+            b.simple_edge(lo, join, Time::ZERO);
+            b.mark_conjunction(join);
+            prev = join;
+        }
+        assert_eq!(
+            b.try_condition("one too many"),
+            Err(BuildCpgError::TooManyConditions {
+                limit: MAX_CONDITIONS
+            })
+        );
+        // The refused condition left the builder unchanged.
+        let cpg = b.build(&arch).unwrap();
+        assert_eq!(cpg.num_conditions(), MAX_CONDITIONS);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 conditions")]
+    fn condition_panics_past_the_limit() {
+        let mut b = Cpg::builder();
+        for i in 0..=MAX_CONDITIONS {
+            b.condition(format!("c{i}"));
+        }
     }
 
     #[test]

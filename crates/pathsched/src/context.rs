@@ -543,6 +543,10 @@ impl<'a> TrackContext<'a> {
     /// this track are ignored: processes of other alternative paths never
     /// execute on this one, so their tabled times do not occupy resources
     /// here.
+    ///
+    /// When `original` already [honours](PathSchedule::honours) every lock,
+    /// it is the adjusted schedule with the least delay; the merge keeps it
+    /// and calls no reschedule.
     #[must_use]
     pub fn reschedule(&self, original: &PathSchedule, locks: &LockSet) -> PathSchedule {
         let mut out = PathSchedule::default();

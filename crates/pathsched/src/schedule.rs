@@ -5,6 +5,7 @@ use std::fmt;
 use cpg::{CondId, Cpg, Cube};
 use cpg_arch::{Architecture, PeId, Time};
 
+use crate::context::LockSet;
 use crate::job::{Job, ScheduledJob};
 
 /// Sentinel for "job not scheduled on this path" in the dense job-slot index.
@@ -302,6 +303,65 @@ impl PathSchedule {
     #[must_use]
     pub fn slipped_locks(&self) -> &[SlippedLock] {
         &self.slipped
+    }
+
+    /// `true` when this schedule already meets every lock of `locks`: each
+    /// locked job of the path starts at its locked time and, when the lock
+    /// pins a resource, occupies that resource. Locks on jobs that are not
+    /// part of this path are ignored, as
+    /// [`reschedule`](crate::TrackContext::reschedule) ignores them.
+    ///
+    /// The merge algorithm adjusts a track's optimal schedule to the locks
+    /// inherited from the schedule table; when the optimal schedule honours
+    /// them all, it is itself the adjusted schedule with the least delay, so
+    /// the merge keeps it and runs no reschedule.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cpg::{enumerate_tracks, examples};
+    /// use cpg_path_sched::{Job, ListScheduler, LockSet};
+    ///
+    /// let system = examples::diamond();
+    /// let cpg = system.cpg();
+    /// let tracks = enumerate_tracks(cpg);
+    /// let scheduler = ListScheduler::new(cpg, system.arch(), system.broadcast_time());
+    /// let schedule = scheduler.schedule_track(&tracks.tracks()[0]);
+    ///
+    /// // Every job locked at its own start and resource.
+    /// let mut locks = LockSet::for_graph(cpg);
+    /// for sj in schedule.jobs() {
+    ///     locks.insert_pinned(sj.job(), sj.start(), sj.pe());
+    /// }
+    /// assert!(schedule.honours(&locks));
+    ///
+    /// // A lock on the other branch's process is ignored.
+    /// let [hot, cold] = ["hot", "cold"].map(|name| Job::Process(cpg.process_by_name(name).unwrap()));
+    /// let absent = if schedule.contains(hot) { cold } else { hot };
+    /// locks.insert(absent, schedule.delay() + cpg_arch::Time::new(100));
+    /// assert!(schedule.honours(&locks));
+    ///
+    /// // A later time, or another resource, is not met.
+    /// let decide = Job::Process(cpg.process_by_name("decide").unwrap());
+    /// let entry = *schedule.entry(decide).unwrap();
+    /// locks.insert(decide, entry.start() + cpg_arch::Time::new(1));
+    /// assert!(!schedule.honours(&locks));
+    /// let cpu1 = system.arch().pe_by_name("cpu1").unwrap();
+    /// assert_ne!(entry.pe(), Some(cpu1));
+    /// locks.insert_pinned(decide, entry.start(), Some(cpu1));
+    /// assert!(!schedule.honours(&locks));
+    /// ```
+    #[must_use]
+    pub fn honours(&self, locks: &LockSet) -> bool {
+        self.jobs.iter().all(|sj| match locks.get(sj.job()) {
+            None => true,
+            Some(time) => {
+                time == sj.start()
+                    && locks
+                        .pinned_pe(sj.job())
+                        .is_none_or(|pe| sj.pe() == Some(pe))
+            }
+        })
     }
 
     /// The completion times of the disjunction processes executed on this

@@ -227,6 +227,37 @@ proptest! {
         }
     }
 
+    /// The merge keeps a track's optimal schedule as the adjustment whenever
+    /// that schedule honours every inherited lock. On generated systems this
+    /// is exactly what the reschedule returns: a random subset of each
+    /// track's jobs locked at their optimal start, pinned to their optimal
+    /// processor or bus, reproduces the optimal schedule.
+    #[test]
+    fn reschedule_under_locks_the_optimal_schedule_honours_returns_it(
+        config in config_strategy(),
+        lock_mask in any::<u64>(),
+    ) {
+        let system = generate(&config);
+        let cpg = system.cpg();
+        let scheduler = ListScheduler::new(cpg, system.arch(), system.broadcast_time());
+        for track in enumerate_tracks(cpg).iter() {
+            let ctx = scheduler.context(track);
+            let optimal = ctx.schedule();
+            let mut locks = LockSet::for_graph(cpg);
+            for (i, sj) in optimal.jobs().iter().enumerate() {
+                if lock_mask & (1 << (i % 64)) != 0 {
+                    locks.insert_pinned(sj.job(), sj.start(), sj.pe());
+                }
+            }
+            // Locks on other paths' processes are ignored by both.
+            for pid in cpg.schedulable_processes().filter(|&p| !track.contains(p)).take(3) {
+                locks.insert(Job::Process(pid), Time::ZERO);
+            }
+            prop_assert!(optimal.honours(&locks));
+            prop_assert_eq!(ctx.reschedule(&optimal, &locks), optimal);
+        }
+    }
+
     /// The post-merge invariant of the slip-correcting pipeline: replaying
     /// the final schedule table through the naive reference oracle — every
     /// job locked at its applicable tabled time, pinned to the resource
