@@ -17,7 +17,7 @@
 //! * `walk_40` — the depth-40 condition nest of `merge_walk/40`, whose
 //!   tables have the largest rows.
 //!
-//! Gated by `bench_guard` against `BENCH_14.json`.
+//! Gated by `bench_guard` against `BENCH_15.json`.
 
 #![forbid(unsafe_code)]
 

@@ -3,7 +3,7 @@
 //!
 //! Compares a fresh criterion-shim measurement (the JSON-lines file produced
 //! by running `cargo bench` with `CRITERION_JSON=<path>`) against a committed
-//! baseline (`BENCH_14.json`) and fails when any gated median
+//! baseline (`BENCH_15.json`) and fails when any gated median
 //! (`schedule_merging_serial/*`, `merge_walk/*`, `merge_rewalk/*`, `sim/*`,
 //! `verify/*`, `delay/*`, `dispatch/*`, `pipeline/*` and
 //! `path_list_scheduling/*` — single-threaded, so their cost is
@@ -43,7 +43,7 @@
 //! CRITERION_JSON=bench_current.json cargo bench --bench calibration \
 //!     --bench merge_time --bench path_schedule_time --bench sim_time
 //! cargo run --release -p cpg-bench --bin bench_guard -- \
-//!     --baseline BENCH_14.json --current bench_current.json
+//!     --baseline BENCH_15.json --current bench_current.json
 //! ```
 //!
 //! `--current` may be given several times, one file per bench run: the guard
@@ -320,7 +320,7 @@ fn median_rows(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path = String::from("BENCH_14.json");
+    let mut baseline_path = String::from("BENCH_15.json");
     let mut current_paths = Vec::new();
     let mut emit_path = None;
     let mut label = String::from("BENCH_CURRENT");

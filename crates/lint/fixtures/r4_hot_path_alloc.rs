@@ -9,15 +9,20 @@ fn unmarked_may_allocate() -> Vec<String> {
 // lint: hot-path
 fn hot_inner_loop(jobs: &[Job], out: &mut Vec<Entry>) {
     let scratch = Vec::new();
+    let sized: Vec<u32> = Vec::with_capacity(jobs.len());
+    let seeded = vec![0u32; jobs.len()];
     let copied = jobs.to_vec();
+    let ids: Vec<u32> = copied.iter().map(|job| job.id).collect();
     for job in &copied {
         out.push(Entry {
             job: job.clone(),
             label: format!("job {job:?}"),
-            note: "Vec::new in a string is fine",
+            note: "Vec::new, vec! and .collect() in a string are fine",
         });
     }
-    drop(scratch);
+    // Neither is `sized.extend(ids.iter().copied())` nor `myvec![]`.
+    let lookalike = myvec![ids.len()];
+    drop((scratch, sized, seeded, ids, lookalike));
 }
 
 // lint: hot-path (allocation-free — must produce no findings)

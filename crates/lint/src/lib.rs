@@ -15,8 +15,10 @@
 //!   depends on ambient process state.
 //! - **hot-path-alloc** — a function annotated with a marker comment (a
 //!   line comment whose text starts with `lint: hot-path`) must not call
-//!   `Vec::new`, `.to_vec()`, `.clone()` or `format!`: these are the
-//!   allocation-free inner loops of the decision-tree walk.
+//!   `Vec::new`, `Vec::with_capacity`, `vec!`, `.collect()`, `.to_vec()`,
+//!   `.clone()` or `format!`: these are the allocation-free inner loops of
+//!   the decision-tree walk, the list scheduler and the simulator, whose
+//!   buffers live in reused scratch arenas.
 //! - **bench-prefix** — every gated or memory-sensitive bench prefix named
 //!   in `bench_guard` matches a benchmark group that actually exists in
 //!   `crates/bench/benches/`, so the regression gate can never silently
@@ -545,6 +547,9 @@ pub fn check_recording_view_inline(
 
 const HOT_PATH_FORBIDDEN: &[(&str, &str)] = &[
     ("Vec::new", "allocates a fresh Vec"),
+    ("Vec::with_capacity", "allocates a fresh Vec"),
+    ("vec!", "allocates a fresh Vec"),
+    (".collect()", "collects into a fresh container"),
     (".to_vec()", "copies a slice into a fresh Vec"),
     (".clone()", "deep-clones"),
     ("format!", "allocates a String"),

@@ -84,12 +84,20 @@ fn env_reads_are_flagged_but_writes_and_strings_are_not() {
 #[test]
 fn hot_path_allocations_are_flagged_token_by_token() {
     let findings = check_hot_path("fixture.rs", &fixture("r4_hot_path_alloc.rs"));
-    assert_eq!(findings.len(), 4, "{findings:?}");
+    assert_eq!(findings.len(), 7, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RULE_HOT_PATH));
     assert!(findings
         .iter()
         .all(|f| f.message.contains("`hot_inner_loop`")));
-    for token in ["Vec::new", ".to_vec()", ".clone()", "format!"] {
+    for token in [
+        "Vec::new",
+        "Vec::with_capacity",
+        "vec!",
+        ".collect()",
+        ".to_vec()",
+        ".clone()",
+        "format!",
+    ] {
         assert_eq!(
             findings
                 .iter()

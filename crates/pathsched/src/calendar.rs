@@ -8,6 +8,12 @@ use cpg_arch::Time;
 /// periods rather than to the number of `reserve` calls. This matters for the
 /// adjustment step of the merge algorithm, which pre-reserves every locked
 /// job once per repair restart.
+///
+/// Both operations run once per committed job of every scheduler run, so
+/// neither allocates once the interval storage has grown: `earliest_fit`
+/// only reads, and `reserve` edits the list in place (it overwrites the one
+/// interval it merges with, inserts a new one, or overwrites the first of
+/// several merged intervals and drains the rest).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Calendar {
     /// Reserved `[start, end)` intervals, sorted by start, pairwise disjoint.
@@ -21,6 +27,7 @@ impl Calendar {
     /// The scan starts at the first interval ending after `after`: an
     /// interval ending at or before `after` can neither block the candidate
     /// nor push it later.
+    // lint: hot-path (one fit per placement candidate of every committed job)
     pub(crate) fn earliest_fit(&self, after: Time, duration: Time) -> Time {
         let mut candidate = after;
         let first = self.intervals.partition_point(|&(_, end)| end <= after);
@@ -44,6 +51,7 @@ impl Calendar {
 
     /// Reserves `[start, start + duration)`, merging with any overlapping or
     /// touching intervals already present.
+    // lint: hot-path (one reservation per committed job on an exclusive resource)
     pub(crate) fn reserve(&mut self, start: Time, duration: Time) {
         if duration.is_zero() {
             return;
@@ -59,7 +67,15 @@ impl Calendar {
             new_end = new_end.max(self.intervals[hi].1);
             hi += 1;
         }
-        self.intervals.splice(lo..hi, [(new_start, new_end)]);
+        let merged = (new_start, new_end);
+        if hi == lo {
+            self.intervals.insert(lo, merged);
+        } else {
+            self.intervals[lo] = merged;
+            if hi > lo + 1 {
+                self.intervals.drain(lo + 1..hi);
+            }
+        }
     }
 
     /// Number of distinct busy periods currently reserved.
@@ -195,6 +211,45 @@ mod tests {
                     "calendar {:?}, after {after:?}, duration {duration:?}",
                     cal.intervals
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reserve_keeps_the_maximal_runs_of_reserved_units() {
+        // Reference: a bitmap of reserved time units, whose maximal runs are
+        // exactly the coalesced intervals (touching reservations merge).
+        let mut state = 0x0ca1_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..500 {
+            let mut cal = Calendar::default();
+            let mut reserved = [false; 80];
+            for _ in 0..next(16) {
+                let (start, duration) = (next(64), next(12));
+                cal.reserve(t(start), t(duration));
+                for unit in start..start + duration {
+                    reserved[unit as usize] = true;
+                }
+                let mut runs = Vec::new();
+                let mut unit = 0;
+                while unit < reserved.len() {
+                    if reserved[unit] {
+                        let from = unit;
+                        while unit < reserved.len() && reserved[unit] {
+                            unit += 1;
+                        }
+                        runs.push((t(from as u64), t(unit as u64)));
+                    } else {
+                        unit += 1;
+                    }
+                }
+                assert_eq!(cal.intervals, runs);
             }
         }
     }

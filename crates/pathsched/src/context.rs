@@ -24,8 +24,6 @@
 //! * locked activation times are passed as a dense [`LockSet`], cheap to
 //!   clone along the decision tree of the merge algorithm.
 
-use std::cmp::Reverse;
-
 use cpg::{CondId, Cpg, Cube, Literal, ProcessId, Track};
 use cpg_arch::{Architecture, PeId, Time};
 
@@ -276,6 +274,28 @@ pub struct TrackContext<'a> {
     /// condition-knowledge times attached to every produced schedule.
     computers: Vec<(u32, CondId)>,
     sink_dense: u32,
+    /// Every duration fits in 32 bits, so a run orders its produced schedule
+    /// by one packed integer key per job (see [`schedule_key`]).
+    narrow_durations: bool,
+}
+
+/// The ready-queue key of dense job `dense` at `priority`: ascending keys
+/// are ascending `(priority, Reverse(dense))`, so the max-heap pops the
+/// highest priority first and breaks ties towards the smallest dense index.
+fn ready_key(priority: u64, dense: usize) -> u128 {
+    u128::from(priority) << 32 | u128::from(!(dense as u32))
+}
+
+/// The dense index of a [`ready_key`].
+fn ready_dense(key: u128) -> usize {
+    !(key as u32) as usize
+}
+
+/// The schedule-order key of dense job `dense` starting at `start` for
+/// `duration`, which must fit in 32 bits: ascending keys are ascending
+/// `(start, end, dense)`, and dense order is [`Job`] order.
+fn schedule_key(start: Time, duration: Time, dense: usize) -> u128 {
+    u128::from(start.as_u64()) << 64 | u128::from(duration.as_u64()) << 32 | dense as u128
 }
 
 /// The track-independent graph data every [`TrackContext`] is built from,
@@ -459,6 +479,10 @@ impl<'a> TrackContext<'a> {
             .map(|&pid| tables.mapping[pid.index()])
             .collect();
 
+        let narrow_durations = durations
+            .iter()
+            .all(|duration| duration.as_u64() <= u64::from(u32::MAX));
+
         TrackContext {
             cpg,
             arch,
@@ -480,6 +504,7 @@ impl<'a> TrackContext<'a> {
             bcast_dense,
             disj_pe,
             computers,
+            narrow_durations,
         }
     }
 
@@ -712,15 +737,13 @@ impl<'a> TrackContext<'a> {
         // `Job` order, so ties break exactly like the reference rescan.
         for (dense, &deg) in scratch.indegree.iter().enumerate() {
             if deg == 0 {
-                scratch
-                    .ready
-                    .push((priorities[dense], Reverse(dense as u32)));
+                scratch.ready.push(ready_key(priorities[dense], dense));
             }
         }
 
         let mut committed = 0usize;
-        while let Some((_, Reverse(dense))) = scratch.ready.pop() {
-            let dense = dense as usize;
+        while let Some(key) = scratch.ready.pop() {
+            let dense = ready_dense(key);
             let job = self.jobs[dense];
 
             let mut data_ready = self
@@ -796,7 +819,7 @@ impl<'a> TrackContext<'a> {
                 let succ = succ as usize;
                 scratch.indegree[succ] -= 1;
                 if scratch.indegree[succ] == 0 {
-                    scratch.ready.push((priorities[succ], Reverse(succ as u32)));
+                    scratch.ready.push(ready_key(priorities[succ], succ));
                 }
             }
         }
@@ -807,6 +830,23 @@ impl<'a> TrackContext<'a> {
         } else {
             scratch.starts[self.sink_dense as usize]
         };
+        // The schedule lists its jobs in `(start, end, job)` order: one
+        // integer sort of packed keys, or a tuple sort of dense indices
+        // when a duration needs more than 32 bits. The low 32 bits of
+        // either key are the dense index.
+        let (starts, ends, keys) = (&scratch.starts, &scratch.ends, &mut scratch.keys);
+        if self.narrow_durations {
+            keys.extend(
+                (0..n).map(|dense| schedule_key(starts[dense], self.durations[dense], dense)),
+            );
+            keys.sort_unstable();
+        } else {
+            keys.extend((0..n).map(|dense| dense as u128));
+            keys.sort_unstable_by_key(|&dense| {
+                let dense = dense as usize;
+                (starts[dense], ends[dense], dense)
+            });
+        }
         // The schedule owns a copy of the slip buffer; extending an empty
         // buffer (the common, no-slip case) does not allocate, and the arena
         // keeps its capacity for the next slipping run either way.
@@ -815,11 +855,14 @@ impl<'a> TrackContext<'a> {
             delay,
             self.cpg.len(),
             self.cpg.num_conditions(),
-            (0..n).map(|dense| ScheduledJob {
-                job: self.jobs[dense],
-                start: scratch.starts[dense],
-                end: scratch.ends[dense],
-                pe: scratch.pes[dense],
+            scratch.keys.iter().map(|&key| {
+                let dense = key as u32 as usize;
+                ScheduledJob {
+                    job: self.jobs[dense],
+                    start: scratch.starts[dense],
+                    end: scratch.ends[dense],
+                    pe: scratch.pes[dense],
+                }
             }),
             self.computers.iter().map(|&(dense, cond)| {
                 let bcast = self.bcast_dense[cond.index()];
@@ -893,6 +936,69 @@ mod tests {
         let on_c = tracks.by_label(&Cube::from(c.is_true())).unwrap();
         let schedule = scheduler.schedule_track(on_c);
         assert!(schedule.start(Job::Process(join)) >= Some(Time::new(10)));
+    }
+
+    #[test]
+    fn durations_beyond_32_bits_order_the_schedule_like_the_reference() {
+        // Durations of 2³² and more cannot be packed into the 32-bit field
+        // of the schedule key, so these contexts sort `(start, end, dense)`
+        // tuples. `long` starts at 0 with 2³² + 7 time units; `late` starts
+        // at 1 with 3, so a duration truncated into the key would misplace
+        // one of them. Four jobs tie at start 0 on the hardware processor.
+        use cpg::CpgBuilder;
+        use std::collections::HashMap;
+        let arch = Architecture::builder()
+            .processor("cpu0")
+            .processor("cpu1")
+            .hardware("asic")
+            .bus("bus")
+            .build()
+            .unwrap();
+        let pe = |name| arch.pe_by_name(name).unwrap();
+        let wide = |units: u64| Time::new((1 << 32) + units);
+        let mut b = CpgBuilder::new();
+        let c = b.condition("C");
+        let decide = b.process("decide", wide(1 << 20), pe("cpu0"));
+        let x = b.process("x", Time::new(3), pe("cpu1"));
+        let y = b.process("y", wide(0), pe("cpu1"));
+        b.conditional_edge(decide, x, c.is_true(), Time::ZERO);
+        b.conditional_edge(decide, y, c.is_false(), Time::ZERO);
+        b.process("long", wide(7), pe("asic"));
+        b.process("short", Time::new(3), pe("asic"));
+        b.process("tie", Time::new(3), pe("asic"));
+        let first = b.process("first", Time::new(1), pe("cpu1"));
+        let late = b.process("late", Time::new(3), pe("asic"));
+        b.simple_edge(first, late, Time::ZERO);
+        let cpg = b.build(&arch).unwrap();
+        let tracks = enumerate_tracks(&cpg);
+        let broadcast = wide(3);
+        let scheduler = crate::ListScheduler::new(&cpg, &arch, broadcast);
+        for track in tracks.iter() {
+            let ctx = scheduler.context(track);
+            assert!(!ctx.narrow_durations);
+            let schedule = ctx.schedule();
+            assert_eq!(
+                schedule,
+                crate::reference::schedule_track(&cpg, &arch, broadcast, track)
+            );
+            assert_eq!(schedule.start(Job::Process(late)), Some(Time::new(1)));
+            let tied = schedule
+                .jobs()
+                .iter()
+                .filter(|sj| sj.start() == Time::ZERO && sj.pe().is_some())
+                .count();
+            assert!(tied >= 4, "only {tied} jobs start at 0");
+
+            // A reschedule around a lock far beyond 32 bits.
+            let mut locks = LockSet::for_graph(&cpg);
+            let mut map = HashMap::new();
+            locks.insert(Job::Process(first), wide(9));
+            map.insert(Job::Process(first), (wide(9), None));
+            assert_eq!(
+                ctx.reschedule(&schedule, &locks),
+                crate::reference::reschedule(&cpg, &arch, broadcast, track, &schedule, &map)
+            );
+        }
     }
 
     #[test]

@@ -148,13 +148,14 @@ impl PathSchedule {
     #[cfg(any(test, feature = "test-util"))]
     pub(crate) fn new_detailed(
         label: Cube,
-        jobs: Vec<ScheduledJob>,
+        mut jobs: Vec<ScheduledJob>,
         delay: Time,
         knowledge: Vec<Knowledge>,
         slipped: Vec<SlippedLock>,
         processes: usize,
         conditions: usize,
     ) -> Self {
+        jobs.sort_unstable_by_key(|j| (j.start(), j.end(), j.job()));
         let mut schedule = PathSchedule::default();
         schedule.rebuild_from_parts(
             label,
@@ -174,7 +175,13 @@ impl PathSchedule {
     /// pools `PathSchedule`s and every adjustment rebuilds one through
     /// [`TrackContext::reschedule_into`](crate::TrackContext::reschedule_into)
     /// instead of allocating a fresh schedule.
+    ///
+    /// `jobs` must arrive in ascending `(start, end, job)` order, the order
+    /// [`jobs`](Self::jobs) lists them in: the scheduler run sorts its jobs
+    /// by one packed integer key, which is cheaper than sorting the
+    /// `ScheduledJob`s here.
     #[allow(clippy::too_many_arguments)]
+    // lint: hot-path (once per scheduler run, into a pooled schedule)
     pub(crate) fn rebuild_from_parts(
         &mut self,
         label: Cube,
@@ -190,10 +197,13 @@ impl PathSchedule {
         self.processes = processes;
         self.jobs.clear();
         self.jobs.extend(jobs);
-        // Every job appears once, so the key is unique and the unstable sort
-        // yields the stable order without the stable sort's scratch buffer.
-        self.jobs
-            .sort_unstable_by_key(|j| (j.start(), j.end(), j.job()));
+        debug_assert!(
+            self.jobs
+                .windows(2)
+                .all(|w| (w[0].start(), w[0].end(), w[0].job())
+                    < (w[1].start(), w[1].end(), w[1].job())),
+            "jobs arrive in (start, end, job) order"
+        );
         self.index.clear();
         self.index.resize(processes + conditions, ABSENT);
         for (position, sj) in self.jobs.iter().enumerate() {

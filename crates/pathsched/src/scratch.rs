@@ -3,7 +3,8 @@
 //! Every [`TrackContext`](crate::TrackContext) run needs the same family of
 //! dense per-job state: start/end times, resource assignments, placement
 //! flags, a working indegree copy, the binary-heap ready queue, one
-//! [`Calendar`] per exclusive resource and a slip buffer. Allocating those on
+//! [`Calendar`] per exclusive resource, the sort keys that order the
+//! produced schedule and a slip buffer. Allocating those on
 //! every call is what dominated the allocator traffic of the merge algorithm,
 //! which re-runs the scheduler once per alternative path and again at every
 //! back-step adjustment and conflict repair.
@@ -17,7 +18,6 @@
 //! returned [`PathSchedule`](crate::PathSchedule) still owns its entries —
 //! that is the output, not scratch).
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use cpg_arch::{PeId, Time};
@@ -63,8 +63,14 @@ pub struct RunScratch {
     pub(crate) placed: Vec<bool>,
     /// Working copy of the context's indegree table, consumed by the run.
     pub(crate) indegree: Vec<u32>,
-    /// Max-heap on `(priority, Reverse(dense index))`.
-    pub(crate) ready: BinaryHeap<(u64, Reverse<u32>)>,
+    /// Max-heap of packed `priority << 32 | !dense index` keys: the highest
+    /// priority pops first and, among equal priorities, the smallest dense
+    /// index (the order of `(priority, Reverse(dense index))`).
+    pub(crate) ready: BinaryHeap<u128>,
+    /// The run's jobs as sort keys for the produced schedule: packed
+    /// `start << 64 | duration << 32 | dense index` when every duration of
+    /// the context fits in 32 bits, the bare dense index otherwise.
+    pub(crate) keys: Vec<u128>,
     pub(crate) slipped: Vec<SlippedLock>,
     /// Reschedule-order priorities derived from the original schedule
     /// (unused by plain `schedule` runs, which read the context's
@@ -91,6 +97,7 @@ impl RunScratch {
         self.placed.clear();
         self.indegree.clear();
         self.ready.clear();
+        self.keys.clear();
         self.slipped.clear();
         self.priorities.clear();
     }

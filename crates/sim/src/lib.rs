@@ -20,7 +20,10 @@
 //! ([`cpg_table::ScheduleTable::resolve_block`] gives its time, selecting
 //! column and recorded resource on every label of the block in one pass).
 //! Each label's checks read only the tables and are linear in the jobs it
-//! executes, up to one integer sort of packed `(start, job slot)` keys; the
+//! executes, up to one integer sort of packed `(start, job slot)` keys;
+//! requirement 4 walks a selecting column's literals only for activations
+//! that start before the latest moment the column is known on their
+//! element, a bound memoized per column and element; the
 //! exclusive-resource check groups the start-ordered activations by
 //! resource with a counting pass and sweeps each group instead of testing
 //! every pair. A [`SimScratch`] arena carries the buffers across labels and

@@ -1,6 +1,6 @@
 //! Execution of a schedule table by distributed run-time schedulers.
 
-use cpg::{Cpg, Cube, Literal, TrackSet};
+use cpg::{CondId, Cpg, Cube, Literal, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
 use cpg_path_sched::Job;
 use cpg_table::{LabelBlock, ResolvedActivation, ScheduleTable};
@@ -40,18 +40,26 @@ use crate::report::{SimViolation, SimulationReport};
 ///   one bit of the block's masks;
 /// * **then per-label checks** that read only those tables, neither the
 ///   graph nor the architecture: the activations are ordered by one
-///   integer sort of packed `(start, job slot)` keys; completion times live
-///   in a dense vector indexed by job slot, so the moment a condition
-///   becomes known on a processing element is one slot read; and the
-///   exclusive-resource check groups the start-ordered activations by
-///   resource with one counting pass, then sweeps each group once, the
-///   scan after a job stopping at the first job starting once it has ended.
+///   integer sort of packed `(start, job slot)` keys, `u64` keys whose slot
+///   field is sized to the call's job slots, or `u128` keys for a label
+///   with a start too large to fit beside it; completion times live in a
+///   dense vector indexed by job slot, so the moment a condition becomes
+///   known on a processing element is one slot read; requirement 4 is
+///   checked once per selecting column and processing element, since a
+///   memo keeps the latest moment any literal of the column is known on
+///   the element, and only an activation starting before that bound walks
+///   its column's literals; and the exclusive-resource check groups the
+///   start-ordered activations by resource with one counting pass, then
+///   sweeps each group once, the scan after a job stopping at the first
+///   job starting once it has ended.
 ///
 /// So one label over `n` active jobs costs `O(n log n)` plus the overlaps
 /// it reports, the row scans are paid once per block instead of once per
 /// label, and the table gather once per call, `O(jobs + edges)`. Every
-/// buffer lives in a [`SimScratch`] that [`run_each`](Simulator::run_each)
-/// reuses across labels and calls.
+/// buffer, the requirement-4 memo included (`columns × elements` entries,
+/// invalidated per label by a stamp rather than cleared), lives in a
+/// [`SimScratch`] that [`run_each`](Simulator::run_each) reuses across
+/// labels and calls.
 ///
 /// # Example
 ///
@@ -165,14 +173,24 @@ pub struct SimScratch {
     resolved: Vec<ResolvedActivation>,
     /// By job slot, the completion time of the current run's activation.
     completion: Vec<Option<Time>>,
-    /// By job slot, the selecting column and recorded resource of the
-    /// current run's activation (read only for activated jobs).
-    selected: Vec<(Cube, Option<PeId>)>,
-    /// The current run's activations as packed `(start, job slot)` keys, in
-    /// activation order once sorted.
-    keys: Vec<u128>,
+    /// By job slot, the selecting column's index in the table, the column
+    /// and the recorded resource of the current run's activation (read only
+    /// for activated jobs).
+    selected: Vec<(u32, Cube, Option<PeId>)>,
+    /// The current run's activations as sort keys.
+    keys: ActivationKeys,
+    /// By activation, in activation order, its job slot.
+    slots: Vec<u32>,
     /// By activation, the resource it occupies.
     resources: Vec<Option<PeId>>,
+    /// The requirement-4 memo, by `column index × elements + element`: a
+    /// `(stamp, bound)` pair whose bound is the latest moment any literal of
+    /// the column becomes known on the element ([`Time::MAX`] when one never
+    /// does), valid while its stamp is the current label's.
+    known_by: Vec<(u32, Time)>,
+    /// The current label's stamp in `known_by`; never 0, the stamp of an
+    /// empty entry.
+    stamp: u32,
     /// By processing-element index, where its group ends in `by_resource`
     /// (one more entry, the total, while counting).
     group_ends: Vec<u32>,
@@ -193,20 +211,75 @@ impl SimScratch {
     }
 }
 
-/// The sort key of an activation: start time above job slot, so ascending
-/// keys are ascending `(start, job)` and no two keys are equal.
-fn activation_key(start: Time, slot: usize) -> u128 {
-    u128::from(start.as_u64()) << 32 | slot as u128
+/// One label's activations as integer sort keys, start time above job slot,
+/// so ascending keys are ascending `(start, job)` (slot order is [`Job`]
+/// order) and no two keys are equal. A key is the `u64`
+/// `start << slot_bits | slot` while every start of the label fits beside
+/// the slot bits, and the `u128` `start << 32 | slot` from the first start
+/// that does not on: the keys pushed so far are then widened.
+#[derive(Debug, Default)]
+struct ActivationKeys {
+    /// Width of the slot field of a `u64` key, sized to the call's job slots
+    /// (at least 1 and at most 32).
+    slot_bits: u32,
+    narrow: Vec<u64>,
+    wide: Vec<u128>,
+    /// Whether the current label's keys are in `wide`.
+    is_wide: bool,
 }
 
-/// The job slot of an [`activation_key`].
-fn key_slot(key: u128) -> usize {
-    (key as u32) as usize
-}
+impl ActivationKeys {
+    /// Sizes the `u64` slot field for job slots `0..slots` and drops every
+    /// key.
+    fn size_for(&mut self, slots: usize) {
+        let highest = slots.saturating_sub(1) as u64;
+        self.slot_bits = (u64::BITS - highest.leading_zeros()).max(1);
+        self.clear();
+    }
 
-/// The start time of an [`activation_key`].
-fn key_start(key: u128) -> Time {
-    Time::new((key >> 32) as u64)
+    fn clear(&mut self) {
+        self.narrow.clear();
+        self.wide.clear();
+        self.is_wide = false;
+    }
+
+    /// Adds the activation of job slot `slot` at `start`.
+    // lint: hot-path (once per activation of every simulated label)
+    fn push(&mut self, start: Time, slot: usize) {
+        let (start, bits) = (start.as_u64(), self.slot_bits);
+        if !self.is_wide {
+            if start >> (u64::BITS - bits) == 0 {
+                self.narrow.push(start << bits | slot as u64);
+                return;
+            }
+            self.is_wide = true;
+            let mask = (1 << bits) - 1;
+            self.wide.extend(
+                self.narrow
+                    .iter()
+                    .map(|&key| u128::from(key >> bits) << 32 | u128::from(key & mask)),
+            );
+        }
+        self.wide.push(u128::from(start) << 32 | slot as u128);
+    }
+
+    /// Sorts the keys and visits `(slot, start)` in ascending `(start, job)`
+    /// order.
+    // lint: hot-path (one integer sort per simulated label)
+    fn sort_into(&mut self, mut visit: impl FnMut(usize, Time)) {
+        if self.is_wide {
+            self.wide.sort_unstable();
+            for &key in &self.wide {
+                visit(key as u32 as usize, Time::new((key >> 32) as u64));
+            }
+        } else {
+            let (bits, mask) = (self.slot_bits, (1u64 << self.slot_bits) - 1);
+            self.narrow.sort_unstable();
+            for &key in &self.narrow {
+                visit((key & mask) as usize, Time::new(key >> bits));
+            }
+        }
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -252,18 +325,6 @@ impl<'a> Simulator<'a> {
         reports
     }
 
-    /// The worst observed delay over all alternative paths — must equal the
-    /// analytical `δ_max` of the table for a correct table.
-    #[must_use]
-    pub fn worst_case_delay(&self, tracks: &TrackSet) -> Time {
-        let labels: Vec<Cube> = tracks.iter().map(cpg::Track::label).collect();
-        let mut worst = Time::ZERO;
-        self.run_each(&labels, &mut SimScratch::new(), |_, report| {
-            worst = worst.max(report.delay());
-        });
-        worst
-    }
-
     /// Executes the table once per label, in order, and hands
     /// `visit(index, report)` each report. This is the one driver behind
     /// every entry point: it gathers the dense job tables, resolves each
@@ -289,8 +350,13 @@ impl<'a> Simulator<'a> {
             .resize(slots * stride, ResolvedActivation::NONE);
         scratch.completion.clear();
         scratch.completion.resize(slots, None);
-        scratch.selected.resize(slots, (Cube::top(), None));
+        scratch.selected.resize(slots, (0, Cube::top(), None));
         scratch.group_ends.resize(self.arch.len() + 1, 0);
+        scratch.keys.size_for(slots);
+        scratch.known_by.resize(
+            self.table.columns().len() * self.arch.len(),
+            (0, Time::ZERO),
+        );
 
         for (first, chunk) in (0..).step_by(stride).zip(labels.chunks(stride)) {
             let block = LabelBlock::new(chunk);
@@ -307,8 +373,8 @@ impl<'a> Simulator<'a> {
             }
             for (t, label) in chunk.iter().enumerate() {
                 self.run_resolved(label, t, stride, scratch);
-                for &key in &scratch.keys {
-                    scratch.completion[key_slot(key)] = None;
+                for &j in &scratch.slots {
+                    scratch.completion[j as usize] = None;
                 }
                 visit(first + t, &mut scratch.report);
             }
@@ -398,7 +464,10 @@ impl<'a> Simulator<'a> {
             completion,
             selected,
             keys,
+            slots,
             resources,
+            known_by,
+            stamp,
             group_ends,
             by_resource,
             pairs,
@@ -419,57 +488,84 @@ impl<'a> Simulator<'a> {
             if mask & bit == 0 {
                 continue;
             }
-            match resolved[j * stride + t].to_activation(self.table) {
-                Some(found) => {
+            let resolution = &resolved[j * stride + t];
+            match resolution
+                .to_activation(self.table)
+                .zip(resolution.column_index())
+            {
+                Some((found, index)) => {
                     completion[j] = Some(found.time + tables.duration[j]);
-                    selected[j] = (found.column, found.resource);
-                    keys.push(activation_key(found.time, j));
+                    selected[j] = (index as u32, found.column, found.resource);
+                    keys.push(found.time, j);
                 }
                 None => violations.push(SimViolation::NoActivationTime {
                     job: tables.jobs[j],
                 }),
             }
         }
-        keys.sort_unstable();
+        slots.clear();
         resources.clear();
-        for &key in keys.iter() {
-            let (j, start) = (key_slot(key), key_start(key));
+        keys.sort_into(|j, start| {
+            slots.push(j as u32);
             activations.push((tables.jobs[j], start, start + tables.duration[j]));
             // A broadcast occupies the bus recorded with its table entry
             // (the bus the generating schedule used), falling back to the
             // first broadcast bus for tables without provenance.
             resources.push(match tables.jobs[j] {
                 Job::Process(_) => tables.pe[j],
-                Job::Broadcast(_) => selected[j].1.or(tables.broadcast_bus),
+                Job::Broadcast(_) => selected[j].2.or(tables.broadcast_bus),
             });
-        }
+        });
 
         // Requirement 4: the column that selected each activation only uses
         // locally known condition values. A condition is known on the
         // processing element of its disjunction process when that process
         // completes, elsewhere when its broadcast completes; never when the
         // label leaves it open.
-        for (&key, &pe) in keys.iter().zip(resources.iter()) {
+        let known_at = |cond: CondId, pe: PeId| -> Option<Time> {
+            if !label.mentions(cond) {
+                return None;
+            }
+            let at = tables.conditions[cond.index()];
+            let from = if at.broadcast != NO_SLOT && at.disjunction_pe != Some(pe) {
+                at.broadcast
+            } else {
+                at.disjunction
+            };
+            completion.get(from as usize).copied().flatten()
+        };
+        // An activation that starts no earlier than the latest moment any
+        // literal of its column is known on its element violates nothing;
+        // that bound is memoized per (column, element) for the label.
+        *stamp = stamp.wrapping_add(1);
+        if *stamp == 0 {
+            known_by.fill((0, Time::ZERO));
+            *stamp = 1;
+        }
+        let elements = tables.exclusive.len();
+        for ((&j, &(job, start, _)), &pe) in
+            slots.iter().zip(activations.iter()).zip(resources.iter())
+        {
             let Some(pe) = pe else {
                 continue;
             };
-            let (j, start) = (key_slot(key), key_start(key));
-            for lit in selected[j].0.literals() {
+            let (index, column, _) = selected[j as usize];
+            let memo = &mut known_by[index as usize * elements + pe.index()];
+            if memo.0 != *stamp {
+                let latest = column.literals().try_fold(Time::ZERO, |latest, lit| {
+                    Some(latest.max(known_at(lit.cond(), pe)?))
+                });
+                *memo = (*stamp, latest.unwrap_or(Time::MAX));
+            }
+            if memo.1 <= start && memo.1 != Time::MAX {
+                continue;
+            }
+            for lit in column.literals() {
                 let cond = lit.cond();
-                let known_at = if label.mentions(cond) {
-                    let at = tables.conditions[cond.index()];
-                    let from = if at.broadcast != NO_SLOT && at.disjunction_pe != Some(pe) {
-                        at.broadcast
-                    } else {
-                        at.disjunction
-                    };
-                    completion.get(from as usize).copied().flatten()
-                } else {
-                    None
-                };
+                let known_at = known_at(cond, pe);
                 if known_at.is_none_or(|k| k > start) {
                     violations.push(SimViolation::ConditionNotKnownLocally {
-                        job: tables.jobs[j],
+                        job,
                         condition: cond,
                         activation: start,
                         known_at,
@@ -480,8 +576,8 @@ impl<'a> Simulator<'a> {
 
         // Data dependencies: inputs that flow on this execution must have
         // arrived before the activation time.
-        for &key in keys.iter() {
-            let (j, start) = (key_slot(key), key_start(key));
+        for (&j, &(_, start, _)) in slots.iter().zip(activations.iter()) {
+            let j = j as usize;
             let edges =
                 &tables.in_edges[tables.in_offsets[j] as usize..tables.in_offsets[j + 1] as usize];
             for &(from, literal) in edges {
@@ -631,8 +727,8 @@ mod tests {
             }
             // The simulated worst case equals the analytical worst case.
             assert_eq!(
-                simulator.worst_case_delay(result.tracks()),
-                result.delta_max()
+                reports.iter().map(SimulationReport::delay).max(),
+                Some(result.delta_max())
             );
         }
     }
@@ -776,8 +872,8 @@ mod tests {
         let reports = simulator.run_all(result.tracks());
         assert!(reports.iter().all(SimulationReport::is_ok));
         assert_eq!(
-            simulator.worst_case_delay(result.tracks()),
-            result.delta_max()
+            reports.iter().map(SimulationReport::delay).max(),
+            Some(result.delta_max())
         );
         // No broadcast activations are simulated on a single processor.
         for report in &reports {
@@ -874,6 +970,44 @@ mod tests {
     #[test]
     fn jobs_on_non_exclusive_elements_never_overlap() {
         assert!(overlaps_of(&[("a", 4, 0, true), ("b", 4, 1, true), ("c", 4, 0, true)]).is_empty());
+    }
+
+    #[test]
+    fn activation_keys_widen_at_the_first_start_beyond_the_slot_bits() {
+        // 5 slots: 3 slot bits, so a `u64` key holds starts below 2⁶¹.
+        let mut keys = ActivationKeys::default();
+        keys.size_for(5);
+        assert_eq!(keys.slot_bits, 3);
+        let sorted = |keys: &mut ActivationKeys| {
+            let mut order = Vec::new();
+            keys.sort_into(|slot, start| order.push((start.as_u64(), slot)));
+            order
+        };
+        let pushes = [(7, 4), (1 << 60, 0), (7, 1), ((1 << 61) - 1, 2)];
+        for (start, slot) in pushes {
+            keys.push(Time::new(start), slot);
+        }
+        assert!(!keys.is_wide);
+        let mut expected: Vec<(u64, usize)> = pushes.to_vec();
+        expected.sort_unstable();
+        assert_eq!(sorted(&mut keys), expected);
+
+        // 2⁶¹ does not fit: the keys pushed so far are widened.
+        keys.push(Time::new(1 << 61), 3);
+        keys.push(Time::new(0), 3);
+        assert!(keys.is_wide);
+        expected.extend([(1 << 61, 3), (0, 3)]);
+        expected.sort_unstable();
+        assert_eq!(sorted(&mut keys), expected);
+
+        // The next label starts narrow again; one slot still takes one bit.
+        keys.clear();
+        assert!(!keys.is_wide);
+        keys.size_for(1);
+        assert_eq!(keys.slot_bits, 1);
+        keys.push(Time::new(u64::MAX), 0);
+        assert!(keys.is_wide);
+        assert_eq!(sorted(&mut keys), [(u64::MAX, 0)]);
     }
 
     #[test]

@@ -158,6 +158,15 @@ impl ResolvedActivation {
         resource: NONE,
     };
 
+    /// The index in [`ScheduleTable::columns`] of the selecting column, `None`
+    /// exactly when [`to_activation`](Self::to_activation) gives `None`.
+    /// Callers that memoize per-column facts across activations key them by
+    /// it.
+    #[must_use]
+    pub fn column_index(&self) -> Option<usize> {
+        (self.column != NONE).then_some(self.column as usize)
+    }
+
     /// The [`Activation`](crate::Activation) it stands for, its column
     /// looked up in `table` (the table that resolved it); `None` exactly
     /// when [`ScheduleTable::activation`] gives `None`.

@@ -9,8 +9,11 @@
 //! The inputs are the tables of the `paper_suite(40)` systems and six
 //! corrupted copies of each (entries shifted by ±4 time units or removed),
 //! so every kind of violation is exercised, not only the clean path, plus
-//! copies whose times exceed `u32::MAX`, which pin the width of the
-//! simulator's activation keys.
+//! copies whose times exceed `u32::MAX` or leave no room for the job slot
+//! in a `u64` key, which pin the width of the simulator's activation keys,
+//! and a hand-built table whose one column activates jobs on two elements
+//! that learn its condition at different times, which pins the key of the
+//! requirement-4 memo.
 
 use std::collections::HashMap;
 use std::mem::discriminant;
@@ -467,17 +470,17 @@ fn known_verify_passing_overlap_witnesses_still_overlap() {
     }
 }
 
-/// A copy of `table` whose entry times are `t · 2³¹`, plus `2³²` on every
-/// third entry in `all_entries_on` order: the starts exceed `u32::MAX`, and
-/// their low 32 bits no longer order them.
-fn beyond_32_bits(table: &ScheduleTable) -> ScheduleTable {
+/// A copy of `table` whose entry times are `t · 2^shift`, plus `lift` on
+/// every third entry in `all_entries_on` order.
+fn lifted(table: &ScheduleTable, shift: u32, lift: u64) -> ScheduleTable {
     let mut copy = table.clone();
     for (i, (job, column, time, resource)) in table.all_entries_on().enumerate() {
-        let lift = if i % 3 == 0 { 1 << 32 } else { 0 };
+        assert!(time.as_u64() < 1 << 18, "entry times stay below 2¹⁸");
+        let lift = if i % 3 == 0 { lift } else { 0 };
         copy.set_on(
             job,
             column,
-            Time::new((time.as_u64() << 31) + lift),
+            Time::new((time.as_u64() << shift) + lift),
             resource,
         );
     }
@@ -486,34 +489,113 @@ fn beyond_32_bits(table: &ScheduleTable) -> ScheduleTable {
 
 #[test]
 fn simulator_matches_the_reference_beyond_32_bit_times() {
+    // `t · 2³¹ (+ 2³²)`: the starts exceed `u32::MAX`, and their low 32
+    // bits no longer order them; they still fit a `u64` key beside the
+    // job slot. `t · 2⁴⁴ (+ 2⁶²)`: a `u64` key keeps at least two bits for
+    // the slot once a system has more than two job slots, so starts of
+    // 2⁶² and more do not fit beside it and those labels are ordered by
+    // the simulator's `u128` keys.
     let mut scratch = SimScratch::new();
-    let mut beyond = 0usize;
-    for config in paper_suite(40).iter().step_by(9) {
-        let system = generate(config);
-        let (cpg, arch) = (system.cpg(), system.arch());
-        let result = generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
-        let labels: Vec<Cube> = result.tracks().iter().map(|t| t.label()).collect();
-        let table = beyond_32_bits(result.table());
-        let simulator = Simulator::new(cpg, arch, &table, system.broadcast_time());
-        let reference = Reference {
-            cpg,
-            arch,
-            table: &table,
-            broadcast_time: system.broadcast_time(),
-        };
-        let mut each = Vec::new();
-        simulator.run_each(&labels, &mut scratch, |_, report| {
-            each.push(observed(report));
-        });
-        for (label, each) in labels.iter().zip(&each) {
-            let expected = reference.run(label);
-            assert_eq!(each, &expected, "seed {:#x}", config.seed());
-            beyond += expected
-                .activations
-                .iter()
-                .filter(|&&(_, start, _)| start.as_u64() > u64::from(u32::MAX))
-                .count();
+    for (shift, lift, bound) in [
+        (31, 1 << 32, u64::from(u32::MAX)),
+        (44, 1 << 62, (1 << 62) - 1),
+    ] {
+        let mut beyond = 0usize;
+        for config in paper_suite(40).iter().step_by(9) {
+            let system = generate(config);
+            let (cpg, arch) = (system.cpg(), system.arch());
+            let result =
+                generate_schedule_table(cpg, arch, &MergeConfig::new(system.broadcast_time()));
+            let labels: Vec<Cube> = result.tracks().iter().map(|t| t.label()).collect();
+            let table = lifted(result.table(), shift, lift);
+            let simulator = Simulator::new(cpg, arch, &table, system.broadcast_time());
+            let reference = Reference {
+                cpg,
+                arch,
+                table: &table,
+                broadcast_time: system.broadcast_time(),
+            };
+            let mut each = Vec::new();
+            simulator.run_each(&labels, &mut scratch, |_, report| {
+                each.push(observed(report));
+            });
+            for (label, each) in labels.iter().zip(&each) {
+                let expected = reference.run(label);
+                assert_eq!(each, &expected, "seed {:#x}, shift {shift}", config.seed());
+                beyond += expected
+                    .activations
+                    .iter()
+                    .filter(|&&(_, start, _)| start.as_u64() > bound)
+                    .count();
+            }
         }
+        assert!(beyond > 1_000, "only {beyond} activations beyond {bound}");
     }
-    assert!(beyond > 1_000, "only {beyond} activations beyond 32 bits");
+}
+
+#[test]
+fn one_column_on_two_elements_is_checked_on_each() {
+    // `a` (cpu0) and `b` (cpu1) are both activated by column {C} at time 5.
+    // C is computed on cpu0 and known there at 4, but its broadcast only
+    // completes at 7, so `b` is activated before cpu1 can know C: the
+    // requirement-4 bound of column {C} differs per element.
+    use cpg::CpgBuilder;
+    let arch = Architecture::builder()
+        .processor("cpu0")
+        .processor("cpu1")
+        .bus("bus")
+        .build()
+        .unwrap();
+    let (cpu0, cpu1, bus) = (
+        arch.pe_by_name("cpu0").unwrap(),
+        arch.pe_by_name("cpu1").unwrap(),
+        arch.pe_by_name("bus").unwrap(),
+    );
+    let mut builder = CpgBuilder::new();
+    let c = builder.condition("C");
+    let decide = builder.process("decide", Time::new(4), cpu0);
+    let a = builder.process("a", Time::new(2), cpu0);
+    let b = builder.process("b", Time::new(2), cpu1);
+    let z = builder.process("z", Time::new(1), cpu1);
+    builder.conditional_edge(decide, a, c.is_true(), Time::ZERO);
+    builder.conditional_edge(decide, b, c.is_true(), Time::ZERO);
+    builder.conditional_edge(decide, z, c.is_false(), Time::ZERO);
+    let cpg = builder.build(&arch).unwrap();
+    let broadcast_time = Time::new(3);
+
+    let (on_c, off_c) = (Cube::from(c.is_true()), Cube::from(c.is_false()));
+    let mut table = ScheduleTable::new();
+    table.set(Job::Process(decide), Cube::top(), Time::ZERO);
+    table.set_on(Job::Broadcast(c), Cube::top(), Time::new(4), Some(bus));
+    table.set(Job::Process(a), on_c, Time::new(5));
+    table.set(Job::Process(b), on_c, Time::new(5));
+    table.set(Job::Process(z), off_c, Time::new(7));
+
+    let simulator = Simulator::new(&cpg, &arch, &table, broadcast_time);
+    let reference = Reference {
+        cpg: &cpg,
+        arch: &arch,
+        table: &table,
+        broadcast_time,
+    };
+    let labels = [on_c, off_c];
+    let mut each = Vec::new();
+    simulator.run_each(&labels, &mut SimScratch::new(), |_, report| {
+        each.push(observed(report));
+    });
+    for (label, each) in labels.iter().zip(&each) {
+        let expected = reference.run(label);
+        assert_eq!(&observed(&simulator.run(label)), &expected);
+        assert_eq!(each, &expected);
+    }
+    assert_eq!(
+        each[0].violations,
+        [SimViolation::ConditionNotKnownLocally {
+            job: Job::Process(b),
+            condition: c,
+            activation: Time::new(5),
+            known_at: Some(Time::new(7)),
+        }]
+    );
+    assert!(each[1].violations.is_empty());
 }
