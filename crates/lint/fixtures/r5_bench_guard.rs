@@ -8,8 +8,6 @@ const GATED_PREFIXES: &[&str] = &[
     "missing_trailing_slash",
 ];
 
-const MEM_SENSITIVE_PREFIXES: &[&str] = &["path_list_scheduling/"];
-
 fn main() {
-    let _ = (GATED_PREFIXES, MEM_SENSITIVE_PREFIXES);
+    let _ = GATED_PREFIXES;
 }

@@ -19,8 +19,8 @@
 //!   `.clone()` or `format!`: these are the allocation-free inner loops of
 //!   the decision-tree walk, the list scheduler and the simulator, whose
 //!   buffers live in reused scratch arenas.
-//! - **bench-prefix** — every gated or memory-sensitive bench prefix named
-//!   in `bench_guard` matches a benchmark group that actually exists in
+//! - **bench-prefix** — every gated bench prefix named in `bench_guard`
+//!   matches a benchmark group that actually exists in
 //!   `crates/bench/benches/`, so the regression gate can never silently
 //!   gate nothing.
 //! - **corpus-dir** — every string literal naming a path under
@@ -623,9 +623,9 @@ pub fn const_str_array(scanned: &Scanned, const_name: &str) -> Vec<StrLit> {
         .collect()
 }
 
-/// Rule `bench-prefix`: every prefix in the guard's gated / mem-sensitive
-/// arrays must end with `/` and name a benchmark group that exists (i.e.
-/// appears as a string literal in some bench target).
+/// Rule `bench-prefix`: every prefix in the guard's `GATED_PREFIXES` must
+/// end with `/` and name a benchmark group that exists (i.e. appears as a
+/// string literal in some bench target).
 #[must_use]
 pub fn check_bench_prefixes(
     guard_file: &str,
@@ -633,32 +633,30 @@ pub fn check_bench_prefixes(
     bench_group_literals: &[String],
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for const_name in ["GATED_PREFIXES", "MEM_SENSITIVE_PREFIXES"] {
-        for lit in const_str_array(guard, const_name) {
-            let Some(stem) = lit.text.strip_suffix('/') else {
-                findings.push(Finding {
-                    rule: RULE_BENCH_PREFIX,
-                    file: guard_file.to_string(),
-                    line: lit.line,
-                    message: format!(
-                        "{const_name} entry {:?} must end with '/' to match whole groups",
-                        lit.text
-                    ),
-                });
-                continue;
-            };
-            if !bench_group_literals.iter().any(|name| name == stem) {
-                findings.push(Finding {
-                    rule: RULE_BENCH_PREFIX,
-                    file: guard_file.to_string(),
-                    line: lit.line,
-                    message: format!(
-                        "{const_name} entry {:?} matches no benchmark group in \
-                         crates/bench/benches/ (group {stem:?} not found)",
-                        lit.text
-                    ),
-                });
-            }
+    for lit in const_str_array(guard, "GATED_PREFIXES") {
+        let Some(stem) = lit.text.strip_suffix('/') else {
+            findings.push(Finding {
+                rule: RULE_BENCH_PREFIX,
+                file: guard_file.to_string(),
+                line: lit.line,
+                message: format!(
+                    "GATED_PREFIXES entry {:?} must end with '/' to match whole groups",
+                    lit.text
+                ),
+            });
+            continue;
+        };
+        if !bench_group_literals.iter().any(|name| name == stem) {
+            findings.push(Finding {
+                rule: RULE_BENCH_PREFIX,
+                file: guard_file.to_string(),
+                line: lit.line,
+                message: format!(
+                    "GATED_PREFIXES entry {:?} matches no benchmark group in \
+                     crates/bench/benches/ (group {stem:?} not found)",
+                    lit.text
+                ),
+            });
         }
     }
     findings

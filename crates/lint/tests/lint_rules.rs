@@ -111,10 +111,7 @@ fn hot_path_allocations_are_flagged_token_by_token() {
 
 #[test]
 fn stale_or_misshapen_bench_prefixes_are_flagged() {
-    let groups = vec![
-        "schedule_merging_serial".to_string(),
-        "path_list_scheduling".to_string(),
-    ];
+    let groups = vec!["schedule_merging_serial".to_string()];
     let findings = check_bench_prefixes("fixture.rs", &fixture("r5_bench_guard.rs"), &groups);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RULE_BENCH_PREFIX));
