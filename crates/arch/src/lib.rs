@@ -31,8 +31,6 @@
 //! assert_eq!(Time::new(3) + Time::new(4), Time::new(7));
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod architecture;
 mod error;
 mod pe;

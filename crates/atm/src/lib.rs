@@ -23,8 +23,6 @@
 //! assert!(fast.delay() < slow.delay());
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod evaluate;
 mod modes;
 mod platform;

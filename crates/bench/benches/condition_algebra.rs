@@ -2,8 +2,6 @@
 //! and mutual-exclusion tests), the hot operations of the table-generation
 //! algorithm.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

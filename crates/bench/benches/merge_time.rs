@@ -12,8 +12,6 @@
 //!   dominates;
 //! * `merge_rewalk/*` — cold versus warm incremental re-merges.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cpg::{enumerate_tracks, SystemEdit};

@@ -19,8 +19,6 @@
 //!
 //! Gated by `bench_guard` against its default baseline.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cpg::{enumerate_tracks, expand_communications, BusPolicy};

@@ -4,8 +4,6 @@
 //!
 //! Usage: `ablation_policy [graphs]` (default 20).
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let graphs = std::env::args()
         .nth(1)

@@ -2,8 +2,6 @@
 //! the alternative paths of the Fig. 1 example and the decision tree explored
 //! while merging them.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     print!("{}", cpg_bench::fig2_report());
 }

@@ -2,8 +2,6 @@
 //! alternative paths of the Fig. 1 example and the adjusted activation times
 //! the merged schedule table assigns to the second of them.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     print!("{}", cpg_bench::fig4_report());
 }

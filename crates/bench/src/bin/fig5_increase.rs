@@ -5,8 +5,6 @@
 //!
 //! Usage: `fig5_increase [graphs_per_size]` (default 30; the paper uses 360).
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let graphs_per_size = std::env::args()
         .nth(1)

@@ -2,8 +2,6 @@
 //! operating modes on the ten candidate architectures, next to the published
 //! values.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     print!("{}", cpg_bench::table2_report());
 }

@@ -14,8 +14,6 @@
 //! | Table 2 (OAM block delays) | `table2_atm` | [`table2_report`] |
 //! | ablation (ours) | `ablation_policy` | [`ablation_report`] |
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -49,8 +49,6 @@
 //! assert!(result.overhead_percent() < 100.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod baseline;
 mod config;
 mod error;

@@ -317,12 +317,15 @@ pub(crate) fn merge_tracks(
     let oracle = None;
     // Otherwise the decision tree is the merge's record: the steps and the
     // counters are one fold over its chains, replayed or walked.
-    let (steps, mut stats) = oracle.unwrap_or_else(|| {
-        let root = shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take());
-        let record = root.record(&tracks);
-        cache.root = Some(root);
-        record
-    });
+    let (steps, mut stats) = match oracle {
+        Some(record) => record,
+        None => {
+            let root = shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take());
+            let record = root.record(&tracks);
+            cache.root = Some(root);
+            record
+        }
+    };
 
     // The re-walk noted the column of every cell that may differ from the
     // previous table; clean tracks with no compatible changed column keep

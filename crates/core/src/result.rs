@@ -144,12 +144,6 @@ impl MergeResult {
         &self.path_schedules
     }
 
-    /// The individual schedule of the path with the given label.
-    #[must_use]
-    pub fn path_schedule(&self, label: &Cube) -> Option<&PathSchedule> {
-        self.path_schedules.iter().find(|s| s.label() == *label)
-    }
-
     /// `δ_M`: the delay of the longest individual path — the lower bound on
     /// the worst-case delay of any schedule table.
     #[must_use]

@@ -15,15 +15,8 @@
 //! subtree that only consults such paths, is provably unchanged. Guard edits
 //! change the flattening itself (and potentially the set of alternative
 //! paths), so they scope to [`EditScope::Structural`].
-//!
-//! The module also provides [`FrontierHasher`], a deterministic FNV-1a
-//! hasher for fingerprints that must be stable across processes and
-//! platforms, such as the generator's system fingerprint — `std`'s default
-//! hasher is randomly seeded and therefore unusable for comparing
-//! fingerprints taken in different runs.
 
 use std::fmt;
-use std::hash::Hasher;
 
 use cpg_arch::{PeId, Time};
 
@@ -186,63 +179,8 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Deterministic FNV-1a 64-bit hasher for frontier fingerprints.
-///
-/// Drives any `#[derive(Hash)]` type through [`std::hash::Hasher`], but with
-/// a fixed seed and byte-order-independent mixing, so two fingerprints taken
-/// in different merges (or processes) of identical data always compare equal.
-///
-/// # Example
-///
-/// ```
-/// use std::hash::{Hash, Hasher};
-/// use cpg::FrontierHasher;
-///
-/// let mut a = FrontierHasher::new();
-/// let mut b = FrontierHasher::new();
-/// ("jobs", 42u64).hash(&mut a);
-/// ("jobs", 42u64).hash(&mut b);
-/// assert_eq!(a.finish(), b.finish());
-/// ```
-#[derive(Debug, Clone)]
-pub struct FrontierHasher(u64);
-
-impl FrontierHasher {
-    /// Creates a hasher in the canonical FNV-1a start state.
-    #[must_use]
-    pub const fn new() -> Self {
-        FrontierHasher(FNV_OFFSET)
-    }
-}
-
-impl Default for FrontierHasher {
-    fn default() -> Self {
-        FrontierHasher::new()
-    }
-}
-
-impl Hasher for FrontierHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use std::hash::Hash;
-
     use super::*;
     use crate::cond::Cube;
     use crate::examples;
@@ -317,18 +255,5 @@ mod tests {
         .apply(&mut cpg)
         .unwrap_err();
         assert_eq!(err, EditError::DummyProcess(source));
-    }
-
-    #[test]
-    fn frontier_hasher_is_deterministic_and_order_sensitive() {
-        let fingerprint = |items: &[(u64, bool)]| {
-            let mut h = FrontierHasher::new();
-            items.hash(&mut h);
-            h.finish()
-        };
-        let a = fingerprint(&[(1, true), (2, false)]);
-        assert_eq!(a, fingerprint(&[(1, true), (2, false)]));
-        assert_ne!(a, fingerprint(&[(2, false), (1, true)]));
-        assert_ne!(a, fingerprint(&[(1, true)]));
     }
 }

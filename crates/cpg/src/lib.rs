@@ -55,8 +55,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod cond;
 mod dot;
 mod edit;
@@ -70,7 +68,7 @@ pub mod examples;
 
 pub use cond::{all_assignments, CondId, Cube, Guard, Literal, MAX_CONDITIONS};
 pub use dot::to_dot;
-pub use edit::{EditError, EditScope, FrontierHasher, SystemEdit};
+pub use edit::{EditError, EditScope, SystemEdit};
 pub use error::{BuildCpgError, ExpandError};
 pub use expand::{expand_communications, BusPolicy};
 pub use graph::{Cpg, CpgBuilder, Edge};

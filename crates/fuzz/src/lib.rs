@@ -28,8 +28,6 @@
 //! reads no environment variables — every run is reproducible from its
 //! printed seed.
 
-#![forbid(unsafe_code)]
-
 pub mod behavior;
 pub mod corpus;
 pub mod fuzz;

@@ -11,8 +11,6 @@
 //! shrunk and written as a corpus entry under `DIR`. The process exits
 //! nonzero when any oracle failed.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

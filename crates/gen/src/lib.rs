@@ -28,8 +28,6 @@
 //! assert_eq!(enumerate_tracks(system.cpg()).len(), 18);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod config;
 mod generator;
 mod mutate;

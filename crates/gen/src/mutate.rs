@@ -25,7 +25,7 @@ use std::hash::Hasher;
 
 use cpg::{
     expand_communications, BuildCpgError, BusPolicy, CondId, CpgBuilder, Cube, EditError,
-    ExpandError, FrontierHasher, ProcessId, ProcessKind, SystemEdit,
+    ExpandError, ProcessId, ProcessKind, SystemEdit,
 };
 use cpg_arch::{Architecture, BuildArchitectureError, PeId, PeKind, Time};
 
@@ -590,13 +590,35 @@ impl EditOp {
     }
 }
 
+/// 64-bit FNV-1a: unlike `std`'s randomly seeded default hasher, it gives
+/// the same fingerprint for the same bytes in every run and on every
+/// platform.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
+        }
+    }
+}
+
 /// A deterministic FNV-1a fingerprint of a materialized system: architecture
 /// layout, processes (name, kind, time, mapping, guard), edges and declared
 /// conditions. Two systems with equal fingerprints are bit-identical merge
 /// inputs; the double-run determinism tests compare these.
 #[must_use]
 pub fn system_fingerprint(system: &GeneratedSystem) -> u64 {
-    let mut hasher = FrontierHasher::new();
+    let mut hasher = Fnv1a(Fnv1a::OFFSET);
     let arch = system.arch();
     let cpg = system.cpg();
     hasher.write_u64(arch.len() as u64);
@@ -653,6 +675,25 @@ mod tests {
 
     fn base_config() -> GeneratorConfig {
         GeneratorConfig::new(24, 4).with_processors(3).with_seed(11)
+    }
+
+    #[test]
+    fn fnv1a_is_deterministic_and_order_sensitive() {
+        use std::hash::Hash;
+        let fingerprint = |items: &[(u64, bool)]| {
+            let mut h = Fnv1a(Fnv1a::OFFSET);
+            items.hash(&mut h);
+            h.finish()
+        };
+        let a = fingerprint(&[(1, true), (2, false)]);
+        assert_eq!(a, fingerprint(&[(1, true), (2, false)]));
+        assert_ne!(a, fingerprint(&[(2, false), (1, true)]));
+        assert_ne!(a, fingerprint(&[(1, true)]));
+        // The FNV-1a test vectors of the empty input and of "a".
+        assert_eq!(Fnv1a(Fnv1a::OFFSET).finish(), 0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a(Fnv1a::OFFSET);
+        h.write(b"a");
+        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! `rustc` and `clippy` cannot express because they are *about this repo*,
 //! not about Rust:
 //!
-//! - **forbid-unsafe** — every library, binary and bench crate root carries
-//!   `#![forbid(unsafe_code)]` (integration tests are exempt).
 //! - **recording-view-inline** — every method of the inherent
 //!   `impl RecordingView` blocks in `crates/table/src/txn.rs` is
 //!   `#[inline]`: the merge walk reads and writes the table through these
@@ -30,18 +28,19 @@
 //!
 //! The scanner is deliberately not a parser: [`scan`] strips comments and
 //! string literals (preserving byte offsets), and the rules work on the
-//! masked code with brace matching. That is exact enough for the six
+//! masked code with brace matching. That is exact enough for the five
 //! invariants above and keeps the crate dependency-free.
-
-#![forbid(unsafe_code)]
+//!
+//! "No unsafe code" is not among them: `unsafe_code = "forbid"` in the
+//! workspace's `[workspace.lints.rust]` (and in each vendored shim's
+//! `[lints.rust]`) makes rustc reject it in every target, tests, benches
+//! and examples included.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Rule identifier for the `#![forbid(unsafe_code)]` crate-root check.
-pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 /// Rule identifier for the `RecordingView` `#[inline]` check.
 pub const RULE_RECORDING_VIEW_INLINE: &str = "recording-view-inline";
 /// Rule identifier for the environment-read containment check.
@@ -345,25 +344,6 @@ fn ident_after(code: &str, from: usize) -> String {
         i += 1;
     }
     code[start..i].to_string()
-}
-
-/// Rule `forbid-unsafe`: the file must contain `#![forbid(unsafe_code)]`.
-#[must_use]
-pub fn check_forbid_unsafe(file: &str, scanned: &Scanned) -> Vec<Finding> {
-    let squashed: String = scanned
-        .code
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    if squashed.contains("#![forbid(unsafe_code)]") {
-        return Vec::new();
-    }
-    vec![Finding {
-        rule: RULE_FORBID_UNSAFE,
-        file: file.to_string(),
-        line: 1,
-        message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-    }]
 }
 
 /// Rule `env-var-outside-config`: no `env::var` reads in this file.
@@ -748,43 +728,6 @@ fn read_scanned(path: &Path) -> io::Result<Scanned> {
 pub fn run(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
     let mut findings = Vec::new();
     let mut scanned_files = 0usize;
-
-    // forbid-unsafe: lib/bin/bench crate roots, vendored shims included.
-    let mut crate_dirs = vec![root.to_path_buf()];
-    for group in ["crates", "vendor"] {
-        let dir = root.join(group);
-        if dir.is_dir() {
-            let mut subdirs: Vec<_> = fs::read_dir(&dir)?
-                .collect::<Result<Vec<_>, _>>()?
-                .into_iter()
-                .map(|entry| entry.path())
-                .filter(|path| path.is_dir())
-                .collect();
-            subdirs.sort();
-            crate_dirs.extend(subdirs);
-        }
-    }
-    for crate_dir in &crate_dirs {
-        let mut roots = vec![crate_dir.join("src/lib.rs"), crate_dir.join("src/main.rs")];
-        for sub in ["src/bin", "benches"] {
-            let dir = crate_dir.join(sub);
-            if dir.is_dir() {
-                let mut extra = Vec::new();
-                rs_files_under(&dir, &mut extra)?;
-                roots.extend(extra);
-            }
-        }
-        for path in roots {
-            if !path.is_file() {
-                continue;
-            }
-            scanned_files += 1;
-            findings.extend(check_forbid_unsafe(
-                &rel(root, &path),
-                &read_scanned(&path)?,
-            ));
-        }
-    }
 
     // recording-view-inline: the one file holding the view.
     let txn = root.join("crates/table/src/txn.rs");

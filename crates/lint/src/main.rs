@@ -8,8 +8,6 @@
 //! via cargo). Exits non-zero if any rule fires; see the library docs for
 //! the rule catalogue.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -4,9 +4,9 @@
 use std::path::{Path, PathBuf};
 
 use cpg_lint::{
-    check_bench_prefixes, check_corpus_dirs, check_env_var, check_forbid_unsafe, check_hot_path,
+    check_bench_prefixes, check_corpus_dirs, check_env_var, check_hot_path,
     check_recording_view_inline, run, scan, Scanned, RULE_BENCH_PREFIX, RULE_CORPUS_DIR,
-    RULE_ENV_VAR, RULE_FORBID_UNSAFE, RULE_HOT_PATH, RULE_RECORDING_VIEW_INLINE,
+    RULE_ENV_VAR, RULE_HOT_PATH, RULE_RECORDING_VIEW_INLINE,
 };
 
 fn fixture(name: &str) -> Scanned {
@@ -36,16 +36,6 @@ fn scanner_masks_comments_and_strings_but_keeps_offsets() {
     assert_eq!(scanned.strings[0].text, "Vec::new()");
     assert_eq!(scanned.comments.len(), 1);
     assert_eq!(scanned.line_of(source.find("let b").unwrap()), 2);
-}
-
-#[test]
-fn missing_forbid_unsafe_is_flagged() {
-    let findings = check_forbid_unsafe("fixture.rs", &fixture("r1_missing_forbid.rs"));
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, RULE_FORBID_UNSAFE);
-
-    let present = scan("#![forbid(unsafe_code)]\npub fn ok() {}\n");
-    assert!(check_forbid_unsafe("ok.rs", &present).is_empty());
 }
 
 #[test]

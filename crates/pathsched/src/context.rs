@@ -28,7 +28,7 @@ use cpg::{CondId, Cpg, Cube, Literal, ProcessId, Track};
 use cpg_arch::{Architecture, PeId, Time};
 
 use crate::calendar::Calendar;
-use crate::job::{Job, ScheduledJob};
+use crate::job::{Job, JobSlots, ScheduledJob};
 use crate::schedule::{Knowledge, PathSchedule, SlippedLock};
 use crate::scratch::RunScratch;
 
@@ -82,8 +82,8 @@ struct Lock {
     pe: Option<PeId>,
 }
 
-/// A set of locked activation times, dense over the job space of one graph
-/// (process slots first, then one broadcast slot per condition).
+/// A set of locked activation times, one entry per [`JobSlots`] slot of one
+/// graph.
 ///
 /// Functionally a `HashMap<Job, Time>`, but cloning is a flat memcpy and
 /// lookups are array reads — the scheduler probes the set for every job it
@@ -108,9 +108,9 @@ struct Lock {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSet {
-    /// Number of process slots (`cpg.len()`); broadcast slots follow.
-    processes: usize,
-    slots: Vec<Option<Lock>>,
+    slots: JobSlots,
+    /// By job slot, the lock of the job.
+    locks: Vec<Option<Lock>>,
     len: usize,
 }
 
@@ -119,21 +119,16 @@ impl LockSet {
     /// one broadcast per condition).
     #[must_use]
     pub fn for_graph(cpg: &Cpg) -> Self {
+        let slots = JobSlots::for_graph(cpg);
         LockSet {
-            processes: cpg.len(),
-            slots: vec![None; cpg.len() + cpg.num_conditions()],
+            slots,
+            locks: vec![None; slots.len()],
             len: 0,
         }
     }
 
-    fn slot(&self, job: Job) -> Option<usize> {
-        match job {
-            Job::Process(pid) => (pid.index() < self.processes).then_some(pid.index()),
-            Job::Broadcast(cond) => {
-                let slot = self.processes + cond.index();
-                (slot < self.slots.len()).then_some(slot)
-            }
-        }
+    fn lock(&self, job: Job) -> Option<Lock> {
+        self.slots.slot(job).and_then(|slot| self.locks[slot])
     }
 
     /// Locks `job` to start exactly at `time` without pinning a resource;
@@ -146,8 +141,11 @@ impl LockSet {
     /// recorded when the time was tabled; `None` leaves the resource to the
     /// scheduler's track-local choice). Returns the previous locked time.
     pub fn insert_pinned(&mut self, job: Job, time: Time, pe: Option<PeId>) -> Option<Time> {
-        let slot = self.slot(job).expect("job belongs to a different graph");
-        let previous = self.slots[slot].replace(Lock { time, pe });
+        let slot = self
+            .slots
+            .slot(job)
+            .expect("job belongs to a different graph");
+        let previous = self.locks[slot].replace(Lock { time, pe });
         if previous.is_none() {
             self.len += 1;
         }
@@ -158,25 +156,21 @@ impl LockSet {
     /// for reuse on the same graph without reallocating (the merge walk pools
     /// lock sets this way).
     pub fn clear(&mut self) {
-        self.slots.fill(None);
+        self.locks.fill(None);
         self.len = 0;
     }
 
     /// The locked activation time of `job`, if any.
     #[must_use]
     pub fn get(&self, job: Job) -> Option<Time> {
-        self.slot(job)
-            .and_then(|slot| self.slots[slot])
-            .map(|lock| lock.time)
+        self.lock(job).map(|lock| lock.time)
     }
 
     /// The resource the lock of `job` pins it to, when the lock exists and
     /// carries provenance.
     #[must_use]
     pub fn pinned_pe(&self, job: Job) -> Option<PeId> {
-        self.slot(job)
-            .and_then(|slot| self.slots[slot])
-            .and_then(|lock| lock.pe)
+        self.lock(job).and_then(|lock| lock.pe)
     }
 
     /// `true` when `job` is locked.
@@ -205,14 +199,10 @@ impl LockSet {
     /// Iterates over the locked jobs with their activation times and pinned
     /// resources.
     pub fn iter_pinned(&self) -> impl Iterator<Item = (Job, Time, Option<PeId>)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(slot, lock)| {
-            let job = if slot < self.processes {
-                Job::Process(ProcessId::from_index(slot))
-            } else {
-                Job::Broadcast(CondId::new(slot - self.processes))
-            };
-            lock.map(|lock| (job, lock.time, lock.pe))
-        })
+        self.locks
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, lock)| lock.map(|lock| (self.slots.job(slot), lock.time, lock.pe)))
     }
 }
 
@@ -853,8 +843,7 @@ impl<'a> TrackContext<'a> {
         out.rebuild_from_parts(
             self.label,
             delay,
-            self.cpg.len(),
-            self.cpg.num_conditions(),
+            JobSlots::for_graph(self.cpg),
             scratch.keys.iter().map(|&key| {
                 let dense = key as u32 as usize;
                 ScheduledJob {

@@ -23,6 +23,9 @@
 //!   queue, per-resource calendars, slip buffer): one arena threaded through
 //!   every run makes repeated scheduling allocation-free after warm-up,
 //!   which is how the merge of `cpg-merge` runs all of its schedules;
+//! * [`JobSlots`] — the one numbering of a graph's jobs (processes by
+//!   index, then one broadcast per condition) that every per-job array is
+//!   indexed by;
 //! * [`LockSet`] — a dense set of locked activation times, cheap to clone
 //!   along the decision tree of the merge algorithm;
 //! * [`PathSchedule`] — the result: activation times for every job of one
@@ -46,8 +49,6 @@
 //! assert!(schedule.start(Job::Process(decide)).is_some());
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod calendar;
 mod context;
 mod job;
@@ -58,7 +59,7 @@ mod scheduler;
 mod scratch;
 
 pub use context::{LockSet, TrackContext};
-pub use job::{Job, ScheduledJob};
+pub use job::{Job, JobSlots, ScheduledJob};
 pub use schedule::{PathSchedule, SlippedLock};
 pub use scheduler::ListScheduler;
 pub use scratch::RunScratch;

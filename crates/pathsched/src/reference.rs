@@ -24,7 +24,7 @@ use cpg::{CondId, Cpg, Cube, Track};
 use cpg_arch::{Architecture, PeId, Time};
 
 use crate::calendar::Calendar;
-use crate::job::{Job, ScheduledJob};
+use crate::job::{Job, JobSlots, ScheduledJob};
 use crate::schedule::{Knowledge, PathSchedule, SlippedLock};
 
 /// A locked activation time and, when the lock carries table provenance, the
@@ -346,8 +346,7 @@ fn run(
         delay,
         knowledge,
         slipped,
-        cpg.len(),
-        cpg.num_conditions(),
+        JobSlots::for_graph(cpg),
     )
 }
 

@@ -6,9 +6,9 @@ use cpg::{CondId, Cpg, Cube};
 use cpg_arch::{Architecture, PeId, Time};
 
 use crate::context::LockSet;
-use crate::job::{Job, ScheduledJob};
+use crate::job::{Job, JobSlots, ScheduledJob};
 
-/// Sentinel for "job not scheduled on this path" in the dense job-slot index.
+/// Sentinel for "job not scheduled on this path" in the job-slot index.
 const ABSENT: u32 = u32::MAX;
 
 /// A lock that could not be honoured by the scheduler: the job was asked to
@@ -91,15 +91,16 @@ impl Knowledge {
 /// for every condition broadcast issued on it.
 ///
 /// Produced by [`ListScheduler`](crate::ListScheduler); consumed by the
-/// schedule-merging algorithm of the `cpg-merge` crate.
+/// schedule-merging algorithm of the `cpg-merge` crate. Looking a job up is
+/// one array read: the schedule keeps, by the job's [`JobSlots`] slot, its
+/// position in [`jobs`](Self::jobs).
 #[derive(Debug, Clone, Default)]
 pub struct PathSchedule {
     label: Cube,
     jobs: Vec<ScheduledJob>,
-    /// Number of process slots of the graph-wide job-slot space; broadcast
-    /// slots follow (the same dense layout as `TrackContext`/`LockSet`).
-    processes: usize,
-    /// Graph-wide job slot -> position in `jobs`, [`ABSENT`] when the job is
+    /// The numbering of the graph's jobs that `index` is indexed by.
+    slots: JobSlots,
+    /// [`JobSlots`] slot -> position in `jobs`, [`ABSENT`] when the job is
     /// not scheduled on this path.
     index: Vec<u32>,
     delay: Time,
@@ -134,15 +135,8 @@ impl PathSchedule {
             .map(|c| c.index() + 1)
             .max()
             .unwrap_or(0);
-        Self::new_detailed(
-            label,
-            jobs,
-            delay,
-            Vec::new(),
-            Vec::new(),
-            processes,
-            conditions,
-        )
+        let slots = JobSlots::new(processes, conditions);
+        Self::new_detailed(label, jobs, delay, Vec::new(), Vec::new(), slots)
     }
 
     #[cfg(any(test, feature = "test-util"))]
@@ -152,16 +146,14 @@ impl PathSchedule {
         delay: Time,
         knowledge: Vec<Knowledge>,
         slipped: Vec<SlippedLock>,
-        processes: usize,
-        conditions: usize,
+        slots: JobSlots,
     ) -> Self {
         jobs.sort_unstable_by_key(|j| (j.start(), j.end(), j.job()));
         let mut schedule = PathSchedule::default();
         schedule.rebuild_from_parts(
             label,
             delay,
-            processes,
-            conditions,
+            slots,
             jobs.into_iter(),
             knowledge.into_iter(),
             &slipped,
@@ -180,21 +172,19 @@ impl PathSchedule {
     /// [`jobs`](Self::jobs) lists them in: the scheduler run sorts its jobs
     /// by one packed integer key, which is cheaper than sorting the
     /// `ScheduledJob`s here.
-    #[allow(clippy::too_many_arguments)]
     // lint: hot-path (once per scheduler run, into a pooled schedule)
     pub(crate) fn rebuild_from_parts(
         &mut self,
         label: Cube,
         delay: Time,
-        processes: usize,
-        conditions: usize,
+        slots: JobSlots,
         jobs: impl Iterator<Item = ScheduledJob>,
         knowledge: impl Iterator<Item = Knowledge>,
         slipped: &[SlippedLock],
     ) {
         self.label = label;
         self.delay = delay;
-        self.processes = processes;
+        self.slots = slots;
         self.jobs.clear();
         self.jobs.extend(jobs);
         debug_assert!(
@@ -205,12 +195,11 @@ impl PathSchedule {
             "jobs arrive in (start, end, job) order"
         );
         self.index.clear();
-        self.index.resize(processes + conditions, ABSENT);
+        self.index.resize(slots.len(), ABSENT);
         for (position, sj) in self.jobs.iter().enumerate() {
-            let slot = match sj.job() {
-                Job::Process(pid) => pid.index(),
-                Job::Broadcast(cond) => processes + cond.index(),
-            };
+            let slot = slots
+                .slot(sj.job())
+                .expect("scheduled jobs belong to the graph");
             self.index[slot] = position as u32;
         }
         self.knowledge.clear();
@@ -261,14 +250,7 @@ impl PathSchedule {
     /// The scheduled entry of a job, if the job is part of this path.
     #[must_use]
     pub fn entry(&self, job: Job) -> Option<&ScheduledJob> {
-        let slot = match job {
-            Job::Process(pid) if pid.index() < self.processes => pid.index(),
-            Job::Broadcast(cond) if self.processes + cond.index() < self.index.len() => {
-                self.processes + cond.index()
-            }
-            _ => return None,
-        };
-        let position = self.index[slot];
+        let position = self.index[self.slots.slot(job)?];
         (position != ABSENT).then(|| &self.jobs[position as usize])
     }
 
@@ -509,8 +491,8 @@ impl PathSchedule {
     }
 }
 
-// The dense index is derived from `jobs` (its layout additionally depends on
-// the slot-space size) and the resolutions from `knowledge`, so equality
+// The slot index is derived from `jobs` (its layout additionally depends on
+// the graph's `JobSlots`) and the resolutions from `knowledge`, so equality
 // compares the observable schedule only.
 impl PartialEq for PathSchedule {
     fn eq(&self, other: &Self) -> bool {

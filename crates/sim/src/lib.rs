@@ -46,8 +46,6 @@
 //! assert!(sim.run_all(result.tracks()).iter().all(|r| r.is_ok()));
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod report;
 mod simulator;
 

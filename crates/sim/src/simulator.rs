@@ -2,7 +2,7 @@
 
 use cpg::{CondId, Cpg, Cube, Literal, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
-use cpg_path_sched::Job;
+use cpg_path_sched::{Job, JobSlots};
 use cpg_table::{LabelBlock, ResolvedActivation, ScheduleTable};
 
 use crate::report::{SimViolation, SimulationReport};
@@ -24,9 +24,10 @@ use crate::report::{SimViolation, SimulationReport};
 /// the one driver, [`run_each`](Simulator::run_each). It works in three
 /// stages:
 ///
-/// * **dense job tables, once per call**: every job the run may activate
-///   gets a slot (processes first, then one broadcast per condition, so
-///   slot order is [`Job`] order) holding its duration and mapped resource,
+/// * **dense job tables, once per call**: every job of the graph gets its
+///   [`JobSlots`] slot (the dummy source and sink too, whose slots are never
+///   active; the broadcast slots only when broadcasts are simulated) holding
+///   its duration and mapped resource,
 ///   its in-edges as a slot-indexed CSR that carries each edge's literal (a
 ///   broadcast has one edge, to its disjunction process), and per condition
 ///   the disjunction slot, its processing element and the broadcast slot;
@@ -91,8 +92,7 @@ pub struct Simulator<'a> {
     needs_broadcast: bool,
 }
 
-/// "No slot": a condition's broadcast when no broadcasts are simulated, and
-/// the slot of a process that is not simulated (the dummy source and sink).
+/// "No slot": a condition's broadcast when no broadcasts are simulated.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Where the value of one condition becomes known, by job slot.
@@ -108,11 +108,12 @@ struct ConditionSlots {
 }
 
 /// The graph and architecture as the per-label checks read them, gathered
-/// once per [`Simulator::run_each`] call. Indexed by job slot unless noted.
+/// once per [`Simulator::run_each`] call. Indexed by [`JobSlots`] slot
+/// unless noted.
 #[derive(Debug, Default)]
 struct JobTables {
-    /// The jobs a run may activate: every schedulable process, then one
-    /// broadcast per condition when broadcasts are needed.
+    /// The jobs by slot: every process (the dummy source and sink are never
+    /// active), then one broadcast per condition when broadcasts are needed.
     jobs: Vec<Job>,
     /// The duration of each job.
     duration: Vec<Time>,
@@ -123,8 +124,8 @@ struct JobTables {
     /// `in_edges`.
     in_offsets: Vec<u32>,
     /// `(predecessor slot, literal)` of each in-edge, in the graph's edge
-    /// order (`None` for simple edges); edges from unsimulated processes
-    /// are left out, they never complete.
+    /// order (`None` for simple edges); an edge from the dummy source never
+    /// counts, as the source never completes.
     in_edges: Vec<(u32, Option<Literal>)>,
     /// Per condition, where its value becomes known.
     conditions: Vec<ConditionSlots>,
@@ -132,9 +133,6 @@ struct JobTables {
     exclusive: Vec<bool>,
     /// The bus of a broadcast whose table entry records none.
     broadcast_bus: Option<PeId>,
-    /// By process index, its job slot ([`NO_SLOT`] when not simulated); only
-    /// used while gathering.
-    slot_of: Vec<u32>,
 }
 
 /// The reusable buffers of [`Simulator::run_each`], the same idiom as the
@@ -362,6 +360,7 @@ impl<'a> Simulator<'a> {
             let block = LabelBlock::new(chunk);
             for (j, &job) in scratch.tables.jobs.iter().enumerate() {
                 let active = match job {
+                    Job::Process(pid) if self.cpg.process(pid).kind().is_dummy() => 0,
                     Job::Process(pid) => block.holding(self.cpg.guard(pid)),
                     Job::Broadcast(cond) => block.mentioning(cond),
                 };
@@ -392,28 +391,25 @@ impl<'a> Simulator<'a> {
             conditions,
             exclusive,
             broadcast_bus,
-            slot_of,
         } = tables;
         let cpg = self.cpg;
+        let slots = JobSlots::for_graph(cpg);
+        let slot = |job: Job| slots.slot(job).expect("a job of the graph") as u32;
+        let simulated = if self.needs_broadcast {
+            slots.len()
+        } else {
+            cpg.len()
+        };
         jobs.clear();
-        jobs.extend(cpg.schedulable_processes().map(Job::Process));
-        let processes = jobs.len();
-        if self.needs_broadcast {
-            jobs.extend(cpg.conditions().map(Job::Broadcast));
-        }
-        slot_of.clear();
-        slot_of.resize(cpg.len(), NO_SLOT);
-        for (j, pid) in cpg.schedulable_processes().enumerate() {
-            slot_of[pid.index()] = j as u32;
-        }
+        jobs.extend((0..simulated).map(|at| slots.job(at)));
         conditions.clear();
         conditions.extend(cpg.conditions().map(|cond| {
             let disjunction = cpg.disjunction_of(cond);
             ConditionSlots {
-                disjunction: slot_of[disjunction.index()],
+                disjunction: slot(Job::Process(disjunction)),
                 disjunction_pe: cpg.mapping(disjunction),
                 broadcast: if self.needs_broadcast {
-                    (processes + cond.index()) as u32
+                    slot(Job::Broadcast(cond))
                 } else {
                     NO_SLOT
                 },
@@ -430,18 +426,15 @@ impl<'a> Simulator<'a> {
                 Job::Process(pid) => {
                     duration.push(cpg.exec_time(pid));
                     pe.push(cpg.mapping(pid));
-                    in_edges.extend(cpg.in_edges(pid).filter_map(|edge| {
-                        let from = slot_of[edge.from().index()];
-                        (from != NO_SLOT).then_some((from, edge.condition()))
-                    }));
+                    in_edges.extend(
+                        cpg.in_edges(pid)
+                            .map(|edge| (slot(Job::Process(edge.from())), edge.condition())),
+                    );
                 }
                 Job::Broadcast(cond) => {
                     duration.push(self.broadcast_time);
                     pe.push(None);
-                    let from = conditions[cond.index()].disjunction;
-                    if from != NO_SLOT {
-                        in_edges.push((from, None));
-                    }
+                    in_edges.push((conditions[cond.index()].disjunction, None));
                 }
             }
             in_offsets.push(in_edges.len() as u32);

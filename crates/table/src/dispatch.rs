@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use cpg::{Cpg, Cube};
 use cpg_arch::{Architecture, PeId, Time};
-use cpg_path_sched::Job;
+use cpg_path_sched::{Job, JobSlots};
 
 use crate::table::ScheduleTable;
 
@@ -136,6 +136,10 @@ impl DispatchTable {
 /// Each dispatch table is ordered by `(start, job, column length)`, ties
 /// kept in [`ScheduleTable::all_entries_on`] order: one unstable sort of a
 /// packed integer key per entry.
+///
+/// # Panics
+///
+/// Panics when the table holds a job that is not one of `cpg`'s.
 #[must_use]
 pub fn per_processor_dispatch(
     table: &ScheduleTable,
@@ -178,16 +182,15 @@ pub fn per_processor_dispatch(
 }
 
 /// The sort key of a dispatch entry, packed into one `u128` from the most
-/// significant bit down: the start time (64 bits), the job's graph-wide
-/// slot (processes by index, then one broadcast per condition, so slot
-/// order is [`Job`] order), the column length (7 bits) and the entry's
+/// significant bit down: the start time (64 bits), the job's [`JobSlots`]
+/// slot (slot order is [`Job`] order), the column length (7 bits) and the entry's
 /// position in its processing element's list (which is
 /// [`ScheduleTable::all_entries_on`] order). The position makes every key
 /// unique, so an unstable sort gives the stable order.
 #[derive(Debug, Clone, Copy)]
 struct DispatchKey {
-    /// The slot of the first broadcast: the number of processes.
-    broadcasts: usize,
+    /// The numbering of the graph's jobs.
+    slots: JobSlots,
     /// Bits of the position field.
     position_bits: u32,
 }
@@ -205,25 +208,25 @@ impl DispatchKey {
     /// Panics when slot and position do not fit next to each other in 57
     /// bits, which needs far more jobs and entries than fit in memory.
     fn new(cpg: &Cpg, entries: usize) -> Self {
-        let slots = cpg.len() + cpg.num_conditions();
-        let slot_bits = usize::BITS - slots.leading_zeros();
+        let slots = JobSlots::for_graph(cpg);
+        let slot_bits = usize::BITS - slots.len().leading_zeros();
         let position_bits = 64 - Self::LEN_BITS - slot_bits;
         assert!(
             (entries as u128) < 1 << position_bits,
             "{entries} dispatch entries do not fit the sort key"
         );
         DispatchKey {
-            broadcasts: cpg.len(),
+            slots,
             position_bits,
         }
     }
 
     /// The key of the entry at `position` of its element's list.
     fn pack(self, entry: &DispatchEntry, position: usize) -> u128 {
-        let slot = match entry.job {
-            Job::Process(pid) => pid.index(),
-            Job::Broadcast(cond) => self.broadcasts + cond.index(),
-        };
+        let slot = self
+            .slots
+            .slot(entry.job)
+            .expect("tabled jobs belong to the graph");
         let low = ((slot as u64) << Self::LEN_BITS | entry.column.len() as u64)
             << self.position_bits
             | position as u64;

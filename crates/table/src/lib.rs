@@ -21,8 +21,6 @@
 //! assert_eq!(table.num_entries(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod analysis;
 mod block;
 mod dispatch;

@@ -5,7 +5,7 @@ use std::fmt;
 
 use cpg::{CondId, Cpg, Cube, ProcessId, Track, TrackSet};
 use cpg_arch::{PeId, Time};
-use cpg_path_sched::Job;
+use cpg_path_sched::{Job, JobSlots};
 
 use crate::block::{bits, BlockFold, LabelBlock, ResolvedActivation};
 use crate::error::TableViolation;
@@ -62,9 +62,6 @@ fn note_resource(best: &mut Option<(usize, u32, PeId)>, key: u32, column: Cube, 
     }
 }
 
-/// Sentinel for "job has no row yet" in the dense per-job row index.
-const ABSENT: u32 = u32::MAX;
-
 /// Multiplier of the word mix behind [`ScheduleTable::row_digest`].
 const DIGEST_K: u64 = 0x517c_c1b7_2722_0a95;
 
@@ -87,17 +84,16 @@ fn entry_hash(index: u32, column: Cube, cell: Cell) -> u64 {
     mix(h, cell.time.as_u64())
 }
 
-/// One row of the table: the job and its `(column index, column cube,
-/// cell)` entries, sorted by column index (the table-wide insertion order
-/// of the columns). The cube is stored inline so a scan never indirects
-/// through the column list.
+/// One row of the table: the `(column index, column cube, cell)` entries
+/// of one job, sorted by column index (the table-wide insertion order of
+/// the columns). The cube is stored inline so a scan never indirects
+/// through the column list. A row without entries is an absent row.
 ///
 /// `digest_sum` is the wrapping sum of [`entry_hash`] over the entries,
 /// kept up to date by every write and removal; it is a function of
 /// `entries`, so the derived equality compares the row content only.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Row {
-    job: Job,
     entries: Vec<(u32, Cube, Cell)>,
     digest_sum: u64,
 }
@@ -109,6 +105,29 @@ impl Row {
     fn find(&self, index: u32) -> Result<usize, usize> {
         self.entries.binary_search_by_key(&index, |&(i, _, _)| i)
     }
+
+    /// Writes `cell` under the column at table index `index` (headed by
+    /// `column`), keeping the entries sorted and the digest sum current.
+    /// Returns the replaced cell, if the write overwrote one.
+    #[inline]
+    fn write(&mut self, index: u32, column: Cube, cell: Cell) -> Option<Cell> {
+        let added = entry_hash(index, column, cell);
+        match self.find(index) {
+            Ok(at) => {
+                let previous = std::mem::replace(&mut self.entries[at].2, cell);
+                self.digest_sum = self
+                    .digest_sum
+                    .wrapping_sub(entry_hash(index, column, previous))
+                    .wrapping_add(added);
+                Some(previous)
+            }
+            Err(at) => {
+                self.entries.insert(at, (index, column, cell));
+                self.digest_sum = self.digest_sum.wrapping_add(added);
+                None
+            }
+        }
+    }
 }
 
 /// The schedule table: one row per process (and per condition broadcast), one
@@ -119,6 +138,11 @@ impl Row {
 /// every processing element a trivial non-preemptive scheduler activates a
 /// process at the tabled time as soon as the column expression is satisfied by
 /// the condition values it has seen so far (Section 3 of the paper).
+///
+/// The table is built without a graph, so it keeps its rows in two vectors
+/// indexed by process and by condition index, grown on demand; a row without
+/// entries is an absent row. Rows are listed in ascending [`Job`] order:
+/// the process rows, then the broadcast rows.
 ///
 /// # Example
 ///
@@ -144,25 +168,21 @@ pub struct ScheduleTable {
     /// Column cube -> its index in `columns`. Columns are only ever
     /// appended, so every lookup of a column by its cube is one hash probe.
     column_ids: HashMap<Cube, u32>,
-    /// Rows sorted by [`Job`], so iteration order matches the old map-based
-    /// representation; the dense indices below make row lookup O(1).
-    rows: Vec<Row>,
-    /// Process index -> position in `rows` ([`ABSENT`] when the process has
-    /// no row), grown on demand. The merge algorithm resolves every
-    /// `entries`/`entries_on` probe of its repair and locking loops through
-    /// this index, so it is a dense array rather than a search.
-    process_rows: Vec<u32>,
-    /// Condition index -> position in `rows` of the condition's broadcast
-    /// row, grown on demand.
-    broadcast_rows: Vec<u32>,
+    /// By process index, the row of the process, grown on demand. The merge
+    /// algorithm probes rows in every repair and locking loop, so a row is
+    /// one array read away.
+    process_rows: Vec<Row>,
+    /// By condition index, the row of the condition's broadcast, grown on
+    /// demand.
+    broadcast_rows: Vec<Row>,
 }
 
-// The column index is derived from `columns`, and the dense row indices from
-// `rows` (their length additionally depends on the largest identifier ever
-// probed), so equality compares the observable table content only.
+// The column index is derived from `columns`, and the row vectors' lengths
+// from the largest identifier ever written, so equality compares the
+// columns and the non-empty rows: the observable table content only.
 impl PartialEq for ScheduleTable {
     fn eq(&self, other: &Self) -> bool {
-        self.columns == other.columns && self.rows == other.rows
+        self.columns == other.columns && self.rows().eq(other.rows())
     }
 }
 
@@ -184,19 +204,19 @@ impl ScheduleTable {
     /// Number of rows (jobs with at least one activation time).
     #[must_use]
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.rows().count()
     }
 
     /// Total number of activation times stored in the table.
     #[must_use]
     pub fn num_entries(&self) -> usize {
-        self.rows.iter().map(|row| row.entries.len()).sum()
+        self.rows().map(|(_, row)| row.entries.len()).sum()
     }
 
     /// `true` when the table holds no activation time at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().next().is_none()
     }
 
     /// The column expressions, in insertion order.
@@ -208,64 +228,38 @@ impl ScheduleTable {
     /// Iterates over the rows (jobs) of the table, in ascending [`Job`]
     /// order.
     pub fn jobs(&self) -> impl Iterator<Item = Job> + '_ {
-        self.rows.iter().map(|row| row.job)
+        self.rows().map(|(job, _)| job)
     }
 
-    /// The position of the row of `job` in the dense index, if the job has
-    /// one.
-    #[inline]
-    fn row_position(&self, job: Job) -> Option<usize> {
-        let (index, slot) = match job {
-            Job::Process(pid) => (&self.process_rows, pid.index()),
-            Job::Broadcast(cond) => (&self.broadcast_rows, cond.index()),
-        };
-        index
-            .get(slot)
-            .copied()
-            .filter(|&position| position != ABSENT)
-            .map(|position| position as usize)
+    /// The non-empty rows with their jobs, in ascending [`Job`] order: the
+    /// process rows, then the broadcast rows.
+    fn rows(&self) -> impl Iterator<Item = (Job, &Row)> + '_ {
+        let processes = self.process_rows.iter().enumerate();
+        let processes = processes.map(|(i, row)| (Job::Process(ProcessId::from_index(i)), row));
+        let broadcasts = self.broadcast_rows.iter().enumerate();
+        let broadcasts = broadcasts.map(|(i, row)| (Job::Broadcast(CondId::new(i)), row));
+        processes
+            .chain(broadcasts)
+            .filter(|(_, row)| !row.entries.is_empty())
     }
 
+    /// The row of `job`, if it holds an entry.
     #[inline]
     fn row(&self, job: Job) -> Option<&Row> {
-        self.row_position(job).map(|position| &self.rows[position])
+        match job {
+            Job::Process(pid) => self.process_rows.get(pid.index()),
+            Job::Broadcast(cond) => self.broadcast_rows.get(cond.index()),
+        }
+        .filter(|row| !row.entries.is_empty())
     }
 
-    /// Points the dense index entry of `job` at `position` (growing the
-    /// index when the identifier is larger than anything seen so far).
-    fn index_row(&mut self, job: Job, position: u32) {
-        let (index, slot) = match job {
+    /// The row vector of `job`'s kind and the job's index in it.
+    #[inline]
+    fn rows_of(&mut self, job: Job) -> (&mut Vec<Row>, usize) {
+        match job {
             Job::Process(pid) => (&mut self.process_rows, pid.index()),
             Job::Broadcast(cond) => (&mut self.broadcast_rows, cond.index()),
-        };
-        if index.len() <= slot {
-            index.resize(slot + 1, ABSENT);
         }
-        index[slot] = position;
-    }
-
-    /// The position of the row of `job`, inserting an empty row (keeping
-    /// `rows` sorted by job and the dense indices consistent) when absent.
-    fn row_position_or_insert(&mut self, job: Job) -> usize {
-        if let Some(position) = self.row_position(job) {
-            return position;
-        }
-        let position = self.rows.partition_point(|row| row.job < job);
-        self.rows.insert(
-            position,
-            Row {
-                job,
-                entries: Vec::new(),
-                digest_sum: 0,
-            },
-        );
-        // Rows after the insertion point shifted by one; re-point their
-        // index entries. Rows are inserted once per job, so this stays cheap.
-        for shifted in position..self.rows.len() {
-            let shifted_job = self.rows[shifted].job;
-            self.index_row(shifted_job, shifted as u32);
-        }
-        position
     }
 
     /// Records the activation time of `job` in the column headed by `column`,
@@ -293,40 +287,13 @@ impl ScheduleTable {
         resource: Option<PeId>,
     ) -> Option<Time> {
         let index = self.column_index_or_insert(column);
-        let position = self.row_position_or_insert(job);
-        self.write_cell(position, index, column, Cell { time, resource })
-            .map(|cell| cell.time)
-    }
-
-    /// Writes `cell` into the row at `position` under the column at table
-    /// index `index` (headed by `column`), keeping the entry list sorted and
-    /// the row's digest sum current. Returns the replaced cell, if the write
-    /// overwrote one.
-    #[inline]
-    fn write_cell(
-        &mut self,
-        position: usize,
-        index: u32,
-        column: Cube,
-        cell: Cell,
-    ) -> Option<Cell> {
-        let row = &mut self.rows[position];
-        let added = entry_hash(index, column, cell);
-        match row.find(index) {
-            Ok(at) => {
-                let previous = std::mem::replace(&mut row.entries[at].2, cell);
-                row.digest_sum = row
-                    .digest_sum
-                    .wrapping_sub(entry_hash(index, column, previous))
-                    .wrapping_add(added);
-                Some(previous)
-            }
-            Err(at) => {
-                row.entries.insert(at, (index, column, cell));
-                row.digest_sum = row.digest_sum.wrapping_add(added);
-                None
-            }
+        let (rows, at) = self.rows_of(job);
+        if rows.len() <= at {
+            rows.resize_with(at + 1, Row::default);
         }
+        rows[at]
+            .write(index, column, Cell { time, resource })
+            .map(|cell| cell.time)
     }
 
     /// Replays the writes of a recorded chain ([`ChainLog`]) in write order
@@ -347,21 +314,12 @@ impl ScheduleTable {
     /// returning it if it was present.
     pub fn remove(&mut self, job: Job, column: &Cube) -> Option<Time> {
         let index = self.column_index(column)?;
-        let position = self.row_position(job)?;
-        let row = &mut self.rows[position];
-        let at = row.find(index).ok()?;
-        let (_, _, cell) = row.entries.remove(at);
+        let (rows, at) = self.rows_of(job);
+        let row = rows.get_mut(at)?;
+        let (_, _, cell) = row.entries.remove(row.find(index).ok()?);
         row.digest_sum = row
             .digest_sum
             .wrapping_sub(entry_hash(index, *column, cell));
-        if row.entries.is_empty() {
-            self.rows.remove(position);
-            self.index_row(job, ABSENT);
-            for shifted in position..self.rows.len() {
-                let shifted_job = self.rows[shifted].job;
-                self.index_row(shifted_job, shifted as u32);
-            }
-        }
         Some(cell.time)
     }
 
@@ -415,17 +373,17 @@ impl ScheduleTable {
     /// Iterates over every `(job, column, time, recorded resource)` entry of
     /// the table.
     pub fn all_entries_on(&self) -> impl Iterator<Item = (Job, Cube, Time, Option<PeId>)> + '_ {
-        self.rows.iter().flat_map(move |row| {
+        self.rows().flat_map(|(job, row)| {
             row.entries
                 .iter()
-                .map(move |&(_, column, cell)| (row.job, column, cell.time, cell.resource))
+                .map(move |&(_, column, cell)| (job, column, cell.time, cell.resource))
         })
     }
 
     /// `true` when the row for `job` contains at least one activation time.
     #[must_use]
     pub fn contains_job(&self, job: Job) -> bool {
-        self.row_position(job).is_some()
+        self.row(job).is_some()
     }
 
     /// The entries of a row that are *compatible* with (not excluded by) the
@@ -615,24 +573,17 @@ impl ScheduleTable {
     /// correct).
     pub fn verify(&self, cpg: &Cpg, tracks: &TrackSet) -> Result<(), Vec<TableViolation>> {
         let mut violations = Vec::new();
+        let slots = JobSlots::for_graph(cpg);
 
         // Requirement 1 + sanity of row keys.
         for (job, column, _) in self.all_entries() {
+            if slots.slot(job).is_none() {
+                violations.push(TableViolation::UnknownJob { job });
+                continue;
+            }
             let guard = match job {
-                Job::Process(pid) => {
-                    if pid.index() >= cpg.len() {
-                        violations.push(TableViolation::UnknownJob { job });
-                        continue;
-                    }
-                    cpg.guard(pid)
-                }
-                Job::Broadcast(cond) => {
-                    if cond.index() >= cpg.num_conditions() {
-                        violations.push(TableViolation::UnknownJob { job });
-                        continue;
-                    }
-                    cpg.guard(cpg.disjunction_of(cond))
-                }
+                Job::Process(pid) => cpg.guard(pid),
+                Job::Broadcast(cond) => cpg.guard(cpg.disjunction_of(cond)),
             };
             if !guard.implied_by(&column) {
                 violations.push(TableViolation::GuardViolated { job, column });
@@ -659,16 +610,11 @@ impl ScheduleTable {
             }
         }
 
-        // Requirement 3, one block of tracks at a time: per job slot (the
-        // processes, then one broadcast slot per condition), the mask of the
-        // labels that need an activation, narrowed by one row pass to those
-        // missing one; then each track reports in track order.
-        let broadcast_slot = |cond: CondId| cpg.len() + cond.index();
-        let job_of = |slot: usize| match slot.checked_sub(cpg.len()) {
-            None => Job::Process(ProcessId::from_index(slot)),
-            Some(cond) => Job::Broadcast(CondId::new(cond)),
-        };
-        let mut missing: Vec<u64> = vec![0; cpg.len() + cpg.num_conditions()];
+        // Requirement 3, one block of tracks at a time: by job slot, the mask
+        // of the labels that need an activation, narrowed by one row pass to
+        // those missing one; then each track reports in track order.
+        let slot = |job: Job| slots.slot(job).expect("tracks hold jobs of the graph");
+        let mut missing: Vec<u64> = vec![0; slots.len()];
         let mut resolved = [ResolvedActivation::NONE; LabelBlock::WIDTH];
         for chunk in tracks.tracks().chunks(LabelBlock::WIDTH) {
             let labels: Vec<Cube> = chunk.iter().map(Track::label).collect();
@@ -677,27 +623,28 @@ impl ScheduleTable {
             for (t, track) in chunk.iter().enumerate() {
                 for &pid in track.processes() {
                     if !cpg.process(pid).kind().is_dummy() {
-                        missing[pid.index()] |= 1 << t;
+                        missing[slot(Job::Process(pid))] |= 1 << t;
                     }
                 }
             }
-            for cond in (0..cpg.num_conditions()).map(CondId::new) {
-                if self.contains_job(Job::Broadcast(cond)) {
-                    missing[broadcast_slot(cond)] = block.mentioning(cond);
+            for cond in cpg.conditions() {
+                let job = Job::Broadcast(cond);
+                if self.contains_job(job) {
+                    missing[slot(job)] = block.mentioning(cond);
                 }
             }
-            for (slot, mask) in missing.iter_mut().enumerate() {
+            for (at, mask) in missing.iter_mut().enumerate() {
                 if *mask != 0 {
-                    *mask &= !self.resolve_block(job_of(slot), &block, *mask, &mut resolved);
+                    *mask &= !self.resolve_block(slots.job(at), &block, *mask, &mut resolved);
                 }
             }
             for (t, track) in chunk.iter().enumerate() {
-                let processes = track.processes().iter().map(|pid| pid.index());
-                let broadcasts = track.determined_conditions().map(broadcast_slot);
-                for slot in processes.chain(broadcasts) {
-                    if missing[slot] & (1 << t) != 0 {
+                let processes = track.processes().iter().map(|&pid| Job::Process(pid));
+                let broadcasts = track.determined_conditions().map(Job::Broadcast);
+                for job in processes.chain(broadcasts) {
+                    if missing[slot(job)] & (1 << t) != 0 {
                         violations.push(TableViolation::MissingActivation {
-                            job: job_of(slot),
+                            job,
                             track: track.label(),
                         });
                     }
@@ -731,21 +678,14 @@ impl ScheduleTable {
         header.extend(columns.iter().map(|(_, cube)| cpg.display_cube(cube)));
         let mut table_rows: Vec<Vec<String>> = vec![header];
 
-        // Ordinary and communication processes first (by id), then broadcasts.
-        let mut jobs: Vec<Job> = self.jobs().collect();
-        jobs.sort_by_key(|job| match job {
-            Job::Process(pid) => (0, pid.index()),
-            Job::Broadcast(cond) => (1, cond.index()),
-        });
-        for job in jobs {
-            let mut row = vec![job_name(job)];
+        // Processes first (by id), then broadcasts: `Job` order.
+        for (job, row) in self.rows() {
+            let mut line = vec![job_name(job)];
             for &(index, _) in &columns {
-                let cell = self
-                    .cell(job, index as u32)
-                    .map_or(String::new(), |cell| cell.time.to_string());
-                row.push(cell);
+                let cell = row.find(index as u32).ok().map(|at| row.entries[at].2);
+                line.push(cell.map_or(String::new(), |cell| cell.time.to_string()));
             }
-            table_rows.push(row);
+            table_rows.push(line);
         }
 
         // Column widths.
@@ -1192,6 +1132,150 @@ mod tests {
                 }
                 proptest::prop_assert!(digests_are_current(&table));
             }
+        }
+    }
+
+    /// Jobs of the row-model test: `0..MODEL_PROCS` are processes, the rest
+    /// broadcasts.
+    const MODEL_PROCS: usize = 12;
+    const MODEL_JOBS: usize = 18;
+
+    fn model_job(index: usize) -> Job {
+        if index < MODEL_PROCS {
+            p(index)
+        } else {
+            Job::Broadcast(c(index - MODEL_PROCS))
+        }
+    }
+
+    /// A [`RawWrite`] whose first field picks one of the [`MODEL_JOBS`].
+    fn model_write() -> impl proptest::Strategy<Value = RawWrite> {
+        (
+            0..MODEL_JOBS,
+            proptest::collection::vec(proptest::any::<Option<bool>>(), 3),
+            0u64..6,
+            0usize..3,
+        )
+    }
+
+    fn decode_model(write: &RawWrite) -> (Job, Cube, Time, Option<PeId>) {
+        let (_, column, time, resource) = decode(write);
+        (model_job(write.0), column, time, resource)
+    }
+
+    type RowModel = std::collections::BTreeMap<(Job, Cube), (Time, Option<PeId>)>;
+
+    /// The table holds exactly the model's entries, its rows in ascending
+    /// [`Job`] order.
+    fn rows_match(table: &ScheduleTable, model: &RowModel) -> Result<(), String> {
+        let mut jobs: Vec<Job> = model.keys().map(|&(job, _)| job).collect();
+        jobs.dedup();
+        let listed: Vec<Job> = table.jobs().collect();
+        if listed != jobs {
+            return Err(format!("jobs {listed:?}, model {jobs:?}"));
+        }
+        let mut entries: Vec<(Job, Cube, Time, Option<PeId>)> = table.all_entries_on().collect();
+        if !entries.windows(2).all(|w| w[0].0 <= w[1].0) {
+            return Err(format!("entries out of job order: {entries:?}"));
+        }
+        entries.sort_unstable();
+        let expected: Vec<_> = model
+            .iter()
+            .map(|(&(job, column), &(time, resource))| (job, column, time, resource))
+            .collect();
+        let counts = (table.num_rows(), table.num_entries(), table.is_empty());
+        let absent = (0..MODEL_JOBS + 2)
+            .map(model_job)
+            .find(|&job| table.contains_job(job) != jobs.contains(&job));
+        if entries != expected {
+            Err(format!("entries {entries:?}, model {expected:?}"))
+        } else if counts != (jobs.len(), model.len(), model.is_empty()) {
+            Err(format!("counts {counts:?} for {} rows", jobs.len()))
+        } else if let Some(job) = absent {
+            Err(format!("contains_job({job}) disagrees with the model"))
+        } else {
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 128,
+            max_shrink_iters: 0,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn rows_match_a_job_map_after_any_edit_sequence(
+            ops in proptest::collection::vec(
+                (0usize..3, proptest::collection::vec(model_write(), 1..4)),
+                0..60,
+            ),
+        ) {
+            let mut table = ScheduleTable::new();
+            let mut model = RowModel::new();
+            for (kind, writes) in &ops {
+                let (job, column, time, resource) = decode_model(&writes[0]);
+                match kind {
+                    0 => {
+                        let previous = table.set_on(job, column, time, resource);
+                        let modelled = model.insert((job, column), (time, resource));
+                        proptest::prop_assert_eq!(previous, modelled.map(|(time, _)| time));
+                    }
+                    // Mostly a removal of an entry the row holds, so rows
+                    // empty out.
+                    1 => {
+                        let existing = table.entries(job).next().map(|(column, _)| column);
+                        let column = existing.unwrap_or(column);
+                        let removed = model.remove(&(job, column)).map(|(time, _)| time);
+                        proptest::prop_assert_eq!(table.remove(job, &column), removed);
+                    }
+                    _ => {
+                        let mut recorded = table.clone();
+                        let mut view = RecordingView::new(&mut recorded, RecordScratch::default());
+                        for write in writes {
+                            let (job, column, time, resource) = decode_model(write);
+                            view.set_on(job, column, time, resource);
+                            model.insert((job, column), (time, resource));
+                        }
+                        let (log, _) = view.finish();
+                        table.splice_log(&log);
+                    }
+                }
+                if let Err(message) = rows_match(&table, &model) {
+                    return Err(proptest::test_runner::TestCaseError::fail(message));
+                }
+            }
+
+            // A row written then emptied digests as 0 and leaves the table
+            // equal, both ways, to one that never held it: for a job the
+            // model has no row for, and for two beyond every identifier so
+            // far, which grow the row vectors.
+            let unheld = (0..MODEL_JOBS).map(model_job).find(|&job| !table.contains_job(job));
+            let beyond = [p(MODEL_PROCS + 20), Job::Broadcast(c(MODEL_JOBS))];
+            for job in unheld.into_iter().chain(beyond) {
+                let Some(&column) = table.columns().first() else { break };
+                let mut emptied = table.clone();
+                emptied.set(job, column, Time::new(1));
+                proptest::prop_assert!(emptied.contains_job(job));
+                emptied.remove(job, &column);
+                proptest::prop_assert_eq!(emptied.row_digest(job), 0);
+                proptest::prop_assert!(!emptied.contains_job(job));
+                proptest::prop_assert_eq!(&emptied, &table);
+                proptest::prop_assert_eq!(&table, &emptied);
+            }
+
+            // A table holding only the model's entries, over the same
+            // columns, is equal both ways, whatever rows either once held.
+            let mut rebuilt = ScheduleTable::new();
+            for &column in table.columns() {
+                add_column(&mut rebuilt, column);
+            }
+            for (&(job, column), &(time, resource)) in &model {
+                rebuilt.set_on(job, column, time, resource);
+            }
+            proptest::prop_assert_eq!(&rebuilt, &table);
+            proptest::prop_assert_eq!(&table, &rebuilt);
         }
     }
 

@@ -52,8 +52,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-
 /// Target architecture model (re-export of `cpg-arch`).
 pub mod arch {
     pub use cpg_arch::*;
