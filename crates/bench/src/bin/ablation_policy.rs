@@ -5,9 +5,6 @@
 //! Usage: `ablation_policy [graphs]` (default 20).
 
 fn main() {
-    let graphs = std::env::args()
-        .nth(1)
-        .and_then(|arg| arg.parse().ok())
-        .unwrap_or(20);
+    let graphs = cpg_bench::count_arg("ablation_policy [graphs]", 20);
     print!("{}", cpg_bench::ablation_report(graphs));
 }

@@ -565,6 +565,14 @@ mod tests {
     }
 
     #[test]
+    fn gated_prefixes_name_whole_groups() {
+        // Without the slash, "sim" would also gate a `simfoo/*` group.
+        for prefix in GATED_PREFIXES {
+            assert!(prefix.ends_with('/'), "{prefix:?} must end with '/'");
+        }
+    }
+
+    #[test]
     fn gated_group_absent_from_baseline_fails() {
         // The whole merge_walk/ group is missing from the baseline: the old
         // guard silently gated nothing; now it is a hard failure telling the

@@ -6,10 +6,7 @@
 //! Usage: `fig5_increase [graphs_per_size]` (default 30; the paper uses 360).
 
 fn main() {
-    let graphs_per_size = std::env::args()
-        .nth(1)
-        .and_then(|arg| arg.parse().ok())
-        .unwrap_or(30);
+    let graphs_per_size = cpg_bench::count_arg("fig5_increase [graphs_per_size]", 30);
     eprintln!("running the Fig. 5 experiment on {graphs_per_size} graphs per size...");
     let outcomes = cpg_bench::run_suite(graphs_per_size);
     print!("{}", cpg_bench::fig5_rows(&outcomes));

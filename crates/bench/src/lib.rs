@@ -25,6 +25,25 @@ use cpg_merge::{generate_schedule_table, MergeConfig, MergeResult, SelectionPoli
 use cpg_path_sched::{ListScheduler, PathSchedule};
 use cpg_sim::Simulator;
 
+/// The count argument of the experiment binaries: a positive integer, or
+/// `default` when the binary is run without arguments. Anything else (`0`,
+/// a negative number, a word, a second argument) prints
+/// `usage: {usage}` to stderr and exits with status 1, so a typo cannot run
+/// the default experiment or an empty one.
+#[must_use]
+pub fn count_arg(usage: &str, default: usize) -> usize {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let count = match args.as_slice() {
+        [] => Some(default),
+        [arg] => arg.parse::<usize>().ok().filter(|&count| count > 0),
+        _ => None,
+    };
+    count.unwrap_or_else(|| {
+        eprintln!("usage: {usage} (a positive integer, default {default})");
+        std::process::exit(1)
+    })
+}
+
 /// Outcome of scheduling one randomly generated system.
 #[derive(Debug, Clone)]
 pub struct SuiteOutcome {

@@ -19,6 +19,10 @@ use cpg_arch::Time;
 ///   variable per process, so a typo like `CPG_MERGE_THREADS=fourteen` can
 ///   no longer masquerade as unset.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark probes for retired thread-count variables"
+)]
 pub fn threads_from_env(var: &str) -> Option<NonZeroUsize> {
     parse_thread_count(var, std::env::var(var).ok()?.as_str())
 }
@@ -88,6 +92,10 @@ pub fn with_env_var<R>(name: &str, value: Option<&str>, body: impl FnOnce() -> R
             }
         }
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "saves the variable this helper overwrites"
+    )]
     let _restore = Restore {
         name,
         previous: std::env::var(name).ok(),

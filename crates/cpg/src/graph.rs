@@ -546,22 +546,6 @@ impl CpgBuilder {
         self.push_edge(from, to, Some(literal), comm_time, None);
     }
 
-    /// Adds a conditional edge whose communication (if any) must use bus `via`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint was not created by this builder.
-    pub fn conditional_edge_via(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        literal: Literal,
-        comm_time: Time,
-        via: PeId,
-    ) {
-        self.push_edge(from, to, Some(literal), comm_time, Some(via));
-    }
-
     /// Number of processes added so far (excluding the automatic source and
     /// sink).
     #[must_use]

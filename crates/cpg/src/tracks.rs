@@ -79,29 +79,6 @@ impl Track {
     pub fn determined_conditions(&self) -> impl Iterator<Item = CondId> + '_ {
         self.label.conditions()
     }
-
-    /// The predecessors of `id` that are active on this path (the inputs the
-    /// process actually waits for during an execution along this path).
-    pub fn active_predecessors<'a>(
-        &'a self,
-        cpg: &'a Cpg,
-        id: ProcessId,
-    ) -> impl Iterator<Item = ProcessId> + 'a {
-        cpg.predecessors(id).filter(move |p| self.contains(*p))
-    }
-
-    /// The successors of `id` that are active on this path and whose
-    /// connecting edge transmits on this path.
-    pub fn active_successors<'a>(
-        &'a self,
-        cpg: &'a Cpg,
-        id: ProcessId,
-    ) -> impl Iterator<Item = ProcessId> + 'a {
-        cpg.out_edges(id).filter_map(move |edge| {
-            let transmits = edge.condition().is_none_or(|lit| self.label.contains(lit));
-            (transmits && self.contains(edge.to())).then_some(edge.to())
-        })
-    }
 }
 
 impl fmt::Display for Track {
@@ -292,28 +269,6 @@ mod tests {
             assert_eq!(t.determined_conditions().collect::<Vec<_>>(), vec![c]);
         }
         assert_eq!(tracks.to_string(), "2 alternative paths");
-    }
-
-    #[test]
-    fn active_predecessors_ignore_inactive_branches() {
-        let (cpg, c, [_, a, bb, join]) = diamond();
-        let tracks = enumerate_tracks(&cpg);
-        let t_true = tracks.by_label(&Cube::from(c.is_true())).unwrap();
-        let preds: Vec<_> = t_true.active_predecessors(&cpg, join).collect();
-        assert_eq!(preds, vec![a]);
-        assert!(!preds.contains(&bb));
-    }
-
-    #[test]
-    fn active_successors_respect_edge_conditions() {
-        let (cpg, c, [root, a, bb, _]) = diamond();
-        let tracks = enumerate_tracks(&cpg);
-        let t_true = tracks.by_label(&Cube::from(c.is_true())).unwrap();
-        let succs: Vec<_> = t_true.active_successors(&cpg, root).collect();
-        assert_eq!(succs, vec![a]);
-        let t_false = tracks.by_label(&Cube::from(c.is_false())).unwrap();
-        let succs: Vec<_> = t_false.active_successors(&cpg, root).collect();
-        assert_eq!(succs, vec![bb]);
     }
 
     #[test]

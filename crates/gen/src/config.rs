@@ -164,13 +164,6 @@ impl GeneratorConfig {
         self
     }
 
-    /// Sets the condition broadcast time `τ0`.
-    #[must_use]
-    pub fn with_broadcast_time(mut self, broadcast_time: Time) -> Self {
-        self.broadcast_time = broadcast_time;
-        self
-    }
-
     /// Sets the random seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {

@@ -1,5 +1,5 @@
 // Inherent RecordingView impls where two methods lost their #[inline]
-// attribute. The shapes mirror crates/table/src/txn.rs: inherent impls of
+// attribute and one is #[inline(never)]. The shapes mirror crates/table/src/txn.rs: inherent impls of
 // other types and trait impls for RecordingView must not be flagged.
 
 impl ScheduleTable {
@@ -25,7 +25,7 @@ impl<'t> RecordingView<'t> {
         self.table.set_on(job, column, time);
     }
 
-    #[inline]
+    #[inline(always)]
     #[allow(clippy::needless_lifetimes)]
     pub(crate) fn resource(&mut self, job: &Job) -> PeId {
         self.table.pe_of(job)
@@ -42,6 +42,11 @@ impl Debug for RecordingView<'_> {
 impl RecordingView<'_> {
     #[inline]
     fn touch(&mut self, job: Job) {
+        self.table.row_digest(job);
+    }
+
+    #[inline(never)]
+    fn never_inlined(&mut self, job: Job) {
         self.table.row_digest(job);
     }
 

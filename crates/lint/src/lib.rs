@@ -1,40 +1,33 @@
-//! Workspace invariant lints — a token-level scanner for conventions that
-//! `rustc` and `clippy` cannot express because they are *about this repo*,
-//! not about Rust:
+//! Workspace invariant lints — a token-level scanner for the two
+//! conventions of this repo that neither `rustc` nor `clippy` can check:
 //!
 //! - **recording-view-inline** — every method of the inherent
 //!   `impl RecordingView` blocks in `crates/table/src/txn.rs` is
 //!   `#[inline]`: the merge walk reads and writes the table through these
 //!   on its hottest edge and must not pay a call across the crate
-//!   boundary.
-//! - **env-var-outside-config** — `std::env::var` reads appear only in
-//!   `crates/core/src/config.rs` (`threads_from_env` and its test helper);
-//!   everything else takes configuration as arguments so behaviour never
-//!   depends on ambient process state.
+//!   boundary. Clippy's `missing_inline_in_public_items` skips private
+//!   methods such as `RecordingView::touch`.
 //! - **hot-path-alloc** — a function annotated with a marker comment (a
 //!   line comment whose text starts with `lint: hot-path`) must not call
 //!   `Vec::new`, `Vec::with_capacity`, `vec!`, `.collect()`, `.to_vec()`,
 //!   `.clone()` or `format!`: these are the allocation-free inner loops of
 //!   the decision-tree walk, the list scheduler and the simulator, whose
-//!   buffers live in reused scratch arenas.
-//! - **bench-prefix** — every gated bench prefix named in `bench_guard`
-//!   matches a benchmark group that actually exists in
-//!   `crates/bench/benches/`, so the regression gate can never silently
-//!   gate nothing.
-//! - **corpus-dir** — every string literal naming a path under
-//!   `tests/corpus/` resolves to something that exists, and a referenced
-//!   directory is non-empty, so a replay suite whose corpus was renamed or
-//!   never committed cannot pass vacuously.
+//!   buffers live in reused scratch arenas. Counting allocations at run
+//!   time would need a `GlobalAlloc`, which is `unsafe`.
 //!
 //! The scanner is deliberately not a parser: [`scan`] strips comments and
 //! string literals (preserving byte offsets), and the rules work on the
-//! masked code with brace matching. That is exact enough for the five
+//! masked code with brace matching. That is exact enough for the two
 //! invariants above and keeps the crate dependency-free.
 //!
-//! "No unsafe code" is not among them: `unsafe_code = "forbid"` in the
-//! workspace's `[workspace.lints.rust]` (and in each vendored shim's
-//! `[lints.rust]`) makes rustc reject it in every target, tests, benches
-//! and examples included.
+//! Every other repo convention has one owner elsewhere:
+//! `unsafe_code = "forbid"` in the workspace lints (and in each vendored
+//! shim's `[lints.rust]`); environment reads through clippy's
+//! `disallowed-methods` in the root `clippy.toml`; gated bench groups
+//! through `bench_guard`, which fails when a gated group is absent from
+//! either side; and the adversarial corpus through
+//! `tests/adversarial_corpus.rs`, which fails on a missing or empty
+//! directory.
 
 use std::fmt;
 use std::fs;
@@ -43,14 +36,8 @@ use std::path::{Path, PathBuf};
 
 /// Rule identifier for the `RecordingView` `#[inline]` check.
 pub const RULE_RECORDING_VIEW_INLINE: &str = "recording-view-inline";
-/// Rule identifier for the environment-read containment check.
-pub const RULE_ENV_VAR: &str = "env-var-outside-config";
 /// Rule identifier for the hot-path allocation check.
 pub const RULE_HOT_PATH: &str = "hot-path-alloc";
-/// Rule identifier for the bench-guard prefix existence check.
-pub const RULE_BENCH_PREFIX: &str = "bench-prefix";
-/// Rule identifier for the corpus-path existence check.
-pub const RULE_CORPUS_DIR: &str = "corpus-dir";
 
 /// The comment marker that puts the next function under [`RULE_HOT_PATH`].
 /// A line comment whose (trimmed) text starts with this string marks the
@@ -91,17 +78,6 @@ pub struct Comment {
     pub text: String,
 }
 
-/// A string literal found by [`scan`].
-#[derive(Debug, Clone)]
-pub struct StrLit {
-    /// 1-based line the literal starts on.
-    pub line: usize,
-    /// Byte offset of the opening quote (or `r` for raw strings).
-    pub start: usize,
-    /// Literal content without the delimiters (escapes left as written).
-    pub text: String,
-}
-
 /// The result of lexically splitting a source file: `code` is the original
 /// text with every comment and string/char literal blanked to spaces
 /// (newlines preserved), so token searches over it cannot be fooled by
@@ -113,8 +89,6 @@ pub struct Scanned {
     pub code: String,
     /// All comments, in file order.
     pub comments: Vec<Comment>,
-    /// All string literals, in file order.
-    pub strings: Vec<StrLit>,
 }
 
 impl Scanned {
@@ -140,7 +114,7 @@ fn blank(code: &mut [u8], range: std::ops::Range<usize>) {
     }
 }
 
-/// Lexically split `source` into masked code, comments and string literals.
+/// Lexically split `source` into masked code and comments.
 ///
 /// Handles line comments, nested block comments, plain and raw strings
 /// (any number of `#`s), escaped quotes, and character literals (with a
@@ -151,7 +125,6 @@ pub fn scan(source: &str) -> Scanned {
     let len = bytes.len();
     let mut code = bytes.to_vec();
     let mut comments = Vec::new();
-    let mut strings = Vec::new();
     let mut i = 0;
     let mut line = 1;
     while i < len {
@@ -202,7 +175,6 @@ pub fn scan(source: &str) -> Scanned {
             }
             b'"' => {
                 let start = i;
-                let start_line = line;
                 i += 1;
                 while i < len {
                     match bytes[i] {
@@ -218,12 +190,6 @@ pub fn scan(source: &str) -> Scanned {
                         _ => i += 1,
                     }
                 }
-                let text_end = i.saturating_sub(1).max(start + 1);
-                strings.push(StrLit {
-                    line: start_line,
-                    start,
-                    text: source[start + 1..text_end].to_string(),
-                });
                 blank(&mut code, start..i);
             }
             b'r' if (i == 0 || !is_ident(bytes[i - 1])) && {
@@ -235,14 +201,12 @@ pub fn scan(source: &str) -> Scanned {
             } =>
             {
                 let start = i;
-                let start_line = line;
                 let mut j = i + 1;
                 while bytes.get(j) == Some(&b'#') {
                     j += 1;
                 }
                 let hashes = j - i - 1;
-                let body_start = j + 1;
-                i = body_start;
+                i = j + 1;
                 while i < len {
                     if bytes[i] == b'\n' {
                         line += 1;
@@ -260,12 +224,6 @@ pub fn scan(source: &str) -> Scanned {
                         i += 1;
                     }
                 }
-                let text_end = i.min(len);
-                strings.push(StrLit {
-                    line: start_line,
-                    start,
-                    text: source[body_start.min(len)..text_end].to_string(),
-                });
                 i = (i + 1 + hashes).min(len);
                 blank(&mut code, start..i);
             }
@@ -293,7 +251,6 @@ pub fn scan(source: &str) -> Scanned {
     Scanned {
         code: String::from_utf8_lossy(&code).into_owned(),
         comments,
-        strings,
     }
 }
 
@@ -346,42 +303,9 @@ fn ident_after(code: &str, from: usize) -> String {
     code[start..i].to_string()
 }
 
-/// Rule `env-var-outside-config`: no `env::var` reads in this file.
-#[must_use]
-pub fn check_env_var(file: &str, scanned: &Scanned) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = {
-        // `env::var` and `env::var_os` both read ambient process state;
-        // boundary-check only the front so the `_os` suffix matches too.
-        let bytes = scanned.code.as_bytes();
-        let mut found = None;
-        let mut search = from;
-        while let Some(rel) = scanned.code.get(search..).and_then(|s| s.find("env::var")) {
-            let p = search + rel;
-            if p == 0 || !is_ident(bytes[p - 1]) {
-                found = Some(p);
-                break;
-            }
-            search = p + 1;
-        }
-        found
-    } {
-        findings.push(Finding {
-            rule: RULE_ENV_VAR,
-            file: file.to_string(),
-            line: scanned.line_of(pos),
-            message: "environment read outside crates/core/src/config.rs \
-                      (route it through MergeConfig / threads_from_env)"
-                .to_string(),
-        });
-        from = pos + 1;
-    }
-    findings
-}
-
 /// Walks backwards from a `fn` keyword over visibility qualifiers and
-/// attributes; true if one of the attributes mentions `inline`.
+/// attributes; true if one of the attributes is `#[inline]` or
+/// `#[inline(always)]`.
 fn has_inline_attr(code: &str, lower: usize, fn_pos: usize) -> bool {
     let bytes = code.as_bytes();
     let mut k = fn_pos;
@@ -424,7 +348,12 @@ fn has_inline_attr(code: &str, lower: usize, fn_pos: usize) -> bool {
                         }
                     }
                 }
-                if code[j + 1..k - 1].contains("inline") {
+                // `#[inline(never)]` forbids exactly what the rule wants.
+                let attr: String = code[j + 1..k - 1]
+                    .chars()
+                    .filter(|c| !c.is_whitespace())
+                    .collect();
+                if attr == "inline" || attr == "inline(always)" {
                     return true;
                 }
                 // Step over the `#` (and `#!`, though inner attributes
@@ -579,112 +508,6 @@ pub fn check_hot_path(file: &str, scanned: &Scanned) -> Vec<Finding> {
     findings
 }
 
-/// Extracts the string literals of the `&[&str]` array initializing the
-/// given `const` in an already-scanned file.
-#[must_use]
-pub fn const_str_array(scanned: &Scanned, const_name: &str) -> Vec<StrLit> {
-    let Some(decl) = find_word(&scanned.code, const_name, 0) else {
-        return Vec::new();
-    };
-    let Some(eq_rel) = scanned.code[decl..].find('=') else {
-        return Vec::new();
-    };
-    let eq = decl + eq_rel;
-    let Some(open_rel) = scanned.code[eq..].find('[') else {
-        return Vec::new();
-    };
-    let open = eq + open_rel;
-    let close = matching_brace(scanned.code.as_bytes(), open, b'[', b']');
-    scanned
-        .strings
-        .iter()
-        .filter(|lit| lit.start > open && lit.start < close)
-        .cloned()
-        .collect()
-}
-
-/// Rule `bench-prefix`: every prefix in the guard's `GATED_PREFIXES` must
-/// end with `/` and name a benchmark group that exists (i.e. appears as a
-/// string literal in some bench target).
-#[must_use]
-pub fn check_bench_prefixes(
-    guard_file: &str,
-    guard: &Scanned,
-    bench_group_literals: &[String],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lit in const_str_array(guard, "GATED_PREFIXES") {
-        let Some(stem) = lit.text.strip_suffix('/') else {
-            findings.push(Finding {
-                rule: RULE_BENCH_PREFIX,
-                file: guard_file.to_string(),
-                line: lit.line,
-                message: format!(
-                    "GATED_PREFIXES entry {:?} must end with '/' to match whole groups",
-                    lit.text
-                ),
-            });
-            continue;
-        };
-        if !bench_group_literals.iter().any(|name| name == stem) {
-            findings.push(Finding {
-                rule: RULE_BENCH_PREFIX,
-                file: guard_file.to_string(),
-                line: lit.line,
-                message: format!(
-                    "GATED_PREFIXES entry {:?} matches no benchmark group in \
-                     crates/bench/benches/ (group {stem:?} not found)",
-                    lit.text
-                ),
-            });
-        }
-    }
-    findings
-}
-
-/// Rule `corpus-dir`: every string literal naming a path under
-/// `tests/corpus/` must resolve, relative to the workspace root, to
-/// something that exists — and a referenced directory must be non-empty.
-/// Replay suites enumerate their corpus directory at runtime; without this
-/// check, a renamed or never-committed corpus makes them pass vacuously
-/// (or fail far from the cause) instead of failing the lint pass.
-#[must_use]
-pub fn check_corpus_dirs(file: &str, scanned: &Scanned, root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lit in &scanned.strings {
-        if !lit.text.starts_with("tests/corpus/") {
-            continue;
-        }
-        let target = root.join(&lit.text);
-        if !target.exists() {
-            findings.push(Finding {
-                rule: RULE_CORPUS_DIR,
-                file: file.to_string(),
-                line: lit.line,
-                message: format!(
-                    "corpus path {:?} does not exist under the workspace root",
-                    lit.text
-                ),
-            });
-        } else if target.is_dir() {
-            let populated = fs::read_dir(&target).is_ok_and(|mut entries| entries.next().is_some());
-            if !populated {
-                findings.push(Finding {
-                    rule: RULE_CORPUS_DIR,
-                    file: file.to_string(),
-                    line: lit.line,
-                    message: format!(
-                        "corpus directory {:?} is empty — bank entries into it \
-                         or drop the reference",
-                        lit.text
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
 fn rs_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
@@ -699,8 +522,8 @@ fn rs_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         if path.is_dir() {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             // `fixtures` holds deliberately-violating inputs for the lint
-            // crate's own tests; `corpus` holds schedule traces.
-            if matches!(name, "target" | "fixtures" | "corpus") {
+            // crate's own tests.
+            if matches!(name, "target" | "fixtures") {
                 continue;
             }
             rs_files_under(&path, out)?;
@@ -740,38 +563,14 @@ pub fn run(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
         ));
     }
 
-    // env-var-outside-config + hot-path-alloc: all first-party sources.
+    // hot-path-alloc: all first-party sources.
     let mut first_party = Vec::new();
     rs_files_under(&root.join("crates"), &mut first_party)?;
     rs_files_under(&root.join("src"), &mut first_party)?;
     rs_files_under(&root.join("tests"), &mut first_party)?;
-    let config_rs = root.join("crates/core/src/config.rs");
     for path in &first_party {
         scanned_files += 1;
-        let scanned = read_scanned(path)?;
-        let file = rel(root, path);
-        if *path != config_rs {
-            findings.extend(check_env_var(&file, &scanned));
-        }
-        findings.extend(check_hot_path(&file, &scanned));
-        findings.extend(check_corpus_dirs(&file, &scanned, root));
-    }
-
-    // bench-prefix: guard constants against the bench targets' group names.
-    let guard = root.join("crates/bench/src/bin/bench_guard.rs");
-    if guard.is_file() {
-        let mut bench_files = Vec::new();
-        rs_files_under(&root.join("crates/bench/benches"), &mut bench_files)?;
-        let mut group_literals = Vec::new();
-        for path in &bench_files {
-            group_literals.extend(read_scanned(path)?.strings.into_iter().map(|lit| lit.text));
-        }
-        scanned_files += 1;
-        findings.extend(check_bench_prefixes(
-            &rel(root, &guard),
-            &read_scanned(&guard)?,
-            &group_literals,
-        ));
+        findings.extend(check_hot_path(&rel(root, path), &read_scanned(path)?));
     }
 
     findings
