@@ -382,7 +382,7 @@ pub fn fig4_report() -> String {
         .iter()
         .filter_map(|sj| {
             let job = sj.job();
-            let time = result.table().activation_time(job, &secondary.label())?;
+            let time = result.table().activation(job, &secondary.label())?.time;
             let name = match job {
                 cpg_path_sched::Job::Process(pid) => {
                     if cpg.process(pid).kind().is_dummy() {

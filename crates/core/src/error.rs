@@ -16,9 +16,7 @@ use std::fmt;
 use cpg::{CondId, Cpg, ProcessId, ProcessKind};
 use cpg_arch::{Architecture, PeId, PeKind};
 
-/// Why a system was rejected at a merge entry point (or, for
-/// [`UnrepairedConflicts`](MergeError::UnrepairedConflicts), why a finished
-/// table violates the requirement-2 contract).
+/// Why a system was rejected at a merge entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MergeError {
@@ -56,13 +54,6 @@ pub enum MergeError {
     },
     /// The dependency edges contain a cycle, so no schedule exists.
     CyclicDependency,
-    /// The finished table still contains activation times no dispatcher can
-    /// realize (requirement-2 violation reported by
-    /// [`MergeResult::ensure_realizable`](crate::MergeResult::ensure_realizable)).
-    UnrepairedConflicts {
-        /// Unrepaired conflicts plus surviving lock slips.
-        count: usize,
-    },
 }
 
 impl fmt::Display for MergeError {
@@ -92,13 +83,6 @@ impl fmt::Display for MergeError {
                 write!(f, "condition {condition} is not declared by the graph")
             }
             MergeError::CyclicDependency => f.write_str("the dependency edges contain a cycle"),
-            MergeError::UnrepairedConflicts { count } => {
-                write!(
-                    f,
-                    "{count} tabled activation time(s) violate requirement 2 \
-                     (unrepaired conflicts or surviving lock slips)"
-                )
-            }
         }
     }
 }
@@ -298,12 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn unrepaired_conflicts_reports_through_ensure_realizable() {
+    fn outcome_reports_unrepaired_conflicts_and_lock_slips() {
         let system = examples::diamond();
         let config = crate::MergeConfig::new(system.broadcast_time());
         let result = crate::generate_schedule_table(system.cpg(), system.arch(), &config);
         assert_eq!(result.outcome(), crate::MergeOutcome::Realizable);
-        result.ensure_realizable().unwrap();
 
         let mut degraded = result;
         degraded.stats.unrepaired_conflicts = 2;
@@ -314,10 +297,6 @@ mod tests {
                 unrepaired_conflicts: 2,
                 lock_slips: 1
             }
-        );
-        assert_eq!(
-            degraded.ensure_realizable(),
-            Err(MergeError::UnrepairedConflicts { count: 3 })
         );
     }
 
@@ -357,7 +336,6 @@ mod tests {
                 condition: CondId::new(7),
             },
             MergeError::CyclicDependency,
-            MergeError::UnrepairedConflicts { count: 2 },
         ];
         for variant in variants {
             let rendered = variant.to_string();

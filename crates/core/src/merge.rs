@@ -73,7 +73,7 @@ use crate::config::{MergeConfig, SelectionPolicy};
 #[cfg(any(test, feature = "test-util"))]
 use crate::result::MergeStep;
 use crate::result::{MergeResult, MergeStats};
-use crate::session::{MergeCache, Rewalk, SessionChain};
+use crate::session::{MergeCache, ReuseStats, Rewalk, SessionChain};
 
 /// Test-only fault injection: deliberately broken variants of the merge
 /// protocol, each proving a differential oracle non-vacuous. Every switch is
@@ -315,10 +315,11 @@ pub(crate) fn merge_tracks(
         .then(|| shared.walk_cloning_tree(&mut state, &mut table));
     #[cfg(not(any(test, feature = "test-util")))]
     let oracle = None;
-    // Otherwise the decision tree is the merge's record: the steps and the
-    // counters are one fold over its chains, replayed or walked.
-    let (steps, mut stats) = match oracle {
-        Some(record) => record,
+    // Otherwise the decision tree is the merge's record: the steps, the work
+    // counters and the reuse counters are one fold over its chains,
+    // replayed or walked.
+    let (steps, mut stats, reuse) = match oracle {
+        Some((steps, stats)) => (steps, stats, ReuseStats::default()),
         None => {
             let root = shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take());
             let record = root.record(&tracks);
@@ -343,7 +344,7 @@ pub(crate) fn merge_tracks(
         reusable.then(|| cached_runs[idx])
     });
     let delta_max = judge(&cache.track_runs, &mut stats);
-    cache.reuse = rewalk.reuse;
+    cache.reuse = reuse;
     cache.dirty.fill(false);
 
     MergeResult {
@@ -505,7 +506,7 @@ pub(crate) struct WalkState {
     stale_buf: Vec<Cube>,
     frontier_buf: Vec<Cube>,
     fresh_buf: Vec<Cube>,
-    candidates_buf: Vec<(Time, u64, Option<PeId>)>,
+    candidates_buf: Vec<(Time, u32, Option<PeId>)>,
     /// Pools: dead schedules and lock sets are recycled instead of freed.
     schedule_pool: Vec<PathSchedule>,
     lock_pool: Vec<LockSet>,
@@ -656,11 +657,13 @@ impl MergeShared<'_> {
         // Entries at exactly the intended time; only their cubes are tested
         // against the decided context. `stale` is sorted below, so the scan
         // order is immaterial.
-        view.for_each_entry_at_on(job, slip.intended(), &mut |_, column, _| {
-            if column.compatible(decided) {
-                stale.push(column);
-            }
-        });
+        stale.extend(
+            view.keyed_entries(job)
+                .filter(|&(_, column, time, _)| {
+                    time == slip.intended() && column.compatible(decided)
+                })
+                .map(|(_, column, _, _)| column),
+        );
         if stale.is_empty() {
             state.stale_buf = stale;
             return false;
@@ -681,13 +684,15 @@ impl MergeShared<'_> {
         frontier.extend_from_slice(&stale);
         while !frontier.is_empty() {
             fresh.clear();
-            view.for_each_entry_at_on(job, slip.intended(), &mut |_, column, _| {
-                if stale.binary_search(&column).is_err()
-                    && frontier.iter().any(|s| s.compatible(&column))
-                {
-                    fresh.push(column);
-                }
-            });
+            fresh.extend(
+                view.keyed_entries(job)
+                    .filter(|&(_, column, time, _)| {
+                        time == slip.intended()
+                            && stale.binary_search(&column).is_err()
+                            && frontier.iter().any(|s| s.compatible(&column))
+                    })
+                    .map(|(_, column, _, _)| column),
+            );
             for &column in &fresh {
                 let at = stale
                     .binary_search(&column)
@@ -709,16 +714,11 @@ impl MergeShared<'_> {
         // The earliest reachable tabled time wins; the lowest column key
         // breaks ties: the first-wins scan in serial entry order, stated
         // independently of the scan order.
-        let mut tabled: Option<(Time, u64, Option<PeId>)> = None;
-        view.for_each_compatible_entry_on(job, decided, &mut |key, _, time, resource| {
-            if time >= slip.actual()
-                && time != slip.intended()
-                && tabled.is_none_or(|(best, at, _)| (time, key) < (best, at))
-            {
-                tabled = Some((time, key, resource));
-            }
+        let reachable = view.keyed_entries(job).filter(|&(_, column, time, _)| {
+            column.compatible(decided) && time >= slip.actual() && time != slip.intended()
         });
-        if let Some((time, _, resource)) = tabled {
+        let tabled = reachable.min_by_key(|&(key, _, time, _)| (time, key));
+        if let Some((_, _, time, resource)) = tabled {
             target = time;
             target_pe = resource.or(target_pe);
         }
@@ -1112,15 +1112,18 @@ impl MergeShared<'_> {
         let resolved_bit = 1u64 << resolved.index();
         for job in self.track_jobs(track) {
             // An implied column is never excluded by the deciding cube, so
-            // the compatibility scan is a sound prefilter; inside it,
-            // implication plus "does not mention `resolved`" restates the old
-            // ancestors-only check (implication already confines the column
-            // to decided conditions). Highest specificity wins and the
-            // lowest column key breaks ties — the deterministic equivalent
-            // of the old first-wins scan in serial entry order.
-            let mut best: Option<(usize, u64, Time, Option<PeId>)> = None;
-            view.for_each_compatible_entry_on(job, decided, &mut |key, column, time, resource| {
-                if column.mention_mask() & resolved_bit == 0 && decided.implies(&column) {
+            // compatibility is a sound prefilter; implication plus "does not
+            // mention `resolved`" is the ancestors-only check (implication
+            // already confines the column to decided conditions). Highest
+            // specificity wins and the lowest column key breaks ties — the
+            // deterministic equivalent of a first-wins scan in serial entry
+            // order.
+            let mut best: Option<(usize, u32, Time, Option<PeId>)> = None;
+            for (key, column, time, resource) in view.keyed_entries(job) {
+                if column.compatible(decided)
+                    && column.mention_mask() & resolved_bit == 0
+                    && decided.implies(&column)
+                {
                     let specificity = column.len();
                     if best.is_none_or(|(len, at, _, _)| {
                         specificity > len || (specificity == len && key < at)
@@ -1128,7 +1131,7 @@ impl MergeShared<'_> {
                         best = Some((specificity, key, time, resource));
                     }
                 }
-            });
+            }
             if let Some((_, _, time, resource)) = best {
                 locks.insert_pinned(job, time, resource);
             }
@@ -1167,31 +1170,30 @@ impl MergeShared<'_> {
         // the recorded resource: an execution satisfying two compatible
         // columns dispatches the activation once, on one resource, so the
         // first recorded provenance wins over the track-local choice of
-        // later schedules. The lowest column key states "first"
-        // independently of the scan order.
+        // later schedules; the row is scanned in column-key order, so the
+        // first one met has the lowest key.
         let mut exact: Option<Option<PeId>> = None;
-        let mut adopted: Option<(u64, PeId)> = None;
-        view.for_each_compatible_entry_on(job, &column, &mut |key, existing, t, resource| {
+        let mut adopted: Option<PeId> = None;
+        for (key, existing, t, resource) in view.keyed_entries(job) {
+            if !existing.compatible(&column) {
+                continue;
+            }
             if t != start {
                 candidates.push((t, key, resource));
-                return;
+                continue;
             }
             if existing == column {
                 exact = Some(resource);
             }
-            if let Some(recorded) = resource {
-                if adopted.is_none_or(|(at, _)| key < at) {
-                    adopted = Some((key, recorded));
-                }
-            }
-        });
+            adopted = adopted.or(resource);
+        }
 
         if candidates.is_empty() {
             state.candidates_buf = candidates;
             let resource = match exact {
                 Some(recorded) => recorded.or(pe),
                 None => {
-                    let resource = adopted.map(|(_, recorded)| recorded).or(pe);
+                    let resource = adopted.or(pe);
                     view.set_on(job, column, start, resource);
                     resource
                 }
@@ -1210,10 +1212,9 @@ impl MergeShared<'_> {
         for at in 0..candidates.len() {
             let (candidate, _, resource) = candidates[at];
             let moved_column = self.column_for(schedule, decided, pe, candidate);
-            let mut still_conflicts = false;
-            view.for_each_compatible_entry_on(job, &moved_column, &mut |_, _, t, _| {
-                still_conflicts |= t != candidate;
-            });
+            let still_conflicts = view
+                .keyed_entries(job)
+                .any(|(_, existing, t, _)| existing.compatible(&moved_column) && t != candidate);
             if !still_conflicts {
                 if view.get(job, &moved_column) != Some(candidate) {
                     view.set_on(job, moved_column, candidate, resource);
@@ -1376,7 +1377,7 @@ pub(crate) mod tests {
                 }
                 assert!(
                     table
-                        .activation_time(Job::Process(pid), &track.label())
+                        .activation(Job::Process(pid), &track.label())
                         .is_some(),
                     "{} missing on {}",
                     system.cpg().process(pid).name(),
@@ -1490,8 +1491,8 @@ pub(crate) mod tests {
             .find(|t| t.processes().contains(&slow.as_process().unwrap()))
             .unwrap()
             .label();
-        let victim_at = table.activation_time(victim, &not_c).unwrap();
-        let slow_at = table.activation_time(slow, &not_c).unwrap();
+        let victim_at = table.activation(victim, &not_c).unwrap().time;
+        let slow_at = table.activation(slow, &not_c).unwrap().time;
         assert!(
             victim_at >= slow_at + cpg.exec_time(slow.as_process().unwrap()),
             "victim tabled at {victim_at} before slow completes"
@@ -1504,9 +1505,8 @@ pub(crate) mod tests {
             let label = track.label();
             let mut locks = LockSet::for_graph(&cpg);
             for job in table.jobs() {
-                if let Some(time) = table.activation_time(job, &label) {
-                    let pe = table.activation_resource(job, &label);
-                    locks.insert_pinned(job, time, pe);
+                if let Some(activation) = table.activation(job, &label) {
+                    locks.insert_pinned(job, activation.time, activation.resource);
                 }
             }
             let ctx = scheduler.context(track);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use cpg::{CondId, Cpg, Cube, TrackSet};
+use cpg::{CondId, Cube, TrackSet};
 use cpg_arch::Time;
 use cpg_path_sched::PathSchedule;
 use cpg_table::ScheduleTable;
@@ -105,11 +105,11 @@ pub enum MergeOutcome {
 /// invariant, not an assumed one: conflicts are re-placed through the
 /// Theorem-2 loop and slipped locks are repaired in-column. One simulation
 /// of the finished table on every path then judges the result. Callers
-/// that need the strict guarantee must check [`MergeResult::outcome`] (or
-/// [`MergeResult::ensure_realizable`]) instead of assuming it — pathological
-/// inputs can exhaust the repair loop, and the merge then *returns* the
-/// degraded table (with [`MergeStats::unrepaired_conflicts`] /
-/// [`MergeStats::lock_slips`] non-zero) rather than panicking.
+/// that need the strict guarantee must check [`MergeResult::outcome`]
+/// instead of assuming it — pathological inputs can exhaust the repair
+/// loop, and the merge then *returns* the degraded table (with
+/// [`MergeStats::unrepaired_conflicts`] / [`MergeStats::lock_slips`]
+/// non-zero) rather than panicking.
 #[derive(Debug, Clone)]
 pub struct MergeResult {
     pub(crate) table: ScheduleTable,
@@ -217,32 +217,6 @@ impl MergeResult {
                 lock_slips: self.stats.lock_slips,
             }
         }
-    }
-
-    /// Errors with [`MergeError::UnrepairedConflicts`] unless the outcome is
-    /// [`MergeOutcome::Realizable`].
-    ///
-    /// [`MergeError::UnrepairedConflicts`]: crate::MergeError::UnrepairedConflicts
-    pub fn ensure_realizable(&self) -> Result<(), crate::MergeError> {
-        match self.outcome() {
-            MergeOutcome::Realizable => Ok(()),
-            MergeOutcome::Degraded {
-                unrepaired_conflicts,
-                lock_slips,
-            } => Err(crate::MergeError::UnrepairedConflicts {
-                count: unrepaired_conflicts + lock_slips,
-            }),
-        }
-    }
-
-    /// The delay of each alternative path under the *generated table* (as
-    /// opposed to its individual optimal schedule), in track order.
-    #[must_use]
-    pub fn table_delays(&self, cpg: &Cpg) -> Vec<(Cube, Time)> {
-        self.tracks
-            .iter()
-            .map(|t| (t.label(), self.table.track_delay(cpg, &t.label())))
-            .collect()
     }
 }
 

@@ -14,9 +14,9 @@
 //!   placements.
 //!
 //! That tree is also the merge's record: [`SessionChain::record`] folds it
-//! once, at the end of every merge, into the step trace and the
-//! [`MergeStats`] counters, so a replayed chain reports exactly what the walk
-//! that recorded it did.
+//! once, at the end of every merge, into the step trace, the [`MergeStats`]
+//! counters and the [`ReuseStats`] counters, so a replayed chain reports
+//! exactly what the walk that recorded it did.
 //!
 //! Every merge records: the one walk
 //! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain))
@@ -93,6 +93,9 @@ pub(crate) struct SessionChain {
     /// (`conflicts_repaired`, `unrepaired_conflicts`, `slip_repairs` and
     /// `repair_rounds`; the others stay zero).
     work: MergeStats,
+    /// Whether the last merge replayed this chain from its cached log
+    /// (rather than walking and recording it).
+    replayed: bool,
     /// Back-step subtree per resolution (`children[i]` flips the `i`-th
     /// resolution); `None` when no reachable path takes the flipped value.
     pub(crate) children: Vec<Option<Box<SessionChain>>>,
@@ -164,7 +167,6 @@ pub(crate) struct Rewalk<'a> {
     /// note nothing. The per-track simulation cache invalidates exactly the
     /// tracks whose label is compatible with a noted column.
     pub(crate) changed: Vec<Cube>,
-    pub(crate) reuse: ReuseStats,
     /// The buffers every recorded chain reuses.
     scratch: RecordScratch,
 }
@@ -179,7 +181,6 @@ impl<'a> Rewalk<'a> {
             diverged: false,
             note_changes,
             changed: Vec::new(),
-            reuse: ReuseStats::default(),
             scratch: RecordScratch::default(),
         }
     }
@@ -246,7 +247,7 @@ impl<'a> Rewalk<'a> {
         track_idx: usize,
         decided: &mut Cube,
     ) -> Result<Box<SessionChain>, Option<Box<SessionChain>>> {
-        let Some(chain) = cached else {
+        let Some(mut chain) = cached else {
             return Err(None);
         };
         if !self.still_valid(table, &chain, track_idx) {
@@ -257,8 +258,7 @@ impl<'a> Rewalk<'a> {
             decided.assign(condition, value);
         }
         st.resolutions.extend_from_slice(&chain.resolutions);
-        self.reuse.chains_replayed += 1;
-        self.reuse.segments_replayed += chain.resolutions.len() + 1;
+        chain.replayed = true;
         Ok(chain)
     }
 
@@ -291,8 +291,6 @@ impl<'a> Rewalk<'a> {
         // recording merge's: every later replay must validate its log.
         self.diverged = true;
         self.note_changed_log(&log);
-        self.reuse.chains_recorded += 1;
-        self.reuse.segments_recorded += resolutions.len() + 1;
 
         let mut children: Vec<Option<Box<SessionChain>>> = Vec::new();
         children.resize_with(resolutions.len(), || None);
@@ -327,6 +325,7 @@ impl<'a> Rewalk<'a> {
             log,
             resolutions: resolutions.into(),
             work,
+            replayed: false,
             children,
         })
     }
@@ -342,18 +341,27 @@ impl<'a> Rewalk<'a> {
 
 impl SessionChain {
     /// The merge's record, folded over the decision tree rooted at this
-    /// chain: the visited nodes in walk order and the work counters
-    /// (`lock_slips` is left to the simulation of the finished table).
+    /// chain: the visited nodes in walk order, the work counters
+    /// (`lock_slips` is left to the simulation of the finished table) and
+    /// how many chains and segments the merge replayed or recorded.
     ///
     /// A chain contributes its back-step entry node (unless it is the root),
     /// then one forward node per resolution, then its children, deepest
     /// resolution first: the depth-first order of the paper's Fig. 3. The
     /// shape counters follow from the steps: a node is one step, a back step
     /// is one adjustment, and a node's depth is its decided-condition count.
-    pub(crate) fn record(&self, tracks: &TrackSet) -> (Vec<MergeStep>, MergeStats) {
+    pub(crate) fn record(&self, tracks: &TrackSet) -> (Vec<MergeStep>, MergeStats, ReuseStats) {
         let mut steps = Vec::new();
         let mut stats = MergeStats::default();
-        self.record_into(tracks, None, &mut Cube::top(), &mut steps, &mut stats);
+        let mut reuse = ReuseStats::default();
+        self.record_into(
+            tracks,
+            None,
+            &mut Cube::top(),
+            &mut steps,
+            &mut stats,
+            &mut reuse,
+        );
         stats.tree_nodes = steps.len();
         stats.adjustments = steps.iter().filter(|step| step.back_step).count();
         stats.max_walk_depth = steps
@@ -361,7 +369,7 @@ impl SessionChain {
             .map(|step| step.decided.len() + 1)
             .max()
             .unwrap_or(0);
-        (steps, stats)
+        (steps, stats, reuse)
     }
 
     /// [`record`](Self::record) of one chain and its subtree. `entered` is
@@ -375,6 +383,7 @@ impl SessionChain {
         decided: &mut Cube,
         steps: &mut Vec<MergeStep>,
         stats: &mut MergeStats,
+        reuse: &mut ReuseStats,
     ) {
         let current_path = tracks.tracks()[self.track_idx].label();
         let mut step = |decided: Cube, condition: CondId, resolved_at: Time, back_step: bool| {
@@ -397,6 +406,14 @@ impl SessionChain {
         stats.unrepaired_conflicts += self.work.unrepaired_conflicts;
         stats.slip_repairs += self.work.slip_repairs;
         stats.repair_rounds += self.work.repair_rounds;
+        let segments = self.resolutions.len() + 1;
+        if self.replayed {
+            reuse.chains_replayed += 1;
+            reuse.segments_replayed += segments;
+        } else {
+            reuse.chains_recorded += 1;
+            reuse.segments_recorded += segments;
+        }
         for (child, &(condition, value, resolved_at)) in
             self.children.iter().zip(self.resolutions.iter()).rev()
         {
@@ -410,6 +427,7 @@ impl SessionChain {
                     decided,
                     steps,
                     stats,
+                    reuse,
                 );
                 *decided = decided.without(condition);
             }
@@ -860,10 +878,9 @@ mod tests {
             Ok(root) => (true, root),
             Err(root) => (false, root.expect("the cached root is handed back")),
         };
-        let mut rewalk = recorder();
         let mut warm = seed.clone();
-        shared.walk_chain(
-            &mut rewalk,
+        let tree = shared.walk_chain(
+            &mut recorder(),
             &mut WalkState::new(),
             &mut warm,
             Some(root),
@@ -881,7 +898,8 @@ mod tests {
             root_idx,
             &mut Cube::top(),
         );
-        (root_replays, rewalk.reuse, warm, cold)
+        let (_, _, reuse) = tree.record(&session.tracks);
+        (root_replays, reuse, warm, cold)
     }
 
     #[test]

@@ -437,7 +437,7 @@ impl CpgBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_CONDITIONS`](crate::MAX_CONDITIONS)
+    /// Panics if more than [`MAX_CONDITIONS`]
     /// conditions are declared; [`try_condition`](Self::try_condition)
     /// returns the error instead.
     pub fn condition(&mut self, name: impl Into<String>) -> CondId {
@@ -449,7 +449,7 @@ impl CpgBuilder {
 
     /// Declares a new condition and returns its identifier, or
     /// [`BuildCpgError::TooManyConditions`] when
-    /// [`MAX_CONDITIONS`](crate::MAX_CONDITIONS) conditions are already
+    /// [`MAX_CONDITIONS`] conditions are already
     /// declared (the builder is then left unchanged).
     ///
     /// # Errors

@@ -122,11 +122,6 @@ impl TrackSet {
     pub fn by_label(&self, label: &Cube) -> Option<&Track> {
         self.tracks.iter().find(|t| t.label() == *label)
     }
-
-    /// The tracks on which a given process is activated.
-    pub fn containing(&self, id: ProcessId) -> impl Iterator<Item = &Track> + '_ {
-        self.tracks.iter().filter(move |t| t.contains(id))
-    }
 }
 
 impl<'a> IntoIterator for &'a TrackSet {
@@ -260,11 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn containing_and_determined_conditions() {
-        let (cpg, c, [_, a, _, join]) = diamond();
+    fn determined_conditions_and_display() {
+        let (cpg, c, _) = diamond();
         let tracks = enumerate_tracks(&cpg);
-        assert_eq!(tracks.containing(a).count(), 1);
-        assert_eq!(tracks.containing(join).count(), 2);
         for t in tracks.iter() {
             assert_eq!(t.determined_conditions().collect::<Vec<_>>(), vec![c]);
         }

@@ -57,7 +57,6 @@ impl BehaviorVector {
             MergeError::ProcessOnWrongElement { .. } => 5,
             MergeError::DanglingCondition { .. } => 6,
             MergeError::CyclicDependency => 7,
-            MergeError::UnrepairedConflicts { .. } => 8,
             _ => 9,
         };
         BehaviorVector {

@@ -5,7 +5,7 @@
 //! systems: a [`Workload`] is a [`GeneratorConfig`] plus an ordered list of
 //! [`WorkloadOp`] mutations and [`EditOp`] session edits.
 //! [`Workload::materialize`] replays the unexpanded base graph of
-//! [`generate_unexpanded`](crate::generate_unexpanded) through a fresh
+//! [`generate_unexpanded`] through a fresh
 //! builder with the mutations applied, so the same workload value always
 //! produces bit-identical systems — the offender corpus stores workloads,
 //! never graphs.

@@ -111,10 +111,8 @@ pub struct PathSchedule {
     /// Condition resolutions `(cond, completion of its disjunction process)`:
     /// the `(cond, computed)` pairs of `knowledge`, in the same order.
     resolutions: Vec<(CondId, Time)>,
-    /// Locks that could not be honoured during a [`reschedule`]
-    /// (`ListScheduler::reschedule`) call, in commit order.
-    ///
-    /// [`reschedule`]: crate::ListScheduler::reschedule
+    /// Locks that could not be honoured during a
+    /// [`reschedule`](crate::TrackContext::reschedule) call, in commit order.
     slipped: Vec<SlippedLock>,
 }
 

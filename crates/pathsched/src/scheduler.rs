@@ -1,7 +1,7 @@
 //! Resource-constrained list scheduling of a single alternative path.
 //!
 //! The paper schedules each alternative path of the conditional process graph
-//! with a list-scheduling algorithm (reference [5] of the paper) before
+//! with a list-scheduling algorithm (reference \[5\] of the paper) before
 //! merging the per-path schedules into the global schedule table. This module
 //! implements that scheduler:
 //!
@@ -25,13 +25,13 @@
 //! lists with their condition literals, execution times, mappings, the
 //! disjunction process of each condition and the broadcast buses — and
 //! derives from them the dense, indexed per-track representation of
-//! [`TrackContext`](crate::TrackContext) (see the `context` module): job
+//! [`TrackContext`] (see the `context` module): job
 //! indices, adjacency, guard requirements and priorities, built once per
 //! track, with eligibility driven by a binary-heap ready queue. Callers that
 //! schedule the same track repeatedly — like the merge algorithm, which
 //! builds one scheduler per merge — should build the context once via
 //! [`ListScheduler::context`] and reuse it, threading a
-//! [`RunScratch`](crate::RunScratch) arena through the runs so the per-call
+//! [`RunScratch`] arena through the runs so the per-call
 //! dense state is reused instead of reallocated.
 
 use cpg::{Cpg, Track, TrackSet};

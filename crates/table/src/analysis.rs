@@ -66,7 +66,7 @@ pub fn utilization(
         if !cpg.guard(pid).implied_by(label) {
             continue;
         }
-        if table.activation_time(job, label).is_none() {
+        if table.activation(job, label).is_none() {
             continue;
         }
         let Some(pe) = cpg.mapping(pid) else { continue };

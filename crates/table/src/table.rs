@@ -39,29 +39,6 @@ pub struct Activation {
     pub resource: Option<PeId>,
 }
 
-/// Keeps the time of the first satisfied entry in `time` and flags a later
-/// satisfied entry carrying a different time.
-#[inline]
-fn note_time(time: &mut Option<Time>, conflict: &mut bool, cell: Cell) {
-    match *time {
-        None => *time = Some(cell.time),
-        Some(existing) => *conflict |= existing != cell.time,
-    }
-}
-
-/// Keeps in `best` the resource of the most specific satisfied column
-/// carrying one, the lowest column index breaking ties — exactly what a
-/// first-wins scan in column-insertion order selects.
-#[inline]
-fn note_resource(best: &mut Option<(usize, u32, PeId)>, key: u32, column: Cube, cell: Cell) {
-    if let Some(pe) = cell.resource {
-        let specificity = column.len();
-        if best.is_none_or(|(len, at, _)| specificity > len || (specificity == len && key < at)) {
-            *best = Some((specificity, key, pe));
-        }
-    }
-}
-
 /// Multiplier of the word mix behind [`ScheduleTable::row_digest`].
 const DIGEST_K: u64 = 0x517c_c1b7_2722_0a95;
 
@@ -98,7 +75,22 @@ struct Row {
     digest_sum: u64,
 }
 
+/// The row every absent job reads as.
+static EMPTY_ROW: Row = Row {
+    entries: Vec::new(),
+    digest_sum: 0,
+};
+
 impl Row {
+    /// The `(column index, column, time, recorded resource)` entries, in
+    /// column-insertion order.
+    #[inline]
+    fn keyed(&self) -> impl Iterator<Item = (u32, Cube, Time, Option<PeId>)> + '_ {
+        self.entries
+            .iter()
+            .map(|&(key, column, cell)| (key, column, cell.time, cell.resource))
+    }
+
     /// Position of the entry under column index `index` (`Err` is the
     /// insertion slot).
     #[inline]
@@ -357,11 +349,23 @@ impl ScheduleTable {
     /// entries of a row. The row is resolved through the dense per-job
     /// index, so probing a job is O(1) plus the iteration itself.
     pub fn entries_on(&self, job: Job) -> impl Iterator<Item = (Cube, Time, Option<PeId>)> + '_ {
-        self.row(job).into_iter().flat_map(move |row| {
-            row.entries
-                .iter()
-                .map(|&(_, column, cell)| (column, cell.time, cell.resource))
-        })
+        self.keyed_entries(job)
+            .map(|(_, column, time, resource)| (column, time, resource))
+    }
+
+    /// The `(column index, column, time, recorded resource)` entries of the
+    /// row of `job`, in column-insertion order, the column index being the
+    /// column's position in [`ScheduleTable::columns`]. This is the one row
+    /// scan; only the exact-column lookups bypass it. Callers filter it
+    /// inline (compatible with a probe, satisfied by a label, tabled at one
+    /// time) and break ties by the index.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn keyed_entries(
+        &self,
+        job: Job,
+    ) -> impl Iterator<Item = (u32, Cube, Time, Option<PeId>)> + '_ {
+        self.row(job).unwrap_or(&EMPTY_ROW).keyed()
     }
 
     /// Iterates over every `(job, column, time)` entry of the table.
@@ -374,9 +378,8 @@ impl ScheduleTable {
     /// the table.
     pub fn all_entries_on(&self) -> impl Iterator<Item = (Job, Cube, Time, Option<PeId>)> + '_ {
         self.rows().flat_map(|(job, row)| {
-            row.entries
-                .iter()
-                .map(move |&(_, column, cell)| (job, column, cell.time, cell.resource))
+            row.keyed()
+                .map(move |(_, column, time, resource)| (job, column, time, resource))
         })
     }
 
@@ -386,97 +389,51 @@ impl ScheduleTable {
         self.row(job).is_some()
     }
 
-    /// The entries of a row that are *compatible* with (not excluded by) the
-    /// given column expression — the potential conflicts examined by the
-    /// table-generation algorithm before placing a new activation time —
-    /// in column insertion order.
-    pub fn compatible_entries<'a>(
-        &'a self,
-        job: Job,
-        column: &'a Cube,
-    ) -> impl Iterator<Item = (Cube, Time)> + 'a {
-        self.row(job).into_iter().flat_map(move |row| {
-            row.entries
-                .iter()
-                .filter(move |(_, existing, _)| existing.compatible(column))
-                .map(|&(_, existing, cell)| (existing, cell.time))
-        })
-    }
-
-    /// Calls `visit(column index, column, cell)` for every entry of `row`
-    /// whose column is implied by the label `label`, in column insertion
-    /// order.
-    #[inline]
-    fn for_each_satisfied(row: &Row, label: &Cube, mut visit: impl FnMut(u32, Cube, Cell)) {
-        for &(key, column, cell) in &row.entries {
-            if label.implies(&column) {
-                visit(key, column, cell);
-            }
-        }
-    }
-
-    /// The activation time applicable on the alternative path labelled
-    /// `label` (any complete condition assignment of an execution): the
-    /// entry of the row whose column expression the label implies.
+    /// The activation of `job` on the alternative path labelled `label` (any
+    /// complete condition assignment of an execution), resolved from the
+    /// entries of the row whose column expression the label implies: the
+    /// one per-label resolver, and the reference
+    /// [`ScheduleTable::resolve_block`] is held against.
     ///
-    /// When the table satisfies requirement 2 the applicable time is unique;
-    /// if several satisfied columns carry *different* times, `None` is
-    /// returned (callers that need to diagnose this use
-    /// [`ScheduleTable::verify`]).
-    #[must_use]
-    pub fn activation_time(&self, job: Job, label: &Cube) -> Option<Time> {
-        let mut time = None;
-        let mut conflict = false;
-        Self::for_each_satisfied(self.row(job)?, label, |_, _, cell| {
-            note_time(&mut time, &mut conflict, cell);
-        });
-        time.filter(|_| !conflict)
-    }
-
-    /// The resource recorded for the activation of `job` applicable on the
-    /// path labelled `label`: the provenance of the most specific satisfied
-    /// column that carries one.
-    ///
-    /// This is the bus a locked condition broadcast must occupy when the
-    /// tabled time is enforced on another path's schedule, and the resource
-    /// the dispatcher/simulator charge the activation to.
-    #[must_use]
-    pub fn activation_resource(&self, job: Job, label: &Cube) -> Option<PeId> {
-        let mut best = None;
-        Self::for_each_satisfied(self.row(job)?, label, |key, column, cell| {
-            note_resource(&mut best, key, column, cell);
-        });
-        best.map(|(_, _, pe)| pe)
-    }
-
-    /// Everything a run-time scheduler needs about the activation of `job`
-    /// on the path labelled `label`, resolved in one pass over the row: the time of
-    /// [`ScheduleTable::activation_time`] (`None` exactly when that is), the
-    /// column that selects it and the resource of
-    /// [`ScheduleTable::activation_resource`].
-    ///
-    /// The selecting column is the most specific satisfied column; among
-    /// equally specific ones, the last in column-insertion order.
+    /// * The time is that of the satisfied entries. When the table satisfies
+    ///   requirement 2 it is unique; if several satisfied columns carry
+    ///   *different* times, `None` is returned (callers that need to
+    ///   diagnose this use [`ScheduleTable::verify`]).
+    /// * The column is the most specific satisfied column; among equally
+    ///   specific ones, the last in column-insertion order.
+    /// * The resource is the one recorded with the most specific satisfied
+    ///   column that carries one; among equally specific ones, the first.
+    ///   This is the bus a locked condition broadcast must occupy when the
+    ///   tabled time is enforced on another path's schedule, and the
+    ///   resource the dispatcher and the simulator charge the activation to.
     #[must_use]
     pub fn activation(&self, job: Job, label: &Cube) -> Option<Activation> {
-        let mut time: Option<Time> = None;
+        // The activation so far, with the specificities of its column and
+        // of its resource's column.
+        let mut found: Option<(Activation, usize, usize)> = None;
         let mut conflict = false;
-        let mut column: Option<(usize, u32, Cube)> = None;
-        let mut resource = None;
-        Self::for_each_satisfied(self.row(job)?, label, |key, satisfied, cell| {
-            note_time(&mut time, &mut conflict, cell);
-            let specificity = satisfied.len();
-            if column.is_none_or(|(len, at, _)| (specificity, key) > (len, at)) {
-                column = Some((specificity, key, satisfied));
+        for (_, column, time, resource) in self.keyed_entries(job).filter(|e| label.implies(&e.1)) {
+            let len = column.len();
+            let (best, column_len, resource_len) = found.get_or_insert((
+                Activation {
+                    time,
+                    column,
+                    resource: None,
+                },
+                len,
+                0,
+            ));
+            conflict |= best.time != time;
+            if len >= *column_len {
+                (best.column, *column_len) = (column, len);
             }
-            note_resource(&mut resource, key, satisfied, cell);
-        });
-        let (_, _, column) = column?;
-        Some(Activation {
-            time: time.filter(|_| !conflict)?,
-            column,
-            resource: resource.map(|(_, _, pe)| pe),
-        })
+            if resource.is_some() && (best.resource.is_none() || len > *resource_len) {
+                (best.resource, *resource_len) = (resource, len);
+            }
+        }
+        found
+            .filter(|_| !conflict)
+            .map(|(activation, _, _)| activation)
     }
 
     /// [`ScheduleTable::activation`] of `job` on every label of `block`
@@ -503,10 +460,10 @@ impl ScheduleTable {
     ) -> u64 {
         let mut fold = BlockFold::new(out);
         if let Some(row) = self.row(job).filter(|_| wanted != 0) {
-            for &(key, column, cell) in &row.entries {
+            for (key, column, time, resource) in row.keyed() {
                 let labels = block.satisfying(&column) & wanted;
                 if labels != 0 {
-                    fold.note(labels, key, &column, cell.time, cell.resource);
+                    fold.note(labels, key, &column, time, resource);
                 }
             }
         }
@@ -524,8 +481,8 @@ impl ScheduleTable {
             if !cpg.guard(pid).implied_by(label) {
                 continue;
             }
-            if let Some(start) = self.activation_time(job, label) {
-                delay = delay.max(start + cpg.exec_time(pid));
+            if let Some(activation) = self.activation(job, label) {
+                delay = delay.max(activation.time + cpg.exec_time(pid));
             }
         }
         delay
@@ -746,44 +703,6 @@ impl ScheduleTable {
         })
     }
 
-    /// Visits the entries of the row of `job` whose column is *compatible*
-    /// with `probe`, in column insertion order, passing the table-wide
-    /// column index as a stable key.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn visit_compatible_entries(
-        &self,
-        job: Job,
-        probe: &Cube,
-        visit: &mut dyn FnMut(u64, Cube, Time, Option<PeId>),
-    ) {
-        let Some(row) = self.row(job) else { return };
-        for &(key, column, cell) in &row.entries {
-            if column.compatible(probe) {
-                visit(u64::from(key), column, cell.time, cell.resource);
-            }
-        }
-    }
-
-    /// Visits the entries of the row of `job` tabled at exactly `time`, in
-    /// column insertion order, passing the table-wide column index as a
-    /// stable key.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn visit_entries_at(
-        &self,
-        job: Job,
-        time: Time,
-        visit: &mut dyn FnMut(u64, Cube, Option<PeId>),
-    ) {
-        let Some(row) = self.row(job) else { return };
-        for &(key, column, cell) in &row.entries {
-            if cell.time == time {
-                visit(u64::from(key), column, cell.resource);
-            }
-        }
-    }
-
     #[inline]
     fn column_index_or_insert(&mut self, column: Cube) -> u32 {
         let fresh = self.columns.len() as u32;
@@ -874,9 +793,10 @@ mod tests {
         // The applicable resource follows the satisfied column.
         let mut asg = Cube::top();
         asg.assign(c(1), true);
-        assert_eq!(table.activation_resource(b, &asg), Some(bus1));
+        let resource = |asg: &Cube| table.activation(b, asg).map(|a| a.resource);
+        assert_eq!(resource(&asg), Some(Some(bus1)));
         asg.assign(c(1), false);
-        assert_eq!(table.activation_resource(b, &asg), None);
+        assert_eq!(resource(&asg), Some(None));
     }
 
     #[test]
@@ -895,11 +815,17 @@ mod tests {
         asg.assign(c(0), true);
         asg.assign(c(1), true);
         asg.assign(c(2), true);
-        assert_eq!(table.activation_time(p(14), &asg), Some(Time::new(24)));
+        assert_eq!(
+            table.activation(p(14), &asg).map(|a| a.time),
+            Some(Time::new(24))
+        );
         asg.assign(c(2), false);
-        assert_eq!(table.activation_time(p(14), &asg), Some(Time::new(35)));
+        assert_eq!(
+            table.activation(p(14), &asg).map(|a| a.time),
+            Some(Time::new(35))
+        );
         asg.assign(c(1), false);
-        assert_eq!(table.activation_time(p(14), &asg), None);
+        assert_eq!(table.activation(p(14), &asg).map(|a| a.time), None);
     }
 
     #[test]
@@ -910,27 +836,15 @@ mod tests {
         let mut asg = Cube::top();
         asg.assign(c(0), true);
         asg.assign(c(1), true);
-        assert_eq!(table.activation_time(p(3), &asg), None);
+        assert_eq!(table.activation(p(3), &asg).map(|a| a.time), None);
         // Same time in compatible columns is fine.
         let mut table = ScheduleTable::new();
         table.set(p(3), Cube::from(c(0).is_true()), Time::new(5));
         table.set(p(3), Cube::from(c(1).is_true()), Time::new(5));
-        assert_eq!(table.activation_time(p(3), &asg), Some(Time::new(5)));
-    }
-
-    #[test]
-    fn compatible_entries_reports_potential_conflicts() {
-        let mut table = ScheduleTable::new();
-        let d = Cube::from(c(1).is_true());
-        let not_d = Cube::from(c(1).is_false());
-        table.set(p(5), d, Time::new(3));
-        table.set(p(5), not_d, Time::new(8));
-        let probe = Cube::from(c(0).is_true());
-        let conflicts: Vec<_> = table.compatible_entries(p(5), &probe).collect();
-        assert_eq!(conflicts.len(), 2);
-        let probe: Cube = [c(0).is_true(), c(1).is_true()].into_iter().collect();
-        let conflicts: Vec<_> = table.compatible_entries(p(5), &probe).collect();
-        assert_eq!(conflicts, vec![(d, Time::new(3))]);
+        assert_eq!(
+            table.activation(p(3), &asg).map(|a| a.time),
+            Some(Time::new(5))
+        );
     }
 
     #[test]

@@ -72,24 +72,22 @@ fn jobs() -> impl Iterator<Item = Job> {
     (0..PROCS).map(|i| Job::Process(ProcessId::from_index(i)))
 }
 
-type Keyed = (u64, Cube, Time, Option<PeId>);
+type Keyed = (u32, Cube, Time, Option<PeId>);
 
 /// The insertion index of `column` in `table`: the key the scans report.
-fn key_of(table: &ScheduleTable, column: Cube) -> u64 {
+fn key_of(table: &ScheduleTable, column: Cube) -> u32 {
     table
         .columns()
         .iter()
         .position(|&c| c == column)
-        .expect("a tabled entry has a column") as u64
+        .expect("a tabled entry has a column") as u32
 }
 
 /// The compatible scan of a recording view, in visiting order.
 fn view_compatible(view: &mut RecordingView<'_>, job: Job, probe: &Cube) -> Vec<Keyed> {
-    let mut out = Vec::new();
-    view.for_each_compatible_entry_on(job, probe, &mut |key, column, time, resource| {
-        out.push((key, column, time, resource));
-    });
-    out
+    view.keyed_entries(job)
+        .filter(|(_, column, _, _)| column.compatible(probe))
+        .collect()
 }
 
 /// [`view_compatible`] through a throwaway view over `table`.
@@ -112,16 +110,15 @@ fn linear_compatible(table: &ScheduleTable, job: Job, probe: &Cube) -> Vec<Keyed
 }
 
 /// The scan of a recording view at one time, in visiting order.
-fn view_at(view: &mut RecordingView<'_>, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
-    let mut out = Vec::new();
-    view.for_each_entry_at_on(job, time, &mut |key, column, resource| {
-        out.push((key, column, resource));
-    });
-    out
+fn view_at(view: &mut RecordingView<'_>, job: Job, time: Time) -> Vec<(u32, Cube, Option<PeId>)> {
+    view.keyed_entries(job)
+        .filter(|&(_, _, tabled, _)| tabled == time)
+        .map(|(key, column, _, resource)| (key, column, resource))
+        .collect()
 }
 
 /// [`view_at`] through a throwaway view over `table`.
-fn served_at(table: &mut ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
+fn served_at(table: &mut ScheduleTable, job: Job, time: Time) -> Vec<(u32, Cube, Option<PeId>)> {
     view_at(
         &mut RecordingView::new(table, RecordScratch::default()),
         job,
@@ -129,7 +126,7 @@ fn served_at(table: &mut ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube,
     )
 }
 
-fn linear_at(table: &ScheduleTable, job: Job, time: Time) -> Vec<(u64, Cube, Option<PeId>)> {
+fn linear_at(table: &ScheduleTable, job: Job, time: Time) -> Vec<(u32, Cube, Option<PeId>)> {
     table
         .entries_on(job)
         .filter(|&(_, tabled, _)| tabled == time)
@@ -271,7 +268,7 @@ proptest! {
             assignment.assign(CondId::new(index), *value);
         }
         for job in jobs() {
-            // activation_resource: the reference is a first-wins
+            // The resource: the reference is a first-wins
             // strictly-more-specific scan in serial entry order.
             let mut expected: Option<(usize, PeId)> = None;
             let mut satisfied_times = Vec::new();
@@ -287,19 +284,13 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(
-                table.activation_resource(job, &assignment),
-                expected.map(|(_, pe)| pe)
-            );
             let expected_time = match satisfied_times.as_slice() {
                 [] => None,
                 [first, rest @ ..] if rest.iter().all(|t| t == first) => Some(*first),
                 _ => None,
             };
-            prop_assert_eq!(table.activation_time(job, &assignment), expected_time);
-            // activation: the same time and resource, plus the selecting
-            // column — the last of the most specific satisfied columns in
-            // serial entry order.
+            // The selecting column: the last of the most specific
+            // satisfied columns in serial entry order.
             let selecting = table
                 .entries(job)
                 .map(|(column, _)| column)

@@ -141,26 +141,8 @@ proptest! {
                     }
                 }
             };
-            prop_assert_eq!(table.activation_time(job, &assignment), expected);
-        }
-    }
-
-    #[test]
-    fn compatible_entries_lists_exactly_the_non_exclusive_columns(
-        entries in entries_strategy(),
-        probe in cube_strategy(),
-    ) {
-        let table = build_table(&entries);
-        for job in (0..PROCS).map(|i| Job::Process(ProcessId::from_index(i))) {
-            let listed: Vec<(Cube, Time)> = table.compatible_entries(job, &probe).collect();
-            for (column, _) in &listed {
-                prop_assert!(column.compatible(&probe));
-            }
-            let total_compatible = table
-                .entries(job)
-                .filter(|(column, _)| column.compatible(&probe))
-                .count();
-            prop_assert_eq!(listed.len(), total_compatible);
+            let time = table.activation(job, &assignment).map(|activation| activation.time);
+            prop_assert_eq!(time, expected);
         }
     }
 }

@@ -286,9 +286,8 @@ proptest! {
                 .map(|&p| Job::Process(p))
                 .chain(track.determined_conditions().map(Job::Broadcast));
             for job in jobs {
-                if let Some(time) = table.activation_time(job, &label) {
-                    let resource = table.activation_resource(job, &label);
-                    locks.insert(job, (time, resource));
+                if let Some(activation) = table.activation(job, &label) {
+                    locks.insert(job, (activation.time, activation.resource));
                 }
             }
             let original = reference::schedule_track(cpg, arch, tau0, track);

@@ -94,9 +94,7 @@ fn table_activation_times_are_deterministic_per_scenario() {
             if system.cpg().process(pid).kind().is_dummy() {
                 continue;
             }
-            let time = result
-                .table()
-                .activation_time(Job::Process(pid), &track.label());
+            let time = result.table().activation(Job::Process(pid), &track.label());
             assert!(
                 time.is_some(),
                 "{} has no activation on {}",
@@ -142,7 +140,8 @@ fn baseline_and_merged_tables_agree_on_unconditional_processes() {
     assert_eq!(
         merged
             .table()
-            .activation_time(Job::Process(decide), &merged.tracks().tracks()[0].label()),
+            .activation(Job::Process(decide), &merged.tracks().tracks()[0].label())
+            .map(|activation| activation.time),
         Some(Time::ZERO)
     );
 }

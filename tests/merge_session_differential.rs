@@ -136,6 +136,18 @@ proptest! {
             let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
             let warm = session.merge();
             assert_results_identical(&cold, &warm, &format!("edit {step} ({edit}), {policy:?}"))?;
+            // Every chain of the tree is replayed or recorded: one per back
+            // step plus the root, and one segment per forward step plus one
+            // per chain.
+            let (reuse, stats) = (session.reuse_stats(), warm.stats());
+            prop_assert!(
+                reuse.chains_replayed + reuse.chains_recorded == stats.adjustments + 1,
+                "chains of edit {step}: {reuse:?}, {stats:?}"
+            );
+            prop_assert!(
+                reuse.segments_replayed + reuse.segments_recorded == stats.tree_nodes + 1,
+                "segments of edit {step}: {reuse:?}, {stats:?}"
+            );
         }
     }
 }

@@ -76,9 +76,7 @@ fn requirement_3_every_true_guard_gets_an_activation() {
         for track in result.tracks().iter() {
             for pid in system.cpg().schedulable_processes() {
                 let applies = system.cpg().guard(pid).implied_by(&track.label());
-                let activation = result
-                    .table()
-                    .activation_time(Job::Process(pid), &track.label());
+                let activation = result.table().activation(Job::Process(pid), &track.label());
                 if applies {
                     assert!(
                         activation.is_some(),
@@ -140,15 +138,17 @@ fn condition_values_are_broadcast_after_their_disjunction_process() {
             for cond in track.determined_conditions() {
                 let broadcast = result
                     .table()
-                    .activation_time(Job::Broadcast(cond), &track.label())
-                    .expect("every determined condition is broadcast");
+                    .activation(Job::Broadcast(cond), &track.label())
+                    .expect("every determined condition is broadcast")
+                    .time;
                 let disjunction = result
                     .table()
-                    .activation_time(
+                    .activation(
                         Job::Process(system.cpg().disjunction_of(cond)),
                         &track.label(),
                     )
-                    .expect("the disjunction process is scheduled");
+                    .expect("the disjunction process is scheduled")
+                    .time;
                 let termination =
                     disjunction + system.cpg().exec_time(system.cpg().disjunction_of(cond));
                 assert!(

@@ -71,8 +71,9 @@ impl Reference<'_> {
             }
         }
         for &job in &active {
-            match self.table.activation_time(job, label) {
-                Some(start) => {
+            match self.table.activation(job, label) {
+                Some(activation) => {
+                    let start = activation.time;
                     let end = start + self.duration_of(job);
                     completion.insert(job, end);
                     activations.push((job, start, end));
@@ -170,7 +171,8 @@ impl Reference<'_> {
             Job::Process(pid) => self.cpg.mapping(pid),
             Job::Broadcast(_) => self
                 .table
-                .activation_resource(job, label)
+                .activation(job, label)
+                .and_then(|activation| activation.resource)
                 .or_else(|| self.arch.broadcast_buses().next()),
         }
     }
@@ -283,7 +285,7 @@ fn corrupt(table: &ScheduleTable, corruption: &Corruption) -> ScheduleTable {
 }
 
 /// Requirement 3 of `ScheduleTable::verify`, track by track through the
-/// per-label `activation_time`: the `MissingActivation` violations in
+/// per-label `activation`: the `MissingActivation` violations in
 /// the order `verify` reports them.
 fn missing_activations(table: &ScheduleTable, cpg: &Cpg, tracks: &TrackSet) -> Vec<TableViolation> {
     let mut violations = Vec::new();
@@ -299,7 +301,7 @@ fn missing_activations(table: &ScheduleTable, cpg: &Cpg, tracks: &TrackSet) -> V
             .map(Job::Broadcast)
             .filter(|&job| table.contains_job(job));
         for job in processes.chain(broadcasts) {
-            if table.activation_time(job, &label).is_none() {
+            if table.activation(job, &label).is_none() {
                 violations.push(TableViolation::MissingActivation {
                     job,
                     track: track.label(),
