@@ -4,8 +4,8 @@
 
 use std::process::{Command, Output};
 
-/// The three binaries that take a graph count, with their usage lines.
-const BINARIES: [(&str, &str); 3] = [
+/// The four binaries that take a graph count, with their usage lines.
+const BINARIES: [(&str, &str); 4] = [
     (
         env!("CARGO_BIN_EXE_fig5_increase"),
         "usage: fig5_increase [graphs_per_size]",
@@ -17,6 +17,10 @@ const BINARIES: [(&str, &str); 3] = [
     (
         env!("CARGO_BIN_EXE_ablation_policy"),
         "usage: ablation_policy [graphs]",
+    ),
+    (
+        env!("CARGO_BIN_EXE_table_probe"),
+        "usage: table_probe [graphs_per_size]",
     ),
 ];
 

@@ -62,11 +62,11 @@ pub use config::with_env_var;
 pub use config::{threads_from_env, MergeConfig, SelectionPolicy};
 pub use error::{validate_system, MergeError};
 #[cfg(any(test, feature = "test-util"))]
-pub use merge::generate_schedule_table_cloning;
-#[cfg(any(test, feature = "test-util"))]
 pub use merge::sabotage;
 pub use merge::{
     generate_schedule_table, generate_schedule_table_for_tracks, try_generate_schedule_table,
 };
+#[cfg(any(test, feature = "test-util"))]
+pub use merge::{generate_schedule_table_cloning, generate_walk_table};
 pub use result::{MergeOutcome, MergeResult, MergeStats, MergeStep};
 pub use session::{MergeSession, ReuseStats};

@@ -47,11 +47,30 @@
 //! place, and the lock sets and schedules are pooled, so the walk is
 //! allocation-free after warm-up.
 //!
-//! After the walk, one simulation judges the finished table
+//! After the walk, one simulation judges the walk table
 //! ([`simulate_tracks`]): every track is executed by the run-time simulator
 //! of `cpg-sim`, and that single run yields `δ_max`, the count of run-time
 //! violations ([`MergeStats::lock_slips`]) and with it the
-//! [`MergeOutcome`](crate::MergeOutcome).
+//! [`MergeOutcome`](crate::MergeOutcome). Then
+//! [`ScheduleTable::compact`] removes the entries the walk wrote redundantly
+//! (one time in sibling columns `X∧c` and `X∧¬c`, or in `X∧c` beside an
+//! equal entry in `X`), and the compacted table is the one published.
+//!
+//! The judge runs before compaction on purpose. A warm merge reuses a clean
+//! track's last run when no changed column of the *walk* table is
+//! compatible with its label. On a compacted table that key would not be
+//! enough: a change in `X∧¬c` can stop `X∧c` and `X∧¬c` from merging, which
+//! moves a clean `c`-label's selecting column from `X` to `X∧c` and can add
+//! a requirement-4 violation the reused run would miss. Judging the walk
+//! table keeps the reuse sound and keeps `δ_max`, the counters, the steps
+//! and the outcome bit-identical to an uncompacted merge. The judgment is
+//! still a sound bound for the published table: compaction keeps every
+//! label's activation time and resource, and only coarsens the columns
+//! that select them, so requirement-4 violations can only fall. Sessions,
+//! one-shot merges and the cloning oracle all compact the same walk table
+//! in the same call, so a warm merge still equals a cold one; the session's
+//! chain logs and row digests keep describing the walk table, which every
+//! merge rebuilds from scratch.
 //!
 //! The whole merge runs on the calling thread: the initial per-path
 //! schedules are a plain loop over the tracks that shares the walk's one
@@ -243,8 +262,26 @@ pub fn generate_schedule_table_cloning(
     merge_tracks(cpg, arch, config, tracks, &mut cache)
 }
 
+/// Variant of [`generate_schedule_table`] that publishes the walk table as
+/// the walk left it, without [`ScheduleTable::compact`]. Everything else —
+/// `δ_max`, the counters, the steps, the outcome — is the same, since the
+/// merge judges the walk table either way. It exists as the reference the
+/// compaction property tests compare the published table against, and
+/// only compiles with the `test-util` feature.
+#[cfg(any(test, feature = "test-util"))]
+#[must_use]
+pub fn generate_walk_table(cpg: &Cpg, arch: &Architecture, config: &MergeConfig) -> MergeResult {
+    let tracks = enumerate_tracks(cpg);
+    let mut cache = MergeCache {
+        uncompacted: true,
+        ..MergeCache::default()
+    };
+    merge_tracks(cpg, arch, config, tracks, &mut cache)
+}
+
 /// The one merge: schedules every alternative path, walks the decision tree
-/// into the table, and judges the table by simulating it on every track.
+/// into the table, judges the table by simulating it on every track, and
+/// publishes it compacted ([`ScheduleTable::compact`]).
 ///
 /// `cache` is what the previous merge of the same system left behind (see
 /// [`MergeCache`]); an empty cache makes this a cold merge. A warm merge
@@ -344,6 +381,14 @@ pub(crate) fn merge_tracks(
         reusable.then(|| cached_runs[idx])
     });
     let delta_max = judge(&cache.track_runs, &mut stats);
+    // The judge ran on the walk table (see [`judge`]); the published table
+    // is the compacted one.
+    #[cfg(any(test, feature = "test-util"))]
+    if !cache.uncompacted {
+        table.compact(cpg);
+    }
+    #[cfg(not(any(test, feature = "test-util")))]
+    table.compact(cpg);
     cache.reuse = reuse;
     cache.dirty.fill(false);
 
@@ -401,6 +446,13 @@ fn simulate_tracks(
 /// becomes [`MergeStats::lock_slips`] (and with it the
 /// [`MergeOutcome`](crate::MergeOutcome)), and the largest simulated delay,
 /// `δ_max`, is returned.
+///
+/// The runs are those of the walk table, before [`ScheduleTable::compact`]:
+/// the warm merge's run reuse is keyed to the walk table's changed columns
+/// (see the module docs). The verdict holds for the published table too —
+/// compaction keeps every activation time and resource and only coarsens
+/// selecting columns, so the delays are equal and the violations can only
+/// fall.
 fn judge(runs: &[TrackRun], stats: &mut MergeStats) -> Time {
     let violations = runs.iter().map(|&(_, violations)| violations).sum();
     // Mutation self-test hook: the slip-repair mutant models losing the
@@ -1330,6 +1382,34 @@ pub(crate) mod tests {
             .table()
             .entries(Job::Process(p1))
             .any(|(col, _)| col.is_top()));
+    }
+
+    #[test]
+    fn fig1_publishes_the_compacted_walk_table() {
+        let system = examples::fig1();
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let config = MergeConfig::new(system.broadcast_time());
+        let walked = generate_walk_table(cpg, arch, &config);
+        let published = merge(&system);
+        let counts = |result: &MergeResult| {
+            let table = result.table();
+            (table.num_entries(), table.num_columns())
+        };
+        assert_eq!(counts(&walked), (71, 11));
+        assert_eq!(counts(&published), (55, 14));
+        let mut compacted = walked.table().clone();
+        compacted.compact(cpg);
+        assert_eq!(&compacted, published.table());
+        // The verdict is the walk table's: everything but the table agrees.
+        assert_eq!(walked.delta_max(), published.delta_max());
+        assert_eq!(walked.stats(), published.stats());
+        assert_eq!(walked.steps(), published.steps());
+        // P16 (guard D) ran at 30 in the four columns of D; one entry in D
+        // now does the same.
+        let p16 = Job::Process(cpg.process_by_name("P16").unwrap());
+        let d = Cube::from(system.condition("D").unwrap().is_true());
+        let row: Vec<(Cube, Time)> = published.table().entries(p16).collect();
+        assert_eq!(row, [(d, Time::new(30))]);
     }
 
     #[test]

@@ -56,7 +56,11 @@ pub struct MergeStats {
     /// via [`MergeStats::slip_repairs`] rather than published as stale
     /// intended times, so a non-zero value means the repairs left activation
     /// times no run-time scheduler can honour. (The name predates the
-    /// simulation check, when only slipped locks were counted.)
+    /// simulation check, when only slipped locks were counted.) The runs
+    /// are those of the walk table, before
+    /// [`ScheduleTable::compact`](cpg_table::ScheduleTable::compact): the
+    /// published table has the same activations and at most this many
+    /// violations.
     pub lock_slips: usize,
     /// Deepest decision-tree node visited, counted in decided conditions
     /// (the root sits at depth 0, so a node that resolves the first
@@ -80,7 +84,9 @@ pub struct MergeStats {
 /// every path: the outcome is [`Realizable`](MergeOutcome::Realizable) when
 /// no conflict went unrepaired and every simulated run is clean. A
 /// [`Degraded`](MergeOutcome::Degraded) outcome means some path cannot run
-/// the table exactly as written.
+/// the table exactly as written. The judged table is the walk table; the
+/// published table is its compaction, which keeps every activation and
+/// runs with no more violations, so the verdict is a sound bound for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MergeOutcome {
@@ -104,7 +110,8 @@ pub enum MergeOutcome {
 /// realizable by the dispatcher on every path it applies to) is a *repaired*
 /// invariant, not an assumed one: conflicts are re-placed through the
 /// Theorem-2 loop and slipped locks are repaired in-column. One simulation
-/// of the finished table on every path then judges the result. Callers
+/// of the finished walk table on every path then judges the result, and
+/// the table is published compacted ([`ScheduleTable::compact`]). Callers
 /// that need the strict guarantee must check [`MergeResult::outcome`]
 /// instead of assuming it — pathological inputs can exhaust the repair
 /// loop, and the merge then *returns* the degraded table (with

@@ -133,6 +133,11 @@ pub(crate) struct MergeCache {
     /// ([`generate_schedule_table_cloning`](crate::generate_schedule_table_cloning)).
     #[cfg(any(test, feature = "test-util"))]
     pub(crate) cloning_oracle: bool,
+    /// Publish the walk table as walked, without
+    /// [`ScheduleTable::compact`](cpg_table::ScheduleTable::compact)
+    /// ([`generate_walk_table`](crate::generate_walk_table)).
+    #[cfg(any(test, feature = "test-util"))]
+    pub(crate) uncompacted: bool,
 }
 
 impl MergeCache {

@@ -14,21 +14,24 @@
 //! 4. **Warm vs cold** — a [`MergeSession`] replaying the workload's edit
 //!    sequence must produce, after every edit, the same result as a cold
 //!    merge (a fresh session's first merge) of an identically edited graph.
-//! 5. **Simulates clean** — running the final table on every alternative
-//!    path with the run-time simulator must agree with the merge's verdict:
-//!    a `Realizable` table runs clean on every path, a clean table without
+//! 5. **Simulates clean** — running the walk table (the table the merge
+//!    judges, before compaction) on every alternative path with the
+//!    run-time simulator must agree with the merge's verdict: a
+//!    `Realizable` table runs clean on every path, a clean table without
 //!    unrepaired conflicts is `Realizable`, and `lock_slips` is exactly the
-//!    simulated violation total.
+//!    simulated violation total. The published, compacted table must
+//!    simulate the same delays with no more violations.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cpg_gen::{GeneratedSystem, Workload};
 use cpg_merge::{
-    generate_schedule_table, generate_schedule_table_cloning, try_generate_schedule_table,
-    validate_system, MergeConfig, MergeOutcome, MergeResult, MergeSession,
+    generate_schedule_table, generate_schedule_table_cloning, generate_walk_table,
+    try_generate_schedule_table, validate_system, MergeConfig, MergeOutcome, MergeResult,
+    MergeSession,
 };
-use cpg_sim::Simulator;
+use cpg_sim::{SimulationReport, Simulator};
 
 use crate::behavior::BehaviorVector;
 
@@ -186,13 +189,17 @@ fn run_oracles_inner(
         }
     }
 
-    // Oracle 5: the verdict is what running the table shows.
-    let simulator = Simulator::new(cpg, arch, baseline.table(), system.broadcast_time());
-    let violations: usize = simulator
-        .run_all(baseline.tracks())
-        .iter()
-        .map(|report| report.violations().len())
-        .sum();
+    // Oracle 5: the verdict is what running the walk table shows, and the
+    // published table, its compaction, runs no worse.
+    let simulate = |table| {
+        let simulator = Simulator::new(cpg, arch, table, system.broadcast_time());
+        let reports = simulator.run_all(baseline.tracks());
+        let delays: Vec<_> = reports.iter().map(SimulationReport::delay).collect();
+        let violations: usize = reports.iter().map(|report| report.violations().len()).sum();
+        (violations, delays)
+    };
+    let walked = generate_walk_table(cpg, arch, &config);
+    let (violations, delays) = simulate(walked.table());
     let clean = violations == 0;
     // An unrepaired conflict degrades the outcome even where no path's run
     // happens to trip over it.
@@ -216,6 +223,16 @@ fn run_oracles_inner(
             detail: format!(
                 "{violations} simulated violation(s) but {} counted",
                 baseline.stats().lock_slips
+            ),
+        });
+    }
+    let (published, published_delays) = simulate(baseline.table());
+    if published > violations || published_delays != delays {
+        return Err(OracleFailure {
+            oracle: OracleKind::SimulatesClean,
+            detail: format!(
+                "the published table simulates {published} violation(s) against the walk \
+                 table's {violations}, or other delays"
             ),
         });
     }

@@ -61,7 +61,7 @@ pub fn utilization(
     let delay = table.track_delay(cpg, label);
     let mut busy: BTreeMap<PeId, (Time, usize)> =
         arch.ids().map(|pe| (pe, (Time::ZERO, 0))).collect();
-    for (job, _, _) in table.all_entries() {
+    for job in table.jobs() {
         let Job::Process(pid) = job else { continue };
         if !cpg.guard(pid).implied_by(label) {
             continue;
@@ -147,7 +147,7 @@ pub fn to_csv(table: &ScheduleTable, cpg: &Cpg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpg::{enumerate_tracks, examples, ProcessId};
+    use cpg::{enumerate_tracks, examples};
     use cpg_arch::Time;
 
     fn diamond_table() -> (examples::ExampleSystem, ScheduleTable, cpg::TrackSet) {
@@ -222,6 +222,5 @@ mod tests {
         table.set(Job::Process(decide), Cube::top(), Time::new(4));
         let csv = to_csv(&table, system.cpg());
         assert!(csv.contains("decide,4"));
-        let _ = ProcessId::from_index(0);
     }
 }

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use cpg::{CondId, Cpg, Cube, ProcessId, Track, TrackSet};
+use cpg::{CondId, Cpg, Cube, Guard, ProcessId, Track, TrackSet};
 use cpg_arch::{PeId, Time};
 use cpg_path_sched::{Job, JobSlots};
 
@@ -27,6 +28,10 @@ struct Cell {
 
 /// The activation of a job applicable on an alternative path (a complete
 /// condition assignment), as resolved by [`ScheduleTable::activation`].
+///
+/// [`ScheduleTable::compact`] keeps the time and the resource of every
+/// activation; the column may become a coarser one (a subset of its
+/// literals), which is what lets a compacted row hold fewer entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Activation {
     /// The tabled activation time.
@@ -60,6 +65,34 @@ fn entry_hash(index: u32, column: Cube, cell: Cell) -> u64 {
     let h = mix(h, column.negative_mask());
     mix(h, cell.time.as_u64())
 }
+
+/// The hasher of the column index: one [`mix`] step per word of the key (a
+/// cube is two masks), then a final avalanche so the low bits that pick a
+/// bucket depend on every condition. Deterministic, and far cheaper than
+/// the standard hasher for a two-word key, which matters when
+/// [`ScheduleTable::compact`] looks up every merged column.
+#[derive(Debug, Clone, Copy, Default)]
+struct CubeHasher(u64);
+
+impl Hasher for CubeHasher {
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = mix(self.0, word);
+    }
+}
+
+/// Column cube -> its index in the column list.
+type ColumnIds = HashMap<Cube, u32, BuildHasherDefault<CubeHasher>>;
 
 /// One row of the table: the `(column index, column cube, cell)` entries
 /// of one job, sorted by column index (the table-wide insertion order of
@@ -131,6 +164,12 @@ impl Row {
 /// process at the tabled time as soon as the column expression is satisfied by
 /// the condition values it has seen so far (Section 3 of the paper).
 ///
+/// The merge publishes its table compacted ([`ScheduleTable::compact`]):
+/// within a row, no entry's column implies another's with the same time and
+/// resource where dropping it is invisible, and no two such sibling columns
+/// `X∧c`, `X∧¬c` are left where one entry in `X` does the same. So each
+/// dispatcher stores fewer entries than the walk wrote.
+///
 /// The table is built without a graph, so it keeps its rows in two vectors
 /// indexed by process and by condition index, grown on demand; a row without
 /// entries is an absent row. Rows are listed in ascending [`Job`] order:
@@ -159,7 +198,7 @@ pub struct ScheduleTable {
     columns: Vec<Cube>,
     /// Column cube -> its index in `columns`. Columns are only ever
     /// appended, so every lookup of a column by its cube is one hash probe.
-    column_ids: HashMap<Cube, u32>,
+    column_ids: ColumnIds,
     /// By process index, the row of the process, grown on demand. The merge
     /// algorithm probes rows in every repair and locking loop, so a row is
     /// one array read away.
@@ -616,6 +655,110 @@ impl ScheduleTable {
         }
     }
 
+    /// Removes the redundant entries of every row, so the table stores
+    /// fewer activation times for the same run-time behaviour.
+    ///
+    /// Within each row, among the entries that share a time and a resource,
+    /// the pass repeats two rules until neither applies:
+    ///
+    /// * **absorb** — an entry whose column implies another entry's column
+    ///   is dropped;
+    /// * **merge** — two entries whose columns differ only in the polarity
+    ///   of one condition are replaced by one entry in the column without
+    ///   that condition, when that column implies the guard of the row's job
+    ///   (of its disjunction process, for a broadcast row) under
+    ///   [`Guard::implied_by`], the test of requirement 1 in
+    ///   [`ScheduleTable::verify`].
+    ///
+    /// A rule applies only where no label can see the difference:
+    /// [`ScheduleTable::activation`] keeps its time and resource, and the
+    /// column it selects keeps a subset of its literals, on every complete
+    /// condition assignment and — when the table satisfies requirements 1–3
+    /// of [`ScheduleTable::verify`] — on every track label its job is active
+    /// on. (A merged column also covers labels that leave the merged
+    /// condition open; requirements 1 and 3 make the job active there with
+    /// the same time already.) So such a table still satisfies
+    /// requirements 1–3, its worst-case delay is unchanged, and the run-time
+    /// simulator sees the same activations with no more requirement-4
+    /// violations. Concretely, an entry is left in place when another entry
+    /// of its row compatible with its column
+    ///
+    /// * records a different resource (or none): the resource goes to the
+    ///   most specific satisfied column that carries one, so the coarser
+    ///   column could hand a label another resource;
+    /// * is as specific as the coarser column but no more specific than the
+    ///   entry, without being implied by the entry: it could become the
+    ///   selecting column of a label the entry used to select on;
+    /// * in a merge, does not mention the merged condition and is less
+    ///   specific than the merged column: it could lose the selection on a
+    ///   label that leaves the condition open to the merged column.
+    ///
+    /// Columns left without an entry are dropped; the others keep their
+    /// insertion order, and a merged column that is new is appended. Rows of
+    /// jobs outside `cpg` are left as they are. The pass never adds an entry,
+    /// and a second pass changes nothing.
+    pub fn compact(&mut self, cpg: &Cpg) {
+        let ScheduleTable {
+            columns,
+            column_ids,
+            process_rows,
+            broadcast_rows,
+        } = self;
+        let mut scratch = CompactScratch::default();
+        let mut changed = false;
+        let processes = process_rows
+            .iter_mut()
+            .take(cpg.len())
+            .enumerate()
+            .map(|(i, row)| (cpg.guard(ProcessId::from_index(i)), row));
+        let broadcasts = broadcast_rows
+            .iter_mut()
+            .take(cpg.num_conditions())
+            .enumerate()
+            .map(|(i, row)| (cpg.guard(cpg.disjunction_of(CondId::new(i))), row));
+        for (guard, row) in processes.chain(broadcasts) {
+            changed |= compact_row(&mut row.entries, guard, &mut scratch, columns, column_ids);
+        }
+        if changed {
+            self.drop_empty_columns();
+        }
+    }
+
+    /// Drops the columns no row holds an entry in, renumbers the others in
+    /// their insertion order and recomputes every row digest.
+    fn drop_empty_columns(&mut self) {
+        let mut remap = vec![u32::MAX; self.columns.len()];
+        let rows = self.process_rows.iter().chain(&self.broadcast_rows);
+        for &(index, _, _) in rows.flat_map(|row| &row.entries) {
+            remap[index as usize] = 0;
+        }
+        let mut kept = 0;
+        for index in &mut remap {
+            if *index == 0 {
+                (*index, kept) = (kept, kept + 1);
+            }
+        }
+        let mut at = 0;
+        self.columns.retain(|_| {
+            at += 1;
+            remap[at - 1] != u32::MAX
+        });
+        self.column_ids
+            .retain(|_, index| remap[*index as usize] != u32::MAX);
+        for index in self.column_ids.values_mut() {
+            *index = remap[*index as usize];
+        }
+        for row in self.process_rows.iter_mut().chain(&mut self.broadcast_rows) {
+            row.digest_sum = 0;
+            for (index, column, cell) in &mut row.entries {
+                *index = remap[*index as usize];
+                row.digest_sum = row
+                    .digest_sum
+                    .wrapping_add(entry_hash(*index, *column, *cell));
+            }
+        }
+    }
+
     /// Renders the table in the style of the paper's Table 1: one row per
     /// job, one column per condition expression (named with the graph's
     /// condition names), cells holding activation times.
@@ -705,13 +848,249 @@ impl ScheduleTable {
 
     #[inline]
     fn column_index_or_insert(&mut self, column: Cube) -> u32 {
-        let fresh = self.columns.len() as u32;
-        let index = *self.column_ids.entry(column).or_insert(fresh);
-        if index == fresh {
-            self.columns.push(column);
-        }
-        index
+        column_index_or_insert(&mut self.columns, &mut self.column_ids, column)
     }
+}
+
+/// The index of `column` in `columns`, appending it (and indexing it in
+/// `ids`) when it is new.
+#[inline]
+fn column_index_or_insert(columns: &mut Vec<Cube>, ids: &mut ColumnIds, column: Cube) -> u32 {
+    let fresh = columns.len() as u32;
+    let index = *ids.entry(column).or_insert(fresh);
+    if index == fresh {
+        columns.push(column);
+    }
+    index
+}
+
+/// One row entry as [`ScheduleTable::compact`] works on it: its position
+/// in the row, its column and cell, whether the pass has dropped it yet,
+/// and whether its column is a merged one.
+#[derive(Debug, Clone, Copy)]
+struct Work {
+    at: u32,
+    column: Cube,
+    cell: Cell,
+    alive: bool,
+    lifted: bool,
+}
+
+/// The buffers [`ScheduleTable::compact`] reuses across rows.
+#[derive(Debug, Default)]
+struct CompactScratch {
+    /// One [`sort_key`] per entry of the row.
+    keys: Vec<u128>,
+    /// The entries of the run of one time being compacted, in key order.
+    work: Vec<Work>,
+    /// The entries of the row's compacted runs that were dropped or merged.
+    changes: Vec<Work>,
+}
+
+/// The key [`compact_row`] sorts the entry at position `at` of a row by:
+/// its time, then its recorded resource, then its position, which is
+/// column-index order. Resources take 32 bits, so elements number fewer
+/// than `2^32 - 1`.
+#[inline]
+fn sort_key(cell: Cell, at: usize) -> u128 {
+    let resource = cell.resource.map_or(0, |pe| pe.index() as u128 + 1);
+    (u128::from(cell.time.as_u64()) << 64) | (resource << 32) | at as u128
+}
+
+/// The index a dropped entry carries until the row drops it.
+const DROPPED: u32 = u32::MAX;
+
+/// [`ScheduleTable::compact`] on the entries of one row whose job has the
+/// guard `guard`, in the reused buffers of `scratch`. Merged columns are
+/// looked up in, or appended to, `columns` and `ids`. Returns whether the
+/// row changed; a changed row's digest is left stale.
+///
+/// The row is sorted into runs of one time, and each of those into
+/// classes of one resource. Only entries of one time can tell a rule's
+/// effect apart: an entry of another time compatible with a column makes
+/// every label satisfying both conflict, before and after. So only runs of
+/// two or more entries are copied out, and each class is compacted against
+/// its run.
+// lint: hot-path
+fn compact_row(
+    entries: &mut Vec<(u32, Cube, Cell)>,
+    guard: &Guard,
+    scratch: &mut CompactScratch,
+    columns: &mut Vec<Cube>,
+    ids: &mut ColumnIds,
+) -> bool {
+    let CompactScratch {
+        keys,
+        work,
+        changes,
+    } = scratch;
+    keys.clear();
+    let cells = entries.iter().map(|&(_, _, cell)| cell);
+    keys.extend(cells.enumerate().map(|(at, cell)| sort_key(cell, at)));
+    keys.sort_unstable();
+    changes.clear();
+    let mut run = 0;
+    while run < keys.len() {
+        let time = keys[run] >> 64;
+        let run_end = run + keys[run..].iter().take_while(|&&k| k >> 64 == time).count();
+        if run_end - run > 1 {
+            work.clear();
+            work.extend(keys[run..run_end].iter().map(|&key| {
+                let at = key as u32;
+                let (_, column, cell) = entries[at as usize];
+                Work {
+                    at,
+                    column,
+                    cell,
+                    alive: true,
+                    lifted: false,
+                }
+            }));
+            let row = RowView {
+                entries,
+                changes,
+                ids,
+            };
+            let mut class = 0;
+            while class < work.len() {
+                let cell = work[class].cell;
+                let class_end = class + work[class..].iter().take_while(|w| w.cell == cell).count();
+                if class_end - class > 1 {
+                    compact_class(work, class..class_end, &row, guard);
+                }
+                class = class_end;
+            }
+            changes.extend(work.iter().filter(|w| !w.alive || w.lifted));
+        }
+        run = run_end;
+    }
+    for w in changes.iter() {
+        entries[w.at as usize] = if w.alive {
+            let index = column_index_or_insert(columns, ids, w.column);
+            (index, w.column, w.cell)
+        } else {
+            (DROPPED, w.column, w.cell)
+        };
+    }
+    if changes.is_empty() {
+        return false;
+    }
+    entries.retain(|&(index, _, _)| index != DROPPED);
+    entries.sort_unstable_by_key(|&(index, _, _)| index);
+    true
+}
+
+/// What [`compact_class`] reads of the row beyond the run it works on.
+struct RowView<'a> {
+    /// The row as it stood before the pass, sorted by column index.
+    entries: &'a [(u32, Cube, Cell)],
+    /// The dropped and merged entries of the runs compacted so far.
+    changes: &'a [Work],
+    /// The table's column index.
+    ids: &'a ColumnIds,
+}
+
+impl RowView<'_> {
+    /// `true` when an entry of another time than `time` sits in `column`:
+    /// an untouched entry of the row, or a merged one.
+    fn holds(&self, column: Cube, time: Time) -> bool {
+        let untouched = self.ids.get(&column).is_some_and(|&index| {
+            let found = self.entries.binary_search_by_key(&index, |&(i, _, _)| i);
+            found.is_ok_and(|at| {
+                self.entries[at].2.time != time && !self.changes.iter().any(|w| w.at as usize == at)
+            })
+        });
+        untouched || self.changes.iter().any(|w| w.alive && w.column == column)
+    }
+}
+
+/// Applies the absorb and merge rules of [`ScheduleTable::compact`] to the
+/// class `class` of `run` (the row's entries of one time, in key order:
+/// the class holds those of one resource) until neither applies. A merge
+/// writes its column into one sibling's slot. `row` shows the entries of
+/// other times.
+// lint: hot-path
+fn compact_class(
+    run: &mut [Work],
+    class: std::ops::Range<usize>,
+    row: &RowView<'_>,
+    guard: &Guard,
+) {
+    let (start, end) = (class.start, class.end);
+    let time = run[start].cell.time;
+    loop {
+        let mut stepped = false;
+        for e in start..end {
+            if !run[e].alive {
+                continue;
+            }
+            let from = run[e].column;
+            // Absorb: `f` absorbs `e` when `f`'s literals are among `e`'s.
+            let absorbed = (start..end).any(|f| {
+                let to = run[f].column;
+                f != e
+                    && run[f].alive
+                    && to.mention_mask() & !from.mention_mask() == 0
+                    && from.positive_mask() & to.mention_mask() == to.positive_mask()
+                    && keeps_resolution(run, e, f, to, 0)
+            });
+            if absorbed {
+                run[e].alive = false;
+                stepped = true;
+                continue;
+            }
+            // Merge: a sibling has the same conditions and differs in the
+            // polarity of exactly one.
+            for s in start..end {
+                let sibling = run[s].column;
+                let flipped = from.positive_mask() ^ sibling.positive_mask();
+                if s == e
+                    || !run[s].alive
+                    || sibling.mention_mask() != from.mention_mask()
+                    || flipped.count_ones() != 1
+                {
+                    continue;
+                }
+                let to = from.restricted_to(!flipped);
+                if !guard.implied_by(&to)
+                    || !keeps_resolution(run, e, s, to, flipped)
+                    || !keeps_resolution(run, s, e, to, flipped)
+                    || run.iter().any(|w| w.alive && w.column == to)
+                    || row.holds(to, time)
+                {
+                    continue;
+                }
+                (run[e].column, run[e].lifted) = (to, true);
+                run[s].alive = false;
+                stepped = true;
+                break;
+            }
+        }
+        if !stepped {
+            return;
+        }
+    }
+}
+
+/// `true` when replacing entry `e` of `run` (the row's entries of its time)
+/// by the same cell in the coarser column `to` — absorbed by `partner`, or
+/// merged with its sibling `partner` over the condition bit `merged` —
+/// leaves every label's resolution as [`ScheduleTable::compact`] requires.
+/// `merged` is 0 for an absorption.
+// lint: hot-path
+fn keeps_resolution(run: &[Work], e: usize, partner: usize, to: Cube, merged: u64) -> bool {
+    let (from, resource) = (run[e].column, run[e].cell.resource);
+    let (low, high) = (to.len(), from.len());
+    run.iter().enumerate().all(|(g, other)| {
+        if g == e || g == partner || !other.alive || !other.column.compatible(&from) {
+            return true;
+        }
+        let len = other.column.len();
+        let same_resource = resource.is_none() || other.cell.resource == resource;
+        let may_select = (low..=high).contains(&len) && !from.implies(&other.column);
+        let may_lose = other.column.mention_mask() & merged == 0 && merged != 0 && len < low;
+        same_resource && !may_select && !may_lose
+    })
 }
 
 impl fmt::Display for ScheduleTable {
@@ -1314,5 +1693,146 @@ mod tests {
         table.remove(p(1), &col0);
         assert_eq!(table.row_digest(p(1)), 0);
         assert!(digests_are_current(&table));
+    }
+
+    /// The cube of the given literals.
+    fn cube(literals: &[cpg::Literal]) -> Cube {
+        literals.iter().copied().collect()
+    }
+
+    /// The diamond example (condition C, processes `decide`, `hot` with
+    /// guard C, `cold`, `join`) and the job of one of its processes.
+    fn diamond_job(name: &str) -> (examples::ExampleSystem, Job) {
+        let system = examples::diamond();
+        let pid = system.cpg().process_by_name(name).unwrap();
+        (system, Job::Process(pid))
+    }
+
+    #[test]
+    fn compact_merges_siblings_and_absorbs_implied_columns() {
+        let (system, decide) = diamond_job("decide");
+        let (x, y) = (c(1), c(2));
+        let mut table = ScheduleTable::new();
+        table.set(decide, cube(&[x.is_true(), y.is_true()]), Time::new(4));
+        table.set(decide, cube(&[x.is_true(), y.is_false()]), Time::new(4));
+        table.set(decide, cube(&[x.is_false(), y.is_true()]), Time::new(4));
+        table.set(decide, cube(&[x.is_false()]), Time::new(4));
+        table.compact(system.cpg());
+        // x∧y and x∧¬y merge into x, ¬x absorbs ¬x∧y, and x and ¬x merge
+        // into true.
+        let row: Vec<(Cube, Time)> = table.entries(decide).collect();
+        assert_eq!(row, [(Cube::top(), Time::new(4))]);
+        assert_eq!(table.columns(), [Cube::top()]);
+        assert_eq!(table.row_digest(decide), table.folded_digest(decide));
+        let again = table.clone();
+        table.compact(system.cpg());
+        assert_eq!(table, again);
+    }
+
+    #[test]
+    fn compact_keeps_rows_of_different_times_and_renumbers_columns() {
+        let (system, decide) = diamond_job("decide");
+        let x = c(1);
+        let (pos, neg) = (Cube::from(x.is_true()), Cube::from(x.is_false()));
+        let mut table = ScheduleTable::new();
+        table.set(decide, pos, Time::new(1));
+        table.set(decide, neg, Time::new(2));
+        table.set(p(9), Cube::top(), Time::new(0));
+        let before = table.clone();
+        table.compact(system.cpg());
+        // Different times never merge, and the row of a job outside the
+        // graph is left alone.
+        assert_eq!(table, before);
+
+        let mut table = ScheduleTable::new();
+        table.set(decide, pos, Time::new(1));
+        table.set(decide, neg, Time::new(1));
+        table.set(p(9), pos, Time::new(0));
+        table.compact(system.cpg());
+        // ¬x empties and is dropped; true is appended after x.
+        assert_eq!(table.columns(), [pos, Cube::top()]);
+        assert_eq!(table.get(decide, &Cube::top()), Some(Time::new(1)));
+        assert_eq!(table.get(p(9), &pos), Some(Time::ZERO));
+        assert!(column_index_is_current(&table));
+        assert_eq!(table.row_digest(p(9)), table.folded_digest(p(9)));
+    }
+
+    #[test]
+    fn compact_never_merges_into_a_column_that_breaks_the_guard() {
+        let (system, hot) = diamond_job("hot");
+        let cond = system.condition("C").unwrap();
+        let x = c(1);
+        let mut table = ScheduleTable::new();
+        table.set(hot, cube(&[cond.is_true(), x.is_true()]), Time::new(3));
+        table.set(hot, cube(&[cond.is_true(), x.is_false()]), Time::new(3));
+        table.compact(system.cpg());
+        // C implies the guard of `hot`, so the siblings merge into C ...
+        let row: Vec<(Cube, Time)> = table.entries(hot).collect();
+        assert_eq!(row, [(Cube::from(cond.is_true()), Time::new(3))]);
+        // ... but C and ¬C do not merge into true, which does not.
+        let mut table = ScheduleTable::new();
+        table.set(hot, Cube::from(cond.is_true()), Time::new(3));
+        table.set(hot, Cube::from(cond.is_false()), Time::new(3));
+        let before = table.clone();
+        table.compact(system.cpg());
+        assert_eq!(table, before);
+    }
+
+    #[test]
+    fn compact_keeps_an_entry_whose_drop_would_hand_a_label_another_resource() {
+        let system = examples::diamond();
+        let broadcast = Job::Broadcast(system.condition("C").unwrap());
+        let (x, y) = (c(1), c(2));
+        let (bus_a, bus_b) = (Some(PeId::from_index(0)), Some(PeId::from_index(1)));
+        let mut table = ScheduleTable::new();
+        table.set_on(broadcast, Cube::from(y.is_true()), Time::new(2), bus_b);
+        table.set_on(
+            broadcast,
+            cube(&[x.is_true(), y.is_true()]),
+            Time::new(2),
+            bus_a,
+        );
+        table.set_on(broadcast, Cube::from(x.is_true()), Time::new(2), bus_a);
+        // On x∧y the most specific column x∧y gives bus A. Were x to absorb
+        // it, x and y would tie and the first, y, would give bus B.
+        let label = cube(&[x.is_true(), y.is_true()]);
+        let resource =
+            |table: &ScheduleTable| table.activation(broadcast, &label).unwrap().resource;
+        assert_eq!(resource(&table), bus_a);
+        let before = table.clone();
+        table.compact(system.cpg());
+        assert_eq!(table, before);
+        assert_eq!(resource(&table), bus_a);
+    }
+
+    #[test]
+    fn compact_keeps_an_entry_whose_drop_would_hand_its_selection_to_another_column() {
+        let (system, decide) = diamond_job("decide");
+        let (x, y, z, w) = (c(1), c(2), c(3), c(4));
+        // On x∧y∧z, x∧y selects; without it, x and z would tie.
+        let mut table = ScheduleTable::new();
+        table.set(decide, cube(&[x.is_true(), y.is_true()]), Time::new(5));
+        table.set(decide, Cube::from(x.is_true()), Time::new(5));
+        table.set(decide, Cube::from(z.is_true()), Time::new(5));
+        let before = table.clone();
+        table.compact(system.cpg());
+        assert_eq!(table, before);
+        // On x∧w∧z (y open), z selects; merging x∧w∧y and x∧w∧¬y into x∧w
+        // would hand that label to the more specific x∧w.
+        let mut table = ScheduleTable::new();
+        table.set(
+            decide,
+            cube(&[x.is_true(), w.is_true(), y.is_true()]),
+            Time::new(5),
+        );
+        table.set(
+            decide,
+            cube(&[x.is_true(), w.is_true(), y.is_false()]),
+            Time::new(5),
+        );
+        table.set(decide, Cube::from(z.is_true()), Time::new(5));
+        let before = table.clone();
+        table.compact(system.cpg());
+        assert_eq!(table, before);
     }
 }

@@ -146,3 +146,110 @@ proptest! {
         }
     }
 }
+
+/// A write of a random table over the Fig. 1 graph for the compaction
+/// properties: `(job, column choices over the graph's three conditions,
+/// time, resource)`. Few times and resources, so many entries share both.
+type GraphWrite = (usize, Vec<Option<bool>>, u64, usize);
+
+fn graph_write() -> impl Strategy<Value = GraphWrite> {
+    (
+        0usize..14,
+        proptest::collection::vec(any::<Option<bool>>(), 3),
+        0u64..3,
+        0usize..3,
+    )
+}
+
+/// The job of a [`GraphWrite`]: one of the first eleven processes of Fig. 1
+/// or one of its three broadcasts.
+fn graph_job(index: usize) -> Job {
+    if index < 11 {
+        Job::Process(ProcessId::from_index(index))
+    } else {
+        Job::Broadcast(CondId::new(index - 11))
+    }
+}
+
+fn build_graph_table(writes: &[GraphWrite]) -> ScheduleTable {
+    let mut table = ScheduleTable::new();
+    for (job, choices, time, resource) in writes {
+        let column = choices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, value)| value.map(|value| CondId::new(i).literal(value)))
+            .collect();
+        let resource = (*resource < 2).then(|| cpg_arch::PeId::from_index(*resource));
+        table.set_on(graph_job(*job), column, Time::new(*time), resource);
+    }
+    table
+}
+
+/// The guard requirement 1 holds a job's columns to.
+fn guard_of(cpg: &cpg::Cpg, job: Job) -> &cpg::Guard {
+    match job {
+        Job::Process(pid) => cpg.guard(pid),
+        Job::Broadcast(cond) => cpg.guard(cpg.disjunction_of(cond)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        max_shrink_iters: 0,
+        ..ProptestConfig::default()
+    })]
+
+    /// On arbitrary tables, compaction keeps the activation time and
+    /// resource of every job on every complete assignment and selects it
+    /// by a subset of the literals, never adds an entry or a requirement-1
+    /// violation, leaves no column empty, and is idempotent.
+    #[test]
+    fn compaction_keeps_every_complete_assignments_activation(
+        writes in proptest::collection::vec(graph_write(), 0..40),
+    ) {
+        let system = cpg::examples::fig1();
+        let cpg = system.cpg();
+        let table = build_graph_table(&writes);
+        let mut compacted = table.clone();
+        compacted.compact(cpg);
+
+        prop_assert!(compacted.num_entries() <= table.num_entries());
+        for (job, column, _) in compacted.all_entries() {
+            prop_assert!(
+                table.get(job, &column).is_some() || guard_of(cpg, job).implied_by(&column),
+                "{job} tabled in {column}, which breaks its guard"
+            );
+        }
+        for column in compacted.columns() {
+            prop_assert!(compacted.jobs().any(|job| compacted.get(job, column).is_some()));
+        }
+        let guard_violations = |table: &ScheduleTable| {
+            let tracks = cpg::enumerate_tracks(cpg);
+            table.verify(cpg, &tracks).err().unwrap_or_default().iter()
+                .filter(|v| matches!(v, cpg_table::TableViolation::GuardViolated { .. }))
+                .count()
+        };
+        prop_assert!(guard_violations(&compacted) <= guard_violations(&table));
+
+        for values in 0..8u32 {
+            let mut label = Cube::top();
+            for cond in 0..3 {
+                label.assign(CondId::new(cond), values >> cond & 1 == 1);
+            }
+            for job in (0..14).map(graph_job) {
+                let before = table.activation(job, &label);
+                let after = compacted.activation(job, &label);
+                let kept = |a: Option<cpg_table::Activation>| a.map(|a| (a.time, a.resource));
+                prop_assert!(kept(before) == kept(after), "{job} on {label}: {before:?} -> {after:?}");
+                if let (Some(before), Some(after)) = (before, after) {
+                    prop_assert!(before.column.implies(&after.column));
+                }
+            }
+        }
+
+        let once = compacted.clone();
+        compacted.compact(cpg);
+        prop_assert_eq!(compacted, once);
+    }
+}
