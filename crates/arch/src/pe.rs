@@ -40,6 +40,43 @@ impl PeId {
     pub const fn from_index(index: usize) -> Self {
         PeId(index)
     }
+
+    /// `pe` in 4 bytes (an `Option<PeId>` takes 16): its index, or
+    /// `u32::MAX` for `None`. [`PeId::unpack`] inverts it. Tables that are
+    /// kept for long, one entry per job, store resources this way.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cpg_arch::PeId;
+    ///
+    /// let pe = Some(PeId::from_index(3));
+    /// assert_eq!(PeId::unpack(PeId::pack(pe)), pe);
+    /// assert_eq!(PeId::unpack(PeId::pack(None)), None);
+    /// ```
+    #[must_use]
+    pub const fn pack(pe: Option<PeId>) -> u32 {
+        match pe {
+            Some(PeId(index)) => {
+                assert!(
+                    index < u32::MAX as usize,
+                    "processing element index beyond 32 bits"
+                );
+                index as u32
+            }
+            None => u32::MAX,
+        }
+    }
+
+    /// The optional processing element a [`PeId::pack`] code stands for.
+    #[must_use]
+    pub const fn unpack(code: u32) -> Option<PeId> {
+        if code == u32::MAX {
+            None
+        } else {
+            Some(PeId(code as usize))
+        }
+    }
 }
 
 impl fmt::Display for PeId {

@@ -13,6 +13,10 @@
 //! nests: the scheduler and every track's context are built outside the
 //! timed loop, which runs `schedule_with` once per context through one
 //! reused `RunScratch`.
+//!
+//! `path_list_scheduling/refresh/*` re-times every prebuilt context of the
+//! same nests with `ListScheduler::refresh`: what a warm merge session does
+//! per dirty track where it used to build the context again.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -74,7 +78,7 @@ fn path_schedule_time(c: &mut Criterion) {
         let system = deep_nest(paths);
         let tracks = enumerate_tracks(system.cpg());
         let scheduler = ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time());
-        let contexts: Vec<TrackContext<'_>> = tracks.iter().map(|t| scheduler.context(t)).collect();
+        let contexts: Vec<TrackContext> = tracks.iter().map(|t| scheduler.context(t)).collect();
         let mut scratch = RunScratch::new();
         group.bench_with_input(BenchmarkId::new("runs", paths), &contexts, |b, contexts| {
             b.iter(|| {
@@ -82,6 +86,20 @@ fn path_schedule_time(c: &mut Criterion) {
                     .iter()
                     .map(|context| context.schedule_with(&mut scratch).delay())
                     .max()
+            });
+        });
+    }
+    for &paths in &[32usize, 64] {
+        let system = deep_nest(paths);
+        let tracks = enumerate_tracks(system.cpg());
+        let scheduler = ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time());
+        let mut contexts: Vec<TrackContext> = tracks.iter().map(|t| scheduler.context(t)).collect();
+        group.bench_function(&format!("refresh/{paths}"), |b| {
+            b.iter(|| {
+                for context in &mut contexts {
+                    scheduler.refresh(context);
+                }
+                contexts.len()
             });
         });
     }

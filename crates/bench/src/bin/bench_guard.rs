@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// The baseline gated against when `--baseline` is not given.
-const DEFAULT_BASELINE: &str = "BENCH_17.json";
+const DEFAULT_BASELINE: &str = "BENCH_18.json";
 
 const USAGE: &str = "usage: bench_guard --current <json> [--current <json>...] \
                      [--baseline <json>] [--emit <json> --label <name>]";
@@ -65,8 +65,9 @@ const USAGE: &str = "usage: bench_guard --current <json> [--current <json>...] \
 /// expand → tracks → merge → verify → delay → simulate pipeline
 /// (`pipeline/`) and the path scheduler (`path_list_scheduling/`, whose
 /// `all_tracks/*` rows build the graph tables and every track's context the
-/// way a cold merge does before its walk, and whose `runs/*` rows time the
-/// scheduling kernel alone on prebuilt contexts). All of them run on one thread,
+/// way a cold merge does before its walk, whose `runs/*` rows time the
+/// scheduling kernel alone on prebuilt contexts, and whose `refresh/*` rows
+/// re-time prebuilt contexts the way a warm session merge does). All of them run on one thread,
 /// like the speed probe they are divided by. Rows that only an older
 /// baseline carries (such as the retired default-parallelism and
 /// four-thread walk groups of `BENCH_7.json`) are reported for information.

@@ -113,6 +113,10 @@ use crate::session::{MergeCache, ReuseStats, Rewalk, SessionChain};
 /// * [`SkipSpliceValidation`](crate::sabotage::SkipSpliceValidation) —
 ///   replays cached session chains without checking their row snapshots
 ///   (the column-creation guard stays); caught by the warm-vs-cold oracle.
+/// * [`StaleContexts`](crate::sabotage::StaleContexts) — skips the refresh
+///   of the dirty tracks' cached scheduling contexts, so a warm merge
+///   schedules them with the execution times and mappings of before the
+///   edit; caught by the warm-vs-cold oracle.
 /// * [`SkipEntryValidation`](crate::sabotage::SkipEntryValidation) — drops
 ///   the `validate_system` call from the `try_` entry points, accepting
 ///   pathological systems; caught by the input-validation oracle.
@@ -179,6 +183,13 @@ pub mod sabotage {
         SKIP_SPLICE_VALIDATION,
         SkipSpliceValidation,
         skip_splice_validation
+    );
+    switch!(
+        /// Guard that makes warm merges keep the stale timing of the dirty
+        /// tracks' cached contexts while alive.
+        STALE_CONTEXTS,
+        StaleContexts,
+        stale_contexts
     );
     switch!(
         /// Guard that makes the `try_` entry points skip their
@@ -305,13 +316,18 @@ pub(crate) fn merge_tracks(
         !sabotage::inject_walk_panic(),
         "sabotage: injected walk panic"
     );
-    // The scheduler gathers the graph tables once per merge; every track's
+    // The scheduler gathers the graph tables once per merge. Every track's
     // dense scheduling context is derived from them on first use and reused
     // across the initial per-path schedules and every adjustment/repair of
-    // the walk. A cold merge ends up building every context; a warm merge
-    // only those of the tracks it re-schedules or re-walks.
+    // the walk; a warm merge takes over the contexts the last merge left and
+    // re-times the dirty ones instead.
     let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
-    let contexts = ContextCache::new(scheduler, &tracks);
+    let contexts = ContextCache::new(
+        scheduler,
+        &tracks,
+        std::mem::take(&mut cache.contexts),
+        &cache.dirty,
+    );
     let mut state = WalkState::new();
     // A clean track's optimal schedule cannot have changed, so a warm merge
     // re-runs the dirty tracks only; without cached schedules every track
@@ -391,6 +407,7 @@ pub(crate) fn merge_tracks(
     table.compact(cpg);
     cache.reuse = reuse;
     cache.dirty.fill(false);
+    cache.contexts = contexts.into_cells();
 
     MergeResult {
         table,
@@ -501,24 +518,54 @@ enum Placement {
 /// the cap only guards against pathological oscillation between candidates.
 const SLIP_REPAIR_ROUNDS: usize = 16;
 
-/// Lazily built per-track scheduling contexts.
+/// The merge's per-track scheduling contexts, built lazily and kept across
+/// merges.
 ///
 /// A [`TrackContext`] is a bundle of dense lookup tables over one track,
 /// derived from the graph tables the cache's [`ListScheduler`] gathered once
 /// for the merge — cheap to query but not free to build. Each cell fills on
-/// first use: a cold merge schedules every track and so builds every
-/// context, while an incremental re-merge only touches the contexts of
-/// re-walked or re-scheduled tracks.
+/// first use, so a cold merge builds every context it schedules. The cells
+/// come from the [`MergeCache`] and go back into it
+/// ([`into_cells`](Self::into_cells)): a warm merge starts from the contexts
+/// the last merge left and re-times only those of the dirty tracks
+/// ([`ListScheduler::refresh`]), since an edit of execution times or
+/// mappings changes no context's structure and no clean track's timing.
 pub(crate) struct ContextCache<'a> {
     scheduler: ListScheduler<'a>,
     tracks: &'a TrackSet,
-    cells: Vec<OnceCell<TrackContext<'a>>>,
+    cells: Vec<OnceCell<TrackContext>>,
 }
 
 impl<'a> ContextCache<'a> {
-    pub(crate) fn new(scheduler: ListScheduler<'a>, tracks: &'a TrackSet) -> Self {
-        let mut cells = Vec::new();
-        cells.resize_with(tracks.len(), OnceCell::new);
+    /// Takes over `cells`, the contexts the last merge of the same system
+    /// left (aligned with `tracks`), and refreshes those of the `dirty`
+    /// tracks. Cells that do not align with `tracks` — an empty cache —
+    /// are dropped and every context is built on first use.
+    pub(crate) fn new(
+        scheduler: ListScheduler<'a>,
+        tracks: &'a TrackSet,
+        mut cells: Vec<OnceCell<TrackContext>>,
+        dirty: &[bool],
+    ) -> Self {
+        if cells.len() == tracks.len() {
+            // Mutation self-test hook: a warm merge that keeps the stale
+            // timing of dirty contexts must diverge from a cold one
+            // (tests/adversarial_corpus.rs).
+            #[cfg(any(test, feature = "test-util"))]
+            let dirty: &[bool] = if sabotage::stale_contexts() {
+                &[]
+            } else {
+                dirty
+            };
+            for (cell, _) in cells.iter_mut().zip(dirty).filter(|(_, &dirty)| dirty) {
+                if let Some(context) = cell.get_mut() {
+                    scheduler.refresh(context);
+                }
+            }
+        } else {
+            cells.clear();
+            cells.resize_with(tracks.len(), OnceCell::new);
+        }
         ContextCache {
             scheduler,
             tracks,
@@ -526,8 +573,13 @@ impl<'a> ContextCache<'a> {
         }
     }
 
-    pub(crate) fn get(&self, idx: usize) -> &TrackContext<'a> {
+    pub(crate) fn get(&self, idx: usize) -> &TrackContext {
         self.cells[idx].get_or_init(|| self.scheduler.context(&self.tracks.tracks()[idx]))
+    }
+
+    /// The contexts, built or not, for the next merge of the same system.
+    pub(crate) fn into_cells(self) -> Vec<OnceCell<TrackContext>> {
+        self.cells
     }
 }
 
@@ -1680,6 +1732,8 @@ pub(crate) mod tests {
         let contexts = ContextCache::new(
             ListScheduler::new(cpg, arch, config.broadcast_time()),
             &tracks,
+            Vec::new(),
+            &[],
         );
         let optimal: Vec<PathSchedule> = (0..tracks.len())
             .map(|idx| contexts.get(idx).schedule())
@@ -1789,6 +1843,8 @@ pub(crate) mod tests {
         let contexts = ContextCache::new(
             ListScheduler::new(cpg, arch, config.broadcast_time()),
             &tracks,
+            Vec::new(),
+            &[],
         );
         let optimal: Vec<PathSchedule> = (0..tracks.len())
             .map(|idx| contexts.get(idx).schedule())

@@ -18,6 +18,14 @@
 //! counters and the [`ReuseStats`] counters, so a replayed chain reports
 //! exactly what the walk that recorded it did.
 //!
+//! Besides the tree, the session's [`MergeCache`] keeps what the last merge
+//! computed per track and an edit can only change on the tracks it reaches:
+//! each track's optimal schedule, its simulated run of the finished table
+//! and its scheduling context. A warm merge re-schedules the dirty tracks
+//! only, refreshes the timing of their contexts instead of building them
+//! again ([`ContextCache`](crate::merge::ContextCache)), and re-simulates
+//! only the tracks the changed table cells can reach.
+//!
 //! Every merge records: the one walk
 //! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain))
 //! runs every chain through a [`RecordingView`], which writes straight into
@@ -50,9 +58,11 @@
 //! byte-identically — including the column creation order, which
 //! [`ChainLog::created_columns_absent`] guards.
 
+use std::cell::OnceCell;
+
 use cpg::{enumerate_tracks, CondId, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
 use cpg_arch::{Architecture, Time};
-use cpg_path_sched::PathSchedule;
+use cpg_path_sched::{PathSchedule, TrackContext};
 use cpg_table::{ChainLog, RecordScratch, RecordingView, ScheduleTable};
 
 use crate::config::MergeConfig;
@@ -124,6 +134,14 @@ pub(crate) struct MergeCache {
     /// track with no compatible changed column therefore reuses the cached
     /// run, and the realizability check costs nothing on a pure replay.
     pub(crate) track_runs: Vec<TrackRun>,
+    /// The scheduling context of each track the last merge scheduled,
+    /// aligned with the tracks (empty before the first merge). An edit of
+    /// execution times or mappings changes no context's structure, and the
+    /// timing only of the dirty tracks' contexts, so the next merge
+    /// refreshes those
+    /// ([`ContextCache::new`](crate::merge::ContextCache::new)) and builds
+    /// none again.
+    pub(crate) contexts: Vec<OnceCell<TrackContext>>,
     /// Tracks inside the scope of an edit applied since the last merge;
     /// aligned with the tracks whenever anything above is cached.
     pub(crate) dirty: Vec<bool>,
@@ -565,12 +583,14 @@ impl MergeSession {
         Ok(scope)
     }
 
-    /// Drops the cached decision tree, schedules and simulated runs: the
-    /// next [`merge`](Self::merge) is a full cold walk.
+    /// Drops the cached decision tree, schedules, simulated runs and
+    /// scheduling contexts: the next [`merge`](Self::merge) is a full cold
+    /// walk.
     pub fn invalidate_all(&mut self) {
         self.cache.root = None;
         self.cache.optimal.clear();
         self.cache.track_runs.clear();
+        self.cache.contexts.clear();
     }
 
     /// Re-merges the (possibly edited) system, replaying every cached
@@ -770,6 +790,66 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_after_invalidate_all_with_pending_edits_matches_a_cold_merge() {
+        let system = examples::fig1();
+        let config = MergeConfig::new(system.broadcast_time());
+        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
+        session.merge();
+        assert!(session
+            .cache
+            .contexts
+            .iter()
+            .all(|cell| cell.get().is_some()));
+
+        // A WCET edit and a move of a disjunction process, pending when the
+        // cache is dropped.
+        let p = system
+            .cpg()
+            .ordinary_processes()
+            .find(|&p| !system.cpg().guard(p).is_true())
+            .expect("fig1 has guarded processes");
+        let disjunction = system.cpg().disjunction_of(CondId::new(0));
+        let home = system.cpg().mapping(disjunction).unwrap();
+        let away = system.arch().processors().find(|&pe| pe != home).unwrap();
+        let edits = [
+            SystemEdit::ExecTime {
+                process: p,
+                time: Time::new(13),
+            },
+            SystemEdit::Mapping {
+                process: disjunction,
+                pe: away,
+            },
+        ];
+        let mut edited = system.cpg().clone();
+        for edit in &edits {
+            edit.apply(&mut edited).unwrap();
+            session.apply_edit(edit).unwrap();
+        }
+        session.invalidate_all();
+        assert!(session.cache.contexts.is_empty());
+        let warm = session.merge();
+        let cold = generate_schedule_table(&edited, system.arch(), &config);
+        assert_identical(
+            &cold,
+            &warm,
+            "merge after invalidate_all with pending edits",
+        );
+        assert_eq!(session.reuse_stats().chains_replayed, 0);
+
+        // The rebuilt contexts serve the next warm merge.
+        let edit = SystemEdit::ExecTime {
+            process: p,
+            time: Time::new(2),
+        };
+        edit.apply(&mut edited).unwrap();
+        session.apply_edit(&edit).unwrap();
+        let warm = session.merge();
+        let cold = generate_schedule_table(&edited, system.arch(), &config);
+        assert_identical(&cold, &warm, "warm merge after the rebuild");
+    }
+
+    #[test]
     fn invalidate_all_forces_a_full_record() {
         let system = examples::diamond();
         let config = MergeConfig::new(system.broadcast_time());
@@ -856,7 +936,7 @@ mod tests {
 
         let scheduler =
             ListScheduler::new(&session.cpg, &session.arch, session.config.broadcast_time());
-        let contexts = ContextCache::new(scheduler, &session.tracks);
+        let contexts = ContextCache::new(scheduler, &session.tracks, Vec::new(), &[]);
         let shared = MergeShared {
             cpg: &session.cpg,
             config: &session.config,

@@ -13,16 +13,27 @@
 //! * jobs get *dense indices* `0..n` (the track's processes in ascending
 //!   identifier order, then its condition broadcasts), so every piece of
 //!   per-job scheduler state lives in a `Vec` instead of a `HashMap`;
-//! * predecessor/successor adjacency and indegree counts are precomputed in
-//!   compressed (CSR) form, and eligibility is driven by a binary-heap ready
-//!   queue keyed by priority — the serial schedule-generation scheme commits
-//!   jobs in exactly the same order as a full rescan of the remaining jobs,
-//!   without the O(n²) rescan;
+//! * predecessor/successor adjacency is precomputed in compressed (CSR)
+//!   form, and eligibility is driven by a binary-heap ready queue keyed by
+//!   priority — the serial schedule-generation scheme commits jobs in
+//!   exactly the same order as a full rescan of the remaining jobs, without
+//!   the O(n²) rescan;
 //! * guard requirements (the conditions a processing element must know before
 //!   activating the job) and partial-critical-path priorities are computed
 //!   once per track;
 //! * locked activation times are passed as a dense [`LockSet`], cheap to
 //!   clone along the decision tree of the merge algorithm.
+//!
+//! A context has two halves. Its *structure* — the dense jobs, the
+//! adjacency, the guard requirements, the condition tables and its own
+//! reverse topological order — follows from the graph's edges and guards
+//! alone. Its *timing* — durations, mapped resources, the resource that
+//! computes each condition, priorities — follows from the execution times
+//! and mappings, and one function writes it, [`TrackContext::refresh`]: a
+//! new context is its structure plus one refresh. The context owns both
+//! halves and borrows nothing, so a merge session keeps its contexts across
+//! merges and, after an edit of execution times or mappings, refreshes only
+//! the timing of the tracks the edit reaches.
 
 use cpg::{CondId, Cpg, Cube, Literal, ProcessId, Track};
 use cpg_arch::{Architecture, PeId, Time};
@@ -131,6 +142,11 @@ impl LockSet {
         self.slots.slot(job).and_then(|slot| self.locks[slot])
     }
 
+    /// The lock of the job at [`JobSlots`] slot `slot`.
+    fn at(&self, slot: u32) -> Option<Lock> {
+        self.locks[slot as usize]
+    }
+
     /// Locks `job` to start exactly at `time` without pinning a resource;
     /// returns the previous locked time.
     pub fn insert(&mut self, job: Job, time: Time) -> Option<Time> {
@@ -210,9 +226,12 @@ impl LockSet {
 /// indices, adjacency, guard requirements and priorities, ready to run the
 /// serial schedule-generation scheme any number of times.
 ///
-/// Build one with [`ListScheduler::context`](crate::ListScheduler::context);
-/// the merge algorithm builds one context per track up front and reuses it
-/// across every adjustment and conflict repair.
+/// Build one with [`ListScheduler::context`](crate::ListScheduler::context).
+/// A context owns everything it reads, so it can outlive the scheduler that
+/// built it: a merge session keeps every track's context across merges and,
+/// after an edit of execution times or mappings, re-times the contexts of
+/// the affected tracks with [`ListScheduler::refresh`](crate::ListScheduler::refresh)
+/// instead of building them again.
 ///
 /// # Example
 ///
@@ -231,39 +250,52 @@ impl LockSet {
 /// assert_eq!(again.delay(), schedule.delay());
 /// ```
 #[derive(Debug, Clone)]
-pub struct TrackContext<'a> {
-    cpg: &'a Cpg,
-    arch: &'a Architecture,
+pub struct TrackContext {
+    // Structure: fixed by the graph's edges and guards, the track and the
+    // architecture. An edit of execution times or mappings changes none of
+    // it.
     label: Cube,
-    broadcast_time: Time,
+    /// The numbering of the graph's jobs: lock sets and the produced
+    /// schedules are indexed by it.
+    slots: JobSlots,
+    /// By processing element: whether it executes one job at a time.
+    exclusive: Vec<bool>,
     needs_broadcast: bool,
     broadcast_buses: Vec<PeId>,
-    /// Dense index -> job, in [`Job`] order (processes ascending, then
-    /// broadcasts ascending), so dense-index tie-breaks equal job tie-breaks.
-    jobs: Vec<Job>,
-    durations: Vec<Time>,
-    /// The resource of each job as far as it is fixed a priori: the mapping
-    /// for processes (`None` for the dummies), `None` for broadcasts (their
-    /// bus is chosen at placement time).
-    mapped_pe: Vec<Option<PeId>>,
+    /// Dense index -> the job's [`JobSlots`] slot, in [`Job`] order
+    /// (processes ascending, then broadcasts ascending), so dense-index
+    /// tie-breaks equal job tie-breaks. The processes come first:
+    /// dense index `i` is a process iff `i < order.len()`.
+    jobs: Vec<u32>,
+    /// The dense indices of the track's processes in reverse topological
+    /// order, the order [`refresh`](Self::refresh) derives priorities in.
+    order: Vec<u32>,
     preds: Csr,
     succs: Csr,
-    indegree: Vec<u32>,
     /// Conditions each job's guard depends on (cheapest cube satisfied on
     /// this path), in CSR form.
     guard_offsets: Vec<u32>,
     guard_conds: Vec<CondId>,
-    /// Partial-critical-path priorities (broadcasts pinned to `u64::MAX`).
-    priorities: Vec<u64>,
     /// Per condition: dense index of its disjunction process / broadcast job.
     disj_dense: Vec<u32>,
     bcast_dense: Vec<u32>,
-    /// Per condition: the processing element computing it.
-    disj_pe: Vec<Option<PeId>>,
     /// Dense indices of the processes that compute a condition, for the
     /// condition-knowledge times attached to every produced schedule.
     computers: Vec<(u32, CondId)>,
     sink_dense: u32,
+    // Timing: derived from the execution times, the mappings and `τ0` by
+    // `refresh`, the one place that writes it.
+    broadcast_time: Time,
+    durations: Vec<Time>,
+    /// The resource of each job as far as it is fixed a priori, as a
+    /// [`PeId::pack`] code: the mapping for processes (none for the
+    /// dummies), none for broadcasts (their bus is chosen at placement
+    /// time).
+    mapped_pe: Vec<u32>,
+    /// Per condition: the processing element computing it.
+    disj_pe: Vec<Option<PeId>>,
+    /// Partial-critical-path priorities (broadcasts pinned to `u64::MAX`).
+    priorities: Vec<u64>,
     /// Every duration fits in 32 bits, so a run orders its produced schedule
     /// by one packed integer key per job (see [`schedule_key`]).
     narrow_durations: bool,
@@ -291,7 +323,8 @@ fn schedule_key(start: Time, duration: Time, dense: usize) -> u128 {
 /// The track-independent graph data every [`TrackContext`] is built from,
 /// gathered once per [`ListScheduler`](crate::ListScheduler): the merge
 /// builds one scheduler per merge and derives all of its track contexts
-/// from these tables instead of walking the graph once per track.
+/// from these tables instead of walking the graph once per track, and
+/// re-times kept contexts from them ([`TrackContext::refresh`]).
 #[derive(Debug, Clone)]
 pub(crate) struct GraphTables {
     /// In-edges of every process, in [`Cpg::in_edges`] order:
@@ -307,10 +340,14 @@ pub(crate) struct GraphTables {
     disjunction: Vec<ProcessId>,
     needs_broadcast: bool,
     broadcast_buses: Vec<PeId>,
+    /// By processing element: whether it executes one job at a time.
+    exclusive: Vec<bool>,
+    /// The condition broadcast time `τ0`.
+    pub(crate) broadcast_time: Time,
 }
 
 impl GraphTables {
-    pub(crate) fn new(cpg: &Cpg, arch: &Architecture) -> Self {
+    pub(crate) fn new(cpg: &Cpg, arch: &Architecture, broadcast_time: Time) -> Self {
         let mut in_offsets = Vec::with_capacity(cpg.len() + 1);
         let mut in_edges = Vec::with_capacity(cpg.edges().len());
         in_offsets.push(0);
@@ -333,6 +370,8 @@ impl GraphTables {
             disjunction: cpg.conditions().map(|c| cpg.disjunction_of(c)).collect(),
             needs_broadcast: arch.needs_broadcast(),
             broadcast_buses: arch.broadcast_buses().collect(),
+            exclusive: arch.ids().map(|pe| arch.is_exclusive(pe)).collect(),
+            broadcast_time,
         }
     }
 
@@ -342,33 +381,31 @@ impl GraphTables {
     }
 }
 
-impl<'a> TrackContext<'a> {
-    pub(crate) fn new(
-        cpg: &'a Cpg,
-        arch: &'a Architecture,
-        broadcast_time: Time,
-        tables: &GraphTables,
-        track: &Track,
-    ) -> Self {
+impl TrackContext {
+    /// Builds the structure of `track`'s context and then its timing, through
+    /// [`refresh`](Self::refresh) like every later re-timing.
+    pub(crate) fn new(cpg: &Cpg, tables: &GraphTables, track: &Track) -> Self {
         let label = track.label();
         let processes = track.processes();
         let n_processes = processes.len();
+        let slots = JobSlots::for_graph(cpg);
 
         // Dense job table: processes in ascending identifier order (the order
         // `Track::processes` guarantees), then broadcasts in ascending
         // condition order (the order `Cube::conditions` yields) — exactly
-        // the `Ord` of `Job`.
+        // the `Ord` of `Job`, which is also slot order.
         let broadcasts = if tables.needs_broadcast {
             label.len()
         } else {
             0
         };
-        let mut jobs: Vec<Job> = Vec::with_capacity(n_processes + broadcasts);
-        jobs.extend(processes.iter().map(|&p| Job::Process(p)));
-        if tables.needs_broadcast {
-            jobs.extend(label.conditions().map(Job::Broadcast));
-        }
-        let n = jobs.len();
+        let n = n_processes + broadcasts;
+        // The conditions broadcast on the track, in dense order.
+        let broadcast_conds = || label.conditions().take(broadcasts);
+        let slot_of = |job: Job| slots.slot(job).expect("the track's jobs are the graph's") as u32;
+        let mut jobs: Vec<u32> = Vec::with_capacity(n);
+        jobs.extend(processes.iter().map(|&p| slot_of(Job::Process(p))));
+        jobs.extend(broadcast_conds().map(|c| slot_of(Job::Broadcast(c))));
 
         // Process index -> dense index, `ABSENT` off the track.
         let mut dense_of = vec![ABSENT; cpg.len()];
@@ -378,13 +415,16 @@ impl<'a> TrackContext<'a> {
 
         // Dependencies: a process waits for every input it actually receives
         // on this path; a broadcast waits for its disjunction process.
+        // The context is kept for as long as its merge session lives, so
+        // the predecessor list is sized up front to every in-edge of the
+        // track's processes (a few transmit nothing on the track) and never
+        // grows by doubling.
+        let in_edges = processes.iter().map(|&pid| tables.in_edges(pid).len());
         let mut preds = Csr {
             offsets: Vec::with_capacity(n + 1),
-            items: Vec::new(),
+            items: Vec::with_capacity(in_edges.sum::<usize>() + broadcasts),
         };
         preds.offsets.push(0);
-        let mut durations = Vec::with_capacity(n);
-        let mut mapped_pe = Vec::with_capacity(n);
         let mut computers = Vec::new();
         for (dense, &pid) in processes.iter().enumerate() {
             for &(from, literal) in tables.in_edges(pid) {
@@ -394,24 +434,18 @@ impl<'a> TrackContext<'a> {
                 }
             }
             preds.offsets.push(preds.items.len() as u32);
-            durations.push(tables.exec_time[pid.index()]);
-            mapped_pe.push(tables.mapping[pid.index()]);
             if let Some(cond) = tables.computes[pid.index()] {
                 computers.push((dense as u32, cond));
             }
         }
         let mut bcast_dense = vec![ABSENT; cpg.num_conditions()];
-        for (dense, &job) in jobs.iter().enumerate().skip(n_processes) {
-            let cond = job.as_broadcast().expect("broadcasts follow the processes");
+        for (dense, cond) in (n_processes..).zip(broadcast_conds()) {
             bcast_dense[cond.index()] = dense as u32;
             preds
                 .items
                 .push(dense_of[tables.disjunction[cond.index()].index()]);
             preds.offsets.push(preds.items.len() as u32);
-            durations.push(broadcast_time);
-            mapped_pe.push(None);
         }
-        let indegree: Vec<u32> = preds.offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let succs = preds.transpose(n);
 
         // Guard availability: the run-time scheduler of a processing element
@@ -421,11 +455,11 @@ impl<'a> TrackContext<'a> {
         let mut guard_offsets = Vec::with_capacity(n + 1);
         let mut guard_conds = Vec::new();
         guard_offsets.push(0);
-        for &job in &jobs {
-            let pid = match job {
-                Job::Process(pid) => pid,
-                Job::Broadcast(cond) => tables.disjunction[cond.index()],
-            };
+        let guarded = processes
+            .iter()
+            .copied()
+            .chain(broadcast_conds().map(|cond| tables.disjunction[cond.index()]));
+        for pid in guarded {
             let cube = cpg
                 .guard(pid)
                 .cubes()
@@ -438,64 +472,87 @@ impl<'a> TrackContext<'a> {
             guard_offsets.push(guard_conds.len() as u32);
         }
 
-        // Partial-critical-path priorities: longest chain of execution times
-        // to the sink over the track's own successor rows, in reverse
-        // topological order; broadcasts are issued as soon as their
-        // disjunction process terminates.
-        let mut priorities = vec![u64::MAX; n];
-        for &pid in cpg.topological_order().iter().rev() {
-            let dense = dense_of[pid.index()] as usize;
-            if dense == ABSENT as usize {
-                continue;
-            }
-            let downstream = succs
-                .row(dense)
+        let mut order = Vec::with_capacity(n_processes);
+        order.extend(
+            cpg.topological_order()
                 .iter()
-                .filter(|&&succ| (succ as usize) < n_processes)
-                .map(|&succ| priorities[succ as usize])
-                .max()
-                .unwrap_or(0);
-            priorities[dense] = downstream + durations[dense].as_u64();
-        }
-
+                .rev()
+                .map(|pid| dense_of[pid.index()])
+                .filter(|&dense| dense != ABSENT),
+        );
         let disj_dense = tables
             .disjunction
             .iter()
             .map(|&pid| dense_of[pid.index()])
             .collect();
-        let disj_pe = tables
-            .disjunction
-            .iter()
-            .map(|&pid| tables.mapping[pid.index()])
-            .collect();
 
-        let narrow_durations = durations
-            .iter()
-            .all(|duration| duration.as_u64() <= u64::from(u32::MAX));
-
-        TrackContext {
-            cpg,
-            arch,
+        let mut context = TrackContext {
             label,
-            broadcast_time,
+            slots,
+            exclusive: tables.exclusive.clone(),
             needs_broadcast: tables.needs_broadcast,
             broadcast_buses: tables.broadcast_buses.clone(),
             sink_dense: dense_of[cpg.sink().index()],
             jobs,
-            durations,
-            mapped_pe,
+            order,
             preds,
             succs,
-            indegree,
             guard_offsets,
             guard_conds,
-            priorities,
             disj_dense,
             bcast_dense,
-            disj_pe,
             computers,
-            narrow_durations,
+            broadcast_time: Time::ZERO,
+            durations: vec![Time::ZERO; n],
+            mapped_pe: vec![PeId::pack(None); n],
+            disj_pe: vec![None; tables.disjunction.len()],
+            priorities: vec![u64::MAX; n],
+            narrow_durations: true,
+        };
+        context.refresh(tables);
+        context
+    }
+
+    /// Re-derives the timing half of the context from `tables`: every job's
+    /// duration and mapped resource, the resource computing each condition,
+    /// the partial-critical-path priorities and whether every duration fits
+    /// in 32 bits. The structure — jobs, adjacency, guard requirements — is
+    /// left alone, so `tables` must come from a graph of the same structure
+    /// as the one the context was built for: the same processes, edges and
+    /// guards, with any execution times and mappings.
+    ///
+    /// Priorities are the longest chain of execution times to the sink over
+    /// the track's own successor rows, taken in the stored reverse
+    /// topological order; broadcasts are issued as soon as their
+    /// disjunction process terminates, so their priority stays `u64::MAX`.
+    // lint: hot-path (re-times a kept context on every warm merge; writes into the context's own buffers)
+    pub(crate) fn refresh(&mut self, tables: &GraphTables) {
+        let n_processes = self.order.len();
+        self.broadcast_time = tables.broadcast_time;
+        for (dense, &slot) in self.jobs[..n_processes].iter().enumerate() {
+            self.durations[dense] = tables.exec_time[slot as usize];
+            self.mapped_pe[dense] = PeId::pack(tables.mapping[slot as usize]);
         }
+        self.durations[n_processes..].fill(tables.broadcast_time);
+        for (pe, &pid) in self.disj_pe.iter_mut().zip(&tables.disjunction) {
+            *pe = tables.mapping[pid.index()];
+        }
+        for &dense in &self.order {
+            let dense = dense as usize;
+            let downstream = self
+                .succs
+                .row(dense)
+                .iter()
+                .filter(|&&succ| (succ as usize) < n_processes)
+                .map(|&succ| self.priorities[succ as usize])
+                .max()
+                .unwrap_or(0);
+            self.priorities[dense] = downstream + self.durations[dense].as_u64();
+        }
+        self.narrow_durations = self
+            .durations
+            .iter()
+            .all(|duration| duration.as_u64() <= u64::from(u32::MAX));
     }
 
     /// The label `L_k` of the track this context belongs to.
@@ -521,6 +578,11 @@ impl<'a> TrackContext<'a> {
     #[must_use]
     pub fn broadcast_time(&self) -> Time {
         self.broadcast_time
+    }
+
+    /// The job at dense index `dense`.
+    fn job(&self, dense: usize) -> Job {
+        self.slots.job(self.jobs[dense] as usize)
     }
 
     /// Schedules the track with the partial-critical-path priority (longest
@@ -590,9 +652,9 @@ impl<'a> TrackContext<'a> {
         // back with its storage intact afterwards.
         let mut priorities = std::mem::take(&mut scratch.priorities);
         priorities.clear();
-        priorities.extend(self.jobs.iter().map(|&job| {
+        priorities.extend((0..self.jobs.len()).map(|dense| {
             original
-                .start(job)
+                .start(self.job(dense))
                 .map_or(0, |start| u64::MAX - start.as_u64())
         }));
         self.run_into(scratch, &priorities, Some((locks, original)), out);
@@ -604,18 +666,18 @@ impl<'a> TrackContext<'a> {
         &self.guard_conds[self.guard_offsets[i] as usize..self.guard_offsets[i + 1] as usize]
     }
 
-    /// The resource a *locked* job occupies: its mapping for processes; for
-    /// broadcasts the bus the lock pins (recorded when the activation time
-    /// was tabled, possibly by another path's adjusted schedule), then the
-    /// bus assigned by the original schedule, then the first broadcast bus.
-    fn locked_pe(&self, dense: usize, locks: &LockSet, original: &PathSchedule) -> Option<PeId> {
-        let job = self.jobs[dense];
-        match job {
-            Job::Process(_) => self.mapped_pe[dense],
-            Job::Broadcast(_) => locks
-                .pinned_pe(job)
-                .or_else(|| original.entry(job).and_then(ScheduledJob::pe))
-                .or_else(|| self.broadcast_buses.first().copied()),
+    /// The resource a job occupies under `lock`: its mapping for processes;
+    /// for broadcasts the bus the lock pins (recorded when the activation
+    /// time was tabled, possibly by another path's adjusted schedule), then
+    /// the bus assigned by the original schedule, then the first broadcast
+    /// bus.
+    fn locked_pe(&self, dense: usize, lock: Lock, original: &PathSchedule) -> Option<PeId> {
+        if dense < self.order.len() {
+            PeId::unpack(self.mapped_pe[dense])
+        } else {
+            lock.pe
+                .or_else(|| original.entry(self.job(dense)).and_then(ScheduledJob::pe))
+                .or_else(|| self.broadcast_buses.first().copied())
         }
     }
 
@@ -660,19 +722,19 @@ impl<'a> TrackContext<'a> {
         calendars: &[Calendar],
     ) -> Option<(PeId, Time)> {
         let fit = |pe: PeId| -> Time {
-            if self.arch.is_exclusive(pe) {
+            if self.exclusive[pe.index()] {
                 calendars[pe.index()].earliest_fit(data_ready, duration)
             } else {
                 data_ready
             }
         };
-        match self.jobs[dense] {
-            Job::Process(_) => self.mapped_pe[dense].map(|pe| (pe, fit(pe))),
-            Job::Broadcast(_) => self
-                .broadcast_buses
+        if dense < self.order.len() {
+            PeId::unpack(self.mapped_pe[dense]).map(|pe| (pe, fit(pe)))
+        } else {
+            self.broadcast_buses
                 .iter()
                 .map(|&bus| (bus, fit(bus)))
-                .min_by_key(|&(bus, start)| (start, bus)),
+                .min_by_key(|&(bus, start)| (start, bus))
         }
     }
 
@@ -706,17 +768,23 @@ impl<'a> TrackContext<'a> {
         out: &mut PathSchedule,
     ) {
         let n = self.jobs.len();
-        scratch.prepare(n, self.arch.len(), &self.indegree);
+        // Locks are read by slot, so they must number the context's graph.
+        assert!(
+            locking.is_none_or(|(locks, _)| locks.slots == self.slots),
+            "job belongs to a different graph"
+        );
+        let lock_of = |dense: usize| locking.and_then(|(locks, _)| locks.at(self.jobs[dense]));
+        scratch.prepare(n, self.exclusive.len(), &self.preds.offsets);
 
         // Pre-reserve every locked interval on the resource the locked job
         // actually occupies, so unlocked jobs are placed around them even
         // before the locked job itself is committed.
-        if let Some((locks, original)) = locking {
+        if let Some((_, original)) = locking {
             for dense in 0..n {
-                if let Some(start) = locks.get(self.jobs[dense]) {
-                    if let Some(pe) = self.locked_pe(dense, locks, original) {
-                        if self.arch.is_exclusive(pe) {
-                            scratch.calendars[pe.index()].reserve(start, self.durations[dense]);
+                if let Some(lock) = lock_of(dense) {
+                    if let Some(pe) = self.locked_pe(dense, lock, original) {
+                        if self.exclusive[pe.index()] {
+                            scratch.calendars[pe.index()].reserve(lock.time, self.durations[dense]);
                         }
                     }
                 }
@@ -734,7 +802,6 @@ impl<'a> TrackContext<'a> {
         let mut committed = 0usize;
         while let Some(key) = scratch.ready.pop() {
             let dense = ready_dense(key);
-            let job = self.jobs[dense];
 
             let mut data_ready = self
                 .preds
@@ -747,7 +814,7 @@ impl<'a> TrackContext<'a> {
             // element before it can be activated (requirement 4 of the
             // paper's Section 3, applied while building the path schedule).
             if self.needs_broadcast {
-                let local_pe = self.mapped_pe[dense];
+                let local_pe = PeId::unpack(self.mapped_pe[dense]);
                 for &cond in self.guard_requirements(dense) {
                     data_ready = data_ready.max(self.condition_available(
                         cond,
@@ -759,8 +826,7 @@ impl<'a> TrackContext<'a> {
             }
 
             let duration = self.durations[dense];
-            let lock = locking.and_then(|(locks, _)| locks.get(job));
-            let (start, pe) = if let Some(lock) = lock {
+            let (start, pe) = if let Some(lock) = lock_of(dense) {
                 // Locked jobs keep the activation time fixed in the table (on
                 // the resource the original schedule assigned). A lock that
                 // data dependencies push past its fixed time has *slipped*:
@@ -770,17 +836,17 @@ impl<'a> TrackContext<'a> {
                 // pre-reservation at the intended time — a slip therefore
                 // always signals a violated caller invariant, which is
                 // exactly why it is surfaced instead of silently absorbed.)
-                let start = lock.max(data_ready);
-                let (locks, original) = locking.expect("locking is Some");
-                let pe = self.locked_pe(dense, locks, original);
-                if start != lock {
+                let start = lock.time.max(data_ready);
+                let (_, original) = locking.expect("a lock comes from a lock set");
+                let pe = self.locked_pe(dense, lock, original);
+                if start != lock.time {
                     scratch.slipped.push(SlippedLock {
-                        job,
-                        intended: lock,
+                        job: self.job(dense),
+                        intended: lock.time,
                         actual: start,
                     });
                     if let Some(pe) = pe {
-                        if self.arch.is_exclusive(pe) {
+                        if self.exclusive[pe.index()] {
                             scratch.calendars[pe.index()].reserve(start, duration);
                         }
                     }
@@ -789,7 +855,7 @@ impl<'a> TrackContext<'a> {
             } else {
                 match self.placement(dense, data_ready, duration, &scratch.calendars) {
                     Some((pe, start)) => {
-                        if self.arch.is_exclusive(pe) {
+                        if self.exclusive[pe.index()] {
                             scratch.calendars[pe.index()].reserve(start, duration);
                         }
                         (start, Some(pe))
@@ -843,15 +909,15 @@ impl<'a> TrackContext<'a> {
         out.rebuild_from_parts(
             self.label,
             delay,
-            JobSlots::for_graph(self.cpg),
+            self.slots,
             scratch.keys.iter().map(|&key| {
                 let dense = key as u32 as usize;
-                ScheduledJob {
-                    job: self.jobs[dense],
-                    start: scratch.starts[dense],
-                    end: scratch.ends[dense],
-                    pe: scratch.pes[dense],
-                }
+                ScheduledJob::new(
+                    self.job(dense),
+                    scratch.starts[dense],
+                    scratch.ends[dense],
+                    scratch.pes[dense],
+                )
             }),
             self.computers.iter().map(|&(dense, cond)| {
                 let bcast = self.bcast_dense[cond.index()];
@@ -988,6 +1054,80 @@ mod tests {
                 crate::reference::reschedule(&cpg, &arch, broadcast, track, &schedule, &map)
             );
         }
+    }
+
+    #[test]
+    fn a_refreshed_context_schedules_and_reschedules_like_a_freshly_built_one() {
+        // A 32-path deep nest, edited the way a merge session is: execution
+        // times up and down, one beyond 32 bits (which flips the context to
+        // tuple-sorted schedules and back), and the disjunction process of a
+        // condition moved to the other processor (which moves where that
+        // condition is known first).
+        let system = cpg_gen::generate(
+            &cpg_gen::GeneratorConfig::new(96, 32)
+                .with_processors(2)
+                .with_buses(1)
+                .with_seed(96 << 32),
+        );
+        let (cpg, arch) = (system.cpg(), system.arch());
+        let tracks = enumerate_tracks(cpg);
+        let scheduler = crate::ListScheduler::new(cpg, arch, system.broadcast_time());
+        let mut kept: Vec<TrackContext> = tracks.iter().map(|t| scheduler.context(t)).collect();
+
+        let ordinary: Vec<ProcessId> = cpg.ordinary_processes().collect();
+        let cond = cpg.conditions().next().expect("the nest has conditions");
+        let disjunction = cpg.disjunction_of(cond);
+        let moved_to = arch
+            .processors()
+            .find(|&pe| Some(pe) != cpg.mapping(disjunction))
+            .expect("two processors");
+        let mut edited = cpg.clone();
+        edited.set_exec_time(ordinary[3], Time::new(1)).unwrap();
+        edited
+            .set_exec_time(ordinary[7], cpg.exec_time(ordinary[7]) + Time::new(4))
+            .unwrap();
+        edited.set_mapping(disjunction, moved_to).unwrap();
+        let wide = Time::new(1 << 32);
+        let mut wider = edited.clone();
+        wider.set_exec_time(ordinary[11], wide).unwrap();
+
+        for (graph, narrow) in [(&edited, true), (&wider, false), (cpg, true)] {
+            let scheduler = crate::ListScheduler::new(graph, arch, system.broadcast_time());
+            let mut scratch = RunScratch::new();
+            for (track, context) in tracks.iter().zip(&mut kept) {
+                scheduler.refresh(context);
+                let fresh = scheduler.context(track);
+                assert_eq!(
+                    format!("{context:?}"),
+                    format!("{fresh:?}"),
+                    "refreshed context differs on {}",
+                    track.label()
+                );
+                assert_eq!(
+                    context.narrow_durations,
+                    narrow || !track.contains(ordinary[11])
+                );
+                let schedule = context.schedule_with(&mut scratch);
+                assert_eq!(schedule, fresh.schedule());
+                // Lock every other mapped job a little later than it starts.
+                let mut locks = LockSet::for_graph(graph);
+                for sj in schedule
+                    .jobs()
+                    .iter()
+                    .filter(|sj| sj.pe().is_some())
+                    .step_by(2)
+                {
+                    locks.insert_pinned(sj.job(), sj.start() + Time::new(1), sj.pe());
+                }
+                let mut rescheduled = PathSchedule::default();
+                context.reschedule_into(&mut scratch, &schedule, &locks, &mut rescheduled);
+                assert_eq!(rescheduled, fresh.reschedule(&schedule, &locks));
+            }
+        }
+        assert!(
+            tracks.iter().any(|t| t.contains(ordinary[11])),
+            "the wide edit reaches some track"
+        );
     }
 
     #[test]

@@ -58,6 +58,47 @@ impl Job {
     pub const fn is_broadcast(self) -> bool {
         matches!(self, Job::Broadcast(_))
     }
+
+    /// The job in 4 bytes (a `Job` takes 16), without reference to any
+    /// graph: twice the process index, or twice the condition index plus
+    /// one. [`Job::from_code`] inverts it. Records that are kept for long,
+    /// like scheduled jobs and a merge session's write logs, store jobs
+    /// this way.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cpg::{CondId, ProcessId};
+    /// use cpg_path_sched::Job;
+    ///
+    /// let p = Job::Process(ProcessId::from_index(4));
+    /// let b = Job::Broadcast(CondId::new(4));
+    /// assert_eq!((p.code(), b.code()), (8, 9));
+    /// assert_eq!(Job::from_code(p.code()), p);
+    /// assert_eq!(Job::from_code(b.code()), b);
+    /// ```
+    #[must_use]
+    #[inline]
+    pub fn code(self) -> u32 {
+        match self {
+            Job::Process(pid) => {
+                u32::try_from(2 * pid.index()).expect("process index beyond 31 bits")
+            }
+            Job::Broadcast(cond) => 2 * cond.index() as u32 + 1,
+        }
+    }
+
+    /// The job a [`Job::code`] stands for.
+    #[must_use]
+    #[inline]
+    pub fn from_code(code: u32) -> Job {
+        let index = (code / 2) as usize;
+        if code % 2 == 0 {
+            Job::Process(ProcessId::from_index(index))
+        } else {
+            Job::Broadcast(CondId::new(index))
+        }
+    }
 }
 
 impl From<ProcessId> for Job {
@@ -163,19 +204,34 @@ impl JobSlots {
 }
 
 /// A job committed to a start time and a resource by the scheduler.
+///
+/// Stored in 24 bytes: the job as its [`Job::code`] and the resource as
+/// its [`PeId::pack`] code (plain fields would take 48). A merge session
+/// keeps every track's schedule between merges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledJob {
-    pub(crate) job: Job,
-    pub(crate) start: Time,
-    pub(crate) end: Time,
-    pub(crate) pe: Option<PeId>,
+    start: Time,
+    end: Time,
+    job: u32,
+    pe: u32,
 }
 
 impl ScheduledJob {
+    /// `job` scheduled on `pe` from `start` to `end`.
+    pub(crate) fn new(job: Job, start: Time, end: Time, pe: Option<PeId>) -> Self {
+        ScheduledJob {
+            start,
+            end,
+            job: job.code(),
+            pe: PeId::pack(pe),
+        }
+    }
+
     /// The scheduled job.
     #[must_use]
-    pub const fn job(&self) -> Job {
-        self.job
+    #[inline]
+    pub fn job(&self) -> Job {
+        Job::from_code(self.job)
     }
 
     /// The activation (start) time.
@@ -193,8 +249,9 @@ impl ScheduledJob {
     /// The processing element the job occupies (`None` for the dummy source
     /// and sink, which consume no resource).
     #[must_use]
+    #[inline]
     pub const fn pe(&self) -> Option<PeId> {
-        self.pe
+        PeId::unpack(self.pe)
     }
 
     /// The duration of the job.
@@ -206,7 +263,7 @@ impl ScheduledJob {
 
 impl fmt::Display for ScheduledJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} @ [{}, {})", self.job, self.start, self.end)
+        write!(f, "{} @ [{}, {})", self.job(), self.start, self.end)
     }
 }
 
@@ -269,12 +326,14 @@ mod tests {
 
     #[test]
     fn scheduled_job_accessors() {
-        let sj = ScheduledJob {
-            job: Job::Process(ProcessId::from_index(1)),
-            start: Time::new(3),
-            end: Time::new(7),
-            pe: None,
-        };
+        let sj = ScheduledJob::new(
+            Job::Process(ProcessId::from_index(1)),
+            Time::new(3),
+            Time::new(7),
+            None,
+        );
+        assert_eq!(std::mem::size_of::<ScheduledJob>(), 24);
+        assert_eq!(sj.job(), Job::Process(ProcessId::from_index(1)));
         assert_eq!(sj.start(), Time::new(3));
         assert_eq!(sj.end(), Time::new(7));
         assert_eq!(sj.duration(), Time::new(4));

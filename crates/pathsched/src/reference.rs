@@ -277,12 +277,7 @@ fn run(
                     }
                 }
             }
-            ScheduledJob {
-                job,
-                start,
-                end: start + duration,
-                pe,
-            }
+            ScheduledJob::new(job, start, start + duration, pe)
         } else {
             let fit = |pe: PeId| -> Time {
                 if arch.is_exclusive(pe) {
@@ -305,20 +300,10 @@ fn run(
                     if arch.is_exclusive(pe) {
                         calendars.entry(pe).or_default().reserve(start, duration);
                     }
-                    ScheduledJob {
-                        job,
-                        start,
-                        end: start + duration,
-                        pe: Some(pe),
-                    }
+                    ScheduledJob::new(job, start, start + duration, Some(pe))
                 }
                 // Dummy source/sink: no resource.
-                None => ScheduledJob {
-                    job,
-                    start: data_ready,
-                    end: data_ready + duration,
-                    pe: None,
-                },
+                None => ScheduledJob::new(job, data_ready, data_ready + duration, None),
             }
         };
         scheduled.insert(job, entry);

@@ -522,12 +522,12 @@ mod tests {
     use cpg::ProcessId;
 
     fn job(idx: usize, start: u64, end: u64) -> ScheduledJob {
-        ScheduledJob {
-            job: Job::Process(ProcessId::from_index(idx)),
-            start: Time::new(start),
-            end: Time::new(end),
-            pe: None,
-        }
+        ScheduledJob::new(
+            Job::Process(ProcessId::from_index(idx)),
+            Time::new(start),
+            Time::new(end),
+            None,
+        )
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //! builds one scheduler per merge — should build the context once via
 //! [`ListScheduler::context`] and reuse it, threading a
 //! [`RunScratch`] arena through the runs so the per-call
-//! dense state is reused instead of reallocated.
+//! dense state is reused instead of reallocated. A context outlives its
+//! scheduler: after the graph's execution times or mappings change, a new
+//! scheduler over the edited graph re-times it with
+//! [`ListScheduler::refresh`] instead of building it again.
 
 use cpg::{Cpg, Track, TrackSet};
 use cpg_arch::{Architecture, Time};
@@ -65,7 +68,6 @@ use crate::scratch::RunScratch;
 pub struct ListScheduler<'a> {
     cpg: &'a Cpg,
     arch: &'a Architecture,
-    broadcast_time: Time,
     tables: GraphTables,
 }
 
@@ -78,8 +80,7 @@ impl<'a> ListScheduler<'a> {
         ListScheduler {
             cpg,
             arch,
-            broadcast_time,
-            tables: GraphTables::new(cpg, arch),
+            tables: GraphTables::new(cpg, arch, broadcast_time),
         }
     }
 
@@ -98,7 +99,7 @@ impl<'a> ListScheduler<'a> {
     /// The condition broadcast time `τ0`.
     #[must_use]
     pub fn broadcast_time(&self) -> Time {
-        self.broadcast_time
+        self.tables.broadcast_time
     }
 
     /// Builds the reusable dense scheduling context of one track from the
@@ -106,15 +107,47 @@ impl<'a> ListScheduler<'a> {
     /// the returned context when the same track is scheduled more than once
     /// (the merge algorithm re-runs the scheduler at every back-step
     /// adjustment and conflict repair).
+    ///
+    /// The merge builds a track's context the first time it schedules the
+    /// track, not every context up front: a merge session keeps the
+    /// contexts between merges and re-times them with
+    /// [`refresh`](Self::refresh) after an edit.
     #[must_use]
-    pub fn context(&self, track: &Track) -> TrackContext<'a> {
-        TrackContext::new(
-            self.cpg,
-            self.arch,
-            self.broadcast_time,
-            &self.tables,
-            track,
-        )
+    pub fn context(&self, track: &Track) -> TrackContext {
+        TrackContext::new(self.cpg, &self.tables, track)
+    }
+
+    /// Re-times `context` — durations, mapped resources, the resources
+    /// computing the conditions, priorities — from this scheduler's graph,
+    /// without rebuilding its structure and without allocating. The context
+    /// must have been built for a track of a graph with the same processes,
+    /// edges and guards as this one; execution times, mappings and `τ0` may
+    /// differ. The refreshed context is indistinguishable from
+    /// [`context`](Self::context) of the same track.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cpg::{enumerate_tracks, examples};
+    /// use cpg_arch::Time;
+    /// use cpg_path_sched::ListScheduler;
+    ///
+    /// let system = examples::fig1();
+    /// let tracks = enumerate_tracks(system.cpg());
+    /// let track = &tracks.tracks()[0];
+    /// let before = ListScheduler::new(system.cpg(), system.arch(), system.broadcast_time());
+    /// let mut ctx = before.context(track);
+    ///
+    /// // Edit an execution time on the track, then re-time the kept context.
+    /// let mut edited = system.cpg().clone();
+    /// let p = track.processes()[1];
+    /// edited.set_exec_time(p, edited.exec_time(p) + Time::new(5)).unwrap();
+    /// let after = ListScheduler::new(&edited, system.arch(), system.broadcast_time());
+    /// after.refresh(&mut ctx);
+    /// assert_eq!(ctx.schedule(), after.schedule_track(track));
+    /// ```
+    pub fn refresh(&self, context: &mut TrackContext) {
+        context.refresh(&self.tables);
     }
 
     /// Schedules one alternative path with the partial-critical-path priority

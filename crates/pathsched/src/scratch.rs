@@ -61,7 +61,7 @@ pub struct RunScratch {
     pub(crate) ends: Vec<Time>,
     pub(crate) pes: Vec<Option<PeId>>,
     pub(crate) placed: Vec<bool>,
-    /// Working copy of the context's indegree table, consumed by the run.
+    /// Each job's count of uncommitted predecessors, consumed by the run.
     pub(crate) indegree: Vec<u32>,
     /// Max-heap of packed `priority << 32 | !dense index` keys: the highest
     /// priority pops first and, among equal priorities, the smallest dense
@@ -103,9 +103,10 @@ impl RunScratch {
     }
 
     /// Resets and sizes the arena for a run over `jobs` dense jobs on an
-    /// architecture with `pes` processing elements, seeding the working
-    /// indegree table from the context's precomputed one.
-    pub(crate) fn prepare(&mut self, jobs: usize, pes: usize, indegree: &[u32]) {
+    /// architecture with `pes` processing elements, deriving each job's
+    /// indegree from the row offsets of the context's predecessor lists
+    /// (`jobs + 1` of them).
+    pub(crate) fn prepare(&mut self, jobs: usize, pes: usize, pred_offsets: &[u32]) {
         self.reset();
         // Truncating when a smaller architecture follows a larger one is
         // fine: the dropped calendars are empty.
@@ -114,7 +115,9 @@ impl RunScratch {
         self.ends.resize(jobs, Time::ZERO);
         self.pes.resize(jobs, None);
         self.placed.resize(jobs, false);
-        self.indegree.extend_from_slice(indegree);
+        debug_assert_eq!(pred_offsets.len(), jobs + 1);
+        self.indegree
+            .extend(pred_offsets.windows(2).map(|row| row[1] - row[0]));
     }
 }
 
@@ -131,7 +134,7 @@ mod tests {
     fn scratch_is_send_and_resets_to_empty() {
         assert_send::<RunScratch>();
         let mut scratch = RunScratch::new();
-        scratch.prepare(5, 3, &[0, 1, 2, 0, 1]);
+        scratch.prepare(5, 3, &[0, 0, 1, 3, 3, 4]);
         assert_eq!(scratch.starts.len(), 5);
         assert_eq!(scratch.calendars.len(), 3);
         assert_eq!(scratch.indegree, vec![0, 1, 2, 0, 1]);
@@ -142,7 +145,7 @@ mod tests {
         // Prepared again for a smaller run: sizes follow the run, capacity
         // stays from the larger one.
         let starts_capacity = scratch.starts.capacity();
-        scratch.prepare(2, 1, &[0, 0]);
+        scratch.prepare(2, 1, &[0, 0, 0]);
         assert_eq!(scratch.starts.len(), 2);
         assert_eq!(scratch.calendars.len(), 1);
         assert!(scratch.starts.capacity() >= starts_capacity.min(5));

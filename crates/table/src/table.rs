@@ -337,7 +337,7 @@ impl ScheduleTable {
     /// recorded one.
     pub fn splice_log(&mut self, log: &ChainLog) {
         for write in &log.writes {
-            self.set_on(write.job, write.column, write.time, write.resource);
+            self.set_on(write.job(), write.column, write.time, write.resource());
         }
     }
 

@@ -42,12 +42,37 @@ use cpg_path_sched::Job;
 use crate::ScheduleTable;
 
 /// One recorded write, replayed verbatim by [`ScheduleTable::splice_log`].
+///
+/// A session keeps every chain's writes between merges, so a write is
+/// packed into 32 bytes (a plain `Job` and `Option<PeId>` take 56): the job
+/// as its [`Job::code`], the resource as its [`PeId::pack`] code.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Write {
-    pub(crate) job: Job,
     pub(crate) column: Cube,
     pub(crate) time: Time,
-    pub(crate) resource: Option<PeId>,
+    job: u32,
+    resource: u32,
+}
+
+impl Write {
+    fn new(job: Job, column: Cube, time: Time, resource: Option<PeId>) -> Self {
+        Write {
+            column,
+            time,
+            job: job.code(),
+            resource: PeId::pack(resource),
+        }
+    }
+
+    /// The written job.
+    pub(crate) fn job(&self) -> Job {
+        Job::from_code(self.job)
+    }
+
+    /// The written resource provenance.
+    pub(crate) fn resource(&self) -> Option<PeId> {
+        PeId::unpack(self.resource)
+    }
 }
 
 /// The log of one recorded chain: its writes in order, the columns it
@@ -57,8 +82,9 @@ pub(crate) struct Write {
 pub struct ChainLog {
     pub(crate) writes: Box<[Write]>,
     created: Box<[Cube]>,
-    /// `(job, row digest)` per touched row, in first-touch order.
-    rows: Box<[(Job, u64)]>,
+    /// `(`[`Job::code`]`, row digest)` per touched row, in first-touch
+    /// order.
+    rows: Box<[(u32, u64)]>,
 }
 
 impl ChainLog {
@@ -75,7 +101,7 @@ impl ChainLog {
     pub fn rows_match(&self, table: &ScheduleTable) -> bool {
         self.rows
             .iter()
-            .all(|&(job, digest)| table.row_digest(job) == digest)
+            .all(|&(job, digest)| table.row_digest(Job::from_code(job)) == digest)
     }
 
     /// `true` when no column the chain created exists in `table`, so a
@@ -88,25 +114,16 @@ impl ChainLog {
     }
 }
 
-/// The slot of `job` in [`RecordingView`]'s first-touch marks.
-#[inline]
-fn touch_slot(job: Job) -> usize {
-    match job {
-        Job::Process(pid) => 2 * pid.index(),
-        Job::Broadcast(cond) => 2 * cond.index() + 1,
-    }
-}
-
 /// The reusable buffers of a [`RecordingView`]. A recorder hands the same
 /// scratch from chain to chain, so recording a chain allocates only the
 /// exact-size [`ChainLog`] it keeps.
 #[derive(Debug, Default)]
 pub struct RecordScratch {
-    /// `touched[touch_slot(job)]` once the row of `job` is snapshotted; all
+    /// `touched[job.code()]` once the row of `job` is snapshotted; all
     /// clear between chains.
     touched: Vec<bool>,
     writes: Vec<Write>,
-    rows: Vec<(Job, u64)>,
+    rows: Vec<(u32, u64)>,
 }
 
 /// A write-through recording view over a [`ScheduleTable`]: every read and
@@ -138,7 +155,8 @@ impl<'t> RecordingView<'t> {
     /// Snapshots the row of `job` on its first touch.
     #[inline]
     fn touch(&mut self, job: Job) {
-        let slot = touch_slot(job);
+        let code = job.code();
+        let slot = code as usize;
         let touched = &mut self.scratch.touched;
         if touched.get(slot) == Some(&true) {
             return;
@@ -147,7 +165,7 @@ impl<'t> RecordingView<'t> {
             touched.resize(slot + 1, false);
         }
         touched[slot] = true;
-        self.scratch.rows.push((job, self.table.row_digest(job)));
+        self.scratch.rows.push((code, self.table.row_digest(job)));
     }
 
     /// The activation time of `job` in the column headed exactly by `column`.
@@ -170,12 +188,9 @@ impl<'t> RecordingView<'t> {
         resource: Option<PeId>,
     ) -> Option<Time> {
         self.touch(job);
-        self.scratch.writes.push(Write {
-            job,
-            column,
-            time,
-            resource,
-        });
+        self.scratch
+            .writes
+            .push(Write::new(job, column, time, resource));
         self.table.set_on(job, column, time, resource)
     }
 
@@ -199,8 +214,8 @@ impl<'t> RecordingView<'t> {
     #[must_use]
     pub fn finish(self) -> (ChainLog, RecordScratch) {
         let mut scratch = self.scratch;
-        for &(job, _) in &scratch.rows {
-            scratch.touched[touch_slot(job)] = false;
+        for &(code, _) in &scratch.rows {
+            scratch.touched[code as usize] = false;
         }
         let log = ChainLog {
             writes: scratch.writes.as_slice().into(),
@@ -236,6 +251,17 @@ mod tests {
 
     fn valid(log: &ChainLog, table: &ScheduleTable) -> bool {
         log.rows_match(table) && log.created_columns_absent(table)
+    }
+
+    #[test]
+    fn logged_writes_are_packed_and_decode_to_what_was_written() {
+        assert_eq!(std::mem::size_of::<Write>(), 32);
+        let pinned = Write::new(p(3), cube_t(1), Time::new(5), Some(PeId::from_index(2)));
+        assert_eq!(pinned.job(), p(3));
+        assert_eq!(pinned.resource(), Some(PeId::from_index(2)));
+        let unpinned = Write::new(Job::Broadcast(c(4)), cube_f(0), Time::new(6), None);
+        assert_eq!(unpinned.job(), Job::Broadcast(c(4)));
+        assert_eq!(unpinned.resource(), None);
     }
 
     #[test]
@@ -391,7 +417,7 @@ mod tests {
 
         let mut replayed = seed;
         for write in &log.writes {
-            replayed.set_on(write.job, write.column, write.time, write.resource);
+            replayed.set_on(write.job(), write.column, write.time, write.resource());
         }
         spliced.splice_log(&log);
         assert_eq!(spliced, replayed);

@@ -224,6 +224,38 @@ fn skipped_splice_validation_is_caught_by_the_warm_vs_cold_oracle() {
     println!("skip-splice-validation caught: {failure}");
 }
 
+#[test]
+fn stale_contexts_are_caught_by_the_warm_vs_cold_oracle() {
+    let _lock = lock();
+    // Kept contexts only go stale on a warm session after an edit, so this
+    // mutant, like the splice one, gets an edit-carrying workload: the
+    // WCET edit dirties tracks whose kept contexts the mutant leaves with
+    // the old execution time.
+    let workload = parse_entry(
+        "nodes: 32\n\
+         paths: 8\n\
+         processors: 4\n\
+         buses: 2\n\
+         max_comm: 5\n\
+         seed: 4047189490510347694\n\
+         ops: rmdep:62 rmdep:15\n\
+         edits: exec:19:416\n",
+    )
+    .unwrap();
+    let system = workload.materialize().unwrap();
+    run_oracles(&workload, &system).unwrap();
+    let saboteur = sabotage::StaleContexts::engage();
+    let outcome = run_oracles(&workload, &system);
+    drop(saboteur);
+    let failure = outcome.expect_err("stale contexts must diverge warm from cold");
+    assert_eq!(
+        failure.oracle,
+        OracleKind::WarmVsCold,
+        "expected the warm-vs-cold oracle, got: {failure}"
+    );
+    println!("stale-contexts caught: {failure}");
+}
+
 /// Regenerates the banked corpus. Run with
 /// `cargo test --test adversarial_corpus -- --ignored --nocapture
 /// regenerate_corpus` and paste each printed block into its named file

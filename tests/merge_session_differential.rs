@@ -11,6 +11,13 @@
 //! condition subtree shared between sibling branches (so cached chains on
 //! the clean side must replay against rows the re-walked side rewrites).
 //!
+//! Besides WCET edits, sessions see mapping edits — among them moves of a
+//! disjunction process, which change where its condition is known first —
+//! and WCETs beyond 32 bits, which change how the path scheduler orders its
+//! output. The session keeps each track's scheduling context across merges
+//! and re-times only the dirty ones, so each of these edits must reach the
+//! kept contexts exactly as a fresh build would.
+//!
 //! A cold merge is a fresh session's first merge: it walks every chain and
 //! replays none, so it checks the replays but shares the walk. The first
 //! session merge is therefore also held against the independent
@@ -18,6 +25,7 @@
 
 use proptest::prelude::*;
 
+use cps::gen::GeneratedSystem;
 use cps::merge::{generate_schedule_table_cloning, MergeStats};
 use cps::prelude::*;
 
@@ -64,6 +72,44 @@ fn policy_strategy() -> impl Strategy<Value = SelectionPolicy> {
 /// time (selector modulo process count, so every raw index is valid).
 fn edit_sequence_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
     proptest::collection::vec((any::<usize>(), 1u64..16), 1..5)
+}
+
+/// A sequence of mixed edits: `(kind, selector, value)` triples, resolved
+/// against the generated system at run time by [`mixed_edit`].
+fn mixed_edit_sequence_strategy() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    proptest::collection::vec((0usize..4, any::<usize>(), 1u64..16), 1..6)
+}
+
+/// The edit a `(kind, selector, value)` triple stands for on `system`:
+/// 0 sets the WCET of an ordinary process to `value`, 1 sets it to
+/// `2³² + value`, 2 moves an ordinary process to a processor and 3 moves
+/// the disjunction process of a condition to a processor (selectors and
+/// values are taken modulo the candidates, so every triple is valid).
+fn mixed_edit(
+    system: &GeneratedSystem,
+    (kind, selector, value): (usize, usize, u64),
+) -> SystemEdit {
+    let cpg = system.cpg();
+    let processes: Vec<ProcessId> = cpg.ordinary_processes().collect();
+    let conditions: Vec<CondId> = cpg.conditions().collect();
+    let processors: Vec<PeId> = system.arch().processors().collect();
+    let pe = processors[value as usize % processors.len()];
+    let process = processes[selector % processes.len()];
+    match kind {
+        0 => SystemEdit::ExecTime {
+            process,
+            time: Time::new(value),
+        },
+        1 => SystemEdit::ExecTime {
+            process,
+            time: Time::new((1 << 32) + value),
+        },
+        2 => SystemEdit::Mapping { process, pe },
+        _ => SystemEdit::Mapping {
+            process: cpg.disjunction_of(conditions[selector % conditions.len()]),
+            pe,
+        },
+    }
 }
 
 /// Field-wise equality of a warm session merge against the cold oracle
@@ -150,6 +196,83 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        max_shrink_iters: 0,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn warm_session_merges_match_cold_merges_after_mapping_and_wide_wcet_edits(
+        config in config_strategy(),
+        edits in mixed_edit_sequence_strategy(),
+        policy in policy_strategy(),
+    ) {
+        let system = generate(&config);
+        prop_assert!(system.cpg().num_conditions() > 0, "generated systems fork");
+        let merge_config = MergeConfig::new(system.broadcast_time()).with_selection(policy);
+        let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
+        let mut reference = system.cpg().clone();
+        session.merge();
+
+        for (step, &triple) in edits.iter().enumerate() {
+            let edit = mixed_edit(&system, triple);
+            edit.apply(&mut reference).expect("ordinary and disjunction processes are editable");
+            session.apply_edit(&edit).expect("ordinary and disjunction processes are editable");
+            let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
+            let warm = session.merge();
+            assert_results_identical(&cold, &warm, &format!("edit {step} ({edit}), {policy:?}"))?;
+        }
+    }
+}
+
+#[test]
+fn moving_a_disjunction_process_and_back_matches_cold_merges() {
+    // The disjunction processes of the last four conditions of the 32-path
+    // deep nest, each moved to the other processor and back: a move changes
+    // where its condition is known first, on the dirty tracks only; the
+    // clean tracks keep their contexts as they are.
+    let system = generate(
+        &GeneratorConfig::new(96, 32)
+            .with_processors(2)
+            .with_buses(1)
+            .with_seed(96 << 32),
+    );
+    let (cpg, arch) = (system.cpg(), system.arch());
+    let merge_config = MergeConfig::new(system.broadcast_time());
+    let mut session = MergeSession::new(cpg, arch, &merge_config);
+    session.merge();
+    let mut reference = cpg.clone();
+    let tracks = session.tracks().len();
+    let mut some_tracks_clean = false;
+    let conditions: Vec<CondId> = cpg.conditions().collect();
+    for &cond in conditions.iter().rev().take(4) {
+        let process = cpg.disjunction_of(cond);
+        let home = cpg
+            .mapping(process)
+            .expect("disjunction processes are mapped");
+        let away = arch
+            .processors()
+            .find(|&pe| pe != home)
+            .expect("two processors");
+        for pe in [away, home] {
+            let edit = SystemEdit::Mapping { process, pe };
+            edit.apply(&mut reference).unwrap();
+            let scope = session.apply_edit(&edit).unwrap();
+            let EditScope::Tracks(dirty) = scope else {
+                panic!("a mapping edit is not structural");
+            };
+            assert!(!dirty.is_empty());
+            some_tracks_clean |= dirty.len() < tracks;
+            let cold = generate_schedule_table(&reference, arch, &merge_config);
+            let warm = session.merge();
+            assert_results_identical(&cold, &warm, &format!("{edit}")).unwrap();
+        }
+    }
+    assert!(some_tracks_clean, "every move dirtied every track");
 }
 
 /// Crafted system where the edited process sits under a condition subtree
