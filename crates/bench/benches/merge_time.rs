@@ -10,7 +10,9 @@
 //!   baseline since `BENCH_2.json`;
 //! * `merge_walk/*` — deep condition nests, where the decision-tree walk
 //!   dominates;
-//! * `merge_rewalk/*` — cold versus warm incremental re-merges.
+//! * `merge_rewalk/*` — cold versus warm incremental re-merges; its
+//!   `undo/*` rows, a WCET probe and its undo per iteration, are reported
+//!   for information only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -169,6 +171,29 @@ fn merge_rewalk_group(c: &mut Criterion) {
                     .apply_edit(&SystemEdit::ExecTime { process, time })
                     .expect("ordinary processes are editable");
                 session.merge()
+            });
+        });
+        // The `wcet_sweep` traffic of the end-to-end benchmark on these
+        // systems: each iteration probes the next ordinary process at +1
+        // and undoes the probe, two warm merges. Where `warm/*` edits the
+        // process that dirties the least, these probes reach every process,
+        // so the rules that replay chains of edited tracks and keep the
+        // compaction of unchanged rows show here. Informational, not gated.
+        let processes: Vec<_> = system.cpg().ordinary_processes().collect();
+        group.bench_with_input(BenchmarkId::new("undo", paths), &system, |b, system| {
+            let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
+            session.merge();
+            let mut next = 0;
+            b.iter(|| {
+                let process = processes[next % processes.len()];
+                next += 1;
+                let base = system.cpg().exec_time(process);
+                for time in [base + Time::new(1), base] {
+                    session
+                        .apply_edit(&SystemEdit::ExecTime { process, time })
+                        .expect("ordinary processes are editable");
+                    session.merge();
+                }
             });
         });
     }

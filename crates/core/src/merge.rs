@@ -54,7 +54,10 @@
 //! [`MergeOutcome`](crate::MergeOutcome). Then
 //! [`ScheduleTable::compact`] removes the entries the walk wrote redundantly
 //! (one time in sibling columns `X∧c` and `X∧¬c`, or in `X∧c` beside an
-//! equal entry in `X`), and the compacted table is the one published.
+//! equal entry in `X`), and the compacted table is the one published. A
+//! session compacts through its [`CompactionMemo`](cpg_table::CompactionMemo)
+//! ([`ScheduleTable::compact_reusing`]), so a warm merge compacts only the
+//! rows its walk changed.
 //!
 //! The judge runs before compaction on purpose. A warm merge reuses a clean
 //! track's last run when no changed column of the *walk* table is
@@ -92,7 +95,7 @@ use crate::config::{MergeConfig, SelectionPolicy};
 #[cfg(any(test, feature = "test-util"))]
 use crate::result::MergeStep;
 use crate::result::{MergeResult, MergeStats};
-use crate::session::{MergeCache, ReuseStats, Rewalk, SessionChain};
+use crate::session::{Edited, MergeCache, ReuseStats, Rewalk, SessionChain};
 
 /// Test-only fault injection: deliberately broken variants of the merge
 /// protocol, each proving a differential oracle non-vacuous. Every switch is
@@ -117,6 +120,18 @@ use crate::session::{MergeCache, ReuseStats, Rewalk, SessionChain};
 ///   of the dirty tracks' cached scheduling contexts, so a warm merge
 ///   schedules them with the execution times and mappings of before the
 ///   edit; caught by the warm-vs-cold oracle.
+/// * [`ReplayImpureChains`](crate::sabotage::ReplayImpureChains) — lets a
+///   warm merge replay a cached chain of a dirty track that rescheduled
+///   around its locks, with the timing of before the edit, as long as the
+///   track's new optimal schedule places like the old one; caught by the
+///   warm-vs-cold oracle.
+/// * [`IgnoreKnowledgeTimes`](crate::sabotage::IgnoreKnowledgeTimes) —
+///   compares a dirty track's new optimal schedule with the cached one by
+///   its jobs' starts and resources only, so a chain whose conditions now
+///   become known at other times replays; caught by the warm-vs-cold oracle.
+/// * [`StaleCompaction`](crate::sabotage::StaleCompaction) — applies a
+///   session's kept compaction of a row to that row even after the row
+///   changed; caught by the warm-vs-cold oracle.
 /// * [`SkipEntryValidation`](crate::sabotage::SkipEntryValidation) — drops
 ///   the `validate_system` call from the `try_` entry points, accepting
 ///   pathological systems; caught by the input-validation oracle.
@@ -190,6 +205,28 @@ pub mod sabotage {
         STALE_CONTEXTS,
         StaleContexts,
         stale_contexts
+    );
+    switch!(
+        /// Guard that lets warm merges replay schedule-impure chains of dirty
+        /// tracks while alive.
+        REPLAY_IMPURE_CHAINS,
+        ReplayImpureChains,
+        replay_impure_chains
+    );
+    switch!(
+        /// Guard that makes warm merges compare a dirty track's optimal
+        /// schedules by starts and resources only, ignoring when conditions
+        /// become known, while alive.
+        IGNORE_KNOWLEDGE_TIMES,
+        IgnoreKnowledgeTimes,
+        ignore_knowledge_times
+    );
+    switch!(
+        /// Guard that makes session merges apply the kept compaction of a row
+        /// that changed since while alive.
+        STALE_COMPACTION,
+        StaleCompaction,
+        stale_compaction
     );
     switch!(
         /// Guard that makes the `try_` entry points skip their
@@ -330,20 +367,30 @@ pub(crate) fn merge_tracks(
     );
     let mut state = WalkState::new();
     // A clean track's optimal schedule cannot have changed, so a warm merge
-    // re-runs the dirty tracks only; without cached schedules every track
-    // is scheduled.
+    // re-runs the dirty tracks only, and notes which of them still place
+    // like their cached schedule; without cached schedules every track is
+    // scheduled.
     let mut optimal = std::mem::take(&mut cache.optimal);
-    if optimal.len() == tracks.len() {
+    let edited: Vec<Edited> = if optimal.len() == tracks.len() {
+        let mut edited = vec![Edited::Clean; tracks.len()];
         for (idx, schedule) in optimal.iter_mut().enumerate() {
             if cache.dirty[idx] {
-                *schedule = contexts.get(idx).schedule_with(&mut state.scratch);
+                let fresh = contexts.get(idx).schedule_with(&mut state.scratch);
+                edited[idx] = if places_like(&fresh, schedule) {
+                    Edited::PlacesAlike
+                } else {
+                    Edited::Replaced
+                };
+                *schedule = fresh;
             }
         }
+        edited
     } else {
         optimal = (0..tracks.len())
             .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
             .collect();
-    }
+        vec![Edited::Replaced; tracks.len()]
+    };
     let delta_m = optimal
         .iter()
         .map(PathSchedule::delay)
@@ -358,7 +405,7 @@ pub(crate) fn merge_tracks(
         optimal: &optimal,
     };
     let have_runs = cache.track_runs.len() == tracks.len();
-    let mut rewalk = Rewalk::new(&cache.dirty, have_runs);
+    let mut rewalk = Rewalk::new(&edited, have_runs);
     let mut table = ScheduleTable::new();
     // The differential oracle walks the same tree cloning at every node,
     // counting and tracing as it goes, and leaves no chains behind.
@@ -371,7 +418,7 @@ pub(crate) fn merge_tracks(
     // Otherwise the decision tree is the merge's record: the steps, the work
     // counters and the reuse counters are one fold over its chains,
     // replayed or walked.
-    let (steps, mut stats, reuse) = match oracle {
+    let (steps, mut stats, mut reuse) = match oracle {
         Some((steps, stats)) => (steps, stats, ReuseStats::default()),
         None => {
             let root = shared.walk_tree(&mut rewalk, &mut state, &mut table, cache.root.take());
@@ -398,13 +445,25 @@ pub(crate) fn merge_tracks(
     });
     let delta_max = judge(&cache.track_runs, &mut stats);
     // The judge ran on the walk table (see [`judge`]); the published table
-    // is the compacted one.
+    // is the compacted one. A session compacts through its memo, so only
+    // the rows the walk changed are compacted again.
     #[cfg(any(test, feature = "test-util"))]
-    if !cache.uncompacted {
-        table.compact(cpg);
-    }
+    let compact = !cache.uncompacted;
     #[cfg(not(any(test, feature = "test-util")))]
-    table.compact(cpg);
+    let compact = true;
+    if compact {
+        match cache.compaction.as_mut() {
+            Some(memo) => {
+                // Mutation self-test hook: reuse the kept compaction of rows
+                // that changed. The warm-vs-cold oracle must flag it
+                // (tests/adversarial_corpus.rs).
+                #[cfg(any(test, feature = "test-util"))]
+                memo.trust_stale_rows(sabotage::stale_compaction());
+                reuse.compactions_reused = table.compact_reusing(cpg, memo);
+            }
+            None => table.compact(cpg),
+        }
+    }
     cache.reuse = reuse;
     cache.dirty.fill(false);
     cache.contexts = contexts.into_cells();
@@ -486,6 +545,26 @@ fn judge(runs: &[TrackRun], stats: &mut MergeStats) -> Time {
         .map(|&(delay, _)| delay)
         .max()
         .unwrap_or(Time::ZERO)
+}
+
+/// Whether a dirty track's new optimal schedule `fresh` places like its
+/// cached one ([`PathSchedule::places_like`]), so that its schedule-pure
+/// cached chains may replay (see the [`session`](crate::session) docs).
+fn places_like(fresh: &PathSchedule, cached: &PathSchedule) -> bool {
+    // Mutation self-test hook: compare the starts and resources alone, so a
+    // chain replays although its conditions now become known at other
+    // times. The warm-vs-cold oracle must flag it
+    // (tests/adversarial_corpus.rs).
+    #[cfg(any(test, feature = "test-util"))]
+    if sabotage::ignore_knowledge_times() {
+        let placed = |schedule: &PathSchedule| {
+            let jobs = schedule.jobs().iter();
+            jobs.map(|sj| (sj.job(), sj.start(), sj.pe()))
+                .collect::<Vec<_>>()
+        };
+        return placed(fresh) == placed(cached);
+    }
+    fresh.places_like(cached)
 }
 
 /// Variant of [`generate_schedule_table`] that validates the system first
@@ -616,6 +695,9 @@ pub(crate) struct WalkState {
     lock_pool: Vec<LockSet>,
     /// Swap target of `place_phase` repairs.
     spare: PathSchedule,
+    /// Whether an adjustment since the last committed chain rescheduled its
+    /// track instead of keeping the optimal schedule.
+    rescheduled: bool,
     /// The resolutions of every forward chain on the current tree path,
     /// stacked: a chain pushes its own above its ancestors' and truncates
     /// back once its children are walked.
@@ -637,6 +719,7 @@ impl WalkState {
             schedule_pool: Vec::new(),
             lock_pool: Vec::new(),
             spare: PathSchedule::default(),
+            rescheduled: false,
             resolutions: Vec::new(),
         }
     }
@@ -677,6 +760,7 @@ impl MergeShared<'_> {
             out.clone_from(optimal);
             return;
         }
+        state.rescheduled = true;
         self.contexts
             .get(track_idx)
             .reschedule_into(&mut state.scratch, optimal, locks, out);
@@ -961,10 +1045,11 @@ impl MergeShared<'_> {
                 st.schedule_pool.push(schedule);
                 st.lock_pool.push(fixed);
                 // The chain's own placements are over (its children are
-                // walked below), so the counters since the last commit are
-                // exactly its own.
+                // walked below), so the counters and the reschedule flag
+                // since the last commit are exactly its own.
                 let work = std::mem::take(&mut st.stats);
-                rec.commit(log, stale, track_idx, &st.resolutions[base..], work)
+                let pure = !std::mem::take(&mut st.rescheduled);
+                rec.commit(log, stale, track_idx, &st.resolutions[base..], work, pure)
             }
         };
 

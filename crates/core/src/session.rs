@@ -36,10 +36,14 @@
 //!
 //! After a [`SystemEdit`] the session re-merges *incrementally*
 //! ([`MergeSession::merge`]): the table is rebuilt from scratch, but a chain
-//! whose track is outside the edit scope ([`SystemEdit::scope`]) and whose
-//! cached log still validates against the partially rebuilt table is
+//! whose cached log still validates against the partially rebuilt table is
 //! **replayed** — its writes are spliced into the table column-wise
 //! ([`ScheduleTable::splice_log`]) without running the scheduler at all.
+//! A chain qualifies when its track is outside the edit scope
+//! ([`SystemEdit::scope`]), or inside it with a new optimal schedule that
+//! places like the cached one ([`PathSchedule::places_like`]) while the
+//! chain is *schedule-pure*: every adjustment of its placements kept the
+//! optimal schedule, so no reschedule read the track's edited timing.
 //! Only the invalidated region of the tree is re-walked and re-recorded.
 //! Every validation failure degrades to a re-walk, never to a wrong table:
 //! the result is bit-identical to a fresh session's first merge of the
@@ -47,30 +51,41 @@
 //!
 //! Why replay is sound: a cached log replays the exact writes the recording
 //! merge made at that point of the serial order. The walk decides from its
-//! track's optimal schedule and the rows it reads. A clean track's schedule
-//! is the one the chain was recorded with: every chain in the cache was
-//! visited by the last merge, which recorded it or replayed it with that
-//! schedule, and a clean track is not re-scheduled. So if the table up to
-//! this serial point matches a fresh walk's (induction over the serial
-//! order, base case: the empty table) and every row the chain touched
-//! digests as it did at record time, the recorded decisions are the
-//! decisions a fresh walk would take and the spliced writes land
-//! byte-identically — including the column creation order, which
-//! [`ChainLog::created_columns_absent`] guards.
+//! track's optimal schedule and the rows it reads, and from the track's
+//! scheduling context whenever an adjustment reschedules. Every chain in
+//! the cache was visited by the last merge, which recorded it or replayed
+//! it with the track's cached optimal schedule, or with one that places
+//! alike. A clean track is not re-scheduled, so its schedule and context
+//! are the ones the chain was recorded with. A dirty track's context is
+//! re-timed, but a pure chain never read it, and its new schedule agrees
+//! with the cached one in every field a placement without reschedule reads
+//! (the jobs' order, starts and resources, and when each condition becomes
+//! known where). So if the table up to this serial point matches a fresh
+//! walk's (induction over the serial order, base case: the empty table) and
+//! every row the chain touched digests as it did at record time, the
+//! recorded decisions are the decisions a fresh walk would take and the
+//! spliced writes land byte-identically — including the column creation
+//! order, which [`ChainLog::created_columns_absent`] guards.
+//!
+//! The finished walk table is compacted through the cache's
+//! [`CompactionMemo`]: a row the walk left as the last merge's walk did
+//! takes the last merge's compaction of that row
+//! ([`ScheduleTable::compact_reusing`]).
 
 use std::cell::OnceCell;
 
 use cpg::{enumerate_tracks, CondId, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
 use cpg_arch::{Architecture, Time};
 use cpg_path_sched::{PathSchedule, TrackContext};
-use cpg_table::{ChainLog, RecordScratch, RecordingView, ScheduleTable};
+use cpg_table::{ChainLog, CompactionMemo, RecordScratch, RecordingView, ScheduleTable};
 
 use crate::config::MergeConfig;
 use crate::merge::{merge_tracks, Resolution, TrackRun, WalkState};
 use crate::result::{MergeResult, MergeStats, MergeStep};
 
-/// Counters describing how much of the cached decision tree the last
-/// [`MergeSession::merge`] reused.
+/// Counters describing how much of the cached decision tree and of the
+/// cached compaction the last [`MergeSession::merge`] reused, and why the
+/// rest was done again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct ReuseStats {
@@ -83,6 +98,27 @@ pub struct ReuseStats {
     pub segments_replayed: usize,
     /// Placement segments recorded by running the placement phase.
     pub segments_recorded: usize,
+    /// Of the replayed chains, those of a track an edit reached: the chain
+    /// never rescheduled its track, and the track's new optimal schedule
+    /// places like the old one ([`PathSchedule::places_like`]).
+    pub dirty_chains_replayed: usize,
+    /// Recorded chains whose cached chain was refused because an edit
+    /// changed how its track's optimal schedule places.
+    pub rewalked_schedule_changed: usize,
+    /// Recorded chains whose cached chain was refused because its track is
+    /// dirty and the chain rescheduled it, with the timing of before the
+    /// edit, although the optimal schedule places alike.
+    pub rewalked_impure: usize,
+    /// Recorded chains whose cached chain was refused because a row it
+    /// touched changed before it in the serial order.
+    pub rewalked_rows_changed: usize,
+    /// Recorded chains whose cached chain was refused because a column it
+    /// created exists already. The recorded chains the four counters above
+    /// leave out had no cached chain of their track at their decision node.
+    pub rewalked_column_created: usize,
+    /// Table rows whose compaction was taken from the last merge's, since
+    /// the walk left them as the last merge's walk did.
+    pub compactions_reused: usize,
 }
 
 /// A cached forward chain of the decision tree: the maximal run of nodes
@@ -103,12 +139,56 @@ pub(crate) struct SessionChain {
     /// (`conflicts_repaired`, `unrepaired_conflicts`, `slip_repairs` and
     /// `repair_rounds`; the others stay zero).
     work: MergeStats,
-    /// Whether the last merge replayed this chain from its cached log
-    /// (rather than walking and recording it).
-    replayed: bool,
+    /// Whether every adjustment of the chain's own placements kept its
+    /// track's optimal schedule, so no reschedule read the track's timing.
+    /// The chain's writes then follow from the optimal schedule's
+    /// placement-relevant fields and the rows it read alone.
+    pure: bool,
+    /// How the last merge came by this chain.
+    origin: Origin,
     /// Back-step subtree per resolution (`children[i]` flips the `i`-th
     /// resolution); `None` when no reachable path takes the flipped value.
     pub(crate) children: Vec<Option<Box<SessionChain>>>,
+}
+
+/// How the last merge came by a chain of its decision tree: replayed from
+/// the cached chain at its decision node, or walked, and then why the
+/// cached chain was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Origin {
+    /// Replayed; its track is clean.
+    Replayed,
+    /// Replayed although an edit reached its track: the chain is pure and
+    /// the track's optimal schedule places alike ([`Edited::PlacesAlike`]).
+    ReplayedDirty,
+    /// Walked: no cached chain of its track sat at its decision node.
+    Uncached,
+    /// Walked: its track's optimal schedule places differently
+    /// ([`Edited::Replaced`]).
+    ScheduleChanged,
+    /// Walked: its track places alike, but the cached chain rescheduled it.
+    Impure,
+    /// Walked: a row the cached chain touched no longer digests as recorded.
+    RowsChanged,
+    /// Walked: a column the cached chain created exists already.
+    ColumnCreated,
+}
+
+/// A cached chain a merge refused to replay (if there was one), handed back
+/// to [`Rewalk::commit`] with the reason.
+pub(crate) type Stale = (Option<Box<SessionChain>>, Origin);
+
+/// What the edits since the last merge did to a track, as the walk sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edited {
+    /// Outside every edit's scope: its optimal schedule is the cached one.
+    Clean,
+    /// Inside an edit's scope, but its new optimal schedule places like the
+    /// cached one ([`PathSchedule::places_like`]).
+    PlacesAlike,
+    /// Inside an edit's scope with a schedule that places differently, or
+    /// nothing cached to compare with.
+    Replaced,
 }
 
 /// What one merge leaves for the next merge of the same system, plus the
@@ -142,6 +222,11 @@ pub(crate) struct MergeCache {
     /// ([`ContextCache::new`](crate::merge::ContextCache::new)) and builds
     /// none again.
     pub(crate) contexts: Vec<OnceCell<TrackContext>>,
+    /// The compaction of every row of the last merge's walk table, which
+    /// the next merge applies again to each row the walk leaves as it was
+    /// ([`ScheduleTable::compact_reusing`]). Sessions keep one; a one-shot
+    /// merge (`None`) compacts without filling one.
+    pub(crate) compaction: Option<CompactionMemo>,
     /// Tracks inside the scope of an edit applied since the last merge;
     /// aligned with the tracks whenever anything above is cached.
     pub(crate) dirty: Vec<bool>,
@@ -159,9 +244,11 @@ pub(crate) struct MergeCache {
 }
 
 impl MergeCache {
-    /// An empty cache for a system with `num_tracks` alternative paths.
+    /// An empty session cache for a system with `num_tracks` alternative
+    /// paths.
     fn new(num_tracks: usize) -> Self {
         MergeCache {
+            compaction: Some(CompactionMemo::default()),
             dirty: vec![false; num_tracks],
             ..MergeCache::default()
         }
@@ -172,8 +259,8 @@ impl MergeCache {
 /// [`RecordingView`] and replays cached chains that are still valid,
 /// carrying the invalidation state of one merge.
 pub(crate) struct Rewalk<'a> {
-    /// Tracks inside the scope of an edit applied since the last merge.
-    dirty: &'a [bool],
+    /// Per track, what the edits since the last merge did to it.
+    edited: &'a [Edited],
     /// `false` while every chain visited so far (in serial order) replayed
     /// its cached log; flips to `true` at the first re-record. While clear,
     /// the rebuilt table is byte-identical to the recording merge's table at
@@ -198,9 +285,9 @@ impl<'a> Rewalk<'a> {
     /// A recorder for one merge: nothing replayed or recorded yet. Changed
     /// columns are noted only when `note_changes` (there are cached runs
     /// to invalidate).
-    pub(crate) fn new(dirty: &'a [bool], note_changes: bool) -> Self {
+    pub(crate) fn new(edited: &'a [Edited], note_changes: bool) -> Self {
         Rewalk {
-            dirty,
+            edited,
             diverged: false,
             note_changes,
             changed: Vec::new(),
@@ -231,19 +318,38 @@ impl<'a> Rewalk<'a> {
     }
 
     /// Whether a cached chain for `track_idx` still holds at this serial
-    /// point: its track is clean and (once an earlier chain re-recorded)
-    /// every row it touched still digests as recorded and none of the
-    /// columns it created exists yet.
-    fn still_valid(&self, table: &ScheduleTable, chain: &SessionChain, track_idx: usize) -> bool {
-        if chain.track_idx != track_idx || self.dirty[track_idx] {
-            return false;
+    /// point: its track is clean, or dirty but placing alike with a pure
+    /// chain, and (once an earlier chain re-recorded) every row it touched
+    /// still digests as recorded and none of the columns it created exists
+    /// yet. Returns how the chain replays, or why it does not.
+    fn validate(
+        &self,
+        table: &ScheduleTable,
+        chain: &SessionChain,
+        track_idx: usize,
+    ) -> Result<Origin, Origin> {
+        if chain.track_idx != track_idx {
+            return Err(Origin::Uncached);
         }
+        // Mutation self-test hook: replay impure chains of dirty tracks
+        // with their stale reschedules. The warm-vs-cold oracle must flag
+        // the diverging re-merge (tests/adversarial_corpus.rs).
+        #[cfg(any(test, feature = "test-util"))]
+        let pure = chain.pure || crate::merge::sabotage::replay_impure_chains();
+        #[cfg(not(any(test, feature = "test-util")))]
+        let pure = chain.pure;
+        let origin = match self.edited[track_idx] {
+            Edited::Clean => Origin::Replayed,
+            Edited::PlacesAlike if pure => Origin::ReplayedDirty,
+            Edited::PlacesAlike => return Err(Origin::Impure),
+            Edited::Replaced => return Err(Origin::ScheduleChanged),
+        };
         // Serial-order fast path: no chain before this one (in serial order)
         // re-recorded, so the rebuilt table is byte-identical to the
         // recording merge's table at this point and every cached read would
         // validate by construction.
         if !self.diverged {
-            return true;
+            return Ok(origin);
         }
         // The row digests describe the table at the chain's serial entry
         // point, so the log validates directly against the rebuilt table.
@@ -253,7 +359,13 @@ impl<'a> Rewalk<'a> {
         // diverging re-merge (tests/adversarial_corpus.rs).
         #[cfg(any(test, feature = "test-util"))]
         let rows_match = rows_match || crate::merge::sabotage::skip_splice_validation();
-        rows_match && chain.log.created_columns_absent(table)
+        if !rows_match {
+            Err(Origin::RowsChanged)
+        } else if !chain.log.created_columns_absent(table) {
+            Err(Origin::ColumnCreated)
+        } else {
+            Ok(origin)
+        }
     }
 
     /// Replays `cached` at this point of the walk instead of walking it. On
@@ -261,7 +373,7 @@ impl<'a> Rewalk<'a> {
     /// pushed onto [`WalkState::resolutions`] and assigned in `decided`; its
     /// counters stay in the chain for [`record`](SessionChain::record).
     /// Otherwise nothing changed and the stale chain (if any) is handed back
-    /// for [`commit`](Self::commit).
+    /// with the reason for [`commit`](Self::commit).
     pub(crate) fn replay(
         &mut self,
         st: &mut WalkState,
@@ -269,19 +381,19 @@ impl<'a> Rewalk<'a> {
         cached: Option<Box<SessionChain>>,
         track_idx: usize,
         decided: &mut Cube,
-    ) -> Result<Box<SessionChain>, Option<Box<SessionChain>>> {
+    ) -> Result<Box<SessionChain>, Stale> {
         let Some(mut chain) = cached else {
-            return Err(None);
+            return Err((None, Origin::Uncached));
         };
-        if !self.still_valid(table, &chain, track_idx) {
-            return Err(Some(chain));
+        match self.validate(table, &chain, track_idx) {
+            Ok(origin) => chain.origin = origin,
+            Err(why) => return Err((Some(chain), why)),
         }
         table.splice_log(&chain.log);
         for &(condition, value, _) in &chain.resolutions {
             decided.assign(condition, value);
         }
         st.resolutions.extend_from_slice(&chain.resolutions);
-        chain.replayed = true;
         Ok(chain)
     }
 
@@ -300,15 +412,17 @@ impl<'a> Rewalk<'a> {
     }
 
     /// Builds the record of a walked chain, whose writes are in the table;
-    /// `stale` is the cached chain it replaces, and `resolutions` and `work`
-    /// are the chain's own resolutions and repair counters.
+    /// `stale` is the cached chain it replaces (if any) and why, and
+    /// `resolutions`, `work` and `pure` are the chain's own resolutions,
+    /// repair counters and whether it kept the optimal schedule throughout.
     pub(crate) fn commit(
         &mut self,
         log: ChainLog,
-        stale: Option<Box<SessionChain>>,
+        (stale, origin): Stale,
         track_idx: usize,
         resolutions: &[Resolution],
         work: MergeStats,
+        pure: bool,
     ) -> Box<SessionChain> {
         // From this serial point on, the rebuilt table may differ from the
         // recording merge's: every later replay must validate its log.
@@ -348,7 +462,8 @@ impl<'a> Rewalk<'a> {
             log,
             resolutions: resolutions.into(),
             work,
-            replayed: false,
+            pure,
+            origin,
             children,
         })
     }
@@ -430,12 +545,23 @@ impl SessionChain {
         stats.slip_repairs += self.work.slip_repairs;
         stats.repair_rounds += self.work.repair_rounds;
         let segments = self.resolutions.len() + 1;
-        if self.replayed {
-            reuse.chains_replayed += 1;
-            reuse.segments_replayed += segments;
-        } else {
-            reuse.chains_recorded += 1;
-            reuse.segments_recorded += segments;
+        match self.origin {
+            Origin::Replayed | Origin::ReplayedDirty => {
+                reuse.chains_replayed += 1;
+                reuse.segments_replayed += segments;
+            }
+            _ => {
+                reuse.chains_recorded += 1;
+                reuse.segments_recorded += segments;
+            }
+        }
+        match self.origin {
+            Origin::ReplayedDirty => reuse.dirty_chains_replayed += 1,
+            Origin::ScheduleChanged => reuse.rewalked_schedule_changed += 1,
+            Origin::Impure => reuse.rewalked_impure += 1,
+            Origin::RowsChanged => reuse.rewalked_rows_changed += 1,
+            Origin::ColumnCreated => reuse.rewalked_column_created += 1,
+            Origin::Replayed | Origin::Uncached => {}
         }
         for (child, &(condition, value, resolved_at)) in
             self.children.iter().zip(self.resolutions.iter()).rev()
@@ -583,14 +709,15 @@ impl MergeSession {
         Ok(scope)
     }
 
-    /// Drops the cached decision tree, schedules, simulated runs and
-    /// scheduling contexts: the next [`merge`](Self::merge) is a full cold
-    /// walk.
+    /// Drops the cached decision tree, schedules, simulated runs,
+    /// scheduling contexts and row compactions: the next
+    /// [`merge`](Self::merge) is a full cold walk.
     pub fn invalidate_all(&mut self) {
         self.cache.root = None;
         self.cache.optimal.clear();
         self.cache.track_runs.clear();
         self.cache.contexts.clear();
+        self.cache.compaction = Some(CompactionMemo::default());
     }
 
     /// Re-merges the (possibly edited) system, replaying every cached
@@ -944,10 +1071,10 @@ mod tests {
             tracks: &session.tracks,
             optimal: &session.cache.optimal,
         };
-        let dirty = vec![false; session.tracks.len()];
+        let clean = vec![Edited::Clean; session.tracks.len()];
         let recorder = || Rewalk {
             diverged: true,
-            ..Rewalk::new(&dirty, false)
+            ..Rewalk::new(&clean, false)
         };
         let root_idx = shared
             .select_track(&Cube::top())
@@ -961,7 +1088,7 @@ mod tests {
             &mut Cube::top(),
         ) {
             Ok(root) => (true, root),
-            Err(root) => (false, root.expect("the cached root is handed back")),
+            Err((root, _)) => (false, root.expect("the cached root is handed back")),
         };
         let mut warm = seed.clone();
         let tree = shared.walk_chain(
@@ -975,7 +1102,7 @@ mod tests {
         );
         let mut cold = seed;
         shared.walk_chain(
-            &mut Rewalk::new(&dirty, false),
+            &mut Rewalk::new(&clean, false),
             &mut WalkState::new(),
             &mut cold,
             None,

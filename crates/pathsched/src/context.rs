@@ -296,9 +296,6 @@ pub struct TrackContext {
     disj_pe: Vec<Option<PeId>>,
     /// Partial-critical-path priorities (broadcasts pinned to `u64::MAX`).
     priorities: Vec<u64>,
-    /// Every duration fits in 32 bits, so a run orders its produced schedule
-    /// by one packed integer key per job (see [`schedule_key`]).
-    narrow_durations: bool,
 }
 
 /// The ready-queue key of dense job `dense` at `priority`: ascending keys
@@ -313,11 +310,27 @@ fn ready_dense(key: u128) -> usize {
     !(key as u32) as usize
 }
 
+/// The widths of the fields of a packed schedule-order key for a run of
+/// `jobs` jobs that all end by `horizon`: `(time bits, dense bits)`, or
+/// `None` when a start, a duration (neither exceeds `horizon`) and a dense
+/// index do not fit in one `u64` together.
+fn schedule_key_bits(horizon: Time, jobs: usize) -> Option<(u32, u32)> {
+    let time_bits = u64::BITS - horizon.as_u64().leading_zeros();
+    let dense_bits = usize::BITS - jobs.leading_zeros();
+    (2 * time_bits + dense_bits <= u64::BITS).then_some((time_bits, dense_bits))
+}
+
 /// The schedule-order key of dense job `dense` starting at `start` for
-/// `duration`, which must fit in 32 bits: ascending keys are ascending
-/// `(start, end, dense)`, and dense order is [`Job`] order.
-fn schedule_key(start: Time, duration: Time, dense: usize) -> u128 {
-    u128::from(start.as_u64()) << 64 | u128::from(duration.as_u64()) << 32 | dense as u128
+/// `duration`, packed in the widths of [`schedule_key_bits`]: ascending
+/// keys are ascending `(start, end, dense)`, and dense order is [`Job`]
+/// order.
+fn schedule_key(
+    start: Time,
+    duration: Time,
+    dense: usize,
+    (time_bits, dense_bits): (u32, u32),
+) -> u64 {
+    (start.as_u64() << time_bits | duration.as_u64()) << dense_bits | dense as u64
 }
 
 /// The track-independent graph data every [`TrackContext`] is built from,
@@ -507,16 +520,14 @@ impl TrackContext {
             mapped_pe: vec![PeId::pack(None); n],
             disj_pe: vec![None; tables.disjunction.len()],
             priorities: vec![u64::MAX; n],
-            narrow_durations: true,
         };
         context.refresh(tables);
         context
     }
 
     /// Re-derives the timing half of the context from `tables`: every job's
-    /// duration and mapped resource, the resource computing each condition,
-    /// the partial-critical-path priorities and whether every duration fits
-    /// in 32 bits. The structure — jobs, adjacency, guard requirements — is
+    /// duration and mapped resource, the resource computing each condition
+    /// and the partial-critical-path priorities. The structure — jobs, adjacency, guard requirements — is
     /// left alone, so `tables` must come from a graph of the same structure
     /// as the one the context was built for: the same processes, edges and
     /// guards, with any execution times and mappings.
@@ -549,10 +560,6 @@ impl TrackContext {
                 .unwrap_or(0);
             self.priorities[dense] = downstream + self.durations[dense].as_u64();
         }
-        self.narrow_durations = self
-            .durations
-            .iter()
-            .all(|duration| duration.as_u64() <= u64::from(u32::MAX));
     }
 
     /// The label `L_k` of the track this context belongs to.
@@ -800,6 +807,7 @@ impl TrackContext {
         }
 
         let mut committed = 0usize;
+        let mut horizon = Time::ZERO;
         while let Some(key) = scratch.ready.pop() {
             let dense = ready_dense(key);
 
@@ -867,6 +875,7 @@ impl TrackContext {
 
             scratch.starts[dense] = start;
             scratch.ends[dense] = start + duration;
+            horizon = horizon.max(scratch.ends[dense]);
             scratch.pes[dense] = pe;
             scratch.placed[dense] = true;
             committed += 1;
@@ -888,21 +897,23 @@ impl TrackContext {
         };
         // The schedule lists its jobs in `(start, end, job)` order: one
         // integer sort of packed keys, or a tuple sort of dense indices
-        // when a duration needs more than 32 bits. The low 32 bits of
-        // either key are the dense index.
+        // when a start, a duration and a dense index do not fit in 64 bits
+        // together. The low `mask` bits of either key are the dense index.
         let (starts, ends, keys) = (&scratch.starts, &scratch.ends, &mut scratch.keys);
-        if self.narrow_durations {
+        let mask = if let Some(bits) = schedule_key_bits(horizon, n) {
             keys.extend(
-                (0..n).map(|dense| schedule_key(starts[dense], self.durations[dense], dense)),
+                (0..n).map(|dense| schedule_key(starts[dense], self.durations[dense], dense, bits)),
             );
             keys.sort_unstable();
+            (1 << bits.1) - 1
         } else {
-            keys.extend((0..n).map(|dense| dense as u128));
+            keys.extend(0..n as u64);
             keys.sort_unstable_by_key(|&dense| {
                 let dense = dense as usize;
                 (starts[dense], ends[dense], dense)
             });
-        }
+            u64::MAX
+        };
         // The schedule owns a copy of the slip buffer; extending an empty
         // buffer (the common, no-slip case) does not allocate, and the arena
         // keeps its capacity for the next slipping run either way.
@@ -911,7 +922,7 @@ impl TrackContext {
             delay,
             self.slots,
             scratch.keys.iter().map(|&key| {
-                let dense = key as u32 as usize;
+                let dense = (key & mask) as usize;
                 ScheduledJob::new(
                     self.job(dense),
                     scratch.starts[dense],
@@ -1030,8 +1041,9 @@ mod tests {
         let scheduler = crate::ListScheduler::new(&cpg, &arch, broadcast);
         for track in tracks.iter() {
             let ctx = scheduler.context(track);
-            assert!(!ctx.narrow_durations);
             let schedule = ctx.schedule();
+            let horizon = schedule.jobs().iter().map(ScheduledJob::end).max().unwrap();
+            assert_eq!(schedule_key_bits(horizon, ctx.len()), None);
             assert_eq!(
                 schedule,
                 crate::reference::schedule_track(&cpg, &arch, broadcast, track)
@@ -1091,7 +1103,7 @@ mod tests {
         let mut wider = edited.clone();
         wider.set_exec_time(ordinary[11], wide).unwrap();
 
-        for (graph, narrow) in [(&edited, true), (&wider, false), (cpg, true)] {
+        for (graph, packed) in [(&edited, true), (&wider, false), (cpg, true)] {
             let scheduler = crate::ListScheduler::new(graph, arch, system.broadcast_time());
             let mut scratch = RunScratch::new();
             for (track, context) in tracks.iter().zip(&mut kept) {
@@ -1103,11 +1115,12 @@ mod tests {
                     "refreshed context differs on {}",
                     track.label()
                 );
-                assert_eq!(
-                    context.narrow_durations,
-                    narrow || !track.contains(ordinary[11])
-                );
                 let schedule = context.schedule_with(&mut scratch);
+                let horizon = schedule.jobs().iter().map(ScheduledJob::end).max().unwrap();
+                assert_eq!(
+                    schedule_key_bits(horizon, context.len()).is_some(),
+                    packed || !track.contains(ordinary[11])
+                );
                 assert_eq!(schedule, fresh.schedule());
                 // Lock every other mapped job a little later than it starts.
                 let mut locks = LockSet::for_graph(graph);

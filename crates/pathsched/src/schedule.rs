@@ -354,6 +354,30 @@ impl PathSchedule {
         })
     }
 
+    /// `true` when `other` agrees with this schedule in everything the
+    /// merge's placement of a schedule reads: the same path, the same jobs in
+    /// the same order with the same starts and resources, and the same
+    /// condition knowledge (where and when each condition is computed and
+    /// when its broadcast completes). Durations, and with them the delay,
+    /// may differ.
+    ///
+    /// The merge walk places a schedule that it did not reschedule by these
+    /// fields alone ([`known_conditions`](Self::known_conditions),
+    /// [`resolutions`](Self::resolutions), [`honours`](Self::honours) and
+    /// the job list), so a merge session may replay a cached chain of an
+    /// edited track whose new schedule places like the old one.
+    #[must_use]
+    pub fn places_like(&self, other: &PathSchedule) -> bool {
+        self.label == other.label
+            && self.knowledge == other.knowledge
+            && self.jobs.len() == other.jobs.len()
+            && self
+                .jobs
+                .iter()
+                .zip(&other.jobs)
+                .all(|(a, b)| (a.job(), a.start(), a.pe()) == (b.job(), b.start(), b.pe()))
+    }
+
     /// The completion times of the disjunction processes executed on this
     /// path, together with the condition they compute, in ascending
     /// completion-time order.
@@ -553,5 +577,50 @@ mod tests {
         assert!(schedule.contains(j));
         assert!(!schedule.contains(Job::Process(ProcessId::from_index(9))));
         assert!(schedule.to_string().contains("delay 3"));
+    }
+
+    #[test]
+    fn placing_alike_ignores_durations_but_not_order_or_knowledge() {
+        let cond = CondId::new(0);
+        let slots = JobSlots::new(4, 1);
+        let known = |computed: u64, broadcast: Option<u64>| Knowledge {
+            cond,
+            pe: None,
+            computed: Time::new(computed),
+            broadcast: broadcast.map(Time::new),
+        };
+        let schedule = |jobs: Vec<ScheduledJob>, delay: u64, knowledge: Knowledge| {
+            let label = Cube::from(cond.is_true());
+            let (delay, knowledge) = (Time::new(delay), vec![knowledge]);
+            PathSchedule::new_detailed(label, jobs, delay, knowledge, Vec::new(), slots)
+        };
+        let base = schedule(vec![job(1, 0, 3), job(2, 3, 5)], 5, known(3, Some(4)));
+        // A longer last job moves the delay only.
+        let longer = schedule(vec![job(1, 0, 3), job(2, 3, 9)], 9, known(3, Some(4)));
+        assert!(base.places_like(&longer) && longer.places_like(&base));
+        assert_ne!(base, longer);
+        // Two jobs starting together swap order when the first one ends
+        // later, and the walk places them in that order.
+        let tied = schedule(vec![job(1, 0, 3), job(2, 0, 5)], 5, known(3, None));
+        let swapped = schedule(vec![job(1, 0, 6), job(2, 0, 5)], 6, known(3, None));
+        assert_eq!(tied.jobs()[0].job(), swapped.jobs()[1].job());
+        assert!(!tied.places_like(&swapped));
+        // Same starts, but the condition is computed, or broadcast, later.
+        for knowledge in [known(4, Some(4)), known(3, Some(5)), known(3, None)] {
+            let later = schedule(vec![job(1, 0, 3), job(2, 3, 5)], 5, knowledge);
+            assert!(!base.places_like(&later), "{knowledge:?}");
+        }
+        // Another start, or another resource.
+        let moved = schedule(vec![job(1, 0, 3), job(2, 4, 6)], 6, known(3, Some(4)));
+        assert!(!base.places_like(&moved));
+        let pe = Some(PeId::from_index(1));
+        let elsewhere = ScheduledJob::new(
+            Job::Process(ProcessId::from_index(2)),
+            Time::new(3),
+            Time::new(5),
+            pe,
+        );
+        let remapped = schedule(vec![job(1, 0, 3), elsewhere], 5, known(3, Some(4)));
+        assert!(!base.places_like(&remapped));
     }
 }

@@ -68,9 +68,9 @@ pub struct RunScratch {
     /// index (the order of `(priority, Reverse(dense index))`).
     pub(crate) ready: BinaryHeap<u128>,
     /// The run's jobs as sort keys for the produced schedule: packed
-    /// `start << 64 | duration << 32 | dense index` when every duration of
-    /// the context fits in 32 bits, the bare dense index otherwise.
-    pub(crate) keys: Vec<u128>,
+    /// `(start, duration, dense index)` when the three fit in 64 bits
+    /// together, the bare dense index otherwise.
+    pub(crate) keys: Vec<u64>,
     pub(crate) slipped: Vec<SlippedLock>,
     /// Reschedule-order priorities derived from the original schedule
     /// (unused by plain `schedule` runs, which read the context's

@@ -32,5 +32,5 @@ pub use analysis::{to_csv, utilization, ResourceLoad};
 pub use block::{LabelBlock, ResolvedActivation};
 pub use dispatch::{per_processor_dispatch, DispatchEntry, DispatchTable};
 pub use error::TableViolation;
-pub use table::{Activation, ScheduleTable};
+pub use table::{Activation, CompactionMemo, ScheduleTable};
 pub use txn::{ChainLog, RecordScratch, RecordingView};

@@ -56,14 +56,27 @@ fn mix(h: u64, word: u64) -> u64 {
 }
 
 /// The digest term of one row entry: its column index and recorded
-/// resource, its column cube and its time, mixed word by word.
+/// resource, its column cube and its time, mixed word by word, then
+/// avalanched. Without the avalanche the last word would only be XORed in
+/// before one multiplication, so one time change on two entries could
+/// cancel in the sum: `t → t + 1` from an even `t` moves each term by `±K`,
+/// with opposite signs when the two entries' mixes differ in bit 0.
 #[inline]
 fn entry_hash(index: u32, column: Cube, cell: Cell) -> u64 {
     let resource = cell.resource.map_or(0, |pe| pe.index() as u64 + 1);
     let h = mix(0, u64::from(index) | resource << 32);
     let h = mix(h, column.positive_mask());
     let h = mix(h, column.negative_mask());
-    mix(h, cell.time.as_u64())
+    avalanche(mix(h, cell.time.as_u64()))
+}
+
+/// The 64-bit finalizer of MurmurHash3: a bijection whose every output bit
+/// depends on every input bit.
+#[inline]
+fn avalanche(h: u64) -> u64 {
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// The hasher of the column index: one [`mix`] step per word of the key (a
@@ -122,6 +135,12 @@ impl Row {
         self.entries
             .iter()
             .map(|&(key, column, cell)| (key, column, cell.time, cell.resource))
+    }
+
+    /// The row's [`ScheduleTable::row_digest`]; an empty row digests to 0.
+    #[inline]
+    fn digest(&self) -> u64 {
+        mix(mix(0, self.entries.len() as u64), self.digest_sum)
     }
 
     /// Position of the entry under column index `index` (`Err` is the
@@ -698,6 +717,32 @@ impl ScheduleTable {
     /// jobs outside `cpg` are left as they are. The pass never adds an entry,
     /// and a second pass changes nothing.
     pub fn compact(&mut self, cpg: &Cpg) {
+        self.compact_rows(cpg, None);
+    }
+
+    /// [`ScheduleTable::compact`] reusing the last compaction of the same
+    /// system kept in `memo`, and keeping this one there. Returns how many
+    /// rows took their compaction from `memo`.
+    ///
+    /// What the pass does to a row is a function of the row's entries (their
+    /// column indices, columns, times and resources) and of the guard of its
+    /// job. So a row whose digest (the one a [`ChainLog`] keeps of the rows
+    /// a chain touched) equals that of the row the memo planned on gets the
+    /// memo's edits: its dropped positions and
+    /// lifted columns, applied in the planned order. A lifted column is
+    /// looked up by its cube, or appended, in that order too, so the columns
+    /// end up in the order a plain `compact` gives them and the table is the
+    /// same. The other rows are compacted and their edits kept.
+    ///
+    /// A memo holds for one system as long as the guards of its processes
+    /// do not change; after a guard edit, start from an empty one.
+    pub fn compact_reusing(&mut self, cpg: &Cpg, memo: &mut CompactionMemo) -> usize {
+        self.compact_rows(cpg, Some(memo))
+    }
+
+    /// [`ScheduleTable::compact`], through `memo` when given (see
+    /// [`ScheduleTable::compact_reusing`]); returns the rows `memo` served.
+    fn compact_rows(&mut self, cpg: &Cpg, mut memo: Option<&mut CompactionMemo>) -> usize {
         let ScheduleTable {
             columns,
             column_ids,
@@ -706,22 +751,58 @@ impl ScheduleTable {
         } = self;
         let mut scratch = CompactScratch::default();
         let mut changed = false;
+        let mut reused = 0;
+        if let Some(memo) = memo.as_deref_mut() {
+            let slots = cpg.len() + cpg.num_conditions();
+            memo.rows.resize_with(slots, MemoRow::default);
+        }
         let processes = process_rows
             .iter_mut()
             .take(cpg.len())
             .enumerate()
-            .map(|(i, row)| (cpg.guard(ProcessId::from_index(i)), row));
+            .map(|(i, row)| (i, cpg.guard(ProcessId::from_index(i)), row));
         let broadcasts = broadcast_rows
             .iter_mut()
             .take(cpg.num_conditions())
             .enumerate()
-            .map(|(i, row)| (cpg.guard(cpg.disjunction_of(CondId::new(i))), row));
-        for (guard, row) in processes.chain(broadcasts) {
-            changed |= compact_row(&mut row.entries, guard, &mut scratch, columns, column_ids);
+            .map(|(i, row)| {
+                let guard = cpg.guard(cpg.disjunction_of(CondId::new(i)));
+                (cpg.len() + i, guard, row)
+            });
+        for (slot, guard, row) in processes.chain(broadcasts) {
+            if row.entries.is_empty() {
+                continue;
+            }
+            let Some(memo) = memo.as_deref_mut() else {
+                plan_row(&row.entries, guard, &mut scratch, column_ids);
+                changed |= apply_row(&mut row.entries, &scratch.changes, columns, column_ids);
+                continue;
+            };
+            let kept = &mut memo.rows[slot];
+            let digest = row.digest();
+            // Mutation self-test hook: take the kept edits of a row whatever
+            // it holds now (those that still point into it). The
+            // warm-vs-cold oracle must flag the stale compaction
+            // (tests/adversarial_corpus.rs).
+            #[cfg(feature = "test-util")]
+            if memo.trust_stale_rows && kept.digest.is_some_and(|kept| kept != digest) {
+                let len = row.entries.len();
+                kept.changes.retain(|w| (w.at as usize) < len);
+                kept.digest = Some(digest);
+            }
+            if kept.digest == Some(digest) {
+                reused += 1;
+            } else {
+                plan_row(&row.entries, guard, &mut scratch, column_ids);
+                kept.digest = Some(digest);
+                kept.changes.clone_from(&scratch.changes);
+            }
+            changed |= apply_row(&mut row.entries, &kept.changes, columns, column_ids);
         }
         if changed {
             self.drop_empty_columns();
         }
+        reused
     }
 
     /// Drops the columns no row holds an entry in, renumbers the others in
@@ -826,9 +907,7 @@ impl ScheduleTable {
     /// rows of equal length that differ in a single word of one entry have
     /// different entry terms, different sums and never collide.
     pub(crate) fn row_digest(&self, job: Job) -> u64 {
-        self.row(job).map_or(0, |row| {
-            mix(mix(0, row.entries.len() as u64), row.digest_sum)
-        })
+        self.row(job).map_or(0, Row::digest)
     }
 
     /// [`ScheduleTable::row_digest`] folded from the row's entries instead
@@ -879,67 +958,92 @@ struct Work {
 /// The buffers [`ScheduleTable::compact`] reuses across rows.
 #[derive(Debug, Default)]
 struct CompactScratch {
-    /// One [`sort_key`] per entry of the row.
-    keys: Vec<u128>,
-    /// The entries of the run of one time being compacted, in key order.
+    /// The row's entry positions in [`plan_row`]'s order, first as packed
+    /// sort keys.
+    order: Vec<u64>,
+    /// The entries of the run of one time being compacted, in that order.
     work: Vec<Work>,
     /// The entries of the row's compacted runs that were dropped or merged.
     changes: Vec<Work>,
 }
 
-/// The key [`compact_row`] sorts the entry at position `at` of a row by:
-/// its time, then its recorded resource, then its position, which is
-/// column-index order. Resources take 32 bits, so elements number fewer
-/// than `2^32 - 1`.
-#[inline]
-fn sort_key(cell: Cell, at: usize) -> u128 {
-    let resource = cell.resource.map_or(0, |pe| pe.index() as u128 + 1);
-    (u128::from(cell.time.as_u64()) << 64) | (resource << 32) | at as u128
+/// The compactions of the rows of a system's last walk table, for
+/// [`ScheduleTable::compact_reusing`] to reuse on the next one. Per row
+/// slot (the processes of the graph, then its conditions' broadcasts) it
+/// keeps the digest of the walk row it planned on and the edits it made:
+/// the dropped entries and the lifted columns, in order.
+#[derive(Debug, Clone, Default)]
+pub struct CompactionMemo {
+    rows: Vec<MemoRow>,
+    /// Fault injection: reuse kept edits on rows that changed since.
+    #[cfg(feature = "test-util")]
+    trust_stale_rows: bool,
+}
+
+impl CompactionMemo {
+    /// Makes [`ScheduleTable::compact_reusing`] apply the kept edits of a
+    /// row even when the row changed since (only those that still point
+    /// into it): a deliberately broken memo, for proving that the
+    /// differential oracles catch a stale compaction.
+    #[cfg(feature = "test-util")]
+    pub fn trust_stale_rows(&mut self, on: bool) {
+        self.trust_stale_rows = on;
+    }
+}
+
+/// One row slot of a [`CompactionMemo`].
+#[derive(Debug, Clone, Default)]
+struct MemoRow {
+    /// The digest of the walk row `changes` were planned on; `None` before
+    /// the first plan.
+    digest: Option<u64>,
+    /// The planned edits, in [`apply_row`] order.
+    changes: Vec<Work>,
 }
 
 /// The index a dropped entry carries until the row drops it.
 const DROPPED: u32 = u32::MAX;
 
-/// [`ScheduleTable::compact`] on the entries of one row whose job has the
-/// guard `guard`, in the reused buffers of `scratch`. Merged columns are
-/// looked up in, or appended to, `columns` and `ids`. Returns whether the
-/// row changed; a changed row's digest is left stale.
+/// Plans [`ScheduleTable::compact`] on the entries of one row whose job has
+/// the guard `guard`: leaves in `scratch.changes` every entry the pass drops
+/// or lifts into a merged column, in the order [`apply_row`] applies them.
+/// `ids` is the table's column index.
 ///
-/// The row is sorted into runs of one time, and each of those into
-/// classes of one resource. Only entries of one time can tell a rule's
-/// effect apart: an entry of another time compatible with a column makes
-/// every label satisfying both conflict, before and after. So only runs of
-/// two or more entries are copied out, and each class is compacted against
-/// its run.
+/// The row is grouped into runs of one time, and each of those into
+/// classes of one resource, by one sort of the entry positions by `(time,
+/// resource, position)` (position order is column-index order). Only
+/// entries of one time can tell a rule's effect apart: an entry of another
+/// time compatible with a column makes every label satisfying both
+/// conflict, before and after. So only runs of two or more entries are
+/// copied out, and each class is compacted against its run.
 // lint: hot-path
-fn compact_row(
-    entries: &mut Vec<(u32, Cube, Cell)>,
+fn plan_row(
+    entries: &[(u32, Cube, Cell)],
     guard: &Guard,
     scratch: &mut CompactScratch,
-    columns: &mut Vec<Cube>,
-    ids: &mut ColumnIds,
-) -> bool {
+    ids: &ColumnIds,
+) {
     let CompactScratch {
-        keys,
+        order,
         work,
         changes,
     } = scratch;
-    keys.clear();
-    let cells = entries.iter().map(|&(_, _, cell)| cell);
-    keys.extend(cells.enumerate().map(|(at, cell)| sort_key(cell, at)));
-    keys.sort_unstable();
     changes.clear();
+    sort_positions(entries, order);
     let mut run = 0;
-    while run < keys.len() {
-        let time = keys[run] >> 64;
-        let run_end = run + keys[run..].iter().take_while(|&&k| k >> 64 == time).count();
+    while run < order.len() {
+        let time = entries[order[run] as usize].2.time;
+        let run_end = run
+            + order[run..]
+                .iter()
+                .take_while(|&&at| entries[at as usize].2.time == time)
+                .count();
         if run_end - run > 1 {
             work.clear();
-            work.extend(keys[run..run_end].iter().map(|&key| {
-                let at = key as u32;
+            work.extend(order[run..run_end].iter().map(|&at| {
                 let (_, column, cell) = entries[at as usize];
                 Work {
-                    at,
+                    at: at as u32,
                     column,
                     cell,
                     alive: true,
@@ -964,16 +1068,61 @@ fn compact_row(
         }
         run = run_end;
     }
-    for w in changes.iter() {
+}
+
+/// Fills `order` with the positions of `entries` sorted by `(time,
+/// resource, position)`, a resource being its index plus one (0 for none):
+/// one integer sort of `time | resource | position` keys when the three
+/// fit in 64 bits together, a tuple sort of the positions otherwise.
+// lint: hot-path
+fn sort_positions(entries: &[(u32, Cube, Cell)], order: &mut Vec<u64>) {
+    let resource = |cell: Cell| cell.resource.map_or(0, |pe| pe.index() as u64 + 1);
+    let (times, resources) = entries.iter().fold((0, 0), |(times, resources), entry| {
+        (times | entry.2.time.as_u64(), resources | resource(entry.2))
+    });
+    let bits = |word: u64| u64::BITS - word.leading_zeros();
+    let (resource_bits, at_bits) = (bits(resources), bits(entries.len() as u64));
+    order.clear();
+    if bits(times) + resource_bits + at_bits <= u64::BITS {
+        let cells = entries.iter().map(|&(_, _, cell)| cell).enumerate();
+        order.extend(cells.map(|(at, cell)| {
+            (cell.time.as_u64() << resource_bits | resource(cell)) << at_bits | at as u64
+        }));
+        order.sort_unstable();
+        let mask = (1 << at_bits) - 1;
+        for key in order.iter_mut() {
+            *key &= mask;
+        }
+    } else {
+        order.extend(0..entries.len() as u64);
+        order.sort_unstable_by_key(|&at| {
+            let cell = entries[at as usize].2;
+            (cell.time, resource(cell), at)
+        });
+    }
+}
+
+/// Applies planned edits to a row: a lifted entry takes the index of its
+/// merged column (looked up in, or appended to, `columns` and `ids`, in
+/// the order of `changes`), a dropped entry leaves. Returns whether the
+/// row changed; a changed row's digest is left stale.
+// lint: hot-path
+fn apply_row(
+    entries: &mut Vec<(u32, Cube, Cell)>,
+    changes: &[Work],
+    columns: &mut Vec<Cube>,
+    ids: &mut ColumnIds,
+) -> bool {
+    if changes.is_empty() {
+        return false;
+    }
+    for w in changes {
         entries[w.at as usize] = if w.alive {
             let index = column_index_or_insert(columns, ids, w.column);
             (index, w.column, w.cell)
         } else {
             (DROPPED, w.column, w.cell)
         };
-    }
-    if changes.is_empty() {
-        return false;
     }
     entries.retain(|&(index, _, _)| index != DROPPED);
     entries.sort_unstable_by_key(|&(index, _, _)| index);
@@ -1695,6 +1844,45 @@ mod tests {
         assert!(digests_are_current(&table));
     }
 
+    #[test]
+    fn shifting_the_time_of_several_entries_alike_changes_the_digest() {
+        // An edit moves many activations by the same amount. The row of a
+        // compacted fig1-like system that once collided: two entries of
+        // one time and resource, both moved from 30 to 23.
+        let bus = Some(PeId::from_index(3));
+        let columns = [
+            cube(&[c(0).is_true(), c(1).is_true()]),
+            cube(&[c(0).is_false(), c(1).is_true()]),
+        ];
+        for (from, to) in [(30, 23), (30, 31), (2, 3), (7, 8), (100, 101)] {
+            let mut table = ScheduleTable::new();
+            for column in columns {
+                table.set_on(p(1), column, Time::new(from), bus);
+            }
+            let before = table.row_digest(p(1));
+            for column in columns {
+                table.set_on(p(1), column, Time::new(to), bus);
+            }
+            assert_ne!(table.row_digest(p(1)), before, "{from} -> {to}");
+        }
+        // Every pair of entries of a 16-column row, moved by one.
+        let columns: Vec<Cube> = (0..16usize)
+            .map(|bits| (0..4).map(|i| c(i).literal(bits >> i & 1 == 1)).collect())
+            .collect();
+        for (i, j) in (0..16).flat_map(|i| (i + 1..16).map(move |j| (i, j))) {
+            for time in 0..8 {
+                let mut table = ScheduleTable::new();
+                for &column in &columns {
+                    table.set_on(p(1), column, Time::new(time), bus);
+                }
+                let before = table.row_digest(p(1));
+                table.set_on(p(1), columns[i], Time::new(time + 1), bus);
+                table.set_on(p(1), columns[j], Time::new(time + 1), bus);
+                assert_ne!(table.row_digest(p(1)), before, "{i}, {j} at {time}");
+            }
+        }
+    }
+
     /// The cube of the given literals.
     fn cube(literals: &[cpg::Literal]) -> Cube {
         literals.iter().copied().collect()
@@ -1755,6 +1943,35 @@ mod tests {
         assert_eq!(table.get(p(9), &pos), Some(Time::ZERO));
         assert!(column_index_is_current(&table));
         assert_eq!(table.row_digest(p(9)), table.folded_digest(p(9)));
+    }
+
+    #[test]
+    fn compact_reusing_matches_compact_and_reuses_unchanged_rows() {
+        let (system, decide) = diamond_job("decide");
+        let cpg = system.cpg();
+        let source = Job::Process(cpg.source());
+        let x = c(1);
+        let (pos, neg) = (Cube::from(x.is_true()), Cube::from(x.is_false()));
+        // Two rows whose sibling entries merge into a new column `true`.
+        let walk = |source_time: u64| {
+            let mut table = ScheduleTable::new();
+            table.set(decide, pos, Time::new(1));
+            table.set(decide, neg, Time::new(1));
+            table.set(source, neg, Time::new(source_time));
+            table.set(source, pos, Time::new(source_time));
+            table
+        };
+        let mut memo = CompactionMemo::default();
+        for (source_time, reused) in [(5, 0), (5, 2), (6, 1), (6, 2), (5, 1)] {
+            let mut cold = walk(source_time);
+            cold.compact(cpg);
+            let mut warm = walk(source_time);
+            assert_eq!(warm.compact_reusing(cpg, &mut memo), reused);
+            assert_eq!(warm, cold, "source at {source_time}");
+            assert_eq!(warm.columns(), [Cube::top()]);
+            assert!(column_index_is_current(&warm));
+            assert!(digests_are_current(&warm));
+        }
     }
 
     #[test]

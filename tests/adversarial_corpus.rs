@@ -190,70 +190,106 @@ fn skipped_entry_validation_is_caught_by_the_no_panic_net() {
     assert_caught_by(&caught, OracleKind::NoPanic, "skip-entry-validation");
 }
 
-#[test]
-fn skipped_splice_validation_is_caught_by_the_warm_vs_cold_oracle() {
-    let _lock = lock();
-    // Splice validation only matters on a warm session replaying edits, and
-    // signature-preserving shrinking strips edits from banked entries (the
-    // signature is a function of the unedited baseline), so this mutant
-    // gets a dedicated edit-carrying workload, found by running the fuzzer
-    // under the engaged mutant (`cpg-fuzz --seed 0x9002`).
-    let workload = parse_entry(
-        "nodes: 32\n\
-         paths: 8\n\
-         processors: 4\n\
-         buses: 2\n\
-         max_comm: 5\n\
-         seed: 4047189490510347694\n\
-         ops: rmdep:62 rmdep:15\n\
-         edits: exec:19:416\n",
-    )
-    .unwrap();
+/// Replays the edit-carrying workload `entry` healthy (it must pass every
+/// oracle), then under the saboteur `engage` starts, where the warm-vs-cold
+/// oracle must flag it.
+fn assert_warm_vs_cold_catches(
+    entry: &str,
+    engage: impl Fn() -> Box<dyn std::any::Any>,
+    mutant: &str,
+) {
+    let workload = parse_entry(entry).unwrap();
     let system = workload.materialize().unwrap();
-    // Healthy tree: the workload replays green.
     run_oracles(&workload, &system).unwrap();
-    let saboteur = sabotage::SkipSpliceValidation::engage();
+    let saboteur = engage();
     let outcome = run_oracles(&workload, &system);
     drop(saboteur);
-    let failure = outcome.expect_err("the sabotaged splice must diverge warm from cold");
+    let failure = outcome.expect_err("the mutant must diverge warm from cold");
     assert_eq!(
         failure.oracle,
         OracleKind::WarmVsCold,
-        "expected the warm-vs-cold oracle, got: {failure}"
+        "expected the warm-vs-cold oracle for {mutant}, got: {failure}"
     );
-    println!("skip-splice-validation caught: {failure}");
+    println!("{mutant} caught: {failure}");
+}
+
+/// Splice validation only matters on a warm session replaying edits, and
+/// signature-preserving shrinking strips edits from banked entries (the
+/// signature is a function of the unedited baseline), so the session
+/// mutants get dedicated edit-carrying workloads. This one was found by
+/// running the fuzzer under the engaged splice mutant (`cpg-fuzz --seed
+/// 0x9002`); its WCET edit also dirties tracks whose kept contexts the
+/// stale-context mutant leaves with the old execution time.
+const SPLICE_WORKLOAD: &str = "nodes: 32\n\
+                               paths: 8\n\
+                               processors: 4\n\
+                               buses: 2\n\
+                               max_comm: 5\n\
+                               seed: 4047189490510347694\n\
+                               ops: rmdep:62 rmdep:15\n\
+                               edits: exec:19:416\n";
+
+#[test]
+fn skipped_splice_validation_is_caught_by_the_warm_vs_cold_oracle() {
+    let _lock = lock();
+    assert_warm_vs_cold_catches(
+        SPLICE_WORKLOAD,
+        || Box::new(sabotage::SkipSpliceValidation::engage()),
+        "skip-splice-validation",
+    );
 }
 
 #[test]
 fn stale_contexts_are_caught_by_the_warm_vs_cold_oracle() {
     let _lock = lock();
-    // Kept contexts only go stale on a warm session after an edit, so this
-    // mutant, like the splice one, gets an edit-carrying workload: the
-    // WCET edit dirties tracks whose kept contexts the mutant leaves with
-    // the old execution time.
-    let workload = parse_entry(
-        "nodes: 32\n\
-         paths: 8\n\
-         processors: 4\n\
-         buses: 2\n\
-         max_comm: 5\n\
-         seed: 4047189490510347694\n\
-         ops: rmdep:62 rmdep:15\n\
-         edits: exec:19:416\n",
-    )
-    .unwrap();
-    let system = workload.materialize().unwrap();
-    run_oracles(&workload, &system).unwrap();
-    let saboteur = sabotage::StaleContexts::engage();
-    let outcome = run_oracles(&workload, &system);
-    drop(saboteur);
-    let failure = outcome.expect_err("stale contexts must diverge warm from cold");
-    assert_eq!(
-        failure.oracle,
-        OracleKind::WarmVsCold,
-        "expected the warm-vs-cold oracle, got: {failure}"
+    assert_warm_vs_cold_catches(
+        SPLICE_WORKLOAD,
+        || Box::new(sabotage::StaleContexts::engage()),
+        "stale-contexts",
     );
-    println!("stale-contexts caught: {failure}");
+}
+
+// The next three workloads are a ±1 WCET probe and its undo, the
+// `wcet_sweep` traffic, each found by a search over generator seeds and
+// processes for a probe the engaged mutant diverges on.
+
+#[test]
+fn replayed_impure_chains_are_caught_by_the_warm_vs_cold_oracle() {
+    let _lock = lock();
+    // The probe leaves some dirty tracks' optimal schedules placing alike,
+    // but their cached chains rescheduled around inherited locks with the
+    // old execution time.
+    assert_warm_vs_cold_catches(
+        "nodes: 32\npaths: 8\nprocessors: 4\nbuses: 2\nmax_comm: 5\n\
+         seed: 1591719\nedits: exec:10:4 exec:10:5\n",
+        || Box::new(sabotage::ReplayImpureChains::engage()),
+        "replay-impure-chains",
+    );
+}
+
+#[test]
+fn ignored_knowledge_times_are_caught_by_the_warm_vs_cold_oracle() {
+    let _lock = lock();
+    // The probe moves when a disjunction process completes but no job's
+    // start or resource, so a replayed chain reports stale resolution
+    // times.
+    assert_warm_vs_cold_catches(
+        "nodes: 24\npaths: 4\nprocessors: 2\nbuses: 1\nmax_comm: 5\n\
+         seed: 855252\nedits: exec:5:3 exec:5:2\n",
+        || Box::new(sabotage::IgnoreKnowledgeTimes::engage()),
+        "ignore-knowledge-times",
+    );
+}
+
+#[test]
+fn stale_compactions_are_caught_by_the_warm_vs_cold_oracle() {
+    let _lock = lock();
+    assert_warm_vs_cold_catches(
+        "nodes: 32\npaths: 8\nprocessors: 4\nbuses: 2\nmax_comm: 5\n\
+         seed: 7919\nedits: exec:0:15 exec:0:14\n",
+        || Box::new(sabotage::StaleCompaction::engage()),
+        "stale-compaction",
+    );
 }
 
 /// Regenerates the banked corpus. Run with

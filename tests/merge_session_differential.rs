@@ -18,6 +18,12 @@
 //! and re-times only the dirty ones, so each of these edits must reach the
 //! kept contexts exactly as a fresh build would.
 //!
+//! The `wcet_sweep` traffic — a ±1 WCET probe, then its undo — gets its
+//! own property: after the undo the table must be the one of before the
+//! probe. Warm merges replay the chains of edited tracks whose schedule
+//! still places alike and reuse the compaction of unchanged rows; the
+//! benchmark-system test checks that both rules fire.
+//!
 //! A cold merge is a fresh session's first merge: it walks every chain and
 //! replays none, so it checks the replays but shares the walk. The first
 //! session merge is therefore also held against the independent
@@ -229,6 +235,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        max_shrink_iters: 0,
+        ..ProptestConfig::default()
+    })]
+
+    /// The `wcet_sweep` traffic: a ±1 WCET probe, then its undo. After the
+    /// undo the system is the one of before the probe, so the table must be
+    /// too — the probe's warm merge replaced the cached chains, contexts,
+    /// schedules and compactions, and the undo rebuilds them from there.
+    #[test]
+    fn a_probe_and_its_undo_match_cold_merges_and_restore_the_table(
+        config in config_strategy(),
+        probes in proptest::collection::vec((any::<usize>(), prop::bool::ANY), 1..6),
+    ) {
+        let system = generate(&config);
+        let processes: Vec<ProcessId> = system.cpg().ordinary_processes().collect();
+        let merge_config = MergeConfig::new(system.broadcast_time());
+        let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
+        let mut before = session.merge();
+        let mut reference = system.cpg().clone();
+
+        for (step, &(selector, up)) in probes.iter().enumerate() {
+            let process = processes[selector % processes.len()];
+            let base = reference.exec_time(process);
+            let probe = if up || base <= Time::new(1) {
+                base + Time::new(1)
+            } else {
+                Time::new(base.as_u64() - 1)
+            };
+            for (phase, time) in [("probe", probe), ("undo", base)] {
+                let edit = SystemEdit::ExecTime { process, time };
+                edit.apply(&mut reference).expect("ordinary processes are editable");
+                session.apply_edit(&edit).expect("ordinary processes are editable");
+                let cold = generate_schedule_table(&reference, system.arch(), &merge_config);
+                let warm = session.merge();
+                assert_results_identical(&cold, &warm, &format!("{phase} {step} ({edit})"))?;
+                if phase == "undo" {
+                    assert_results_identical(&before, &warm, &format!("undo {step} ({edit})"))?;
+                    before = warm;
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn moving_a_disjunction_process_and_back_matches_cold_merges() {
     // The disjunction processes of the last four conditions of the 32-path
@@ -401,6 +454,7 @@ fn warm_merges_on_the_rewalk_benchmark_systems_replay_and_match_cold() {
             .last()
             .expect("generated systems have ordinary processes");
 
+        let (mut dirty_replays, mut compactions_reused) = (0, 0);
         for (process, floors) in [rarest, last].into_iter().zip(floors) {
             let base = system.cpg().exec_time(process);
             let mut session = MergeSession::new(system.cpg(), system.arch(), &merge_config);
@@ -424,7 +478,17 @@ fn warm_merges_on_the_rewalk_benchmark_systems_replay_and_match_cold() {
                     reuse.chains_replayed,
                     reuse.chains_replayed + reuse.chains_recorded
                 );
+                dirty_replays += reuse.dirty_chains_replayed;
+                compactions_reused += reuse.compactions_reused;
             }
         }
+        // Both content-keyed reuse rules must fire, not only stay correct:
+        // chains of edited tracks that place alike replay, and rows the walk
+        // left as they were keep their compaction.
+        assert!(dirty_replays > 0, "{paths} paths: no dirty chain replayed");
+        assert!(
+            compactions_reused > 0,
+            "{paths} paths: no row reused its compaction"
+        );
     }
 }
