@@ -1,6 +1,8 @@
 //! The experiment binaries' count argument, driven through their command
 //! lines: a count that is not a positive integer is refused with the usage
-//! line instead of running the default or an empty experiment.
+//! line instead of running the default or an empty experiment. Also pins
+//! `table_probe 12` to a committed golden file, so a change that alters any
+//! merge decision on those systems has to say so by regenerating it.
 
 use std::process::{Command, Output};
 
@@ -55,4 +57,28 @@ fn a_positive_count_runs_the_experiment() {
         assert!(output.status.success(), "{binary} 1: {stderr}");
         assert!(!output.stdout.is_empty(), "{binary} 1 printed nothing");
     }
+}
+
+/// `table_probe 12` (the first 36 suite systems and the deep nests with
+/// `j < 12`) prints exactly the committed lines. A change that means to alter
+/// merge decisions regenerates the file with
+/// `cargo run --release -p cpg-bench --bin table_probe 12 > crates/bench/tests/table_probe_12.txt`.
+#[test]
+fn table_probe_12_matches_the_golden_file() {
+    let output = run(env!("CARGO_BIN_EXE_table_probe"), &["12"]);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let expected = include_str!("table_probe_12.txt");
+    let actual = String::from_utf8(output.stdout).expect("utf-8 output");
+    assert_eq!(expected.lines().count(), 72);
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of table_probe 12 differs", line + 1);
+    }
+    assert_eq!(
+        actual, expected,
+        "table_probe 12 printed extra or missing lines"
+    );
 }

@@ -181,13 +181,6 @@ impl MergeConfig {
         self
     }
 
-    /// Returns the configuration with a different broadcast time.
-    #[must_use]
-    pub fn with_broadcast_time(mut self, broadcast_time: Time) -> Self {
-        self.broadcast_time = broadcast_time;
-        self
-    }
-
     /// Former worker-thread knob; the argument is ignored because the merge
     /// always runs on the calling thread. Kept so the end-to-end benchmark,
     /// which still pins one thread, keeps compiling.
@@ -227,10 +220,9 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let config = MergeConfig::new(Time::new(5))
-            .with_selection(SelectionPolicy::EnumerationOrder)
-            .with_broadcast_time(Time::new(3));
-        assert_eq!(config.broadcast_time(), Time::new(3));
+        let config =
+            MergeConfig::new(Time::new(5)).with_selection(SelectionPolicy::EnumerationOrder);
+        assert_eq!(config.broadcast_time(), Time::new(5));
         assert_eq!(config.selection(), SelectionPolicy::EnumerationOrder);
     }
 

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use cpg::{CondId, Cpg, ProcessId, ProcessKind};
+use cpg::{count_tracks, CondId, Cpg, ProcessId, ProcessKind};
 use cpg_arch::{Architecture, PeId, PeKind};
 
 /// Why a system was rejected at a merge entry point.
@@ -54,7 +54,29 @@ pub enum MergeError {
     },
     /// The dependency edges contain a cycle, so no schedule exists.
     CyclicDependency,
+    /// The graph has more alternative paths than a merge may schedule (see
+    /// [`MAX_TRACKS`]).
+    TooManyTracks {
+        /// The most alternative paths a merge input may have.
+        limit: usize,
+    },
 }
+
+/// The most alternative paths [`validate_system`] accepts.
+///
+/// A merge keeps per track a scheduling context, an optimal schedule, a
+/// simulated run and the track's process list, and the table grows with
+/// the tracks, so its memory is about linear in tracks times processes.
+/// Measured peak memory of one session merge (release build, 2-vCPU VM):
+/// 9–10 KB per track on chains of independent conditions with 26–50
+/// processes, 53 KB per track on the 64-path deep nest of 325 processes,
+/// so about 160–200 bytes per track and process. At this limit a
+/// 50-process graph merges in 0.18 s within 40 MB, and a 1000-process one
+/// extrapolates to about 0.8 GB. The limit is 64 times the 64 paths of the
+/// largest benchmark workload. The count that checks it stops past the
+/// limit, so a graph of 40 independent conditions (2^40 paths) is
+/// rejected in 0.4 ms.
+pub const MAX_TRACKS: usize = 4096;
 
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -83,6 +105,9 @@ impl fmt::Display for MergeError {
                 write!(f, "condition {condition} is not declared by the graph")
             }
             MergeError::CyclicDependency => f.write_str("the dependency edges contain a cycle"),
+            MergeError::TooManyTracks { limit } => {
+                write!(f, "the graph has more than {limit} alternative paths")
+            }
         }
     }
 }
@@ -93,7 +118,8 @@ impl std::error::Error for MergeError {}
 ///
 /// Returns the first pathology found, in a deterministic order: resource
 /// availability, per-process mapping sanity (in process-id order), condition
-/// references, then dependency acyclicity.
+/// references, dependency acyclicity, then the number of alternative paths
+/// ([`MAX_TRACKS`], counted by an enumeration that stops past the limit).
 /// [`generate_schedule_table`](crate::generate_schedule_table) and
 /// [`MergeSession`](crate::MergeSession) assume a validated system; the
 /// `try_` entry points run this pass first.
@@ -168,6 +194,10 @@ pub fn validate_system(cpg: &Cpg, arch: &Architecture) -> Result<(), MergeError>
         if position[edge.from().index()] >= position[edge.to().index()] {
             return Err(MergeError::CyclicDependency);
         }
+    }
+
+    if count_tracks(cpg, MAX_TRACKS).is_none() {
+        return Err(MergeError::TooManyTracks { limit: MAX_TRACKS });
     }
     Ok(())
 }
@@ -316,6 +346,88 @@ mod tests {
         session.try_merge().expect("well-formed system merges");
     }
 
+    /// A chain of `n` independent conditions on one processor: the
+    /// disjunction process of condition `i` starts one of two processes,
+    /// which join before the next disjunction, so the graph has `2^n`
+    /// alternative paths.
+    fn independent_conditions(n: usize) -> (Architecture, Cpg) {
+        let arch = Architecture::builder().processor("cpu").build().unwrap();
+        let pe = PeId::from_index(0);
+        let mut builder = Cpg::builder();
+        let mut previous = None;
+        for i in 0..n {
+            let condition = builder.condition(format!("C{i}"));
+            let decide = builder.process(format!("d{i}"), Time::new(1), pe);
+            let yes = builder.process(format!("t{i}"), Time::new(2), pe);
+            let no = builder.process(format!("f{i}"), Time::new(3), pe);
+            let join = builder.process(format!("j{i}"), Time::new(1), pe);
+            if let Some(previous) = previous {
+                builder.simple_edge(previous, decide, Time::ZERO);
+            }
+            builder.conditional_edge(decide, yes, condition.is_true(), Time::ZERO);
+            builder.conditional_edge(decide, no, condition.is_false(), Time::ZERO);
+            builder.simple_edge(yes, join, Time::ZERO);
+            builder.simple_edge(no, join, Time::ZERO);
+            builder.mark_conjunction(join);
+            previous = Some(join);
+        }
+        let cpg = builder.build(&arch).unwrap();
+        (arch, cpg)
+    }
+
+    #[test]
+    fn forty_independent_conditions_are_too_many_tracks() {
+        let too_many = Err(MergeError::TooManyTracks { limit: MAX_TRACKS });
+        let config = crate::MergeConfig::new(Time::new(1));
+        let (arch, cpg) = independent_conditions(40);
+        // The count stops past the limit; an unbounded enumeration of the
+        // 2^40 paths would not return at all.
+        let started = std::time::Instant::now();
+        assert_eq!(validate_system(&cpg, &arch), too_many);
+        assert_eq!(
+            crate::try_generate_schedule_table(&cpg, &arch, &config).err(),
+            too_many.err()
+        );
+        assert_eq!(
+            crate::MergeSession::try_new(&cpg, &arch, &config).err(),
+            too_many.err()
+        );
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_millis() < 1000, "rejection took {elapsed:?}");
+
+        // Exactly at the limit (a power of two) the system is accepted.
+        let (arch, cpg) = independent_conditions(MAX_TRACKS.ilog2() as usize);
+        assert_eq!(count_tracks(&cpg, MAX_TRACKS), Some(MAX_TRACKS));
+        assert_eq!(validate_system(&cpg, &arch), Ok(()));
+    }
+
+    #[test]
+    fn guard_edits_that_multiply_the_tracks_fail_try_merge() {
+        // Every disjunction but the first never runs: two paths.
+        let (arch, mut cpg) = independent_conditions(40);
+        let silenced: Vec<ProcessId> = (1..40)
+            .map(|i| cpg.disjunction_of(CondId::new(i)))
+            .collect();
+        for &process in &silenced {
+            cpg.set_guard(process, Guard::never()).unwrap();
+        }
+        let config = crate::MergeConfig::new(Time::new(1));
+        let mut session = crate::MergeSession::try_new(&cpg, &arch, &config)
+            .expect("two alternative paths are within the limit");
+        assert_eq!(session.tracks().len(), 2);
+        for &process in &silenced {
+            let edit = cpg::SystemEdit::Guard {
+                process,
+                guard: Guard::always(),
+            };
+            session.apply_edit(&edit).unwrap();
+        }
+        assert_eq!(
+            session.try_merge().err(),
+            Some(MergeError::TooManyTracks { limit: MAX_TRACKS })
+        );
+    }
+
     #[test]
     fn every_variant_formats_and_is_an_error() {
         let variants: Vec<MergeError> = vec![
@@ -336,6 +448,7 @@ mod tests {
                 condition: CondId::new(7),
             },
             MergeError::CyclicDependency,
+            MergeError::TooManyTracks { limit: 4 },
         ];
         for variant in variants {
             let rendered = variant.to_string();

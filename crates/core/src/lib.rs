@@ -60,7 +60,7 @@ pub use baseline::{condition_oblivious_baseline, BaselineResult};
 #[cfg(any(test, feature = "test-util"))]
 pub use config::with_env_var;
 pub use config::{threads_from_env, MergeConfig, SelectionPolicy};
-pub use error::{validate_system, MergeError};
+pub use error::{validate_system, MergeError, MAX_TRACKS};
 #[cfg(any(test, feature = "test-util"))]
 pub use merge::sabotage;
 pub use merge::{

@@ -31,7 +31,11 @@
 //! [`MergeCache`]: a [`MergeSession`](crate::MergeSession) passes the cache
 //! its last merge left behind, and the one-shot entry points
 //! ([`generate_schedule_table`] and its variants) pass an empty one, so a
-//! one-shot merge is a fresh session's first merge.
+//! one-shot merge is a fresh session's first merge. The merge decides once
+//! whether it is warm ([`MergeCache::is_warm`]): a cold merge builds every
+//! track's scheduling context and schedules every track, a warm one
+//! refreshes and re-schedules the dirty tracks only. Everything after that
+//! — the walk, the judge, the compaction — runs the same code either way.
 //!
 //! The walk is one function, [`MergeShared::walk_chain`]. It walks one
 //! **forward chain** of the decision tree — the run of nodes that keeps the
@@ -54,10 +58,11 @@
 //! [`MergeOutcome`](crate::MergeOutcome). Then
 //! [`ScheduleTable::compact`] removes the entries the walk wrote redundantly
 //! (one time in sibling columns `X∧c` and `X∧¬c`, or in `X∧c` beside an
-//! equal entry in `X`), and the compacted table is the one published. A
-//! session compacts through its [`CompactionMemo`](cpg_table::CompactionMemo)
-//! ([`ScheduleTable::compact_reusing`]), so a warm merge compacts only the
-//! rows its walk changed.
+//! equal entry in `X`), and the compacted table is the one published. Every
+//! merge compacts through the cache's
+//! [`CompactionMemo`](cpg_table::CompactionMemo)
+//! ([`ScheduleTable::compact_reusing`]): a cold merge fills it, and a warm
+//! merge compacts only the rows its walk changed.
 //!
 //! The judge runs before compaction on purpose. A warm merge reuses a clean
 //! track's last run when no changed column of the *walk* table is
@@ -80,8 +85,6 @@
 //! scheduler scratch arena. The original clone-per-node recursion is kept
 //! behind the `test-util` feature as a differential-test oracle
 //! ([`generate_schedule_table_cloning`]).
-
-use std::cell::OnceCell;
 
 use cpg::{enumerate_tracks, CondId, Cpg, Cube, Track, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
@@ -329,7 +332,7 @@ pub fn generate_walk_table(cpg: &Cpg, arch: &Architecture, config: &MergeConfig)
 
 /// The one merge: schedules every alternative path, walks the decision tree
 /// into the table, judges the table by simulating it on every track, and
-/// publishes it compacted ([`ScheduleTable::compact`]).
+/// publishes it compacted ([`ScheduleTable::compact_reusing`]).
 ///
 /// `cache` is what the previous merge of the same system left behind (see
 /// [`MergeCache`]); an empty cache makes this a cold merge. A warm merge
@@ -354,40 +357,48 @@ pub(crate) fn merge_tracks(
         "sabotage: injected walk panic"
     );
     // The scheduler gathers the graph tables once per merge. Every track's
-    // dense scheduling context is derived from them on first use and reused
-    // across the initial per-path schedules and every adjustment/repair of
-    // the walk; a warm merge takes over the contexts the last merge left and
-    // re-times the dirty ones instead.
+    // dense scheduling context is derived from them and reused across the
+    // initial per-path schedules and every adjustment/repair of the walk.
+    // A cold merge builds every context and schedules every track; a warm
+    // merge takes over the contexts and schedules the last merge left,
+    // re-times the dirty contexts, re-schedules the dirty tracks only (a
+    // clean track's optimal schedule cannot have changed) and notes which
+    // of them still place like their cached schedule.
     let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
-    let contexts = ContextCache::new(
-        scheduler,
-        &tracks,
-        std::mem::take(&mut cache.contexts),
-        &cache.dirty,
-    );
     let mut state = WalkState::new();
-    // A clean track's optimal schedule cannot have changed, so a warm merge
-    // re-runs the dirty tracks only, and notes which of them still place
-    // like their cached schedule; without cached schedules every track is
-    // scheduled.
+    let warm = cache.is_warm();
+    let mut contexts = std::mem::take(&mut cache.contexts);
     let mut optimal = std::mem::take(&mut cache.optimal);
-    let edited: Vec<Edited> = if optimal.len() == tracks.len() {
+    let edited: Vec<Edited> = if warm {
         let mut edited = vec![Edited::Clean; tracks.len()];
-        for (idx, schedule) in optimal.iter_mut().enumerate() {
-            if cache.dirty[idx] {
-                let fresh = contexts.get(idx).schedule_with(&mut state.scratch);
-                edited[idx] = if places_like(&fresh, schedule) {
-                    Edited::PlacesAlike
-                } else {
-                    Edited::Replaced
-                };
-                *schedule = fresh;
+        for idx in (0..tracks.len()).filter(|&idx| cache.dirty[idx]) {
+            // Mutation self-test hook: a warm merge that keeps the stale
+            // timing of dirty contexts must diverge from a cold one
+            // (tests/adversarial_corpus.rs).
+            #[cfg(any(test, feature = "test-util"))]
+            let refresh = !sabotage::stale_contexts();
+            #[cfg(not(any(test, feature = "test-util")))]
+            let refresh = true;
+            if refresh {
+                scheduler.refresh(&mut contexts[idx]);
             }
+            let fresh = contexts[idx].schedule_with(&mut state.scratch);
+            edited[idx] = if places_like(&fresh, &optimal[idx]) {
+                Edited::PlacesAlike
+            } else {
+                Edited::Replaced
+            };
+            optimal[idx] = fresh;
         }
         edited
     } else {
-        optimal = (0..tracks.len())
-            .map(|idx| contexts.get(idx).schedule_with(&mut state.scratch))
+        contexts = tracks
+            .iter()
+            .map(|track| scheduler.context(track))
+            .collect();
+        optimal = contexts
+            .iter()
+            .map(|context| context.schedule_with(&mut state.scratch))
             .collect();
         vec![Edited::Replaced; tracks.len()]
     };
@@ -404,8 +415,7 @@ pub(crate) fn merge_tracks(
         tracks: &tracks,
         optimal: &optimal,
     };
-    let have_runs = cache.track_runs.len() == tracks.len();
-    let mut rewalk = Rewalk::new(&edited, have_runs);
+    let mut rewalk = Rewalk::new(&edited, warm);
     let mut table = ScheduleTable::new();
     // The differential oracle walks the same tree cloning at every node,
     // counting and tracing as it goes, and leaves no chains behind.
@@ -438,35 +448,31 @@ pub(crate) fn merge_tracks(
     let cached_runs = std::mem::take(&mut cache.track_runs);
     cache.track_runs = simulate_tracks(cpg, arch, config, &table, &tracks, |idx| {
         let label = tracks.tracks()[idx].label();
-        let reusable = have_runs
-            && !cache.dirty[idx]
-            && !changed_columns.iter().any(|col| col.compatible(&label));
+        let reusable =
+            warm && !cache.dirty[idx] && !changed_columns.iter().any(|col| col.compatible(&label));
         reusable.then(|| cached_runs[idx])
     });
     let delta_max = judge(&cache.track_runs, &mut stats);
     // The judge ran on the walk table (see [`judge`]); the published table
-    // is the compacted one. A session compacts through its memo, so only
-    // the rows the walk changed are compacted again.
+    // is the compacted one. Every merge compacts through the cache's memo,
+    // so a warm merge compacts again only the rows its walk changed.
     #[cfg(any(test, feature = "test-util"))]
     let compact = !cache.uncompacted;
     #[cfg(not(any(test, feature = "test-util")))]
     let compact = true;
     if compact {
-        match cache.compaction.as_mut() {
-            Some(memo) => {
-                // Mutation self-test hook: reuse the kept compaction of rows
-                // that changed. The warm-vs-cold oracle must flag it
-                // (tests/adversarial_corpus.rs).
-                #[cfg(any(test, feature = "test-util"))]
-                memo.trust_stale_rows(sabotage::stale_compaction());
-                reuse.compactions_reused = table.compact_reusing(cpg, memo);
-            }
-            None => table.compact(cpg),
-        }
+        // Mutation self-test hook: reuse the kept compaction of rows that
+        // changed. The warm-vs-cold oracle must flag it
+        // (tests/adversarial_corpus.rs).
+        #[cfg(any(test, feature = "test-util"))]
+        cache
+            .compaction
+            .trust_stale_rows(sabotage::stale_compaction());
+        reuse.compactions_reused = table.compact_reusing(cpg, &mut cache.compaction);
     }
     cache.reuse = reuse;
     cache.dirty.fill(false);
-    cache.contexts = contexts.into_cells();
+    cache.contexts = contexts;
 
     MergeResult {
         table,
@@ -597,76 +603,11 @@ enum Placement {
 /// the cap only guards against pathological oscillation between candidates.
 const SLIP_REPAIR_ROUNDS: usize = 16;
 
-/// The merge's per-track scheduling contexts, built lazily and kept across
-/// merges.
-///
-/// A [`TrackContext`] is a bundle of dense lookup tables over one track,
-/// derived from the graph tables the cache's [`ListScheduler`] gathered once
-/// for the merge — cheap to query but not free to build. Each cell fills on
-/// first use, so a cold merge builds every context it schedules. The cells
-/// come from the [`MergeCache`] and go back into it
-/// ([`into_cells`](Self::into_cells)): a warm merge starts from the contexts
-/// the last merge left and re-times only those of the dirty tracks
-/// ([`ListScheduler::refresh`]), since an edit of execution times or
-/// mappings changes no context's structure and no clean track's timing.
-pub(crate) struct ContextCache<'a> {
-    scheduler: ListScheduler<'a>,
-    tracks: &'a TrackSet,
-    cells: Vec<OnceCell<TrackContext>>,
-}
-
-impl<'a> ContextCache<'a> {
-    /// Takes over `cells`, the contexts the last merge of the same system
-    /// left (aligned with `tracks`), and refreshes those of the `dirty`
-    /// tracks. Cells that do not align with `tracks` — an empty cache —
-    /// are dropped and every context is built on first use.
-    pub(crate) fn new(
-        scheduler: ListScheduler<'a>,
-        tracks: &'a TrackSet,
-        mut cells: Vec<OnceCell<TrackContext>>,
-        dirty: &[bool],
-    ) -> Self {
-        if cells.len() == tracks.len() {
-            // Mutation self-test hook: a warm merge that keeps the stale
-            // timing of dirty contexts must diverge from a cold one
-            // (tests/adversarial_corpus.rs).
-            #[cfg(any(test, feature = "test-util"))]
-            let dirty: &[bool] = if sabotage::stale_contexts() {
-                &[]
-            } else {
-                dirty
-            };
-            for (cell, _) in cells.iter_mut().zip(dirty).filter(|(_, &dirty)| dirty) {
-                if let Some(context) = cell.get_mut() {
-                    scheduler.refresh(context);
-                }
-            }
-        } else {
-            cells.clear();
-            cells.resize_with(tracks.len(), OnceCell::new);
-        }
-        ContextCache {
-            scheduler,
-            tracks,
-            cells,
-        }
-    }
-
-    pub(crate) fn get(&self, idx: usize) -> &TrackContext {
-        self.cells[idx].get_or_init(|| self.scheduler.context(&self.tracks.tracks()[idx]))
-    }
-
-    /// The contexts, built or not, for the next merge of the same system.
-    pub(crate) fn into_cells(self) -> Vec<OnceCell<TrackContext>> {
-        self.cells
-    }
-}
-
 /// The immutable inputs of the decision-tree walk.
 pub(crate) struct MergeShared<'a> {
     pub(crate) cpg: &'a Cpg,
     pub(crate) config: &'a MergeConfig,
-    pub(crate) contexts: &'a ContextCache<'a>,
+    pub(crate) contexts: &'a [TrackContext],
     pub(crate) tracks: &'a TrackSet,
     pub(crate) optimal: &'a [PathSchedule],
 }
@@ -761,9 +702,7 @@ impl MergeShared<'_> {
             return;
         }
         state.rescheduled = true;
-        self.contexts
-            .get(track_idx)
-            .reschedule_into(&mut state.scratch, optimal, locks, out);
+        self.contexts[track_idx].reschedule_into(&mut state.scratch, optimal, locks, out);
         // Mutation self-test hook: publish the stale intended times without
         // repairing the slip, so the table keeps activation times no
         // dispatcher can honour ([`judge`] drops their count too). The
@@ -787,9 +726,7 @@ impl MergeShared<'_> {
             if !progressed {
                 break;
             }
-            self.contexts
-                .get(track_idx)
-                .reschedule_into(&mut state.scratch, optimal, locks, out);
+            self.contexts[track_idx].reschedule_into(&mut state.scratch, optimal, locks, out);
             rounds += 1;
         }
     }
@@ -1814,15 +1751,9 @@ pub(crate) mod tests {
     ) -> (PathSchedule, PathSchedule, PathSchedule) {
         let config = MergeConfig::new(Time::new(1));
         let tracks = enumerate_tracks(cpg);
-        let contexts = ContextCache::new(
-            ListScheduler::new(cpg, arch, config.broadcast_time()),
-            &tracks,
-            Vec::new(),
-            &[],
-        );
-        let optimal: Vec<PathSchedule> = (0..tracks.len())
-            .map(|idx| contexts.get(idx).schedule())
-            .collect();
+        let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
+        let contexts: Vec<TrackContext> = tracks.iter().map(|t| scheduler.context(t)).collect();
+        let optimal: Vec<PathSchedule> = contexts.iter().map(TrackContext::schedule).collect();
         let shared = MergeShared {
             cpg,
             config: &config,
@@ -1832,7 +1763,7 @@ pub(crate) mod tests {
         };
         let mut locks = LockSet::for_graph(cpg);
         lock(&optimal[track], &mut locks);
-        let rescheduled = contexts.get(track).reschedule(&optimal[track], &locks);
+        let rescheduled = contexts[track].reschedule(&optimal[track], &locks);
         let mut table = ScheduleTable::new();
         let mut state = WalkState::new();
         let mut view = RecordingView::new(&mut table, cpg_table::RecordScratch::default());
@@ -1925,15 +1856,9 @@ pub(crate) mod tests {
         let (cpg, arch) = (system.cpg(), system.arch());
         let config = MergeConfig::new(system.broadcast_time());
         let tracks = enumerate_tracks(cpg);
-        let contexts = ContextCache::new(
-            ListScheduler::new(cpg, arch, config.broadcast_time()),
-            &tracks,
-            Vec::new(),
-            &[],
-        );
-        let optimal: Vec<PathSchedule> = (0..tracks.len())
-            .map(|idx| contexts.get(idx).schedule())
-            .collect();
+        let scheduler = ListScheduler::new(cpg, arch, config.broadcast_time());
+        let contexts: Vec<TrackContext> = tracks.iter().map(|t| scheduler.context(t)).collect();
+        let optimal: Vec<PathSchedule> = contexts.iter().map(TrackContext::schedule).collect();
         let shared = MergeShared {
             cpg,
             config: &config,

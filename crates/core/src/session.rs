@@ -23,8 +23,8 @@
 //! each track's optimal schedule, its simulated run of the finished table
 //! and its scheduling context. A warm merge re-schedules the dirty tracks
 //! only, refreshes the timing of their contexts instead of building them
-//! again ([`ContextCache`](crate::merge::ContextCache)), and re-simulates
-//! only the tracks the changed table cells can reach.
+//! again ([`ListScheduler::refresh`](cpg_path_sched::ListScheduler::refresh)),
+//! and re-simulates only the tracks the changed table cells can reach.
 //!
 //! Every merge records: the one walk
 //! ([`MergeShared::walk_chain`](crate::merge::MergeShared::walk_chain))
@@ -32,7 +32,10 @@
 //! the table and logs beside it. A one-shot
 //! [`generate_schedule_table`](crate::generate_schedule_table) is a fresh
 //! session's first merge: the same [`merge_tracks`] over an empty
-//! [`MergeCache`], which it drops afterwards.
+//! [`MergeCache`], which it fills like any cold merge and drops afterwards.
+//! Whether a merge is warm is decided once, by [`MergeCache::is_warm`]: a
+//! cold merge builds and schedules every track, a warm one refreshes and
+//! re-schedules the dirty ones.
 //!
 //! After a [`SystemEdit`] the session re-merges *incrementally*
 //! ([`MergeSession::merge`]): the table is rebuilt from scratch, but a chain
@@ -70,9 +73,8 @@
 //! The finished walk table is compacted through the cache's
 //! [`CompactionMemo`]: a row the walk left as the last merge's walk did
 //! takes the last merge's compaction of that row
-//! ([`ScheduleTable::compact_reusing`]).
-
-use std::cell::OnceCell;
+//! ([`ScheduleTable::compact_reusing`]). A cold merge fills the memo from
+//! nothing, the same way.
 
 use cpg::{enumerate_tracks, CondId, Cpg, Cube, EditError, EditScope, SystemEdit, TrackSet};
 use cpg_arch::{Architecture, Time};
@@ -193,8 +195,12 @@ pub(crate) enum Edited {
 
 /// What one merge leaves for the next merge of the same system, plus the
 /// edits since. A [`MergeSession`] keeps it across merges; a one-shot merge
-/// starts from [`MergeCache::default`] (nothing cached, nothing dirty) and
-/// drops it afterwards.
+/// starts from [`MergeCache::default`] (nothing cached, nothing dirty),
+/// fills it like every cold merge does and drops it afterwards.
+///
+/// Every merge fills all of it, aligned with the tracks, and a structural
+/// edit drops all of it, so one test tells a warm merge from a cold one
+/// ([`is_warm`](Self::is_warm)).
 #[derive(Default)]
 pub(crate) struct MergeCache {
     /// The decision tree of the last merge (`None` before the first).
@@ -214,19 +220,17 @@ pub(crate) struct MergeCache {
     /// track with no compatible changed column therefore reuses the cached
     /// run, and the realizability check costs nothing on a pure replay.
     pub(crate) track_runs: Vec<TrackRun>,
-    /// The scheduling context of each track the last merge scheduled,
-    /// aligned with the tracks (empty before the first merge). An edit of
-    /// execution times or mappings changes no context's structure, and the
-    /// timing only of the dirty tracks' contexts, so the next merge
-    /// refreshes those
-    /// ([`ContextCache::new`](crate::merge::ContextCache::new)) and builds
-    /// none again.
-    pub(crate) contexts: Vec<OnceCell<TrackContext>>,
+    /// The scheduling context of each track, aligned with the tracks
+    /// (empty before the first merge). An edit of execution times or
+    /// mappings changes no context's structure, and the timing only of the
+    /// dirty tracks' contexts, so the next merge refreshes those
+    /// ([`ListScheduler::refresh`](cpg_path_sched::ListScheduler::refresh))
+    /// and builds none again.
+    pub(crate) contexts: Vec<TrackContext>,
     /// The compaction of every row of the last merge's walk table, which
     /// the next merge applies again to each row the walk leaves as it was
-    /// ([`ScheduleTable::compact_reusing`]). Sessions keep one; a one-shot
-    /// merge (`None`) compacts without filling one.
-    pub(crate) compaction: Option<CompactionMemo>,
+    /// ([`ScheduleTable::compact_reusing`]).
+    pub(crate) compaction: CompactionMemo,
     /// Tracks inside the scope of an edit applied since the last merge;
     /// aligned with the tracks whenever anything above is cached.
     pub(crate) dirty: Vec<bool>,
@@ -248,10 +252,16 @@ impl MergeCache {
     /// paths.
     fn new(num_tracks: usize) -> Self {
         MergeCache {
-            compaction: Some(CompactionMemo::default()),
             dirty: vec![false; num_tracks],
             ..MergeCache::default()
         }
+    }
+
+    /// Whether a previous merge of the same system filled the cache, so the
+    /// next merge may reuse it. Every merge leaves a context per track (a
+    /// valid graph has at least one), and only a fresh cache has none.
+    pub(crate) fn is_warm(&self) -> bool {
+        !self.contexts.is_empty()
     }
 }
 
@@ -267,9 +277,8 @@ pub(crate) struct Rewalk<'a> {
     /// the current serial point (induction over the deterministic splice), so
     /// replays skip content validation entirely.
     diverged: bool,
-    /// Whether to accumulate `changed`: off when no per-track simulation
-    /// cache exists to invalidate (the first merge and after structural
-    /// edits).
+    /// Whether to accumulate `changed`: only a warm merge has per-track
+    /// simulated runs to invalidate.
     note_changes: bool,
     /// Column cubes of every table cell that may differ from the previous
     /// merge's table: the writes of re-recorded chains (old and new) and of
@@ -283,8 +292,7 @@ pub(crate) struct Rewalk<'a> {
 
 impl<'a> Rewalk<'a> {
     /// A recorder for one merge: nothing replayed or recorded yet. Changed
-    /// columns are noted only when `note_changes` (there are cached runs
-    /// to invalidate).
+    /// columns are noted only when `note_changes` (the merge is warm).
     pub(crate) fn new(edited: &'a [Edited], note_changes: bool) -> Self {
         Rewalk {
             edited,
@@ -709,17 +717,6 @@ impl MergeSession {
         Ok(scope)
     }
 
-    /// Drops the cached decision tree, schedules, simulated runs,
-    /// scheduling contexts and row compactions: the next
-    /// [`merge`](Self::merge) is a full cold walk.
-    pub fn invalidate_all(&mut self) {
-        self.cache.root = None;
-        self.cache.optimal.clear();
-        self.cache.track_runs.clear();
-        self.cache.contexts.clear();
-        self.cache.compaction = Some(CompactionMemo::default());
-    }
-
     /// Re-merges the (possibly edited) system, replaying every cached
     /// decision subtree the edits since the last merge provably cannot
     /// affect. The result is bit-identical to
@@ -775,11 +772,11 @@ impl MergeSession {
 mod tests {
     use super::*;
     use crate::merge::tests::slipping_system;
-    use crate::merge::{ContextCache, MergeShared};
+    use crate::merge::MergeShared;
     use crate::{generate_schedule_table, generate_schedule_table_cloning};
     use cpg::{examples, CondId, Guard, ProcessId, MAX_CONDITIONS};
     use cpg_arch::Time;
-    use cpg_path_sched::{Job, ListScheduler};
+    use cpg_path_sched::Job;
 
     fn assert_identical(a: &MergeResult, b: &MergeResult, context: &str) {
         assert_eq!(a.table(), b.table(), "table diverged ({context})");
@@ -852,6 +849,9 @@ mod tests {
         let config = MergeConfig::new(system.broadcast_time());
         let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
         session.merge();
+        // The merge left one scheduling context per track for the next.
+        assert!(session.cache.is_warm());
+        assert_eq!(session.cache.contexts.len(), session.tracks.len());
 
         // Edit a guarded process (so the scope excludes some tracks).
         let p = system
@@ -914,79 +914,6 @@ mod tests {
         let second = session.merge();
         assert_identical(&first, &second, "re-merge after rejected edit");
         assert_eq!(session.reuse_stats().chains_recorded, 0);
-    }
-
-    #[test]
-    fn a_merge_after_invalidate_all_with_pending_edits_matches_a_cold_merge() {
-        let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time());
-        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-        session.merge();
-        assert!(session
-            .cache
-            .contexts
-            .iter()
-            .all(|cell| cell.get().is_some()));
-
-        // A WCET edit and a move of a disjunction process, pending when the
-        // cache is dropped.
-        let p = system
-            .cpg()
-            .ordinary_processes()
-            .find(|&p| !system.cpg().guard(p).is_true())
-            .expect("fig1 has guarded processes");
-        let disjunction = system.cpg().disjunction_of(CondId::new(0));
-        let home = system.cpg().mapping(disjunction).unwrap();
-        let away = system.arch().processors().find(|&pe| pe != home).unwrap();
-        let edits = [
-            SystemEdit::ExecTime {
-                process: p,
-                time: Time::new(13),
-            },
-            SystemEdit::Mapping {
-                process: disjunction,
-                pe: away,
-            },
-        ];
-        let mut edited = system.cpg().clone();
-        for edit in &edits {
-            edit.apply(&mut edited).unwrap();
-            session.apply_edit(edit).unwrap();
-        }
-        session.invalidate_all();
-        assert!(session.cache.contexts.is_empty());
-        let warm = session.merge();
-        let cold = generate_schedule_table(&edited, system.arch(), &config);
-        assert_identical(
-            &cold,
-            &warm,
-            "merge after invalidate_all with pending edits",
-        );
-        assert_eq!(session.reuse_stats().chains_replayed, 0);
-
-        // The rebuilt contexts serve the next warm merge.
-        let edit = SystemEdit::ExecTime {
-            process: p,
-            time: Time::new(2),
-        };
-        edit.apply(&mut edited).unwrap();
-        session.apply_edit(&edit).unwrap();
-        let warm = session.merge();
-        let cold = generate_schedule_table(&edited, system.arch(), &config);
-        assert_identical(&cold, &warm, "warm merge after the rebuild");
-    }
-
-    #[test]
-    fn invalidate_all_forces_a_full_record() {
-        let system = examples::diamond();
-        let config = MergeConfig::new(system.broadcast_time());
-        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-        let first = session.merge();
-        session.invalidate_all();
-        let second = session.merge();
-        assert_identical(&first, &second, "re-merge after invalidate_all");
-        assert_eq!(session.reuse_stats().chains_replayed, 0);
-        assert!(session.reuse_stats().chains_recorded > 0);
     }
 
     #[test]
@@ -1061,13 +988,10 @@ mod tests {
         }
         let seed = seed(&created);
 
-        let scheduler =
-            ListScheduler::new(&session.cpg, &session.arch, session.config.broadcast_time());
-        let contexts = ContextCache::new(scheduler, &session.tracks, Vec::new(), &[]);
         let shared = MergeShared {
             cpg: &session.cpg,
             config: &session.config,
-            contexts: &contexts,
+            contexts: &session.cache.contexts,
             tracks: &session.tracks,
             optimal: &session.cache.optimal,
         };

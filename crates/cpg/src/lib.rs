@@ -73,4 +73,4 @@ pub use error::{BuildCpgError, ExpandError};
 pub use expand::{expand_communications, BusPolicy};
 pub use graph::{Cpg, CpgBuilder, Edge};
 pub use process::{Process, ProcessId, ProcessKind};
-pub use tracks::{enumerate_tracks, Track, TrackSet};
+pub use tracks::{count_tracks, enumerate_tracks, Track, TrackSet};

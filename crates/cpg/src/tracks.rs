@@ -10,6 +10,7 @@
 //! then merges the schedules into the global schedule table.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use crate::cond::{CondId, Cube};
 use crate::graph::Cpg;
@@ -41,6 +42,24 @@ pub struct Track {
 }
 
 impl Track {
+    /// The alternative path labelled `label`: every process whose guard the
+    /// label implies.
+    fn for_label(cpg: &Cpg, label: Cube) -> Self {
+        let mut membership = vec![false; cpg.len()];
+        let mut processes = Vec::new();
+        for id in cpg.process_ids() {
+            if cpg.guard(id).implied_by(&label) {
+                membership[id.index()] = true;
+                processes.push(id);
+            }
+        }
+        Track {
+            label,
+            processes,
+            membership,
+        }
+    }
+
     /// The label `L_k`: the conjunction of condition values selecting this
     /// path.
     #[must_use]
@@ -146,14 +165,44 @@ impl fmt::Display for TrackSet {
 /// conditions whose disjunction process lies on an inactive branch are never
 /// assigned, exactly as at run time. True branches are explored before false
 /// branches, so the order of the returned tracks is deterministic.
+///
+/// The number of tracks doubles with every independent condition; bound it
+/// first with [`count_tracks`] when the graph is untrusted.
 #[must_use]
 pub fn enumerate_tracks(cpg: &Cpg) -> TrackSet {
     let mut tracks = Vec::new();
-    explore(cpg, &mut Cube::top(), &mut tracks);
+    let _ = explore(cpg, &mut Cube::top(), &mut |label| {
+        tracks.push(Track::for_label(cpg, label));
+        ControlFlow::Continue(())
+    });
     TrackSet { tracks }
 }
 
-fn explore(cpg: &Cpg, assignment: &mut Cube, out: &mut Vec<Track>) {
+/// The number of alternative paths of `cpg`, or `None` as soon as the
+/// enumeration finds more than `limit`. It walks the labels in
+/// [`enumerate_tracks`] order and builds no track, so its cost is bounded
+/// by `limit` whatever the graph.
+#[must_use]
+pub fn count_tracks(cpg: &Cpg, limit: usize) -> Option<usize> {
+    let mut count = 0;
+    let flow = explore(cpg, &mut Cube::top(), &mut |_| {
+        count += 1;
+        if count > limit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    flow.is_continue().then_some(count)
+}
+
+/// Visits the label of every alternative path reachable from the partial
+/// `assignment`, in enumeration order, until `visit` breaks. `assignment`
+/// is restored unless the walk breaks.
+fn explore<F>(cpg: &Cpg, assignment: &mut Cube, visit: &mut F) -> ControlFlow<()>
+where
+    F: FnMut(Cube) -> ControlFlow<()>,
+{
     // A disjunction process is pending when it is active under the current
     // partial assignment but its condition has not been assigned yet.
     let pending = cpg.conditions().find(|&cond| {
@@ -163,27 +212,13 @@ fn explore(cpg: &Cpg, assignment: &mut Cube, out: &mut Vec<Track>) {
     match pending {
         Some(cond) => {
             assignment.assign(cond, true);
-            explore(cpg, assignment, out);
+            explore(cpg, assignment, visit)?;
             assignment.assign(cond, false);
-            explore(cpg, assignment, out);
+            explore(cpg, assignment, visit)?;
             *assignment = assignment.without(cond);
+            ControlFlow::Continue(())
         }
-        None => {
-            let label = *assignment;
-            let mut membership = vec![false; cpg.len()];
-            let mut processes = Vec::new();
-            for id in cpg.process_ids() {
-                if cpg.guard(id).implied_by(&label) {
-                    membership[id.index()] = true;
-                    processes.push(id);
-                }
-            }
-            out.push(Track {
-                label,
-                processes,
-                membership,
-            });
-        }
+        None => visit(*assignment),
     }
 }
 
@@ -289,6 +324,8 @@ mod tests {
         assert_eq!(not_c.determined_conditions().count(), 1);
         let c_and_d: Cube = [c.is_true(), d.is_true()].into_iter().collect();
         assert!(tracks.by_label(&c_and_d).is_some());
+        assert_eq!(count_tracks(&cpg, 3), Some(3));
+        assert_eq!(count_tracks(&cpg, 2), None);
     }
 
     #[test]

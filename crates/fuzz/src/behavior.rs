@@ -57,6 +57,7 @@ impl BehaviorVector {
             MergeError::ProcessOnWrongElement { .. } => 5,
             MergeError::DanglingCondition { .. } => 6,
             MergeError::CyclicDependency => 7,
+            MergeError::TooManyTracks { .. } => 8,
             _ => 9,
         };
         BehaviorVector {
@@ -164,6 +165,7 @@ mod tests {
                 condition: CondId::new(1),
             },
             MergeError::CyclicDependency,
+            MergeError::TooManyTracks { limit: 1 },
         ];
         for error in &errors {
             assert!(archive.observe(&BehaviorVector::from_rejection(error)));

@@ -56,7 +56,6 @@ pub struct GeneratorConfig {
     buses: usize,
     distribution: ExecTimeDistribution,
     max_comm_time: u64,
-    broadcast_time: Time,
     seed: u64,
 }
 
@@ -81,7 +80,6 @@ impl GeneratorConfig {
             buses: 2,
             distribution: ExecTimeDistribution::default(),
             max_comm_time: 5,
-            broadcast_time: Time::new(1),
             seed: 0,
         }
     }
@@ -122,11 +120,12 @@ impl GeneratorConfig {
         self.max_comm_time
     }
 
-    /// Condition broadcast time `τ0` (at most the smallest communication
-    /// time, as assumed by the paper).
+    /// Condition broadcast time `τ0`, one time unit for every generated
+    /// system (at most the smallest communication time, as assumed by the
+    /// paper).
     #[must_use]
     pub fn broadcast_time(&self) -> Time {
-        self.broadcast_time
+        Time::new(1)
     }
 
     /// Seed of the pseudo-random generator (same seed, same system).

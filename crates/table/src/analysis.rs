@@ -1,5 +1,5 @@
 //! Analysis helpers on top of the schedule table: resource utilisation,
-//! per-scenario load and CSV export.
+//! per-scenario load.
 //!
 //! These are the numbers a designer looks at right after the worst-case
 //! delay: how busy is each processor and bus in the worst case, and is the
@@ -7,7 +7,6 @@
 //! estimation to choose between the OAM architectures of its Table 2.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use cpg::{Cpg, Cube};
 use cpg_arch::{Architecture, PeId, Time};
@@ -88,62 +87,6 @@ pub fn utilization(
         .collect()
 }
 
-/// Exports a schedule table as CSV: one line per row, one column per
-/// condition expression, empty cells for missing activation times. The first
-/// column holds the process (or broadcast) name.
-///
-/// # Example
-///
-/// ```
-/// use cpg::examples;
-/// use cpg_merge::{generate_schedule_table, MergeConfig};
-/// use cpg_table::to_csv;
-///
-/// let system = examples::diamond();
-/// let result = generate_schedule_table(
-///     system.cpg(),
-///     system.arch(),
-///     &MergeConfig::new(system.broadcast_time()),
-/// );
-/// let csv = to_csv(result.table(), system.cpg());
-/// assert!(csv.lines().count() > 1);
-/// assert!(csv.starts_with("process,"));
-/// ```
-#[must_use]
-pub fn to_csv(table: &ScheduleTable, cpg: &Cpg) -> String {
-    let mut columns: Vec<Cube> = table.columns().to_vec();
-    columns.sort_by_key(|cube| (cube.len(), format!("{cube}")));
-
-    let mut out = String::from("process");
-    for column in &columns {
-        let _ = write!(out, ",{}", cpg.display_cube(column));
-    }
-    out.push('\n');
-
-    let mut jobs: Vec<Job> = table.jobs().collect();
-    jobs.sort_by_key(|job| match job {
-        Job::Process(pid) => (0, pid.index()),
-        Job::Broadcast(cond) => (1, cond.index()),
-    });
-    for job in jobs {
-        let name = match job {
-            Job::Process(pid) => cpg.process(pid).name().to_owned(),
-            Job::Broadcast(cond) => format!("broadcast {}", cpg.condition_name(cond)),
-        };
-        out.push_str(&name);
-        for column in &columns {
-            match table.get(job, column) {
-                Some(time) => {
-                    let _ = write!(out, ",{time}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,29 +141,5 @@ mod tests {
         let loads = utilization(&table, system.cpg(), system.arch(), &Cube::top());
         assert!(loads.iter().all(|l| l.busy == Time::ZERO && l.jobs == 0));
         assert!(loads.iter().all(|l| l.utilization_percent == 0.0));
-    }
-
-    #[test]
-    fn csv_has_one_line_per_row_and_consistent_columns() {
-        let (system, table, _) = diamond_table();
-        let csv = to_csv(&table, system.cpg());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + table.num_rows());
-        let header_fields = lines[0].split(',').count();
-        for line in &lines {
-            assert_eq!(line.split(',').count(), header_fields);
-        }
-        assert!(csv.contains("decide"));
-        assert!(csv.contains("hot"));
-    }
-
-    #[test]
-    fn csv_cells_match_table_entries() {
-        let mut table = ScheduleTable::new();
-        let system = examples::diamond();
-        let decide = system.cpg().process_by_name("decide").unwrap();
-        table.set(Job::Process(decide), Cube::top(), Time::new(4));
-        let csv = to_csv(&table, system.cpg());
-        assert!(csv.contains("decide,4"));
     }
 }

@@ -28,7 +28,7 @@ mod error;
 mod table;
 mod txn;
 
-pub use analysis::{to_csv, utilization, ResourceLoad};
+pub use analysis::{utilization, ResourceLoad};
 pub use block::{LabelBlock, ResolvedActivation};
 pub use dispatch::{per_processor_dispatch, DispatchEntry, DispatchTable};
 pub use error::TableViolation;

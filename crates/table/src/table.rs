@@ -717,7 +717,7 @@ impl ScheduleTable {
     /// jobs outside `cpg` are left as they are. The pass never adds an entry,
     /// and a second pass changes nothing.
     pub fn compact(&mut self, cpg: &Cpg) {
-        self.compact_rows(cpg, None);
+        self.compact_reusing(cpg, &mut CompactionMemo::default());
     }
 
     /// [`ScheduleTable::compact`] reusing the last compaction of the same
@@ -737,12 +737,6 @@ impl ScheduleTable {
     /// A memo holds for one system as long as the guards of its processes
     /// do not change; after a guard edit, start from an empty one.
     pub fn compact_reusing(&mut self, cpg: &Cpg, memo: &mut CompactionMemo) -> usize {
-        self.compact_rows(cpg, Some(memo))
-    }
-
-    /// [`ScheduleTable::compact`], through `memo` when given (see
-    /// [`ScheduleTable::compact_reusing`]); returns the rows `memo` served.
-    fn compact_rows(&mut self, cpg: &Cpg, mut memo: Option<&mut CompactionMemo>) -> usize {
         let ScheduleTable {
             columns,
             column_ids,
@@ -752,10 +746,8 @@ impl ScheduleTable {
         let mut scratch = CompactScratch::default();
         let mut changed = false;
         let mut reused = 0;
-        if let Some(memo) = memo.as_deref_mut() {
-            let slots = cpg.len() + cpg.num_conditions();
-            memo.rows.resize_with(slots, MemoRow::default);
-        }
+        memo.rows
+            .resize_with(cpg.len() + cpg.num_conditions(), MemoRow::default);
         let processes = process_rows
             .iter_mut()
             .take(cpg.len())
@@ -773,11 +765,6 @@ impl ScheduleTable {
             if row.entries.is_empty() {
                 continue;
             }
-            let Some(memo) = memo.as_deref_mut() else {
-                plan_row(&row.entries, guard, &mut scratch, column_ids);
-                changed |= apply_row(&mut row.entries, &scratch.changes, columns, column_ids);
-                continue;
-            };
             let kept = &mut memo.rows[slot];
             let digest = row.digest();
             // Mutation self-test hook: take the kept edits of a row whatever
