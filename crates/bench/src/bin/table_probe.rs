@@ -1,8 +1,11 @@
 //! Prints one line per generated system with everything a merge decides, so
 //! two builds can be compared with `diff`: the table's size, `δ_M`, `δ_max`,
 //! the outcome, the merge counters, a hash of the step trace, the table's
-//! worst-case delay and `verify` verdict, and a hash of the activation time
-//! and resource of every job on every track label.
+//! worst-case delay and `verify` verdict, a hash of the activation time
+//! and resource of every job on every track label, a hash of the
+//! per-processor dispatch tables (their entries in dispatch order) and a
+//! hash of every track's simulation report (activations in the
+//! simulator's order, violations and delay).
 //!
 //! The systems are `paper_suite(n)` followed by the deep condition nests
 //! (`3k` nodes, `k` paths for k ∈ {32, 48, 64}, two processors, one bus) of
@@ -16,6 +19,8 @@ use std::fmt::Write as _;
 use cpg_gen::{generate, paper_suite, system_fingerprint, GeneratorConfig};
 use cpg_merge::{generate_schedule_table, MergeConfig};
 use cpg_path_sched::JobSlots;
+use cpg_sim::Simulator;
+use cpg_table::per_processor_dispatch;
 
 /// FNV-1a over the bytes of `text`, continuing from `hash`.
 fn fnv(hash: u64, text: &str) -> u64 {
@@ -56,9 +61,18 @@ fn probe(config: &GeneratorConfig) -> String {
             activations = fnv(activations, &text);
         }
     }
+    let dispatch = per_processor_dispatch(table, cpg, arch)
+        .iter()
+        .fold(FNV_OFFSET, |h, d| fnv(h, &format!("{d:?};")));
+    let simulator = Simulator::new(cpg, arch, table, system.broadcast_time());
+    let sim = simulator
+        .run_all(tracks)
+        .iter()
+        .fold(FNV_OFFSET, |h, report| fnv(h, &format!("{report:?};")));
     format!(
         "{:#018x} entries={} columns={} delta_m={} delta_max={} outcome={:?} stats={:?} \
-         steps={steps:#018x} delay={} verify={verdict} activations={activations:#018x}",
+         steps={steps:#018x} delay={} verify={verdict} activations={activations:#018x} \
+         dispatch={dispatch:#018x} sim={sim:#018x}",
         system_fingerprint(&system),
         table.num_entries(),
         table.num_columns(),
