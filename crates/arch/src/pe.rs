@@ -164,14 +164,6 @@ impl ProcessingElement {
     pub const fn kind(&self) -> PeKind {
         self.kind
     }
-
-    /// For buses: whether all processors are connected to it (and hence
-    /// whether it may carry condition broadcasts). Always `true` for
-    /// computation resources.
-    #[must_use]
-    pub const fn connects_all_processors(&self) -> bool {
-        self.connects_all
-    }
 }
 
 impl fmt::Display for ProcessingElement {

@@ -55,7 +55,7 @@ pub enum MergeError {
     /// The dependency edges contain a cycle, so no schedule exists.
     CyclicDependency,
     /// The graph has more alternative paths than a merge may schedule (see
-    /// [`MAX_TRACKS`]).
+    /// [`MAX_TRACKS`] and [`MAX_TRACK_PROCESSES`]).
     TooManyTracks {
         /// The most alternative paths a merge input may have.
         limit: usize,
@@ -75,8 +75,17 @@ pub enum MergeError {
 /// extrapolates to about 0.8 GB. The limit is 64 times the 64 paths of the
 /// largest benchmark workload. The count that checks it stops past the
 /// limit, so a graph of 40 independent conditions (2^40 paths) is
-/// rejected in 0.4 ms.
+/// rejected in 0.4 ms. Larger graphs get a lower limit from
+/// [`MAX_TRACK_PROCESSES`].
 pub const MAX_TRACKS: usize = 4096;
+
+/// The most tracks times processes [`validate_system`] accepts: a graph of
+/// `n` processes may have at most `min(MAX_TRACKS, MAX_TRACK_PROCESSES / n)`
+/// alternative paths. At the 160–200 bytes a merge keeps per track and
+/// process (see [`MAX_TRACKS`]) this is about 0.8 GB, the memory
+/// [`MAX_TRACKS`] already accepts for a 1000-process graph; graphs of up to
+/// 1024 processes keep the full [`MAX_TRACKS`].
+pub const MAX_TRACK_PROCESSES: usize = 1 << 22;
 
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -119,7 +128,9 @@ impl std::error::Error for MergeError {}
 /// Returns the first pathology found, in a deterministic order: resource
 /// availability, per-process mapping sanity (in process-id order), condition
 /// references, dependency acyclicity, then the number of alternative paths
-/// ([`MAX_TRACKS`], counted by an enumeration that stops past the limit).
+/// (at most [`MAX_TRACKS`], and at most [`MAX_TRACK_PROCESSES`] divided by
+/// the number of processes, counted by an enumeration that stops past the
+/// limit).
 /// [`generate_schedule_table`](crate::generate_schedule_table) and
 /// [`MergeSession`](crate::MergeSession) assume a validated system; the
 /// `try_` entry points run this pass first.
@@ -196,8 +207,9 @@ pub fn validate_system(cpg: &Cpg, arch: &Architecture) -> Result<(), MergeError>
         }
     }
 
-    if count_tracks(cpg, MAX_TRACKS).is_none() {
-        return Err(MergeError::TooManyTracks { limit: MAX_TRACKS });
+    let limit = MAX_TRACKS.min(MAX_TRACK_PROCESSES / cpg.len());
+    if count_tracks(cpg, limit).is_none() {
+        return Err(MergeError::TooManyTracks { limit });
     }
     Ok(())
 }
@@ -351,10 +363,23 @@ mod tests {
     /// which join before the next disjunction, so the graph has `2^n`
     /// alternative paths.
     fn independent_conditions(n: usize) -> (Architecture, Cpg) {
+        padded_independent_conditions(n, 0)
+    }
+
+    /// [`independent_conditions`] after a chain of `padding` unconditional
+    /// processes.
+    fn padded_independent_conditions(n: usize, padding: usize) -> (Architecture, Cpg) {
         let arch = Architecture::builder().processor("cpu").build().unwrap();
         let pe = PeId::from_index(0);
         let mut builder = Cpg::builder();
         let mut previous = None;
+        for i in 0..padding {
+            let pad = builder.process(format!("p{i}"), Time::new(1), pe);
+            if let Some(previous) = previous {
+                builder.simple_edge(previous, pad, Time::ZERO);
+            }
+            previous = Some(pad);
+        }
         for i in 0..n {
             let condition = builder.condition(format!("C{i}"));
             let decide = builder.process(format!("d{i}"), Time::new(1), pe);
@@ -398,6 +423,30 @@ mod tests {
         // Exactly at the limit (a power of two) the system is accepted.
         let (arch, cpg) = independent_conditions(MAX_TRACKS.ilog2() as usize);
         assert_eq!(count_tracks(&cpg, MAX_TRACKS), Some(MAX_TRACKS));
+        assert_eq!(validate_system(&cpg, &arch), Ok(()));
+    }
+
+    #[test]
+    fn large_graphs_get_a_lower_track_limit() {
+        // 12 independent conditions (4096 paths, within `MAX_TRACKS`)
+        // after 1950 padding processes: about 2000 processes allow only
+        // 2^22 / 2000 ≈ 2097 paths.
+        let (arch, cpg) = padded_independent_conditions(12, 1950);
+        let processes = cpg.len();
+        assert!((1990..2010).contains(&processes), "{processes} processes");
+        let limit = MAX_TRACK_PROCESSES / processes;
+        assert!(limit < MAX_TRACKS);
+        let started = std::time::Instant::now();
+        assert_eq!(
+            validate_system(&cpg, &arch),
+            Err(MergeError::TooManyTracks { limit })
+        );
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_millis() < 100, "rejection took {elapsed:?}");
+
+        // 11 conditions (2048 paths) are within the lower limit.
+        let (arch, cpg) = padded_independent_conditions(11, 1954);
+        assert_eq!(cpg.len(), processes);
         assert_eq!(validate_system(&cpg, &arch), Ok(()));
     }
 

@@ -534,39 +534,38 @@ impl Guard {
 
     /// Logical implication between guards: `self ⇒ other`.
     ///
-    /// The check is exact: when simple cube-wise subsumption is inconclusive
-    /// (a cube of `self` can be covered by *several* cubes of `other`
-    /// together), the conditions involved are enumerated. Guards of
-    /// conditional process graphs mention only the handful of conditions on
-    /// the paths to a process, so the enumeration stays tiny.
+    /// The check is exact: every cube of `self` must be covered by the
+    /// cubes of `other`. A cube is covered when it implies one of them
+    /// outright, is not when it is compatible with none, and otherwise is
+    /// split on a condition that a compatible cube mentions and it leaves
+    /// open, both halves having to be covered. Each split fixes one more
+    /// condition, so the recursion is at most [`MAX_CONDITIONS`] deep, and
+    /// only conditions that can decide the answer are split on.
     #[must_use]
     pub fn implies(&self, other: &Guard) -> bool {
-        self.cubes.iter().all(|cube| {
-            if other.implied_by(cube) {
-                return true;
-            }
-            // Exact check: `cube ∧ ¬other` must be unsatisfiable. Enumerate
-            // the conditions mentioned by either side that are not already
-            // fixed by `cube`.
-            let mut free: Vec<CondId> = other
-                .conditions()
-                .into_iter()
-                .filter(|&c| !cube.mentions(c))
-                .collect();
-            free.sort_unstable();
-            free.dedup();
-            if free.len() > 20 {
-                // Guards this wide do not occur in practice; stay sound by
-                // reporting "not implied" rather than enumerating 2^20+
-                // assignments.
-                return false;
-            }
-            all_assignments(&free).iter().all(|assignment| {
-                let full = assignment
-                    .and_cube(cube)
-                    .expect("the free conditions are not mentioned by the cube");
-                other.implied_by(&full)
-            })
+        self.cubes.iter().all(|&cube| other.covers(cube))
+    }
+
+    /// `true` when every complete assignment satisfying `cube` satisfies
+    /// the guard: the recursion of [`implies`](Self::implies).
+    fn covers(&self, cube: Cube) -> bool {
+        if self.implied_by(&cube) {
+            return true;
+        }
+        // A compatible cube that `cube` does not imply has a literal over a
+        // condition `cube` leaves open.
+        let Some(split) = self
+            .cubes
+            .iter()
+            .find(|own| own.compatible(&cube))
+            .and_then(|own| own.conditions().find(|&c| !cube.mentions(c)))
+        else {
+            return false;
+        };
+        [true, false].into_iter().all(|value| {
+            let mut half = cube;
+            half.assign(split, value);
+            self.covers(half)
         })
     }
 
@@ -670,34 +669,6 @@ fn merge_complementary(a: &Cube, b: &Cube) -> Option<Cube> {
     }
     let idx = diff.trailing_zeros() as usize;
     Some(a.without(CondId::new(idx)))
-}
-
-/// Enumerates every complete assignment over the given conditions, each as
-/// the cube that mentions every one of them.
-///
-/// Used by the exact [`Guard::implies`] check to enumerate the conditions a
-/// cube leaves free.
-///
-/// # Panics
-///
-/// Panics if more than 20 conditions are supplied (the enumeration would be
-/// larger than 2^20).
-#[must_use]
-pub fn all_assignments(conditions: &[CondId]) -> Vec<Cube> {
-    assert!(
-        conditions.len() <= 20,
-        "refusing to enumerate more than 2^20 assignments"
-    );
-    let n = conditions.len();
-    let mut out = Vec::with_capacity(1 << n);
-    for bits in 0u32..(1u32 << n) {
-        let mut asg = Cube::top();
-        for (i, cond) in conditions.iter().enumerate() {
-            asg.assign(*cond, bits & (1 << i) != 0);
-        }
-        out.push(asg);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -901,16 +872,25 @@ mod tests {
     }
 
     #[test]
-    fn all_assignments_enumerates_the_full_space() {
-        let conds = [c(0), c(2)];
-        let assignments = all_assignments(&conds);
-        assert_eq!(assignments.len(), 4);
-        let distinct: std::collections::HashSet<_> = assignments.iter().collect();
-        assert_eq!(distinct.len(), 4);
-        for asg in &assignments {
-            assert_eq!(asg.len(), 2);
-            assert_eq!(asg.polarity_of(c(1)), None);
-        }
+    fn guard_implication_is_exact_however_many_conditions_are_free() {
+        // x1∧x2 ∨ ¬x1 ∨ ¬x2 covers every assignment whatever the 20 `y`
+        // conditions are, and dropping `¬x2` leaves x1∧¬x2 uncovered.
+        let (x1, x2) = (c(0), c(1));
+        let ys: Cube = (2..22).map(|i| c(i).is_true()).collect();
+        let x1_x2: Cube = [x1.is_true(), x2.is_true()].into_iter().collect();
+        let covering = Guard::from_cubes([
+            x1_x2,
+            Cube::from(x1.is_false()),
+            Cube::from(x2.is_false()),
+            ys,
+        ]);
+        assert_eq!(covering.cubes().len(), 4);
+        assert!(Guard::always().implies(&covering));
+        let gapped = Guard::from_cubes([x1_x2, Cube::from(x1.is_false()), ys]);
+        assert!(!Guard::always().implies(&gapped));
+        assert!(Guard::from_cube(ys).implies(&gapped));
+        assert!(Guard::never().implies(&gapped));
+        assert!(!Guard::always().implies(&Guard::never()));
     }
 
     #[test]

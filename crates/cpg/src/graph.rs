@@ -41,12 +41,6 @@ impl Edge {
         self.condition
     }
 
-    /// `true` for conditional edges.
-    #[must_use]
-    pub const fn is_conditional(&self) -> bool {
-        self.condition.is_some()
-    }
-
     /// The communication time needed when the endpoints are mapped to
     /// different processing elements.
     #[must_use]

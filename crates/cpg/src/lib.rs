@@ -66,7 +66,7 @@ mod tracks;
 
 pub mod examples;
 
-pub use cond::{all_assignments, CondId, Cube, Guard, Literal, MAX_CONDITIONS};
+pub use cond::{CondId, Cube, Guard, Literal, MAX_CONDITIONS};
 pub use dot::to_dot;
 pub use edit::{EditError, EditScope, SystemEdit};
 pub use error::{BuildCpgError, ExpandError};

@@ -127,8 +127,9 @@ impl fmt::Display for Job {
 /// `processes + c.index()`, so slot order is [`Job`] order.
 ///
 /// Every per-job array over a graph — lock sets, the job index of a path
-/// schedule, requirement 3 of the table check, the dispatcher's sort key
-/// and the simulator's job tables — is indexed by this one numbering.
+/// schedule, requirement 3 of the table check, the dispatcher's sort and
+/// the [`GraphTables`](crate::GraphTables) the path scheduler and the
+/// simulator read — is indexed by this one numbering.
 ///
 /// # Example
 ///
@@ -201,6 +202,68 @@ impl JobSlots {
             Some(cond) => Job::Broadcast(CondId::new(cond)),
         }
     }
+}
+
+/// Sorts `order`, a list of indices, by `(fields(i), i)` and returns the
+/// mask of the index: afterwards `order[k] & mask` is the `k`-th index of
+/// the order.
+///
+/// `bounds` holds an upper bound of each field over every index of the
+/// list. In the common case this is one integer sort: each field takes the
+/// bit width of its bound in one `u64` key, the index sits in the low bits,
+/// and `order` is left holding the sorted keys. When the widths add up to
+/// more than 64 bits, the indices are sorted as tuples instead, `order` is
+/// left holding the sorted indices and the mask is `u64::MAX`. Callers pass
+/// bounds they already have (a run's horizon, an OR fold of the values), so
+/// the fields are read once per index.
+///
+/// The path scheduler, the table compaction, the simulator and the
+/// dispatcher each order their jobs or entries this way.
+///
+/// # Example
+///
+/// ```
+/// use cpg_path_sched::sort_by_fields;
+///
+/// let times = [7u64, 2, 7, 0];
+/// let resources = [1u64, 3, 0, 3];
+/// let mut order: Vec<u64> = (0..4).collect();
+/// let mask = sort_by_fields(&mut order, [7, 3], |i| [times[i], resources[i]]);
+/// let sorted: Vec<u64> = order.iter().map(|&key| key & mask).collect();
+/// assert_eq!(sorted, [3, 1, 2, 0]);
+/// ```
+// lint: hot-path
+pub fn sort_by_fields<const N: usize>(
+    order: &mut [u64],
+    bounds: [u64; N],
+    fields: impl Fn(usize) -> [u64; N],
+) -> u64 {
+    debug_assert!(
+        order
+            .iter()
+            .all(|&i| fields(i as usize).iter().zip(&bounds).all(|(f, b)| f <= b)),
+        "a field exceeds its bound"
+    );
+    let width = |word: u64| u64::BITS - word.leading_zeros();
+    let index_bits = width(order.iter().fold(0, |all, &i| all | i));
+    let field_bits = bounds.map(width);
+    if index_bits + field_bits.iter().sum::<u32>() > u64::BITS {
+        order.sort_unstable_by_key(|&i| (fields(i as usize), i));
+        return u64::MAX;
+    }
+    for key in order.iter_mut() {
+        // A width of 64 leaves every other width 0, so the key shifted by
+        // it is still 0, which `wrapping_shl` keeps.
+        let packed = fields(*key as usize)
+            .iter()
+            .zip(field_bits)
+            .fold(0, |packed: u64, (&field, bits)| {
+                packed.wrapping_shl(bits) | field
+            });
+        *key |= packed.wrapping_shl(index_bits);
+    }
+    order.sort_unstable();
+    u64::MAX.checked_shr(u64::BITS - index_bits).unwrap_or(0)
 }
 
 /// A job committed to a start time and a resource by the scheduler.

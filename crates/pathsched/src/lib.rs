@@ -13,8 +13,11 @@
 //! * [`ListScheduler`] — the list scheduler itself, with partial-critical-path
 //!   priorities, gap-filling placement on exclusive resources, parallel
 //!   execution on hardware processors, and condition broadcasting. It
-//!   gathers the graph's edges, execution times, mappings and broadcast
-//!   buses once, and derives every track's context from those tables;
+//!   gathers the graph's [`GraphTables`] once and derives every track's
+//!   context from them;
+//! * [`GraphTables`] — the one dense per-slot view of a graph (durations,
+//!   mappings, an in-edge CSR that includes each broadcast's edge from its
+//!   disjunction process), read by the path scheduler and the simulator;
 //! * [`TrackContext`] — the dense, indexed per-track scheduling core built
 //!   by [`ListScheduler::context`]: job indices, adjacency, guard
 //!   requirements and priorities are computed once per track and reused
@@ -26,6 +29,9 @@
 //! * [`JobSlots`] — the one numbering of a graph's jobs (processes by
 //!   index, then one broadcast per condition) that every per-job array is
 //!   indexed by;
+//! * [`sort_by_fields`] — the one key sort of the path scheduler, the
+//!   table compaction, the simulator and the dispatcher: indices ordered
+//!   by a few integer fields, packed into one `u64` key where they fit;
 //! * [`LockSet`] — a dense set of locked activation times, cheap to clone
 //!   along the decision tree of the merge algorithm;
 //! * [`PathSchedule`] — the result: activation times for every job of one
@@ -58,8 +64,8 @@ mod schedule;
 mod scheduler;
 mod scratch;
 
-pub use context::{LockSet, TrackContext};
-pub use job::{Job, JobSlots, ScheduledJob};
+pub use context::{GraphTables, LockSet, TrackContext};
+pub use job::{sort_by_fields, Job, JobSlots, ScheduledJob};
 pub use schedule::{PathSchedule, SlippedLock};
 pub use scheduler::ListScheduler;
 pub use scratch::RunScratch;

@@ -105,8 +105,8 @@ pub struct PathSchedule {
     index: Vec<u32>,
     delay: Time,
     /// When each condition resolved on the path becomes known, sorted by
-    /// `(computed, cond)`. `known_conditions`/`condition_known_at` read only
-    /// this, so the merge's per-placement column query needs no graph.
+    /// `(computed, cond)`. `known_conditions` reads only this, so the
+    /// merge's per-placement column query needs no graph.
     knowledge: Vec<Knowledge>,
     /// Condition resolutions `(cond, completion of its disjunction process)`:
     /// the `(cond, computed)` pairs of `knowledge`, in the same order.
@@ -270,16 +270,14 @@ impl PathSchedule {
         self.entry(job).is_some()
     }
 
-    /// The condition resolutions cached by the scheduler, sorted by
+    /// The condition resolutions recorded by the scheduler, sorted by
     /// `(time, condition)`: one `(condition, completion time of its
     /// disjunction process)` entry per condition determined on this path.
     ///
-    /// Schedules produced by [`ListScheduler`](crate::ListScheduler) always
-    /// carry this cache, so the merge algorithm does not have to re-derive
-    /// the resolutions from the graph on every repair restart. For schedules
-    /// assembled by other means prefer
-    /// [`condition_resolutions`](Self::condition_resolutions), which computes
-    /// the same list from the graph.
+    /// These are the moments at which new condition values become available
+    /// and therefore the nodes of the decision tree explored during schedule
+    /// merging; the merge reads them here instead of re-deriving them from
+    /// the graph on every repair restart.
     #[must_use]
     pub fn resolutions(&self) -> &[(CondId, Time)] {
         &self.resolutions
@@ -376,47 +374,6 @@ impl PathSchedule {
                 .iter()
                 .zip(&other.jobs)
                 .all(|(a, b)| (a.job(), a.start(), a.pe()) == (b.job(), b.start(), b.pe()))
-    }
-
-    /// The completion times of the disjunction processes executed on this
-    /// path, together with the condition they compute, in ascending
-    /// completion-time order.
-    ///
-    /// These are the moments at which new condition values become available
-    /// and therefore the nodes of the decision tree explored during schedule
-    /// merging.
-    #[must_use]
-    pub fn condition_resolutions(&self, cpg: &Cpg) -> Vec<(CondId, Time)> {
-        let mut out: Vec<(CondId, Time)> = self
-            .jobs
-            .iter()
-            .filter_map(|sj| {
-                let pid = sj.job().as_process()?;
-                let cond = cpg.process(pid).computes()?;
-                Some((cond, sj.end()))
-            })
-            .collect();
-        out.sort_by_key(|&(cond, time)| (time, cond));
-        out
-    }
-
-    /// The moment from which the value of `cond` is known on processing
-    /// element `pe` under this schedule, or `None` when the condition is not
-    /// determined on this path.
-    ///
-    /// The value is known on the processing element that executes the
-    /// disjunction process from the moment that process terminates; on every
-    /// other processing element it is known once the broadcast completes
-    /// (broadcast start + `τ0`). When the architecture needs no broadcast
-    /// (single computation resource), the termination time is used everywhere.
-    /// Both times are the ones the scheduler run that built this schedule
-    /// recorded.
-    #[must_use]
-    pub fn condition_known_at(&self, cond: CondId, pe: PeId) -> Option<Time> {
-        self.knowledge
-            .iter()
-            .find(|known| known.cond == cond)
-            .map(|known| known.known_on(Some(pe)))
     }
 
     /// The conditions (with the polarity given by the path label) whose value

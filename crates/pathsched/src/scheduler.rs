@@ -21,10 +21,12 @@
 //! locked broadcast was originally assigned to, and reporting locks that
 //! could not be honoured through [`PathSchedule::slipped_locks`].
 //!
-//! [`ListScheduler`] gathers the track-independent graph tables once — edge
-//! lists with their condition literals, execution times, mappings, the
-//! disjunction process of each condition and the broadcast buses — and
-//! derives from them the dense, indexed per-track representation of
+//! [`ListScheduler`] gathers the track-independent [`GraphTables`] once —
+//! per job slot the duration, the mapping and the in-edges with their
+//! condition literals (a broadcast's one edge from its disjunction
+//! process included), plus the disjunction process of each condition and
+//! the broadcast buses — and derives from them the dense, indexed
+//! per-track representation of
 //! [`TrackContext`] (see the `context` module): job
 //! indices, adjacency, guard requirements and priorities, built once per
 //! track, with eligibility driven by a binary-heap ready queue. Callers that
@@ -73,8 +75,8 @@ pub struct ListScheduler<'a> {
 
 impl<'a> ListScheduler<'a> {
     /// Creates a scheduler for the given graph, architecture and condition
-    /// broadcast time `τ0`, gathering the graph's edges, execution times,
-    /// mappings and broadcast buses once for every track context it builds.
+    /// broadcast time `τ0`, gathering the graph's [`GraphTables`] once for
+    /// every track context it builds and re-times.
     #[must_use]
     pub fn new(cpg: &'a Cpg, arch: &'a Architecture, broadcast_time: Time) -> Self {
         ListScheduler {
@@ -99,7 +101,7 @@ impl<'a> ListScheduler<'a> {
     /// The condition broadcast time `τ0`.
     #[must_use]
     pub fn broadcast_time(&self) -> Time {
-        self.tables.broadcast_time
+        self.tables.broadcast_time()
     }
 
     /// Builds the reusable dense scheduling context of one track from the
@@ -263,12 +265,14 @@ mod tests {
             .computation_elements()
             .find(|&pe| pe != own_pe)
             .unwrap();
-        let own = schedule.condition_known_at(c, own_pe).unwrap();
-        let other = schedule.condition_known_at(c, other_pe).unwrap();
-        assert!(
-            own <= other,
-            "own {own} should not be later than remote {other}"
-        );
+        let known = |pe, t: Time| schedule.known_conditions(Some(pe), t).mentions(c);
+        let before = |t: Time| Time::new(t.as_u64() - 1);
+        // Known on its own processor once the disjunction process ends,
+        // elsewhere once the broadcast ends, `τ0` later at the earliest.
+        let own = schedule.end(Job::Process(cpg.disjunction_of(c))).unwrap();
+        let other = schedule.end(Job::Broadcast(c)).unwrap();
+        assert!(known(own_pe, own) && !known(own_pe, before(own)));
+        assert!(known(other_pe, other) && !known(other_pe, before(other)));
         assert!(other >= own + system.broadcast_time());
     }
 
@@ -670,16 +674,15 @@ mod tests {
                     .min_by_key(|cube| cube.len())
                     .copied()
                     .unwrap_or_else(Cube::top);
+                let known = schedule.known_conditions(Some(pe), sj.start());
                 for cond in guard_cube.conditions() {
-                    let known = schedule.condition_known_at(cond, pe).unwrap();
                     assert!(
-                        sj.start() >= known,
-                        "{} starts at {} but {} is known on {} only at {}",
+                        known.mentions(cond),
+                        "{} starts at {} before {} is known on {}",
                         cpg.process(pid).name(),
                         sj.start(),
                         cpg.condition_name(cond),
                         system.arch().pe(pe).name(),
-                        known
                     );
                 }
             }
@@ -694,13 +697,16 @@ mod tests {
         let scheduler = ListScheduler::new(cpg, system.arch(), system.broadcast_time());
         for track in tracks.iter() {
             let schedule = scheduler.schedule_track(track);
-            let resolutions = schedule.condition_resolutions(cpg);
+            let resolutions = schedule.resolutions();
             assert_eq!(resolutions.len(), track.determined_conditions().count());
             for pair in resolutions.windows(2) {
-                assert!(pair[0].1 <= pair[1].1);
+                assert!((pair[0].1, pair[0].0) < (pair[1].1, pair[1].0));
             }
-            // The cache attached by the scheduler matches the derived list.
-            assert_eq!(schedule.resolutions(), resolutions.as_slice());
+            // Each is the completion of the condition's disjunction process.
+            for &(cond, time) in resolutions {
+                let disjunction = Job::Process(cpg.disjunction_of(cond));
+                assert_eq!(schedule.end(disjunction), Some(time));
+            }
         }
     }
 }

@@ -67,9 +67,8 @@ pub struct RunScratch {
     /// priority pops first and, among equal priorities, the smallest dense
     /// index (the order of `(priority, Reverse(dense index))`).
     pub(crate) ready: BinaryHeap<u128>,
-    /// The run's jobs as sort keys for the produced schedule: packed
-    /// `(start, duration, dense index)` when the three fit in 64 bits
-    /// together, the bare dense index otherwise.
+    /// The run's jobs in the order of the produced schedule, as
+    /// [`sort_by_fields`](crate::sort_by_fields) leaves them.
     pub(crate) keys: Vec<u64>,
     pub(crate) slipped: Vec<SlippedLock>,
     /// Reschedule-order priorities derived from the original schedule

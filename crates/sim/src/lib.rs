@@ -13,14 +13,16 @@
 //! * the actual delay of each execution, which must match the analytical
 //!   worst-case delay of the table.
 //!
-//! A run first gathers the graph and the architecture into dense tables
-//! indexed by job slot (durations, resources, an in-edge CSR, where each
-//! condition becomes known). It then goes one block of up to 64 labels at
+//! A run first gathers the graph and the architecture into one
+//! [`cpg_path_sched::GraphTables`], the dense per-slot view the path
+//! scheduler reads too (durations, resources, an in-edge CSR, the
+//! disjunction process of each condition). It then goes one block of up to 64 labels at
 //! a time: each job's row is scanned once per block
 //! ([`cpg_table::ScheduleTable::resolve_block`] gives its time, selecting
 //! column and recorded resource on every label of the block in one pass).
 //! Each label's checks read only the tables and are linear in the jobs it
-//! executes, up to one integer sort of packed `(start, job slot)` keys;
+//! executes, up to one [`cpg_path_sched::sort_by_fields`] of its
+//! activations by `(start, job slot)`;
 //! requirement 4 walks a selecting column's literals only for activations
 //! that start before the latest moment the column is known on their
 //! element, a bound memoized per column and element; the

@@ -1,8 +1,8 @@
 //! Execution of a schedule table by distributed run-time schedulers.
 
-use cpg::{CondId, Cpg, Cube, Literal, TrackSet};
+use cpg::{CondId, Cpg, Cube, TrackSet};
 use cpg_arch::{Architecture, PeId, Time};
-use cpg_path_sched::{Job, JobSlots};
+use cpg_path_sched::{sort_by_fields, GraphTables, Job};
 use cpg_table::{LabelBlock, ResolvedActivation, ScheduleTable};
 
 use crate::report::{SimViolation, SimulationReport};
@@ -24,15 +24,15 @@ use crate::report::{SimViolation, SimulationReport};
 /// the one driver, [`run_each`](Simulator::run_each). It works in three
 /// stages:
 ///
-/// * **dense job tables, once per call**: every job of the graph gets its
-///   [`JobSlots`] slot (the dummy source and sink too, whose slots are never
-///   active; the broadcast slots only when broadcasts are simulated) holding
-///   its duration and mapped resource,
-///   its in-edges as a slot-indexed CSR that carries each edge's literal (a
-///   broadcast has one edge, to its disjunction process), and per condition
-///   the disjunction slot, its processing element and the broadcast slot;
-///   the architecture contributes the exclusive flag of each element and
-///   the first broadcast bus;
+/// * **the graph tables, once per call**: one [`GraphTables`] of the
+///   graph, indexed by [`JobSlots`](cpg_path_sched::JobSlots) slot (the
+///   dummy source and sink too, whose slots are never active; the
+///   broadcast slots are simulated only when broadcasts are needed),
+///   holding each job's duration and mapped resource, its in-edges as a
+///   slot-indexed CSR that carries each edge's literal (a broadcast has one
+///   edge, to its disjunction process), the disjunction process of each
+///   condition, the exclusive flag of each element and the broadcast
+///   buses;
 /// * **one pass over the rows per block**:
 ///   [`ScheduleTable::resolve_block`] resolves each job's activation time,
 ///   selecting column and recorded resource on every label of a
@@ -40,10 +40,9 @@ use crate::report::{SimViolation, SimulationReport};
 ///   single scan of its row; whether a process's guard holds on a label is
 ///   one bit of the block's masks;
 /// * **then per-label checks** that read only those tables, neither the
-///   graph nor the architecture: the activations are ordered by one
-///   integer sort of packed `(start, job slot)` keys, `u64` keys whose slot
-///   field is sized to the call's job slots, or `u128` keys for a label
-///   with a start too large to fit beside it; completion times live in a
+///   graph nor the architecture: the activations are ordered by `(start,
+///   job slot)` through [`sort_by_fields`], bounded by the label's latest
+///   start; completion times live in a
 ///   dense vector indexed by job slot, so the moment a condition becomes
 ///   known on a processing element is one slot read; requirement 4 is
 ///   checked once per selecting column and processing element, since a
@@ -56,7 +55,7 @@ use crate::report::{SimViolation, SimulationReport};
 ///
 /// So one label over `n` active jobs costs `O(n log n)` plus the overlaps
 /// it reports, the row scans are paid once per block instead of once per
-/// label, and the table gather once per call, `O(jobs + edges)`. Every
+/// label, and the graph tables once per call, `O(jobs + edges)`. Every
 /// buffer, the requirement-4 memo included (`columns × elements` entries,
 /// invalidated per label by a stamp rather than cleared), lives in a
 /// [`SimScratch`] that [`run_each`](Simulator::run_each) reuses across
@@ -87,52 +86,6 @@ pub struct Simulator<'a> {
     arch: &'a Architecture,
     table: &'a ScheduleTable,
     broadcast_time: Time,
-    /// Condition values reach remote elements only through a broadcast
-    /// ([`Architecture::needs_broadcast`]).
-    needs_broadcast: bool,
-}
-
-/// "No slot": a condition's broadcast when no broadcasts are simulated.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Where the value of one condition becomes known, by job slot.
-#[derive(Debug, Clone, Copy)]
-struct ConditionSlots {
-    /// The slot of the disjunction process computing the condition.
-    disjunction: u32,
-    /// The processing element the disjunction process is mapped to.
-    disjunction_pe: Option<PeId>,
-    /// The slot of the condition's broadcast, [`NO_SLOT`] without
-    /// broadcasts.
-    broadcast: u32,
-}
-
-/// The graph and architecture as the per-label checks read them, gathered
-/// once per [`Simulator::run_each`] call. Indexed by [`JobSlots`] slot
-/// unless noted.
-#[derive(Debug, Default)]
-struct JobTables {
-    /// The jobs by slot: every process (the dummy source and sink are never
-    /// active), then one broadcast per condition when broadcasts are needed.
-    jobs: Vec<Job>,
-    /// The duration of each job.
-    duration: Vec<Time>,
-    /// The processing element a process is mapped to (`None` for
-    /// broadcasts, whose bus depends on the selected table entry).
-    pe: Vec<Option<PeId>>,
-    /// `in_offsets[j]..in_offsets[j + 1]` are job `j`'s edges in
-    /// `in_edges`.
-    in_offsets: Vec<u32>,
-    /// `(predecessor slot, literal)` of each in-edge, in the graph's edge
-    /// order (`None` for simple edges); an edge from the dummy source never
-    /// counts, as the source never completes.
-    in_edges: Vec<(u32, Option<Literal>)>,
-    /// Per condition, where its value becomes known.
-    conditions: Vec<ConditionSlots>,
-    /// By processing-element index, whether it executes one job at a time.
-    exclusive: Vec<bool>,
-    /// The bus of a broadcast whose table entry records none.
-    broadcast_bus: Option<PeId>,
 }
 
 /// The reusable buffers of [`Simulator::run_each`], the same idiom as the
@@ -162,8 +115,6 @@ struct JobTables {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// The dense tables of the current call.
-    tables: JobTables,
     /// Per job slot, the labels of the current block it is active on.
     active: Vec<u64>,
     /// Per job slot, its activations on the labels of the current block:
@@ -171,14 +122,13 @@ pub struct SimScratch {
     resolved: Vec<ResolvedActivation>,
     /// By job slot, the completion time of the current run's activation.
     completion: Vec<Option<Time>>,
-    /// By job slot, the selecting column's index in the table, the column
-    /// and the recorded resource of the current run's activation (read only
-    /// for activated jobs).
-    selected: Vec<(u32, Cube, Option<PeId>)>,
-    /// The current run's activations as sort keys.
-    keys: ActivationKeys,
-    /// By activation, in activation order, its job slot.
-    slots: Vec<u32>,
+    /// By job slot, the start, the selecting column's index in the table,
+    /// the column and the recorded resource of the current run's
+    /// activation (read only for activated jobs).
+    selected: Vec<(Time, u32, Cube, Option<PeId>)>,
+    /// The job slots of the current run's activations, in activation
+    /// order once sorted.
+    order: Vec<u64>,
     /// By activation, the resource it occupies.
     resources: Vec<Option<PeId>>,
     /// The requirement-4 memo, by `column index × elements + element`: a
@@ -209,77 +159,6 @@ impl SimScratch {
     }
 }
 
-/// One label's activations as integer sort keys, start time above job slot,
-/// so ascending keys are ascending `(start, job)` (slot order is [`Job`]
-/// order) and no two keys are equal. A key is the `u64`
-/// `start << slot_bits | slot` while every start of the label fits beside
-/// the slot bits, and the `u128` `start << 32 | slot` from the first start
-/// that does not on: the keys pushed so far are then widened.
-#[derive(Debug, Default)]
-struct ActivationKeys {
-    /// Width of the slot field of a `u64` key, sized to the call's job slots
-    /// (at least 1 and at most 32).
-    slot_bits: u32,
-    narrow: Vec<u64>,
-    wide: Vec<u128>,
-    /// Whether the current label's keys are in `wide`.
-    is_wide: bool,
-}
-
-impl ActivationKeys {
-    /// Sizes the `u64` slot field for job slots `0..slots` and drops every
-    /// key.
-    fn size_for(&mut self, slots: usize) {
-        let highest = slots.saturating_sub(1) as u64;
-        self.slot_bits = (u64::BITS - highest.leading_zeros()).max(1);
-        self.clear();
-    }
-
-    fn clear(&mut self) {
-        self.narrow.clear();
-        self.wide.clear();
-        self.is_wide = false;
-    }
-
-    /// Adds the activation of job slot `slot` at `start`.
-    // lint: hot-path (once per activation of every simulated label)
-    fn push(&mut self, start: Time, slot: usize) {
-        let (start, bits) = (start.as_u64(), self.slot_bits);
-        if !self.is_wide {
-            if start >> (u64::BITS - bits) == 0 {
-                self.narrow.push(start << bits | slot as u64);
-                return;
-            }
-            self.is_wide = true;
-            let mask = (1 << bits) - 1;
-            self.wide.extend(
-                self.narrow
-                    .iter()
-                    .map(|&key| u128::from(key >> bits) << 32 | u128::from(key & mask)),
-            );
-        }
-        self.wide.push(u128::from(start) << 32 | slot as u128);
-    }
-
-    /// Sorts the keys and visits `(slot, start)` in ascending `(start, job)`
-    /// order.
-    // lint: hot-path (one integer sort per simulated label)
-    fn sort_into(&mut self, mut visit: impl FnMut(usize, Time)) {
-        if self.is_wide {
-            self.wide.sort_unstable();
-            for &key in &self.wide {
-                visit(key as u32 as usize, Time::new((key >> 32) as u64));
-            }
-        } else {
-            let (bits, mask) = (self.slot_bits, (1u64 << self.slot_bits) - 1);
-            self.narrow.sort_unstable();
-            for &key in &self.narrow {
-                visit((key & mask) as usize, Time::new(key >> bits));
-            }
-        }
-    }
-}
-
 impl<'a> Simulator<'a> {
     /// Creates a simulator for a graph, its architecture, a schedule table
     /// and the condition-broadcast time `τ0`.
@@ -295,7 +174,6 @@ impl<'a> Simulator<'a> {
             arch,
             table,
             broadcast_time,
-            needs_broadcast: arch.needs_broadcast(),
         }
     }
 
@@ -325,7 +203,7 @@ impl<'a> Simulator<'a> {
 
     /// Executes the table once per label, in order, and hands
     /// `visit(index, report)` each report. This is the one driver behind
-    /// every entry point: it gathers the dense job tables, resolves each
+    /// every entry point: it gathers the graph tables, resolves each
     /// block of labels in one pass over the rows, then runs the per-label
     /// checks. The report's buffers belong to `scratch` and are reused by
     /// the next label; a visitor that keeps a report takes it with
@@ -339,18 +217,25 @@ impl<'a> Simulator<'a> {
         if labels.is_empty() {
             return;
         }
-        self.gather(&mut scratch.tables);
+        let tables = GraphTables::new(self.cpg, self.arch, self.broadcast_time);
+        // Broadcast slots are simulated only where condition values travel
+        // by broadcast.
+        let slots = if tables.needs_broadcast() {
+            tables.slots().len()
+        } else {
+            self.cpg.len()
+        };
         let stride = labels.len().min(LabelBlock::WIDTH);
-        let slots = scratch.tables.jobs.len();
         scratch.active.resize(slots, 0);
         scratch
             .resolved
             .resize(slots * stride, ResolvedActivation::NONE);
         scratch.completion.clear();
         scratch.completion.resize(slots, None);
-        scratch.selected.resize(slots, (0, Cube::top(), None));
+        scratch
+            .selected
+            .resize(slots, (Time::ZERO, 0, Cube::top(), None));
         scratch.group_ends.resize(self.arch.len() + 1, 0);
-        scratch.keys.size_for(slots);
         scratch.known_by.resize(
             self.table.columns().len() * self.arch.len(),
             (0, Time::ZERO),
@@ -358,7 +243,8 @@ impl<'a> Simulator<'a> {
 
         for (first, chunk) in (0..).step_by(stride).zip(labels.chunks(stride)) {
             let block = LabelBlock::new(chunk);
-            for (j, &job) in scratch.tables.jobs.iter().enumerate() {
+            for j in 0..slots {
+                let job = tables.slots().job(j);
                 let active = match job {
                     Job::Process(pid) if self.cpg.process(pid).kind().is_dummy() => 0,
                     Job::Process(pid) => block.holding(self.cpg.guard(pid)),
@@ -371,8 +257,8 @@ impl<'a> Simulator<'a> {
                 }
             }
             for (t, label) in chunk.iter().enumerate() {
-                self.run_resolved(label, t, stride, scratch);
-                for &j in &scratch.slots {
+                self.run_resolved(&tables, label, t, stride, scratch);
+                for &j in &scratch.order {
                     scratch.completion[j as usize] = None;
                 }
                 visit(first + t, &mut scratch.report);
@@ -380,84 +266,24 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Fills `tables` from the graph and the architecture.
-    fn gather(&self, tables: &mut JobTables) {
-        let JobTables {
-            jobs,
-            duration,
-            pe,
-            in_offsets,
-            in_edges,
-            conditions,
-            exclusive,
-            broadcast_bus,
-        } = tables;
-        let cpg = self.cpg;
-        let slots = JobSlots::for_graph(cpg);
-        let slot = |job: Job| slots.slot(job).expect("a job of the graph") as u32;
-        let simulated = if self.needs_broadcast {
-            slots.len()
-        } else {
-            cpg.len()
-        };
-        jobs.clear();
-        jobs.extend((0..simulated).map(|at| slots.job(at)));
-        conditions.clear();
-        conditions.extend(cpg.conditions().map(|cond| {
-            let disjunction = cpg.disjunction_of(cond);
-            ConditionSlots {
-                disjunction: slot(Job::Process(disjunction)),
-                disjunction_pe: cpg.mapping(disjunction),
-                broadcast: if self.needs_broadcast {
-                    slot(Job::Broadcast(cond))
-                } else {
-                    NO_SLOT
-                },
-            }
-        }));
-
-        duration.clear();
-        pe.clear();
-        in_offsets.clear();
-        in_edges.clear();
-        in_offsets.push(0);
-        for &job in jobs.iter() {
-            match job {
-                Job::Process(pid) => {
-                    duration.push(cpg.exec_time(pid));
-                    pe.push(cpg.mapping(pid));
-                    in_edges.extend(
-                        cpg.in_edges(pid)
-                            .map(|edge| (slot(Job::Process(edge.from())), edge.condition())),
-                    );
-                }
-                Job::Broadcast(cond) => {
-                    duration.push(self.broadcast_time);
-                    pe.push(None);
-                    in_edges.push((conditions[cond.index()].disjunction, None));
-                }
-            }
-            in_offsets.push(in_edges.len() as u32);
-        }
-
-        exclusive.clear();
-        exclusive.extend(self.arch.ids().map(|id| self.arch.is_exclusive(id)));
-        *broadcast_bus = self.arch.broadcast_buses().next();
-    }
-
     /// Executes the table on `label`, label `t` of the block whose
-    /// activations `scratch` holds, into `scratch.report`. Reads only the
-    /// gathered tables and the table's columns.
+    /// activations `scratch` holds, into `scratch.report`. Reads only
+    /// `tables` and the table's columns.
     // lint: hot-path (one label's checks; every buffer is a reused SimScratch one)
-    fn run_resolved(&self, label: &Cube, t: usize, stride: usize, scratch: &mut SimScratch) {
+    fn run_resolved(
+        &self,
+        tables: &GraphTables,
+        label: &Cube,
+        t: usize,
+        stride: usize,
+        scratch: &mut SimScratch,
+    ) {
         let SimScratch {
-            tables,
             active,
             resolved,
             completion,
             selected,
-            keys,
-            slots,
+            order,
             resources,
             known_by,
             stamp,
@@ -470,13 +296,15 @@ impl<'a> Simulator<'a> {
         report.activations.clear();
         report.violations.clear();
         let (activations, violations) = (&mut report.activations, &mut report.violations);
+        let job_slots = tables.slots();
 
         // Active jobs — the processes whose guard holds, then one broadcast
         // per condition of the label — and, by job slot, the completion time
-        // and the `(selecting column, recorded resource)` of each one the
-        // table activates.
+        // and the `(start, selecting column, recorded resource)` of each one
+        // the table activates.
         let bit = 1u64 << t;
-        keys.clear();
+        order.clear();
+        let mut latest = Time::ZERO;
         for (j, &mask) in active.iter().enumerate() {
             if mask & bit == 0 {
                 continue;
@@ -487,28 +315,33 @@ impl<'a> Simulator<'a> {
                 .zip(resolution.column_index())
             {
                 Some((found, index)) => {
-                    completion[j] = Some(found.time + tables.duration[j]);
-                    selected[j] = (index as u32, found.column, found.resource);
-                    keys.push(found.time, j);
+                    completion[j] = Some(found.time + tables.duration(j));
+                    selected[j] = (found.time, index as u32, found.column, found.resource);
+                    order.push(j as u64);
+                    latest = latest.max(found.time);
                 }
                 None => violations.push(SimViolation::NoActivationTime {
-                    job: tables.jobs[j],
+                    job: job_slots.job(j),
                 }),
             }
         }
-        slots.clear();
+        // Activation order is `(start, job)` order, as slot order is `Job`
+        // order.
+        let mask = sort_by_fields(order, [latest.as_u64()], |j| [selected[j].0.as_u64()]);
         resources.clear();
-        keys.sort_into(|j, start| {
-            slots.push(j as u32);
-            activations.push((tables.jobs[j], start, start + tables.duration[j]));
+        for key in order.iter_mut() {
+            *key &= mask;
+            let j = *key as usize;
+            let (job, start) = (job_slots.job(j), selected[j].0);
+            activations.push((job, start, start + tables.duration(j)));
             // A broadcast occupies the bus recorded with its table entry
             // (the bus the generating schedule used), falling back to the
             // first broadcast bus for tables without provenance.
-            resources.push(match tables.jobs[j] {
-                Job::Process(_) => tables.pe[j],
-                Job::Broadcast(_) => selected[j].2.or(tables.broadcast_bus),
+            resources.push(match job {
+                Job::Process(_) => tables.mapping(j),
+                Job::Broadcast(_) => selected[j].3.or(tables.broadcast_buses().first().copied()),
             });
-        });
+        }
 
         // Requirement 4: the column that selected each activation only uses
         // locally known condition values. A condition is known on the
@@ -519,13 +352,15 @@ impl<'a> Simulator<'a> {
             if !label.mentions(cond) {
                 return None;
             }
-            let at = tables.conditions[cond.index()];
-            let from = if at.broadcast != NO_SLOT && at.disjunction_pe != Some(pe) {
-                at.broadcast
+            let disjunction = tables.disjunction(cond).index();
+            let from = if tables.needs_broadcast() && tables.mapping(disjunction) != Some(pe) {
+                job_slots
+                    .slot(Job::Broadcast(cond))
+                    .expect("a condition of the graph")
             } else {
-                at.disjunction
+                disjunction
             };
-            completion.get(from as usize).copied().flatten()
+            completion[from]
         };
         // An activation that starts no earlier than the latest moment any
         // literal of its column is known on its element violates nothing;
@@ -535,14 +370,14 @@ impl<'a> Simulator<'a> {
             known_by.fill((0, Time::ZERO));
             *stamp = 1;
         }
-        let elements = tables.exclusive.len();
+        let elements = tables.exclusive().len();
         for ((&j, &(job, start, _)), &pe) in
-            slots.iter().zip(activations.iter()).zip(resources.iter())
+            order.iter().zip(activations.iter()).zip(resources.iter())
         {
             let Some(pe) = pe else {
                 continue;
             };
-            let (index, column, _) = selected[j as usize];
+            let (_, index, column, _) = selected[j as usize];
             let memo = &mut known_by[index as usize * elements + pe.index()];
             if memo.0 != *stamp {
                 let latest = column.literals().try_fold(Time::ZERO, |latest, lit| {
@@ -569,19 +404,17 @@ impl<'a> Simulator<'a> {
 
         // Data dependencies: inputs that flow on this execution must have
         // arrived before the activation time.
-        for (&j, &(_, start, _)) in slots.iter().zip(activations.iter()) {
+        for (&j, &(job, start, _)) in order.iter().zip(activations.iter()) {
             let j = j as usize;
-            let edges =
-                &tables.in_edges[tables.in_offsets[j] as usize..tables.in_offsets[j + 1] as usize];
-            for &(from, literal) in edges {
+            for &(from, literal) in tables.in_edges(j) {
                 if !literal.is_none_or(|lit| label.contains(lit)) {
                     continue;
                 }
                 if let Some(arrives) = completion[from as usize] {
                     if arrives > start {
                         violations.push(SimViolation::InputNotArrived {
-                            job: tables.jobs[j],
-                            predecessor: tables.jobs[from as usize],
+                            job,
+                            predecessor: job_slots.job(from as usize),
                             activation: start,
                             arrives,
                         });
@@ -593,7 +426,7 @@ impl<'a> Simulator<'a> {
         push_overlaps(
             activations,
             resources,
-            &tables.exclusive,
+            tables.exclusive(),
             group_ends,
             by_resource,
             pairs,
@@ -963,44 +796,6 @@ mod tests {
     #[test]
     fn jobs_on_non_exclusive_elements_never_overlap() {
         assert!(overlaps_of(&[("a", 4, 0, true), ("b", 4, 1, true), ("c", 4, 0, true)]).is_empty());
-    }
-
-    #[test]
-    fn activation_keys_widen_at_the_first_start_beyond_the_slot_bits() {
-        // 5 slots: 3 slot bits, so a `u64` key holds starts below 2⁶¹.
-        let mut keys = ActivationKeys::default();
-        keys.size_for(5);
-        assert_eq!(keys.slot_bits, 3);
-        let sorted = |keys: &mut ActivationKeys| {
-            let mut order = Vec::new();
-            keys.sort_into(|slot, start| order.push((start.as_u64(), slot)));
-            order
-        };
-        let pushes = [(7, 4), (1 << 60, 0), (7, 1), ((1 << 61) - 1, 2)];
-        for (start, slot) in pushes {
-            keys.push(Time::new(start), slot);
-        }
-        assert!(!keys.is_wide);
-        let mut expected: Vec<(u64, usize)> = pushes.to_vec();
-        expected.sort_unstable();
-        assert_eq!(sorted(&mut keys), expected);
-
-        // 2⁶¹ does not fit: the keys pushed so far are widened.
-        keys.push(Time::new(1 << 61), 3);
-        keys.push(Time::new(0), 3);
-        assert!(keys.is_wide);
-        expected.extend([(1 << 61, 3), (0, 3)]);
-        expected.sort_unstable();
-        assert_eq!(sorted(&mut keys), expected);
-
-        // The next label starts narrow again; one slot still takes one bit.
-        keys.clear();
-        assert!(!keys.is_wide);
-        keys.size_for(1);
-        assert_eq!(keys.slot_bits, 1);
-        keys.push(Time::new(u64::MAX), 0);
-        assert!(keys.is_wide);
-        assert_eq!(sorted(&mut keys), [(u64::MAX, 0)]);
     }
 
     #[test]

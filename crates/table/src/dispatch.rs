@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use cpg::{Cpg, Cube};
 use cpg_arch::{Architecture, PeId, Time};
-use cpg_path_sched::{Job, JobSlots};
+use cpg_path_sched::{sort_by_fields, Job, JobSlots};
 
 use crate::table::ScheduleTable;
 
@@ -134,8 +134,9 @@ impl DispatchTable {
 /// table so that code can be emitted for every resource uniformly.
 ///
 /// Each dispatch table is ordered by `(start, job, column length)`, ties
-/// kept in [`ScheduleTable::all_entries_on`] order: one unstable sort of a
-/// packed integer key per entry.
+/// kept in [`ScheduleTable::all_entries_on`] order: one [`sort_by_fields`]
+/// of the entries' positions, the job by its [`JobSlots`] slot (slot order
+/// is [`Job`] order).
 ///
 /// # Panics
 ///
@@ -164,79 +165,30 @@ pub fn per_processor_dispatch(
             .entries
             .push(DispatchEntry { job, column, start });
     }
-    let key = DispatchKey::new(cpg, table.num_entries());
-    let mut keys = Vec::new();
+    let slots = JobSlots::for_graph(cpg);
+    let slot = |job: Job| slots.slot(job).expect("tabled jobs belong to the graph") as u64;
+    let mut order = Vec::new();
     for table in &mut dispatch {
         let entries = &table.entries;
-        keys.clear();
-        keys.extend(
-            entries
-                .iter()
-                .enumerate()
-                .map(|(position, entry)| key.pack(entry, position)),
-        );
-        keys.sort_unstable();
-        table.entries = keys.iter().map(|&k| entries[key.position(k)]).collect();
+        let latest = entries.iter().map(|entry| entry.start.as_u64()).max();
+        order.clear();
+        order.extend(0..entries.len() as u64);
+        // A cube has at most 64 literals.
+        let bounds = [latest.unwrap_or(0), slots.len() as u64, 64];
+        let mask = sort_by_fields(&mut order, bounds, |position| {
+            let entry = &entries[position];
+            [
+                entry.start.as_u64(),
+                slot(entry.job),
+                entry.column.len() as u64,
+            ]
+        });
+        table.entries = order
+            .iter()
+            .map(|&key| entries[(key & mask) as usize])
+            .collect();
     }
     dispatch
-}
-
-/// The sort key of a dispatch entry, packed into one `u128` from the most
-/// significant bit down: the start time (64 bits), the job's [`JobSlots`]
-/// slot (slot order is [`Job`] order), the column length (7 bits) and the entry's
-/// position in its processing element's list (which is
-/// [`ScheduleTable::all_entries_on`] order). The position makes every key
-/// unique, so an unstable sort gives the stable order.
-#[derive(Debug, Clone, Copy)]
-struct DispatchKey {
-    /// The numbering of the graph's jobs.
-    slots: JobSlots,
-    /// Bits of the position field.
-    position_bits: u32,
-}
-
-impl DispatchKey {
-    /// Bits of the column-length field: a cube has at most 64 literals.
-    const LEN_BITS: u32 = 7;
-
-    /// The layout for the jobs of `cpg` and at most `entries` entries per
-    /// processing element: the slot takes the bits its largest value
-    /// needs, the position every bit left below the start time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slot and position do not fit next to each other in 57
-    /// bits, which needs far more jobs and entries than fit in memory.
-    fn new(cpg: &Cpg, entries: usize) -> Self {
-        let slots = JobSlots::for_graph(cpg);
-        let slot_bits = usize::BITS - slots.len().leading_zeros();
-        let position_bits = 64 - Self::LEN_BITS - slot_bits;
-        assert!(
-            (entries as u128) < 1 << position_bits,
-            "{entries} dispatch entries do not fit the sort key"
-        );
-        DispatchKey {
-            slots,
-            position_bits,
-        }
-    }
-
-    /// The key of the entry at `position` of its element's list.
-    fn pack(self, entry: &DispatchEntry, position: usize) -> u128 {
-        let slot = self
-            .slots
-            .slot(entry.job)
-            .expect("tabled jobs belong to the graph");
-        let low = ((slot as u64) << Self::LEN_BITS | entry.column.len() as u64)
-            << self.position_bits
-            | position as u64;
-        u128::from(entry.start.as_u64()) << 64 | u128::from(low)
-    }
-
-    /// The position field of a packed key.
-    fn position(self, key: u128) -> usize {
-        (key as u64 & ((1 << self.position_bits) - 1)) as usize
-    }
 }
 
 #[cfg(test)]

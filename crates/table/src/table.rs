@@ -6,7 +6,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use cpg::{CondId, Cpg, Cube, Guard, ProcessId, Track, TrackSet};
 use cpg_arch::{PeId, Time};
-use cpg_path_sched::{Job, JobSlots};
+use cpg_path_sched::{sort_by_fields, Job, JobSlots};
 
 use crate::block::{bits, BlockFold, LabelBlock, ResolvedActivation};
 use crate::error::TableViolation;
@@ -1058,34 +1058,22 @@ fn plan_row(
 }
 
 /// Fills `order` with the positions of `entries` sorted by `(time,
-/// resource, position)`, a resource being its index plus one (0 for none):
-/// one integer sort of `time | resource | position` keys when the three
-/// fit in 64 bits together, a tuple sort of the positions otherwise.
+/// resource, position)`, a resource being its index plus one (0 for none),
+/// through [`sort_by_fields`] bounded by the OR of each field over the row.
 // lint: hot-path
 fn sort_positions(entries: &[(u32, Cube, Cell)], order: &mut Vec<u64>) {
     let resource = |cell: Cell| cell.resource.map_or(0, |pe| pe.index() as u64 + 1);
-    let (times, resources) = entries.iter().fold((0, 0), |(times, resources), entry| {
-        (times | entry.2.time.as_u64(), resources | resource(entry.2))
+    let bounds = entries.iter().fold([0, 0], |[times, resources], entry| {
+        [times | entry.2.time.as_u64(), resources | resource(entry.2)]
     });
-    let bits = |word: u64| u64::BITS - word.leading_zeros();
-    let (resource_bits, at_bits) = (bits(resources), bits(entries.len() as u64));
     order.clear();
-    if bits(times) + resource_bits + at_bits <= u64::BITS {
-        let cells = entries.iter().map(|&(_, _, cell)| cell).enumerate();
-        order.extend(cells.map(|(at, cell)| {
-            (cell.time.as_u64() << resource_bits | resource(cell)) << at_bits | at as u64
-        }));
-        order.sort_unstable();
-        let mask = (1 << at_bits) - 1;
-        for key in order.iter_mut() {
-            *key &= mask;
-        }
-    } else {
-        order.extend(0..entries.len() as u64);
-        order.sort_unstable_by_key(|&at| {
-            let cell = entries[at as usize].2;
-            (cell.time, resource(cell), at)
-        });
+    order.extend(0..entries.len() as u64);
+    let mask = sort_by_fields(order, bounds, |at| {
+        let cell = entries[at].2;
+        [cell.time.as_u64(), resource(cell)]
+    });
+    for key in order.iter_mut() {
+        *key &= mask;
     }
 }
 
