@@ -229,7 +229,7 @@ pub(crate) fn validate_entry(cpg: &Cpg, arch: &Architecture) -> Result<(), Merge
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpg::{examples, Cube, Guard};
+    use cpg::examples;
     use cpg_arch::Time;
 
     #[test]
@@ -306,20 +306,6 @@ mod tests {
         assert_eq!(
             validate_system(&cpg, system.arch()),
             Err(MergeError::ProcessOnWrongElement { process, pe: bus })
-        );
-    }
-
-    #[test]
-    fn undeclared_guard_condition_is_dangling() {
-        let system = examples::diamond();
-        let mut cpg = system.cpg().clone();
-        let process = cpg.ordinary_processes().next().unwrap();
-        let ghost = CondId::new(40);
-        cpg.set_guard(process, Guard::from_cube(Cube::from(ghost.is_true())))
-            .unwrap();
-        assert_eq!(
-            validate_system(&cpg, system.arch()),
-            Err(MergeError::DanglingCondition { condition: ghost })
         );
     }
 
@@ -448,33 +434,6 @@ mod tests {
         let (arch, cpg) = padded_independent_conditions(11, 1954);
         assert_eq!(cpg.len(), processes);
         assert_eq!(validate_system(&cpg, &arch), Ok(()));
-    }
-
-    #[test]
-    fn guard_edits_that_multiply_the_tracks_fail_try_merge() {
-        // Every disjunction but the first never runs: two paths.
-        let (arch, mut cpg) = independent_conditions(40);
-        let silenced: Vec<ProcessId> = (1..40)
-            .map(|i| cpg.disjunction_of(CondId::new(i)))
-            .collect();
-        for &process in &silenced {
-            cpg.set_guard(process, Guard::never()).unwrap();
-        }
-        let config = crate::MergeConfig::new(Time::new(1));
-        let mut session = crate::MergeSession::try_new(&cpg, &arch, &config)
-            .expect("two alternative paths are within the limit");
-        assert_eq!(session.tracks().len(), 2);
-        for &process in &silenced {
-            let edit = cpg::SystemEdit::Guard {
-                process,
-                guard: Guard::always(),
-            };
-            session.apply_edit(&edit).unwrap();
-        }
-        assert_eq!(
-            session.try_merge().err(),
-            Some(MergeError::TooManyTracks { limit: MAX_TRACKS })
-        );
     }
 
     #[test]

@@ -28,9 +28,6 @@
 //! construction and the initial per-path schedules — are plain loops over
 //! the tracks that share the walk's scheduler scratch arena.
 //!
-//! A condition-oblivious baseline ([`condition_oblivious_baseline`]) is also
-//! provided for comparison.
-//!
 //! # Example
 //!
 //! ```
@@ -49,14 +46,12 @@
 //! assert!(result.overhead_percent() < 100.0);
 //! ```
 
-mod baseline;
 mod config;
 mod error;
 mod merge;
 mod result;
 mod session;
 
-pub use baseline::{condition_oblivious_baseline, BaselineResult};
 #[cfg(any(test, feature = "test-util"))]
 pub use config::with_env_var;
 pub use config::{threads_from_env, MergeConfig, SelectionPolicy};

@@ -1377,7 +1377,7 @@ impl MergeShared<'_> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use cpg::examples;
 
@@ -1580,46 +1580,12 @@ pub(crate) mod tests {
         assert!(paper_policy.is_zero_overhead());
     }
 
-    /// Crafted system where an inherited lock *must* slip: `victim` runs
-    /// early on the longest path (tabled in the `true` column before the
-    /// condition resolves), but on the opposite branch it additionally
-    /// consumes the output of `slow`, which can only start after `!C` is
-    /// known — long after the tabled time. The merge has to feed the slipped
-    /// entry back through the repair loop: the final table may not keep the
-    /// stale early time. Merge it with `τ0 = 2`.
-    pub(crate) fn slipping_system() -> (Architecture, Cpg) {
-        use cpg::CpgBuilder;
-        let arch = Architecture::builder()
-            .processor("cpu0")
-            .processor("cpu1")
-            .bus("bus")
-            .build()
-            .unwrap();
-        let cpu0 = arch.pe_by_name("cpu0").unwrap();
-        let cpu1 = arch.pe_by_name("cpu1").unwrap();
-        let mut b = CpgBuilder::new();
-        let c = b.condition("C");
-        let root = b.process("root", Time::new(10), cpu0);
-        let quick = b.process("quick", Time::new(1), cpu1);
-        let victim = b.process("victim", Time::new(2), cpu1);
-        let slow = b.process("slow", Time::new(3), cpu1);
-        let tail = b.process("tail", Time::new(20), cpu0);
-        b.simple_edge(quick, victim, Time::ZERO);
-        b.conditional_edge(root, slow, c.is_false(), Time::ZERO);
-        b.conditional_edge(root, tail, c.is_true(), Time::ZERO);
-        b.simple_edge(slow, victim, Time::ZERO);
-        // `victim` joins the two alternatives: it executes on every path and
-        // waits for `slow` only where `slow` runs.
-        b.mark_conjunction(victim);
-        let cpg = b.build(&arch).unwrap();
-        (arch, cpg)
-    }
-
     #[test]
     fn inherited_lock_that_must_slip_is_repaired_in_the_table() {
         use cpg_path_sched::LockSet;
-        let (arch, cpg) = slipping_system();
-        let result = generate_schedule_table(&cpg, &arch, &MergeConfig::new(Time::new(2)));
+        let system = examples::slipping();
+        let (arch, cpg, tau0) = (system.arch(), system.unexpanded(), system.broadcast_time());
+        let result = generate_schedule_table(cpg, arch, &MergeConfig::new(tau0));
         let stats = result.stats();
         assert!(
             stats.slip_repairs > 0,
@@ -1629,7 +1595,7 @@ pub(crate) mod tests {
             stats.lock_slips,
             0,
             "a slip survived repair: {stats:?}\n{}",
-            result.table().render(&cpg)
+            result.table().render(cpg)
         );
 
         // The stale early activation is gone: on every path the tabled time
@@ -1638,7 +1604,7 @@ pub(crate) mod tests {
         let victim = Job::Process(cpg.process_by_name("victim").unwrap());
         let slow = Job::Process(cpg.process_by_name("slow").unwrap());
         let table = result.table();
-        table.verify(&cpg, result.tracks()).unwrap();
+        table.verify(cpg, result.tracks()).unwrap();
         let not_c = result
             .tracks()
             .iter()
@@ -1654,10 +1620,10 @@ pub(crate) mod tests {
 
         // Replaying the final table through the per-track scheduler honours
         // every activation time: the table is realizable end to end.
-        let scheduler = ListScheduler::new(&cpg, &arch, Time::new(2));
+        let scheduler = ListScheduler::new(cpg, arch, tau0);
         for track in result.tracks().iter() {
             let label = track.label();
-            let mut locks = LockSet::for_graph(&cpg);
+            let mut locks = LockSet::for_graph(cpg);
             for job in table.jobs() {
                 if let Some(activation) = table.activation(job, &label) {
                     locks.insert_pinned(job, activation.time, activation.resource);
@@ -1704,26 +1670,27 @@ pub(crate) mod tests {
 
     #[test]
     fn undo_log_walk_matches_the_cloning_oracle_when_locks_slip() {
-        let (arch, cpg) = slipping_system();
-        let config = MergeConfig::new(Time::new(2));
+        let system = examples::slipping();
+        let (arch, cpg) = (system.arch(), system.unexpanded());
+        let config = MergeConfig::new(system.broadcast_time());
         // Sanity: this system forces the repair loop.
-        let result = generate_schedule_table(&cpg, &arch, &config);
+        let result = generate_schedule_table(cpg, arch, &config);
         assert!(result.stats().slip_repairs > 0);
-        assert_walks_identical(&cpg, &arch, &config);
+        assert_walks_identical(cpg, arch, &config);
     }
 
     #[test]
     fn undo_log_walk_matches_the_cloning_oracle_under_every_policy() {
         // LongestDelayFirst (the default) is covered by `when_locks_slip`.
-        let (arch, cpg) = slipping_system();
+        let system = examples::slipping();
         for policy in [
             SelectionPolicy::ShortestDelayFirst,
             SelectionPolicy::EnumerationOrder,
         ] {
             assert_walks_identical(
-                &cpg,
-                &arch,
-                &MergeConfig::new(Time::new(2)).with_selection(policy),
+                system.unexpanded(),
+                system.arch(),
+                &MergeConfig::new(system.broadcast_time()).with_selection(policy),
             );
         }
         let system = examples::fig1();

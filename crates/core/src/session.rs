@@ -198,9 +198,9 @@ pub(crate) enum Edited {
 /// starts from [`MergeCache::default`] (nothing cached, nothing dirty),
 /// fills it like every cold merge does and drops it afterwards.
 ///
-/// Every merge fills all of it, aligned with the tracks, and a structural
-/// edit drops all of it, so one test tells a warm merge from a cold one
-/// ([`is_warm`](Self::is_warm)).
+/// Every merge fills all of it, aligned with the tracks, and no edit
+/// changes the tracks, so one test tells a warm merge from a cold one
+/// ([`is_warm`](Self::is_warm)): only a session's first merge is cold.
 #[derive(Default)]
 pub(crate) struct MergeCache {
     /// The decision tree of the last merge (`None` before the first).
@@ -604,6 +604,10 @@ impl SessionChain {
 /// which is what [`generate_schedule_table`](crate::generate_schedule_table)
 /// runs.
 ///
+/// Edits change execution times and mappings, never a guard, so the
+/// alternative paths stay those of the graph the session was created with
+/// and only the first merge is cold.
+///
 /// # Example
 ///
 /// ```
@@ -635,10 +639,9 @@ pub struct MergeSession {
     cpg: Cpg,
     arch: Architecture,
     config: MergeConfig,
+    /// The alternative paths, fixed for the session's life: no edit changes
+    /// a guard.
     tracks: TrackSet,
-    /// A structural (guard) edit invalidates the whole cache and the track
-    /// enumeration itself.
-    structural: bool,
     /// What the last merge left for the next one, and the dirty marks of
     /// the edits since.
     cache: MergeCache,
@@ -658,7 +661,6 @@ impl MergeSession {
             config: *config,
             cache: MergeCache::new(tracks.len()),
             tracks,
-            structural: false,
         }
     }
 
@@ -706,12 +708,9 @@ impl MergeSession {
         // WCET/mapping scoping is not changed by those edits).
         let scope = edit.scope(&self.cpg, &self.tracks);
         edit.apply(&mut self.cpg)?;
-        match &scope {
-            EditScope::Structural => self.structural = true,
-            EditScope::Tracks(affected) => {
-                for &idx in affected {
-                    self.cache.dirty[idx] = true;
-                }
+        if let EditScope::Tracks(affected) = &scope {
+            for &idx in affected {
+                self.cache.dirty[idx] = true;
             }
         }
         Ok(scope)
@@ -723,13 +722,6 @@ impl MergeSession {
     /// [`generate_schedule_table`](crate::generate_schedule_table) on the
     /// current graph.
     pub fn merge(&mut self) -> MergeResult {
-        if self.structural {
-            // A guard edit may have changed the set of alternative paths:
-            // nothing survives.
-            self.tracks = enumerate_tracks(&self.cpg);
-            self.cache = MergeCache::new(self.tracks.len());
-            self.structural = false;
-        }
         let result = merge_tracks(
             &self.cpg,
             &self.arch,
@@ -771,10 +763,9 @@ impl MergeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::tests::slipping_system;
     use crate::merge::MergeShared;
     use crate::{generate_schedule_table, generate_schedule_table_cloning};
-    use cpg::{examples, CondId, Guard, ProcessId, MAX_CONDITIONS};
+    use cpg::{examples, CondId, ProcessId, MAX_CONDITIONS};
     use cpg_arch::Time;
     use cpg_path_sched::Job;
 
@@ -813,10 +804,15 @@ mod tests {
         let fig1 = examples::fig1();
         // The slip-forcing system makes the repair counters non-zero, so the
         // replay pins the counters each cached chain carries.
-        let (slip_arch, slip_cpg) = slipping_system();
+        let slipping = examples::slipping();
         let systems = [
             (fig1.cpg(), fig1.arch(), fig1.broadcast_time(), false),
-            (&slip_cpg, &slip_arch, Time::new(2), true),
+            (
+                slipping.unexpanded(),
+                slipping.arch(),
+                slipping.broadcast_time(),
+                true,
+            ),
         ];
         for (cpg, arch, broadcast_time, repairs) in systems {
             let config = MergeConfig::new(broadcast_time);
@@ -871,31 +867,6 @@ mod tests {
         edited.set_exec_time(p, Time::new(11)).unwrap();
         let cold = generate_schedule_table(&edited, system.arch(), &config);
         assert_identical(&cold, &warm, "warm re-merge after WCET edit");
-    }
-
-    #[test]
-    fn structural_edits_drop_the_cache_and_still_match_cold() {
-        let system = examples::fig1();
-        let config = MergeConfig::new(system.broadcast_time());
-        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-        session.merge();
-
-        // Tighten a guard: a structural edit, the track set may change.
-        let p = system
-            .cpg()
-            .ordinary_processes()
-            .find(|&p| !system.cpg().guard(p).is_true())
-            .unwrap();
-        let guard = system.cpg().guard(p).clone();
-        let edit = SystemEdit::Guard { process: p, guard };
-        assert_eq!(session.apply_edit(&edit).unwrap(), EditScope::Structural);
-        let warm = session.merge();
-        assert_eq!(session.reuse_stats().chains_replayed, 0);
-
-        let mut edited = system.cpg().clone();
-        edited.set_guard(p, system.cpg().guard(p).clone()).unwrap();
-        let cold = generate_schedule_table(&edited, system.arch(), &config);
-        assert_identical(&cold, &warm, "re-merge after structural edit");
     }
 
     #[test]
@@ -1067,33 +1038,5 @@ mod tests {
         assert!(root_replays);
         assert!(reuse.chains_replayed > 0);
         assert_eq!(warm, cold);
-    }
-
-    #[test]
-    fn never_guard_edit_keeps_session_and_cold_in_lockstep() {
-        // A guard that can never fire removes the process from every track:
-        // the structural path must re-enumerate and still match cold.
-        let system = examples::sensor_actuator();
-        let config = MergeConfig::new(system.broadcast_time());
-        let mut session = MergeSession::new(system.cpg(), system.arch(), &config);
-        session.merge();
-
-        let p = system
-            .cpg()
-            .ordinary_processes()
-            .find(|&p| !system.cpg().guard(p).is_true())
-            .expect("sensor_actuator has guarded processes");
-        session
-            .apply_edit(&SystemEdit::Guard {
-                process: p,
-                guard: Guard::never(),
-            })
-            .unwrap();
-        let warm = session.merge();
-
-        let mut edited = system.cpg().clone();
-        edited.set_guard(p, Guard::never()).unwrap();
-        let cold = generate_schedule_table(&edited, system.arch(), &config);
-        assert_identical(&cold, &warm, "never-guard structural edit");
     }
 }

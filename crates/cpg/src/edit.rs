@@ -1,10 +1,10 @@
 //! System edits and edit→affected-track scoping for incremental re-merges.
 //!
 //! Interactive design-space exploration re-estimates the worst-case delay
-//! after every small change to the system: a WCET tweak, a mapping move, a
-//! guard edit. [`SystemEdit`] models exactly those changes as first-class
-//! values so a scheduler session can (1) apply them to a [`Cpg`] in place and
-//! (2) compute *which alternative paths the edit can possibly affect* before
+//! after every small change to the system: a WCET tweak or a mapping move.
+//! [`SystemEdit`] models exactly those changes as first-class values so a
+//! scheduler session can (1) apply them to a [`Cpg`] in place and (2)
+//! compute *which alternative paths the edit can possibly affect* before
 //! re-merging.
 //!
 //! The scoping pass follows the `ValidityScope` idiom: the required-presence
@@ -12,15 +12,16 @@
 //! of literal cubes. An alternative path whose label is incompatible with
 //! every guard cube can never activate the process, so nothing the edit
 //! changes is observable on that path — its schedule, and every decision
-//! subtree that only consults such paths, is provably unchanged. Guard edits
-//! change the flattening itself (and potentially the set of alternative
-//! paths), so they scope to [`EditScope::Structural`].
+//! subtree that only consults such paths, is provably unchanged.
+//!
+//! No edit changes a guard: [`CpgBuilder::build`](crate::CpgBuilder::build)
+//! derives every guard from the graph's conditional edges, and nothing sets
+//! one afterwards. So no edit changes the set of alternative paths either.
 
 use std::fmt;
 
 use cpg_arch::{PeId, Time};
 
-use crate::cond::Guard;
 use crate::graph::Cpg;
 use crate::process::ProcessId;
 use crate::tracks::TrackSet;
@@ -43,7 +44,7 @@ use crate::tracks::TrackSet;
 /// let edit = SystemEdit::ExecTime { process: p, time: Time::new(9) };
 /// match edit.scope(&cpg, &tracks) {
 ///     EditScope::Tracks(affected) => assert!(!affected.is_empty()),
-///     EditScope::Structural => unreachable!("WCET edits scope to tracks"),
+///     _ => unreachable!("WCET edits scope to tracks"),
 /// }
 /// edit.apply(&mut cpg).unwrap();
 /// assert_eq!(cpg.exec_time(p), Time::new(9));
@@ -65,14 +66,6 @@ pub enum SystemEdit {
         /// The processing element the process is moved to.
         pe: PeId,
     },
-    /// Replace the guard `X_Pi` of a process (e.g. tightening the condition
-    /// under which it is activated).
-    Guard {
-        /// The edited process.
-        process: ProcessId,
-        /// The new guard.
-        guard: Guard,
-    },
 }
 
 impl SystemEdit {
@@ -80,9 +73,7 @@ impl SystemEdit {
     #[must_use]
     pub fn process(&self) -> ProcessId {
         match self {
-            SystemEdit::ExecTime { process, .. }
-            | SystemEdit::Mapping { process, .. }
-            | SystemEdit::Guard { process, .. } => *process,
+            SystemEdit::ExecTime { process, .. } | SystemEdit::Mapping { process, .. } => *process,
         }
     }
 
@@ -96,7 +87,6 @@ impl SystemEdit {
         match self {
             SystemEdit::ExecTime { process, time } => cpg.set_exec_time(*process, *time),
             SystemEdit::Mapping { process, pe } => cpg.set_mapping(*process, *pe),
-            SystemEdit::Guard { process, guard } => cpg.set_guard(*process, guard.clone()),
         }
     }
 
@@ -107,28 +97,20 @@ impl SystemEdit {
     /// activate the edited process. The guard literals give a cheap
     /// over-approximation (a path whose label contradicts every guard cube is
     /// excluded outright); track membership then confirms the exact set.
-    /// Guard edits change the required-presence structure itself — and may
-    /// change the set of alternative paths — so they scope to
-    /// [`EditScope::Structural`].
     #[must_use]
     pub fn scope(&self, cpg: &Cpg, tracks: &TrackSet) -> EditScope {
-        match self {
-            SystemEdit::Guard { .. } => EditScope::Structural,
-            SystemEdit::ExecTime { process, .. } | SystemEdit::Mapping { process, .. } => {
-                let guard = cpg.guard(*process);
-                let affected = tracks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, track)| {
-                        let label = track.label();
-                        guard.cubes().iter().any(|cube| !cube.excludes(&label))
-                            && track.contains(*process)
-                    })
-                    .map(|(idx, _)| idx)
-                    .collect();
-                EditScope::Tracks(affected)
-            }
-        }
+        let process = self.process();
+        let guard = cpg.guard(process);
+        let affected = tracks
+            .iter()
+            .enumerate()
+            .filter(|(_, track)| {
+                let label = track.label();
+                guard.cubes().iter().any(|cube| !cube.excludes(&label)) && track.contains(process)
+            })
+            .map(|(idx, _)| idx)
+            .collect();
+        EditScope::Tracks(affected)
     }
 }
 
@@ -137,21 +119,22 @@ impl fmt::Display for SystemEdit {
         match self {
             SystemEdit::ExecTime { process, time } => write!(f, "wcet {process} := {time}"),
             SystemEdit::Mapping { process, pe } => write!(f, "map {process} -> {pe}"),
-            SystemEdit::Guard { process, guard } => write!(f, "guard {process} := {guard}"),
         }
     }
 }
 
 /// The set of alternative paths a [`SystemEdit`] can affect.
+///
+/// Every edit scopes to [`Tracks`](EditScope::Tracks). The enum is
+/// non-exhaustive, so callers outside this crate match it with `if let` or
+/// a wildcard arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum EditScope {
     /// The edit is observable only on the listed tracks (indices into the
     /// [`TrackSet`] it was computed against). Everything else is provably
     /// unchanged.
     Tracks(Vec<usize>),
-    /// The edit changes the guard structure: the set of alternative paths
-    /// itself may differ, so no cached scheduling state survives.
-    Structural,
 }
 
 /// Why a [`SystemEdit`] could not be applied.
@@ -182,7 +165,6 @@ impl std::error::Error for EditError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cond::Cube;
     use crate::examples;
     use crate::tracks::enumerate_tracks;
 
@@ -198,9 +180,7 @@ mod tests {
             process: p,
             time: Time::new(17),
         };
-        let EditScope::Tracks(affected) = edit.scope(&cpg, &tracks) else {
-            panic!("WCET edits must scope to tracks");
-        };
+        let EditScope::Tracks(affected) = edit.scope(&cpg, &tracks);
         for (idx, track) in tracks.iter().enumerate() {
             assert_eq!(affected.contains(&idx), track.contains(p));
         }
@@ -233,20 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn guard_edits_are_structural_and_dummies_are_rejected() {
+    fn edits_of_dummies_are_rejected() {
         let mut cpg = examples::fig1().cpg().clone();
-        let tracks = enumerate_tracks(&cpg);
-        let p = cpg.ordinary_processes().next().unwrap();
-        let cond = cpg.conditions().next().unwrap();
-        let cube = Cube::top().and(cond.is_true()).unwrap();
-        let edit = SystemEdit::Guard {
-            process: p,
-            guard: Guard::from_cube(cube),
-        };
-        assert_eq!(edit.scope(&cpg, &tracks), EditScope::Structural);
-        edit.apply(&mut cpg).unwrap();
-        assert_eq!(cpg.guard(p).cubes().len(), 1);
-
         let source = cpg.source();
         let err = SystemEdit::ExecTime {
             process: source,

@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::cond::CondId;
+
 /// Error returned by [`CpgBuilder::build`](crate::CpgBuilder::build).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -39,6 +41,15 @@ pub enum BuildCpgError {
         from: String,
         /// Name of the edge's destination.
         to: String,
+    },
+    /// A conditional edge carries a condition the builder never declared.
+    UndeclaredCondition {
+        /// Name of the edge's origin.
+        from: String,
+        /// Name of the edge's destination.
+        to: String,
+        /// The undeclared condition.
+        condition: CondId,
     },
     /// A process has conditional output edges over two different conditions;
     /// a disjunction process computes exactly one condition.
@@ -109,6 +120,16 @@ impl fmt::Display for BuildCpgError {
             }
             BuildCpgError::DuplicateEdge { from, to } => {
                 write!(f, "duplicate edge from `{from}` to `{to}`")
+            }
+            BuildCpgError::UndeclaredCondition {
+                from,
+                to,
+                condition,
+            } => {
+                write!(
+                    f,
+                    "edge from `{from}` to `{to}` carries the undeclared condition {condition}"
+                )
             }
             BuildCpgError::MixedConditions { process } => {
                 write!(

@@ -233,6 +233,47 @@ pub fn diamond() -> ExampleSystem {
     ExampleSystem::new(arch, cpg, Time::new(1))
 }
 
+/// A crafted system where a lock inherited by the merge *must* slip.
+///
+/// `victim` runs early on the longest path (tabled in the `C` column before
+/// the condition resolves), but on the opposite branch it additionally
+/// consumes the output of `slow`, which can only start once `¬C` is known,
+/// long after the tabled time. `victim` joins the two alternatives: it
+/// executes on every path and waits for `slow` only where `slow` runs. A
+/// merge of [`unexpanded`](ExampleSystem::unexpanded) has to feed the
+/// slipped entry back through its slip-repair loop.
+///
+/// Two programmable processors and one bus; the broadcast time is
+/// `τ0 = 2`.
+#[must_use]
+pub fn slipping() -> ExampleSystem {
+    let arch = Architecture::builder()
+        .processor("cpu0")
+        .processor("cpu1")
+        .bus("bus")
+        .build()
+        .expect("architecture is valid");
+    let cpu0 = arch.pe_by_name("cpu0").expect("cpu0 exists");
+    let cpu1 = arch.pe_by_name("cpu1").expect("cpu1 exists");
+
+    let mut b = CpgBuilder::new();
+    let c = b.condition("C");
+    let t = Time::new;
+    let root = b.process("root", t(10), cpu0);
+    let quick = b.process("quick", t(1), cpu1);
+    let victim = b.process("victim", t(2), cpu1);
+    let slow = b.process("slow", t(3), cpu1);
+    let tail = b.process("tail", t(20), cpu0);
+    b.simple_edge(quick, victim, Time::ZERO);
+    b.conditional_edge(root, slow, c.is_false(), Time::ZERO);
+    b.conditional_edge(root, tail, c.is_true(), Time::ZERO);
+    b.simple_edge(slow, victim, Time::ZERO);
+    b.mark_conjunction(victim);
+
+    let cpg = b.build(&arch).expect("slipping graph is valid");
+    ExampleSystem::new(arch, cpg, t(2))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -274,7 +274,8 @@ impl Cpg {
         cube.display_with(&|cond| self.condition_name(cond).to_owned())
     }
 
-    /// The guard `X_Pi` of a process.
+    /// The guard `X_Pi` of a process. The builder derives it from the
+    /// conditional edges and nothing changes it afterwards.
     ///
     /// # Panics
     ///
@@ -365,21 +366,6 @@ impl Cpg {
             return Err(crate::edit::EditError::UnmappedProcess(id));
         }
         self.processes[id.0].mapping = Some(pe);
-        Ok(())
-    }
-
-    /// Replaces the guard `X_Pi` of a process in place.
-    ///
-    /// Guard edits are structural: callers holding cached per-track state
-    /// must re-enumerate the alternative paths afterwards (see
-    /// [`EditScope::Structural`](crate::EditScope)).
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown identifiers and the dummy source/sink.
-    pub fn set_guard(&mut self, id: ProcessId, guard: Guard) -> Result<(), crate::edit::EditError> {
-        self.editable(id)?;
-        self.processes[id.0].guard = guard;
         Ok(())
     }
 }
@@ -820,6 +806,15 @@ impl CpgBuilder {
                     process: self.processes[edge.from.0].name.clone(),
                 });
             }
+            if let Some(literal) = edge.condition {
+                if literal.cond().index() >= self.condition_names.len() {
+                    return Err(BuildCpgError::UndeclaredCondition {
+                        from: self.processes[edge.from.0].name.clone(),
+                        to: self.processes[edge.to.0].name.clone(),
+                        condition: literal.cond(),
+                    });
+                }
+            }
             if seen.insert((edge.from.0, edge.to.0), ()).is_some() {
                 return Err(BuildCpgError::DuplicateEdge {
                     from: self.processes[edge.from.0].name.clone(),
@@ -1072,6 +1067,26 @@ mod tests {
             b.build(&arch),
             Err(BuildCpgError::UnusedCondition { .. })
         ));
+    }
+
+    #[test]
+    fn undeclared_condition_is_rejected() {
+        let arch = arch();
+        let mut b = Cpg::builder();
+        let a = b.process("A", Time::new(1), pe(&arch, "pe1"));
+        let x = b.process("X", Time::new(1), pe(&arch, "pe1"));
+        let y = b.process("Y", Time::new(1), pe(&arch, "pe1"));
+        let ghost = CondId::new(5);
+        b.conditional_edge(a, x, ghost.is_true(), Time::ZERO);
+        b.conditional_edge(a, y, ghost.is_false(), Time::ZERO);
+        assert_eq!(
+            b.build(&arch),
+            Err(BuildCpgError::UndeclaredCondition {
+                from: "A".into(),
+                to: "X".into(),
+                condition: ghost,
+            })
+        );
     }
 
     #[test]

@@ -71,13 +71,16 @@ pub struct FuzzReport {
 
 /// Base configurations the mutation search grows from: small systems across
 /// the conditional-structure and architecture-pressure axes, so the first
-/// generation already spans several behavior cells.
+/// generation already spans several behavior cells, plus two deep nests on a
+/// tight architecture, the size at which in-model lock collisions appear.
 fn seed_workloads(rng: &mut StdRng) -> Vec<Workload> {
     [
         (16usize, 2usize, 2usize, 1usize),
         (24, 4, 3, 2),
         (28, 6, 2, 2),
         (32, 8, 4, 2),
+        (96, 32, 2, 1),
+        (144, 48, 2, 1),
     ]
     .iter()
     .map(|&(nodes, paths, processors, buses)| {
@@ -127,19 +130,14 @@ fn random_op(rng: &mut StdRng) -> WorkloadOp {
 }
 
 fn random_edit(rng: &mut StdRng) -> EditOp {
-    match rng.random_range(0..3u32) {
+    match rng.random_range(0..2u32) {
         0 => EditOp::ExecTime {
             slot: rng.random_range(0..64),
             units: rng.random_range(1..500),
         },
-        1 => EditOp::Remap {
+        _ => EditOp::Remap {
             slot: rng.random_range(0..64),
             pe_slot: rng.random_range(0..8),
-        },
-        _ => EditOp::TightenGuard {
-            slot: rng.random_range(0..64),
-            cond_slot: rng.random_range(0..8),
-            value: rng.random_bool(0.5),
         },
     }
 }

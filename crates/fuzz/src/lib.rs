@@ -38,4 +38,4 @@ pub use fuzz::{
     fuzz, shrink_failure, shrink_preserving_signature, BehaviorEntry, FailureEntry, FuzzConfig,
     FuzzReport,
 };
-pub use oracle::{run_oracles, OracleFailure, OracleKind};
+pub use oracle::{run_oracles, simulates_clean, OracleFailure, OracleKind};

@@ -25,6 +25,8 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use cpg::Cpg;
+use cpg_arch::Architecture;
 use cpg_gen::{GeneratedSystem, Workload};
 use cpg_merge::{
     generate_schedule_table, generate_schedule_table_cloning, generate_walk_table,
@@ -189,44 +191,63 @@ fn run_oracles_inner(
         }
     }
 
-    // Oracle 5: the verdict is what running the walk table shows, and the
-    // published table, its compaction, runs no worse.
+    // Oracle 5: the verdict is what running the walk table shows.
+    simulates_clean(cpg, arch, &config, &baseline)?;
+
+    Ok(vector)
+}
+
+/// The "simulates clean" oracle on its own: `result`, the merge of `cpg` on
+/// `arch` under `config`, must give the verdict that running its walk table
+/// (the table the merge judges, before compaction) on every alternative
+/// path shows, and the published table, its compaction, must run no worse.
+///
+/// # Errors
+///
+/// Returns an [`OracleKind::SimulatesClean`] failure on the first
+/// disagreement.
+pub fn simulates_clean(
+    cpg: &Cpg,
+    arch: &Architecture,
+    config: &MergeConfig,
+    result: &MergeResult,
+) -> Result<(), OracleFailure> {
     let simulate = |table| {
-        let simulator = Simulator::new(cpg, arch, table, system.broadcast_time());
-        let reports = simulator.run_all(baseline.tracks());
+        let simulator = Simulator::new(cpg, arch, table, config.broadcast_time());
+        let reports = simulator.run_all(result.tracks());
         let delays: Vec<_> = reports.iter().map(SimulationReport::delay).collect();
         let violations: usize = reports.iter().map(|report| report.violations().len()).sum();
         (violations, delays)
     };
-    let walked = generate_walk_table(cpg, arch, &config);
+    let walked = generate_walk_table(cpg, arch, config);
     let (violations, delays) = simulate(walked.table());
     let clean = violations == 0;
     // An unrepaired conflict degrades the outcome even where no path's run
     // happens to trip over it.
-    let agrees = if baseline.outcome() == MergeOutcome::Realizable {
+    let agrees = if result.outcome() == MergeOutcome::Realizable {
         clean
     } else {
-        !clean || baseline.stats().unrepaired_conflicts > 0
+        !clean || result.stats().unrepaired_conflicts > 0
     };
     if !agrees {
         return Err(OracleFailure {
             oracle: OracleKind::SimulatesClean,
             detail: format!(
                 "outcome {:?} but the simulation reports {violations} violation(s)",
-                baseline.outcome()
+                result.outcome()
             ),
         });
     }
-    if violations != baseline.stats().lock_slips {
+    if violations != result.stats().lock_slips {
         return Err(OracleFailure {
             oracle: OracleKind::SimulatesClean,
             detail: format!(
                 "{violations} simulated violation(s) but {} counted",
-                baseline.stats().lock_slips
+                result.stats().lock_slips
             ),
         });
     }
-    let (published, published_delays) = simulate(baseline.table());
+    let (published, published_delays) = simulate(result.table());
     if published > violations || published_delays != delays {
         return Err(OracleFailure {
             oracle: OracleKind::SimulatesClean,
@@ -236,8 +257,7 @@ fn run_oracles_inner(
             ),
         });
     }
-
-    Ok(vector)
+    Ok(())
 }
 
 /// First observable difference between two merge results, if any.

@@ -126,14 +126,13 @@ pub fn generate_unexpanded(config: &GeneratorConfig) -> (Architecture, Cpg) {
     let arch = architecture(config.processors(), config.buses());
     let computation: Vec<PeId> = arch.computation_elements().collect();
 
-    let stages = factorize_into_stages(config.target_paths(), config.nodes(), &mut rng);
-    let skeleton_cost: usize = stages.iter().map(|&k| stage_cost(k)).sum();
     assert!(
-        skeleton_cost <= config.nodes(),
+        fits(config),
         "cannot realise {} alternative paths with only {} processes",
         config.target_paths(),
         config.nodes()
     );
+    let stages = factorize_into_stages(config.target_paths(), config.nodes(), &mut rng);
 
     let mut gen = Generator {
         builder: CpgBuilder::new(),
@@ -169,6 +168,18 @@ pub fn generate_unexpanded(config: &GeneratorConfig) -> (Architecture, Cpg) {
         .build(&arch)
         .expect("generated graphs are structurally valid");
     (arch, cpg)
+}
+
+/// Whether the generator can realise `config`: the conditional skeleton of
+/// its path count fits into its node budget. The prime-factor stages are the
+/// cheapest skeleton (merging two stages never lowers the cost), so the
+/// configuration fits exactly when they do.
+pub(crate) fn fits(config: &GeneratorConfig) -> bool {
+    let cost: usize = prime_factors(config.target_paths())
+        .into_iter()
+        .map(stage_cost)
+        .sum();
+    cost <= config.nodes()
 }
 
 /// Number of skeleton processes needed by a stage with `k` alternative paths:

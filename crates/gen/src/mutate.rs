@@ -12,9 +12,13 @@
 //!
 //! Every operator is total over its `u64` payloads: slots are resolved
 //! modulo the relevant entity count, so any byte soup decodes into an
-//! applicable operation. Mutations that produce structurally invalid graphs
-//! (cycles, broken branch polarities, missing buses) surface as a benign
-//! [`MaterializeError`] rather than a panic; the deliberately *unvalidated*
+//! applicable operation. Every graph mutation is a builder edit, so the
+//! builder derives every guard of a materialized system from its
+//! conditional edges, as the paper's model has it. Mutations that produce
+//! structurally invalid graphs (broken branch polarities, joins of
+//! exclusive branches, duplicate edges, missing buses) and configurations
+//! the generator cannot realise surface as a benign [`MaterializeError`]
+//! rather than a panic; the deliberately *unvalidated*
 //! corner is [`WorkloadOp::DropProcessingElements`], which swaps in a
 //! truncated architecture after expansion and thereby exercises the typed
 //! [`validate_system`](../../cpg_merge/fn.validate_system.html) rejection
@@ -24,13 +28,13 @@ use std::fmt;
 use std::hash::Hasher;
 
 use cpg::{
-    expand_communications, BuildCpgError, BusPolicy, CondId, CpgBuilder, Cube, EditError,
-    ExpandError, ProcessId, ProcessKind, SystemEdit,
+    expand_communications, BuildCpgError, BusPolicy, CondId, CpgBuilder, ExpandError, ProcessId,
+    ProcessKind, SystemEdit,
 };
 use cpg_arch::{Architecture, BuildArchitectureError, PeId, PeKind, Time};
 
 use crate::config::GeneratorConfig;
-use crate::generator::{architecture, generate_unexpanded, GeneratedSystem};
+use crate::generator::{architecture, fits, generate_unexpanded, GeneratedSystem};
 
 /// One mutation applied while re-materializing a workload.
 ///
@@ -95,9 +99,12 @@ pub enum WorkloadOp {
         /// Removable-edge slot (modulo the removable-edge count).
         slot: u64,
     },
-    /// Conjoin one more condition literal onto the guard of the `slot`-th
-    /// ordinary process after expansion, re-nesting it one branch deeper
-    /// (possibly to an unsatisfiable guard).
+    /// Re-nest the `slot`-th ordinary process one branch deeper: add a
+    /// conditional edge carrying the literal from the condition's
+    /// disjunction process into the process, so the builder conjoins the
+    /// literal onto its guard and re-derives every guard downstream. Skipped
+    /// unless the disjunction process comes first in the base graph's
+    /// topological order.
     RenestGuard {
         /// Ordinary-process slot (modulo the process count).
         slot: u64,
@@ -127,15 +134,6 @@ pub enum EditOp {
         /// Computation-element slot (modulo the element count).
         pe_slot: u64,
     },
-    /// Tighten the guard of the `slot`-th ordinary process by one literal.
-    TightenGuard {
-        /// Ordinary-process slot (modulo the process count).
-        slot: u64,
-        /// Condition slot (modulo the declared-condition count).
-        cond_slot: u64,
-        /// Polarity of the conjoined literal.
-        value: bool,
-    },
 }
 
 /// Why a workload failed to materialize.
@@ -145,23 +143,32 @@ pub enum EditOp {
 /// the workload is discarded rather than reported.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaterializeError {
+    /// The generator cannot realise the configured number of alternative
+    /// paths within its node budget.
+    Infeasible {
+        /// The configured number of alternative paths.
+        paths: usize,
+        /// The configured number of ordinary processes.
+        nodes: usize,
+    },
     /// The mutated graph violates a structural rule of the paper.
     Build(BuildCpgError),
     /// Communication expansion failed (e.g. no usable bus after a squeeze).
     Expand(ExpandError),
     /// The truncated architecture cannot be built.
     Arch(BuildArchitectureError),
-    /// A post-expansion guard edit was rejected.
-    Edit(EditError),
 }
 
 impl fmt::Display for MaterializeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            MaterializeError::Infeasible { paths, nodes } => write!(
+                f,
+                "cannot realise {paths} alternative paths with only {nodes} processes"
+            ),
             MaterializeError::Build(err) => write!(f, "mutated graph is invalid: {err}"),
             MaterializeError::Expand(err) => write!(f, "mutated graph does not expand: {err}"),
             MaterializeError::Arch(err) => write!(f, "truncated architecture is invalid: {err}"),
-            MaterializeError::Edit(err) => write!(f, "guard re-nesting rejected: {err}"),
         }
     }
 }
@@ -169,10 +176,10 @@ impl fmt::Display for MaterializeError {
 impl std::error::Error for MaterializeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            MaterializeError::Infeasible { .. } => None,
             MaterializeError::Build(err) => Some(err),
             MaterializeError::Expand(err) => Some(err),
             MaterializeError::Arch(err) => Some(err),
-            MaterializeError::Edit(err) => Some(err),
         }
     }
 }
@@ -225,13 +232,16 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Returns a [`MaterializeError`] when a mutation produces a system that
-    /// the graph/architecture constructors reject; see the error type.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same node-budget condition as [`crate::generate`].
+    /// Returns a [`MaterializeError`] when the generator cannot realise the
+    /// configuration, or when a mutation produces a system that the
+    /// graph/architecture constructors reject; see the error type.
     pub fn materialize(&self) -> Result<GeneratedSystem, MaterializeError> {
+        if !fits(&self.config) {
+            return Err(MaterializeError::Infeasible {
+                paths: self.config.target_paths(),
+                nodes: self.config.nodes(),
+            });
+        }
         let (base_arch, base) = generate_unexpanded(&self.config);
 
         // Resolve the architecture squeezes first: mappings are folded onto
@@ -277,8 +287,8 @@ impl Workload {
             }
         }
 
-        // Dependency edits over the user-to-user edges; edges to the dummy
-        // source/sink are re-derived by the builder.
+        // Dependency edits and re-nestings over the user-to-user edges; edges
+        // to the dummy source/sink are re-derived by the builder.
         let mut kept: Vec<(ProcessId, ProcessId, Option<cpg::Literal>, Time)> = base
             .edges()
             .iter()
@@ -323,6 +333,21 @@ impl Workload {
                     let comm = Time::new(1 + comm % self.config.max_comm_time().max(1));
                     kept.push((from, to, None, comm));
                 }
+                WorkloadOp::RenestGuard {
+                    slot,
+                    cond_slot,
+                    value,
+                } => {
+                    if base.num_conditions() == 0 {
+                        continue;
+                    }
+                    let process = users[(slot % slots) as usize];
+                    let cond = CondId::new((cond_slot as usize) % base.num_conditions());
+                    let disjunction = base.disjunction_of(cond);
+                    if position[disjunction.index()] < position[process.index()] {
+                        kept.push((disjunction, process, Some(cond.literal(value)), Time::ZERO));
+                    }
+                }
                 _ => {}
             }
         }
@@ -356,47 +381,27 @@ impl Workload {
             }
         }
         let cpg = builder.build(&arch).map_err(MaterializeError::Build)?;
-        let mut cpg = expand_communications(&cpg, &arch, BusPolicy::RoundRobin)
+        let cpg = expand_communications(&cpg, &arch, BusPolicy::RoundRobin)
             .map_err(MaterializeError::Expand)?;
 
-        // Post-expansion mutations.
-        let ordinary: Vec<ProcessId> = cpg.ordinary_processes().collect();
+        // The one post-expansion mutation: a truncated architecture.
         let mut arch = arch;
         for op in &self.ops {
-            match *op {
-                WorkloadOp::RenestGuard {
-                    slot,
-                    cond_slot,
-                    value,
-                } => {
-                    if cpg.num_conditions() == 0 {
-                        continue;
-                    }
-                    let process = ordinary[(slot as usize) % ordinary.len()];
-                    let cond = CondId::new((cond_slot as usize) % cpg.num_conditions());
-                    let guard = cpg
-                        .guard(process)
-                        .and_cube(&Cube::from(cond.literal(value)));
-                    cpg.set_guard(process, guard)
-                        .map_err(MaterializeError::Edit)?;
+            if let WorkloadOp::DropProcessingElements { keep } = *op {
+                let keep = ((keep as usize) % arch.len()).max(1);
+                if keep == arch.len() {
+                    continue;
                 }
-                WorkloadOp::DropProcessingElements { keep } => {
-                    let keep = ((keep as usize) % arch.len()).max(1);
-                    if keep == arch.len() {
-                        continue;
-                    }
-                    let mut truncated = Architecture::builder();
-                    for id in arch.ids().take(keep) {
-                        let name = arch.pe(id).name().to_owned();
-                        truncated = match arch.kind_of(id) {
-                            PeKind::Programmable => truncated.processor(name),
-                            PeKind::Hardware => truncated.hardware(name),
-                            PeKind::Bus => truncated.bus(name),
-                        };
-                    }
-                    arch = truncated.build().map_err(MaterializeError::Arch)?;
+                let mut truncated = Architecture::builder();
+                for id in arch.ids().take(keep) {
+                    let name = arch.pe(id).name().to_owned();
+                    truncated = match arch.kind_of(id) {
+                        PeKind::Programmable => truncated.processor(name),
+                        PeKind::Hardware => truncated.hardware(name),
+                        PeKind::Bus => truncated.bus(name),
+                    };
                 }
-                _ => {}
+                arch = truncated.build().map_err(MaterializeError::Arch)?;
             }
         }
 
@@ -431,23 +436,6 @@ impl Workload {
                     edits.push(SystemEdit::Mapping {
                         process: ordinary[(slot as usize) % ordinary.len()],
                         pe: computation[(pe_slot as usize) % computation.len()],
-                    });
-                }
-                EditOp::TightenGuard {
-                    slot,
-                    cond_slot,
-                    value,
-                } => {
-                    if ordinary.is_empty() || cpg.num_conditions() == 0 {
-                        continue;
-                    }
-                    let process = ordinary[(slot as usize) % ordinary.len()];
-                    let cond = CondId::new((cond_slot as usize) % cpg.num_conditions());
-                    edits.push(SystemEdit::Guard {
-                        process,
-                        guard: cpg
-                            .guard(process)
-                            .and_cube(&Cube::from(cond.literal(value))),
                     });
                 }
             }
@@ -554,11 +542,6 @@ impl fmt::Display for EditOp {
         match *self {
             EditOp::ExecTime { slot, units } => write!(f, "exec:{slot}:{units}"),
             EditOp::Remap { slot, pe_slot } => write!(f, "remap:{slot}:{pe_slot}"),
-            EditOp::TightenGuard {
-                slot,
-                cond_slot,
-                value,
-            } => write!(f, "guard:{slot}:{cond_slot}:{}", u8::from(value)),
         }
     }
 }
@@ -578,11 +561,6 @@ impl EditOp {
             "remap" => EditOp::Remap {
                 slot: next()?,
                 pe_slot: next()?,
-            },
-            "guard" => EditOp::TightenGuard {
-                slot: next()?,
-                cond_slot: next()?,
-                value: next()? != 0,
             },
             _ => return None,
         };
@@ -710,6 +688,22 @@ mod tests {
     }
 
     #[test]
+    fn configs_the_generator_cannot_realise_do_not_materialize() {
+        let workload = Workload::new(GeneratorConfig::new(5, 32));
+        assert_eq!(
+            workload.materialize().unwrap_err(),
+            MaterializeError::Infeasible {
+                paths: 32,
+                nodes: 5
+            }
+        );
+        // The cheapest skeleton of 32 paths takes 5 stages of 4 processes.
+        assert!(Workload::new(GeneratorConfig::new(20, 32))
+            .materialize()
+            .is_ok());
+    }
+
+    #[test]
     fn materialization_is_deterministic() {
         let mut workload = Workload::new(base_config());
         workload.ops = vec![
@@ -745,6 +739,49 @@ mod tests {
         let system = workload.materialize().unwrap();
         let process = system.cpg().ordinary_processes().nth(3).unwrap();
         assert_eq!(system.cpg().exec_time(process), Time::new(77));
+    }
+
+    #[test]
+    fn renesting_conjoins_the_literal_or_is_skipped() {
+        use cpg::{Cube, Guard};
+        let base = Workload::new(base_config());
+        let unmutated = system_fingerprint(&base.materialize().unwrap());
+        let conditions = base.materialize().unwrap().cpg().num_conditions();
+        let (mut renested, mut skipped) = (0, 0);
+        for slot in 0..24 {
+            for cond_slot in 0..conditions as u64 {
+                for value in [true, false] {
+                    let mut workload = base.clone();
+                    workload.ops.push(WorkloadOp::RenestGuard {
+                        slot,
+                        cond_slot,
+                        value,
+                    });
+                    // The builder rejects joins of exclusive branches and
+                    // duplicate edges.
+                    let Ok(system) = workload.materialize() else {
+                        continue;
+                    };
+                    if system_fingerprint(&system) == unmutated {
+                        skipped += 1;
+                        continue;
+                    }
+                    // A conjunction process runs where any input arrives, so
+                    // only the others take the literal on every path.
+                    let cpg = system.cpg();
+                    let process = cpg.ordinary_processes().nth(slot as usize).unwrap();
+                    if cpg.process(process).is_conjunction() {
+                        continue;
+                    }
+                    let literal = CondId::new(cond_slot as usize).literal(value);
+                    assert!(cpg
+                        .guard(process)
+                        .implies(&Guard::from_cube(Cube::from(literal))));
+                    renested += 1;
+                }
+            }
+        }
+        assert!(renested > 0 && skipped > 0, "{renested} {skipped}");
     }
 
     #[test]
@@ -786,15 +823,10 @@ mod tests {
                 slot: 1,
                 pe_slot: 0,
             },
-            EditOp::TightenGuard {
-                slot: 2,
-                cond_slot: 1,
-                value: false,
-            },
         ];
         let system = workload.materialize().unwrap();
         let edits = workload.session_edits(&system);
-        assert_eq!(edits.len(), 3);
+        assert_eq!(edits.len(), 2);
         for edit in &edits {
             assert!(!system.cpg().process(edit.process()).kind().is_dummy());
         }
@@ -831,11 +863,6 @@ mod tests {
                 slot: 3,
                 pe_slot: 4,
             },
-            EditOp::TightenGuard {
-                slot: 5,
-                cond_slot: 6,
-                value: false,
-            },
         ];
         assert_eq!(
             Workload::parse_ops(&workload.encode_ops()),
@@ -849,5 +876,6 @@ mod tests {
         assert_eq!(WorkloadOp::parse("exec:1"), None);
         assert_eq!(WorkloadOp::parse("exec:1:2:3"), None);
         assert_eq!(EditOp::parse("drop:1"), None);
+        assert_eq!(EditOp::parse("guard:1:2:0"), None);
     }
 }

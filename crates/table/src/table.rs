@@ -734,8 +734,8 @@ impl ScheduleTable {
     /// end up in the order a plain `compact` gives them and the table is the
     /// same. The other rows are compacted and their edits kept.
     ///
-    /// A memo holds for one system as long as the guards of its processes
-    /// do not change; after a guard edit, start from an empty one.
+    /// A memo holds for one graph: its guards are fixed once built, so
+    /// edits of execution times and mappings keep it valid.
     pub fn compact_reusing(&mut self, cpg: &Cpg, memo: &mut CompactionMemo) -> usize {
         let ScheduleTable {
             columns,

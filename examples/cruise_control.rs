@@ -146,15 +146,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.delay()
     );
 
-    // How much does condition awareness buy compared to a static data-flow
-    // schedule that always reserves time for everything?
-    let baseline = condition_oblivious_baseline(&cpg, &arch, tau0);
-    println!(
-        "condition-oblivious baseline worst case: {} versus {} with the schedule table",
-        baseline.delay(),
-        result.delta_max()
-    );
-
     // Resource utilisation in the worst-case scenario: is the platform
     // over-provisioned?
     let worst_track = result

@@ -63,15 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 6. Compare against a scheduler that ignores the control flow.
-    let baseline = condition_oblivious_baseline(&cpg, &arch, Time::new(1));
-    println!(
-        "\ncondition-oblivious baseline worst case: {} (condition-aware table: {})",
-        baseline.delay(),
-        result.delta_max()
-    );
-
-    // 7. Emit the per-processor dispatch pseudo-code a run-time kernel would
+    // 6. Emit the per-processor dispatch pseudo-code a run-time kernel would
     //    execute (the synthesis output of the flow).
     println!();
     for dispatch in cps::table::per_processor_dispatch(result.table(), &cpg, &arch) {

@@ -103,8 +103,8 @@ pub mod prelude {
     pub use cpg_atm::{CpuModel, OamMode, OamPlatform};
     pub use cpg_gen::{generate, GeneratorConfig};
     pub use cpg_merge::{
-        condition_oblivious_baseline, generate_schedule_table, MergeConfig, MergeResult,
-        MergeSession, ReuseStats, SelectionPolicy,
+        generate_schedule_table, MergeConfig, MergeResult, MergeSession, ReuseStats,
+        SelectionPolicy,
     };
     pub use cpg_path_sched::{
         Job, ListScheduler, LockSet, PathSchedule, RunScratch, SlippedLock, TrackContext,

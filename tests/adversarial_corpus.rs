@@ -10,7 +10,10 @@
 //! storms, degraded outcomes, typed rejections), not stored failures —
 //! a healthy tree passes every oracle on all of them. The sabotage tests
 //! then flip one protocol switch at a time and assert the battery still
-//! notices, so a green corpus run cannot be a vacuous oracle.
+//! notices, so a green corpus run cannot be a vacuous oracle. A mutant no
+//! entry reaches is shown on a crafted input instead: the skipped slip
+//! repair on `cpg::examples::slipping`, the session mutants on
+//! edit-carrying workloads.
 //!
 //! Every test takes [`lock`]: the sabotage switches and the silenced panic
 //! hook of [`run_sabotaged`] are process-global, so a replay running next to
@@ -21,9 +24,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use cpg_fuzz::corpus::{encode_entry, parse_entry};
-use cpg_fuzz::{run_oracles, shrink_preserving_signature, FuzzConfig, OracleFailure, OracleKind};
+use cpg_fuzz::{
+    run_oracles, shrink_preserving_signature, simulates_clean, FuzzConfig, OracleFailure,
+    OracleKind,
+};
 use cpg_gen::Workload;
-use cpg_merge::sabotage;
+use cpg_merge::{generate_schedule_table, sabotage, MergeConfig, MergeOutcome};
 
 /// Serializes every test of this suite: the sabotage switches and the
 /// silenced panic hook are process-global state, and an engaged saboteur
@@ -175,8 +181,24 @@ fn dirty_lock_reuse_is_caught_by_the_cloning_oracle() {
 #[test]
 fn skipped_slip_repair_is_caught_by_the_simulation_oracle() {
     let _lock = lock();
-    let caught = run_sabotaged(|| Box::new(sabotage::SkipSlipRepair::engage()));
-    assert_caught_by(&caught, OracleKind::SimulatesClean, "skip-slip-repair");
+    // No banked entry repairs a slip, the crafted slipping system does: its
+    // merge repairs one, and without the repair the table it still calls
+    // `Realizable` runs into a violation.
+    let system = cpg::examples::slipping();
+    let (cpg, arch) = (system.unexpanded(), system.arch());
+    let config = MergeConfig::new(system.broadcast_time());
+    let healthy = generate_schedule_table(cpg, arch, &config);
+    assert!(healthy.stats().slip_repairs > 0, "{:?}", healthy.stats());
+    simulates_clean(cpg, arch, &config, &healthy).unwrap();
+
+    let saboteur = sabotage::SkipSlipRepair::engage();
+    let sabotaged = generate_schedule_table(cpg, arch, &config);
+    let outcome = simulates_clean(cpg, arch, &config, &sabotaged);
+    drop(saboteur);
+    assert_eq!(sabotaged.outcome(), MergeOutcome::Realizable);
+    let failure = outcome.expect_err("the unrepaired slip must show in the simulation");
+    assert_eq!(failure.oracle, OracleKind::SimulatesClean, "{failure}");
+    println!("skip-slip-repair caught on the slipping system: {failure}");
 }
 
 #[test]

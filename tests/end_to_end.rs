@@ -126,27 +126,6 @@ fn merged_table_is_robust_to_the_broadcast_time() {
 }
 
 #[test]
-fn baseline_and_merged_tables_agree_on_unconditional_processes() {
-    let system = examples::diamond();
-    let merged = pipeline(&system);
-    let baseline =
-        condition_oblivious_baseline(system.cpg(), system.arch(), system.broadcast_time());
-    // Both schedulers place the unconditional root process at time zero.
-    let decide = system.cpg().process_by_name("decide").unwrap();
-    assert_eq!(
-        baseline.table().get(Job::Process(decide), &Cube::top()),
-        Some(Time::ZERO)
-    );
-    assert_eq!(
-        merged
-            .table()
-            .activation(Job::Process(decide), &merged.tracks().tracks()[0].label())
-            .map(|activation| activation.time),
-        Some(Time::ZERO)
-    );
-}
-
-#[test]
 fn umbrella_modules_expose_every_subsystem() {
     // Spot-check that the re-exported module hierarchy is usable as shown in
     // the README.

@@ -316,7 +316,7 @@ fn moving_a_disjunction_process_and_back_matches_cold_merges() {
             edit.apply(&mut reference).unwrap();
             let scope = session.apply_edit(&edit).unwrap();
             let EditScope::Tracks(dirty) = scope else {
-                panic!("a mapping edit is not structural");
+                panic!("a mapping edit scopes to tracks");
             };
             assert!(!dirty.is_empty());
             some_tracks_clean |= dirty.len() < tracks;

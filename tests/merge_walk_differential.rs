@@ -144,49 +144,23 @@ proptest! {
     }
 }
 
-/// Crafted system where an inherited lock *must* slip (the same shape as the
-/// regression test in `cpg-merge`): `victim` runs early on the longest path,
-/// but on the opposite branch it additionally consumes the output of `slow`,
-/// so the tabled early time is unreachable there and the merge has to drive
-/// the Theorem-2 slip-repair loop — the walk path where the pooled
-/// machinery (lock sets, schedules, reused repair buffers) is under the most
-/// pressure.
-fn slipping_system() -> (Architecture, Cpg) {
-    let arch = Architecture::builder()
-        .processor("cpu0")
-        .processor("cpu1")
-        .bus("bus")
-        .build()
-        .unwrap();
-    let cpu0 = arch.pe_by_name("cpu0").unwrap();
-    let cpu1 = arch.pe_by_name("cpu1").unwrap();
-    let mut b = CpgBuilder::new();
-    let c = b.condition("C");
-    let root = b.process("root", Time::new(10), cpu0);
-    let quick = b.process("quick", Time::new(1), cpu1);
-    let victim = b.process("victim", Time::new(2), cpu1);
-    let slow = b.process("slow", Time::new(3), cpu1);
-    let tail = b.process("tail", Time::new(20), cpu0);
-    b.simple_edge(quick, victim, Time::ZERO);
-    b.conditional_edge(root, slow, c.is_false(), Time::ZERO);
-    b.conditional_edge(root, tail, c.is_true(), Time::ZERO);
-    b.simple_edge(slow, victim, Time::ZERO);
-    b.mark_conjunction(victim);
-    let cpg = b.build(&arch).unwrap();
-    (arch, cpg)
-}
-
 #[test]
 fn production_walks_match_the_oracle_on_a_slip_forcing_system() {
-    let (arch, cpg) = slipping_system();
-    let config = MergeConfig::new(Time::new(2));
-    let oracle = generate_schedule_table_cloning(&cpg, &arch, &config);
+    // `victim` runs early on the longest path, but on the opposite branch it
+    // also consumes the output of `slow`, so the tabled early time is
+    // unreachable there and the merge has to drive the Theorem-2 slip-repair
+    // loop: the walk path where the pooled machinery (lock sets, schedules,
+    // reused repair buffers) is under the most pressure.
+    let system = cps::model::examples::slipping();
+    let (arch, cpg) = (system.arch(), system.unexpanded());
+    let config = MergeConfig::new(system.broadcast_time());
+    let oracle = generate_schedule_table_cloning(cpg, arch, &config);
     assert!(
         oracle.stats().slip_repairs > 0,
         "the crafted lock never slipped: {:?}",
         oracle.stats()
     );
-    let walk = generate_schedule_table(&cpg, &arch, &config);
+    let walk = generate_schedule_table(cpg, arch, &config);
     assert_eq!(oracle.table(), walk.table(), "table diverged");
     assert_eq!(oracle.path_schedules(), walk.path_schedules());
     assert_eq!(oracle.steps(), walk.steps());

@@ -79,10 +79,6 @@ fn prelude_covers_the_merge_module() {
         cps::prelude::generate_schedule_table,
         cps::merge::generate_schedule_table,
     );
-    same_fn(
-        cps::prelude::condition_oblivious_baseline,
-        cps::merge::condition_oblivious_baseline,
-    );
 }
 
 #[test]
